@@ -149,9 +149,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="address table for offline mode")
     parser.add_argument("--registry-cache", default=None,
                         help="persistent cache file for address lookups")
-    parser.add_argument("--registry-deep", action="store_true",
-                        help="reserved: also query internal transactions "
-                             "(not implemented)")
     parser.add_argument("--workers", type=int, default=1,
                         help="symbolic-execution worker threads")
     parser.add_argument("--reentrant-paths", action="store_true",

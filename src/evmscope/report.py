@@ -41,12 +41,13 @@ from .solver import BoundedSolver, default_solver
 from .symexec import (
     Feasibility,
     FeasibilityStatus,
-    SymbolicState,
+    SymExecError,
     Word,
     execute_path,
+    execute_trie,
     refine_transfer_values,
     run_constructor,
-    trace_path,
+    trace_path,  # noqa: F401 -- re-exported; perfbench/tracer.py patches this name
 )
 
 SCHEMA_VERSION = 1
@@ -255,7 +256,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         if g > max_gas:
             max_gas, max_gas_path = g, p
 
-    violations_by_path: list[tuple[ProgramPath, list[PropertyViolation], SymbolicState | None]] = []
+    violations_by_path: list[tuple[ProgramPath, list[PropertyViolation]]] = []
     selfdestruct_blocks = {
         b.id for b in cfg.blocks.values()
         if any(i.mnemonic == "SELFDESTRUCT" for i in b.instructions)
@@ -267,18 +268,23 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     if not cfg.money_blocks:
         if enabled(PropertyId.BLACK_HOLE):
             for path, violation in check_black_hole(cfg, money_paths, payable):
-                violations_by_path.append((path, [violation], None))
+                violations_by_path.append((path, [violation]))
     else:
         check_limit = config.transfer_limit is not None and enabled(PropertyId.TRANSFER_LIMIT)
         check_addr = registry.mode != "disabled" and enabled(PropertyId.NON_EXISTING_ADDRESS)
         check_suicide = enabled(PropertyId.GUARD_SUICIDE)
-        for path in money_paths:
-            needs_trace = (check_limit or check_addr
-                           or (check_suicide and any(b in selfdestruct_blocks
-                                                     for b in path.blocks)))
-            if not needs_trace:
+        to_trace = [path for path in money_paths
+                    if check_limit or check_addr
+                    or (check_suicide and any(b in selfdestruct_blocks for b in path.blocks))]
+        # shared prefixes run once; a walk that fails skips every path below
+        # the failing block and is reported once
+        outcomes = execute_trie(cfg, contract.runtime_code, [p.blocks for p in to_trace],
+                                base_storage, gas_table)
+        skipped: dict[SymExecError, int] = {}
+        for path, (_blocks, state) in zip(to_trace, outcomes):
+            if isinstance(state, SymExecError):
+                skipped[state] = skipped.get(state, 0) + 1
                 continue
-            state = trace_path(cfg, contract.runtime_code, path, base_storage, gas_table)
             live_records = [r for r in state.records if not r.reverted]
             found: list[PropertyViolation] = []
             if check_limit:
@@ -297,10 +303,12 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 if v:
                     found.append(v)
             if found:
-                violations_by_path.append((path, found, state))
+                violations_by_path.append((path, found))
+        for exc, count in skipped.items():
+            diagnostics.append(f"trace_abandoned: {type(exc).__name__} ({exc}); "
+                               f"{count} money path(s) not analyzed")
 
-    ranked = [make_ranked(path, viols, config.rank)
-              for path, viols, _state in violations_by_path]
+    ranked = [make_ranked(path, viols, config.rank) for path, viols in violations_by_path]
     plan = rank_and_gate(ranked, config.rank)
 
     feasibility: dict[tuple, tuple[str, dict[str, int] | None, str]] = {}

@@ -12,8 +12,11 @@ path concretely.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import enum
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from . import isa
 from .cfg import Cfg, Terminator
@@ -254,9 +257,12 @@ class Feasibility:
         return self.status is FeasibilityStatus.INFEASIBLE
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExternalRecord:
-    """One money/call event observed along a path."""
+    """One money/call event observed along a path.
+
+    Frozen because forked states share their records: a revert replaces
+    the records it cancels instead of marking them in place."""
     kind: str            # CALL, CALLCODE, DELEGATECALL, STATICCALL, CREATE, SELFDESTRUCT
     offset: int
     txn: int
@@ -279,6 +285,19 @@ class SymbolicState:
     records: list[ExternalRecord] = field(default_factory=list)
     fresh_counter: int = 0
     storage_var_cache: dict[Word, Word] = field(default_factory=dict)
+    mem_unknown: bool = False    # memory was written through an unknown pointer
+
+    def fork(self) -> SymbolicState:
+        """An independent copy.  Words are immutable, so shallow copies of
+        the containers suffice; base storage and the storage-variable cache
+        stay shared, since neither changes what a read returns."""
+        twin = copy.copy(self)
+        twin.stack = self.stack.copy()
+        twin.memory = self.memory.copy()
+        twin.storage_writes = self.storage_writes.copy()
+        twin.path_condition = self.path_condition.copy()
+        twin.records = self.records.copy()
+        return twin
 
     @property
     def txn_label(self) -> str:
@@ -304,27 +323,21 @@ class SymbolicState:
         self.path_condition.append(w)
 
     def sload(self, key: Word) -> Word:
+        # newest first: writes whose key cannot be separated from `key`
+        # statically, down to an exact match or the base storage
+        undecided: list[tuple[Word, Word]] = []
+        value = None
         for wkey, wval in reversed(self.storage_writes):
             if wkey == key:
-                return Word("sload", (wval,), meta=str(key))
-            if wkey.is_concrete and key.is_concrete:
-                continue  # distinct concrete keys
-            # cannot statically separate the keys: conditional read
-            older = self._sload_before(key, self.storage_writes.index((wkey, wval)))
-            cond = mk("EQ", wkey, key)
-            return Word("sload", (Word("ite", (cond, wval, older)),), meta=str(key))
-        return Word("sload", (self._base_read(key),), meta=str(key))
-
-    def _sload_before(self, key: Word, idx: int) -> Word:
-        for wkey, wval in reversed(self.storage_writes[:idx]):
-            if wkey == key:
-                return wval
-            if wkey.is_concrete and key.is_concrete:
-                continue
-            cond = mk("EQ", wkey, key)
-            older = self._sload_before(key, self.storage_writes.index((wkey, wval)))
-            return Word("ite", (cond, wval, older))
-        return self._base_read(key)
+                value = wval
+                break
+            if not (wkey.is_concrete and key.is_concrete):
+                undecided.append((wkey, wval))
+        if value is None:
+            value = self._base_read(key)
+        for wkey, wval in reversed(undecided):
+            value = Word("ite", (mk("EQ", wkey, key), wval, value))
+        return Word("sload", (value,), meta=str(key))
 
     def _base_read(self, key: Word) -> Word:
         if key in self.base_storage:
@@ -368,7 +381,6 @@ class Interpreter:
         self.state = state
         self.gas = gas_table
         self.witness = witness
-        self._mem_unknown = False
 
     # -- environment ------------------------------------------------------
 
@@ -383,7 +395,7 @@ class Interpreter:
         self.state.txn += 1
         self.state.stack = []
         self.state.memory = {}
-        self._mem_unknown = False
+        self.state.mem_unknown = False
         self.state.balance = mk("ADD", self.state.balance, self._env("CALLVALUE"))
 
     # -- memory -----------------------------------------------------------
@@ -394,7 +406,7 @@ class Interpreter:
         else:
             # write through an unknown pointer: all recorded words are stale
             self.state.memory.clear()
-            self._mem_unknown = True
+            self.state.mem_unknown = True
 
     def _mload(self, offset: Word) -> Word:
         if offset.is_concrete and (offset.value or 0) in self.state.memory:
@@ -407,7 +419,7 @@ class Interpreter:
         for i in range(0, max(length, 0), 32):
             word = self.state.memory.get(offset + i)
             if word is None:
-                if self.witness is not None or not self._mem_unknown:
+                if self.witness is not None or not self.state.mem_unknown:
                     word = ZERO
                 else:
                     word = self.state.fresh(f"MEM#{self.state.txn_label}")
@@ -503,14 +515,14 @@ class Interpreter:
                 self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
             else:
                 self.state.memory.clear()
-                self._mem_unknown = True
+                self.state.mem_unknown = True
             return
         if name in ("CALLDATACOPY", "RETURNDATACOPY", "EXTCODECOPY"):
             pops = info.stack_pops
             for _ in range(pops):
                 state.pop()
             self.state.memory.clear()
-            self._mem_unknown = self.witness is None
+            self.state.mem_unknown = self.witness is None
             return
         if name in ("EXTCODESIZE", "BLOCKHASH"):
             state.pop()
@@ -605,31 +617,49 @@ class Interpreter:
 # Path execution
 # ---------------------------------------------------------------------------
 
-def _run_block(interp: Interpreter, block, next_offset: int | None,
-               is_new_txn_next: bool) -> None:
-    """Execute a block's instructions and assert its exit condition."""
+def _run_body(interp: Interpreter, block, revert_mark: int) -> tuple[Word, ...]:
+    """Execute a block up to its exit; returns the jump operands it popped.
+
+    Which assertion the exit makes depends on the block that follows (see
+    `_take_exit`).  A REVERT's rollback does not, so it happens here."""
     state = interp.state
     for ins in block.instructions[:-1]:
         interp.step(ins)
     last = block.instructions[-1]
     name = last.mnemonic
-
     if name == "JUMP":
         state.gas_used += interp.gas.cost(last.info.byte_value)
-        target = state.pop()
-        if next_offset is not None and not is_new_txn_next:
-            if target.is_concrete:
-                if (target.value or 0) != next_offset:
-                    raise SymExecError(
-                        f"path claims jump to {next_offset} but target is {target.value}")
-            else:
-                state.assert_cond(mk("EQ", target, const(next_offset)))
-    elif name == "JUMPI":
+        return (state.pop(),)
+    if name == "JUMPI":
         state.gas_used += interp.gas.cost(last.info.byte_value)
         target = state.pop()
-        cond = state.pop()
-        if next_offset is None or is_new_txn_next:
-            return
+        return (target, state.pop())
+    interp.step(last)
+    if name == "REVERT" and block.terminator is Terminator.TERMINAL:
+        state.storage_rollback(revert_mark)
+        state.records = [dataclasses.replace(rec, reverted=True) if rec.txn == state.txn
+                         else rec for rec in state.records]
+    return ()
+
+
+def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
+               next_offset: int, root: int) -> bool:
+    """Leave `block` for `next_offset`: start the next transaction, or
+    assert the jump that gets there.  Returns whether a transaction began."""
+    state = interp.state
+    if next_offset == root and block.terminator is Terminator.TERMINAL:
+        interp.begin_transaction()
+        return True
+    if len(operands) == 1:  # JUMP
+        target = operands[0]
+        if target.is_concrete:
+            if (target.value or 0) != next_offset:
+                raise SymExecError(
+                    f"path claims jump to {next_offset} but target is {target.value}")
+        else:
+            state.assert_cond(mk("EQ", target, const(next_offset)))
+    elif operands:  # JUMPI
+        target, cond = operands
         fallthrough = block.last_offset + 1
         taken = target.is_concrete and (target.value or 0) == next_offset
         if not taken and next_offset != fallthrough:
@@ -642,8 +672,90 @@ def _run_block(interp: Interpreter, block, next_offset: int | None,
             state.assert_cond(mk("EQ", target, const(next_offset)))
             taken = True
         state.assert_cond(cond if taken else mk("ISZERO", cond))
-    else:
-        interp.step(last)
+    return False
+
+
+# A prefix-trie node: children by block id, and the input indices of the
+# block sequences that end at this node.
+_Node = tuple[dict[int, "_Node"], list[int]]
+
+Outcome = SymbolicState | SymExecError
+
+
+def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
+                 base_storage: dict[Word, Word],
+                 gas_table: isa.GasTable = isa.DEFAULT_GAS,
+                 witness: dict[str, int] | None = None,
+                 ) -> Iterator[tuple[tuple[int, ...], Outcome]]:
+    """Interpret many block sequences, running each shared prefix once.
+
+    The sequences form a prefix trie.  Each trie node's block body runs
+    once.  Where sequences part, every branch but the last gets a fork of
+    the state and the last keeps the original; each branch then takes its
+    own exit.  Yields `(blocks, outcome)` for every sequence, in input
+    order.  The outcome is the state `execute_blocks` gives for that
+    sequence alone, or the SymExecError that stopped the walk on its
+    prefix: one exception object for all sequences below the failing node.
+    """
+    trie: _Node = ({}, [])
+    for i, blocks in enumerate(paths):
+        if not blocks:
+            raise ValueError("empty block sequence")
+        node = trie
+        for block_id in blocks:
+            child = node[0].get(block_id)
+            if child is None:
+                child = node[0][block_id] = ({}, [])
+            node = child
+        node[1].append(i)
+    ready: dict[int, Outcome] = {}
+    next_index = 0
+    for i, outcome in _walk_trie(cfg, code, trie, base_storage, gas_table, witness):
+        ready[i] = outcome
+        while next_index in ready:
+            yield paths[next_index], ready.pop(next_index)
+            next_index += 1
+
+
+def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word],
+               gas_table: isa.GasTable,
+               witness: dict[str, int] | None) -> Iterator[tuple[int, Outcome]]:
+    """Depth-first walk of the trie; yields `(input index, outcome)`."""
+    interp = Interpreter(code, SymbolicState(), gas_table, witness)
+    # (block id, trie node, parent frame, whether it is the last user of the
+    # parent's state); a frame is (block, state, jump operands, root, revert mark)
+    todo: list = [(block_id, node, None, True) for block_id, node in reversed(trie[0].items())]
+    while todo:
+        block_id, node, parent, last = todo.pop()
+        try:
+            if parent is None:
+                state = SymbolicState(base_storage=dict(base_storage))
+                interp.state = state
+                interp.begin_transaction()
+                root, revert_mark = block_id, state.storage_snapshot()
+            else:
+                parent_block, parent_state, operands, root, revert_mark = parent
+                state = parent_state if last else parent_state.fork()
+                interp.state = state
+                if _take_exit(interp, parent_block, operands, block_id, root):
+                    revert_mark = state.storage_snapshot()
+            block = cfg.blocks[block_id]
+            operands = _run_body(interp, block, revert_mark)
+        except SymExecError as exc:
+            below = [node]
+            while below:
+                children, ends = below.pop()
+                for i in ends:
+                    yield i, exc
+                below.extend(children.values())
+            continue
+        children, ends = node
+        for n, i in enumerate(ends, 1):
+            yield i, state if not children and n == len(ends) else state.fork()
+        frame = (block, state, operands, root, revert_mark)
+        last_child = next(reversed(children), None)
+        for child_id, child in reversed(children.items()):
+            todo.append((child_id, child, frame, child_id == last_child))
 
 
 def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
@@ -651,26 +763,11 @@ def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
                    gas_table: isa.GasTable = isa.DEFAULT_GAS,
                    witness: dict[str, int] | None = None) -> SymbolicState:
     """Interpret a block sequence; transaction boundaries reset environments."""
-    state = SymbolicState(base_storage=dict(base_storage))
-    interp = Interpreter(code, state, gas_table, witness)
-    interp.begin_transaction()
-    root = blocks[0]
-    revert_mark = state.storage_snapshot()
-    for i, block_id in enumerate(blocks):
-        block = cfg.blocks[block_id]
-        nxt = blocks[i + 1] if i + 1 < len(blocks) else None
-        new_txn_next = nxt == root and block.terminator is Terminator.TERMINAL
-        _run_block(interp, block, nxt, new_txn_next)
-        if block.terminator is Terminator.TERMINAL:
-            if block.last.mnemonic == "REVERT":
-                state.storage_rollback(revert_mark)
-                for rec in state.records:
-                    if rec.txn == state.txn:
-                        rec.reverted = True
-            if new_txn_next:
-                interp.begin_transaction()
-                revert_mark = state.storage_snapshot()
-    return state
+    ((_blocks, outcome),) = execute_trie(cfg, code, [blocks], base_storage,
+                                         gas_table, witness)
+    if isinstance(outcome, SymExecError):
+        raise outcome
+    return outcome
 
 
 def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],

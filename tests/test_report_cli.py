@@ -3,6 +3,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 
 from evmscope.cli import main as cli_main
+from evmscope.disasm import load_contract
 from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths
 from evmscope.report import (
@@ -302,3 +303,17 @@ def test_workers_flag_gives_same_results(tmp_path):
     parallel = analyze(get_contract("bitway"),
                        _config(bounds=PathBounds(call_depth=1), workers=4))
     assert to_json(base) == to_json(parallel)
+
+
+def test_malformed_trace_does_not_abort_analysis(tmp_path):
+    # CALL on an empty stack, then STOP: every money path underflows
+    (tmp_path / "underflow.hex").write_text("f100")
+    report = analyze(load_contract(tmp_path / "underflow.hex"), _config(transfer_limit=30))
+    abandoned = [d for d in report.diagnostics if d.startswith("trace_abandoned")]
+    assert abandoned == ["trace_abandoned: StackUnderflow (pop from empty stack); "
+                         "1 money path(s) not analyzed"]
+    assert report.critical_paths == []
+    rc = cli_main(["batch", str(tmp_path), "--transfer-limit", "30",
+                   "--out", str(tmp_path / "reports")])
+    assert rc == 0
+    assert (tmp_path / "reports" / "underflow.json").exists()

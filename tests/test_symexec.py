@@ -3,14 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evmscope.analyzers import detect_payable_entries
 from evmscope.cfg import build_cfg
 from evmscope.disasm import disassemble, parse_hex
 from evmscope.keccak import keccak256, selector
-from evmscope.pathgen import PathBounds, enumerate_paths
+from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
 from evmscope.solver import BoundedSolver
 from evmscope.symexec import (
     FeasibilityStatus,
     StackUnderflow,
+    SymbolicState,
     Word,
     concrete_op,
     concretize,
@@ -18,6 +20,7 @@ from evmscope.symexec import (
     eval_word,
     execute_blocks,
     execute_path,
+    execute_trie,
     free_vars,
     mk,
     replay_blocks,
@@ -26,7 +29,7 @@ from evmscope.symexec import (
     var,
 )
 
-from conftest import get_cfg, get_contract
+from conftest import FIXTURES, MICRO, get_cfg, get_contract
 
 WORD = 1 << 256
 
@@ -381,3 +384,72 @@ def test_transfer_of_constructor_constant_is_concrete():
     from evmscope.symexec import refine_transfer_values
     values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
     assert values == [5]
+
+
+# -- storage reads over symbolic keys ----------------------------------------------
+
+def test_symbolic_key_read_sees_every_write():
+    state = SymbolicState()
+    for slot, value in ((1, 10), (2, 20), (1, 10)):
+        state.sstore(const(slot), const(value))
+    loaded = state.sload(var("K"))
+    assert [eval_word(loaded, {"K": k}) for k in (1, 2, 3)] == [10, 20, 0]
+
+
+# -- prefix-shared execution --------------------------------------------------------
+
+def _observable(state):
+    return (state.path_condition, state.storage_writes, state.gas_used,
+            state.fresh_counter, state.balance, state.records, state.txn,
+            state.stack, state.memory, state.mem_unknown)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shared_walk_matches_solo_execution(path):
+    contract = get_contract(path.stem)
+    code = contract.runtime_code
+    instructions = disassemble(code)
+    cfg = build_cfg(instructions)
+    storage = {}
+    if contract.creation_code:
+        storage, _diags = run_constructor(build_cfg(disassemble(contract.creation_code)),
+                                          contract.creation_code)
+    payable, _details = detect_payable_entries(cfg, instructions)
+    paths = [p.blocks for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)),
+                                            cfg, payable)]
+    shared = list(execute_trie(cfg, code, paths, storage))
+    assert [blocks for blocks, _state in shared] == paths
+    for blocks, state in shared:
+        assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, storage))
+
+
+# CALL (records a transfer), then branch on calldata to REVERT or to STOP
+_CALL_THEN_BRANCH = "6000" * 7 + "f1" + "50" + "6000" + "35" + "601b" + "57" \
+    + "6000" + "6000" + "fd" + "5b" + "00"
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (0, 2, 1, 3)])
+def test_revert_branch_leaves_sibling_records_live(order):
+    code = parse_hex(_CALL_THEN_BRANCH)
+    cfg = build_cfg(disassemble(code))
+    unfolded = [p.blocks for p in enumerate_paths(cfg, PathBounds(call_depth=2))]
+    assert len(unfolded) == 4
+    paths = [unfolded[i] for i in order]
+    outcomes = list(execute_trie(cfg, code, paths, {}))
+    assert [blocks for blocks, _state in outcomes] == paths
+    for blocks, state in outcomes:
+        assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, {}))
+        segments_reverted = [cfg.blocks[seg[-1]].last.mnemonic == "REVERT"
+                             for seg in (blocks[:3], blocks[3:])]
+        assert [rec.reverted for rec in state.records] == segments_reverted
+
+
+def test_shared_walk_reports_failure_below_failing_block():
+    code = parse_hex("f100")  # CALL on an empty stack, then STOP
+    cfg = build_cfg(disassemble(code))
+    paths = [(0, 1), (0, 1, 0, 1)]
+    outcomes = list(execute_trie(cfg, code, paths, {}))
+    assert [blocks for blocks, _exc in outcomes] == paths
+    assert isinstance(outcomes[0][1], StackUnderflow)
+    assert outcomes[0][1] is outcomes[1][1]
