@@ -147,20 +147,35 @@ def _is_time_guard(cond: Word) -> bool:
             or contains_var_prefix(cond, "NUMBER"))
 
 
+# Per path-condition term, by identity: (the term, is an ownership guard,
+# is a time guard).  Holding the term keeps its id from being reused.
+GuardFacts = dict[int, tuple[Word, bool, bool]]
+
+
 def check_guard_suicide(path: ProgramPath, state: SymbolicState,
                         time_guard_suffices: bool = False,
+                        guard_facts: GuardFacts | None = None,
                         ) -> PropertyViolation | None:
     """Violation when a self-destruct is reachable without an ownership guard.
 
     A date/height constraint is recorded but by itself does not make the
     destruction safe (anyone can wait); set `time_guard_suffices` to accept
-    it as sufficient.
+    it as sufficient.  Paths traced together share path-condition terms;
+    pass one `guard_facts` dict for all of them to examine each term once.
     """
     destructs = [r for r in state.records if r.kind == "SELFDESTRUCT" and not r.reverted]
     if not destructs:
         return None
-    has_ownership = any(_is_ownership_guard(c) for c in state.path_condition)
-    has_time = any(_is_time_guard(c) for c in state.path_condition)
+    if guard_facts is None:
+        guard_facts = {}
+    has_ownership = has_time = False
+    for cond in state.path_condition:
+        facts = guard_facts.get(id(cond))
+        if facts is None:
+            facts = guard_facts[id(cond)] = (cond, _is_ownership_guard(cond),
+                                             _is_time_guard(cond))
+        has_ownership = has_ownership or facts[1]
+        has_time = has_time or facts[2]
     if has_ownership or (time_guard_suffices and has_time):
         return None
     missing = {"ownership"}
@@ -278,7 +293,7 @@ class GasEstimator:
         }
 
     def path_gas(self, path: ProgramPath) -> int:
-        return sum(self.block_costs[b] for b in path.blocks)
+        return sum(map(self.block_costs.__getitem__, path.blocks))
 
 
 def estimate_gas(instructions: Iterable[Instruction],

@@ -66,7 +66,13 @@ class ProgramPath:
 
 
 class PathEnumeration:
-    """Iterator over ProgramPath; inspect `timed_out` after exhaustion."""
+    """Iterator over ProgramPath; inspect `timed_out` after exhaustion.
+
+    The walk is one depth-first search with an explicit stack.  The path is
+    a shared block list, appended to on entering a block and truncated on
+    leaving it; the current call segment's visit and loop-edge counts are
+    undone the same way, so each tree node costs O(1) plus its successors.
+    """
 
     def __init__(self, cfg: Cfg, bounds: PathBounds,
                  include_reentrant: bool = False,
@@ -77,96 +83,106 @@ class PathEnumeration:
         self.deadline = deadline
         self.timed_out = False
         self.emitted = 0
-        self._entry_names: dict[int, int | str] = {
-            block: name for name, block in cfg.function_entries.items()
-        }
-        self._money = cfg.money_blocks
-        self._steps = 0
+
+    def _moves(self) -> dict[int, tuple[tuple[int, bool], ...] | None]:
+        """Per block: None if it ends a transaction, else its successors in
+        visiting order as (destination, is external callback), reversed for
+        pushing onto the stack."""
+        moves: dict[int, tuple[tuple[int, bool], ...] | None] = {}
+        for block_id, block in self.cfg.blocks.items():
+            if block.terminator is Terminator.TERMINAL:
+                moves[block_id] = None
+                continue
+            edges = sorted(self.cfg.successors(block_id), key=lambda e: (e.dst, e.kind.value))
+            moves[block_id] = tuple(
+                (e.dst, e.kind is EdgeKind.EXTERNAL_CALLBACK) for e in reversed(edges)
+                if e.kind is not EdgeKind.NEW_TRANSACTION
+                and (self.include_reentrant or e.kind is not EdgeKind.EXTERNAL_CALLBACK))
+        return moves
 
     def __iter__(self) -> Iterator[ProgramPath]:
-        yield from self._walk(
-            self.cfg.root,
-            blocks=[],
-            call_count=1,
-            functions=[(None, VIA_INITIAL)],
-            seg_visited=set(),
-            seg_edge_counts={},
-        )
+        cfg, bounds, deadline = self.cfg, self.bounds, self.deadline
+        root, call_depth = cfg.root, bounds.call_depth
+        loop_bound, max_blocks = bounds.loop_bound, bounds.max_blocks
+        entry_names = {block: name for name, block in cfg.function_entries.items()}
+        money_blocks = cfg.money_blocks
+        moves = self._moves()
 
-    def _expired(self) -> bool:
-        if self.timed_out:
-            return True
-        self._steps += 1
-        if self.deadline is not None and (self._steps & 0xFF) == 0:
-            if time.monotonic() > self.deadline:
-                self.timed_out = True
-        return self.timed_out
-
-    def _emit(self, blocks: list[int], call_count: int,
-              functions: list[tuple[int | str | None, str]],
-              block_capped: bool) -> ProgramPath:
-        self.emitted += 1
-        return ProgramPath(
-            blocks=tuple(blocks),
-            call_count=call_count,
-            functions=tuple(functions),
-            money_related=any(b in self._money for b in blocks),
-            block_capped=block_capped,
-        )
-
-    def _walk(self, block_id: int, blocks: list[int], call_count: int,
-              functions: list[tuple[int | str | None, str]],
-              seg_visited: set[int],
-              seg_edge_counts: dict[tuple[int, int], int]) -> Iterator[ProgramPath]:
-        if self._expired():
-            return
-        blocks = blocks + [block_id]
-        seg_visited = seg_visited | {block_id}
-        if functions[-1][0] is None and block_id in self._entry_names:
-            functions = functions[:-1] + [(self._entry_names[block_id], functions[-1][1])]
-
-        block = self.cfg.blocks[block_id]
-        bounds = self.bounds
-
-        if block.terminator is Terminator.TERMINAL:
-            if (call_count >= bounds.call_depth
-                    or len(blocks) + 1 > bounds.max_blocks):
-                yield self._emit(blocks, call_count, functions,
-                                 block_capped=call_count < bounds.call_depth)
-            else:
-                yield from self._walk(
-                    self.cfg.root, blocks, call_count + 1,
-                    functions + [(None, VIA_NEW_TRANSACTION)],
-                    seg_visited=set(), seg_edge_counts={})
-            return
-
-        for edge in sorted(self.cfg.successors(block_id),
-                           key=lambda e: (e.dst, e.kind.value)):
-            if edge.kind is EdgeKind.NEW_TRANSACTION:
-                continue
-            if edge.kind is EdgeKind.EXTERNAL_CALLBACK:
-                if (self.include_reentrant
-                        and call_count < bounds.call_depth
-                        and len(blocks) + 1 <= bounds.max_blocks):
-                    yield from self._walk(
-                        edge.dst, blocks, call_count + 1,
-                        functions + [(None, VIA_EXTERNAL_CALLBACK)],
-                        seg_visited=set(), seg_edge_counts={})
-                continue
-            if len(blocks) + 1 > bounds.max_blocks:
-                continue
-            if edge.dst in seg_visited:
-                key = (edge.src, edge.dst)
-                count = seg_edge_counts.get(key, 0) + 1
-                if count > bounds.loop_bound:
+        blocks: list[int] = []
+        functions: list[tuple[int | str | None, str]] = []
+        visits: dict[int, int] = {}  # blocks of the current call segment
+        loops: dict[tuple[int, int], int] = {}  # its back-edges taken
+        outer: list[tuple[dict, dict]] = []  # the same for the segments below it
+        money = 0  # money blocks on the path
+        # To enter: (block, via, back-edge); `via` opens a new call segment.
+        # None leaves the block entered last, whose undo record is in `entered`.
+        todo: list = [(root, VIA_INITIAL, None)]
+        entered: list[tuple[str | None, tuple[int, int] | None, bool]] = []
+        steps = 0
+        while todo:
+            item = todo.pop()
+            if item is None:
+                via, loop, named = entered.pop()
+                block_id = blocks.pop()
+                if block_id in money_blocks:
+                    money -= 1
+                if via is not None:
+                    functions.pop()
+                    visits, loops = outer.pop()
                     continue
-                counts = dict(seg_edge_counts)
-                counts[key] = count
-                yield from self._walk(edge.dst, blocks, call_count,
-                                      functions, seg_visited, counts)
-            else:
-                yield from self._walk(edge.dst, blocks, call_count,
-                                      functions, seg_visited, seg_edge_counts)
+                visits[block_id] -= 1
+                if loop is not None:
+                    loops[loop] -= 1
+                if named:
+                    functions[-1] = (None, functions[-1][1])
+                continue
+
+            steps += 1
+            if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
+                self.timed_out = True
+                return
+            block_id, via, loop = item
+            if via is not None:
+                outer.append((visits, loops))
+                visits, loops = {}, {}
+                functions.append((None, via))
+            elif loop is not None:
+                loops[loop] = loops.get(loop, 0) + 1
+            blocks.append(block_id)
+            visits[block_id] = visits.get(block_id, 0) + 1
+            if block_id in money_blocks:
+                money += 1
+            named = functions[-1][0] is None and block_id in entry_names
+            if named:
+                functions[-1] = (entry_names[block_id], functions[-1][1])
+            entered.append((via, loop, named))
+            todo.append(None)
+
+            successors = moves[block_id]
+            call_count = len(functions)
+            if successors is None:  # the transaction ends here
+                if call_count >= call_depth or len(blocks) >= max_blocks:
+                    self.emitted += 1
+                    yield ProgramPath(blocks=tuple(blocks), call_count=call_count,
+                                      functions=tuple(functions), money_related=money > 0,
+                                      block_capped=call_count < call_depth)
+                else:
+                    todo.append((root, VIA_NEW_TRANSACTION, None))
+                continue
+            if len(blocks) >= max_blocks:
+                continue
+            # A child is checked when pushed: by the time it is popped, its
+            # earlier siblings' subtrees are undone, so the state is the same.
+            for dst, callback in successors:
+                if callback:
+                    if call_count < call_depth:
+                        todo.append((dst, VIA_EXTERNAL_CALLBACK, None))
+                elif visits.get(dst):
+                    edge = (block_id, dst)
+                    if loops.get(edge, 0) < loop_bound:
+                        todo.append((dst, None, edge))
+                else:
+                    todo.append((dst, None, None))
 
 
 def enumerate_paths(cfg: Cfg, bounds: PathBounds,

@@ -14,10 +14,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import isa
 from .analyzers import (
     GasEstimator,
+    GuardFacts,
     PropertyId,
     PropertyViolation,
     check_address_existence,
@@ -245,16 +247,24 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     enumeration = enumerate_paths(cfg, config.bounds,
                                   include_reentrant=config.include_reentrant,
                                   deadline=deadline)
-    all_paths = list(enumeration)
-    money_paths = list(filter_money(iter(all_paths), cfg, payable))
-
     estimator = GasEstimator(cfg, gas_table)
-    max_gas = 0
+    paths_enumerated = max_gas = 0
     max_gas_path: ProgramPath | None = None
-    for p in all_paths:
-        g = estimator.path_gas(p)
-        if g > max_gas:
-            max_gas, max_gas_path = g, p
+
+    def unfolded() -> Iterator[ProgramPath]:
+        """The unfolding, consumed once: counts the paths and keeps the
+        running max-gas path (the first one found wins ties)."""
+        nonlocal paths_enumerated, max_gas, max_gas_path
+        path_gas = estimator.path_gas
+        for path in enumeration:
+            paths_enumerated += 1
+            gas = path_gas(path)
+            if gas > max_gas:
+                max_gas, max_gas_path = gas, path
+            yield path
+
+    money_paths = list(filter_money(unfolded(), cfg, payable))
+    timed_out = enumeration.timed_out
 
     violations_by_path: list[tuple[ProgramPath, list[PropertyViolation]]] = []
     selfdestruct_blocks = {
@@ -281,7 +291,13 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         outcomes = execute_trie(cfg, contract.runtime_code, [p.blocks for p in to_trace],
                                 base_storage, gas_table)
         skipped: dict[SymExecError, int] = {}
-        for path, (_blocks, state) in zip(to_trace, outcomes):
+        guard_facts: GuardFacts = {}
+        for traced, (path, (_blocks, state)) in enumerate(zip(to_trace, outcomes)):
+            if time.monotonic() > deadline:
+                timed_out = True
+                diagnostics.append(f"trace_timed_out: deadline passed; "
+                                   f"{len(to_trace) - traced} money path(s) not analyzed")
+                break
             if isinstance(state, SymExecError):
                 skipped[state] = skipped.get(state, 0) + 1
                 continue
@@ -299,7 +315,8 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 found.extend(addr_violations)
                 diagnostics.extend(addr_warnings)
             if check_suicide:
-                v = check_guard_suicide(path, state, config.time_guard_suffices)
+                v = check_guard_suicide(path, state, config.time_guard_suffices,
+                                        guard_facts)
                 if v:
                     found.append(v)
             if found:
@@ -319,7 +336,6 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                                     solver, gas_table, config.solver_timeout_ms)
         return feas
 
-    timed_out = enumeration.timed_out
     work = list(plan.queue)
     while work:
         if time.monotonic() > deadline:
@@ -370,7 +386,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     statistics = {
         "total_time_ms": elapsed_ms if config.include_timing else None,
-        "paths_enumerated": len(all_paths),
+        "paths_enumerated": paths_enumerated,
         "paths_money_related": len(money_paths),
         "paths_gated": len(plan.admitted),
         "paths_symbolically_executed": executed,
@@ -405,7 +421,51 @@ def dump_cfg_dot(contract: ContractCode) -> str:
 # ---------------------------------------------------------------------------
 
 def to_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    return _json_text(report.to_dict(), "") + "\n"
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str) -> str:
+    """The text `json.dumps(value, indent=2)` gives for `value` nested at
+    `indent`: str-keyed dicts, lists and tuples, str, int, finite float,
+    bool and None.  Each container is one join over its items' texts, and strings go
+    through the json module's C escaper."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_json_str(v) if type(v) is str else _json_text(v, inner) for v in value]
+        opening, closing = "[\n", "]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{_json_str(key)}: "
+                         + (_json_str(v) if type(v) is str else _json_text(v, inner)))
+        opening, closing = "{\n", "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # the brackets ride on the first and last item, so the join is the only copy
+    parts[0] = opening + inner + parts[0]
+    parts[-1] = f"{parts[-1]}\n{indent}{closing}"
+    return f",\n{inner}".join(parts)
 
 
 _HTML_STYLE = """

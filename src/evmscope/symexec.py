@@ -27,6 +27,11 @@ WORD_MOD = 1 << 256
 WORD_MAX = WORD_MOD - 1
 SIGN_BIT = 1 << 255
 STACK_LIMIT = 1024
+BLOCK_GAS_LIMIT = 30_000_000
+# Memory-expansion gas for `a` words is 3*a + a*a // 512 (Yellow Paper).
+# 123,169 words is the most whose gas fits in BLOCK_GAS_LIMIT, so no
+# transaction touches memory past this byte (about 3.9 MB).
+MEMORY_CAP = 123_169 * 32
 
 
 class SymExecError(Exception):
@@ -42,6 +47,10 @@ class StackOverflow(SymExecError):
 
 
 class ConstructorDiverged(SymExecError):
+    pass
+
+
+class OutOfGas(SymExecError):
     pass
 
 
@@ -414,7 +423,14 @@ class Interpreter:
         # fresh-counter use must match between symbolic and replay runs
         return self._fresh_or_zero(f"MEM#{self.state.txn_label}")
 
+    @staticmethod
+    def _expand_memory(offset: int, length: int) -> None:
+        """Halt as out of gas if memory would grow past MEMORY_CAP."""
+        if length > 0 and offset + length > MEMORY_CAP:
+            raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
+
     def _mem_words(self, offset: int, length: int) -> list[Word]:
+        self._expand_memory(offset, length)
         words = []
         for i in range(0, max(length, 0), 32):
             word = self.state.memory.get(offset + i)
@@ -605,6 +621,7 @@ class Interpreter:
         return w
 
     def _copy_code(self, dest: int, src: int, length: int) -> None:
+        self._expand_memory(dest, length)
         data = self.code[src:src + length]
         data = data + b"\x00" * (length - len(data))
         for i in range(0, length, 32):

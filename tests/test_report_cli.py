@@ -2,12 +2,16 @@ import json
 from html.parser import HTMLParser
 from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
 from evmscope.cli import main as cli_main
 from evmscope.disasm import load_contract
 from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths
 from evmscope.report import (
     AnalysisConfig,
+    _json_text,
     analyze,
     to_call_sequence,
     to_html,
@@ -317,3 +321,26 @@ def test_malformed_trace_does_not_abort_analysis(tmp_path):
                    "--out", str(tmp_path / "reports")])
     assert rc == 0
     assert (tmp_path / "reports" / "underflow.json").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value, "") == json.dumps(value, indent=2)
+
+
+def test_json_writer_edge_cases():
+    value = {"big": [2 ** 64 + 1, -(2 ** 70)], "empty": [[], {}], "ü€😀": "ŝ\u2028\x00\"",
+             "floats": [0.1, -0.0, 1e300, 5e-324], "flags": (True, False, None)}
+    assert _json_text(value, "") == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({1: 2}, "")
+    with pytest.raises(TypeError):
+        _json_text({"x": {1, 2}}, "")
