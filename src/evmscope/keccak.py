@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
     0x000000000000808B, 0x0000000080000001, 0x8000000080008081, 0x8000000000008009,
@@ -22,53 +24,52 @@ _ROTATIONS = (
 _MASK = (1 << 64) - 1
 
 _RATE_BYTES = 136  # 1600-bit state, 512-bit capacity
+_LANES = struct.Struct(f"<{_RATE_BYTES // 8}Q")  # one block, as little-endian lanes
 
 
-def _rotl(value: int, shift: int) -> int:
-    return ((value << shift) | (value >> (64 - shift))) & _MASK
+# lane x + 5*y: theta's column index, then its rho rotation and pi destination
+_RHO_PI = tuple((x + 5 * y, x, _ROTATIONS[x][y], y + 5 * ((2 * x + 3 * y) % 5))
+                for x in range(5) for y in range(5))
 
 
-def _keccak_f(state: list[list[int]]) -> None:
+def _keccak_f(a: list[int]) -> None:
+    """Keccak-f[1600] in place over the 25 lanes, lane x + 5*y at a[x + 5*y]."""
+    b = [0] * 25
     for rc in _ROUND_CONSTANTS:
         # theta
-        c = [state[x][0] ^ state[x][1] ^ state[x][2] ^ state[x][3] ^ state[x][4] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            for y in range(5):
-                state[x][y] ^= d[x]
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
+        d = [c[x - 1] ^ (((c[(x + 1) % 5] << 1) | (c[(x + 1) % 5] >> 63)) & _MASK)
+             for x in range(5)]
         # rho + pi
-        b = [[0] * 5 for _ in range(5)]
-        for x in range(5):
-            for y in range(5):
-                b[y][(2 * x + 3 * y) % 5] = _rotl(state[x][y], _ROTATIONS[x][y])
+        for src, x, rot, dst in _RHO_PI:
+            v = a[src] ^ d[x]
+            b[dst] = ((v << rot) | (v >> (64 - rot))) & _MASK
         # chi
-        for x in range(5):
-            for y in range(5):
-                state[x][y] = b[x][y] ^ ((~b[(x + 1) % 5][y]) & b[(x + 2) % 5][y])
+        for y in range(0, 25, 5):
+            b0, b1, b2, b3, b4 = b[y:y + 5]
+            a[y] = b0 ^ (~b1 & b2)
+            a[y + 1] = b1 ^ (~b2 & b3)
+            a[y + 2] = b2 ^ (~b3 & b4)
+            a[y + 3] = b3 ^ (~b4 & b0)
+            a[y + 4] = b4 ^ (~b0 & b1)
         # iota
-        state[0][0] ^= rc
+        a[0] ^= rc
 
 
 def keccak256(data: bytes) -> bytes:
     """Hash `data` and return the 32-byte digest."""
-    state = [[0] * 5 for _ in range(5)]
+    state = [0] * 25
     padded = bytearray(data)
     pad_len = _RATE_BYTES - (len(padded) % _RATE_BYTES)
     padded += b"\x00" * pad_len
     padded[len(data)] ^= 0x01
     padded[-1] ^= 0x80
 
-    for block_start in range(0, len(padded), _RATE_BYTES):
-        block = padded[block_start:block_start + _RATE_BYTES]
-        for i in range(_RATE_BYTES // 8):
-            lane = int.from_bytes(block[8 * i:8 * i + 8], "little")
-            state[i % 5][i // 5] ^= lane
+    for lanes in _LANES.iter_unpack(padded):
+        for i, lane in enumerate(lanes):
+            state[i] ^= lane
         _keccak_f(state)
-
-    out = bytearray()
-    for i in range(4):  # 32 bytes = 4 lanes
-        out += state[i % 5][i // 5].to_bytes(8, "little")
-    return bytes(out)
+    return struct.pack("<4Q", *state[:4])  # 32 bytes = 4 lanes
 
 
 def selector(signature: str) -> int:

@@ -16,7 +16,6 @@ currently implemented.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -326,9 +325,6 @@ class BoundedSolver:
             w = sym
         return None
 
-    def _check_model(self, conjuncts: list[Word], model: dict[str, int]) -> bool:
-        return all(eval_word(c, model) != 0 for c in conjuncts)
-
     def _search(self, conjuncts: list[Word], names: list[str],
                 intervals: dict[str, _Interval],
                 deadline: float) -> dict[str, int] | None:
@@ -342,24 +338,45 @@ class BoundedSolver:
                 pool = pool[:max(1, self.max_combinations // max(combos, 1))]
             pools.append(pool)
             combos *= max(len(pool), 1)
-        tick = 0
-        for combo in itertools.product(*pools):
-            tick += 1
-            if (tick & 0x3F) == 0 and time.monotonic() > deadline:
-                return None
-            model = dict(zip(names, combo))
-            if self._check_model(conjuncts, model):
-                return model
+        stages: list[list] = [pools]
         # truncated exhaustive fallback for very small variable counts
         if 1 <= len(names) <= 2:
             per_var = 1 << min(self.exhaustive_bits, 12 if len(names) == 1 else 6)
-            for combo in itertools.product(range(per_var), repeat=len(names)):
-                tick += 1
-                if (tick & 0xFF) == 0 and time.monotonic() > deadline:
-                    return None
-                model = dict(zip(names, combo))
-                if self._check_model(conjuncts, model):
+            stages.append([range(per_var)] * len(names))
+        # a conjunct is due once the last of its free variables is bound
+        level = {name: i for i, name in enumerate(names)}
+        due: list[list[Word]] = [[] for _ in names]
+        for c in conjuncts:
+            used = free_vars(c)
+            if used:
+                due[max(map(level.__getitem__, used))].append(c)
+            elif eval_word(c, {}) == 0:
+                return None
+        if not names:
+            return {}
+        # Depth-first over each stage's pools in itertools.product order,
+        # backtracking on the first failing due conjunct: only combinations
+        # some conjunct rejects are skipped, so the first model is the
+        # product's first, its keys in `names` order.
+        tick = 0
+        for stage in stages:
+            model: dict[str, int] = {}
+            values = [iter(stage[0])]
+            while values:
+                k = len(values) - 1
+                for value in values[k]:
+                    tick += 1
+                    if (tick & 0x3F) == 0 and time.monotonic() > deadline:
+                        return None
+                    model[names[k]] = value
+                    if all(eval_word(c, model) != 0 for c in due[k]):
+                        break
+                else:
+                    values.pop()
+                    continue
+                if k + 1 == len(names):
                     return model
+                values.append(iter(stage[k + 1]))
         return None
 
 
