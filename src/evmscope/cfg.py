@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from . import isa
 from .disasm import Instruction
 
-WORD_MOD = 1 << 256
-
 # Guard against pathological dispatchers: stack simulation enumerates at most
 # this many acyclic root-to-block paths per dangling block.
 MAX_SIM_PATHS = 10_000
@@ -114,9 +112,6 @@ class Cfg:
             if (d.code, d.message, d.offset) == (code, message, offset):
                 return
         self.diagnostics.append(Diagnostic(code, message, offset))
-
-    def block_at(self, offset: int) -> BasicBlock | None:
-        return self.blocks.get(offset)
 
     def reachable_from_root(self) -> set[int]:
         seen: set[int] = set()
@@ -247,10 +242,11 @@ def _is_jumpdest(blocks: dict[int, BasicBlock], offset: int) -> bool:
 def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
     """Apply a block's stack effect in the {constant, TOP} lattice.
 
-    Constants propagate exactly (arithmetic folds mod 2**256); anything the
-    lattice cannot express becomes TOP.  Underflow slots read as TOP: the
-    initial stack of a path suffix is unknown.  Returns the resulting stack
-    and the popped jump target when the block ends in JUMP/JUMPI.
+    A word operator (`isa.OPERATORS`) folds when all its arguments are
+    constants; anything else the lattice cannot express becomes TOP.
+    Underflow slots read as TOP: the initial stack of a path suffix is
+    unknown.  Returns the resulting stack and the popped jump target when
+    the block ends in JUMP/JUMPI.
     """
     stack = list(stack)
     target: object = None
@@ -280,52 +276,10 @@ def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
             pop()  # condition
         else:
             args = [pop() for _ in range(info.stack_pops)]
-            if info.stack_pushes:
-                folded = _fold(name, args)
-                stack.extend([folded] * info.stack_pushes)
+            if info.stack_pushes:  # never more than one word here
+                op = isa.OPERATORS.get(name)
+                stack.append(op(*args) if op is not None and TOP not in args else TOP)
     return stack, target
-
-
-def _fold(name: str, args: list) -> object:
-    if any(a is TOP for a in args):
-        return TOP
-    vals = [int(a) for a in args]  # type: ignore[arg-type]
-    try:
-        if name == "ADD":
-            return (vals[0] + vals[1]) % WORD_MOD
-        if name == "SUB":
-            return (vals[0] - vals[1]) % WORD_MOD
-        if name == "MUL":
-            return (vals[0] * vals[1]) % WORD_MOD
-        if name == "DIV":
-            return vals[0] // vals[1] if vals[1] else 0
-        if name == "MOD":
-            return vals[0] % vals[1] if vals[1] else 0
-        if name == "EXP":
-            return pow(vals[0], vals[1], WORD_MOD)
-        if name == "AND":
-            return vals[0] & vals[1]
-        if name == "OR":
-            return vals[0] | vals[1]
-        if name == "XOR":
-            return vals[0] ^ vals[1]
-        if name == "NOT":
-            return vals[0] ^ (WORD_MOD - 1)
-        if name == "LT":
-            return int(vals[0] < vals[1])
-        if name == "GT":
-            return int(vals[0] > vals[1])
-        if name == "EQ":
-            return int(vals[0] == vals[1])
-        if name == "ISZERO":
-            return int(vals[0] == 0)
-        if name == "SHL":
-            return (vals[1] << vals[0]) % WORD_MOD if vals[0] < 256 else 0
-        if name == "SHR":
-            return vals[1] >> vals[0] if vals[0] < 256 else 0
-    except (OverflowError, ValueError):
-        return TOP
-    return TOP
 
 
 def _paths_to_block(cfg: Cfg, target: int, cap: int) -> list[list[int]] | None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analyzers import PropertyId
-from .disasm import HexError, load_contract
+from .disasm import load_contract
 from .isa import load_gas_overrides
 from .pathgen import PathBounds
 from .ranker import RankConfig
@@ -114,7 +114,6 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         registry_fixture=args.registry_fixture,
         registry_cache=args.registry_cache,
         solver_timeout_ms=args.solver_timeout,
-        workers=args.workers,
         disabled=disabled,
         include_reentrant=args.reentrant_paths,
         include_timing=not args.no_timing,
@@ -149,8 +148,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="address table for offline mode")
     parser.add_argument("--registry-cache", default=None,
                         help="persistent cache file for address lookups")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="symbolic-execution worker threads")
     parser.add_argument("--reentrant-paths", action="store_true",
                         help="also fork paths at external-call callback edges")
     parser.add_argument("--config", default=None, help="INI file with a [ranking] section")
@@ -182,7 +179,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
     try:
         contract = load_contract(args.file)
-    except (OSError, HexError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.dump_cfg:
@@ -214,13 +211,15 @@ def _run_batch(args: argparse.Namespace) -> int:
         print("error: no contract fixtures found", file=sys.stderr)
         return 1
     summary = []
-    any_violation = False
+    any_violation = any_error = False
     for path in files:
         try:
             contract = load_contract(path)
-        except (HexError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
-            return 1
+            summary.append({"file": path.name, "error": str(exc)})
+            any_error = True
+            continue
         report = analyze(contract, config, registry=registry)
         emit(report, args.output, out_dir / path.stem, contract.source)
         any_violation = any_violation or report.has_violations
@@ -239,7 +238,7 @@ def _run_batch(args: argparse.Namespace) -> int:
               file=sys.stderr)
     totals: dict[str, int] = {}
     for entry in summary:
-        for prop, count in entry["violation_counts"].items():
+        for prop, count in entry.get("violation_counts", {}).items():
             totals[prop] = totals.get(prop, 0) + count
     corpus = {
         "schema": 1,
@@ -247,7 +246,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         "totals": dict(sorted(totals.items())),
     }
     (out_dir / "corpus_summary.json").write_text(json.dumps(corpus, indent=2) + "\n")
-    return 2 if any_violation else 0
+    return 1 if any_error else 2 if any_violation else 0
 
 
 def main(argv: list[str] | None = None) -> int:

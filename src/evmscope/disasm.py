@@ -101,6 +101,7 @@ def load_contract(path: str | Path) -> ContractCode:
 
     Envelope fields: runtime (hex, required), creation (hex), name, source,
     source_map ({offset: line}), functions ({selector_hex: {signature, payable}}).
+    Empty runtime code is rejected: there is nothing to analyze.
     """
     path = Path(path)
     text = path.read_text()
@@ -113,7 +114,7 @@ def load_contract(path: str | Path) -> ContractCode:
         for sel_hex, meta in (doc.get("functions") or {}).items():
             functions[int(sel_hex, 16)] = dict(meta)
         source_map = {int(k): int(v) for k, v in (doc.get("source_map") or {}).items()}
-        return ContractCode(
+        contract = ContractCode(
             runtime_code=parse_hex(doc["runtime"]),
             creation_code=parse_hex(doc["creation"]) if doc.get("creation") else None,
             name=doc.get("name", path.stem),
@@ -121,4 +122,8 @@ def load_contract(path: str | Path) -> ContractCode:
             source_map=source_map,
             functions=functions,
         )
-    return ContractCode(runtime_code=parse_hex(text), name=path.stem)
+    else:
+        contract = ContractCode(runtime_code=parse_hex(text), name=path.stem)
+    if not contract.runtime_code:
+        raise ValueError("runtime code is empty")
+    return contract

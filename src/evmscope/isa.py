@@ -1,4 +1,5 @@
-"""EVM instruction-set table: mnemonics, immediates, stack effects, gas, classification.
+"""EVM instruction-set table: mnemonics, immediates, stack effects, gas,
+classification, and the concrete semantics of the word operators.
 
 The table is frozen at the Byzantium/Constantinople era (no PUSH0, no
 SHL/SHR-free Constantinople subset removed): the bundled fixtures are
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 
 class Kind(enum.Enum):
@@ -206,6 +208,78 @@ def by_mnemonic(name: str) -> OpcodeInfo:
 
 def is_money_related(info: OpcodeInfo) -> bool:
     return info.is_money_related
+
+
+WORD_MOD = 1 << 256
+WORD_MAX = WORD_MOD - 1
+SIGN_BIT = 1 << 255
+
+
+def _signed(x: int) -> int:
+    return x - WORD_MOD if x >= SIGN_BIT else x
+
+
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    sa, sb = _signed(a), _signed(b)
+    q = abs(sa) // abs(sb)
+    return (-q if (sa < 0) != (sb < 0) else q) % WORD_MOD
+
+
+def _smod(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    sa, sb = _signed(a), _signed(b)
+    r = abs(sa) % abs(sb)
+    return (-r if sa < 0 else r) % WORD_MOD
+
+
+def _signextend(a: int, b: int) -> int:
+    if a >= 32:
+        return b
+    bit = 8 * a + 7
+    mask = (1 << (bit + 1)) - 1
+    return b | (WORD_MAX ^ mask) if b & (1 << bit) else b & mask
+
+
+def _sar(a: int, b: int) -> int:
+    sb = _signed(b)
+    if a >= 256:
+        return WORD_MAX if sb < 0 else 0
+    return (sb >> a) % WORD_MOD
+
+
+# The word operators: mnemonic -> concrete semantics over words.  Arguments
+# come in pop order (the stack top first) and results are reduced mod 2**256.
+# Symbolic terms, evaluation and the CFG's constant folding all use this table.
+OPERATORS: dict[str, Callable[..., int]] = {
+    "ADD": lambda a, b: (a + b) % WORD_MOD,
+    "MUL": lambda a, b: (a * b) % WORD_MOD,
+    "SUB": lambda a, b: (a - b) % WORD_MOD,
+    "DIV": lambda a, b: a // b if b else 0,
+    "SDIV": _sdiv,
+    "MOD": lambda a, b: a % b if b else 0,
+    "SMOD": _smod,
+    "ADDMOD": lambda a, b, n: (a + b) % n if n else 0,
+    "MULMOD": lambda a, b, n: (a * b) % n if n else 0,
+    "EXP": lambda a, b: pow(a, b, WORD_MOD),
+    "SIGNEXTEND": _signextend,
+    "LT": lambda a, b: int(a < b),
+    "GT": lambda a, b: int(a > b),
+    "SLT": lambda a, b: int(_signed(a) < _signed(b)),
+    "SGT": lambda a, b: int(_signed(a) > _signed(b)),
+    "EQ": lambda a, b: int(a == b),
+    "ISZERO": lambda a: int(a == 0),
+    "AND": lambda a, b: a & b,
+    "OR": lambda a, b: a | b,
+    "XOR": lambda a, b: a ^ b,
+    "NOT": lambda a: a ^ WORD_MAX,
+    "BYTE": lambda a, b: (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0,
+    "SHL": lambda a, b: (b << a) % WORD_MOD if a < 256 else 0,
+    "SHR": lambda a, b: b >> a if a < 256 else 0,
+    "SAR": _sar,
+}
 
 
 def load_gas_overrides(text: str) -> dict[int, int]:

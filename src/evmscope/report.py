@@ -8,7 +8,6 @@ machine-readable (JSON) and human-readable (HTML) reports.
 
 from __future__ import annotations
 
-import concurrent.futures
 import html
 import json
 import time
@@ -41,7 +40,6 @@ from .ranker import RankConfig, RankedPath, make_ranked, rank_and_gate
 from .registry import AddressRegistry
 from .solver import BoundedSolver, default_solver
 from .symexec import (
-    Feasibility,
     FeasibilityStatus,
     SymExecError,
     Word,
@@ -68,7 +66,6 @@ class AnalysisConfig:
     registry_fixture: str | None = None
     registry_cache: str | None = None
     solver_timeout_ms: int = 100
-    workers: int = 1
     disabled: set[PropertyId] = field(default_factory=set)
     include_reentrant: bool = False
     time_guard_suffices: bool = False
@@ -331,34 +328,24 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     feasibility: dict[tuple, tuple[str, dict[str, int] | None, str]] = {}
     executed = 0
 
-    def run_one(rp: RankedPath) -> Feasibility:
-        _state, feas = execute_path(cfg, contract.runtime_code, rp.path, base_storage,
-                                    solver, gas_table, config.solver_timeout_ms)
-        return feas
-
     work = list(plan.queue)
-    while work:
+    for rp in work:  # a promoted path is appended and visited in turn
         if time.monotonic() > deadline:
             timed_out = True
             break
-        batch, work = work[:max(config.workers, 1)], work[max(config.workers, 1):]
-        if config.workers > 1 and len(batch) > 1:
-            with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
-                results = list(pool.map(run_one, batch))
+        _state, feas = execute_path(cfg, contract.runtime_code, rp.path, base_storage,
+                                    solver, gas_table, config.solver_timeout_ms)
+        executed += 1
+        key = rp.path.blocks
+        if feas.status is FeasibilityStatus.FEASIBLE:
+            feasibility[key] = (FEAS_FEASIBLE, feas.witness, feas.reason)
+        elif feas.status is FeasibilityStatus.INFEASIBLE:
+            feasibility[key] = ("infeasible", None, feas.reason)
+            promoted = plan.promote(rp.property_set)
+            if promoted is not None:
+                work.append(promoted)
         else:
-            results = [run_one(rp) for rp in batch]
-        executed += len(batch)
-        for rp, feas in zip(batch, results):
-            key = rp.path.blocks
-            if feas.status is FeasibilityStatus.FEASIBLE:
-                feasibility[key] = (FEAS_FEASIBLE, feas.witness, feas.reason)
-            elif feas.status is FeasibilityStatus.INFEASIBLE:
-                feasibility[key] = ("infeasible", None, feas.reason)
-                promoted = plan.promote(rp.property_set)
-                if promoted is not None:
-                    work.append(promoted)
-            else:
-                feasibility[key] = (FEAS_UNKNOWN, None, feas.reason)
+            feasibility[key] = (FEAS_UNKNOWN, None, feas.reason)
 
     critical: list[CriticalPath] = []
     rank_no = 0

@@ -21,11 +21,9 @@ from typing import Iterator, Sequence
 from . import isa
 from .cfg import Cfg, Terminator
 from .disasm import Instruction
+from .isa import WORD_MAX, WORD_MOD
 from .keccak import keccak256
 
-WORD_MOD = 1 << 256
-WORD_MAX = WORD_MOD - 1
-SIGN_BIT = 1 << 255
 STACK_LIMIT = 1024
 BLOCK_GAS_LIMIT = 30_000_000
 # Memory-expansion gas for `a` words is 3*a + a*a // 512 (Yellow Paper).
@@ -91,88 +89,12 @@ ZERO = const(0)
 ONE = const(1)
 
 
-def _signed(x: int) -> int:
-    return x - WORD_MOD if x >= SIGN_BIT else x
-
-
 def concrete_op(name: str, vals: list[int]) -> int:
     """Concrete semantics of one EVM operator, result reduced mod 2**256."""
-    a = vals[0] if vals else 0
-    b = vals[1] if len(vals) > 1 else 0
-    if name == "ADD":
-        return (a + b) % WORD_MOD
-    if name == "MUL":
-        return (a * b) % WORD_MOD
-    if name == "SUB":
-        return (a - b) % WORD_MOD
-    if name == "DIV":
-        return a // b if b else 0
-    if name == "SDIV":
-        if b == 0:
-            return 0
-        sa, sb = _signed(a), _signed(b)
-        q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return q % WORD_MOD
-    if name == "MOD":
-        return a % b if b else 0
-    if name == "SMOD":
-        if b == 0:
-            return 0
-        sa, sb = _signed(a), _signed(b)
-        r = abs(sa) % abs(sb)
-        if sa < 0:
-            r = -r
-        return r % WORD_MOD
-    if name == "ADDMOD":
-        n = vals[2]
-        return (a + b) % n if n else 0
-    if name == "MULMOD":
-        n = vals[2]
-        return (a * b) % n if n else 0
-    if name == "EXP":
-        return pow(a, b, WORD_MOD)
-    if name == "SIGNEXTEND":
-        if a >= 32:
-            return b
-        bit = 8 * a + 7
-        mask = (1 << (bit + 1)) - 1
-        if b & (1 << bit):
-            return (b | (WORD_MAX ^ mask)) % WORD_MOD
-        return b & mask
-    if name == "LT":
-        return int(a < b)
-    if name == "GT":
-        return int(a > b)
-    if name == "SLT":
-        return int(_signed(a) < _signed(b))
-    if name == "SGT":
-        return int(_signed(a) > _signed(b))
-    if name == "EQ":
-        return int(a == b)
-    if name == "ISZERO":
-        return int(a == 0)
-    if name == "AND":
-        return a & b
-    if name == "OR":
-        return a | b
-    if name == "XOR":
-        return a ^ b
-    if name == "NOT":
-        return a ^ WORD_MAX
-    if name == "BYTE":
-        return (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0
-    if name == "SHL":
-        return (b << a) % WORD_MOD if a < 256 else 0
-    if name == "SHR":
-        return b >> a if a < 256 else 0
-    if name == "SAR":
-        sb_ = _signed(b)
-        if a >= 256:
-            return WORD_MAX if sb_ < 0 else 0
-        return (sb_ >> a) % WORD_MOD
-    raise SymExecError(f"no concrete semantics for {name}")
+    fn = isa.OPERATORS.get(name)
+    if fn is None:
+        raise SymExecError(f"no concrete semantics for {name}")
+    return fn(*vals)
 
 
 def mk(op: str, *args: Word) -> Word:
@@ -375,6 +297,16 @@ class SymbolicState:
 # Interpreter
 # ---------------------------------------------------------------------------
 
+# Opcodes whose only effect on the modelled state is popping their operands.
+_POP_ONLY = frozenset({"POP", "LOG0", "LOG1", "LOG2", "LOG3", "LOG4",
+                       "RETURN", "REVERT", "STOP", "JUMPDEST", "INVALID"})
+# Reads of values the model does not track: every use is a fresh word.
+_OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE", "GAS"})
+# Transaction environment: one variable per transaction.
+_ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
+                        "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"})
+
+
 class Interpreter:
     """Executes instructions over a SymbolicState.
 
@@ -447,41 +379,41 @@ class Interpreter:
     def step(self, ins: Instruction) -> None:
         state = self.state
         info = ins.info
+        byte = info.byte_value
         name = info.mnemonic
-        state.gas_used += self.gas.cost(info.byte_value)
+        state.gas_used += self.gas.cost(byte)
 
-        if info.is_push:
+        if 0x60 <= byte <= 0x7F:  # PUSHn
             state.push(const(ins.immediate or 0))
             return
-        if name.startswith("DUP"):
-            n = info.byte_value - 0x80 + 1
+        if 0x80 <= byte <= 0x8F:  # DUPn
+            n = byte - 0x7F
             if len(state.stack) < n:
                 raise StackUnderflow(name)
             state.push(state.stack[-n])
             return
-        if name.startswith("SWAP"):
-            n = info.byte_value - 0x90 + 1
-            if len(state.stack) < n + 1:
+        if 0x90 <= byte <= 0x9F:  # SWAPn
+            n = byte - 0x8F
+            stack = state.stack
+            if len(stack) < n + 1:
                 raise StackUnderflow(name)
-            state.stack[-1], state.stack[-n - 1] = state.stack[-n - 1], state.stack[-1]
+            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             return
-        if name == "POP":
-            state.pop()
+        if name in isa.OPERATORS:
+            args = [state.pop() for _ in range(info.stack_pops)]
+            state.push(mk(name, *args))
             return
-        if name in ("JUMPDEST", "STOP", "INVALID"):
+        if name in _POP_ONLY:
+            for _ in range(info.stack_pops):
+                state.pop()
             return
-        if name in ("ADD", "MUL", "SUB", "DIV", "SDIV", "MOD", "SMOD", "EXP",
-                    "SIGNEXTEND", "LT", "GT", "SLT", "SGT", "EQ", "AND", "OR",
-                    "XOR", "BYTE", "SHL", "SHR", "SAR"):
-            a, b = state.pop(), state.pop()
-            state.push(mk(name, a, b))
+        if name in _OPAQUE_READS:
+            for _ in range(info.stack_pops):
+                state.pop()
+            state.push(self._fresh_or_zero(name))
             return
-        if name in ("ADDMOD", "MULMOD"):
-            a, b, n = state.pop(), state.pop(), state.pop()
-            state.push(mk(name, a, b, n))
-            return
-        if name in ("ISZERO", "NOT"):
-            state.push(mk(name, state.pop()))
+        if name in _ENV_READS:
+            state.push(self._env(name))
             return
         if name == "SHA3":
             offset, length = state.pop(), state.pop()
@@ -507,10 +439,6 @@ class Interpreter:
             else:
                 state.push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
             return
-        if name in ("ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
-                    "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"):
-            state.push(self._env(name))
-            return
         if name == "CALLDATALOAD":
             offset = state.pop()
             if offset.is_concrete:
@@ -522,7 +450,7 @@ class Interpreter:
             else:
                 state.push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
             return
-        if name in ("CODESIZE",):
+        if name == "CODESIZE":
             state.push(const(len(self.code)))
             return
         if name == "CODECOPY":
@@ -534,18 +462,10 @@ class Interpreter:
                 self.state.mem_unknown = True
             return
         if name in ("CALLDATACOPY", "RETURNDATACOPY", "EXTCODECOPY"):
-            pops = info.stack_pops
-            for _ in range(pops):
+            for _ in range(info.stack_pops):
                 state.pop()
             self.state.memory.clear()
             self.state.mem_unknown = self.witness is None
-            return
-        if name in ("EXTCODESIZE", "BLOCKHASH"):
-            state.pop()
-            state.push(self._fresh_or_zero(name))
-            return
-        if name in ("RETURNDATASIZE", "MSIZE", "GAS"):
-            state.push(self._fresh_or_zero(name))
             return
         if name == "PC":
             state.push(const(ins.offset))
@@ -575,25 +495,13 @@ class Interpreter:
             key, value = state.pop(), state.pop()
             state.sstore(key, value)
             return
-        if name.startswith("LOG"):
-            for _ in range(info.stack_pops):
-                state.pop()
-            return
-        if name in ("CALL", "CALLCODE"):
-            gas_w, target, value = state.pop(), state.pop(), state.pop()
-            for _ in range(4):
-                state.pop()
-            state.records.append(ExternalRecord(name, ins.offset, state.txn, target, value))
+        if name in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
+            # gas, target, [value,] then four memory operands
+            args = [state.pop() for _ in range(info.stack_pops)]
+            value = args[2] if name in ("CALL", "CALLCODE") else None
+            state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
             if name == "CALL":
                 state.balance = mk("SUB", state.balance, value)
-            state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
-            return
-        if name in ("DELEGATECALL", "STATICCALL"):
-            state.pop()
-            target = state.pop()
-            for _ in range(4):
-                state.pop()
-            state.records.append(ExternalRecord(name, ins.offset, state.txn, target, None))
             state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
             return
         if name == "CREATE":
@@ -607,11 +515,7 @@ class Interpreter:
             state.records.append(ExternalRecord(name, ins.offset, state.txn,
                                                 target, state.balance))
             return
-        if name in ("RETURN", "REVERT"):
-            state.pop(), state.pop()
-            return
-        if name in ("JUMP", "JUMPI"):
-            raise SymExecError("jumps are handled by the block walker")
+        # JUMP and JUMPI: the block runner pops their operands
         raise SymExecError(f"unhandled opcode {name}")
 
     def _fresh_or_zero(self, tag: str) -> Word:
@@ -637,8 +541,9 @@ class Interpreter:
 def _run_body(interp: Interpreter, block, revert_mark: int) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
-    Which assertion the exit makes depends on the block that follows (see
-    `_take_exit`).  A REVERT's rollback does not, so it happens here."""
+    This is the one block runner: the trie walk, replay and the constructor
+    pre-run differ only in how they choose the next block from the operands.
+    A REVERT rolls back the transaction here, whatever block follows."""
     state = interp.state
     for ins in block.instructions[:-1]:
         interp.step(ins)
@@ -702,7 +607,6 @@ Outcome = SymbolicState | SymExecError
 def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
                  base_storage: dict[Word, Word],
                  gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                 witness: dict[str, int] | None = None,
                  ) -> Iterator[tuple[tuple[int, ...], Outcome]]:
     """Interpret many block sequences, running each shared prefix once.
 
@@ -727,7 +631,7 @@ def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
         node[1].append(i)
     ready: dict[int, Outcome] = {}
     next_index = 0
-    for i, outcome in _walk_trie(cfg, code, trie, base_storage, gas_table, witness):
+    for i, outcome in _walk_trie(cfg, code, trie, base_storage, gas_table):
         ready[i] = outcome
         while next_index in ready:
             yield paths[next_index], ready.pop(next_index)
@@ -735,10 +639,9 @@ def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
 
 
 def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word],
-               gas_table: isa.GasTable,
-               witness: dict[str, int] | None) -> Iterator[tuple[int, Outcome]]:
+               gas_table: isa.GasTable) -> Iterator[tuple[int, Outcome]]:
     """Depth-first walk of the trie; yields `(input index, outcome)`."""
-    interp = Interpreter(code, SymbolicState(), gas_table, witness)
+    interp = Interpreter(code, SymbolicState(), gas_table)
     # (block id, trie node, parent frame, whether it is the last user of the
     # parent's state); a frame is (block, state, jump operands, root, revert mark)
     todo: list = [(block_id, node, None, True) for block_id, node in reversed(trie[0].items())]
@@ -777,11 +680,9 @@ def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word
 
 def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
                    base_storage: dict[Word, Word],
-                   gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                   witness: dict[str, int] | None = None) -> SymbolicState:
+                   gas_table: isa.GasTable = isa.DEFAULT_GAS) -> SymbolicState:
     """Interpret a block sequence; transaction boundaries reset environments."""
-    ((_blocks, outcome),) = execute_trie(cfg, code, [blocks], base_storage,
-                                         gas_table, witness)
+    ((_blocks, outcome),) = execute_trie(cfg, code, [blocks], base_storage, gas_table)
     if isinstance(outcome, SymExecError):
         raise outcome
     return outcome
@@ -800,42 +701,26 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
     state = SymbolicState(base_storage=dict(base_storage))
     interp = Interpreter(code, state, witness=witness)
     interp.begin_transaction()
-    root = cfg.root
-    taken: list[int] = [root]
-    block_id = root
+    taken: list[int] = [cfg.root]
     revert_mark = state.storage_snapshot()
     while len(taken) <= max_blocks:
-        block = cfg.blocks[block_id]
-        for ins in block.instructions[:-1]:
-            interp.step(ins)
-        last = block.instructions[-1]
-        name = last.mnemonic
-        if name == "JUMP":
-            target = state.pop()
-            block_id = eval_word(target, witness)
-        elif name == "JUMPI":
-            target = state.pop()
-            cond = state.pop()
-            if eval_word(cond, witness):
-                block_id = eval_word(target, witness)
-            else:
-                block_id = last.offset + 1
-        elif block.terminator is Terminator.TERMINAL:
-            if name == "REVERT":
-                state.storage_rollback(revert_mark)
+        block = cfg.blocks[taken[-1]]
+        operands = _run_body(interp, block, revert_mark)
+        if block.terminator is Terminator.TERMINAL:
             if state.txn >= call_count:
                 return tuple(taken)
             interp.begin_transaction()
             revert_mark = state.storage_snapshot()
-            block_id = root
-        elif block.terminator in (Terminator.CALL, Terminator.FALL_THROUGH):
-            interp.step(last)
-            block_id = last.next_offset
-        else:
-            raise SymExecError(f"unexpected terminator {block.terminator}")
-        if block.terminator is Terminator.TERMINAL and block_id == root:
-            taken.append(block_id)
+            taken.append(cfg.root)
             continue
+        if len(operands) == 1:  # JUMP
+            block_id = eval_word(operands[0], witness)
+        elif operands:  # JUMPI
+            target, cond = operands
+            block_id = eval_word(target, witness) if eval_word(cond, witness) \
+                else block.last_offset + 1
+        else:
+            block_id = block.last.next_offset
         if block_id not in cfg.blocks:
             raise SymExecError(f"replay jumped to unknown offset {block_id}")
         taken.append(block_id)
@@ -906,18 +791,19 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
             if visited_guard[block_id] > 64:
                 raise ConstructorDiverged("constructor walk looped")
             block = creation_cfg.blocks[block_id]
-            for ins in block.instructions[:-1]:
-                interp.step(ins)
-            last = block.instructions[-1]
-            name = last.mnemonic
-            if name == "JUMP":
-                target = state.pop()
+            operands = _run_body(interp, block, 0)
+            last = block.last
+            if block.terminator is Terminator.TERMINAL:
+                if last.mnemonic in ("RETURN", "STOP"):
+                    return state.final_storage(), diagnostics
+                raise ConstructorDiverged(f"constructor main path ends in {last.mnemonic}")
+            if len(operands) == 1:  # JUMP
+                target = operands[0]
                 if not target.is_concrete:
                     raise ConstructorDiverged("symbolic jump in constructor")
                 block_id = target.value or 0
-            elif name == "JUMPI":
-                target = state.pop()
-                cond = state.pop()
+            elif operands:  # JUMPI
+                target, cond = operands
                 if cond.is_concrete:
                     branch_taken = bool(cond.value)
                 else:
@@ -934,16 +820,11 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
                     block_id = target.value or 0
                 else:
                     block_id = last.offset + 1
-            elif name in ("RETURN", "STOP"):
-                return state.final_storage(), diagnostics
-            elif name in ("REVERT", "INVALID", "SELFDESTRUCT"):
-                raise ConstructorDiverged(f"constructor main path ends in {name}")
             else:
-                interp.step(last)
                 block_id = last.next_offset
             if block_id not in creation_cfg.blocks:
                 raise ConstructorDiverged(f"constructor jumped outside code ({block_id})")
-    except (ConstructorDiverged, StackUnderflow, StackOverflow, SymExecError) as exc:
+    except SymExecError as exc:
         diagnostics.append(f"constructor pre-run abandoned: {exc}")
         return {}, diagnostics
 

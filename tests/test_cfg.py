@@ -1,15 +1,21 @@
+import pytest
+from hypothesis import given, strategies as st
+
 from evmscope import isa
 from evmscope.cfg import (
     EdgeKind,
     FALLBACK,
     Terminator,
+    _simulate_block,
     build_blocks,
     build_cfg,
     to_dot,
 )
 from evmscope.disasm import disassemble, parse_hex
 from evmscope.keccak import selector
+from evmscope.symexec import concrete_op
 
+from asmtool import Asm
 from conftest import get_cfg, get_contract
 
 
@@ -140,6 +146,39 @@ def test_conservatism_top_stack_never_beats_per_path():
         block = cfg.blocks[block_id]
         _stack, target = _simulate_block(block, [TOP] * 8)
         assert target is TOP
+
+
+# Each computes the jump target "dest" with a word operator right before an
+# indirect JUMP; only constant folding through that operator resolves the edge.
+_COMPUTED_TARGETS = {
+    "SIGNEXTEND": lambda asm: asm.push_label("dest").push(31).op("SIGNEXTEND"),
+    "BYTE": lambda asm: asm.push_label("dest").push(31).op("BYTE"),
+    "SAR": lambda asm: asm.push_label("dest").push(0).op("SAR"),
+    "ADDMOD": lambda asm: asm.push(0x100).push(0).push_label("dest").op("ADDMOD"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPUTED_TARGETS))
+def test_lattice_folds_computed_jump_target(name):
+    asm = Asm()
+    _COMPUTED_TARGETS[name](asm).op("JUMP").label("dest").op("JUMPDEST").op("STOP")
+    cfg = build_cfg(disassemble(asm.assemble()))
+    assert _edges(cfg, EdgeKind.INDIRECT_JUMP) == [(0, asm.offset_of("dest"))]
+    assert cfg.dangling == set()
+    assert [d for d in cfg.diagnostics if d.code == "unresolved_indirect_jump"] == []
+
+
+@given(st.sampled_from(sorted(isa.OPERATORS)),
+       st.lists(st.integers(min_value=0, max_value=(1 << 256) - 1), min_size=3, max_size=3))
+def test_lattice_fold_matches_concrete_op(name, words):
+    # PUSH the arguments bottom first, so the first argument ends on top
+    args = words[:isa.by_mnemonic(name).stack_pops]
+    asm = Asm()
+    for word in reversed(args):
+        asm.push(word, 32)
+    asm.op(name)
+    (block,) = build_blocks(disassemble(asm.assemble())).values()
+    assert _simulate_block(block, []) == ([concrete_op(name, args)], None)
 
 
 def test_determinism_same_bytecode_same_graph(toydao):

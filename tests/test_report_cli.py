@@ -301,12 +301,26 @@ def test_batch_mode_reports_and_summary(tmp_path):
     assert len(summary["contracts"]) == 31
 
 
-def test_workers_flag_gives_same_results(tmp_path):
-    base = analyze(get_contract("bitway"),
-                   _config(bounds=PathBounds(call_depth=1)))
-    parallel = analyze(get_contract("bitway"),
-                       _config(bounds=PathBounds(call_depth=1), workers=4))
-    assert to_json(base) == to_json(parallel)
+def test_unloadable_files_are_reported_and_skipped(tmp_path, capsys, monkeypatch):
+    (tmp_path / "empty.hex").write_text("\n")
+    (tmp_path / "gone.hex").write_text("00")
+    (tmp_path / "sink_3.json").write_text((FIXTURES / "sink_3.json").read_text())
+    assert cli_main(["analyze", str(tmp_path / "empty.hex")]) == 1
+    assert capsys.readouterr().err == "error: runtime code is empty\n"
+
+    def load(path):
+        if path.name == "gone.hex":
+            raise FileNotFoundError("vanished")
+        return load_contract(path)
+
+    monkeypatch.setattr("evmscope.cli.load_contract", load)
+    out = tmp_path / "reports"
+    assert cli_main(["batch", str(tmp_path), "--out", str(out)]) == 1
+    assert (out / "sink_3.json").exists()
+    contracts = json.loads((out / "corpus_summary.json").read_text())["contracts"]
+    assert contracts[:2] == [{"file": "empty.hex", "error": "runtime code is empty"},
+                             {"file": "gone.hex", "error": "vanished"}]
+    assert [entry["file"] for entry in contracts] == ["empty.hex", "gone.hex", "sink_3.json"]
 
 
 def test_malformed_trace_does_not_abort_analysis(tmp_path):

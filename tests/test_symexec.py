@@ -3,15 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evmscope import isa
 from evmscope.analyzers import detect_payable_entries
 from evmscope.cfg import build_cfg
-from evmscope.disasm import disassemble, parse_hex
+from evmscope.disasm import Instruction, disassemble, parse_hex
 from evmscope.keccak import keccak256, selector
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
 from evmscope.solver import BoundedSolver
 from evmscope.symexec import (
     FeasibilityStatus,
+    Interpreter,
     StackUnderflow,
+    SymExecError,
     SymbolicState,
     Word,
     concrete_op,
@@ -29,6 +32,7 @@ from evmscope.symexec import (
     var,
 )
 
+from asmtool import Asm
 from conftest import FIXTURES, MICRO, get_cfg, get_contract
 
 WORD = 1 << 256
@@ -192,14 +196,14 @@ def test_free_vars_and_concretize():
 
 # -- interpreter over block sequences ------------------------------------------
 
-def _run(code_hex, blocks=None, storage=None, witness=None):
+def _run(code_hex, blocks=None, storage=None):
     code = parse_hex(code_hex)
     cfg = build_cfg(disassemble(code))
     if blocks is None:
         paths = list(enumerate_paths(cfg, PathBounds(call_depth=1)))
         assert len(paths) == 1
         blocks = paths[0].blocks
-    return execute_blocks(cfg, code, tuple(blocks), storage or {}, witness=witness)
+    return execute_blocks(cfg, code, tuple(blocks), storage or {})
 
 
 def test_straightline_stack_arithmetic():
@@ -223,6 +227,20 @@ def test_storage_unknown_slot_reads_stable_var():
     # both loads of the untouched slot 0 produced the same variable
     assert stored[const(1)] == stored[const(2)]
     assert free_vars(stored[const(1)])
+
+
+@pytest.mark.parametrize("witness", [None, {}], ids=["symbolic", "witness"])
+def test_step_covers_every_opcode_byte(witness):
+    for info in isa.TABLE:
+        ins = Instruction(64, info, 0x1234 if info.immediate_bytes else None)
+        state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
+        interp = Interpreter(bytes(100), state, witness=witness)
+        if info.kind in (isa.Kind.JUMP, isa.Kind.COND_JUMP):
+            with pytest.raises(SymExecError):
+                interp.step(ins)
+            continue
+        interp.step(ins)
+        assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
 
 
 def test_stack_underflow_raises():
@@ -284,6 +302,25 @@ def test_enjinbuyer_constructor_stores_both_addresses():
 def test_missing_constructor_gives_empty_storage():
     storage, diags = run_constructor(None, None)
     assert storage == {} and diags == []
+
+
+def test_constructor_prefers_the_branch_that_does_not_revert():
+    # a symbolic condition guards a REVERT; the fallthrough stores 7 at slot 0
+    asm = Asm().op("CALLVALUE").push_label("revert").op("JUMPI")
+    asm.push(7).push(0).op("SSTORE").op("STOP")
+    asm.label("revert").op("JUMPDEST").push(0).op("DUP1").op("REVERT")
+    code = asm.assemble()
+    storage, diags = run_constructor(build_cfg(disassemble(code)), code)
+    assert storage == {const(0): const(7)}
+    assert diags == []
+
+
+def test_constructor_return_on_short_stack_is_abandoned():
+    # RETURN pops two words; on an empty stack the deployment halts
+    code = parse_hex("f3")
+    storage, diags = run_constructor(build_cfg(disassemble(code)), code)
+    assert storage == {}
+    assert diags == ["constructor pre-run abandoned: pop from empty stack"]
 
 
 def test_diverging_constructor_falls_back_to_symbolic():
