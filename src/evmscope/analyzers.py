@@ -10,6 +10,7 @@ from typing import Iterable
 from . import isa
 from .cfg import Cfg
 from .disasm import Instruction
+from .isa import estimate_gas
 from .pathgen import ProgramPath
 from .registry import AddressRegistry, RegistryUnavailable
 from .symexec import (
@@ -286,16 +287,8 @@ class GasEstimator:
     """Static per-path gas: the sum of every instruction's scheduled cost."""
 
     def __init__(self, cfg: Cfg, gas_table: isa.GasTable = isa.DEFAULT_GAS):
-        self.block_costs = {
-            block_id: sum(gas_table.cost(ins.info.byte_value)
-                          for ins in block.instructions)
-            for block_id, block in cfg.blocks.items()
-        }
+        self.block_costs = {block_id: estimate_gas(block.instructions, gas_table)
+                            for block_id, block in cfg.blocks.items()}
 
     def path_gas(self, path: ProgramPath) -> int:
         return sum(map(self.block_costs.__getitem__, path.blocks))
-
-
-def estimate_gas(instructions: Iterable[Instruction],
-                 gas_table: isa.GasTable = isa.DEFAULT_GAS) -> int:
-    return sum(gas_table.cost(ins.info.byte_value) for ins in instructions)

@@ -95,6 +95,9 @@ class Cfg:
     dangling: set[int] = field(default_factory=set)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     _succ: dict[int, list[Edge]] = field(default_factory=dict, repr=False)
+    # compiled block plans by (block id, gas table), filled by symbolic
+    # execution on first use; they live as long as the graph
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def successors(self, block_id: int) -> list[Edge]:
         return self._succ.get(block_id, [])

@@ -101,29 +101,61 @@ def load_contract(path: str | Path) -> ContractCode:
 
     Envelope fields: runtime (hex, required), creation (hex), name, source,
     source_map ({offset: line}), functions ({selector_hex: {signature, payable}}).
-    Empty runtime code is rejected: there is nothing to analyze.
+    An optional field may be absent or null.  A field of the wrong type
+    raises ValueError naming the field, and so does empty runtime code:
+    there is nothing to analyze.
     """
     path = Path(path)
     text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        if "runtime" not in doc:
-            raise ValueError(f"{path}: envelope missing 'runtime' field")
-        functions = {}
-        for sel_hex, meta in (doc.get("functions") or {}).items():
-            functions[int(sel_hex, 16)] = dict(meta)
-        source_map = {int(k): int(v) for k, v in (doc.get("source_map") or {}).items()}
-        contract = ContractCode(
-            runtime_code=parse_hex(doc["runtime"]),
-            creation_code=parse_hex(doc["creation"]) if doc.get("creation") else None,
-            name=doc.get("name", path.stem),
-            source=doc.get("source"),
-            source_map=source_map,
-            functions=functions,
-        )
+    if text.lstrip().startswith("{"):
+        contract = _load_envelope(json.loads(text), path)
     else:
         contract = ContractCode(runtime_code=parse_hex(text), name=path.stem)
     if not contract.runtime_code:
         raise ValueError("runtime code is empty")
     return contract
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _load_envelope(doc: dict, path: Path) -> ContractCode:
+    def field_of(key: str, kind: type, expected: str, required: bool = False):
+        value = doc.get(key)
+        if (value is not None or required) and not isinstance(value, kind):
+            raise ValueError(f"{path}: envelope field '{key}' must be {expected}, "
+                             f"not {_JSON_TYPES.get(type(value), type(value).__name__)}")
+        return value
+
+    if "runtime" not in doc:
+        raise ValueError(f"{path}: envelope missing 'runtime' field")
+    runtime = field_of("runtime", str, "a hex string", required=True)
+    creation = field_of("creation", str, "a hex string")
+    name = field_of("name", str, "a string")
+    source = field_of("source", str, "a string")
+    try:
+        source_map = {int(k): int(v)
+                      for k, v in (field_of("source_map", dict, "an object") or {}).items()}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: envelope field 'source_map' must map code offsets "
+                         f"to line numbers ({exc})") from None
+    functions = {}
+    for sel_hex, meta in (field_of("functions", dict, "an object") or {}).items():
+        try:
+            selector = int(sel_hex, 16)
+        except ValueError:
+            raise ValueError(f"{path}: envelope field 'functions' has a key that is "
+                             f"not a hex selector: {sel_hex!r}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: envelope field 'functions' must map selectors to "
+                             f"objects, not {_JSON_TYPES.get(type(meta), type(meta).__name__)}")
+        functions[selector] = dict(meta)
+    return ContractCode(
+        runtime_code=parse_hex(runtime),
+        creation_code=parse_hex(creation) if creation else None,
+        name=path.stem if name is None else name,
+        source=source,
+        source_map=source_map,
+        functions=functions,
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class Kind(enum.Enum):
@@ -324,3 +324,8 @@ class GasTable:
 
 
 DEFAULT_GAS = GasTable()
+
+
+def estimate_gas(instructions: Iterable, gas_table: GasTable = DEFAULT_GAS) -> int:
+    """Static gas of an instruction sequence: the sum of its scheduled costs."""
+    return sum(gas_table.cost(ins.info.byte_value) for ins in instructions)

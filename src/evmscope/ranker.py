@@ -81,12 +81,23 @@ def score(path: ProgramPath, violations: list[PropertyViolation],
 
 
 def make_ranked(path: ProgramPath, violations: list[PropertyViolation],
-                config: RankConfig) -> RankedPath:
+                config: RankConfig,
+                scores: dict[tuple, Fraction] | None = None) -> RankedPath:
+    """`scores`, if given, memoizes scores by (property set, length) for
+    callers that rank many paths under one config."""
+    length = path.length
+    if scores is None:
+        path_score = score(path, violations, config)
+    else:
+        key = (frozenset(v.property for v in violations), length)
+        path_score = scores.get(key)
+        if path_score is None:
+            path_score = scores[key] = score(path, violations, config)
     return RankedPath(
         path=path,
         violations=tuple(violations),
-        score=score(path, violations, config),
-        length=path.length,
+        score=path_score,
+        length=length,
     )
 
 

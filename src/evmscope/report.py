@@ -322,7 +322,9 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             diagnostics.append(f"trace_abandoned: {type(exc).__name__} ({exc}); "
                                f"{count} money path(s) not analyzed")
 
-    ranked = [make_ranked(path, viols, config.rank) for path, viols in violations_by_path]
+    scores: dict = {}  # one score per (property set, call count) in this analysis
+    ranked = [make_ranked(path, viols, config.rank, scores)
+              for path, viols in violations_by_path]
     plan = rank_and_gate(ranked, config.rank)
 
     feasibility: dict[tuple, tuple[str, dict[str, int] | None, str]] = {}

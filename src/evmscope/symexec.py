@@ -16,7 +16,7 @@ import copy
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import isa
 from .cfg import Cfg, Terminator
@@ -305,6 +305,9 @@ _OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE"
 # Transaction environment: one variable per transaction.
 _ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
                         "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"})
+# Always the same symbolic constant, so the self-balance check in BALANCE
+# behaves identically in symbolic and replay runs.
+_ADDRESS = var("ADDRESS")
 
 
 class Interpreter:
@@ -341,20 +344,6 @@ class Interpreter:
 
     # -- memory -----------------------------------------------------------
 
-    def _mstore(self, offset: Word, value: Word) -> None:
-        if offset.is_concrete:
-            self.state.memory[offset.value or 0] = value
-        else:
-            # write through an unknown pointer: all recorded words are stale
-            self.state.memory.clear()
-            self.state.mem_unknown = True
-
-    def _mload(self, offset: Word) -> Word:
-        if offset.is_concrete and (offset.value or 0) in self.state.memory:
-            return self.state.memory[offset.value or 0]
-        # fresh-counter use must match between symbolic and replay runs
-        return self._fresh_or_zero(f"MEM#{self.state.txn_label}")
-
     @staticmethod
     def _expand_memory(offset: int, length: int) -> None:
         """Halt as out of gas if memory would grow past MEMORY_CAP."""
@@ -377,146 +366,10 @@ class Interpreter:
     # -- instruction dispatch ----------------------------------------------
 
     def step(self, ins: Instruction) -> None:
-        state = self.state
-        info = ins.info
-        byte = info.byte_value
-        name = info.mnemonic
-        state.gas_used += self.gas.cost(byte)
-
-        if 0x60 <= byte <= 0x7F:  # PUSHn
-            state.push(const(ins.immediate or 0))
-            return
-        if 0x80 <= byte <= 0x8F:  # DUPn
-            n = byte - 0x7F
-            if len(state.stack) < n:
-                raise StackUnderflow(name)
-            state.push(state.stack[-n])
-            return
-        if 0x90 <= byte <= 0x9F:  # SWAPn
-            n = byte - 0x8F
-            stack = state.stack
-            if len(stack) < n + 1:
-                raise StackUnderflow(name)
-            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-            return
-        if name in isa.OPERATORS:
-            args = [state.pop() for _ in range(info.stack_pops)]
-            state.push(mk(name, *args))
-            return
-        if name in _POP_ONLY:
-            for _ in range(info.stack_pops):
-                state.pop()
-            return
-        if name in _OPAQUE_READS:
-            for _ in range(info.stack_pops):
-                state.pop()
-            state.push(self._fresh_or_zero(name))
-            return
-        if name in _ENV_READS:
-            state.push(self._env(name))
-            return
-        if name == "SHA3":
-            offset, length = state.pop(), state.pop()
-            if offset.is_concrete and length.is_concrete:
-                words = self._mem_words(offset.value or 0, length.value or 0)
-                term = Word("sha3", tuple(words), meta=(length.value or 0))
-                if all(w.is_concrete for w in words):
-                    state.push(const(eval_word(term, {})))
-                else:
-                    state.push(term)
-            else:
-                state.push(state.fresh(f"SHA3#{state.txn_label}"))
-            return
-        if name == "ADDRESS":
-            # always the same symbolic constant, so the self-balance check
-            # below behaves identically in symbolic and replay runs
-            state.push(var("ADDRESS"))
-            return
-        if name == "BALANCE":
-            target = state.pop()
-            if target.op == "var" and target.name == "ADDRESS":
-                state.push(state.balance)
-            else:
-                state.push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
-            return
-        if name == "CALLDATALOAD":
-            offset = state.pop()
-            if offset.is_concrete:
-                word_name = f"CALLDATA#{state.txn_label}@{offset.value}"
-                if self.witness is not None:
-                    state.push(const(self.witness.get(word_name, 0)))
-                else:
-                    state.push(var(word_name))
-            else:
-                state.push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
-            return
-        if name == "CODESIZE":
-            state.push(const(len(self.code)))
-            return
-        if name == "CODECOPY":
-            dest, src, length = state.pop(), state.pop(), state.pop()
-            if dest.is_concrete and src.is_concrete and length.is_concrete:
-                self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
-            else:
-                self.state.memory.clear()
-                self.state.mem_unknown = True
-            return
-        if name in ("CALLDATACOPY", "RETURNDATACOPY", "EXTCODECOPY"):
-            for _ in range(info.stack_pops):
-                state.pop()
-            self.state.memory.clear()
-            self.state.mem_unknown = self.witness is None
-            return
-        if name == "PC":
-            state.push(const(ins.offset))
-            return
-        if name == "MLOAD":
-            state.push(self._mload(state.pop()))
-            return
-        if name == "MSTORE":
-            offset, value = state.pop(), state.pop()
-            self._mstore(offset, value)
-            return
-        if name == "MSTORE8":
-            offset, value = state.pop(), state.pop()
-            if offset.is_concrete:
-                aligned = (offset.value or 0) & ~31
-                self.state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
-            return
-        if name == "SLOAD":
-            key = state.pop()
-            loaded = state.sload(key)
-            if self.witness is not None:
-                state.push(const(eval_word(loaded, self.witness)))
-            else:
-                state.push(loaded)
-            return
-        if name == "SSTORE":
-            key, value = state.pop(), state.pop()
-            state.sstore(key, value)
-            return
-        if name in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
-            # gas, target, [value,] then four memory operands
-            args = [state.pop() for _ in range(info.stack_pops)]
-            value = args[2] if name in ("CALL", "CALLCODE") else None
-            state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
-            if name == "CALL":
-                state.balance = mk("SUB", state.balance, value)
-            state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
-            return
-        if name == "CREATE":
-            value = state.pop()
-            state.pop(), state.pop()
-            state.records.append(ExternalRecord(name, ins.offset, state.txn, None, value))
-            state.push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
-            return
-        if name == "SELFDESTRUCT":
-            target = state.pop()
-            state.records.append(ExternalRecord(name, ins.offset, state.txn,
-                                                target, state.balance))
-            return
-        # JUMP and JUMPI: the block runner pops their operands
-        raise SymExecError(f"unhandled opcode {name}")
+        """Charge one instruction's gas and run its handler."""
+        self.state.gas_used += self.gas.cost(ins.info.byte_value)
+        handler, _ins, operand = compile_instruction(ins)
+        handler(self, ins, operand)
 
     def _fresh_or_zero(self, tag: str) -> Word:
         w = self.state.fresh(tag)
@@ -533,31 +386,267 @@ class Interpreter:
             chunk = chunk + b"\x00" * (32 - len(chunk))
             self.state.memory[dest + i] = const(int.from_bytes(chunk, "big"))
 
+    # -- instruction handlers ----------------------------------------------
+    # `handler(interp, ins, operand)`: the operand is decoded once per
+    # instruction by `compile_instruction`, and the caller charges the gas.
+
+    def _nothing(self, ins: Instruction, operand: None) -> None:
+        """STOP, JUMPDEST, INVALID: no effect beyond their gas."""
+
+    def _push_word(self, ins: Instruction, word: Word) -> None:
+        self.state.push(word)
+
+    def _dup(self, ins: Instruction, depth: int) -> None:
+        state = self.state
+        if len(state.stack) < depth:
+            raise StackUnderflow(ins.info.mnemonic)
+        state.push(state.stack[-depth])
+
+    def _swap(self, ins: Instruction, depth: int) -> None:
+        stack = self.state.stack
+        if len(stack) <= depth:
+            raise StackUnderflow(ins.info.mnemonic)
+        stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
+
+    def _operator(self, ins: Instruction, operator: tuple) -> None:
+        name, fn, pops = operator
+        state = self.state
+        args = [state.pop() for _ in range(pops)]
+        for a in args:  # closed arguments fold through `fn`, the rest go to `mk`
+            if a.op != "const":
+                state.push(mk(name, *args))
+                return
+        state.push(const(fn(*[a.value or 0 for a in args])))
+
+    def _pop_only(self, ins: Instruction, pops: int) -> None:
+        for _ in range(pops):
+            self.state.pop()
+
+    def _opaque_read(self, ins: Instruction, pops: int) -> None:
+        self._pop_only(ins, pops)
+        self.state.push(self._fresh_or_zero(ins.info.mnemonic))
+
+    def _env_read(self, ins: Instruction, tag: str) -> None:
+        self.state.push(self._env(tag))
+
+    def _sha3(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        offset, length = state.pop(), state.pop()
+        if offset.is_concrete and length.is_concrete:
+            words = self._mem_words(offset.value or 0, length.value or 0)
+            term = Word("sha3", tuple(words), meta=(length.value or 0))
+            if all(w.is_concrete for w in words):
+                state.push(const(eval_word(term, {})))
+            else:
+                state.push(term)
+        else:
+            state.push(state.fresh(f"SHA3#{state.txn_label}"))
+
+    def _balance(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        target = state.pop()
+        if target.op == "var" and target.name == "ADDRESS":
+            state.push(state.balance)
+        else:
+            state.push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
+
+    def _calldataload(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        offset = state.pop()
+        if offset.is_concrete:
+            word_name = f"CALLDATA#{state.txn_label}@{offset.value}"
+            if self.witness is not None:
+                state.push(const(self.witness.get(word_name, 0)))
+            else:
+                state.push(var(word_name))
+        else:
+            state.push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
+
+    def _codesize(self, ins: Instruction, operand: None) -> None:
+        self.state.push(const(len(self.code)))
+
+    def _codecopy(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        dest, src, length = state.pop(), state.pop(), state.pop()
+        if dest.is_concrete and src.is_concrete and length.is_concrete:
+            self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
+        else:
+            state.memory.clear()
+            state.mem_unknown = True
+
+    def _copy_unknown(self, ins: Instruction, pops: int) -> None:
+        """CALLDATACOPY, RETURNDATACOPY, EXTCODECOPY: data the model does not track."""
+        self._pop_only(ins, pops)
+        self.state.memory.clear()
+        self.state.mem_unknown = self.witness is None
+
+    def _mload(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        offset = state.pop()
+        if offset.is_concrete and (offset.value or 0) in state.memory:
+            state.push(state.memory[offset.value or 0])
+        else:
+            # fresh-counter use must match between symbolic and replay runs
+            state.push(self._fresh_or_zero(f"MEM#{state.txn_label}"))
+
+    def _mstore(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        offset, value = state.pop(), state.pop()
+        if offset.is_concrete:
+            state.memory[offset.value or 0] = value
+        else:
+            # write through an unknown pointer: all recorded words are stale
+            state.memory.clear()
+            state.mem_unknown = True
+
+    def _mstore8(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        offset, _value = state.pop(), state.pop()
+        if offset.is_concrete:
+            aligned = (offset.value or 0) & ~31
+            state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
+
+    def _sload(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        loaded = state.sload(state.pop())
+        if self.witness is not None:
+            state.push(const(eval_word(loaded, self.witness)))
+        else:
+            state.push(loaded)
+
+    def _sstore(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        key, value = state.pop(), state.pop()
+        state.sstore(key, value)
+
+    def _call(self, ins: Instruction, pops: int) -> None:
+        """CALL, CALLCODE, DELEGATECALL, STATICCALL."""
+        state = self.state
+        name = ins.info.mnemonic
+        # gas, target, [value,] then four memory operands
+        args = [state.pop() for _ in range(pops)]
+        value = args[2] if name in ("CALL", "CALLCODE") else None
+        state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
+        if name == "CALL":
+            state.balance = mk("SUB", state.balance, value)
+        state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
+
+    def _create(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        value = state.pop()
+        state.pop(), state.pop()
+        state.records.append(ExternalRecord("CREATE", ins.offset, state.txn, None, value))
+        state.push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
+
+    def _selfdestruct(self, ins: Instruction, operand: None) -> None:
+        state = self.state
+        target = state.pop()
+        state.records.append(ExternalRecord("SELFDESTRUCT", ins.offset, state.txn,
+                                            target, state.balance))
+
+    def _unhandled(self, ins: Instruction, operand: None) -> None:
+        # JUMP and JUMPI: the block runner pops their operands
+        raise SymExecError(f"unhandled opcode {ins.info.mnemonic}")
+
+
+_NAMED_HANDLERS = {
+    "SHA3": Interpreter._sha3, "BALANCE": Interpreter._balance,
+    "CALLDATALOAD": Interpreter._calldataload, "CODESIZE": Interpreter._codesize,
+    "CODECOPY": Interpreter._codecopy, "CALLDATACOPY": Interpreter._copy_unknown,
+    "RETURNDATACOPY": Interpreter._copy_unknown, "EXTCODECOPY": Interpreter._copy_unknown,
+    "MLOAD": Interpreter._mload, "MSTORE": Interpreter._mstore,
+    "MSTORE8": Interpreter._mstore8, "SLOAD": Interpreter._sload,
+    "SSTORE": Interpreter._sstore, "CALL": Interpreter._call, "CALLCODE": Interpreter._call,
+    "DELEGATECALL": Interpreter._call, "STATICCALL": Interpreter._call,
+    "CREATE": Interpreter._create, "SELFDESTRUCT": Interpreter._selfdestruct,
+    "JUMP": Interpreter._unhandled, "JUMPI": Interpreter._unhandled,
+}
+
+
+def _handler_entry(info: isa.OpcodeInfo) -> tuple:
+    """(handler, operand) of one opcode; PUSHn and PC get their operand,
+    the constant they push, per instruction."""
+    name, byte = info.mnemonic, info.byte_value
+    if info.is_push or name == "PC":
+        return Interpreter._push_word, None
+    if 0x80 <= byte <= 0x8F:
+        return Interpreter._dup, byte - 0x7F
+    if 0x90 <= byte <= 0x9F:
+        return Interpreter._swap, byte - 0x8F
+    if name in isa.OPERATORS:
+        return Interpreter._operator, (name, isa.OPERATORS[name], info.stack_pops)
+    if name in _ENV_READS:
+        return Interpreter._env_read, name
+    if name in _OPAQUE_READS:
+        return Interpreter._opaque_read, info.stack_pops
+    if name in _POP_ONLY:
+        if info.stack_pops:
+            return Interpreter._pop_only, info.stack_pops
+        return Interpreter._nothing, None
+    if name == "ADDRESS":
+        return Interpreter._push_word, _ADDRESS
+    return _NAMED_HANDLERS[name], info.stack_pops
+
+
+# Every opcode byte's handler and static operand, indexed by byte.
+_HANDLERS: tuple[tuple, ...] = tuple(_handler_entry(info) for info in isa.TABLE)
+
+# One decoded instruction: (handler, instruction, operand).
+Op = tuple[Callable[[Interpreter, Instruction, Any], None], Instruction, Any]
+
+
+def compile_instruction(ins: Instruction) -> Op:
+    handler, operand = _HANDLERS[ins.info.byte_value]
+    if handler is Interpreter._push_word and operand is None:
+        operand = const(ins.offset if ins.info.mnemonic == "PC" else ins.immediate or 0)
+    return handler, ins, operand
+
+
+class BlockPlan(NamedTuple):
+    """A basic block decoded once, to be run any number of times."""
+    gas: int                # static gas of all its instructions, the exit's included
+    ops: tuple[Op, ...]     # the body; instructions with no effect are left out
+    jump_pops: int          # operands the exit pops: 1 for JUMP, 2 for JUMPI, else 0
+    reverts: bool           # ends in REVERT: the transaction is rolled back
+
+
+def compile_block(block, gas_table: isa.GasTable) -> BlockPlan:
+    last = block.last
+    jump_pops = {"JUMP": 1, "JUMPI": 2}.get(last.mnemonic, 0)
+    body = block.instructions[:-1] if jump_pops else block.instructions
+    ops = tuple(op for op in map(compile_instruction, body)
+                if op[0] is not Interpreter._nothing)
+    reverts = last.mnemonic == "REVERT" and block.terminator is Terminator.TERMINAL
+    return BlockPlan(isa.estimate_gas(block.instructions, gas_table), ops, jump_pops, reverts)
+
 
 # ---------------------------------------------------------------------------
 # Path execution
 # ---------------------------------------------------------------------------
 
-def _run_body(interp: Interpreter, block, revert_mark: int) -> tuple[Word, ...]:
+def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
     This is the one block runner: the trie walk, replay and the constructor
     pre-run differ only in how they choose the next block from the operands.
-    A REVERT rolls back the transaction here, whatever block follows."""
+    The block is compiled on first use and its plan kept with `cfg`; its
+    gas is charged once.  A REVERT rolls back the transaction here,
+    whatever block follows."""
+    key = (block.id, interp.gas)
+    plan = cfg.plans.get(key)
+    if plan is None:
+        plan = cfg.plans[key] = compile_block(block, interp.gas)
+    gas, ops, jump_pops, reverts = plan
     state = interp.state
-    for ins in block.instructions[:-1]:
-        interp.step(ins)
-    last = block.instructions[-1]
-    name = last.mnemonic
-    if name == "JUMP":
-        state.gas_used += interp.gas.cost(last.info.byte_value)
+    state.gas_used += gas
+    for handler, ins, operand in ops:
+        handler(interp, ins, operand)
+    if jump_pops == 1:
         return (state.pop(),)
-    if name == "JUMPI":
-        state.gas_used += interp.gas.cost(last.info.byte_value)
+    if jump_pops == 2:
         target = state.pop()
         return (target, state.pop())
-    interp.step(last)
-    if name == "REVERT" and block.terminator is Terminator.TERMINAL:
+    if reverts:
         state.storage_rollback(revert_mark)
         state.records = [dataclasses.replace(rec, reverted=True) if rec.txn == state.txn
                          else rec for rec in state.records]
@@ -660,7 +749,7 @@ def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word
                 if _take_exit(interp, parent_block, operands, block_id, root):
                     revert_mark = state.storage_snapshot()
             block = cfg.blocks[block_id]
-            operands = _run_body(interp, block, revert_mark)
+            operands = _run_body(interp, cfg, block, revert_mark)
         except SymExecError as exc:
             below = [node]
             while below:
@@ -705,7 +794,7 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
     revert_mark = state.storage_snapshot()
     while len(taken) <= max_blocks:
         block = cfg.blocks[taken[-1]]
-        operands = _run_body(interp, block, revert_mark)
+        operands = _run_body(interp, cfg, block, revert_mark)
         if block.terminator is Terminator.TERMINAL:
             if state.txn >= call_count:
                 return tuple(taken)
@@ -791,7 +880,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
             if visited_guard[block_id] > 64:
                 raise ConstructorDiverged("constructor walk looped")
             block = creation_cfg.blocks[block_id]
-            operands = _run_body(interp, block, 0)
+            operands = _run_body(interp, creation_cfg, block, 0)
             last = block.last
             if block.terminator is Terminator.TERMINAL:
                 if last.mnemonic in ("RETURN", "STOP"):

@@ -1,0 +1,266 @@
+"""The per-instruction interpreter that the compiled block runner replaced.
+
+`ReferenceInterpreter` keeps the former `Interpreter` verbatim in behaviour:
+one `step` per instruction through a chain of mnemonic tests, a fresh
+constant word built for every PUSH, gas charged instruction by instruction.
+`reference_run_body` is the former block runner over it.  The compiled
+plans must leave the identical state after every block, and raise the
+identical exception where a block cannot run.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from evmscope import isa
+from evmscope.cfg import Terminator
+from evmscope.disasm import Instruction
+from evmscope.symexec import (
+    MEMORY_CAP,
+    ZERO,
+    ExternalRecord,
+    OutOfGas,
+    StackUnderflow,
+    SymbolicState,
+    SymExecError,
+    Word,
+    const,
+    eval_word,
+    mk,
+    var,
+)
+
+_POP_ONLY = frozenset({"POP", "LOG0", "LOG1", "LOG2", "LOG3", "LOG4",
+                       "RETURN", "REVERT", "STOP", "JUMPDEST", "INVALID"})
+_OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE", "GAS"})
+_ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
+                        "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"})
+
+
+class ReferenceInterpreter:
+    def __init__(self, code: bytes, state: SymbolicState,
+                 gas_table: isa.GasTable = isa.DEFAULT_GAS,
+                 witness: dict[str, int] | None = None):
+        self.code = code
+        self.state = state
+        self.gas = gas_table
+        self.witness = witness
+
+    def _env(self, tag: str, per_txn: bool = True) -> Word:
+        name = f"{tag}#{self.state.txn_label}" if per_txn else tag
+        w = var(name)
+        if self.witness is not None:
+            return const(self.witness.get(name, 0))
+        return w
+
+    def begin_transaction(self) -> None:
+        self.state.txn += 1
+        self.state.stack = []
+        self.state.memory = {}
+        self.state.mem_unknown = False
+        self.state.balance = mk("ADD", self.state.balance, self._env("CALLVALUE"))
+
+    def _mstore(self, offset: Word, value: Word) -> None:
+        if offset.is_concrete:
+            self.state.memory[offset.value or 0] = value
+        else:
+            self.state.memory.clear()
+            self.state.mem_unknown = True
+
+    def _mload(self, offset: Word) -> Word:
+        if offset.is_concrete and (offset.value or 0) in self.state.memory:
+            return self.state.memory[offset.value or 0]
+        return self._fresh_or_zero(f"MEM#{self.state.txn_label}")
+
+    @staticmethod
+    def _expand_memory(offset: int, length: int) -> None:
+        if length > 0 and offset + length > MEMORY_CAP:
+            raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
+
+    def _mem_words(self, offset: int, length: int) -> list[Word]:
+        self._expand_memory(offset, length)
+        words = []
+        for i in range(0, max(length, 0), 32):
+            word = self.state.memory.get(offset + i)
+            if word is None:
+                if self.witness is not None or not self.state.mem_unknown:
+                    word = ZERO
+                else:
+                    word = self.state.fresh(f"MEM#{self.state.txn_label}")
+            words.append(word)
+        return words
+
+    def step(self, ins: Instruction) -> None:
+        state = self.state
+        info = ins.info
+        byte = info.byte_value
+        name = info.mnemonic
+        state.gas_used += self.gas.cost(byte)
+
+        if 0x60 <= byte <= 0x7F:  # PUSHn
+            state.push(const(ins.immediate or 0))
+            return
+        if 0x80 <= byte <= 0x8F:  # DUPn
+            n = byte - 0x7F
+            if len(state.stack) < n:
+                raise StackUnderflow(name)
+            state.push(state.stack[-n])
+            return
+        if 0x90 <= byte <= 0x9F:  # SWAPn
+            n = byte - 0x8F
+            stack = state.stack
+            if len(stack) < n + 1:
+                raise StackUnderflow(name)
+            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
+            return
+        if name in isa.OPERATORS:
+            args = [state.pop() for _ in range(info.stack_pops)]
+            state.push(mk(name, *args))
+            return
+        if name in _POP_ONLY:
+            for _ in range(info.stack_pops):
+                state.pop()
+            return
+        if name in _OPAQUE_READS:
+            for _ in range(info.stack_pops):
+                state.pop()
+            state.push(self._fresh_or_zero(name))
+            return
+        if name in _ENV_READS:
+            state.push(self._env(name))
+            return
+        if name == "SHA3":
+            offset, length = state.pop(), state.pop()
+            if offset.is_concrete and length.is_concrete:
+                words = self._mem_words(offset.value or 0, length.value or 0)
+                term = Word("sha3", tuple(words), meta=(length.value or 0))
+                if all(w.is_concrete for w in words):
+                    state.push(const(eval_word(term, {})))
+                else:
+                    state.push(term)
+            else:
+                state.push(state.fresh(f"SHA3#{state.txn_label}"))
+            return
+        if name == "ADDRESS":
+            state.push(var("ADDRESS"))
+            return
+        if name == "BALANCE":
+            target = state.pop()
+            if target.op == "var" and target.name == "ADDRESS":
+                state.push(state.balance)
+            else:
+                state.push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
+            return
+        if name == "CALLDATALOAD":
+            offset = state.pop()
+            if offset.is_concrete:
+                word_name = f"CALLDATA#{state.txn_label}@{offset.value}"
+                if self.witness is not None:
+                    state.push(const(self.witness.get(word_name, 0)))
+                else:
+                    state.push(var(word_name))
+            else:
+                state.push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
+            return
+        if name == "CODESIZE":
+            state.push(const(len(self.code)))
+            return
+        if name == "CODECOPY":
+            dest, src, length = state.pop(), state.pop(), state.pop()
+            if dest.is_concrete and src.is_concrete and length.is_concrete:
+                self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
+            else:
+                self.state.memory.clear()
+                self.state.mem_unknown = True
+            return
+        if name in ("CALLDATACOPY", "RETURNDATACOPY", "EXTCODECOPY"):
+            for _ in range(info.stack_pops):
+                state.pop()
+            self.state.memory.clear()
+            self.state.mem_unknown = self.witness is None
+            return
+        if name == "PC":
+            state.push(const(ins.offset))
+            return
+        if name == "MLOAD":
+            state.push(self._mload(state.pop()))
+            return
+        if name == "MSTORE":
+            offset, value = state.pop(), state.pop()
+            self._mstore(offset, value)
+            return
+        if name == "MSTORE8":
+            offset, value = state.pop(), state.pop()
+            if offset.is_concrete:
+                aligned = (offset.value or 0) & ~31
+                self.state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
+            return
+        if name == "SLOAD":
+            key = state.pop()
+            loaded = state.sload(key)
+            if self.witness is not None:
+                state.push(const(eval_word(loaded, self.witness)))
+            else:
+                state.push(loaded)
+            return
+        if name == "SSTORE":
+            key, value = state.pop(), state.pop()
+            state.sstore(key, value)
+            return
+        if name in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
+            args = [state.pop() for _ in range(info.stack_pops)]
+            value = args[2] if name in ("CALL", "CALLCODE") else None
+            state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
+            if name == "CALL":
+                state.balance = mk("SUB", state.balance, value)
+            state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
+            return
+        if name == "CREATE":
+            value = state.pop()
+            state.pop(), state.pop()
+            state.records.append(ExternalRecord(name, ins.offset, state.txn, None, value))
+            state.push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
+            return
+        if name == "SELFDESTRUCT":
+            target = state.pop()
+            state.records.append(ExternalRecord(name, ins.offset, state.txn,
+                                                target, state.balance))
+            return
+        raise SymExecError(f"unhandled opcode {name}")
+
+    def _fresh_or_zero(self, tag: str) -> Word:
+        w = self.state.fresh(tag)
+        if self.witness is not None:
+            return const(self.witness.get(w.name or "", 0))
+        return w
+
+    def _copy_code(self, dest: int, src: int, length: int) -> None:
+        self._expand_memory(dest, length)
+        data = self.code[src:src + length]
+        data = data + b"\x00" * (length - len(data))
+        for i in range(0, length, 32):
+            chunk = data[i:i + 32]
+            chunk = chunk + b"\x00" * (32 - len(chunk))
+            self.state.memory[dest + i] = const(int.from_bytes(chunk, "big"))
+
+
+def reference_run_body(interp: ReferenceInterpreter, block,
+                       revert_mark: int) -> tuple[Word, ...]:
+    state = interp.state
+    for ins in block.instructions[:-1]:
+        interp.step(ins)
+    last = block.instructions[-1]
+    name = last.mnemonic
+    if name == "JUMP":
+        state.gas_used += interp.gas.cost(last.info.byte_value)
+        return (state.pop(),)
+    if name == "JUMPI":
+        state.gas_used += interp.gas.cost(last.info.byte_value)
+        target = state.pop()
+        return (target, state.pop())
+    interp.step(last)
+    if name == "REVERT" and block.terminator is Terminator.TERMINAL:
+        state.storage_rollback(revert_mark)
+        state.records = [dataclasses.replace(rec, reverted=True) if rec.txn == state.txn
+                         else rec for rec in state.records]
+    return ()

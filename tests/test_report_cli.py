@@ -323,6 +323,25 @@ def test_unloadable_files_are_reported_and_skipped(tmp_path, capsys, monkeypatch
     assert [entry["file"] for entry in contracts] == ["empty.hex", "gone.hex", "sink_3.json"]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"runtime": 5}', "envelope field 'runtime' must be a hex string, not a number"),
+    ('{"runtime": "6000", "functions": {"0x12": 3}}',
+     "envelope field 'functions' must map selectors to objects, not a number"),
+], ids=["runtime", "functions"])
+def test_mistyped_envelope_fields_are_input_errors(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    (tmp_path / "sink_3.json").write_text((FIXTURES / "sink_3.json").read_text())
+    assert cli_main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    out = tmp_path / "reports"
+    assert cli_main(["batch", str(tmp_path), "--out", str(out)]) == 1
+    assert (out / "sink_3.json").exists()
+    contracts = json.loads((out / "corpus_summary.json").read_text())["contracts"]
+    assert contracts[0] == {"file": "bad.json", "error": f"{bad}: {message}"}
+    assert [entry["file"] for entry in contracts] == ["bad.json", "sink_3.json"]
+
+
 def test_malformed_trace_does_not_abort_analysis(tmp_path):
     # CALL on an empty stack, then STOP: every money path underflows
     (tmp_path / "underflow.hex").write_text("f100")

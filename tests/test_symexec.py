@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from evmscope import isa
 from evmscope.analyzers import detect_payable_entries
-from evmscope.cfg import build_cfg
+from evmscope.cfg import BasicBlock, Cfg, Terminator, build_cfg
 from evmscope.disasm import Instruction, disassemble, parse_hex
 from evmscope.keccak import keccak256, selector
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
@@ -17,6 +17,7 @@ from evmscope.symexec import (
     SymExecError,
     SymbolicState,
     Word,
+    _run_body,
     concrete_op,
     concretize,
     const,
@@ -231,16 +232,31 @@ def test_storage_unknown_slot_reads_stable_var():
 
 @pytest.mark.parametrize("witness", [None, {}], ids=["symbolic", "witness"])
 def test_step_covers_every_opcode_byte(witness):
+    # every byte through `step`, and as a one-instruction block through the
+    # compiled block runner
     for info in isa.TABLE:
         ins = Instruction(64, info, 0x1234 if info.immediate_bytes else None)
+        jump = info.kind in (isa.Kind.JUMP, isa.Kind.COND_JUMP)
         state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
         interp = Interpreter(bytes(100), state, witness=witness)
-        if info.kind in (isa.Kind.JUMP, isa.Kind.COND_JUMP):
+        if jump:
             with pytest.raises(SymExecError):
                 interp.step(ins)
-            continue
-        interp.step(ins)
+        else:
+            interp.step(ins)
+            assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
+            assert state.gas_used == isa.DEFAULT_GAS.cost(info.byte_value), info.mnemonic
+
+        terminator = {isa.Kind.JUMP: Terminator.JUMP, isa.Kind.COND_JUMP: Terminator.COND_JUMP
+                      }.get(info.kind, Terminator.TERMINAL if info.is_terminal
+                            else Terminator.FALL_THROUGH)
+        block = BasicBlock(64, 64, 64, [ins], terminator)
+        cfg = Cfg(blocks={64: block}, root=64, edges=set())
+        state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
+        operands = _run_body(Interpreter(bytes(100), state, witness=witness), cfg, block, 0)
         assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
+        assert len(operands) == (info.stack_pops if jump else 0), info.mnemonic
+        assert state.gas_used == isa.DEFAULT_GAS.cost(info.byte_value), info.mnemonic
 
 
 def test_stack_underflow_raises():
