@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,14 +214,22 @@ def _run_batch(args: argparse.Namespace) -> int:
     summary = []
     any_violation = any_error = False
     for path in files:
+        error = None
         try:
             contract = load_contract(path)
         except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            summary.append({"file": path.name, "error": str(exc)})
+            error = str(exc)
+        else:
+            try:
+                report = analyze(contract, config, registry=registry)
+            except Exception as exc:  # one failed analysis must not end the run
+                traceback.print_exc()
+                error = f"{type(exc).__name__}: {exc}"
+        if error is not None:
+            print(f"error: {path}: {error}", file=sys.stderr)
+            summary.append({"file": path.name, "error": error})
             any_error = True
             continue
-        report = analyze(contract, config, registry=registry)
         emit(report, args.output, out_dir / path.stem, contract.source)
         any_violation = any_violation or report.has_violations
         summary.append({

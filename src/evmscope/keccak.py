@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import struct
+import time
+from functools import lru_cache
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
@@ -25,6 +27,13 @@ _MASK = (1 << 64) - 1
 
 _RATE_BYTES = 136  # 1600-bit state, 512-bit capacity
 _LANES = struct.Struct(f"<{_RATE_BYTES // 8}Q")  # one block, as little-endian lanes
+
+# Preimages of at most one rate block are cached by content, up to this many
+# of them (at most ~0.3 MB).  Longer preimages are hashed every time, so no
+# large input is ever kept alive by the cache.
+CACHE_ENTRIES = 1024
+# A long preimage checks its deadline once per this many absorbed blocks.
+DEADLINE_STRIDE = 64
 
 
 # lane x + 5*y: theta's column index, then its rho rotation and pi destination
@@ -56,8 +65,25 @@ def _keccak_f(a: list[int]) -> None:
         a[0] ^= rc
 
 
-def keccak256(data: bytes) -> bytes:
-    """Hash `data` and return the 32-byte digest."""
+def keccak256(data: bytes | bytearray | memoryview, deadline: float | None = None) -> bytes:
+    """Hash `data` and return the 32-byte digest.
+
+    Preimages of at most one rate block (136 bytes) come from a bounded
+    cache.  A longer one is absorbed block by block and raises TimeoutError
+    once `time.monotonic()` has passed `deadline`, checked every
+    DEADLINE_STRIDE blocks."""
+    data = bytes(data)
+    if len(data) <= _RATE_BYTES:
+        return _keccak256_short(data)
+    return _absorb(data, deadline)
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _keccak256_short(data: bytes) -> bytes:
+    return _absorb(data, None)
+
+
+def _absorb(data: bytes, deadline: float | None) -> bytes:
     state = [0] * 25
     padded = bytearray(data)
     pad_len = _RATE_BYTES - (len(padded) % _RATE_BYTES)
@@ -65,10 +91,12 @@ def keccak256(data: bytes) -> bytes:
     padded[len(data)] ^= 0x01
     padded[-1] ^= 0x80
 
-    for lanes in _LANES.iter_unpack(padded):
+    for n, lanes in enumerate(_LANES.iter_unpack(padded), 1):
         for i, lane in enumerate(lanes):
             state[i] ^= lane
         _keccak_f(state)
+        if deadline is not None and not n % DEADLINE_STRIDE and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed")
     return struct.pack("<4Q", *state[:4])  # 32 bytes = 4 lanes
 
 

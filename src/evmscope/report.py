@@ -236,7 +236,8 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     base_storage: dict[Word, Word] = {}
     if contract.creation_code:
         creation_cfg = build_cfg(disassemble(contract.creation_code))
-        base_storage, ctor_diags = run_constructor(creation_cfg, contract.creation_code)
+        base_storage, ctor_diags = run_constructor(creation_cfg, contract.creation_code,
+                                                   deadline=deadline)
         diagnostics.extend(ctor_diags)
 
     payable, payable_details = detect_payable_entries(cfg, instructions)
@@ -286,7 +287,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         # shared prefixes run once; a walk that fails skips every path below
         # the failing block and is reported once
         outcomes = execute_trie(cfg, contract.runtime_code, [p.blocks for p in to_trace],
-                                base_storage, gas_table)
+                                base_storage, gas_table, deadline)
         skipped: dict[SymExecError, int] = {}
         guard_facts: GuardFacts = {}
         for traced, (path, (_blocks, state)) in enumerate(zip(to_trace, outcomes)):
@@ -336,7 +337,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             timed_out = True
             break
         _state, feas = execute_path(cfg, contract.runtime_code, rp.path, base_storage,
-                                    solver, gas_table, config.solver_timeout_ms)
+                                    solver, gas_table, config.solver_timeout_ms, deadline)
         executed += 1
         key = rp.path.blocks
         if feas.status is FeasibilityStatus.FEASIBLE:
@@ -348,6 +349,8 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 work.append(promoted)
         else:
             feasibility[key] = (FEAS_UNKNOWN, None, feas.reason)
+    # the constructor pre-run, a trace or a feasibility check cut short
+    timed_out = timed_out or time.monotonic() > deadline
 
     critical: list[CriticalPath] = []
     rank_no = 0

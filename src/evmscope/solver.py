@@ -52,14 +52,14 @@ def _normalize(conjunct: Word) -> _Atom:
     return _Atom("TRUTHY", w, None, positive)
 
 
-def _substitute(w: Word, env: dict[str, int]) -> Word:
+def _substitute(w: Word, env: dict[str, int], deadline: float) -> Word:
     if w.op == "var":
         if w.name in env:
             return const(env[w.name])
         return w
     if w.op == "const":
         return w
-    new_args = tuple(_substitute(a, env) for a in w.args)
+    new_args = tuple(_substitute(a, env, deadline) for a in w.args)
     if new_args == w.args:
         return w
     if w.op in ("sha3", "sload", "ite"):
@@ -67,7 +67,7 @@ def _substitute(w: Word, env: dict[str, int]) -> Word:
         if w.op == "ite" and new_args[0].is_concrete:
             return new_args[1] if new_args[0].value else new_args[2]
         if all(a.is_concrete for a in new_args):
-            return const(eval_word(node, {}))
+            return const(eval_word(node, {}, deadline))
         return node
     return mk(w.op, *new_args)
 
@@ -114,7 +114,13 @@ class BoundedSolver:
     def check(self, conjuncts: list[Word], timeout_ms: int = 100) -> CheckResult:
         deadline = time.monotonic() + timeout_ms / 1000.0
         try:
-            conjuncts, pinned = self._propagate(list(conjuncts))
+            return self._check(conjuncts, deadline)
+        except TimeoutError:  # hashing a long preimage ran past the timeout
+            return CheckResult("unknown", reason="solver timeout")
+
+    def _check(self, conjuncts: list[Word], deadline: float) -> CheckResult:
+        try:
+            conjuncts, pinned = self._propagate(list(conjuncts), deadline)
         except _Unsat as u:
             return CheckResult("unsat", reason=u.reason)
 
@@ -141,7 +147,8 @@ class BoundedSolver:
 
     # -- sound unsat rules --------------------------------------------------
 
-    def _propagate(self, conjuncts: list[Word]) -> tuple[list[Word], dict[str, int]]:
+    def _propagate(self, conjuncts: list[Word],
+                   deadline: float) -> tuple[list[Word], dict[str, int]]:
         """Equality propagation plus same-term conflict detection.
 
         Returns the rewritten conjuncts and the variable values the
@@ -189,7 +196,7 @@ class BoundedSolver:
                 if name in pinned and pinned[name] != value:
                     raise _Unsat(f"{name} pinned to both {pinned[name]} and {value}")
             pinned.update(bindings)
-            new_conjuncts = [_substitute(c, bindings) for c in conjuncts]
+            new_conjuncts = [_substitute(c, bindings, deadline) for c in conjuncts]
             for c in new_conjuncts:
                 if c.is_concrete and not c.value:
                     raise _Unsat("contradiction after equality propagation")
@@ -350,7 +357,7 @@ class BoundedSolver:
             used = free_vars(c)
             if used:
                 due[max(map(level.__getitem__, used))].append(c)
-            elif eval_word(c, {}) == 0:
+            elif eval_word(c, {}, deadline) == 0:
                 return None
         if not names:
             return {}
@@ -369,7 +376,7 @@ class BoundedSolver:
                     if (tick & 0x3F) == 0 and time.monotonic() > deadline:
                         return None
                     model[names[k]] = value
-                    if all(eval_word(c, model) != 0 for c in due[k]):
+                    if all(eval_word(c, model, deadline) != 0 for c in due[k]):
                         break
                 else:
                     values.pop()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -50,6 +51,10 @@ class ConstructorDiverged(SymExecError):
 
 class OutOfGas(SymExecError):
     pass
+
+
+class DeadlinePassed(SymExecError):
+    """The analysis deadline passed mid-walk; says nothing about the path."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +123,23 @@ def mk(op: str, *args: Word) -> Word:
     return Word(op, args)
 
 
-def eval_word(w: Word, env: dict[str, int]) -> int:
-    """Concrete evaluation; unassigned variables read as zero."""
+def eval_word(w: Word, env: dict[str, int], deadline: float | None = None) -> int:
+    """Concrete evaluation; unassigned variables read as zero.  Hashing a
+    long preimage raises TimeoutError once `deadline` has passed."""
     if w.op == "const":
         return w.value or 0
     if w.op == "var":
         return env.get(w.name or "", 0) % WORD_MOD
     if w.op == "sload":
-        return eval_word(w.args[0], env)
+        return eval_word(w.args[0], env, deadline)
     if w.op == "ite":
-        return eval_word(w.args[1] if eval_word(w.args[0], env) else w.args[2], env)
+        cond = eval_word(w.args[0], env, deadline)
+        return eval_word(w.args[1] if cond else w.args[2], env, deadline)
     if w.op == "sha3":
         length = int(w.meta or 0)
-        data = b"".join(eval_word(a, env).to_bytes(32, "big") for a in w.args)
-        return int.from_bytes(keccak256(data[:length]), "big")
-    return concrete_op(w.op, [eval_word(a, env) for a in w.args])
+        data = b"".join(eval_word(a, env, deadline).to_bytes(32, "big") for a in w.args)
+        return int.from_bytes(keccak256(data[:length], deadline), "big")
+    return concrete_op(w.op, [eval_word(a, env, deadline) for a in w.args])
 
 
 def walk(w: Word):
@@ -320,11 +327,17 @@ class Interpreter:
 
     def __init__(self, code: bytes, state: SymbolicState,
                  gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                 witness: dict[str, int] | None = None):
+                 witness: dict[str, int] | None = None,
+                 deadline: float | None = None):
         self.code = code
         self.state = state
         self.gas = gas_table
         self.witness = witness
+        self.deadline = deadline  # time.monotonic() value; None: no limit
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise DeadlinePassed("deadline passed")
 
     # -- environment ------------------------------------------------------
 
@@ -380,11 +393,12 @@ class Interpreter:
     def _copy_code(self, dest: int, src: int, length: int) -> None:
         self._expand_memory(dest, length)
         data = self.code[src:src + length]
-        data = data + b"\x00" * (length - len(data))
-        for i in range(0, length, 32):
-            chunk = data[i:i + 32]
-            chunk = chunk + b"\x00" * (32 - len(chunk))
-            self.state.memory[dest + i] = const(int.from_bytes(chunk, "big"))
+        memory = self.state.memory
+        for i in range(0, len(data), 32):
+            memory[dest + i] = const(int.from_bytes(data[i:i + 32].ljust(32, b"\x00"), "big"))
+        # past the end of the code: zero words, up to 3.9 MB of them
+        tail = dest + -(-len(data) // 32) * 32
+        memory.update(dict.fromkeys(range(tail, dest + length, 32), ZERO))
 
     # -- instruction handlers ----------------------------------------------
     # `handler(interp, ins, operand)`: the operand is decoded once per
@@ -436,7 +450,10 @@ class Interpreter:
             words = self._mem_words(offset.value or 0, length.value or 0)
             term = Word("sha3", tuple(words), meta=(length.value or 0))
             if all(w.is_concrete for w in words):
-                state.push(const(eval_word(term, {})))
+                try:
+                    state.push(const(eval_word(term, {}, self.deadline)))
+                except TimeoutError as exc:
+                    raise DeadlinePassed(str(exc)) from None
             else:
                 state.push(term)
         else:
@@ -696,6 +713,7 @@ Outcome = SymbolicState | SymExecError
 def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
                  base_storage: dict[Word, Word],
                  gas_table: isa.GasTable = isa.DEFAULT_GAS,
+                 deadline: float | None = None,
                  ) -> Iterator[tuple[tuple[int, ...], Outcome]]:
     """Interpret many block sequences, running each shared prefix once.
 
@@ -706,6 +724,7 @@ def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
     order.  The outcome is the state `execute_blocks` gives for that
     sequence alone, or the SymExecError that stopped the walk on its
     prefix: one exception object for all sequences below the failing node.
+    Past `deadline` that exception is a DeadlinePassed.
     """
     trie: _Node = ({}, [])
     for i, blocks in enumerate(paths):
@@ -720,7 +739,7 @@ def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
         node[1].append(i)
     ready: dict[int, Outcome] = {}
     next_index = 0
-    for i, outcome in _walk_trie(cfg, code, trie, base_storage, gas_table):
+    for i, outcome in _walk_trie(cfg, code, trie, base_storage, gas_table, deadline):
         ready[i] = outcome
         while next_index in ready:
             yield paths[next_index], ready.pop(next_index)
@@ -728,9 +747,10 @@ def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
 
 
 def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word],
-               gas_table: isa.GasTable) -> Iterator[tuple[int, Outcome]]:
+               gas_table: isa.GasTable, deadline: float | None,
+               ) -> Iterator[tuple[int, Outcome]]:
     """Depth-first walk of the trie; yields `(input index, outcome)`."""
-    interp = Interpreter(code, SymbolicState(), gas_table)
+    interp = Interpreter(code, SymbolicState(), gas_table, deadline=deadline)
     # (block id, trie node, parent frame, whether it is the last user of the
     # parent's state); a frame is (block, state, jump operands, root, revert mark)
     todo: list = [(block_id, node, None, True) for block_id, node in reversed(trie[0].items())]
@@ -769,9 +789,11 @@ def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word
 
 def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
                    base_storage: dict[Word, Word],
-                   gas_table: isa.GasTable = isa.DEFAULT_GAS) -> SymbolicState:
+                   gas_table: isa.GasTable = isa.DEFAULT_GAS,
+                   deadline: float | None = None) -> SymbolicState:
     """Interpret a block sequence; transaction boundaries reset environments."""
-    ((_blocks, outcome),) = execute_trie(cfg, code, [blocks], base_storage, gas_table)
+    ((_blocks, outcome),) = execute_trie(cfg, code, [blocks], base_storage, gas_table,
+                                         deadline)
     if isinstance(outcome, SymExecError):
         raise outcome
     return outcome
@@ -785,14 +807,15 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
 
 def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
                   base_storage: dict[Word, Word], call_count: int,
-                  max_blocks: int = 4096) -> tuple[int, ...]:
+                  max_blocks: int = 4096, deadline: float | None = None) -> tuple[int, ...]:
     """Run concretely under a witness and report the block sequence taken."""
     state = SymbolicState(base_storage=dict(base_storage))
-    interp = Interpreter(code, state, witness=witness)
+    interp = Interpreter(code, state, witness=witness, deadline=deadline)
     interp.begin_transaction()
     taken: list[int] = [cfg.root]
     revert_mark = state.storage_snapshot()
     while len(taken) <= max_blocks:
+        interp.check_deadline()
         block = cfg.blocks[taken[-1]]
         operands = _run_body(interp, cfg, block, revert_mark)
         if block.terminator is Terminator.TERMINAL:
@@ -816,13 +839,20 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
     raise SymExecError("replay exceeded block budget")
 
 
+_DEADLINE_PASSED = Feasibility(FeasibilityStatus.UNKNOWN, reason="deadline passed")
+
+
 def execute_path(cfg: Cfg, code: bytes, path,
                  base_storage: dict[Word, Word], solver,
                  gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                 solver_timeout_ms: int = 100) -> tuple[SymbolicState | None, Feasibility]:
-    """Execute one gated path and decide its feasibility."""
+                 solver_timeout_ms: int = 100,
+                 deadline: float | None = None) -> tuple[SymbolicState | None, Feasibility]:
+    """Execute one gated path and decide its feasibility.  A `deadline`
+    passed while tracing, re-checking or replaying makes it unknown."""
     try:
-        state = execute_blocks(cfg, code, path.blocks, base_storage, gas_table)
+        state = execute_blocks(cfg, code, path.blocks, base_storage, gas_table, deadline)
+    except DeadlinePassed:
+        return None, _DEADLINE_PASSED
     except (StackUnderflow, StackOverflow) as exc:
         return None, Feasibility(FeasibilityStatus.INFEASIBLE, reason=f"malformed path: {exc}")
     except SymExecError as exc:
@@ -833,12 +863,15 @@ def execute_path(cfg: Cfg, code: bytes, path,
         return state, Feasibility(FeasibilityStatus.INFEASIBLE, reason=result.reason)
     if result.status == "sat":
         witness = dict(result.model or {})
-        for cond in state.path_condition:
-            if eval_word(cond, witness) == 0:
-                return state, Feasibility(FeasibilityStatus.UNKNOWN,
-                                          reason="witness failed re-check")
         try:
-            taken = replay_blocks(cfg, code, witness, base_storage, path.call_count)
+            for cond in state.path_condition:
+                if eval_word(cond, witness, deadline) == 0:
+                    return state, Feasibility(FeasibilityStatus.UNKNOWN,
+                                              reason="witness failed re-check")
+            taken = replay_blocks(cfg, code, witness, base_storage, path.call_count,
+                                  deadline=deadline)
+        except (DeadlinePassed, TimeoutError):
+            return state, _DEADLINE_PASSED
         except SymExecError as exc:
             return state, Feasibility(FeasibilityStatus.UNKNOWN,
                                       reason=f"witness replay failed: {exc}")
@@ -854,18 +887,20 @@ def execute_path(cfg: Cfg, code: bytes, path,
 # ---------------------------------------------------------------------------
 
 def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
-                    max_steps: int = 4096) -> tuple[dict[Word, Word], list[str]]:
+                    max_steps: int = 4096, deadline: float | None = None,
+                    ) -> tuple[dict[Word, Word], list[str]]:
     """Execute the constructor's main path; returns (storage, diagnostics).
 
     Constructor arguments stay symbolic.  At a branch with a symbolic
     condition the walk prefers the branch that does not revert.  If the walk
-    exceeds its budget the result is empty (all-symbolic) storage.
+    exceeds its budget or `deadline` passes, the result is empty
+    (all-symbolic) storage.
     """
     if creation_cfg is None or code is None:
         return {}, []
     state = SymbolicState(txn_prefix="c")
     # constructor runs in its own deployment transaction, in its own namespace
-    interp = Interpreter(code, state)
+    interp = Interpreter(code, state, deadline=deadline)
     interp.begin_transaction()
     diagnostics: list[str] = []
     block_id = creation_cfg.root
@@ -876,6 +911,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
             steps += 1
             if steps > max_steps:
                 raise ConstructorDiverged("constructor walk exceeded step budget")
+            interp.check_deadline()
             visited_guard[block_id] = visited_guard.get(block_id, 0) + 1
             if visited_guard[block_id] > 64:
                 raise ConstructorDiverged("constructor walk looped")

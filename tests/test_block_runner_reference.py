@@ -199,3 +199,18 @@ def test_every_opcode_at_its_stack_bounds_matches_the_reference(mode):
                 except SymExecError as exc:
                     outcomes.append(_outcome(exc))
             assert outcomes[1] == outcomes[0], (info.mnemonic, depth)
+
+
+def test_codecopy_matches_the_reference():
+    # copies inside the code, across its end and wholly past it, in whole
+    # and partial words
+    code = bytes(range(1, 100))
+    for dest in (0, 5):
+        for src in (0, 3, 32, 90, 99, 150):
+            for length in (0, 1, 31, 32, 33, 65, 200):
+                memories = []
+                for cls in (ReferenceInterpreter, Interpreter):
+                    interp = cls(code, SymbolicState())
+                    interp._copy_code(dest, src, length)
+                    memories.append(interp.state.memory)
+                assert memories[1] == memories[0], (dest, src, length)

@@ -1,17 +1,36 @@
 """analyze() stays bounded: bytecode-chosen memory sizes halt as out of gas,
-and the trace stage stops at the deadline."""
+and every stage, hashing included, stops at the deadline."""
 
 import time
 
 import pytest
 
 import evmscope.report as report_module
-from evmscope.disasm import ContractCode, parse_hex
-from evmscope.pathgen import PathBounds
+from evmscope.cfg import build_cfg
+from evmscope.disasm import ContractCode, disassemble, parse_hex
+from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
+from evmscope.ranker import RankConfig
 from evmscope.report import AnalysisConfig, analyze
-from evmscope.symexec import BLOCK_GAS_LIMIT, MEMORY_CAP
+from evmscope.solver import BoundedSolver, CheckResult
+from evmscope.symexec import (
+    BLOCK_GAS_LIMIT,
+    MEMORY_CAP,
+    ZERO,
+    FeasibilityStatus,
+    Word,
+    execute_path,
+    mk,
+    run_constructor,
+    var,
+)
 
-from conftest import REGISTRY_TXT, get_contract
+from conftest import REGISTRY_TXT, get_cfg, get_contract
+
+# PUSH3 MEMORY_CAP-32; PUSH1 0; SHA3; POP: hashes 3.9 MB of zero memory
+_NEAR_CAP_SHA3 = f"62{MEMORY_CAP - 32:06x}60002050"
+# x = CALLDATALOAD(0); MSTORE(0, x); JUMPI(17, SHA3(0, MEMORY_CAP-32)); STOP;
+# 17: JUMPDEST; CALLER; SELFDESTRUCT.  The hash stays a term until solved.
+_SYMBOLIC_NEAR_CAP_SHA3 = "600035600052" + _NEAR_CAP_SHA3[:-2] + "601157005b33ff"
 
 _OUT_OF_GAS = "OutOfGas (memory up to byte 1099511627776 exceeds the block gas limit)"
 
@@ -78,3 +97,102 @@ def test_trace_stage_stops_at_the_deadline(monkeypatch):
     assert cut.statistics["timed_out"] is True
     assert [d for d in cut.diagnostics if d.startswith("trace_timed_out")] == [
         f"trace_timed_out: deadline passed; {money - 2} money path(s) not analyzed"]
+
+
+def test_near_cap_sha3_returns_at_the_deadline():
+    assert _NEAR_CAP_SHA3 == "623c240060002050"
+    contract = ContractCode(runtime_code=parse_hex(_NEAR_CAP_SHA3 + "33ff"), name="sha3")
+    started = time.monotonic()
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=2, wall_time=1)))
+    assert time.monotonic() - started < 1 + 1
+    assert report.statistics["timed_out"] is True
+    assert "trace_timed_out: deadline passed; 1 money path(s) not analyzed" \
+        in report.diagnostics
+
+
+def test_near_cap_sha3_in_the_constructor_returns_at_the_deadline():
+    creation = parse_hex(_NEAR_CAP_SHA3 + "00")
+    started = time.monotonic()
+    storage, diagnostics = run_constructor(build_cfg(disassemble(creation)), creation,
+                                           deadline=time.monotonic() + 0.2)
+    assert time.monotonic() - started < 1
+    assert (storage, diagnostics) == ({}, ["constructor pre-run abandoned: deadline passed"])
+    contract = ContractCode(runtime_code=parse_hex("00"), name="ctor", creation_code=creation)
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=2, wall_time=1)))
+    assert report.statistics["timed_out"] is True
+    assert "constructor pre-run abandoned: deadline passed" in report.diagnostics
+
+
+def test_near_cap_codecopy_loop_returns_at_the_deadline():
+    # 0: JUMPDEST; CODECOPY(0, 0, MEMORY_CAP-32); JUMPI(0, CALLDATALOAD(0));
+    # CALLER; SELFDESTRUCT: every pass round the loop fills 3.9 MB of memory
+    contract = ContractCode(name="codecopy", runtime_code=parse_hex(
+        f"5b62{MEMORY_CAP - 32:06x}600060003960003560005733ff"))
+    started = time.monotonic()
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=3, wall_time=1)))
+    assert time.monotonic() - started < 1 + 1
+    assert report.statistics["timed_out"] is True
+
+
+def _money_paths(cfg):
+    return list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg, set()))
+
+
+def test_a_passed_deadline_makes_a_verdict_unknown():
+    code = parse_hex(_NEAR_CAP_SHA3 + "33ff")
+    cfg = build_cfg(disassemble(code))
+    (path,) = _money_paths(cfg)
+    state, feas = execute_path(cfg, code, path, {}, BoundedSolver(),
+                               deadline=time.monotonic() + 0.2)
+    assert state is None
+    assert (feas.status, feas.reason) == (FeasibilityStatus.UNKNOWN, "deadline passed")
+
+    # toydao's money paths hash no long preimage: only replay reads the clock
+    toydao = get_contract("toydao")
+    cfg = get_cfg("toydao")
+    path = _money_paths(cfg)[0]
+    state, feas = execute_path(cfg, toydao.runtime_code, path, {}, BoundedSolver())
+    assert feas.status is FeasibilityStatus.FEASIBLE
+    state, feas = execute_path(cfg, toydao.runtime_code, path, {}, BoundedSolver(),
+                               deadline=time.monotonic() - 1)
+    assert state is not None
+    assert (feas.status, feas.reason) == (FeasibilityStatus.UNKNOWN, "deadline passed")
+
+    # a solver that answers at once leaves the witness re-check to hash 3.9 MB
+    class InstantSolver:
+        def check(self, conjuncts, timeout_ms):
+            return CheckResult("sat", model={})
+
+    code = parse_hex(_SYMBOLIC_NEAR_CAP_SHA3)
+    cfg = build_cfg(disassemble(code))
+    (path,) = _money_paths(cfg)
+    started = time.monotonic()
+    state, feas = execute_path(cfg, code, path, {}, InstantSolver(),
+                               deadline=time.monotonic() + 0.2)
+    assert time.monotonic() - started < 1
+    assert state is not None
+    assert (feas.status, feas.reason) == (FeasibilityStatus.UNKNOWN, "deadline passed")
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["search", "propagation"])
+def test_solver_stops_hashing_at_its_timeout(pinned):
+    # a 3.9 MB preimage whose first word is free: every evaluation hashes it,
+    # in the search, or when equality propagation makes it concrete
+    x = var("CALLDATA#1@0")
+    digest = Word("sha3", (x,) + (ZERO,) * (MEMORY_CAP // 32 - 2), meta=MEMORY_CAP - 32)
+    conjuncts = [digest] + ([mk("EQ", x, ZERO)] if pinned else [])
+    started = time.monotonic()
+    result = BoundedSolver().check(conjuncts, timeout_ms=100)
+    assert time.monotonic() - started < 1
+    assert (result.status, result.reason) == ("unknown", "solver timeout")
+
+
+def test_symbolic_near_cap_sha3_is_decided_within_the_wall_time():
+    contract = ContractCode(name="sha3", runtime_code=parse_hex(_SYMBOLIC_NEAR_CAP_SHA3))
+    config = _config(bounds=PathBounds(call_depth=1, wall_time=2),
+                     rank=RankConfig(threshold=0))
+    started = time.monotonic()
+    report = analyze(contract, config)
+    assert time.monotonic() - started < 2 + 1
+    assert report.statistics["paths_symbolically_executed"] == 1
+    assert [cp.feasibility for cp in report.critical_paths] == ["unknown"]

@@ -1,13 +1,26 @@
-"""Keccak-256 over flat lanes against the 5x5 implementation it replaced.
+"""Keccak-256 over flat lanes, and its preimage cache, against the 5x5
+implementation it replaced.
 
 `_reference_keccak256` is the former `keccak.keccak256`, kept verbatim in
 behaviour: the state as `state[x][y]`, with rho and pi recomputing their
 indices for every lane of every round.
 """
 
+import time
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from evmscope.keccak import _RATE_BYTES, _ROTATIONS, _ROUND_CONSTANTS, keccak256, selector
+from evmscope.keccak import (
+    _RATE_BYTES,
+    _ROTATIONS,
+    _ROUND_CONSTANTS,
+    CACHE_ENTRIES,
+    DEADLINE_STRIDE,
+    _keccak256_short,
+    keccak256,
+    selector,
+)
 
 _MASK = (1 << 64) - 1
 
@@ -66,3 +79,51 @@ def test_lengths_around_the_rate():
 @given(st.integers(0, 600).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
 def test_matches_the_reference(data):
     assert keccak256(data) == _reference_keccak256(data)
+
+
+def test_every_length_to_600_matches_the_reference_twice():
+    data = bytes(range(256)) * 3
+    for length in range(601):
+        want = _reference_keccak256(data[:length])
+        assert keccak256(data[:length]) == want, length  # a miss, or a hit of an earlier test
+        assert keccak256(data[:length]) == want, length  # a hit if short enough
+
+
+@pytest.mark.parametrize("length", [0, 64, _RATE_BYTES, _RATE_BYTES + 1, 300])
+def test_bytearray_and_memoryview_inputs(length):
+    data = (bytes(range(256)) * 2)[7:7 + length]
+    want = _reference_keccak256(data)
+    assert keccak256(bytearray(data)) == want
+    assert keccak256(memoryview(data)) == want
+    assert keccak256(memoryview(b"xx" + data + b"yy")[2:2 + length]) == want
+
+
+def test_only_preimages_of_one_rate_block_are_stored():
+    _keccak256_short.cache_clear()
+    keccak256(b"\x01" * (_RATE_BYTES + 1))
+    keccak256(b"\x02" * 4096)
+    assert _keccak256_short.cache_info().currsize == 0
+    keccak256(b"\x03" * _RATE_BYTES)
+    keccak256(bytearray(b"\x03" * _RATE_BYTES))
+    info = _keccak256_short.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+
+def test_the_cache_stays_within_its_size():
+    _keccak256_short.cache_clear()
+    for n in range(CACHE_ENTRIES + 50):
+        keccak256(n.to_bytes(32, "big"))
+    info = _keccak256_short.cache_info()
+    assert info.maxsize == CACHE_ENTRIES
+    assert info.currsize == CACHE_ENTRIES
+    assert keccak256((0).to_bytes(32, "big")) == _reference_keccak256(bytes(32))  # evicted
+
+
+def test_a_long_preimage_stops_at_its_deadline():
+    long_data = bytes(_RATE_BYTES * DEADLINE_STRIDE * 4)
+    with pytest.raises(TimeoutError, match="deadline passed"):
+        keccak256(long_data, deadline=time.monotonic() - 1)
+    assert keccak256(long_data, deadline=time.monotonic() + 600) \
+        == _reference_keccak256(long_data)
+    # a preimage of one rate block never reads the clock
+    assert keccak256(bytes(64), deadline=time.monotonic() - 1) == _reference_keccak256(bytes(64))

@@ -323,6 +323,29 @@ def test_unloadable_files_are_reported_and_skipped(tmp_path, capsys, monkeypatch
     assert [entry["file"] for entry in contracts] == ["empty.hex", "gone.hex", "sink_3.json"]
 
 
+def test_batch_records_a_failed_analysis_and_goes_on(tmp_path, capsys, monkeypatch):
+    for name in ("pay_const_0", "sink_3", "toydao"):
+        (tmp_path / f"{name}.json").write_text((FIXTURES / f"{name}.json").read_text())
+    real_analyze = analyze
+
+    def analyze_or_fail(contract, config, **kwargs):
+        if contract.name == "sink_3":
+            raise RuntimeError("analysis blew up")
+        return real_analyze(contract, config, **kwargs)
+
+    monkeypatch.setattr("evmscope.cli.analyze", analyze_or_fail)
+    out = tmp_path / "reports"
+    assert cli_main(["batch", str(tmp_path), "--out", str(out)]) == 1
+    assert f"error: {tmp_path / 'sink_3.json'}: RuntimeError: analysis blew up\n" \
+        in capsys.readouterr().err
+    assert (out / "pay_const_0.json").exists() and (out / "toydao.json").exists()
+    assert not (out / "sink_3.json").exists()
+    contracts = json.loads((out / "corpus_summary.json").read_text())["contracts"]
+    assert [entry["file"] for entry in contracts] == ["pay_const_0.json", "sink_3.json",
+                                                       "toydao.json"]
+    assert contracts[1] == {"file": "sink_3.json", "error": "RuntimeError: analysis blew up"}
+
+
 @pytest.mark.parametrize("doc, message", [
     ('{"runtime": 5}', "envelope field 'runtime' must be a hex string, not a number"),
     ('{"runtime": "6000", "functions": {"0x12": 3}}',

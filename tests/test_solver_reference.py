@@ -118,9 +118,9 @@ def test_corpus_search_work_is_bounded(monkeypatch):
     calls = [0]
     evaluate = solver_module.eval_word
 
-    def counted(w, env):
+    def counted(w, env, deadline=None):
         calls[0] += 1
-        return evaluate(w, env)
+        return evaluate(w, env, deadline)
 
     conditions = _money_conditions(2, FIXTURES)
     assert len(conditions) == 297
