@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import isa
-from .cfg import Cfg
+from .cfg import Cfg, Terminator
 from .disasm import Instruction
 from .isa import estimate_gas
-from .pathgen import ProgramPath
+from .pathgen import VIA_EXTERNAL_CALLBACK, ProgramPath
 from .registry import AddressRegistry, RegistryUnavailable
 from .symexec import (
     ExternalRecord,
@@ -256,21 +256,26 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
     """For a contract that can never send Ether out, flag every path that
     can take Ether in.
 
-    A path takes Ether in when some call segment enters a payable entry and
-    does not revert (a reverted transaction returns the value).
+    A path takes Ether in when some call enters a payable entry and does not
+    revert (a reverted transaction returns the value).  A call ends at its
+    first terminal block, unless a callback edge ends it first.
     """
     if cfg.money_blocks:
         raise ValueError("black-hole analysis applies only to contracts "
                          "without money-related opcodes")
     if not payable_entries:
         return []
+    terminal = {b.id for b in cfg.blocks.values() if b.terminator is Terminator.TERMINAL}
     out = []
     for path in paths:
         entry = None
-        for segment, (sel, _via) in zip(path.segments(), path.functions):
+        ends = (b for b in path.blocks if b in terminal)
+        vias = [via for _sel, via in path.functions[1:]] + [None]
+        for (sel, _via), next_via in zip(path.functions, vias):
+            end = None if next_via == VIA_EXTERNAL_CALLBACK else next(ends, None)
             if sel is None or sel not in payable_entries:
                 continue
-            if cfg.blocks[segment[-1]].last.mnemonic == "REVERT":
+            if end is not None and cfg.blocks[end].last.mnemonic == "REVERT":
                 continue
             entry = sel
             break

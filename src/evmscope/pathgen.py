@@ -8,13 +8,23 @@ path is capped.  Re-entrant callback edges exist in the CFG but are not
 forked into separate paths by default: a re-entrant call sequence visits the
 same blocks as the equivalent chain of whole transactions, which the
 unfolding already covers (storage persists across segments downstream).
+
+Each call starts afresh, at the root or at a callback target, so a path is
+a sequence of *pieces*: one call segment each, from its start block to the
+terminal block or callback edge that ends it.  The pieces of a start block
+are found once, by a depth-first search of one segment, and paths are their
+concatenations in lexicographic piece order, which is the order of a
+depth-first search over whole paths.  Whether a piece fits depends only on
+its length and shape and on the blocks and calls before it, so the path
+count and the max-gas path are computed over (start, blocks so far, calls
+so far) states, and a selection builds only the paths it keeps.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .cfg import Cfg, EdgeKind, Terminator
 
@@ -51,27 +61,38 @@ class ProgramPath:
         """Ranking length: the number of function calls in the path."""
         return self.call_count
 
-    def segments(self) -> list[tuple[int, ...]]:
-        root = self.blocks[0]
-        out: list[tuple[int, ...]] = []
-        current: list[int] = []
-        for b in self.blocks:
-            if b == root and current:
-                out.append(tuple(current))
-                current = []
-            current.append(b)
-        if current:
-            out.append(tuple(current))
-        return out
+
+class _Piece(NamedTuple):
+    """One call segment."""
+    blocks: tuple[int, ...]
+    selector: int | str | None  # the first function entry it passes
+    money: bool  # it runs a money block
+    callback: int | None  # the callback target that ends it; None: a terminal block
+    shape: tuple[int, int | None]  # (blocks, callback): all that decides where it fits
+
+
+# Where the next piece goes: (its start block, blocks so far, calls so far
+# including the one it makes).
+_State = tuple[int, int, int]
+
+
+def _every(_piece: _Piece) -> bool:
+    return True
+
+
+def _runs_money(piece: _Piece) -> bool:
+    return piece.money
 
 
 class PathEnumeration:
     """Iterator over ProgramPath; inspect `timed_out` after exhaustion.
 
-    The walk is one depth-first search with an explicit stack.  The path is
-    a shared block list, appended to on entering a block and truncated on
-    leaving it; the current call segment's visit and loop-edge counts are
-    undone the same way, so each tree node costs O(1) plus its successors.
+    The pieces are found on first use and kept, so iteration, `count`,
+    `max_gas_path` and `money_paths` share one segment search.  A search or
+    a walk that passes `deadline` stops and sets `timed_out`; a walk has
+    then yielded a prefix of the unfolding, and once the piece search was
+    cut short nothing is built or counted.  `emitted` counts the paths
+    built so far.
     """
 
     def __init__(self, cfg: Cfg, bounds: PathBounds,
@@ -83,6 +104,11 @@ class PathEnumeration:
         self.deadline = deadline
         self.timed_out = False
         self.emitted = 0
+        self._pieces: dict[int, list[_Piece]] | None = None
+        # per reachable state, the state after each piece shape that fits
+        # there (None: the path ends with that piece); longest prefix first
+        self._next: dict[_State, dict[tuple[int, int | None], _State | None]] = {}
+        self._first: _State = (cfg.root, 0, 1)
 
     def _moves(self) -> dict[int, tuple[tuple[int, bool], ...] | None]:
         """Per block: None if it ends a transaction, else its successors in
@@ -100,74 +126,77 @@ class PathEnumeration:
                 and (self.include_reentrant or e.kind is not EdgeKind.EXTERNAL_CALLBACK))
         return moves
 
-    def __iter__(self) -> Iterator[ProgramPath]:
-        cfg, bounds, deadline = self.cfg, self.bounds, self.deadline
-        root, call_depth = cfg.root, bounds.call_depth
-        loop_bound, max_blocks = bounds.loop_bound, bounds.max_blocks
-        entry_names = {block: name for name, block in cfg.function_entries.items()}
-        money_blocks = cfg.money_blocks
-        moves = self._moves()
+    def _tables(self) -> dict[int, list[_Piece]] | None:
+        """The pieces of every start block the unfolding reaches, each list
+        in depth-first order, and the composition states; None once the
+        deadline has cut the search short."""
+        if self._pieces is None and not self.timed_out:
+            moves = self._moves()
+            pieces: dict[int, list[_Piece]] = {}
+            todo = [self.cfg.root]
+            while todo:
+                start = todo.pop()
+                if start not in pieces:
+                    found = self._segment(start, moves)
+                    if found is None:
+                        self.timed_out = True
+                        return None
+                    pieces[start] = found
+                    todo.extend(p.callback for p in found if p.callback is not None)
+            self._pieces = pieces
+            self._plan()
+        return self._pieces
 
+    def _segment(self, start: int, moves) -> list[_Piece] | None:
+        """Depth-first search of one call segment from `start`, with its own
+        visit and loop-edge counts; a piece ends at each terminal block and
+        each callback edge reached.  Blocks are capped as for a piece that
+        starts the path.  The block list and counts are undone on leaving a
+        block, so each tree node costs O(1) plus its successors."""
+        loop_bound, max_blocks = self.bounds.loop_bound, self.bounds.max_blocks
+        deadline = self.deadline
+        entry_names = {block: name for name, block in self.cfg.function_entries.items()}
+        money_blocks = self.cfg.money_blocks
+
+        def piece(callback: int | None) -> _Piece:
+            selector = next((entry_names[b] for b in blocks if b in entry_names), None)
+            return _Piece(tuple(blocks), selector, not money_blocks.isdisjoint(blocks),
+                          callback, (len(blocks), callback))
+
+        pieces: list[_Piece] = []
         blocks: list[int] = []
-        functions: list[tuple[int | str | None, str]] = []
-        visits: dict[int, int] = {}  # blocks of the current call segment
-        loops: dict[tuple[int, int], int] = {}  # its back-edges taken
-        outer: list[tuple[dict, dict]] = []  # the same for the segments below it
-        money = 0  # money blocks on the path
-        # To enter: (block, via, back-edge); `via` opens a new call segment.
-        # None leaves the block entered last, whose undo record is in `entered`.
-        todo: list = [(root, VIA_INITIAL, None)]
-        entered: list[tuple[str | None, tuple[int, int] | None, bool]] = []
+        visits: dict[int, int] = {}
+        loops: dict[tuple[int, int], int] = {}  # back-edges taken
+        entered: list[tuple[int, int] | None] = []  # the back-edge into each block on `blocks`
+        # To enter: (block, back-edge); a _Piece is a callback piece, done;
+        # None leaves the block entered last.
+        todo: list = [(start, None)]
         steps = 0
         while todo:
             item = todo.pop()
             if item is None:
-                via, loop, named = entered.pop()
-                block_id = blocks.pop()
-                if block_id in money_blocks:
-                    money -= 1
-                if via is not None:
-                    functions.pop()
-                    visits, loops = outer.pop()
-                    continue
-                visits[block_id] -= 1
+                visits[blocks.pop()] -= 1
+                loop = entered.pop()
                 if loop is not None:
                     loops[loop] -= 1
-                if named:
-                    functions[-1] = (None, functions[-1][1])
                 continue
-
+            if isinstance(item, _Piece):
+                pieces.append(item)
+                continue
             steps += 1
             if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
-                self.timed_out = True
-                return
-            block_id, via, loop = item
-            if via is not None:
-                outer.append((visits, loops))
-                visits, loops = {}, {}
-                functions.append((None, via))
-            elif loop is not None:
+                return None
+            block_id, loop = item
+            if loop is not None:
                 loops[loop] = loops.get(loop, 0) + 1
             blocks.append(block_id)
             visits[block_id] = visits.get(block_id, 0) + 1
-            if block_id in money_blocks:
-                money += 1
-            named = functions[-1][0] is None and block_id in entry_names
-            if named:
-                functions[-1] = (entry_names[block_id], functions[-1][1])
-            entered.append((via, loop, named))
+            entered.append(loop)
             todo.append(None)
 
             successors = moves[block_id]
-            call_count = len(functions)
             if successors is None:  # the transaction ends here
-                if call_count >= call_depth or len(blocks) >= max_blocks:
-                    self.emitted += 1
-                    yield ProgramPath(blocks=tuple(blocks), call_count=call_count,
-                                      functions=tuple(functions), money_related=money > 0,
-                                      block_capped=call_count < call_depth)
-                else:
-                    todo.append((root, VIA_NEW_TRANSACTION, None))
+                pieces.append(piece(None))
                 continue
             if len(blocks) >= max_blocks:
                 continue
@@ -175,14 +204,179 @@ class PathEnumeration:
             # earlier siblings' subtrees are undone, so the state is the same.
             for dst, callback in successors:
                 if callback:
-                    if call_count < call_depth:
-                        todo.append((dst, VIA_EXTERNAL_CALLBACK, None))
+                    todo.append(piece(dst))
                 elif visits.get(dst):
                     edge = (block_id, dst)
                     if loops.get(edge, 0) < loop_bound:
-                        todo.append((dst, None, edge))
+                        todo.append((dst, edge))
                 else:
-                    todo.append((dst, None, None))
+                    todo.append((dst, None))
+        return pieces
+
+    def _plan(self) -> None:
+        """Fill `_next` from the first state: after L blocks and j calls, a
+        piece of n blocks fits if it ends at a terminal block and
+        L + n - 1 < max_blocks, or at a callback edge, L + n < max_blocks and
+        j < call_depth.  A path ends after a terminal piece once the calls
+        reach call_depth or the blocks reach max_blocks."""
+        root = self.cfg.root
+        call_depth, max_blocks = self.bounds.call_depth, self.bounds.max_blocks
+        shapes = {start: dict.fromkeys(p.shape for p in pieces)
+                  for start, pieces in self._pieces.items()}
+        found: dict[_State, dict] = {}
+        todo = [self._first]
+        while todo:
+            state = todo.pop()
+            if state in found:
+                continue
+            start, length, calls = state
+            here = found[state] = {}
+            for shape in shapes[start]:
+                n, callback = shape
+                end = length + n
+                if callback is None:
+                    if end > max_blocks:
+                        continue
+                    if calls >= call_depth or end >= max_blocks:
+                        here[shape] = None
+                        continue
+                    here[shape] = (root, end, calls + 1)
+                elif end < max_blocks and calls < call_depth:
+                    here[shape] = (callback, end, calls + 1)
+                else:
+                    continue
+                todo.append(here[shape])
+        # a piece adds at least one block, so every state comes after the
+        # states it leads to
+        self._next = {state: found[state]
+                      for state in sorted(found, key=lambda s: s[1], reverse=True)}
+
+    def _counts(self, marked: Callable[[_Piece], bool]) -> dict[_State, tuple[int, int]]:
+        """Per state: the paths that complete it, and how many of those
+        have no marked piece."""
+        tally: dict[tuple[int, tuple], tuple[int, int]] = {}
+        for start, pieces in self._pieces.items():
+            for p in pieces:
+                k, m = tally.get((start, p.shape), (0, 0))
+                tally[start, p.shape] = (k + 1, m + marked(p))
+        counts: dict[_State, tuple[int, int]] = {}
+        for state, here in self._next.items():
+            total = clean = 0
+            for shape, after in here.items():
+                k, m = tally[state[0], shape]
+                t, c = (1, 1) if after is None else counts[after]
+                total += k * t
+                clean += (k - m) * c
+            counts[state] = (total, clean)
+        return counts
+
+    def count(self) -> int:
+        """The number of paths in the unfolding, without building them; 0
+        once the piece search was cut short."""
+        if self._tables() is None:
+            return 0
+        return self._counts(_every)[self._first][0]
+
+    def max_gas_path(self, block_costs: Mapping[int, int]) -> tuple[int, ProgramPath | None]:
+        """The greatest path gas, the sum of its blocks' costs, and the first
+        path in unfolding order that has it; (0, None) when no path costs
+        more than 0.  No other path is built."""
+        tables = self._tables()
+        if tables is None:
+            return 0, None
+        # The rest of a path depends only on its pieces' shapes, so per
+        # start and shape only the first piece of greatest gas can win.
+        top: dict[tuple[int, tuple], tuple[int, int, _Piece]] = {}
+        for start, pieces in tables.items():
+            for index, p in enumerate(pieces):
+                gas = sum(map(block_costs.__getitem__, p.blocks))
+                key = (start, p.shape)
+                if key not in top or gas > top[key][0]:
+                    top[key] = (gas, index, p)
+        best: dict[_State, tuple[int, int, _Piece, _State | None] | None] = {}
+        for state, here in self._next.items():
+            choice = None
+            for shape, after in here.items():
+                gas, index, p = top[state[0], shape]
+                if after is not None:
+                    rest = best[after]
+                    if rest is None:
+                        continue
+                    gas += rest[0]
+                if choice is None or (gas, -index) > (choice[0], -choice[1]):
+                    choice = (gas, index, p, after)
+            best[state] = choice
+        choice = best[self._first]
+        if choice is None or choice[0] <= 0:
+            return 0, None
+        gas, chosen = choice[0], []
+        while choice is not None:
+            chosen.append(choice[2])
+            choice = best[choice[3]] if choice[3] is not None else None
+        return gas, self._path(chosen)
+
+    def _path(self, pieces: list[_Piece]) -> ProgramPath:
+        vias = [VIA_INITIAL] + [VIA_NEW_TRANSACTION if p.callback is None
+                                else VIA_EXTERNAL_CALLBACK for p in pieces[:-1]]
+        return ProgramPath(
+            blocks=tuple(b for p in pieces for b in p.blocks), call_count=len(pieces),
+            functions=tuple((p.selector, via) for p, via in zip(pieces, vias)),
+            money_related=any(p.money for p in pieces),
+            block_capped=len(pieces) < self.bounds.call_depth)
+
+    def __iter__(self) -> Iterator[ProgramPath]:
+        return self._select(_every)
+
+    def money_paths(self, payable_entries: set[int | str] | None = None) -> Iterator[ProgramPath]:
+        """`filter_money` over this enumeration, without building the paths
+        it drops."""
+        if self.cfg.money_blocks:
+            return self._select(_runs_money)
+        payable = payable_entries or set()
+        return self._select(lambda p: p.selector is not None and p.selector in payable)
+
+    def _select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
+        """The paths with at least one marked piece, in unfolding order.  A
+        subtree with no such path is not entered."""
+        tables = self._tables()
+        if tables is None:
+            return
+        nexts, counts = self._next, self._counts(marked)
+        call_depth, deadline = self.bounds.call_depth, self.deadline
+        # (state, its pieces still to try, the path's blocks and functions
+        # so far, whether it runs money, whether it has a marked piece, the
+        # way the next call is made)
+        frames = [(self._first, iter(tables[self.cfg.root]), (), (), False, False, VIA_INITIAL)]
+        steps = 0
+        while frames:
+            state, pieces, blocks, functions, money, kept, via = frames[-1]
+            here = nexts[state]
+            for p in pieces:
+                steps += 1
+                if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
+                    self.timed_out = True
+                    return
+                after = here.get(p.shape, False)
+                if after is False:
+                    continue
+                keep = kept or marked(p)
+                if after is None:
+                    if keep:
+                        self.emitted += 1
+                        yield ProgramPath(blocks=blocks + p.blocks, call_count=state[2],
+                                          functions=functions + ((p.selector, via),),
+                                          money_related=money or p.money,
+                                          block_capped=state[2] < call_depth)
+                    continue
+                total, clean = counts[after]
+                if total > (0 if keep else clean):
+                    frames.append((after, iter(tables[after[0]]), blocks + p.blocks,
+                                   functions + ((p.selector, via),), money or p.money, keep,
+                                   VIA_NEW_TRANSACTION if p.callback is None
+                                   else VIA_EXTERNAL_CALLBACK))
+                    break
+            else:
+                frames.pop()
 
 
 def enumerate_paths(cfg: Cfg, bounds: PathBounds,

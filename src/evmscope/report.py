@@ -13,7 +13,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from . import isa
 from .analyzers import (
@@ -29,8 +28,10 @@ from .analyzers import (
 )
 from .cfg import Cfg, FALLBACK, build_cfg, to_dot
 from .disasm import ContractCode, disassemble
-from .pathgen import (
+# perfbench/tracer.py patches enumerate_paths and filter_money here
+from .pathgen import (  # noqa: F401
     PathBounds,
+    PathEnumeration,
     ProgramPath,
     VIA_EXTERNAL_CALLBACK,
     enumerate_paths,
@@ -242,27 +243,16 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     payable, payable_details = detect_payable_entries(cfg, instructions)
 
-    enumeration = enumerate_paths(cfg, config.bounds,
-                                  include_reentrant=config.include_reentrant,
-                                  deadline=deadline)
+    # the unfolding's pieces serve the count, the max-gas path and the
+    # money paths; no other path is built
+    unfolding = PathEnumeration(cfg, config.bounds,
+                                include_reentrant=config.include_reentrant,
+                                deadline=deadline)
     estimator = GasEstimator(cfg, gas_table)
-    paths_enumerated = max_gas = 0
-    max_gas_path: ProgramPath | None = None
-
-    def unfolded() -> Iterator[ProgramPath]:
-        """The unfolding, consumed once: counts the paths and keeps the
-        running max-gas path (the first one found wins ties)."""
-        nonlocal paths_enumerated, max_gas, max_gas_path
-        path_gas = estimator.path_gas
-        for path in enumeration:
-            paths_enumerated += 1
-            gas = path_gas(path)
-            if gas > max_gas:
-                max_gas, max_gas_path = gas, path
-            yield path
-
-    money_paths = list(filter_money(unfolded(), cfg, payable))
-    timed_out = enumeration.timed_out
+    paths_enumerated = unfolding.count()
+    max_gas, max_gas_path = unfolding.max_gas_path(estimator.block_costs)
+    money_paths = list(unfolding.money_paths(payable))
+    timed_out = unfolding.timed_out
 
     violations_by_path: list[tuple[ProgramPath, list[PropertyViolation]]] = []
     selfdestruct_blocks = {

@@ -724,12 +724,18 @@ def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
     order.  The outcome is the state `execute_blocks` gives for that
     sequence alone, or the SymExecError that stopped the walk on its
     prefix: one exception object for all sequences below the failing node.
-    Past `deadline` that exception is a DeadlinePassed.
+    Past `deadline` that exception is a DeadlinePassed.  The clock is read
+    every 256 sequences while the trie is built and every 16 nodes of the
+    walk, so a long path stops part-way.
     """
     trie: _Node = ({}, [])
     for i, blocks in enumerate(paths):
         if not blocks:
             raise ValueError("empty block sequence")
+        if deadline is not None and i & 0xFF == 0xFF and time.monotonic() > deadline:
+            passed = DeadlinePassed("deadline passed")
+            yield from ((blocks, passed) for blocks in paths)
+            return
         node = trie
         for block_id in blocks:
             child = node[0].get(block_id)
@@ -754,9 +760,13 @@ def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word
     # (block id, trie node, parent frame, whether it is the last user of the
     # parent's state); a frame is (block, state, jump operands, root, revert mark)
     todo: list = [(block_id, node, None, True) for block_id, node in reversed(trie[0].items())]
+    nodes = 0
     while todo:
         block_id, node, parent, last = todo.pop()
+        nodes += 1
         try:
+            if not nodes & 0xF:
+                interp.check_deadline()
             if parent is None:
                 state = SymbolicState(base_storage=dict(base_storage))
                 interp.state = state

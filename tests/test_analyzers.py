@@ -12,11 +12,12 @@ from evmscope.analyzers import (
     detect_payable_entries,
     estimate_gas,
 )
-from evmscope.cfg import FALLBACK, build_cfg
-from evmscope.disasm import disassemble, parse_hex
+from evmscope.cfg import FALLBACK, Terminator, build_cfg
+from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
 from evmscope.registry import AddressRegistry, RegistryUnavailable
+from evmscope.report import AnalysisConfig, analyze
 from evmscope.symexec import (
     UNKNOWN_AMOUNT,
     run_constructor,
@@ -244,6 +245,26 @@ def test_reverting_receive_branch_not_flagged():
             assert p.blocks not in flagged_blocks
 
 
+# A loop back to offset 0 inside one call, then REVERT at offset 15: every
+# transaction reverts, so no Ether can be taken in.
+_LOOP_TO_ROOT_THEN_REVERT = "5b600054600f576001600055600056" + "5b600080fd"
+
+
+def test_loop_back_to_root_stays_one_call():
+    code = parse_hex(_LOOP_TO_ROOT_THEN_REVERT)
+    instructions = disassemble(code)
+    cfg = build_cfg(instructions)
+    payable, _ = detect_payable_entries(cfg, instructions)
+    assert payable == {FALLBACK}
+    for depth in (1, 2):
+        paths = list(enumerate_paths(cfg, PathBounds(call_depth=depth)))
+        assert any(p.blocks.count(cfg.root) > depth for p in paths)  # a loop revisits the root
+        assert check_black_hole(cfg, paths, payable) == []
+    report = analyze(ContractCode(runtime_code=code, name="loop_then_revert"),
+                     AnalysisConfig(bounds=PathBounds(call_depth=1)))
+    assert report.critical_paths == []
+
+
 def test_preamble_found_for_every_nonpayable_fixture_function():
     """Corpus check: the template is recognized wherever metadata says
     the function is non-payable."""
@@ -294,10 +315,13 @@ def test_gas_additive_over_concatenation():
     cfg = get_cfg("toydao")
     estimator = GasEstimator(cfg)
     paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
+    terminal = {b.id for b in cfg.blocks.values() if b.terminator is Terminator.TERMINAL}
     for p in paths[:10]:
-        segments = p.segments()
+        ends = [i + 1 for i, b in enumerate(p.blocks) if b in terminal]
+        calls = [p.blocks[i:j] for i, j in zip([0] + ends, ends)]
+        assert len(calls) == p.call_count
         total = sum(
-            sum(estimator.block_costs[b] for b in seg) for seg in segments)
+            sum(estimator.block_costs[b] for b in call) for call in calls)
         assert estimator.path_gas(p) == total
 
 

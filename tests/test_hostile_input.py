@@ -6,6 +6,7 @@ import time
 import pytest
 
 import evmscope.report as report_module
+import evmscope.symexec as symexec_module
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
@@ -97,6 +98,53 @@ def test_trace_stage_stops_at_the_deadline(monkeypatch):
     assert cut.statistics["timed_out"] is True
     assert [d for d in cut.diagnostics if d.startswith("trace_timed_out")] == [
         f"trace_timed_out: deadline passed; {money - 2} money path(s) not analyzed"]
+
+
+def test_trace_walk_stops_inside_a_path(monkeypatch):
+    clock = [1000.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    shared_walk, run_body = report_module.execute_trie, symexec_module._run_body
+    runs: list[float] = []  # the clock at each block body the trace runs
+    tracing = [False]
+
+    def walk(*args, **kwargs):
+        tracing[0] = True
+        yield from shared_walk(*args, **kwargs)
+
+    def run_then_expire(*args, **kwargs):
+        if tracing[0]:
+            runs.append(clock[0])
+            if len(runs) == 3:
+                clock[0] += 10_000  # the wall time runs out in the first path's third block
+        return run_body(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "execute_trie", walk)
+    monkeypatch.setattr(symexec_module, "_run_body", run_then_expire)
+    report = analyze(get_contract("toydao"), _config(bounds=PathBounds(call_depth=4)))
+    money = report.statistics["paths_money_related"]
+    cfg = get_cfg("toydao")
+    first = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
+    assert money > 1 and len(first.blocks) > 16
+    # the clock is read every 16 blocks: the rest of the first path never runs
+    assert runs[:3] == [1000.0] * 3 and len(runs) < 16
+    assert report.statistics["timed_out"] is True
+    assert [d for d in report.diagnostics if d.startswith(("trace_", "constructor"))] == [
+        f"trace_timed_out: deadline passed; {money} money path(s) not analyzed"]
+
+
+def test_a_passed_deadline_stops_the_trie_build(monkeypatch):
+    runs = []
+    run_body = symexec_module._run_body
+    monkeypatch.setattr(symexec_module, "_run_body",
+                        lambda *args: runs.append(1) or run_body(*args))
+    cfg = get_cfg("toydao")
+    (path, *_rest) = filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg)
+    paths = [path.blocks] * 300
+    outcomes = list(symexec_module.execute_trie(cfg, get_contract("toydao").runtime_code,
+                                                paths, {}, deadline=time.monotonic() - 1))
+    assert [blocks for blocks, _outcome in outcomes] == paths
+    assert all(isinstance(outcome, symexec_module.DeadlinePassed) for _b, outcome in outcomes)
+    assert runs == []
 
 
 def test_near_cap_sha3_returns_at_the_deadline():
