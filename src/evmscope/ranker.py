@@ -101,9 +101,21 @@ def make_ranked(path: ProgramPath, violations: list[PropertyViolation],
     )
 
 
+def _score_places(ranked: list[RankedPath]) -> tuple[dict[int, int], list[Fraction]]:
+    """Each score's place among the distinct scores, highest first, keyed by
+    the score object's id, and the distinct scores in that order.  Paths of
+    one score share its object and `ranked` keeps each alive, so a place is
+    found once per score and sorting compares ints, never Fractions."""
+    scores = {id(rp.score): rp.score for rp in ranked}
+    distinct = sorted(set(scores.values()), reverse=True)
+    place = {s: i for i, s in enumerate(distinct)}
+    return {key: place[s] for key, s in scores.items()}, distinct
+
+
 def order_paths(ranked: list[RankedPath]) -> list[RankedPath]:
     """Deterministic total order: score desc, then shorter, then block list."""
-    return sorted(ranked, key=lambda rp: (-rp.score, rp.length, rp.path.blocks))
+    places, _distinct = _score_places(ranked)
+    return sorted(ranked, key=lambda rp: (places[id(rp.score)], rp.length, rp.path.blocks))
 
 
 @dataclass
@@ -123,17 +135,24 @@ class GatePlan:
 
 
 def rank_and_gate(ranked: list[RankedPath], config: RankConfig) -> GatePlan:
-    ordered = order_paths(ranked)
-    admitted = [rp for rp in ordered if rp.score > config.threshold]
+    places, distinct = _score_places(ranked)
+
+    def key(rp: RankedPath) -> tuple:
+        return places[id(rp.score)], rp.length, rp.path.blocks
+
+    ordered = sorted(ranked, key=key)
+    # the scores above the threshold hold the first places
+    cut = sum(1 for s in distinct if s > config.threshold)
+    admitted = [rp for rp in ordered if places[id(rp.score)] < cut]
     queue: list[RankedPath] = []
     deferred: dict[frozenset, list[RankedPath]] = {}
     seen: set[frozenset] = set()
     for rp in sorted(admitted, key=lambda rp: (rp.length, rp.path.blocks)):
-        key = rp.property_set
-        if key in seen:
-            deferred.setdefault(key, []).append(rp)
+        prop_set = rp.property_set
+        if prop_set in seen:
+            deferred.setdefault(prop_set, []).append(rp)
         else:
-            seen.add(key)
+            seen.add(prop_set)
             queue.append(rp)
-    queue.sort(key=lambda rp: (-rp.score, rp.length, rp.path.blocks))
+    queue.sort(key=key)
     return GatePlan(ordered=ordered, admitted=admitted, queue=queue, deferred=deferred)

@@ -84,22 +84,6 @@ class CriticalPath:
     gas: int
     source_lines: list[int]
 
-    def as_dict(self) -> dict:
-        score = self.ranked.score
-        return {
-            "rank": self.rank,
-            "score": float(score),
-            "score_exact": f"{score.numerator}/{score.denominator}",
-            "length": self.ranked.length,
-            "call_sequence": self.call_sequence,
-            "violations": [v.as_dict() for v in self.ranked.violations],
-            "feasibility": self.feasibility,
-            "witness": _witness_dict(self.witness),
-            "gas": self.gas,
-            "blocks": list(self.ranked.path.blocks),
-            "source_lines": self.source_lines,
-        }
-
 
 def _witness_dict(witness: dict[str, int] | None) -> dict[str, str] | None:
     if witness is None:
@@ -116,22 +100,6 @@ class Report:
     diagnostics: list[str]
     config_echo: dict
     block_labels: dict[int, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "contract": self.contract_name,
-            "gas_schedule": isa.GAS_SCHEDULE_NAME,
-            "config": self.config_echo,
-            "statistics": self.statistics,
-            "critical_paths": [self._path_dict(cp) for cp in self.critical_paths],
-            "diagnostics": self.diagnostics,
-        }
-
-    def _path_dict(self, cp: CriticalPath) -> dict:
-        d = cp.as_dict()
-        d["blocks"] = [self.block_labels.get(b, str(b)) for b in cp.ranked.path.blocks]
-        return d
 
     @property
     def has_violations(self) -> bool:
@@ -193,14 +161,20 @@ def to_call_sequence(path: ProgramPath, contract: ContractCode,
     return out
 
 
-def _source_lines(path: ProgramPath, cfg: Cfg, source_map: dict[int, int]) -> list[int]:
+def _source_lines(path: ProgramPath, cfg: Cfg, source_map: dict[int, int],
+                  block_lines: dict[int, frozenset[int]]) -> list[int]:
+    """The source lines of the path's instructions; `block_lines` keeps each
+    block's line set for the other paths of the same analysis."""
     if not source_map:
         return []
-    lines = set()
+    lines: set[int] = set()
     for block_id in path.blocks:
-        for ins in cfg.blocks[block_id].instructions:
-            if ins.offset in source_map:
-                lines.add(source_map[ins.offset])
+        found = block_lines.get(block_id)
+        if found is None:
+            found = block_lines[block_id] = frozenset(
+                source_map[ins.offset] for ins in cfg.blocks[block_id].instructions
+                if ins.offset in source_map)
+        lines |= found
     return sorted(lines)
 
 
@@ -342,7 +316,20 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     # the constructor pre-run, a trace or a feasibility check cut short
     timed_out = timed_out or time.monotonic() > deadline
 
+    # without a witness a call sequence depends only on the path's functions;
+    # paths with equal functions share one (read-only) list
+    call_sequences: dict[tuple, list[str]] = {}
+
+    def call_sequence(path: ProgramPath, witness: dict[str, int] | None) -> list[str]:
+        if witness:
+            return to_call_sequence(path, contract, witness)
+        seq = call_sequences.get(path.functions)
+        if seq is None:
+            seq = call_sequences[path.functions] = to_call_sequence(path, contract)
+        return seq
+
     critical: list[CriticalPath] = []
+    block_lines: dict[int, frozenset[int]] = {}
     rank_no = 0
     for rp in plan.ordered:
         key = rp.path.blocks
@@ -353,11 +340,11 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         critical.append(CriticalPath(
             rank=rank_no,
             ranked=rp,
-            call_sequence=to_call_sequence(rp.path, contract, witness),
+            call_sequence=call_sequence(rp.path, witness),
             feasibility=status,
             witness=witness,
             gas=estimator.path_gas(rp.path),
-            source_lines=_source_lines(rp.path, cfg, contract.source_map),
+            source_lines=_source_lines(rp.path, cfg, contract.source_map, block_lines),
         ))
 
     elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -376,8 +363,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         "violation_counts": dict(sorted(violation_counts.items())),
         "max_gas": {
             "gas": max_gas,
-            "call_sequence": (to_call_sequence(max_gas_path, contract)
-                              if max_gas_path else []),
+            "call_sequence": call_sequence(max_gas_path, None) if max_gas_path else [],
         },
         "payable_entries": sorted(
             (_function_display(contract, name) for name in payable), key=str),
@@ -403,7 +389,78 @@ def dump_cfg_dot(contract: ContractCode) -> str:
 # ---------------------------------------------------------------------------
 
 def to_json(report: Report) -> str:
-    return _json_text(report.to_dict(), "") + "\n"
+    """The text of `json.dumps(report_dict, indent=2) + "\\n"`.  Critical paths
+    are written from a fixed template straight from their fields; the label
+    text of each block, the score text of each distinct score and the text of
+    each distinct violation list are made once per report."""
+    parts = ['{\n  "schema": ', str(SCHEMA_VERSION),
+             ',\n  "contract": ', _json_str(report.contract_name),
+             ',\n  "gas_schedule": ', _json_str(isa.GAS_SCHEDULE_NAME),
+             ',\n  "config": ', _json_text(report.config_echo, "  "),
+             ',\n  "statistics": ', _json_text(report.statistics, "  "),
+             ',\n  "critical_paths": ']
+    if report.critical_paths:
+        _write_paths(parts, report)
+    else:
+        parts.append("[]")
+    parts += ',\n  "diagnostics": ', _json_text(report.diagnostics, "  "), "\n}\n"
+    return "".join(parts)
+
+
+# a critical path's keys sit at _KEY; its lists' items one level deeper
+_KEY = ",\n      "
+_ITEM = ",\n        "
+
+
+def _write_paths(parts: list[str], report: Report) -> None:
+    labels = {b: _json_str(label) for b, label in report.block_labels.items()}
+    # by the score object's id (paths of one score share the object, and the
+    # report holds every score while this runs); a Fraction's hash is slow
+    score_texts: dict[int, str] = {}
+    violation_texts: dict[tuple, str] = {}
+    opening = "[\n    {\n      "
+    for cp in report.critical_paths:
+        ranked = cp.ranked
+        score = ranked.score
+        score_text = score_texts.get(id(score))
+        if score_text is None:
+            score_text = score_texts[id(score)] = (
+                f'"score": {float.__repr__(float(score))}{_KEY}'
+                f'"score_exact": "{score.numerator}/{score.denominator}"')
+        violations = ranked.violations
+        key = tuple(_violation_key(v) for v in violations)
+        violation_text = violation_texts.get(key)
+        if violation_text is None:
+            violation_text = violation_texts[key] = _json_text(
+                [v.as_dict() for v in violations], "      ")
+        blocks = [labels.get(b) or _json_str(str(b)) for b in ranked.path.blocks]
+        parts += (opening, '"rank": ', str(cp.rank), _KEY, score_text,
+                  _KEY, '"length": ', str(ranked.length),
+                  _KEY, '"call_sequence": ', _str_list(map(_json_str, cp.call_sequence)),
+                  _KEY, '"violations": ', violation_text,
+                  _KEY, '"feasibility": ', _json_str(cp.feasibility),
+                  _KEY, '"witness": ', _json_text(_witness_dict(cp.witness), "      "),
+                  _KEY, '"gas": ', str(cp.gas),
+                  _KEY, '"blocks": ', _str_list(blocks),
+                  _KEY, '"source_lines": ', _str_list(map(str, cp.source_lines)),
+                  "\n    }")
+        opening = ",\n    {\n      "
+    parts.append("\n  ]")
+
+
+def _str_list(texts) -> str:
+    """A list-valued field of a critical path, from its items' JSON texts."""
+    joined = _ITEM.join(texts)
+    return f"[\n        {joined}\n      ]" if joined else "[]"
+
+
+def _violation_key(v: PropertyViolation) -> tuple:
+    """The violation's content: equal keys give equal `as_dict()` texts.  The
+    value's type is part of the key, since 1 == True yet they print apart."""
+    return v.property, tuple(
+        (name, type(value), tuple(sorted(value)) if isinstance(value, (set, frozenset))
+         else value)
+        for name, value in v.evidence.items())
 
 
 _json_str = json.encoder.encode_basestring_ascii
