@@ -73,8 +73,7 @@ class TransferLedger:
         return self.remaining < 0 or not self.exact
 
 
-def check_transfer_limit(path: ProgramPath, limit: int,
-                         transfers: list[tuple[ExternalRecord, int | str]],
+def check_transfer_limit(limit: int, transfers: list[tuple[ExternalRecord, int | str]],
                          ) -> PropertyViolation | None:
     """Violation iff the summed outgoing amounts can exceed the limit."""
     ledger = TransferLedger(limit)
@@ -90,8 +89,7 @@ def check_transfer_limit(path: ProgramPath, limit: int,
     })
 
 
-def check_address_existence(path: ProgramPath,
-                            records: list[ExternalRecord],
+def check_address_existence(records: list[ExternalRecord],
                             registry: AddressRegistry,
                             ) -> tuple[list[PropertyViolation], list[str]]:
     """Flag transfers whose constant 160-bit target is not registered.
@@ -153,7 +151,7 @@ def _is_time_guard(cond: Word) -> bool:
 GuardFacts = dict[int, tuple[Word, bool, bool]]
 
 
-def check_guard_suicide(path: ProgramPath, state: SymbolicState,
+def check_guard_suicide(state: SymbolicState,
                         time_guard_suffices: bool = False,
                         guard_facts: GuardFacts | None = None,
                         ) -> PropertyViolation | None:

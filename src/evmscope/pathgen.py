@@ -15,9 +15,13 @@ terminal block or callback edge that ends it.  The pieces of a start block
 are found once, by a depth-first search of one segment, and paths are their
 concatenations in lexicographic piece order, which is the order of a
 depth-first search over whole paths.  Whether a piece fits depends only on
-its length and shape and on the blocks and calls before it, so the path
-count and the max-gas path are computed over (start, blocks so far, calls
-so far) states, and a selection builds only the paths it keeps.
+its length and shape and on the blocks and calls before it, so path counts
+and the max-gas path are computed over (start, blocks so far, calls so far)
+states, and a selection builds only the paths it keeps, one at a time.
+
+A selection keeps this order, so each path shares the longest prefix it can
+with the path before it: the trace walk (`symexec.execute_paths`) relies on
+that to run each shared prefix once.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class PathEnumeration:
     """Iterator over ProgramPath; inspect `timed_out` after exhaustion.
 
     The pieces are found on first use and kept, so iteration, `count`,
-    `max_gas_path` and `money_paths` share one segment search.  A search or
+    `max_gas_path` and `select` share one segment search.  A search or
     a walk that passes `deadline` stops and sets `timed_out`; a walk has
     then yielded a prefix of the unfolding, and once the piece search was
     cut short nothing is built or counted.  `emitted` counts the paths
@@ -270,12 +274,13 @@ class PathEnumeration:
             counts[state] = (total, clean)
         return counts
 
-    def count(self) -> int:
-        """The number of paths in the unfolding, without building them; 0
-        once the piece search was cut short."""
+    def count(self, marked: Callable[[_Piece], bool] = _every) -> int:
+        """The number of paths with a marked piece, by default every path,
+        without building them; 0 once the piece search was cut short."""
         if self._tables() is None:
             return 0
-        return self._counts(_every)[self._first][0]
+        total, clean = self._counts(marked)[self._first]
+        return total - clean
 
     def max_gas_path(self, block_costs: Mapping[int, int]) -> tuple[int, ProgramPath | None]:
         """The greatest path gas, the sum of its blocks' costs, and the first
@@ -325,19 +330,25 @@ class PathEnumeration:
             block_capped=len(pieces) < self.bounds.call_depth)
 
     def __iter__(self) -> Iterator[ProgramPath]:
-        return self._select(_every)
+        return self.select(_every)
+
+    def money_marker(self, payable_entries: set[int | str] | None = None,
+                     ) -> Callable[[_Piece], bool]:
+        """The piece test of `filter_money`: a piece runs a money block, or,
+        in a contract without one, enters a payable entry."""
+        if self.cfg.money_blocks:
+            return _runs_money
+        payable = payable_entries or set()
+        return lambda p: p.selector is not None and p.selector in payable
 
     def money_paths(self, payable_entries: set[int | str] | None = None) -> Iterator[ProgramPath]:
         """`filter_money` over this enumeration, without building the paths
         it drops."""
-        if self.cfg.money_blocks:
-            return self._select(_runs_money)
-        payable = payable_entries or set()
-        return self._select(lambda p: p.selector is not None and p.selector in payable)
+        return self.select(self.money_marker(payable_entries))
 
-    def _select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
-        """The paths with at least one marked piece, in unfolding order.  A
-        subtree with no such path is not entered."""
+    def select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
+        """The paths with at least one `marked` piece, in unfolding order, each
+        built when asked for.  A subtree with no such path is not entered."""
         tables = self._tables()
         if tables is None:
             return

@@ -12,6 +12,7 @@ import html
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import tee
 from pathlib import Path
 
 from . import isa
@@ -45,7 +46,7 @@ from .symexec import (
     SymExecError,
     Word,
     execute_path,
-    execute_trie,
+    execute_paths,
     refine_transfer_values,
     run_constructor,
     trace_path,  # noqa: F401 -- re-exported; perfbench/tracer.py patches this name
@@ -217,49 +218,47 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     payable, payable_details = detect_payable_entries(cfg, instructions)
 
-    # the unfolding's pieces serve the count, the max-gas path and the
-    # money paths; no other path is built
+    # the unfolding's pieces serve the counts, the max-gas path and the
+    # traced paths, which are built one at a time as the trace asks for them
     unfolding = PathEnumeration(cfg, config.bounds,
                                 include_reentrant=config.include_reentrant,
                                 deadline=deadline)
     estimator = GasEstimator(cfg, gas_table)
     paths_enumerated = unfolding.count()
     max_gas, max_gas_path = unfolding.max_gas_path(estimator.block_costs)
-    money_paths = list(unfolding.money_paths(payable))
-    timed_out = unfolding.timed_out
+    money = unfolding.money_marker(payable)
 
     violations_by_path: list[tuple[ProgramPath, list[PropertyViolation]]] = []
-    selfdestruct_blocks = {
-        b.id for b in cfg.blocks.values()
-        if any(i.mnemonic == "SELFDESTRUCT" for i in b.instructions)
-    }
 
     def enabled(prop: PropertyId) -> bool:
         return prop not in config.disabled
 
     if not cfg.money_blocks:
         if enabled(PropertyId.BLACK_HOLE):
-            for path, violation in check_black_hole(cfg, money_paths, payable):
+            for path, violation in check_black_hole(cfg, unfolding.select(money), payable):
                 violations_by_path.append((path, [violation]))
     else:
         check_limit = config.transfer_limit is not None and enabled(PropertyId.TRANSFER_LIMIT)
         check_addr = registry.mode != "disabled" and enabled(PropertyId.NON_EXISTING_ADDRESS)
         check_suicide = enabled(PropertyId.GUARD_SUICIDE)
-        to_trace = [path for path in money_paths
-                    if check_limit or check_addr
-                    or (check_suicide and any(b in selfdestruct_blocks for b in path.blocks))]
-        # shared prefixes run once; a walk that fails skips every path below
-        # the failing block and is reported once
-        outcomes = execute_trie(cfg, contract.runtime_code, [p.blocks for p in to_trace],
-                                base_storage, gas_table, deadline)
+        # SELFDESTRUCT is a money opcode: guard_suicide alone needs only the
+        # money paths that run one
+        destructs = {b.id for b in cfg.blocks.values() if check_suicide
+                     and any(i.mnemonic == "SELFDESTRUCT" for i in b.instructions)}
+        traced = money if check_limit or check_addr else (
+            lambda piece: not destructs.isdisjoint(piece.blocks))
+        # each path is run from where it parts from the path before it; a
+        # walk that fails skips the paths below the failing block, reported once
+        paths, walked = tee(unfolding.select(traced))
+        outcomes = execute_paths(cfg, contract.runtime_code, (p.blocks for p in walked),
+                                 base_storage, gas_table, deadline)
         skipped: dict[SymExecError, int] = {}
         guard_facts: GuardFacts = {}
-        for traced, (path, (_blocks, state)) in enumerate(zip(to_trace, outcomes)):
+        analyzed = 0
+        for path, (_blocks, state) in zip(paths, outcomes):
             if time.monotonic() > deadline:
-                timed_out = True
-                diagnostics.append(f"trace_timed_out: deadline passed; "
-                                   f"{len(to_trace) - traced} money path(s) not analyzed")
                 break
+            analyzed += 1
             if isinstance(state, SymExecError):
                 skipped[state] = skipped.get(state, 0) + 1
                 continue
@@ -268,21 +267,23 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             if check_limit:
                 transfers = [(rec, amount) for rec, amount
                              in refine_transfer_values(state) if not rec.reverted]
-                v = check_transfer_limit(path, config.transfer_limit, transfers)
+                v = check_transfer_limit(config.transfer_limit, transfers)
                 if v:
                     found.append(v)
             if check_addr:
-                addr_violations, addr_warnings = check_address_existence(
-                    path, live_records, registry)
+                addr_violations, addr_warnings = check_address_existence(live_records, registry)
                 found.extend(addr_violations)
                 diagnostics.extend(addr_warnings)
             if check_suicide:
-                v = check_guard_suicide(path, state, config.time_guard_suffices,
-                                        guard_facts)
+                v = check_guard_suicide(state, config.time_guard_suffices, guard_facts)
                 if v:
                     found.append(v)
             if found:
                 violations_by_path.append((path, found))
+        left = unfolding.count(traced) - analyzed
+        if left:
+            diagnostics.append(f"trace_timed_out: deadline passed; "
+                               f"{left} money path(s) not analyzed")
         for exc, count in skipped.items():
             diagnostics.append(f"trace_abandoned: {type(exc).__name__} ({exc}); "
                                f"{count} money path(s) not analyzed")
@@ -298,7 +299,6 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     work = list(plan.queue)
     for rp in work:  # a promoted path is appended and visited in turn
         if time.monotonic() > deadline:
-            timed_out = True
             break
         _state, feas = execute_path(cfg, contract.runtime_code, rp.path, base_storage,
                                     solver, gas_table, config.solver_timeout_ms, deadline)
@@ -313,8 +313,9 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 work.append(promoted)
         else:
             feasibility[key] = (FEAS_UNKNOWN, None, feas.reason)
-    # the constructor pre-run, a trace or a feasibility check cut short
-    timed_out = timed_out or time.monotonic() > deadline
+    # every stage that stops early (the constructor pre-run, the unfolding,
+    # the trace, a feasibility check) does so only once the deadline passed
+    timed_out = time.monotonic() > deadline
 
     # without a witness a call sequence depends only on the path's functions;
     # paths with equal functions share one (read-only) list
@@ -356,7 +357,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     statistics = {
         "total_time_ms": elapsed_ms if config.include_timing else None,
         "paths_enumerated": paths_enumerated,
-        "paths_money_related": len(money_paths),
+        "paths_money_related": unfolding.count(money),
         "paths_gated": len(plan.admitted),
         "paths_symbolically_executed": executed,
         "timed_out": timed_out,

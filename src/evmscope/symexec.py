@@ -17,7 +17,8 @@ import dataclasses
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import isa
 from .cfg import Cfg, Terminator
@@ -189,10 +190,6 @@ class Feasibility:
     status: FeasibilityStatus
     witness: dict[str, int] | None = None
     reason: str = ""
-
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status is FeasibilityStatus.INFEASIBLE
 
 
 @dataclass(frozen=True)
@@ -644,7 +641,7 @@ def compile_block(block, gas_table: isa.GasTable) -> BlockPlan:
 def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
-    This is the one block runner: the trie walk, replay and the constructor
+    This is the one block runner: the path walk, replay and the constructor
     pre-run differ only in how they choose the next block from the operands.
     The block is compiled on first use and its plan kept with `cfg`; its
     gas is charged once.  A REVERT rolls back the transaction here,
@@ -703,98 +700,86 @@ def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
     return False
 
 
-# A prefix-trie node: children by block id, and the input indices of the
-# block sequences that end at this node.
-_Node = tuple[dict[int, "_Node"], list[int]]
+def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
+                  base_storage: dict[Word, Word],
+                  gas_table: isa.GasTable = isa.DEFAULT_GAS,
+                  deadline: float | None = None,
+                  ) -> Iterator[tuple[tuple[int, ...], SymbolicState | SymExecError]]:
+    """Interpret block sequences in turn; yields `(blocks, outcome)` for each
+    as soon as it is run.  The outcome is the state `execute_blocks` gives
+    for that sequence alone, or the SymExecError that stopped it.
 
-Outcome = SymbolicState | SymExecError
-
-
-def execute_trie(cfg: Cfg, code: bytes, paths: Sequence[tuple[int, ...]],
-                 base_storage: dict[Word, Word],
-                 gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                 deadline: float | None = None,
-                 ) -> Iterator[tuple[tuple[int, ...], Outcome]]:
-    """Interpret many block sequences, running each shared prefix once.
-
-    The sequences form a prefix trie.  Each trie node's block body runs
-    once.  Where sequences part, every branch but the last gets a fork of
-    the state and the last keeps the original; each branch then takes its
-    own exit.  Yields `(blocks, outcome)` for every sequence, in input
-    order.  The outcome is the state `execute_blocks` gives for that
-    sequence alone, or the SymExecError that stopped the walk on its
-    prefix: one exception object for all sequences below the failing node.
-    Past `deadline` that exception is a DeadlinePassed.  The clock is read
-    every 256 sequences while the trie is built and every 16 nodes of the
-    walk, so a long path stops part-way.
+    A sequence resumes from the deepest saved frame inside the prefix it
+    shares with the sequence before it, and runs only the blocks after it.
+    Looking one sequence ahead, a fork is saved at each JUMPI block inside
+    the prefix the next sequence shares; resuming at that depth takes the
+    JUMPI's second way, so it takes the frame itself.  Any order is correct;
+    in depth-first order each shared prefix runs once.  A failure at depth d
+    is the outcome, as one object, of every later sequence that shares more
+    than d blocks with the failing one; a DeadlinePassed, of every later
+    sequence.  The clock is read every 16 blocks run.
     """
-    trie: _Node = ({}, [])
-    for i, blocks in enumerate(paths):
+    interp = Interpreter(code, SymbolicState(), gas_table, deadline=deadline)
+    saved: list[tuple] = []  # (depth, block, state, operands, root, revert mark)
+    failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
+    shared = 0  # blocks this sequence shares with the one before
+    runs = 0
+    ahead = iter(paths)
+    blocks = next(ahead, None)
+    while blocks is not None:
         if not blocks:
             raise ValueError("empty block sequence")
-        if deadline is not None and i & 0xFF == 0xFF and time.monotonic() > deadline:
-            passed = DeadlinePassed("deadline passed")
-            yield from ((blocks, passed) for blocks in paths)
-            return
-        node = trie
-        for block_id in blocks:
-            child = node[0].get(block_id)
-            if child is None:
-                child = node[0][block_id] = ({}, [])
-            node = child
-        node[1].append(i)
-    ready: dict[int, Outcome] = {}
-    next_index = 0
-    for i, outcome in _walk_trie(cfg, code, trie, base_storage, gas_table, deadline):
-        ready[i] = outcome
-        while next_index in ready:
-            yield paths[next_index], ready.pop(next_index)
-            next_index += 1
-
-
-def _walk_trie(cfg: Cfg, code: bytes, trie: _Node, base_storage: dict[Word, Word],
-               gas_table: isa.GasTable, deadline: float | None,
-               ) -> Iterator[tuple[int, Outcome]]:
-    """Depth-first walk of the trie; yields `(input index, outcome)`."""
-    interp = Interpreter(code, SymbolicState(), gas_table, deadline=deadline)
-    # (block id, trie node, parent frame, whether it is the last user of the
-    # parent's state); a frame is (block, state, jump operands, root, revert mark)
-    todo: list = [(block_id, node, None, True) for block_id, node in reversed(trie[0].items())]
-    nodes = 0
-    while todo:
-        block_id, node, parent, last = todo.pop()
-        nodes += 1
+        following = next(ahead, None)
+        keep = _shared(blocks, following) if following is not None else 0
+        while saved and saved[-1][0] >= shared:
+            saved.pop()  # it holds a block this sequence does not
+        if failed is not None and blocks[:len(failed[0])] == failed[0]:
+            depth, state = len(blocks), failed[1]  # below the failing block: nothing runs
+        elif saved and saved[-1][0] == shared - 1:
+            depth, block, state, operands, root, revert_mark = saved.pop()
+        elif saved:
+            depth, block, state, operands, root, revert_mark = saved[-1]
+            state = state.fork()
+        else:
+            depth, block = -1, None
         try:
-            if not nodes & 0xF:
-                interp.check_deadline()
-            if parent is None:
-                state = SymbolicState(base_storage=dict(base_storage))
-                interp.state = state
-                interp.begin_transaction()
-                root, revert_mark = block_id, state.storage_snapshot()
-            else:
-                parent_block, parent_state, operands, root, revert_mark = parent
-                state = parent_state if last else parent_state.fork()
-                interp.state = state
-                if _take_exit(interp, parent_block, operands, block_id, root):
-                    revert_mark = state.storage_snapshot()
-            block = cfg.blocks[block_id]
-            operands = _run_body(interp, cfg, block, revert_mark)
-        except SymExecError as exc:
-            below = [node]
-            while below:
-                children, ends = below.pop()
-                for i in ends:
-                    yield i, exc
-                below.extend(children.values())
-            continue
-        children, ends = node
-        for n, i in enumerate(ends, 1):
-            yield i, state if not children and n == len(ends) else state.fork()
-        frame = (block, state, operands, root, revert_mark)
-        last_child = next(reversed(children), None)
-        for child_id, child in reversed(children.items()):
-            todo.append((child_id, child, frame, child_id == last_child))
+            for depth in range(depth + 1, len(blocks)):
+                block_id = blocks[depth]
+                runs += 1
+                if not runs & 0xF:
+                    interp.check_deadline()
+                if block is None:
+                    state = SymbolicState(base_storage=dict(base_storage))
+                    interp.state = state
+                    interp.begin_transaction()
+                    root, revert_mark = block_id, state.storage_snapshot()
+                else:
+                    interp.state = state
+                    if _take_exit(interp, block, operands, block_id, root):
+                        revert_mark = state.storage_snapshot()
+                block = cfg.blocks[block_id]
+                operands = _run_body(interp, cfg, block, revert_mark)
+                if len(operands) == 2 and depth < keep:
+                    saved.append((depth, block, state.fork(), operands, root, revert_mark))
+        except DeadlinePassed as passed:
+            yield from ((rest, passed) for rest in chain((blocks, following), ahead)
+                        if rest is not None)
+            return
+        except SymExecError as error:
+            failed = (blocks[:depth + 1], error)
+            state = error
+        yield blocks, state
+        blocks, shared = following, keep
+
+
+def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The length of the longest common prefix of `a` and `b`."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
@@ -802,8 +787,8 @@ def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
                    gas_table: isa.GasTable = isa.DEFAULT_GAS,
                    deadline: float | None = None) -> SymbolicState:
     """Interpret a block sequence; transaction boundaries reset environments."""
-    ((_blocks, outcome),) = execute_trie(cfg, code, [blocks], base_storage, gas_table,
-                                         deadline)
+    ((_blocks, outcome),) = execute_paths(cfg, code, [blocks], base_storage, gas_table,
+                                          deadline)
     if isinstance(outcome, SymExecError):
         raise outcome
     return outcome

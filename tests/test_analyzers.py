@@ -57,7 +57,7 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
     assert double
     for path, state in double:
         transfers = refine_transfer_values(state)
-        v = check_transfer_limit(path, 30, transfers)
+        v = check_transfer_limit(30, transfers)
         assert v is not None and v.property is PropertyId.TRANSFER_LIMIT
         assert v.evidence["remaining"] == -10
 
@@ -65,12 +65,12 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
 def test_single_transfer_within_limit():
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
-        assert check_transfer_limit(path, 30, refine_transfer_values(state)) is None
+        assert check_transfer_limit(30, refine_transfer_values(state)) is None
 
 
 def test_unknown_amount_is_conservative_violation():
     traced = _traced_money_paths("gigstoken", depth=1)
-    flagged = [check_transfer_limit(p, 10**18, refine_transfer_values(s))
+    flagged = [check_transfer_limit(10**18, refine_transfer_values(s))
                for p, s in traced]
     assert any(v is not None and v.evidence["remaining"] == UNKNOWN_AMOUNT
                for v in flagged)
@@ -108,7 +108,7 @@ def test_enjinbuyer_sale_address_flagged():
     found = []
     for path, state in traced:
         violations, warnings = check_address_existence(
-            path, [r for r in state.records if not r.reverted], registry)
+            [r for r in state.records if not r.reverted], registry)
         found.extend(violations)
         assert warnings == []
     assert found
@@ -122,7 +122,7 @@ def test_registered_constant_not_flagged():
     traced = _traced_money_paths("pay_const_0", depth=1)
     assert traced
     for path, state in traced:
-        violations, _ = check_address_existence(path, state.records, registry)
+        violations, _ = check_address_existence(state.records, registry)
         assert violations == []
 
 
@@ -131,7 +131,7 @@ def test_symbolic_address_skipped():
     registry = _registry()
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
-        violations, _ = check_address_existence(path, state.records, registry)
+        violations, _ = check_address_existence(state.records, registry)
         assert violations == []
 
 
@@ -144,7 +144,7 @@ def test_registry_outage_degrades_to_warning():
 
     traced = _traced_money_paths("pay_unreg_0", depth=1)
     path, state = traced[0]
-    violations, warnings = check_address_existence(path, state.records, FailingRegistry())
+    violations, warnings = check_address_existence(state.records, FailingRegistry())
     assert violations == []
     assert warnings and "unavailable" in warnings[0]
 
@@ -155,7 +155,7 @@ def _suicide_check(name, depth=1, **kwargs):
     results = []
     for path, state in _traced_money_paths(name, depth=depth):
         if any(r.kind == "SELFDESTRUCT" for r in state.records):
-            results.append(check_guard_suicide(path, state, **kwargs))
+            results.append(check_guard_suicide(state, **kwargs))
     return results
 
 
@@ -335,6 +335,6 @@ def test_ctor_stored_registered_address_not_flagged():
     for path, state in traced:
         calls = [r for r in state.records if r.kind == "CALL"]
         saw_call = saw_call or bool(calls)
-        violations, warnings = check_address_existence(path, state.records, registry)
+        violations, warnings = check_address_existence(state.records, registry)
         assert violations == [] and warnings == []
     assert saw_call

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evmscope.symexec as symexec_module
 from evmscope import isa
 from evmscope.analyzers import detect_payable_entries
 from evmscope.cfg import BasicBlock, Cfg, Terminator, build_cfg
@@ -24,7 +25,7 @@ from evmscope.symexec import (
     eval_word,
     execute_blocks,
     execute_path,
-    execute_trie,
+    execute_paths,
     free_vars,
     mk,
     replay_blocks,
@@ -471,7 +472,7 @@ def test_shared_walk_matches_solo_execution(path):
     payable, _details = detect_payable_entries(cfg, instructions)
     paths = [p.blocks for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)),
                                             cfg, payable)]
-    shared = list(execute_trie(cfg, code, paths, storage))
+    shared = list(execute_paths(cfg, code, paths, storage))
     assert [blocks for blocks, _state in shared] == paths
     for blocks, state in shared:
         assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, storage))
@@ -489,7 +490,7 @@ def test_revert_branch_leaves_sibling_records_live(order):
     unfolded = [p.blocks for p in enumerate_paths(cfg, PathBounds(call_depth=2))]
     assert len(unfolded) == 4
     paths = [unfolded[i] for i in order]
-    outcomes = list(execute_trie(cfg, code, paths, {}))
+    outcomes = list(execute_paths(cfg, code, paths, {}))
     assert [blocks for blocks, _state in outcomes] == paths
     for blocks, state in outcomes:
         assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, {}))
@@ -498,11 +499,59 @@ def test_revert_branch_leaves_sibling_records_live(order):
         assert [rec.reverted for rec in state.records] == segments_reverted
 
 
+def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
+    runs = []
+    monkeypatch.setattr(symexec_module, "_run_body",
+                        lambda *args: runs.append(1) or _run_body(*args))
+    for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
+        code, cfg = get_contract(name).runtime_code, get_cfg(name)
+        paths = [p.blocks for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)),
+                                                cfg)]
+        runs.clear()
+        for _blocks, _outcome in execute_paths(cfg, code, paths, {}):
+            pass
+        assert len(runs) == len({blocks[:n] for blocks in paths
+                                 for n in range(1, len(blocks) + 1)}), name
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_walk_in_any_order_matches_solo_execution(order):
+    """A sequence resumes from a frame along the sequence before it, or from
+    a shallower one: in any order, with duplicates and prefixes, each
+    sequence gets the state it gets alone."""
+    rng = random.Random(11)
+    for name in ("toydao", "bitway", "suicide_guarded_0", "micro_dispatcher"):
+        code, cfg = get_contract(name).runtime_code, get_cfg(name)
+        paths = [p.blocks for p in enumerate_paths(cfg, PathBounds(call_depth=2))]
+        if order == "reversed":
+            paths.reverse()
+        else:
+            paths += rng.sample(paths, len(paths) // 4)
+            rng.shuffle(paths)
+        first = paths[0]
+        paths += [first[:3], first, first, first[:1]]
+        walked = list(execute_paths(cfg, code, paths, {}))
+        assert [blocks for blocks, _state in walked] == paths
+        for blocks, state in walked:
+            assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, {}))
+
+
 def test_shared_walk_reports_failure_below_failing_block():
     code = parse_hex("f100")  # CALL on an empty stack, then STOP
     cfg = build_cfg(disassemble(code))
     paths = [(0, 1), (0, 1, 0, 1)]
-    outcomes = list(execute_trie(cfg, code, paths, {}))
+    outcomes = list(execute_paths(cfg, code, paths, {}))
     assert [blocks for blocks, _exc in outcomes] == paths
     assert isinstance(outcomes[0][1], StackUnderflow)
     assert outcomes[0][1] is outcomes[1][1]
+
+
+def test_a_failure_is_the_outcome_of_every_later_sequence_below_the_failing_block():
+    # JUMPI on calldata to 6: STOP, or to 7: JUMPDEST; CALL on an empty stack
+    code = parse_hex("600035600757005bf100")
+    cfg = build_cfg(disassemble(code))
+    paths = [(0, 7, 9, 0, 6), (0, 7), (0, 6, 0, 6), (0, 7, 9, 0, 7, 9)]
+    outcomes = [outcome for _blocks, outcome in execute_paths(cfg, code, paths, {})]
+    assert isinstance(outcomes[0], StackUnderflow)
+    assert outcomes[1] is outcomes[0] and outcomes[3] is outcomes[0]
+    assert _observable(outcomes[2]) == _observable(execute_blocks(cfg, code, paths[2], {}))
