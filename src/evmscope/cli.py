@@ -50,24 +50,35 @@ def _parse_property(name: str) -> PropertyId:
     raise CliError(f"unknown property {name!r}")
 
 
+def _set_ranking(rank: RankConfig, key: str, value: str) -> None:
+    """Apply one [ranking] setting, from the INI file or its flag; a
+    malformed number or an out-of-range weight is a CliError."""
+    if key not in ("threshold", "epsilon") and not key.startswith("alpha."):
+        raise CliError(f"unknown [ranking] key {key!r}")
+    try:
+        number = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{key}: not a number: {value!r}") from None
+    if key == "threshold":
+        rank.threshold = number
+    elif key == "epsilon":
+        if number <= 0:
+            raise CliError("epsilon must be positive")
+        rank.epsilon = number
+    else:
+        try:
+            rank.override_alpha(_parse_property(key[len("alpha."):]), number)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+
+
 def _apply_ranking_file(rank: RankConfig, path: str) -> None:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise CliError(f"cannot read config file {path}")
-    if not parser.has_section("ranking"):
-        return
-    section = parser["ranking"]
-    for key, value in section.items():
-        if key == "threshold":
-            rank.threshold = Fraction(value)
-        elif key == "epsilon":
-            rank.epsilon = Fraction(value)
-        elif key.startswith("alpha."):
-            rank.override_alpha(_parse_property(key[len("alpha."):]), Fraction(value))
-        else:
-            raise CliError(f"unknown [ranking] key {key!r}")
-    if rank.epsilon <= 0:
-        raise CliError("epsilon must be positive")
+    if parser.has_section("ranking"):
+        for key, value in parser["ranking"].items():
+            _set_ranking(rank, key, value)
 
 
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -84,19 +95,14 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     if args.config:
         _apply_ranking_file(rank, args.config)
     if args.threshold is not None:
-        rank.threshold = Fraction(args.threshold)
+        _set_ranking(rank, "threshold", args.threshold)
     if args.epsilon is not None:
-        if Fraction(args.epsilon) <= 0:
-            raise CliError("epsilon must be positive")
-        rank.epsilon = Fraction(args.epsilon)
+        _set_ranking(rank, "epsilon", args.epsilon)
     for override in args.alpha or []:
         if "=" not in override:
             raise CliError(f"--alpha expects PROP=N, got {override!r}")
         name, _, value = override.partition("=")
-        try:
-            rank.override_alpha(_parse_property(name), Fraction(value))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        _set_ranking(rank, "alpha." + name, value)
     disabled = set()
     for chunk in (args.disable or "").split(","):
         if chunk.strip():
@@ -118,6 +124,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         disabled=disabled,
         include_reentrant=args.reentrant_paths,
         include_timing=not args.no_timing,
+        gas_overrides=gas_overrides,
     )
 
 

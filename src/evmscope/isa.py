@@ -192,22 +192,10 @@ def _build_table() -> tuple[OpcodeInfo, ...]:
 
 TABLE: tuple[OpcodeInfo, ...] = _build_table()
 
-_BY_MNEMONIC: dict[str, OpcodeInfo] = {}
-for _info in TABLE:
-    _BY_MNEMONIC.setdefault(_info.mnemonic, _info)
-
 
 def lookup(byte_value: int) -> OpcodeInfo:
     """Total over 0x00-0xFF; undefined bytes return the INVALID entry."""
     return TABLE[byte_value & 0xFF]
-
-
-def by_mnemonic(name: str) -> OpcodeInfo:
-    return _BY_MNEMONIC[name.upper()]
-
-
-def is_money_related(info: OpcodeInfo) -> bool:
-    return info.is_money_related
 
 
 WORD_MOD = 1 << 256
@@ -299,14 +287,10 @@ def load_gas_overrides(text: str) -> dict[int, int]:
         name, gas = parts[0].upper(), int(parts[1])
         if gas < 0:
             raise ValueError(f"gas override line {lineno}: negative gas")
-        if name not in _BY_MNEMONIC:
+        named = [info.byte_value for info in TABLE if info.mnemonic == name]
+        if not named:
             raise ValueError(f"gas override line {lineno}: unknown mnemonic {name!r}")
-        if name.startswith("PUSH") and name != "PUSH":
-            overrides[_BY_MNEMONIC[name].byte_value] = gas
-        else:
-            for info in TABLE:
-                if info.mnemonic == name:
-                    overrides[info.byte_value] = gas
+        overrides.update(dict.fromkeys(named, gas))
     return overrides
 
 

@@ -255,70 +255,63 @@ class PathEnumeration:
         self._next = {state: found[state]
                       for state in sorted(found, key=lambda s: s[1], reverse=True)}
 
-    def _counts(self, marked: Callable[[_Piece], bool]) -> dict[_State, tuple[int, int]]:
-        """Per state: the paths that complete it, and how many of those
-        have no marked piece."""
-        tally: dict[tuple[int, tuple], tuple[int, int]] = {}
+    def _fold(self, weigh: Callable, join: Callable, extend: Callable) -> dict:
+        """Per state, the `join` of the values of the paths that complete it:
+        `weigh(index, piece)` values a piece alone (`index`: its place among
+        its start's pieces), and `extend(value, rest)` a piece followed by
+        the rest of a path.  A dead state, where no piece fits, gets None and
+        adds nothing to the states before it; a path end is no state."""
+        weights: dict[tuple[int, tuple], object] = {}
         for start, pieces in self._pieces.items():
-            for p in pieces:
-                k, m = tally.get((start, p.shape), (0, 0))
-                tally[start, p.shape] = (k + 1, m + marked(p))
-        counts: dict[_State, tuple[int, int]] = {}
+            for index, p in enumerate(pieces):
+                key, value = (start, p.shape), weigh(index, p)
+                weights[key] = join(weights[key], value) if key in weights else value
+        values: dict[_State, object] = {}
         for state, here in self._next.items():
-            total = clean = 0
+            total = None
             for shape, after in here.items():
-                k, m = tally[state[0], shape]
-                t, c = (1, 1) if after is None else counts[after]
-                total += k * t
-                clean += (k - m) * c
-            counts[state] = (total, clean)
-        return counts
+                value = weights[state[0], shape]
+                if after is not None:
+                    if values[after] is None:
+                        continue
+                    value = extend(value, values[after])
+                total = value if total is None else join(total, value)
+            values[state] = total
+        return values
+
+    def _counts(self, marked: Callable[[_Piece], bool]) -> dict[_State, tuple[int, int] | None]:
+        """Per state: the paths that complete it, and how many of those
+        have no marked piece; None where none does."""
+        return self._fold(
+            lambda _index, p: (1, 0 if marked(p) else 1),
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            lambda w, rest: (w[0] * rest[0], w[1] * rest[1]))
 
     def count(self, marked: Callable[[_Piece], bool] = _every) -> int:
         """The number of paths with a marked piece, by default every path,
         without building them; 0 once the piece search was cut short."""
         if self._tables() is None:
             return 0
-        total, clean = self._counts(marked)[self._first]
-        return total - clean
+        counts = self._counts(marked)[self._first]
+        return 0 if counts is None else counts[0] - counts[1]
 
     def max_gas_path(self, block_costs: Mapping[int, int]) -> tuple[int, ProgramPath | None]:
         """The greatest path gas, the sum of its blocks' costs, and the first
         path in unfolding order that has it; (0, None) when no path costs
         more than 0.  No other path is built."""
-        tables = self._tables()
-        if tables is None:
+        if self._tables() is None:
             return 0, None
-        # The rest of a path depends only on its pieces' shapes, so per
-        # start and shape only the first piece of greatest gas can win.
-        top: dict[tuple[int, tuple], tuple[int, int, _Piece]] = {}
-        for start, pieces in tables.items():
-            for index, p in enumerate(pieces):
-                gas = sum(map(block_costs.__getitem__, p.blocks))
-                key = (start, p.shape)
-                if key not in top or gas > top[key][0]:
-                    top[key] = (gas, index, p)
-        best: dict[_State, tuple[int, int, _Piece, _State | None] | None] = {}
-        for state, here in self._next.items():
-            choice = None
-            for shape, after in here.items():
-                gas, index, p = top[state[0], shape]
-                if after is not None:
-                    rest = best[after]
-                    if rest is None:
-                        continue
-                    gas += rest[0]
-                if choice is None or (gas, -index) > (choice[0], -choice[1]):
-                    choice = (gas, index, p, after)
-            best[state] = choice
+        # (gas, -index of the first piece, the pieces): the rest of a path
+        # depends only on its pieces' shapes, so per start and shape only the
+        # first piece of greatest gas can win
+        best = self._fold(
+            lambda index, p: (sum(map(block_costs.__getitem__, p.blocks)), -index, (p,)),
+            max,
+            lambda w, rest: (w[0] + rest[0], w[1], w[2] + rest[2]))
         choice = best[self._first]
         if choice is None or choice[0] <= 0:
             return 0, None
-        gas, chosen = choice[0], []
-        while choice is not None:
-            chosen.append(choice[2])
-            choice = best[choice[3]] if choice[3] is not None else None
-        return gas, self._path(chosen)
+        return choice[0], self._path(list(choice[2]))
 
     def _path(self, pieces: list[_Piece]) -> ProgramPath:
         vias = [VIA_INITIAL] + [VIA_NEW_TRANSACTION if p.callback is None
@@ -340,11 +333,6 @@ class PathEnumeration:
             return _runs_money
         payable = payable_entries or set()
         return lambda p: p.selector is not None and p.selector in payable
-
-    def money_paths(self, payable_entries: set[int | str] | None = None) -> Iterator[ProgramPath]:
-        """`filter_money` over this enumeration, without building the paths
-        it drops."""
-        return self.select(self.money_marker(payable_entries))
 
     def select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
         """The paths with at least one `marked` piece, in unfolding order, each
@@ -379,8 +367,8 @@ class PathEnumeration:
                                           money_related=money or p.money,
                                           block_capped=state[2] < call_depth)
                     continue
-                total, clean = counts[after]
-                if total > (0 if keep else clean):
+                rest = counts[after]
+                if rest is not None and rest[0] > (0 if keep else rest[1]):
                     frames.append((after, iter(tables[after[0]]), blocks + p.blocks,
                                    functions + ((p.selector, via),), money or p.money, keep,
                                    VIA_NEW_TRANSACTION if p.callback is None

@@ -112,12 +112,6 @@ def _score_places(ranked: list[RankedPath]) -> tuple[dict[int, int], list[Fracti
     return {key: place[s] for key, s in scores.items()}, distinct
 
 
-def order_paths(ranked: list[RankedPath]) -> list[RankedPath]:
-    """Deterministic total order: score desc, then shorter, then block list."""
-    places, _distinct = _score_places(ranked)
-    return sorted(ranked, key=lambda rp: (places[id(rp.score)], rp.length, rp.path.blocks))
-
-
 @dataclass
 class GatePlan:
     """Symbolic-execution work order produced by the threshold gate."""
@@ -135,6 +129,8 @@ class GatePlan:
 
 
 def rank_and_gate(ranked: list[RankedPath], config: RankConfig) -> GatePlan:
+    """`ordered` is a deterministic total order: score desc, then shorter,
+    then block list."""
     places, distinct = _score_places(ranked)
 
     def key(rp: RankedPath) -> tuple:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 DEFAULT_RATE_PER_SECOND = 5.0
@@ -23,14 +22,6 @@ class RegistryUnavailable(Exception):
 
 class RegistryDisabled(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class AddressRecord:
-    address: int  # zero-padded to 160 bits
-    exists: bool
-    source: str   # "online" | "fixture" | "cache"
-    checked_at: float
 
 
 def _parse_address(text: str) -> int:
@@ -102,22 +93,19 @@ class AddressRegistry:
             self._cache.update(load_fixture_table(self.cache_path))
 
     def exists(self, address: int) -> bool:
-        return self.record(address).exists
-
-    def record(self, address: int) -> AddressRecord:
         if self.mode == "disabled":
             raise RegistryDisabled("address registry is disabled")
         address &= (1 << 160) - 1
         with self._lock:
             if address in self._cache:
-                return AddressRecord(address, self._cache[address], "cache", time.time())
+                return self._cache[address]
             if self.mode == "offline":
                 result = self.fixture.get(address, False)
             else:
                 result = self._query_online(address)
             self._cache[address] = result
             self._persist(address, result)
-        return AddressRecord(address, result, self.mode, time.time())
+        return result
 
     def _persist(self, address: int, exists: bool) -> None:
         if not self.cache_path:
@@ -139,27 +127,24 @@ class AddressRegistry:
             params["apikey"] = self.api_key
         delay = 0.25
         last_error = "no attempt made"
-        for _attempt in range(DEFAULT_RETRIES):
+        for attempt in range(DEFAULT_RETRIES):
+            if attempt:
+                time.sleep(delay)
+                delay *= 2
             self._bucket.acquire()
             self.network_calls += 1
             try:
                 doc = transport(self.url, params)
             except Exception as exc:  # noqa: BLE001 - network layer varies
                 last_error = str(exc)
-                time.sleep(delay)
-                delay *= 2
                 continue
             if not isinstance(doc, dict):
                 last_error = "malformed response (not an object)"
-                time.sleep(delay)
-                delay *= 2
                 continue
             status = str(doc.get(self.status_field, ""))
             result = doc.get(self.result_field)
             if status == "0" and isinstance(result, str) and "rate limit" in result.lower():
                 last_error = "rate limited"
-                time.sleep(delay)
-                delay *= 2
                 continue
             if isinstance(result, list):
                 return len(result) > 0
@@ -167,8 +152,6 @@ class AddressRegistry:
                 # explorer convention: status 0 with no list means no history
                 return False
             last_error = "malformed response (no transaction list)"
-            time.sleep(delay)
-            delay *= 2
         raise RegistryUnavailable(last_error)
 
     @staticmethod

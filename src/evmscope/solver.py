@@ -9,14 +9,10 @@ When its truncated search space is exhausted without a witness the answer is
 unknown, never unsat, so infeasibility reports never depend on the
 truncation.  Satisfying models are verified by concrete evaluation before
 being returned.
-
-An external solver can be selected with EVMSCOPE_SOLVER; only "builtin" is
-currently implemented.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -388,7 +384,4 @@ class BoundedSolver:
 
 
 def default_solver() -> BoundedSolver:
-    backend = os.environ.get("EVMSCOPE_SOLVER", "builtin")
-    if backend != "builtin":
-        raise ValueError(f"unsupported solver backend {backend!r}; only 'builtin' is available")
     return BoundedSolver()

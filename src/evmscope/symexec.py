@@ -375,12 +375,6 @@ class Interpreter:
 
     # -- instruction dispatch ----------------------------------------------
 
-    def step(self, ins: Instruction) -> None:
-        """Charge one instruction's gas and run its handler."""
-        self.state.gas_used += self.gas.cost(ins.info.byte_value)
-        handler, _ins, operand = compile_instruction(ins)
-        handler(self, ins, operand)
-
     def _fresh_or_zero(self, tag: str) -> Word:
         w = self.state.fresh(tag)
         if self.witness is not None:

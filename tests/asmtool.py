@@ -11,6 +11,11 @@ for _info in isa.TABLE:
     _BY_NAME.setdefault(_info.mnemonic, _info.byte_value)
 
 
+def by_mnemonic(name: str) -> isa.OpcodeInfo:
+    """The table entry of a mnemonic; INVALID names the first undefined byte."""
+    return isa.lookup(_BY_NAME[name.upper()])
+
+
 @dataclass
 class _Item:
     kind: str                 # "op" | "push" | "pushl" | "label" | "pad"

@@ -15,7 +15,7 @@ from evmscope.disasm import disassemble, parse_hex
 from evmscope.keccak import selector
 from evmscope.symexec import concrete_op
 
-from asmtool import Asm
+from asmtool import Asm, by_mnemonic
 from conftest import get_cfg, get_contract
 
 
@@ -172,7 +172,7 @@ def test_lattice_folds_computed_jump_target(name):
        st.lists(st.integers(min_value=0, max_value=(1 << 256) - 1), min_size=3, max_size=3))
 def test_lattice_fold_matches_concrete_op(name, words):
     # PUSH the arguments bottom first, so the first argument ends on top
-    args = words[:isa.by_mnemonic(name).stack_pops]
+    args = words[:by_mnemonic(name).stack_pops]
     asm = Asm()
     for word in reversed(args):
         asm.push(word, 32)

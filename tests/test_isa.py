@@ -2,6 +2,8 @@ import pytest
 
 from evmscope import isa
 
+from asmtool import by_mnemonic
+
 
 def test_table_total_over_all_bytes():
     assert len(isa.TABLE) == 256
@@ -37,47 +39,47 @@ def test_push_immediate_sizes_sum_to_528():
 def test_money_related_is_exactly_four_opcodes():
     money = {info.byte_value for info in isa.TABLE if info.is_money_related}
     assert money == {0xF0, 0xF1, 0xF4, 0xFF}
-    assert isa.is_money_related(isa.by_mnemonic("CALL"))
-    assert isa.is_money_related(isa.by_mnemonic("SELFDESTRUCT"))
-    assert not isa.is_money_related(isa.by_mnemonic("ADD"))
+    assert by_mnemonic("CALL").is_money_related
+    assert by_mnemonic("SELFDESTRUCT").is_money_related
+    assert not by_mnemonic("ADD").is_money_related
     # call-classified but not money-related
-    assert not isa.is_money_related(isa.by_mnemonic("STATICCALL"))
-    assert not isa.is_money_related(isa.by_mnemonic("CALLCODE"))
-    assert isa.by_mnemonic("STATICCALL").is_call
-    assert isa.by_mnemonic("CALLCODE").is_call
+    assert not by_mnemonic("STATICCALL").is_money_related
+    assert not by_mnemonic("CALLCODE").is_money_related
+    assert by_mnemonic("STATICCALL").is_call
+    assert by_mnemonic("CALLCODE").is_call
 
 
 def test_terminal_set():
     terminal = {info.mnemonic for info in isa.TABLE if info.is_terminal}
     assert terminal == {"STOP", "RETURN", "REVERT", "SELFDESTRUCT", "INVALID"}
     # self-destruct both terminates and moves money
-    sd = isa.by_mnemonic("SELFDESTRUCT")
+    sd = by_mnemonic("SELFDESTRUCT")
     assert sd.is_terminal and sd.is_money_related
 
 
 def test_stack_effects_spot_checks():
-    assert (isa.by_mnemonic("ADD").stack_pops, isa.by_mnemonic("ADD").stack_pushes) == (2, 1)
-    assert (isa.by_mnemonic("CALL").stack_pops, isa.by_mnemonic("CALL").stack_pushes) == (7, 1)
-    assert (isa.by_mnemonic("DUP5").stack_pops, isa.by_mnemonic("DUP5").stack_pushes) == (5, 6)
-    assert (isa.by_mnemonic("SWAP1").stack_pops, isa.by_mnemonic("SWAP1").stack_pushes) == (2, 2)
-    assert isa.by_mnemonic("JUMPI").stack_pops == 2
+    assert (by_mnemonic("ADD").stack_pops, by_mnemonic("ADD").stack_pushes) == (2, 1)
+    assert (by_mnemonic("CALL").stack_pops, by_mnemonic("CALL").stack_pushes) == (7, 1)
+    assert (by_mnemonic("DUP5").stack_pops, by_mnemonic("DUP5").stack_pushes) == (5, 6)
+    assert (by_mnemonic("SWAP1").stack_pops, by_mnemonic("SWAP1").stack_pushes) == (2, 2)
+    assert by_mnemonic("JUMPI").stack_pops == 2
 
 
 def test_gas_spot_checks():
     gas = isa.DEFAULT_GAS
-    assert gas.cost(isa.by_mnemonic("PUSH1").byte_value) == 3
-    assert gas.cost(isa.by_mnemonic("ADD").byte_value) == 3
-    assert gas.cost(isa.by_mnemonic("STOP").byte_value) == 0
-    assert gas.cost(isa.by_mnemonic("CALL").byte_value) == 700
-    assert gas.cost(isa.by_mnemonic("JUMPDEST").byte_value) == 1
+    assert gas.cost(by_mnemonic("PUSH1").byte_value) == 3
+    assert gas.cost(by_mnemonic("ADD").byte_value) == 3
+    assert gas.cost(by_mnemonic("STOP").byte_value) == 0
+    assert gas.cost(by_mnemonic("CALL").byte_value) == 700
+    assert gas.cost(by_mnemonic("JUMPDEST").byte_value) == 1
 
 
 def test_gas_override_loading():
     overrides = isa.load_gas_overrides("SLOAD 800\n# comment\nCALL 2600\n")
     table = isa.GasTable(overrides)
-    assert table.cost(isa.by_mnemonic("SLOAD").byte_value) == 800
-    assert table.cost(isa.by_mnemonic("CALL").byte_value) == 2600
-    assert table.cost(isa.by_mnemonic("ADD").byte_value) == 3
+    assert table.cost(by_mnemonic("SLOAD").byte_value) == 800
+    assert table.cost(by_mnemonic("CALL").byte_value) == 2600
+    assert table.cost(by_mnemonic("ADD").byte_value) == 3
 
 
 def test_gas_override_rejects_unknown_mnemonic():

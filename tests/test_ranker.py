@@ -9,7 +9,6 @@ from evmscope.ranker import (
     DEFAULT_FMEA,
     RankConfig,
     make_ranked,
-    order_paths,
     rank_and_gate,
     score,
 )
@@ -135,7 +134,8 @@ def test_rank_order_deterministic_total():
     config = RankConfig()
     a = make_ranked(_path(1, blocks=(5, 6)), [_violation(PropertyId.BLACK_HOLE)], config)
     b = make_ranked(_path(1, blocks=(5, 7)), [_violation(PropertyId.BLACK_HOLE)], config)
-    assert order_paths([a, b]) == order_paths([b, a]) == [a, b]
+    assert rank_and_gate([a, b], config).ordered == rank_and_gate([b, a], config).ordered \
+        == [a, b]
 
 
 @given(scale=st.integers(min_value=1, max_value=1000))

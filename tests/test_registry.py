@@ -119,6 +119,16 @@ def test_persistent_failure_raises_unavailable(monkeypatch):
         reg.exists(DEV)
 
 
+def test_backoff_doubles_between_attempts(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("evmscope.registry.time.sleep", lambda s: sleeps.append(s))
+    reg = AddressRegistry(mode="online", transport=lambda url, p: "not an object")
+    with pytest.raises(RegistryUnavailable, match="not an object"):
+        reg.exists(DEV)
+    assert reg.network_calls == 4
+    assert sleeps == [0.25, 0.5, 1.0]  # none after the last attempt
+
+
 def test_malformed_response_raises_unavailable(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
     reg = AddressRegistry(mode="online", transport=lambda url, p: {"status": "1"})

@@ -280,12 +280,29 @@ def test_cli_config_file_ranking_section(tmp_path, capsys):
 def test_cli_gas_schedule_override(tmp_path, capsys):
     table = tmp_path / "gas.txt"
     table.write_text("CALL 40\n")
-    rc = cli_main(["analyze", str(FIXTURES / "toydao.json"),
-                   "--registry-fixture", str(REGISTRY_TXT),
-                   "--gas-schedule", str(table), "--no-timing"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["statistics"]["max_gas"]["gas"] > 0
+    args = ["analyze", str(FIXTURES / "toydao.json"),
+            "--registry-fixture", str(REGISTRY_TXT), "--no-timing"]
+    assert cli_main(args) == 0
+    default = json.loads(capsys.readouterr().out)["statistics"]["max_gas"]["gas"]
+    assert cli_main(args + ["--gas-schedule", str(table)]) == 0
+    cheaper = json.loads(capsys.readouterr().out)["statistics"]["max_gas"]["gas"]
+    # the max-gas path of toydao makes a CALL: 700 by default, 40 here
+    assert 0 < cheaper < default
+
+
+@pytest.mark.parametrize("flags, ini", [
+    (["--threshold", "abc"], None),
+    (["--epsilon", "1/0"], None),
+    (["--alpha", "guard_suicide=1/0"], None),
+    ([], "[ranking]\nthreshold = x\n"),
+], ids=["threshold", "epsilon", "alpha", "ini_threshold"])
+def test_cli_malformed_ranking_number_is_an_error(tmp_path, capsys, flags, ini):
+    if ini is not None:
+        (tmp_path / "scope.ini").write_text(ini)
+        flags = ["--config", str(tmp_path / "scope.ini")]
+    assert cli_main(["analyze", str(FIXTURES / "toydao.json"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_batch_mode_reports_and_summary(tmp_path):

@@ -1,4 +1,4 @@
-from evmscope.solver import BoundedSolver, default_solver
+from evmscope.solver import BoundedSolver
 from evmscope.symexec import const, eval_word, mk, var
 
 
@@ -104,15 +104,3 @@ def test_sat_models_are_verified_by_evaluation():
             assert eval_word(c, result.model) != 0
     else:
         assert result.status == "unknown"  # never a spurious unsat
-
-
-def test_default_solver_env_guard(monkeypatch):
-    monkeypatch.setenv("EVMSCOPE_SOLVER", "builtin")
-    assert isinstance(default_solver(), BoundedSolver)
-    monkeypatch.setenv("EVMSCOPE_SOLVER", "z5")
-    try:
-        default_solver()
-        raised = False
-    except ValueError:
-        raised = True
-    assert raised

@@ -15,7 +15,6 @@ from evmscope.symexec import (
     FeasibilityStatus,
     Interpreter,
     StackUnderflow,
-    SymExecError,
     SymbolicState,
     Word,
     _run_body,
@@ -233,21 +232,10 @@ def test_storage_unknown_slot_reads_stable_var():
 
 @pytest.mark.parametrize("witness", [None, {}], ids=["symbolic", "witness"])
 def test_step_covers_every_opcode_byte(witness):
-    # every byte through `step`, and as a one-instruction block through the
-    # compiled block runner
+    # every byte as a one-instruction block through the compiled block runner
     for info in isa.TABLE:
         ins = Instruction(64, info, 0x1234 if info.immediate_bytes else None)
         jump = info.kind in (isa.Kind.JUMP, isa.Kind.COND_JUMP)
-        state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
-        interp = Interpreter(bytes(100), state, witness=witness)
-        if jump:
-            with pytest.raises(SymExecError):
-                interp.step(ins)
-        else:
-            interp.step(ins)
-            assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
-            assert state.gas_used == isa.DEFAULT_GAS.cost(info.byte_value), info.mnemonic
-
         terminator = {isa.Kind.JUMP: Terminator.JUMP, isa.Kind.COND_JUMP: Terminator.COND_JUMP
                       }.get(info.kind, Terminator.TERMINAL if info.is_terminal
                             else Terminator.FALL_THROUGH)

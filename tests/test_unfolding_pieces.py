@@ -46,6 +46,10 @@ def _max_gas_scan(paths, estimator):
     return best, best_path
 
 
+def _money_paths(unfolding, payable=None):
+    return unfolding.select(unfolding.money_marker(payable))
+
+
 def _check(cfg, payable, bounds, reentrant, name):
     expected = list(_RecursiveEnumeration(cfg, bounds, reentrant))
     unfolding = enumerate_paths(cfg, bounds, include_reentrant=reentrant)
@@ -56,7 +60,7 @@ def _check(cfg, payable, bounds, reentrant, name):
     built = 0
     for entries in (payable, set()):
         kept = list(filter_money(iter(expected), cfg, entries))
-        assert list(unfolding.money_paths(entries)) == kept, name
+        assert list(_money_paths(unfolding, entries)) == kept, name
         built += len(kept)
     assert unfolding.emitted == built and not unfolding.timed_out
 
@@ -114,7 +118,7 @@ def test_diamond_chain_has_two_to_the_k_pieces():
     for depth in (1, 2, 3):
         unfolding = enumerate_paths(cfg, PathBounds(call_depth=depth))
         assert unfolding.count() == 16 ** depth
-        assert len(list(unfolding.money_paths())) == 16 ** depth
+        assert len(list(_money_paths(unfolding))) == 16 ** depth
 
 
 def test_a_past_deadline_stops_the_piece_search():
@@ -131,11 +135,11 @@ def test_a_past_deadline_stops_the_kept_path_walk():
     cfg = build_cfg(disassemble(parse_hex(_diamonds(5))))
     bounds = PathBounds(call_depth=4)
     unfolding = enumerate_paths(cfg, bounds, deadline=time.monotonic() - 1)
-    kept = list(unfolding.money_paths())
+    kept = list(_money_paths(unfolding))
     assert unfolding.timed_out
     assert 0 < len(kept) < 256
     assert unfolding.count() == 32 ** 4  # the pieces were all found: the count is exact
-    assert kept == list(islice(enumerate_paths(cfg, bounds).money_paths(), len(kept)))
+    assert kept == list(islice(_money_paths(enumerate_paths(cfg, bounds)), len(kept)))
 
 
 @pytest.mark.parametrize("k, depth", [(32, 2), (5, 4)], ids=["piece_search", "kept_walk"])
