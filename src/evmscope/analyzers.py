@@ -21,7 +21,6 @@ from .symexec import (
     concretize,
     contains_op,
     contains_var_prefix,
-    walk,
 )
 
 ADDRESS_MASK = (1 << 160) - 1
@@ -127,23 +126,22 @@ def check_address_existence(records: list[ExternalRecord],
 
 
 def _is_ownership_guard(cond: Word) -> bool:
-    """A comparison with the caller on one side and a storage read on the other."""
-    for node in walk(cond):
-        if node.op not in ("EQ", "LT", "GT", "SLT", "SGT"):
-            continue
-        left, right = node.args
+    """A comparison with the caller on one side and a storage read on the
+    other, anywhere in `cond`."""
+    if cond.op in ("EQ", "LT", "GT", "SLT", "SGT"):
+        left, right = cond.args
         for a, b in ((left, right), (right, left)):
-            caller_side = contains_var_prefix(a, "CALLER")
-            storage_side = (contains_op(b, "sload")
-                            or contains_var_prefix(b, "STORAGE@"))
-            if caller_side and storage_side:
+            if contains_var_prefix(a, "CALLER") and (contains_op(b, "sload")
+                                                     or contains_var_prefix(b, "STORAGE@")):
                 return True
+    for a in cond.args:
+        if _is_ownership_guard(a):
+            return True
     return False
 
 
 def _is_time_guard(cond: Word) -> bool:
-    return (contains_var_prefix(cond, "TIMESTAMP")
-            or contains_var_prefix(cond, "NUMBER"))
+    return contains_var_prefix(cond, ("TIMESTAMP", "NUMBER"))
 
 
 # Per path-condition term, by identity: (the term, is an ownership guard,

@@ -91,6 +91,10 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    for flag, value in (("--transfer-limit", args.transfer_limit),
+                        ("--solver-timeout", args.solver_timeout)):
+        if value is not None and value < 0:
+            raise CliError(f"{flag} must not be negative, got {value}")
     rank = RankConfig()
     if args.config:
         _apply_ranking_file(rank, args.config)
@@ -272,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_batch(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # OSError: a report or CFG file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -485,7 +485,7 @@ def _json_text(value, indent: str) -> str:
     if isinstance(value, float):
         return float.__repr__(value)
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a tuple subclass such as a Word
         if not value:
             return "[]"
         parts = [_json_str(v) if type(v) is str else _json_text(v, inner) for v in value]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .symexec import Word, concretize, const, eval_word, free_vars, mk, walk, WORD_MAX
+from .symexec import Word, concretize, const, eval_word, free_vars, mk, WORD_MAX
 
 _CMP_OPS = ("EQ", "LT", "GT", "SLT", "SGT")
 
@@ -259,22 +259,7 @@ class BoundedSolver:
                     intervals: dict[str, _Interval]) -> dict[str, list[int]]:
         cands: dict[str, set[int]] = {n: {0, 1} for n in names}
         for c in conjuncts:
-            for node in walk(c):
-                if node.op not in _CMP_OPS:
-                    continue
-                a, b = node.args
-                for x, y in ((a, b), (b, a)):
-                    target = concretize(y)
-                    if target is None:
-                        continue
-                    inverted = self._invert_chain(x, target)
-                    if inverted is None:
-                        continue
-                    var_name, base = inverted
-                    if var_name not in cands:
-                        continue
-                    for delta in (-1, 0, 1):
-                        cands[var_name].add((base + delta) % (WORD_MAX + 1))
+            self._comparison_candidates(c, cands)
         out: dict[str, list[int]] = {}
         for name in names:
             iv = intervals[name]
@@ -282,6 +267,26 @@ class BoundedSolver:
             pool.update(iv.sample_points())
             out[name] = sorted(pool)[:16] or [iv.lo]
         return out
+
+    def _comparison_candidates(self, node: Word, cands: dict[str, set[int]]) -> None:
+        """Add to `cands` the values, and their neighbours, that make a
+        comparison anywhere in `node` hold with equality."""
+        if node.op in _CMP_OPS:
+            a, b = node.args
+            for x, y in ((a, b), (b, a)):
+                target = concretize(y)
+                if target is None:
+                    continue
+                inverted = self._invert_chain(x, target)
+                if inverted is None:
+                    continue
+                var_name, base = inverted
+                if var_name not in cands:
+                    continue
+                for delta in (-1, 0, 1):
+                    cands[var_name].add((base + delta) % (WORD_MAX + 1))
+        for a in node.args:
+            self._comparison_candidates(a, cands)
 
     def _invert_chain(self, w: Word, target: int) -> tuple[str, int] | None:
         """Solve f(v) == target for a single-variable chain of simple ops."""

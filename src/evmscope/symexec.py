@@ -2,17 +2,18 @@
 
 Words are finite terms over per-transaction free variables (caller, call
 value, calldata, timestamp, block number, balances, foreign-call returns,
-unknown storage) and the EVM operator set, modular 2**256.  Executing a path
-walks its block sequence, asserting each branch condition (or its negation)
-into the path condition; crossing a transaction boundary introduces a fresh
-environment while storage persists.  Feasibility is decided by a pluggable
-constraint backend; a satisfying witness is re-validated by replaying the
-path concretely.
+unknown storage) and the EVM operator set, modular 2**256; each is a
+tuple underneath.  Executing a path walks its block sequence, asserting
+each branch condition (or its negation) into the path condition; crossing
+a transaction boundary introduces a fresh environment while storage
+persists.  One block runner, `_run_body`, executes each block from a plan
+compiled once, checking the stack against the plan's static bounds once
+per block.  Feasibility is decided by a pluggable constraint backend; a
+satisfying witness is re-validated by replaying the path concretely.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import time
@@ -62,13 +63,20 @@ class DeadlinePassed(SymExecError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
+    """A term.  A tuple underneath, so building and comparing one run in C;
+    the hash is that of the five fields in order."""
     op: str                      # "const", "var", "sha3", "sload", "ite", or an operator
     args: tuple["Word", ...] = ()
     value: int | None = None     # const payload
     name: str | None = None      # var payload
     meta: int | str | None = None
+
+    def __hash__(self) -> int:
+        # one Python frame per node, as for `==` and `repr`: a term nested
+        # too deep meets the recursion limit, where the C hash of nested
+        # tuples would overflow the C stack
+        return hash(self[:])
 
     @property
     def is_concrete(self) -> bool:
@@ -143,14 +151,22 @@ def eval_word(w: Word, env: dict[str, int], deadline: float | None = None) -> in
     return concrete_op(w.op, [eval_word(a, env, deadline) for a in w.args])
 
 
-def walk(w: Word):
-    yield w
-    for a in w.args:
-        yield from walk(a)
-
+# The term queries below recurse directly: a generator walk costs more than
+# the few nodes a typical term has.
 
 def free_vars(w: Word) -> set[str]:
-    return {n.name for n in walk(w) if n.op == "var" and n.name}
+    names: set[str] = set()
+    _collect_vars(w, names)
+    return names
+
+
+def _collect_vars(w: Word, names: set[str]) -> None:
+    if w.op == "var":
+        if w.name:
+            names.add(w.name)
+        return
+    for a in w.args:
+        _collect_vars(a, names)
 
 
 def concretize(w: Word | None) -> int | None:
@@ -167,12 +183,24 @@ def concretize(w: Word | None) -> int | None:
     return eval_word(w, {})
 
 
-def contains_var_prefix(w: Word, prefix: str) -> bool:
-    return any(n.op == "var" and n.name and n.name.startswith(prefix) for n in walk(w))
+def contains_var_prefix(w: Word, prefix: str | tuple[str, ...]) -> bool:
+    """Whether a variable whose name starts with `prefix` (or with one of
+    them) occurs in `w`."""
+    if w.op == "var":
+        return bool(w.name) and w.name.startswith(prefix)
+    for a in w.args:
+        if contains_var_prefix(a, prefix):
+            return True
+    return False
 
 
 def contains_op(w: Word, op: str) -> bool:
-    return any(n.op == op for n in walk(w))
+    if w.op == op:
+        return True
+    for a in w.args:
+        if contains_op(a, op):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +254,8 @@ class SymbolicState:
         """An independent copy.  Words are immutable, so shallow copies of
         the containers suffice; base storage and the storage-variable cache
         stay shared, since neither changes what a read returns."""
-        twin = copy.copy(self)
+        twin = SymbolicState.__new__(SymbolicState)
+        twin.__dict__.update(self.__dict__)
         twin.stack = self.stack.copy()
         twin.memory = self.memory.copy()
         twin.storage_writes = self.storage_writes.copy()
@@ -599,6 +628,10 @@ def _handler_entry(info: isa.OpcodeInfo) -> tuple:
 # Every opcode byte's handler and static operand, indexed by byte.
 _HANDLERS: tuple[tuple, ...] = tuple(_handler_entry(info) for info in isa.TABLE)
 
+# The handlers whose stack moves the block runner makes inline.
+_PUSH, _DUP, _SWAP, _POP = (Interpreter._push_word, Interpreter._dup, Interpreter._swap,
+                            Interpreter._pop_only)
+
 # One decoded instruction: (handler, instruction, operand).
 Op = tuple[Callable[[Interpreter, Instruction, Any], None], Instruction, Any]
 
@@ -616,6 +649,21 @@ class BlockPlan(NamedTuple):
     ops: tuple[Op, ...]     # the body; instructions with no effect are left out
     jump_pops: int          # operands the exit pops: 1 for JUMP, 2 for JUMPI, else 0
     reverts: bool           # ends in REVERT: the transaction is rolled back
+    need: int               # stack depth the body needs at entry
+    grow: int               # the most the body raises the stack above its entry depth
+
+
+def _stack_bounds(body: list[Instruction]) -> tuple[int, int]:
+    """(need, grow) of a straight-line body, from the ISA's pops and pushes.
+    The table gives DUPn as n pops and n+1 pushes and SWAPn as n+1 of each,
+    which is how deep they reach; every handler pops before it pushes."""
+    need = grow = height = 0
+    for ins in body:
+        info = ins.info
+        need = max(need, info.stack_pops - height)
+        height += info.stack_pushes - info.stack_pops
+        grow = max(grow, height)
+    return need, grow
 
 
 def compile_block(block, gas_table: isa.GasTable) -> BlockPlan:
@@ -625,7 +673,8 @@ def compile_block(block, gas_table: isa.GasTable) -> BlockPlan:
     ops = tuple(op for op in map(compile_instruction, body)
                 if op[0] is not Interpreter._nothing)
     reverts = last.mnemonic == "REVERT" and block.terminator is Terminator.TERMINAL
-    return BlockPlan(isa.estimate_gas(block.instructions, gas_table), ops, jump_pops, reverts)
+    return BlockPlan(isa.estimate_gas(block.instructions, gas_table), ops, jump_pops, reverts,
+                     *_stack_bounds(body))
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +688,38 @@ def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[W
     pre-run differ only in how they choose the next block from the operands.
     The block is compiled on first use and its plan kept with `cfg`; its
     gas is charged once.  A REVERT rolls back the transaction here,
-    whatever block follows."""
+    whatever block follows.
+
+    The stack is checked once per block: when its depth lies within the
+    plan's bounds no instruction of the body can under- or overflow it, so
+    PUSH, DUP, SWAP and the pop-only opcodes work on the list directly and
+    only the other opcodes go through their handlers.  Otherwise every
+    instruction goes through its handler, which raises where the stack
+    fails, with the message it gives."""
     key = (block.id, interp.gas)
     plan = cfg.plans.get(key)
     if plan is None:
         plan = cfg.plans[key] = compile_block(block, interp.gas)
-    gas, ops, jump_pops, reverts = plan
+    gas, ops, jump_pops, reverts, need, grow = plan
     state = interp.state
     state.gas_used += gas
-    for handler, ins, operand in ops:
-        handler(interp, ins, operand)
+    stack = state.stack
+    if need <= len(stack) <= STACK_LIMIT - grow:
+        append = stack.append
+        for handler, ins, operand in ops:
+            if handler is _PUSH:
+                append(operand)
+            elif handler is _DUP:
+                append(stack[-operand])
+            elif handler is _SWAP:
+                stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
+            elif handler is _POP:
+                del stack[-operand:]
+            else:
+                handler(interp, ins, operand)
+    else:
+        for handler, ins, operand in ops:
+            handler(interp, ins, operand)
     if jump_pops == 1:
         return (state.pop(),)
     if jump_pops == 2:

@@ -25,6 +25,7 @@ from evmscope.symexec import (
     SymExecError,
     _run_body,
     _take_exit,
+    compile_block,
     const,
     run_constructor,
     var,
@@ -160,12 +161,26 @@ def _blocks(draw):
     return BasicBlock(0, 0, instructions[-1].offset, instructions, terminator)
 
 
+# Depths at the block's own stack bounds, from its plan: one short of what
+# its body needs, exactly that, the deepest stack it can start on without
+# overflowing, and one more.  The runner checks the stack once per block
+# against these bounds.
+_OWN_BOUNDS = {
+    "need - 1": lambda plan: plan.need - 1,
+    "need": lambda plan: plan.need,
+    "limit - grow": lambda plan: STACK_LIMIT - plan.grow,
+    "limit - grow + 1": lambda plan: STACK_LIMIT - plan.grow + 1,
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(block=_blocks(),
-       depth=st.sampled_from([0, 1, 2, 3, 7, 17, STACK_LIMIT - 1, STACK_LIMIT]),
+       depth=st.sampled_from([0, 1, 2, 3, 7, 17, STACK_LIMIT - 1, STACK_LIMIT, *_OWN_BOUNDS]),
        words=st.lists(_WORDS, min_size=1, max_size=8),
        mode=st.sampled_from(sorted(MODES)))
 def test_random_blocks_match_the_reference(block, depth, words, mode):
+    if depth in _OWN_BOUNDS:
+        depth = max(_OWN_BOUNDS[depth](compile_block(block, isa.DEFAULT_GAS)), 0)
     cfg = Cfg(blocks={0: block}, root=0, edges=set())
     code = b"".join(ins.encode() for ins in block.instructions)
     outcomes = []

@@ -11,12 +11,14 @@ from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths
 from evmscope.report import (
     AnalysisConfig,
+    Report,
     _json_text,
     analyze,
     to_call_sequence,
     to_html,
     to_json,
 )
+from evmscope.symexec import const
 
 from conftest import FIXTURES, REGISTRY_TXT, get_cfg, get_contract
 
@@ -252,6 +254,24 @@ def test_cli_dump_cfg(tmp_path):
     assert "Node_112_162" in text
 
 
+@pytest.mark.parametrize("option, name", [("--dump-cfg", "x.dot"), ("--out", "report")])
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys, option, name):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a file where the output's directory should be
+    assert cli_main(["analyze", str(FIXTURES / "toydao.json"),
+                     "--registry-fixture", str(REGISTRY_TXT), option, str(blocker / name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--transfer-limit", "--solver-timeout"])
+def test_cli_negative_limit_is_an_error(capsys, flag):
+    assert cli_main(["analyze", str(FIXTURES / "toydao.json"), "--call-bound", "2",
+                     "--registry-fixture", str(REGISTRY_TXT), flag, "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "Traceback" not in err
+
+
 def test_cli_alpha_and_threshold_overrides(tmp_path, capsys):
     rc = cli_main(["analyze", str(FIXTURES / "problematic.json"),
                    "--call-bound", "1",
@@ -417,3 +437,8 @@ def test_json_writer_edge_cases():
         _json_text({1: 2}, "")
     with pytest.raises(TypeError):
         _json_text({"x": {1, 2}}, "")
+    # a Word is a tuple underneath, yet no JSON value
+    report = Report(contract_name="", statistics={"word": const(1)}, critical_paths=[],
+                    diagnostics=[], config_echo={}, block_labels={})
+    with pytest.raises(TypeError):
+        to_json(report)
