@@ -150,15 +150,14 @@ GuardFacts = dict[int, tuple[Word, bool, bool]]
 
 
 def check_guard_suicide(state: SymbolicState,
-                        time_guard_suffices: bool = False,
                         guard_facts: GuardFacts | None = None,
                         ) -> PropertyViolation | None:
     """Violation when a self-destruct is reachable without an ownership guard.
 
-    A date/height constraint is recorded but by itself does not make the
-    destruction safe (anyone can wait); set `time_guard_suffices` to accept
-    it as sufficient.  Paths traced together share path-condition terms;
-    pass one `guard_facts` dict for all of them to examine each term once.
+    A date/height constraint is recorded but does not make the destruction
+    safe (anyone can wait).  Paths traced together share path-condition
+    terms; pass one `guard_facts` dict for all of them to examine each term
+    once.
     """
     destructs = [r for r in state.records if r.kind == "SELFDESTRUCT" and not r.reverted]
     if not destructs:
@@ -173,7 +172,7 @@ def check_guard_suicide(state: SymbolicState,
                                              _is_time_guard(cond))
         has_ownership = has_ownership or facts[1]
         has_time = has_time or facts[2]
-    if has_ownership or (time_guard_suffices and has_time):
+    if has_ownership:
         return None
     missing = {"ownership"}
     if not has_time:

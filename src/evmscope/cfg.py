@@ -95,8 +95,8 @@ class Cfg:
     dangling: set[int] = field(default_factory=set)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     _succ: dict[int, list[Edge]] = field(default_factory=dict, repr=False)
-    # compiled block plans by (block id, gas table), filled by symbolic
-    # execution on first use; they live as long as the graph
+    # compiled block plans by block id, filled by symbolic execution on
+    # first use; they live as long as the graph
     plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def successors(self, block_id: int) -> list[Edge]:
@@ -162,12 +162,12 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
 
     for ins in instructions:
         info = ins.info
-        if info.kind is isa.Kind.JUMP_DEST and current:
+        if info.mnemonic == "JUMPDEST" and current:
             flush(Terminator.FALL_THROUGH)
         current.append(ins)
-        if info.kind is isa.Kind.JUMP:
+        if info.mnemonic == "JUMP":
             flush(Terminator.JUMP)
-        elif info.kind is isa.Kind.COND_JUMP:
+        elif info.mnemonic == "JUMPI":
             flush(Terminator.COND_JUMP)
         elif info.is_terminal:
             flush(Terminator.TERMINAL)
@@ -238,8 +238,7 @@ def _static_target(block: BasicBlock) -> int | None:
 
 def _is_jumpdest(blocks: dict[int, BasicBlock], offset: int) -> bool:
     target = blocks.get(offset)
-    return (target is not None
-            and target.instructions[0].info.kind is isa.Kind.JUMP_DEST)
+    return target is not None and target.instructions[0].mnemonic == "JUMPDEST"
 
 
 def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:

@@ -1,5 +1,6 @@
 """EVM instruction-set table: mnemonics, immediates, stack effects, gas,
-classification, and the concrete semantics of the word operators.
+the opcode classes (the byte sets below), and the concrete semantics of the
+word operators.
 
 The table is frozen at the Byzantium/Constantinople era (no PUSH0, no
 SHL/SHR-free Constantinople subset removed): the bundled fixtures are
@@ -10,21 +11,8 @@ scope, so every figure is a static lower bound.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable
-
-
-class Kind(enum.Enum):
-    TERMINAL = "terminal"
-    JUMP = "jump"
-    COND_JUMP = "cond_jump"
-    JUMP_DEST = "jump_dest"
-    CALL = "call"
-    MONEY_RELATED = "money_related"
-    ENV_READ = "env_read"
-    ARITHMETIC = "arithmetic"
-    OTHER = "other"
 
 
 # The four opcodes through which Ether can leave an account.
@@ -46,7 +34,6 @@ class OpcodeInfo:
     stack_pops: int
     stack_pushes: int
     static_gas: int
-    kind: Kind
 
     @property
     def is_money_related(self) -> bool:
@@ -91,102 +78,102 @@ G_BLOCKHASH = 20
 
 GAS_SCHEDULE_NAME = "byzantium-static"
 
-# (byte, mnemonic, pops, pushes, gas, kind)
+# (byte, mnemonic, pops, pushes, gas)
 _DEFS = [
-    (0x00, "STOP", 0, 0, G_ZERO, Kind.TERMINAL),
-    (0x01, "ADD", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x02, "MUL", 2, 1, G_LOW, Kind.ARITHMETIC),
-    (0x03, "SUB", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x04, "DIV", 2, 1, G_LOW, Kind.ARITHMETIC),
-    (0x05, "SDIV", 2, 1, G_LOW, Kind.ARITHMETIC),
-    (0x06, "MOD", 2, 1, G_LOW, Kind.ARITHMETIC),
-    (0x07, "SMOD", 2, 1, G_LOW, Kind.ARITHMETIC),
-    (0x08, "ADDMOD", 3, 1, G_MID, Kind.ARITHMETIC),
-    (0x09, "MULMOD", 3, 1, G_MID, Kind.ARITHMETIC),
-    (0x0A, "EXP", 2, 1, G_EXP, Kind.ARITHMETIC),
-    (0x0B, "SIGNEXTEND", 2, 1, G_LOW, Kind.ARITHMETIC),
-    (0x10, "LT", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x11, "GT", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x12, "SLT", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x13, "SGT", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x14, "EQ", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x15, "ISZERO", 1, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x16, "AND", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x17, "OR", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x18, "XOR", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x19, "NOT", 1, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x1A, "BYTE", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x1B, "SHL", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x1C, "SHR", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x1D, "SAR", 2, 1, G_VERYLOW, Kind.ARITHMETIC),
-    (0x20, "SHA3", 2, 1, G_SHA3, Kind.ARITHMETIC),
-    (0x30, "ADDRESS", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x31, "BALANCE", 1, 1, G_BALANCE, Kind.ENV_READ),
-    (0x32, "ORIGIN", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x33, "CALLER", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x34, "CALLVALUE", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x35, "CALLDATALOAD", 1, 1, G_VERYLOW, Kind.ENV_READ),
-    (0x36, "CALLDATASIZE", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x37, "CALLDATACOPY", 3, 0, G_VERYLOW, Kind.ENV_READ),
-    (0x38, "CODESIZE", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x39, "CODECOPY", 3, 0, G_VERYLOW, Kind.ENV_READ),
-    (0x3A, "GASPRICE", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x3B, "EXTCODESIZE", 1, 1, G_EXTCODE, Kind.ENV_READ),
-    (0x3C, "EXTCODECOPY", 4, 0, G_EXTCODE, Kind.ENV_READ),
-    (0x3D, "RETURNDATASIZE", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x3E, "RETURNDATACOPY", 3, 0, G_VERYLOW, Kind.ENV_READ),
-    (0x40, "BLOCKHASH", 1, 1, G_BLOCKHASH, Kind.ENV_READ),
-    (0x41, "COINBASE", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x42, "TIMESTAMP", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x43, "NUMBER", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x44, "DIFFICULTY", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x45, "GASLIMIT", 0, 1, G_BASE, Kind.ENV_READ),
-    (0x50, "POP", 1, 0, G_BASE, Kind.OTHER),
-    (0x51, "MLOAD", 1, 1, G_VERYLOW, Kind.OTHER),
-    (0x52, "MSTORE", 2, 0, G_VERYLOW, Kind.OTHER),
-    (0x53, "MSTORE8", 2, 0, G_VERYLOW, Kind.OTHER),
-    (0x54, "SLOAD", 1, 1, G_SLOAD, Kind.OTHER),
-    (0x55, "SSTORE", 2, 0, G_SSTORE, Kind.OTHER),
-    (0x56, "JUMP", 1, 0, G_MID, Kind.JUMP),
-    (0x57, "JUMPI", 2, 0, G_HIGH, Kind.COND_JUMP),
-    (0x58, "PC", 0, 1, G_BASE, Kind.OTHER),
-    (0x59, "MSIZE", 0, 1, G_BASE, Kind.OTHER),
-    (0x5A, "GAS", 0, 1, G_BASE, Kind.OTHER),
-    (0x5B, "JUMPDEST", 0, 0, G_JUMPDEST, Kind.JUMP_DEST),
-    (0xA0, "LOG0", 2, 0, G_LOG, Kind.OTHER),
-    (0xA1, "LOG1", 3, 0, G_LOG * 2, Kind.OTHER),
-    (0xA2, "LOG2", 4, 0, G_LOG * 3, Kind.OTHER),
-    (0xA3, "LOG3", 5, 0, G_LOG * 4, Kind.OTHER),
-    (0xA4, "LOG4", 6, 0, G_LOG * 5, Kind.OTHER),
-    (0xF0, "CREATE", 3, 1, G_CREATE, Kind.MONEY_RELATED),
-    (0xF1, "CALL", 7, 1, G_CALL, Kind.MONEY_RELATED),
-    (0xF2, "CALLCODE", 7, 1, G_CALL, Kind.CALL),
-    (0xF3, "RETURN", 2, 0, G_ZERO, Kind.TERMINAL),
-    (0xF4, "DELEGATECALL", 6, 1, G_CALL, Kind.MONEY_RELATED),
-    (0xFA, "STATICCALL", 6, 1, G_CALL, Kind.CALL),
-    (0xFD, "REVERT", 2, 0, G_ZERO, Kind.TERMINAL),
-    (0xFE, "INVALID", 0, 0, G_ZERO, Kind.TERMINAL),
-    (0xFF, "SELFDESTRUCT", 1, 0, G_SELFDESTRUCT, Kind.TERMINAL),
+    (0x00, "STOP", 0, 0, G_ZERO),
+    (0x01, "ADD", 2, 1, G_VERYLOW),
+    (0x02, "MUL", 2, 1, G_LOW),
+    (0x03, "SUB", 2, 1, G_VERYLOW),
+    (0x04, "DIV", 2, 1, G_LOW),
+    (0x05, "SDIV", 2, 1, G_LOW),
+    (0x06, "MOD", 2, 1, G_LOW),
+    (0x07, "SMOD", 2, 1, G_LOW),
+    (0x08, "ADDMOD", 3, 1, G_MID),
+    (0x09, "MULMOD", 3, 1, G_MID),
+    (0x0A, "EXP", 2, 1, G_EXP),
+    (0x0B, "SIGNEXTEND", 2, 1, G_LOW),
+    (0x10, "LT", 2, 1, G_VERYLOW),
+    (0x11, "GT", 2, 1, G_VERYLOW),
+    (0x12, "SLT", 2, 1, G_VERYLOW),
+    (0x13, "SGT", 2, 1, G_VERYLOW),
+    (0x14, "EQ", 2, 1, G_VERYLOW),
+    (0x15, "ISZERO", 1, 1, G_VERYLOW),
+    (0x16, "AND", 2, 1, G_VERYLOW),
+    (0x17, "OR", 2, 1, G_VERYLOW),
+    (0x18, "XOR", 2, 1, G_VERYLOW),
+    (0x19, "NOT", 1, 1, G_VERYLOW),
+    (0x1A, "BYTE", 2, 1, G_VERYLOW),
+    (0x1B, "SHL", 2, 1, G_VERYLOW),
+    (0x1C, "SHR", 2, 1, G_VERYLOW),
+    (0x1D, "SAR", 2, 1, G_VERYLOW),
+    (0x20, "SHA3", 2, 1, G_SHA3),
+    (0x30, "ADDRESS", 0, 1, G_BASE),
+    (0x31, "BALANCE", 1, 1, G_BALANCE),
+    (0x32, "ORIGIN", 0, 1, G_BASE),
+    (0x33, "CALLER", 0, 1, G_BASE),
+    (0x34, "CALLVALUE", 0, 1, G_BASE),
+    (0x35, "CALLDATALOAD", 1, 1, G_VERYLOW),
+    (0x36, "CALLDATASIZE", 0, 1, G_BASE),
+    (0x37, "CALLDATACOPY", 3, 0, G_VERYLOW),
+    (0x38, "CODESIZE", 0, 1, G_BASE),
+    (0x39, "CODECOPY", 3, 0, G_VERYLOW),
+    (0x3A, "GASPRICE", 0, 1, G_BASE),
+    (0x3B, "EXTCODESIZE", 1, 1, G_EXTCODE),
+    (0x3C, "EXTCODECOPY", 4, 0, G_EXTCODE),
+    (0x3D, "RETURNDATASIZE", 0, 1, G_BASE),
+    (0x3E, "RETURNDATACOPY", 3, 0, G_VERYLOW),
+    (0x40, "BLOCKHASH", 1, 1, G_BLOCKHASH),
+    (0x41, "COINBASE", 0, 1, G_BASE),
+    (0x42, "TIMESTAMP", 0, 1, G_BASE),
+    (0x43, "NUMBER", 0, 1, G_BASE),
+    (0x44, "DIFFICULTY", 0, 1, G_BASE),
+    (0x45, "GASLIMIT", 0, 1, G_BASE),
+    (0x50, "POP", 1, 0, G_BASE),
+    (0x51, "MLOAD", 1, 1, G_VERYLOW),
+    (0x52, "MSTORE", 2, 0, G_VERYLOW),
+    (0x53, "MSTORE8", 2, 0, G_VERYLOW),
+    (0x54, "SLOAD", 1, 1, G_SLOAD),
+    (0x55, "SSTORE", 2, 0, G_SSTORE),
+    (0x56, "JUMP", 1, 0, G_MID),
+    (0x57, "JUMPI", 2, 0, G_HIGH),
+    (0x58, "PC", 0, 1, G_BASE),
+    (0x59, "MSIZE", 0, 1, G_BASE),
+    (0x5A, "GAS", 0, 1, G_BASE),
+    (0x5B, "JUMPDEST", 0, 0, G_JUMPDEST),
+    (0xA0, "LOG0", 2, 0, G_LOG),
+    (0xA1, "LOG1", 3, 0, G_LOG * 2),
+    (0xA2, "LOG2", 4, 0, G_LOG * 3),
+    (0xA3, "LOG3", 5, 0, G_LOG * 4),
+    (0xA4, "LOG4", 6, 0, G_LOG * 5),
+    (0xF0, "CREATE", 3, 1, G_CREATE),
+    (0xF1, "CALL", 7, 1, G_CALL),
+    (0xF2, "CALLCODE", 7, 1, G_CALL),
+    (0xF3, "RETURN", 2, 0, G_ZERO),
+    (0xF4, "DELEGATECALL", 6, 1, G_CALL),
+    (0xFA, "STATICCALL", 6, 1, G_CALL),
+    (0xFD, "REVERT", 2, 0, G_ZERO),
+    (0xFE, "INVALID", 0, 0, G_ZERO),
+    (0xFF, "SELFDESTRUCT", 1, 0, G_SELFDESTRUCT),
 ]
 
 
 def _build_table() -> tuple[OpcodeInfo, ...]:
     table: list[OpcodeInfo | None] = [None] * 256
-    for byte, name, pops, pushes, gas, kind in _DEFS:
-        table[byte] = OpcodeInfo(byte, name, 0, pops, pushes, gas, kind)
+    for byte, name, pops, pushes, gas in _DEFS:
+        table[byte] = OpcodeInfo(byte, name, 0, pops, pushes, gas)
     for i in range(32):
         byte = 0x60 + i
-        table[byte] = OpcodeInfo(byte, f"PUSH{i + 1}", i + 1, 0, 1, G_VERYLOW, Kind.OTHER)
+        table[byte] = OpcodeInfo(byte, f"PUSH{i + 1}", i + 1, 0, 1, G_VERYLOW)
     for i in range(16):
         byte = 0x80 + i
-        table[byte] = OpcodeInfo(byte, f"DUP{i + 1}", 0, i + 1, i + 2, G_VERYLOW, Kind.OTHER)
+        table[byte] = OpcodeInfo(byte, f"DUP{i + 1}", 0, i + 1, i + 2, G_VERYLOW)
     for i in range(16):
         byte = 0x90 + i
-        table[byte] = OpcodeInfo(byte, f"SWAP{i + 1}", 0, i + 2, i + 2, G_VERYLOW, Kind.OTHER)
+        table[byte] = OpcodeInfo(byte, f"SWAP{i + 1}", 0, i + 2, i + 2, G_VERYLOW)
     for byte in range(256):
         if table[byte] is None:
             # Undefined bytes decode as INVALID: execution halts on them.
-            table[byte] = OpcodeInfo(byte, "INVALID", 0, 0, 0, G_ZERO, Kind.TERMINAL)
+            table[byte] = OpcodeInfo(byte, "INVALID", 0, 0, 0, G_ZERO)
     return tuple(table)  # type: ignore[arg-type]
 
 

@@ -26,6 +26,7 @@ that to run each shared prefix once.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -48,8 +49,8 @@ class PathBounds:
         for name in ("call_depth", "loop_bound", "max_blocks"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.wall_time <= 0:
-            raise ValueError("wall_time must be positive")
+        if not 0 < self.wall_time < math.inf:  # NaN fails both comparisons
+            raise ValueError("wall_time must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class ProgramPath:
     call_count: int
     functions: tuple[tuple[int | str | None, str], ...]  # (selector/fallback/None, via)
     money_related: bool
-    block_capped: bool = False  # ended early because max_blocks forbade another segment
 
     @property
     def length(self) -> int:
@@ -95,8 +95,7 @@ class PathEnumeration:
     `max_gas_path` and `select` share one segment search.  A search or
     a walk that passes `deadline` stops and sets `timed_out`; a walk has
     then yielded a prefix of the unfolding, and once the piece search was
-    cut short nothing is built or counted.  `emitted` counts the paths
-    built so far.
+    cut short nothing is built or counted.
     """
 
     def __init__(self, cfg: Cfg, bounds: PathBounds,
@@ -107,7 +106,6 @@ class PathEnumeration:
         self.include_reentrant = include_reentrant
         self.deadline = deadline
         self.timed_out = False
-        self.emitted = 0
         self._pieces: dict[int, list[_Piece]] | None = None
         # per reachable state, the state after each piece shape that fits
         # there (None: the path ends with that piece); longest prefix first
@@ -319,8 +317,7 @@ class PathEnumeration:
         return ProgramPath(
             blocks=tuple(b for p in pieces for b in p.blocks), call_count=len(pieces),
             functions=tuple((p.selector, via) for p, via in zip(pieces, vias)),
-            money_related=any(p.money for p in pieces),
-            block_capped=len(pieces) < self.bounds.call_depth)
+            money_related=any(p.money for p in pieces))
 
     def __iter__(self) -> Iterator[ProgramPath]:
         return self.select(_every)
@@ -341,7 +338,7 @@ class PathEnumeration:
         if tables is None:
             return
         nexts, counts = self._next, self._counts(marked)
-        call_depth, deadline = self.bounds.call_depth, self.deadline
+        deadline = self.deadline
         # (state, its pieces still to try, the path's blocks and functions
         # so far, whether it runs money, whether it has a marked piece, the
         # way the next call is made)
@@ -361,11 +358,9 @@ class PathEnumeration:
                 keep = kept or marked(p)
                 if after is None:
                     if keep:
-                        self.emitted += 1
                         yield ProgramPath(blocks=blocks + p.blocks, call_count=state[2],
                                           functions=functions + ((p.selector, via),),
-                                          money_related=money or p.money,
-                                          block_capped=state[2] < call_depth)
+                                          money_related=money or p.money)
                     continue
                 rest = counts[after]
                 if rest is not None and rest[0] > (0 if keep else rest[1]):

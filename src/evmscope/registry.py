@@ -72,8 +72,6 @@ class AddressRegistry:
                  url: str | None = None,
                  api_key: str | None = None,
                  rate_per_second: float = DEFAULT_RATE_PER_SECOND,
-                 result_field: str = "result",
-                 status_field: str = "status",
                  transport=None):
         if mode not in ("online", "offline", "disabled"):
             raise ValueError(f"unknown registry mode {mode!r}")
@@ -82,13 +80,10 @@ class AddressRegistry:
         self.cache_path = Path(cache_path) if cache_path else None
         self.url = url or os.environ.get(URL_ENV, "https://api.etherscan.io/api")
         self.api_key = api_key or os.environ.get(KEY_ENV, "")
-        self.result_field = result_field
-        self.status_field = status_field
         self._bucket = _TokenBucket(rate_per_second)
         self._transport = transport  # injectable for tests
         self._cache: dict[int, bool] = {}
         self._lock = threading.Lock()  # one query at a time; cache writes serialized
-        self.network_calls = 0
         if self.cache_path and self.cache_path.exists():
             self._cache.update(load_fixture_table(self.cache_path))
 
@@ -132,7 +127,6 @@ class AddressRegistry:
                 time.sleep(delay)
                 delay *= 2
             self._bucket.acquire()
-            self.network_calls += 1
             try:
                 doc = transport(self.url, params)
             except Exception as exc:  # noqa: BLE001 - network layer varies
@@ -141,8 +135,8 @@ class AddressRegistry:
             if not isinstance(doc, dict):
                 last_error = "malformed response (not an object)"
                 continue
-            status = str(doc.get(self.status_field, ""))
-            result = doc.get(self.result_field)
+            status = str(doc.get("status", ""))
+            result = doc.get("result")
             if status == "0" and isinstance(result, str) and "rate limit" in result.lower():
                 last_error = "rate limited"
                 continue

@@ -44,6 +44,8 @@ from .solver import BoundedSolver, default_solver
 from .symexec import (
     FeasibilityStatus,
     SymExecError,
+    TOO_DEEP,
+    TermTooDeep,
     Word,
     execute_path,
     execute_paths,
@@ -70,7 +72,6 @@ class AnalysisConfig:
     solver_timeout_ms: int = 100
     disabled: set[PropertyId] = field(default_factory=set)
     include_reentrant: bool = False
-    time_guard_suffices: bool = False
     include_timing: bool = True
     gas_overrides: dict[int, int] = field(default_factory=dict)
 
@@ -201,7 +202,6 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         registry = build_registry(config)
     if solver is None:
         solver = default_solver()
-    gas_table = isa.GasTable(config.gas_overrides) if config.gas_overrides else isa.DEFAULT_GAS
 
     instructions = disassemble(contract.runtime_code)
     if not instructions:
@@ -223,7 +223,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     unfolding = PathEnumeration(cfg, config.bounds,
                                 include_reentrant=config.include_reentrant,
                                 deadline=deadline)
-    estimator = GasEstimator(cfg, gas_table)
+    estimator = GasEstimator(cfg, isa.GasTable(config.gas_overrides))
     paths_enumerated = unfolding.count()
     max_gas, max_gas_path = unfolding.max_gas_path(estimator.block_costs)
     money = unfolding.money_marker(payable)
@@ -251,8 +251,9 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         # walk that fails skips the paths below the failing block, reported once
         paths, walked = tee(unfolding.select(traced))
         outcomes = execute_paths(cfg, contract.runtime_code, (p.blocks for p in walked),
-                                 base_storage, gas_table, deadline)
+                                 base_storage, deadline)
         skipped: dict[SymExecError, int] = {}
+        too_deep = TermTooDeep(TOO_DEEP)  # where an analyzer meets one
         guard_facts: GuardFacts = {}
         analyzed = 0
         for path, (_blocks, state) in zip(paths, outcomes):
@@ -264,20 +265,25 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 continue
             live_records = [r for r in state.records if not r.reverted]
             found: list[PropertyViolation] = []
-            if check_limit:
-                transfers = [(rec, amount) for rec, amount
-                             in refine_transfer_values(state) if not rec.reverted]
-                v = check_transfer_limit(config.transfer_limit, transfers)
-                if v:
-                    found.append(v)
-            if check_addr:
-                addr_violations, addr_warnings = check_address_existence(live_records, registry)
-                found.extend(addr_violations)
-                diagnostics.extend(addr_warnings)
-            if check_suicide:
-                v = check_guard_suicide(state, config.time_guard_suffices, guard_facts)
-                if v:
-                    found.append(v)
+            try:
+                if check_limit:
+                    transfers = [(rec, amount) for rec, amount
+                                 in refine_transfer_values(state) if not rec.reverted]
+                    v = check_transfer_limit(config.transfer_limit, transfers)
+                    if v:
+                        found.append(v)
+                if check_addr:
+                    addr_violations, addr_warnings = check_address_existence(live_records,
+                                                                             registry)
+                    found.extend(addr_violations)
+                    diagnostics.extend(addr_warnings)
+                if check_suicide:
+                    v = check_guard_suicide(state, guard_facts)
+                    if v:
+                        found.append(v)
+            except RecursionError:
+                skipped[too_deep] = skipped.get(too_deep, 0) + 1
+                continue
             if found:
                 violations_by_path.append((path, found))
         left = unfolding.count(traced) - analyzed
@@ -301,7 +307,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         if time.monotonic() > deadline:
             break
         _state, feas = execute_path(cfg, contract.runtime_code, rp.path, base_storage,
-                                    solver, gas_table, config.solver_timeout_ms, deadline)
+                                    solver, config.solver_timeout_ms, deadline)
         executed += 1
         key = rp.path.blocks
         if feas.status is FeasibilityStatus.FEASIBLE:

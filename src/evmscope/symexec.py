@@ -59,6 +59,13 @@ class DeadlinePassed(SymExecError):
     """The analysis deadline passed mid-walk; says nothing about the path."""
 
 
+class TermTooDeep(SymExecError):
+    """A term nested past the recursion limit; says nothing about the path."""
+
+
+TOO_DEEP = "term nested too deep"  # the message of every TermTooDeep
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
@@ -241,7 +248,6 @@ class SymbolicState:
     storage_writes: list[tuple[Word, Word]] = field(default_factory=list)
     base_storage: dict[Word, Word] = field(default_factory=dict)
     path_condition: list[Word] = field(default_factory=list)
-    gas_used: int = 0
     balance: Word = field(default_factory=lambda: var("BALANCE0"))
     txn: int = 0
     txn_prefix: str = ""
@@ -352,12 +358,10 @@ class Interpreter:
     """
 
     def __init__(self, code: bytes, state: SymbolicState,
-                 gas_table: isa.GasTable = isa.DEFAULT_GAS,
                  witness: dict[str, int] | None = None,
                  deadline: float | None = None):
         self.code = code
         self.state = state
-        self.gas = gas_table
         self.witness = witness
         self.deadline = deadline  # time.monotonic() value; None: no limit
 
@@ -367,12 +371,11 @@ class Interpreter:
 
     # -- environment ------------------------------------------------------
 
-    def _env(self, tag: str, per_txn: bool = True) -> Word:
-        name = f"{tag}#{self.state.txn_label}" if per_txn else tag
-        w = var(name)
+    def _env(self, tag: str) -> Word:
+        name = f"{tag}#{self.state.txn_label}"
         if self.witness is not None:
             return const(self.witness.get(name, 0))
-        return w
+        return var(name)
 
     def begin_transaction(self) -> None:
         self.state.txn += 1
@@ -422,10 +425,10 @@ class Interpreter:
 
     # -- instruction handlers ----------------------------------------------
     # `handler(interp, ins, operand)`: the operand is decoded once per
-    # instruction by `compile_instruction`, and the caller charges the gas.
+    # instruction by `compile_instruction`.
 
     def _nothing(self, ins: Instruction, operand: None) -> None:
-        """STOP, JUMPDEST, INVALID: no effect beyond their gas."""
+        """STOP, JUMPDEST, INVALID: no effect on the modelled state."""
 
     def _push_word(self, ins: Instruction, word: Word) -> None:
         self.state.push(word)
@@ -645,7 +648,6 @@ def compile_instruction(ins: Instruction) -> Op:
 
 class BlockPlan(NamedTuple):
     """A basic block decoded once, to be run any number of times."""
-    gas: int                # static gas of all its instructions, the exit's included
     ops: tuple[Op, ...]     # the body; instructions with no effect are left out
     jump_pops: int          # operands the exit pops: 1 for JUMP, 2 for JUMPI, else 0
     reverts: bool           # ends in REVERT: the transaction is rolled back
@@ -666,15 +668,14 @@ def _stack_bounds(body: list[Instruction]) -> tuple[int, int]:
     return need, grow
 
 
-def compile_block(block, gas_table: isa.GasTable) -> BlockPlan:
+def compile_block(block) -> BlockPlan:
     last = block.last
     jump_pops = {"JUMP": 1, "JUMPI": 2}.get(last.mnemonic, 0)
     body = block.instructions[:-1] if jump_pops else block.instructions
     ops = tuple(op for op in map(compile_instruction, body)
                 if op[0] is not Interpreter._nothing)
     reverts = last.mnemonic == "REVERT" and block.terminator is Terminator.TERMINAL
-    return BlockPlan(isa.estimate_gas(block.instructions, gas_table), ops, jump_pops, reverts,
-                     *_stack_bounds(body))
+    return BlockPlan(ops, jump_pops, reverts, *_stack_bounds(body))
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +687,8 @@ def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[W
 
     This is the one block runner: the path walk, replay and the constructor
     pre-run differ only in how they choose the next block from the operands.
-    The block is compiled on first use and its plan kept with `cfg`; its
-    gas is charged once.  A REVERT rolls back the transaction here,
-    whatever block follows.
+    The block is compiled on first use and its plan kept with `cfg`.  A
+    REVERT rolls back the transaction here, whatever block follows.
 
     The stack is checked once per block: when its depth lies within the
     plan's bounds no instruction of the body can under- or overflow it, so
@@ -696,13 +696,11 @@ def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[W
     only the other opcodes go through their handlers.  Otherwise every
     instruction goes through its handler, which raises where the stack
     fails, with the message it gives."""
-    key = (block.id, interp.gas)
-    plan = cfg.plans.get(key)
+    plan = cfg.plans.get(block.id)
     if plan is None:
-        plan = cfg.plans[key] = compile_block(block, interp.gas)
-    gas, ops, jump_pops, reverts, need, grow = plan
+        plan = cfg.plans[block.id] = compile_block(block)
+    ops, jump_pops, reverts, need, grow = plan
     state = interp.state
-    state.gas_used += gas
     stack = state.stack
     if need <= len(stack) <= STACK_LIMIT - grow:
         append = stack.append
@@ -766,13 +764,12 @@ def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
 
 
 def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
-                  base_storage: dict[Word, Word],
-                  gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                  deadline: float | None = None,
+                  base_storage: dict[Word, Word], deadline: float | None = None,
                   ) -> Iterator[tuple[tuple[int, ...], SymbolicState | SymExecError]]:
     """Interpret block sequences in turn; yields `(blocks, outcome)` for each
-    as soon as it is run.  The outcome is the state `execute_blocks` gives
-    for that sequence alone, or the SymExecError that stopped it.
+    as soon as it is run.  The outcome is the state the sequence gives when
+    run alone, or the SymExecError that stopped it: a term nested past the
+    recursion limit stops it with TermTooDeep.
 
     A sequence resumes from the deepest saved frame inside the prefix it
     shares with the sequence before it, and runs only the blocks after it.
@@ -784,7 +781,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
     than d blocks with the failing one; a DeadlinePassed, of every later
     sequence.  The clock is read every 16 blocks run.
     """
-    interp = Interpreter(code, SymbolicState(), gas_table, deadline=deadline)
+    interp = Interpreter(code, SymbolicState(), deadline=deadline)
     saved: list[tuple] = []  # (depth, block, state, operands, root, revert mark)
     failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
     shared = 0  # blocks this sequence shares with the one before
@@ -830,7 +827,9 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
             yield from ((rest, passed) for rest in chain((blocks, following), ahead)
                         if rest is not None)
             return
-        except SymExecError as error:
+        except (SymExecError, RecursionError) as error:
+            if isinstance(error, RecursionError):
+                error = TermTooDeep(TOO_DEEP)
             failed = (blocks[:depth + 1], error)
             state = error
         yield blocks, state
@@ -847,34 +846,30 @@ def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
-def execute_blocks(cfg: Cfg, code: bytes, blocks: tuple[int, ...],
-                   base_storage: dict[Word, Word],
-                   gas_table: isa.GasTable = isa.DEFAULT_GAS,
-                   deadline: float | None = None) -> SymbolicState:
-    """Interpret a block sequence; transaction boundaries reset environments."""
-    ((_blocks, outcome),) = execute_paths(cfg, code, [blocks], base_storage, gas_table,
-                                          deadline)
+def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
+               deadline: float | None = None) -> SymbolicState:
+    """The symbolic walk of one path alone, without any solving; raises the
+    SymExecError that stops it.  Transaction boundaries reset environments."""
+    ((_blocks, outcome),) = execute_paths(cfg, code, [path.blocks], base_storage, deadline)
     if isinstance(outcome, SymExecError):
         raise outcome
     return outcome
 
 
-def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
-               gas_table: isa.GasTable = isa.DEFAULT_GAS) -> SymbolicState:
-    """Symbolic walk without any solving; used by the per-path analyzers."""
-    return execute_blocks(cfg, code, path.blocks, base_storage, gas_table)
+# Blocks a witness replay may run before it is abandoned.
+REPLAY_BLOCK_LIMIT = 4096
 
 
 def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
                   base_storage: dict[Word, Word], call_count: int,
-                  max_blocks: int = 4096, deadline: float | None = None) -> tuple[int, ...]:
+                  deadline: float | None = None) -> tuple[int, ...]:
     """Run concretely under a witness and report the block sequence taken."""
     state = SymbolicState(base_storage=dict(base_storage))
     interp = Interpreter(code, state, witness=witness, deadline=deadline)
     interp.begin_transaction()
     taken: list[int] = [cfg.root]
     revert_mark = state.storage_snapshot()
-    while len(taken) <= max_blocks:
+    while len(taken) <= REPLAY_BLOCK_LIMIT:
         interp.check_deadline()
         block = cfg.blocks[taken[-1]]
         operands = _run_body(interp, cfg, block, revert_mark)
@@ -900,61 +895,69 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
 
 
 _DEADLINE_PASSED = Feasibility(FeasibilityStatus.UNKNOWN, reason="deadline passed")
+_TOO_DEEP = Feasibility(FeasibilityStatus.UNKNOWN, reason=TOO_DEEP)
 
 
 def execute_path(cfg: Cfg, code: bytes, path,
                  base_storage: dict[Word, Word], solver,
-                 gas_table: isa.GasTable = isa.DEFAULT_GAS,
                  solver_timeout_ms: int = 100,
                  deadline: float | None = None) -> tuple[SymbolicState | None, Feasibility]:
     """Execute one gated path and decide its feasibility.  A `deadline`
-    passed while tracing, re-checking or replaying makes it unknown."""
+    passed while tracing, re-checking or replaying makes it unknown, and so
+    does a term nested past the recursion limit."""
     try:
-        state = execute_blocks(cfg, code, path.blocks, base_storage, gas_table, deadline)
+        state = trace_path(cfg, code, path, base_storage, deadline)
     except DeadlinePassed:
         return None, _DEADLINE_PASSED
+    except TermTooDeep:
+        return None, _TOO_DEEP
     except (StackUnderflow, StackOverflow) as exc:
         return None, Feasibility(FeasibilityStatus.INFEASIBLE, reason=f"malformed path: {exc}")
     except SymExecError as exc:
         return None, Feasibility(FeasibilityStatus.INFEASIBLE, reason=str(exc))
 
-    result = solver.check(state.path_condition, solver_timeout_ms)
-    if result.status == "unsat":
-        return state, Feasibility(FeasibilityStatus.INFEASIBLE, reason=result.reason)
-    if result.status == "sat":
+    try:
+        result = solver.check(state.path_condition, solver_timeout_ms)
+        if result.status != "sat":
+            status = FeasibilityStatus.INFEASIBLE if result.status == "unsat" \
+                else FeasibilityStatus.UNKNOWN
+            return state, Feasibility(status, reason=result.reason)
         witness = dict(result.model or {})
-        try:
-            for cond in state.path_condition:
-                if eval_word(cond, witness, deadline) == 0:
-                    return state, Feasibility(FeasibilityStatus.UNKNOWN,
-                                              reason="witness failed re-check")
-            taken = replay_blocks(cfg, code, witness, base_storage, path.call_count,
-                                  deadline=deadline)
-        except (DeadlinePassed, TimeoutError):
-            return state, _DEADLINE_PASSED
-        except SymExecError as exc:
-            return state, Feasibility(FeasibilityStatus.UNKNOWN,
-                                      reason=f"witness replay failed: {exc}")
-        if taken != path.blocks:
-            return state, Feasibility(FeasibilityStatus.UNKNOWN,
-                                      reason="witness replay diverged from path")
-        return state, Feasibility(FeasibilityStatus.FEASIBLE, witness=witness)
-    return state, Feasibility(FeasibilityStatus.UNKNOWN, reason=result.reason)
+        for cond in state.path_condition:
+            if eval_word(cond, witness, deadline) == 0:
+                return state, Feasibility(FeasibilityStatus.UNKNOWN,
+                                          reason="witness failed re-check")
+        taken = replay_blocks(cfg, code, witness, base_storage, path.call_count, deadline)
+    except (DeadlinePassed, TimeoutError):
+        return state, _DEADLINE_PASSED
+    except RecursionError:
+        return state, _TOO_DEEP
+    except SymExecError as exc:
+        return state, Feasibility(FeasibilityStatus.UNKNOWN,
+                                  reason=f"witness replay failed: {exc}")
+    if taken != path.blocks:
+        return state, Feasibility(FeasibilityStatus.UNKNOWN,
+                                  reason="witness replay diverged from path")
+    return state, Feasibility(FeasibilityStatus.FEASIBLE, witness=witness)
 
 
 # ---------------------------------------------------------------------------
 # Constructor pre-run
 # ---------------------------------------------------------------------------
 
+# Blocks the constructor pre-run may run before it is abandoned.
+CONSTRUCTOR_STEP_LIMIT = 4096
+
+
 def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
-                    max_steps: int = 4096, deadline: float | None = None,
+                    deadline: float | None = None,
                     ) -> tuple[dict[Word, Word], list[str]]:
     """Execute the constructor's main path; returns (storage, diagnostics).
 
     Constructor arguments stay symbolic.  At a branch with a symbolic
     condition the walk prefers the branch that does not revert.  If the walk
-    exceeds its budget or `deadline` passes, the result is empty
-    (all-symbolic) storage.
+    exceeds its budget, `deadline` passes or a term nests past the
+    recursion limit, the result is empty (all-symbolic) storage.
     """
     if creation_cfg is None or code is None:
         return {}, []
@@ -969,7 +972,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
     try:
         while True:
             steps += 1
-            if steps > max_steps:
+            if steps > CONSTRUCTOR_STEP_LIMIT:
                 raise ConstructorDiverged("constructor walk exceeded step budget")
             interp.check_deadline()
             visited_guard[block_id] = visited_guard.get(block_id, 0) + 1
@@ -1011,6 +1014,9 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
                 raise ConstructorDiverged(f"constructor jumped outside code ({block_id})")
     except SymExecError as exc:
         diagnostics.append(f"constructor pre-run abandoned: {exc}")
+        return {}, diagnostics
+    except RecursionError:
+        diagnostics.append(f"constructor pre-run abandoned: {TOO_DEEP}")
         return {}, diagnostics
 
 

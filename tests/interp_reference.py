@@ -2,7 +2,7 @@
 
 `ReferenceInterpreter` keeps the former `Interpreter` verbatim in behaviour:
 one `step` per instruction through a chain of mnemonic tests, a fresh
-constant word built for every PUSH, gas charged instruction by instruction.
+constant word built for every PUSH.
 `reference_run_body` is the former block runner over it.  The compiled
 plans must leave the identical state after every block, and raise the
 identical exception where a block cannot run.
@@ -39,11 +39,9 @@ _ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRI
 
 class ReferenceInterpreter:
     def __init__(self, code: bytes, state: SymbolicState,
-                 gas_table: isa.GasTable = isa.DEFAULT_GAS,
                  witness: dict[str, int] | None = None):
         self.code = code
         self.state = state
-        self.gas = gas_table
         self.witness = witness
 
     def _env(self, tag: str, per_txn: bool = True) -> Word:
@@ -95,7 +93,6 @@ class ReferenceInterpreter:
         info = ins.info
         byte = info.byte_value
         name = info.mnemonic
-        state.gas_used += self.gas.cost(byte)
 
         if 0x60 <= byte <= 0x7F:  # PUSHn
             state.push(const(ins.immediate or 0))
@@ -252,10 +249,8 @@ def reference_run_body(interp: ReferenceInterpreter, block,
     last = block.instructions[-1]
     name = last.mnemonic
     if name == "JUMP":
-        state.gas_used += interp.gas.cost(last.info.byte_value)
         return (state.pop(),)
     if name == "JUMPI":
-        state.gas_used += interp.gas.cost(last.info.byte_value)
         target = state.pop()
         return (target, state.pop())
     interp.step(last)

@@ -151,11 +151,11 @@ def test_registry_outage_degrades_to_warning():
 
 # -- guard suicide ------------------------------------------------------------------
 
-def _suicide_check(name, depth=1, **kwargs):
+def _suicide_check(name, depth=1):
     results = []
     for path, state in _traced_money_paths(name, depth=depth):
         if any(r.kind == "SELFDESTRUCT" for r in state.records):
-            results.append(check_guard_suicide(state, **kwargs))
+            results.append(check_guard_suicide(state))
     return results
 
 
@@ -166,11 +166,6 @@ def test_problematic_flagged_despite_time_guard():
     assert v.property is PropertyId.GUARD_SUICIDE
     assert "ownership" in v.evidence["missing_guards"]
     assert "time_or_height" in v.evidence["present_guards"]
-
-
-def test_problematic_safe_if_time_guard_configured_sufficient():
-    results = _suicide_check("problematic", time_guard_suffices=True)
-    assert results == [None] * len(results)
 
 
 def test_micarstoken_not_flagged():

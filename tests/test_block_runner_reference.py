@@ -2,9 +2,9 @@
 
 `interp_reference.py` keeps the former `Interpreter.step` if-chain and its
 block runner as the reference.  `_run_body` runs each block from a plan
-decoded once per CFG and gas table, and must leave the identical
-observable state after every block: stack, memory, storage writes, path
-condition, records, fresh counter, balance and gas.  Where a block cannot
+decoded once per CFG, and must leave the identical observable state after
+every block: stack, memory, storage writes, path condition, records, fresh
+counter and balance.  Where a block cannot
 run, both must raise the same exception type with the same message, since
 those messages reach reports (`trace_abandoned: ...`, `malformed path: ...`).
 """
@@ -53,7 +53,7 @@ MODES = {"symbolic": None, "witness": _Witness()}
 def _observable(state, operands=()):
     return (state.stack, state.memory, state.mem_unknown, state.storage_writes,
             state.path_condition, state.records, state.fresh_counter, state.balance,
-            state.gas_used, state.txn, operands)
+            state.txn, operands)
 
 
 def _outcome(exc):
@@ -180,7 +180,7 @@ _OWN_BOUNDS = {
        mode=st.sampled_from(sorted(MODES)))
 def test_random_blocks_match_the_reference(block, depth, words, mode):
     if depth in _OWN_BOUNDS:
-        depth = max(_OWN_BOUNDS[depth](compile_block(block, isa.DEFAULT_GAS)), 0)
+        depth = max(_OWN_BOUNDS[depth](compile_block(block)), 0)
     cfg = Cfg(blocks={0: block}, root=0, edges=set())
     code = b"".join(ins.encode() for ins in block.instructions)
     outcomes = []

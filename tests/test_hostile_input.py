@@ -245,3 +245,44 @@ def test_symbolic_near_cap_sha3_is_decided_within_the_wall_time():
     assert time.monotonic() - started < 2 + 1
     assert report.statistics["paths_symbolically_executed"] == 1
     assert [cp.feasibility for cp in report.critical_paths] == ["unknown"]
+
+
+# Terms nested past the recursion limit: CALLER, then 2,000 times CALLER ADD.
+_DEEP_TERM = "33" + "3301" * 2000
+_DEEP = "trace_abandoned: TermTooDeep (term nested too deep); 1 money path(s) not analyzed"
+
+
+@pytest.mark.parametrize("code", [
+    # SLOAD of the deep key hashes it in the trace; CALLER; SELFDESTRUCT
+    _DEEP_TERM + "54" + "33ff",
+    # CALL(GAS, CALLER, deep value, 0, 0, 0, 0); STOP: the trace runs, the
+    # transfer-limit check meets the deep value
+    "6000" * 4 + _DEEP_TERM + "33" + "5a" + "f1" + "00",
+], ids=["trace", "analyzer"])
+def test_a_term_nested_too_deep_abandons_its_path(code):
+    contract = ContractCode(runtime_code=parse_hex(code), name="deep")
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=1)))
+    assert _DEEP in report.diagnostics
+
+
+def test_a_term_nested_too_deep_abandons_the_constructor_pre_run():
+    creation = parse_hex(_DEEP_TERM + "54" + "00")  # SLOAD of the deep key; STOP
+    abandoned = "constructor pre-run abandoned: term nested too deep"
+    assert run_constructor(build_cfg(disassemble(creation)), creation) == ({}, [abandoned])
+    contract = ContractCode(runtime_code=parse_hex("00"), name="ctor", creation_code=creation)
+    assert abandoned in analyze(contract, _config()).diagnostics
+
+
+@pytest.mark.parametrize("code, traced", [
+    (_DEEP_TERM + "54" + "33ff", False),
+    # JUMPI(4006, deep); STOP; 4006: JUMPDEST; CALLER; SELFDESTRUCT: the
+    # trace runs, the solver meets the deep branch condition
+    (_DEEP_TERM + "610fa6" + "57" + "00" + "5b33ff", True),
+], ids=["trace", "solver"])
+def test_a_term_nested_too_deep_makes_a_verdict_unknown(code, traced):
+    code = parse_hex(code)
+    cfg = build_cfg(disassemble(code))
+    (path,) = _money_paths(cfg)
+    state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert (state is not None) is traced
+    assert (feas.status, feas.reason) == (FeasibilityStatus.UNKNOWN, "term nested too deep")

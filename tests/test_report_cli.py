@@ -264,6 +264,13 @@ def test_cli_unwritable_output_is_an_error(tmp_path, capsys, option, name):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_wall_time_must_be_finite(capsys, value):
+    assert cli_main(["analyze", str(FIXTURES / "toydao.json"), "--wall-time", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: wall_time") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--transfer-limit", "--solver-timeout"])
 def test_cli_negative_limit_is_an_error(capsys, flag):
     assert cli_main(["analyze", str(FIXTURES / "toydao.json"), "--call-bound", "2",
@@ -300,14 +307,23 @@ def test_cli_config_file_ranking_section(tmp_path, capsys):
 def test_cli_gas_schedule_override(tmp_path, capsys):
     table = tmp_path / "gas.txt"
     table.write_text("CALL 40\n")
-    args = ["analyze", str(FIXTURES / "toydao.json"),
+    # the transfer limit gives toydao critical paths, each with a gas figure
+    args = ["analyze", str(FIXTURES / "toydao.json"), "--transfer-limit", "30",
             "--registry-fixture", str(REGISTRY_TXT), "--no-timing"]
-    assert cli_main(args) == 0
-    default = json.loads(capsys.readouterr().out)["statistics"]["max_gas"]["gas"]
-    assert cli_main(args + ["--gas-schedule", str(table)]) == 0
-    cheaper = json.loads(capsys.readouterr().out)["statistics"]["max_gas"]["gas"]
+    assert cli_main(args) == 2
+    default = json.loads(capsys.readouterr().out)
+    assert cli_main(args + ["--gas-schedule", str(table)]) == 2
+    cheaper = json.loads(capsys.readouterr().out)
     # the max-gas path of toydao makes a CALL: 700 by default, 40 here
-    assert 0 < cheaper < default
+    assert 0 < cheaper["statistics"]["max_gas"]["gas"] < default["statistics"]["max_gas"]["gas"]
+    assert [cp["gas"] for cp in cheaper["critical_paths"]] != \
+        [cp["gas"] for cp in default["critical_paths"]]
+    # the schedule changes the gas figures and nothing else
+    for doc in (default, cheaper):
+        doc["statistics"]["max_gas"]["gas"] = None
+        for cp in doc["critical_paths"]:
+            cp["gas"] = None
+    assert cheaper == default
 
 
 @pytest.mark.parametrize("flags, ini", [

@@ -28,9 +28,9 @@ from evmscope.symexec import (
     Word,
     const,
     eval_word,
-    execute_blocks,
     mk,
     run_constructor,
+    trace_path,
     var,
 )
 
@@ -94,7 +94,7 @@ def _money_conditions(call_bound: int, directory: Path) -> list[tuple[Word, ...]
         paths = enumerate_paths(cfg, PathBounds(call_depth=call_bound))
         for money_path in filter_money(iter(paths), cfg, payable):
             try:
-                state = execute_blocks(cfg, contract.runtime_code, money_path.blocks, base)
+                state = trace_path(cfg, contract.runtime_code, money_path, base)
             except SymExecError:
                 continue  # execute_path reports these without asking the solver
             conditions.append(tuple(state.path_condition))

@@ -1,6 +1,7 @@
 """Every function, class and method defined in `src/evmscope` is used by
-the package itself, by the benchmark harness or by the public `__all__`.
-A definition that only tests call belongs under `tests/`."""
+the package itself, by the benchmark harness or by the public `__all__`,
+and every field it assigns is read there.  A definition that only tests
+call, or a field that only tests read, belongs under `tests/`."""
 
 import ast
 
@@ -45,3 +46,46 @@ def test_every_src_definition_is_used_outside_tests():
               for qualified, name in _definitions(ast.parse(path.read_text()))
               if name not in used and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields(tree: ast.Module):
+    """(class, name) of each `@dataclass` field and each `self.<name>`
+    assignment (not an augmented one) in any method."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if (isinstance(leaf, ast.Attribute)
+                                and isinstance(leaf.value, ast.Name) and leaf.value.id == "self"):
+                            yield cls.name, leaf.attr
+
+
+def _loads(tree: ast.Module) -> set[str]:
+    """Attribute names read; the target of `x.name += 1` is not a read."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_src_field_is_read_outside_tests():
+    loaded = set()
+    for path in _USERS:
+        loaded |= _loads(ast.parse(path.read_text()))
+    unread = sorted({f"{path.stem}.{cls}.{name}"
+                     for path in _SRC
+                     for cls, name in _fields(ast.parse(path.read_text()))
+                     if name not in loaded})
+    assert unread == []

@@ -22,7 +22,6 @@ from evmscope.symexec import (
     concretize,
     const,
     eval_word,
-    execute_blocks,
     execute_path,
     execute_paths,
     free_vars,
@@ -197,6 +196,15 @@ def test_free_vars_and_concretize():
 
 # -- interpreter over block sequences ------------------------------------------
 
+def _alone(cfg, code, blocks, storage):
+    """The state of one block sequence walked by itself; raises the
+    SymExecError that stops it."""
+    ((_blocks, outcome),) = execute_paths(cfg, code, [blocks], storage)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _run(code_hex, blocks=None, storage=None):
     code = parse_hex(code_hex)
     cfg = build_cfg(disassemble(code))
@@ -204,7 +212,7 @@ def _run(code_hex, blocks=None, storage=None):
         paths = list(enumerate_paths(cfg, PathBounds(call_depth=1)))
         assert len(paths) == 1
         blocks = paths[0].blocks
-    return execute_blocks(cfg, code, tuple(blocks), storage or {})
+    return _alone(cfg, code, tuple(blocks), storage or {})
 
 
 def test_straightline_stack_arithmetic():
@@ -235,9 +243,9 @@ def test_step_covers_every_opcode_byte(witness):
     # every byte as a one-instruction block through the compiled block runner
     for info in isa.TABLE:
         ins = Instruction(64, info, 0x1234 if info.immediate_bytes else None)
-        jump = info.kind in (isa.Kind.JUMP, isa.Kind.COND_JUMP)
-        terminator = {isa.Kind.JUMP: Terminator.JUMP, isa.Kind.COND_JUMP: Terminator.COND_JUMP
-                      }.get(info.kind, Terminator.TERMINAL if info.is_terminal
+        jump = info.mnemonic in ("JUMP", "JUMPI")
+        terminator = {"JUMP": Terminator.JUMP, "JUMPI": Terminator.COND_JUMP
+                      }.get(info.mnemonic, Terminator.TERMINAL if info.is_terminal
                             else Terminator.FALL_THROUGH)
         block = BasicBlock(64, 64, 64, [ins], terminator)
         cfg = Cfg(blocks={64: block}, root=64, edges=set())
@@ -245,14 +253,13 @@ def test_step_covers_every_opcode_byte(witness):
         operands = _run_body(Interpreter(bytes(100), state, witness=witness), cfg, block, 0)
         assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
         assert len(operands) == (info.stack_pops if jump else 0), info.mnemonic
-        assert state.gas_used == isa.DEFAULT_GAS.cost(info.byte_value), info.mnemonic
 
 
 def test_stack_underflow_raises():
     code = parse_hex("0100")  # ADD on an empty stack
     cfg = build_cfg(disassemble(code))
     with pytest.raises(StackUnderflow):
-        execute_blocks(cfg, code, (0,), {})
+        _alone(cfg, code, (0,), {})
 
 
 def test_path_condition_accumulates_monotonically():
@@ -409,7 +416,7 @@ def test_transfer_of_callvalue_is_unknown():
     contract = get_contract("gigstoken")
     cfg = get_cfg("gigstoken")
     path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.money_related and not p.block_capped
+                if p.money_related
                 and cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import UNKNOWN_AMOUNT, refine_transfer_values
@@ -441,9 +448,9 @@ def test_symbolic_key_read_sees_every_write():
 # -- prefix-shared execution --------------------------------------------------------
 
 def _observable(state):
-    return (state.path_condition, state.storage_writes, state.gas_used,
-            state.fresh_counter, state.balance, state.records, state.txn,
-            state.stack, state.memory, state.mem_unknown)
+    return (state.path_condition, state.storage_writes, state.fresh_counter,
+            state.balance, state.records, state.txn, state.stack, state.memory,
+            state.mem_unknown)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json")),
@@ -463,7 +470,7 @@ def test_shared_walk_matches_solo_execution(path):
     shared = list(execute_paths(cfg, code, paths, storage))
     assert [blocks for blocks, _state in shared] == paths
     for blocks, state in shared:
-        assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, storage))
+        assert _observable(state) == _observable(_alone(cfg, code, blocks, storage))
 
 
 # CALL (records a transfer), then branch on calldata to REVERT or to STOP
@@ -481,7 +488,7 @@ def test_revert_branch_leaves_sibling_records_live(order):
     outcomes = list(execute_paths(cfg, code, paths, {}))
     assert [blocks for blocks, _state in outcomes] == paths
     for blocks, state in outcomes:
-        assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, {}))
+        assert _observable(state) == _observable(_alone(cfg, code, blocks, {}))
         segments_reverted = [cfg.blocks[seg[-1]].last.mnemonic == "REVERT"
                              for seg in (blocks[:3], blocks[3:])]
         assert [rec.reverted for rec in state.records] == segments_reverted
@@ -521,7 +528,7 @@ def test_walk_in_any_order_matches_solo_execution(order):
         walked = list(execute_paths(cfg, code, paths, {}))
         assert [blocks for blocks, _state in walked] == paths
         for blocks, state in walked:
-            assert _observable(state) == _observable(execute_blocks(cfg, code, blocks, {}))
+            assert _observable(state) == _observable(_alone(cfg, code, blocks, {}))
 
 
 def test_shared_walk_reports_failure_below_failing_block():
@@ -542,4 +549,4 @@ def test_a_failure_is_the_outcome_of_every_later_sequence_below_the_failing_bloc
     outcomes = [outcome for _blocks, outcome in execute_paths(cfg, code, paths, {})]
     assert isinstance(outcomes[0], StackUnderflow)
     assert outcomes[1] is outcomes[0] and outcomes[3] is outcomes[0]
-    assert _observable(outcomes[2]) == _observable(execute_blocks(cfg, code, paths[2], {}))
+    assert _observable(outcomes[2]) == _observable(_alone(cfg, code, paths[2], {}))

@@ -57,12 +57,10 @@ def _check(cfg, payable, bounds, reentrant, name):
     estimator = GasEstimator(cfg)
     assert unfolding.max_gas_path(estimator.block_costs) == \
         _max_gas_scan(expected, estimator), name
-    built = 0
     for entries in (payable, set()):
         kept = list(filter_money(iter(expected), cfg, entries))
         assert list(_money_paths(unfolding, entries)) == kept, name
-        built += len(kept)
-    assert unfolding.emitted == built and not unfolding.timed_out
+    assert not unfolding.timed_out
 
 
 def test_programs_cover_money_and_payable_selection():
