@@ -6,12 +6,14 @@ throughs, the new-transaction edge from every terminating block back to the
 root, and the callback edge from every external-call block back to the root);
 indirect jumps are then resolved by simulating the operand stack along
 root-to-block paths; resolution repeats to a fixpoint because each resolved
-jump can make further dangling blocks reachable.
+jump can make further dangling blocks reachable.  The simulation stops once
+the analysis deadline passes, leaving the jumps not yet simulated unresolved.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 
 from . import isa
@@ -82,9 +84,6 @@ class Diagnostic:
     message: str
     offset: int | None = None
 
-    def as_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "offset": self.offset}
-
 
 @dataclass
 class Cfg:
@@ -95,6 +94,7 @@ class Cfg:
     dangling: set[int] = field(default_factory=set)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     _succ: dict[int, list[Edge]] = field(default_factory=dict, repr=False)
+    _pred: dict[int, list[Edge]] = field(default_factory=dict, repr=False)
     # compiled block plans by block id, filled by symbolic execution on
     # first use; they live as long as the graph
     plans: dict = field(default_factory=dict, repr=False, compare=False)
@@ -108,6 +108,7 @@ class Cfg:
             return False
         self.edges.add(edge)
         self._succ.setdefault(src, []).append(edge)
+        self._pred.setdefault(dst, []).append(edge)
         return True
 
     def add_diagnostic(self, code: str, message: str, offset: int | None = None) -> None:
@@ -284,11 +285,32 @@ def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
     return stack, target
 
 
-def _paths_to_block(cfg: Cfg, target: int, cap: int) -> list[list[int]] | None:
-    """All acyclic root-to-target block paths, or None when the cap is hit."""
+# new-transaction/callback edges restart at the root: the operand stack does
+# not survive them, so they never carry a jump target
+_RESTARTS = (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)
+
+
+def _paths_to_block(cfg: Cfg, target: int, cap: int,
+                    deadline: float | None = None) -> list[list[int]] | None:
+    """All acyclic root-to-target block paths, or None when the cap is hit;
+    raises TimeoutError once `deadline` passes (read at the first pop and
+    every 256th).  Only blocks that reach the target without a restart are
+    entered: the paths run through them alone, so they come out the same
+    and in the same order."""
+    within = {target}
+    todo = [target]
+    while todo:
+        for edge in cfg._pred.get(todo.pop(), ()):
+            if edge.kind not in _RESTARTS and edge.src not in within:
+                within.add(edge.src)
+                todo.append(edge.src)
     paths: list[list[int]] = []
     stack: list[tuple[int, list[int]]] = [(cfg.root, [cfg.root])]
+    pops = 0
     while stack:
+        if deadline is not None and not pops & 0xFF and time.monotonic() > deadline:
+            raise TimeoutError
+        pops += 1
         node, path = stack.pop()
         if node == target:
             paths.append(path)
@@ -296,32 +318,38 @@ def _paths_to_block(cfg: Cfg, target: int, cap: int) -> list[list[int]] | None:
                 return None
             continue
         for edge in cfg.successors(node):
-            # new-transaction/callback edges restart at the root: the operand
-            # stack does not survive them, so they never carry a jump target
-            if edge.kind in (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK):
-                continue
-            if edge.dst in path:
+            if edge.kind in _RESTARTS or edge.dst not in within or edge.dst in path:
                 continue
             stack.append((edge.dst, path + [edge.dst]))
     return paths
 
 
-def stack_simulate(cfg: Cfg) -> Cfg:
+def stack_simulate(cfg: Cfg, deadline: float | None = None) -> Cfg:
     """Resolve dangling indirect jumps by constant propagation along paths.
 
     Repeats until no further progress, because adding an indirect-jump edge
     can make new blocks (and new dangling blocks) reachable from the root.
     A block whose target is unknown on some path keeps any edges that were
-    found, stays in the dangling set, and is reported once.
+    found, stays in the dangling set, and is reported once.  Once `deadline`
+    passes, the blocks of the round not yet simulated are reported and left
+    unresolved.
     """
     while True:
         reachable = cfg.reachable_from_root()
         progress = False
-        for block_id in sorted(cfg.dangling):
-            if block_id not in reachable:
-                continue
+        order = [b for b in sorted(cfg.dangling) if b in reachable]
+        for index, block_id in enumerate(order):
             block = cfg.blocks[block_id]
-            paths = _paths_to_block(cfg, block_id, MAX_SIM_PATHS)
+            try:
+                paths = _paths_to_block(cfg, block_id, MAX_SIM_PATHS, deadline)
+            except TimeoutError:
+                for late in order[index:]:
+                    cfg.add_diagnostic(
+                        "unresolved_indirect_jump",
+                        f"{cfg.blocks[late].label}: deadline passed during stack "
+                        f"simulation; jump left unresolved",
+                        cfg.blocks[late].last_offset)
+                return cfg
             if paths is None:
                 cfg.add_diagnostic(
                     "unresolved_indirect_jump",
@@ -426,11 +454,12 @@ def discover_functions(cfg: Cfg) -> dict[int | str, int]:
     return entries
 
 
-def build_cfg(instructions: list[Instruction]) -> Cfg:
-    """Full pipeline: blocks, static edges, stack simulation, function map."""
+def build_cfg(instructions: list[Instruction], deadline: float | None = None) -> Cfg:
+    """Full pipeline: blocks, static edges, stack simulation (until
+    `deadline`), function map."""
     blocks = build_blocks(instructions)
     cfg = connect_static(blocks)
-    stack_simulate(cfg)
+    stack_simulate(cfg, deadline)
     discover_functions(cfg)
     return cfg
 

@@ -21,7 +21,10 @@ states, and a selection builds only the paths it keeps, one at a time.
 
 A selection keeps this order, so each path shares the longest prefix it can
 with the path before it: the trace walk (`symexec.execute_paths`) relies on
-that to run each shared prefix once.
+that to run each shared prefix once, and hands back each path it is given.
+A `ProgramPath` is only its blocks and its calls: its call count, the
+ranking length, is the number of calls, and `filter_money` tests its blocks
+against the CFG's money blocks.
 """
 
 from __future__ import annotations
@@ -53,17 +56,13 @@ class PathBounds:
             raise ValueError("wall_time must be positive and finite")
 
 
-@dataclass(frozen=True)
-class ProgramPath:
+class ProgramPath(NamedTuple):
     blocks: tuple[int, ...]
-    call_count: int
     functions: tuple[tuple[int | str | None, str], ...]  # (selector/fallback/None, via)
-    money_related: bool
 
     @property
-    def length(self) -> int:
-        """Ranking length: the number of function calls in the path."""
-        return self.call_count
+    def call_count(self) -> int:
+        return len(self.functions)
 
 
 class _Piece(NamedTuple):
@@ -314,10 +313,8 @@ class PathEnumeration:
     def _path(self, pieces: list[_Piece]) -> ProgramPath:
         vias = [VIA_INITIAL] + [VIA_NEW_TRANSACTION if p.callback is None
                                 else VIA_EXTERNAL_CALLBACK for p in pieces[:-1]]
-        return ProgramPath(
-            blocks=tuple(b for p in pieces for b in p.blocks), call_count=len(pieces),
-            functions=tuple((p.selector, via) for p, via in zip(pieces, vias)),
-            money_related=any(p.money for p in pieces))
+        return ProgramPath(tuple(b for p in pieces for b in p.blocks),
+                           tuple((p.selector, via) for p, via in zip(pieces, vias)))
 
     def __iter__(self) -> Iterator[ProgramPath]:
         return self.select(_every)
@@ -340,12 +337,11 @@ class PathEnumeration:
         nexts, counts = self._next, self._counts(marked)
         deadline = self.deadline
         # (state, its pieces still to try, the path's blocks and functions
-        # so far, whether it runs money, whether it has a marked piece, the
-        # way the next call is made)
-        frames = [(self._first, iter(tables[self.cfg.root]), (), (), False, False, VIA_INITIAL)]
+        # so far, whether it has a marked piece, the way the next call is made)
+        frames = [(self._first, iter(tables[self.cfg.root]), (), (), False, VIA_INITIAL)]
         steps = 0
         while frames:
-            state, pieces, blocks, functions, money, kept, via = frames[-1]
+            state, pieces, blocks, functions, kept, via = frames[-1]
             here = nexts[state]
             for p in pieces:
                 steps += 1
@@ -358,14 +354,12 @@ class PathEnumeration:
                 keep = kept or marked(p)
                 if after is None:
                     if keep:
-                        yield ProgramPath(blocks=blocks + p.blocks, call_count=state[2],
-                                          functions=functions + ((p.selector, via),),
-                                          money_related=money or p.money)
+                        yield ProgramPath(blocks + p.blocks, functions + ((p.selector, via),))
                     continue
                 rest = counts[after]
                 if rest is not None and rest[0] > (0 if keep else rest[1]):
                     frames.append((after, iter(tables[after[0]]), blocks + p.blocks,
-                                   functions + ((p.selector, via),), money or p.money, keep,
+                                   functions + ((p.selector, via),), keep,
                                    VIA_NEW_TRANSACTION if p.callback is None
                                    else VIA_EXTERNAL_CALLBACK))
                     break
@@ -387,12 +381,11 @@ def filter_money(paths: Iterator[ProgramPath], cfg: Cfg,
     can never send Ether; paths reaching a payable entry are passed through
     instead so the black-hole analyzer can inspect them.
     """
-    has_money = bool(cfg.money_blocks)
+    money_blocks = cfg.money_blocks
     payable = payable_entries or set()
     for path in paths:
-        if has_money:
-            if path.money_related:
+        if money_blocks:
+            if not money_blocks.isdisjoint(path.blocks):
                 yield path
-        else:
-            if any(sel in payable for sel, _via in path.functions if sel is not None):
-                yield path
+        elif any(sel in payable for sel, _via in path.functions if sel is not None):
+            yield path

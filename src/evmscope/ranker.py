@@ -62,7 +62,6 @@ class RankedPath:
     path: ProgramPath
     violations: tuple[PropertyViolation, ...]
     score: Fraction
-    length: int
 
     @property
     def property_set(self) -> frozenset[PropertyId]:
@@ -72,33 +71,27 @@ class RankedPath:
 def score(path: ProgramPath, violations: list[PropertyViolation],
           config: RankConfig) -> Fraction:
     """Distinct properties count once; the informational gas property is free."""
-    length = path.length
-    if length < 1:
+    calls = path.call_count
+    if calls < 1:
         raise ValueError("path length must be at least 1")
     props = {v.property for v in violations if v.property is not PropertyId.MAX_GAS}
     total = sum((config.alpha.get(p, Fraction(0)) for p in props), Fraction(0))
-    return total / (config.epsilon * length)
+    return total / (config.epsilon * calls)
 
 
 def make_ranked(path: ProgramPath, violations: list[PropertyViolation],
                 config: RankConfig,
                 scores: dict[tuple, Fraction] | None = None) -> RankedPath:
-    """`scores`, if given, memoizes scores by (property set, length) for
-    callers that rank many paths under one config."""
-    length = path.length
+    """`scores`, if given, memoizes scores by (property set, call count)
+    for callers that rank many paths under one config."""
     if scores is None:
         path_score = score(path, violations, config)
     else:
-        key = (frozenset(v.property for v in violations), length)
+        key = (frozenset(v.property for v in violations), path.call_count)
         path_score = scores.get(key)
         if path_score is None:
             path_score = scores[key] = score(path, violations, config)
-    return RankedPath(
-        path=path,
-        violations=tuple(violations),
-        score=path_score,
-        length=length,
-    )
+    return RankedPath(path=path, violations=tuple(violations), score=path_score)
 
 
 def _score_places(ranked: list[RankedPath]) -> tuple[dict[int, int], list[Fraction]]:
@@ -134,7 +127,7 @@ def rank_and_gate(ranked: list[RankedPath], config: RankConfig) -> GatePlan:
     places, distinct = _score_places(ranked)
 
     def key(rp: RankedPath) -> tuple:
-        return places[id(rp.score)], rp.length, rp.path.blocks
+        return places[id(rp.score)], rp.path.call_count, rp.path.blocks
 
     ordered = sorted(ranked, key=key)
     # the scores above the threshold hold the first places
@@ -143,7 +136,7 @@ def rank_and_gate(ranked: list[RankedPath], config: RankConfig) -> GatePlan:
     queue: list[RankedPath] = []
     deferred: dict[frozenset, list[RankedPath]] = {}
     seen: set[frozenset] = set()
-    for rp in sorted(admitted, key=lambda rp: (rp.length, rp.path.blocks)):
+    for rp in sorted(admitted, key=lambda rp: (rp.path.call_count, rp.path.blocks)):
         prop_set = rp.property_set
         if prop_set in seen:
             deferred.setdefault(prop_set, []).append(rp)

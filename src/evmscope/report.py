@@ -12,7 +12,6 @@ import html
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import tee
 from pathlib import Path
 
 from . import isa
@@ -42,6 +41,7 @@ from .ranker import RankConfig, RankedPath, make_ranked, rank_and_gate
 from .registry import AddressRegistry
 from .solver import BoundedSolver, default_solver
 from .symexec import (
+    Feasibility,
     FeasibilityStatus,
     SymExecError,
     TOO_DEEP,
@@ -56,8 +56,7 @@ from .symexec import (
 
 SCHEMA_VERSION = 1
 
-FEAS_FEASIBLE = "feasible"
-FEAS_UNKNOWN = "unknown"
+# the one verdict the report gives itself: a path the gate did not execute
 FEAS_NOT_CHECKED = "not_checked"
 
 
@@ -206,12 +205,12 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     instructions = disassemble(contract.runtime_code)
     if not instructions:
         raise ValueError("runtime code is empty")
-    cfg = build_cfg(instructions)
+    cfg = build_cfg(instructions, deadline)
     diagnostics = [f"{d.code}: {d.message}" for d in cfg.diagnostics]
 
     base_storage: dict[Word, Word] = {}
     if contract.creation_code:
-        creation_cfg = build_cfg(disassemble(contract.creation_code))
+        creation_cfg = build_cfg(disassemble(contract.creation_code), deadline)
         base_storage, ctor_diags = run_constructor(creation_cfg, contract.creation_code,
                                                    deadline=deadline)
         diagnostics.extend(ctor_diags)
@@ -249,14 +248,13 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             lambda piece: not destructs.isdisjoint(piece.blocks))
         # each path is run from where it parts from the path before it; a
         # walk that fails skips the paths below the failing block, reported once
-        paths, walked = tee(unfolding.select(traced))
-        outcomes = execute_paths(cfg, contract.runtime_code, (p.blocks for p in walked),
+        outcomes = execute_paths(cfg, contract.runtime_code, unfolding.select(traced),
                                  base_storage, deadline)
         skipped: dict[SymExecError, int] = {}
         too_deep = TermTooDeep(TOO_DEEP)  # where an analyzer meets one
         guard_facts: GuardFacts = {}
         analyzed = 0
-        for path, (_blocks, state) in zip(paths, outcomes):
+        for path, state in outcomes:
             if time.monotonic() > deadline:
                 break
             analyzed += 1
@@ -299,7 +297,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
               for path, viols in violations_by_path]
     plan = rank_and_gate(ranked, config.rank)
 
-    feasibility: dict[tuple, tuple[str, dict[str, int] | None, str]] = {}
+    feasibility: dict[tuple, Feasibility] = {}  # by the path's blocks
     executed = 0
 
     work = list(plan.queue)
@@ -309,16 +307,11 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         _state, feas = execute_path(cfg, contract.runtime_code, rp.path, base_storage,
                                     solver, config.solver_timeout_ms, deadline)
         executed += 1
-        key = rp.path.blocks
-        if feas.status is FeasibilityStatus.FEASIBLE:
-            feasibility[key] = (FEAS_FEASIBLE, feas.witness, feas.reason)
-        elif feas.status is FeasibilityStatus.INFEASIBLE:
-            feasibility[key] = ("infeasible", None, feas.reason)
+        feasibility[rp.path.blocks] = feas
+        if feas.status is FeasibilityStatus.INFEASIBLE:
             promoted = plan.promote(rp.property_set)
             if promoted is not None:
                 work.append(promoted)
-        else:
-            feasibility[key] = (FEAS_UNKNOWN, None, feas.reason)
     # every stage that stops early (the constructor pre-run, the unfolding,
     # the trace, a feasibility check) does so only once the deadline passed
     timed_out = time.monotonic() > deadline
@@ -339,10 +332,13 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     block_lines: dict[int, frozenset[int]] = {}
     rank_no = 0
     for rp in plan.ordered:
-        key = rp.path.blocks
-        status, witness, reason = feasibility.get(key, (FEAS_NOT_CHECKED, None, ""))
-        if status == "infeasible":
+        feas = feasibility.get(rp.path.blocks)
+        if feas is None:
+            status, witness = FEAS_NOT_CHECKED, None
+        elif feas.status is FeasibilityStatus.INFEASIBLE:
             continue  # proven-impossible paths never reach the report
+        else:
+            status, witness = feas.status.value, feas.witness
         rank_no += 1
         critical.append(CriticalPath(
             rank=rank_no,
@@ -442,7 +438,7 @@ def _write_paths(parts: list[str], report: Report) -> None:
                 [v.as_dict() for v in violations], "      ")
         blocks = [labels.get(b) or _json_str(str(b)) for b in ranked.path.blocks]
         parts += (opening, '"rank": ', str(cp.rank), _KEY, score_text,
-                  _KEY, '"length": ', str(ranked.length),
+                  _KEY, '"length": ', str(ranked.path.call_count),
                   _KEY, '"call_sequence": ', _str_list(map(_json_str, cp.call_sequence)),
                   _KEY, '"violations": ', violation_text,
                   _KEY, '"feasibility": ', _json_str(cp.feasibility),
@@ -568,7 +564,7 @@ def to_html(report: Report, source: str | None = None) -> str:
                  for k, x in v.evidence.items())))
             doc.append(f'<p class="violation">{e(v.property.value)}: {e(ev)}</p>')
         doc.append(f"<p>Feasibility: {e(cp.feasibility)}; gas: {cp.gas}; "
-                   f"length: {cp.ranked.length}</p>")
+                   f"length: {cp.ranked.path.call_count}</p>")
         labels = " ".join(e(report.block_labels.get(b, str(b)))
                           for b in cp.ranked.path.blocks)
         doc.append(f'<p class="blocks">{labels}</p>')

@@ -19,7 +19,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import isa
 from .cfg import Cfg, Terminator
@@ -763,23 +763,27 @@ def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
     return False
 
 
-def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
-                  base_storage: dict[Word, Word], deadline: float | None = None,
-                  ) -> Iterator[tuple[tuple[int, ...], SymbolicState | SymExecError]]:
-    """Interpret block sequences in turn; yields `(blocks, outcome)` for each
-    as soon as it is run.  The outcome is the state the sequence gives when
-    run alone, or the SymExecError that stopped it: a term nested past the
-    recursion limit stops it with TermTooDeep.
+_P = TypeVar("_P")  # a path: anything with a `blocks` sequence
 
-    A sequence resumes from the deepest saved frame inside the prefix it
-    shares with the sequence before it, and runs only the blocks after it.
-    Looking one sequence ahead, a fork is saved at each JUMPI block inside
-    the prefix the next sequence shares; resuming at that depth takes the
-    JUMPI's second way, so it takes the frame itself.  Any order is correct;
-    in depth-first order each shared prefix runs once.  A failure at depth d
-    is the outcome, as one object, of every later sequence that shares more
-    than d blocks with the failing one; a DeadlinePassed, of every later
-    sequence.  The clock is read every 16 blocks run.
+
+def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
+                  base_storage: dict[Word, Word], deadline: float | None = None,
+                  ) -> Iterator[tuple[_P, SymbolicState | SymExecError]]:
+    """Interpret paths (anything with a `blocks` sequence) in turn; yields
+    `(path, outcome)` for each as soon as it is run, `path` being the very
+    object given.  The outcome is the state its blocks give when run alone,
+    or the SymExecError that stopped them: a term nested past the recursion
+    limit stops them with TermTooDeep.
+
+    A path resumes from the deepest saved frame inside the prefix it shares
+    with the path before it, and runs only the blocks after it.  Looking one
+    path ahead, a fork is saved at each JUMPI block inside the prefix the
+    next path shares; resuming at that depth takes the JUMPI's second way,
+    so it takes the frame itself.  Any order is correct; in depth-first order
+    each shared prefix runs once.  A failure at depth d is the outcome, as
+    one object, of every later path that shares more than d blocks with the
+    failing one; a DeadlinePassed, of every later path.  The clock is read
+    every 16 blocks run.
     """
     interp = Interpreter(code, SymbolicState(), deadline=deadline)
     saved: list[tuple] = []  # (depth, block, state, operands, root, revert mark)
@@ -787,12 +791,13 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
     shared = 0  # blocks this sequence shares with the one before
     runs = 0
     ahead = iter(paths)
-    blocks = next(ahead, None)
-    while blocks is not None:
+    path = next(ahead, None)
+    while path is not None:
+        blocks = path.blocks
         if not blocks:
             raise ValueError("empty block sequence")
         following = next(ahead, None)
-        keep = _shared(blocks, following) if following is not None else 0
+        keep = _shared(blocks, following.blocks) if following is not None else 0
         while saved and saved[-1][0] >= shared:
             saved.pop()  # it holds a block this sequence does not
         if failed is not None and blocks[:len(failed[0])] == failed[0]:
@@ -824,7 +829,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
                 if len(operands) == 2 and depth < keep:
                     saved.append((depth, block, state.fork(), operands, root, revert_mark))
         except DeadlinePassed as passed:
-            yield from ((rest, passed) for rest in chain((blocks, following), ahead)
+            yield from ((rest, passed) for rest in chain((path, following), ahead)
                         if rest is not None)
             return
         except (SymExecError, RecursionError) as error:
@@ -832,8 +837,8 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[tuple[int, ...]],
                 error = TermTooDeep(TOO_DEEP)
             failed = (blocks[:depth + 1], error)
             state = error
-        yield blocks, state
-        blocks, shared = following, keep
+        yield path, state
+        path, shared = following, keep
 
 
 def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -850,7 +855,7 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
                deadline: float | None = None) -> SymbolicState:
     """The symbolic walk of one path alone, without any solving; raises the
     SymExecError that stops it.  Transaction boundaries reset environments."""
-    ((_blocks, outcome),) = execute_paths(cfg, code, [path.blocks], base_storage, deadline)
+    ((_path, outcome),) = execute_paths(cfg, code, [path], base_storage, deadline)
     if isinstance(outcome, SymExecError):
         raise outcome
     return outcome

@@ -27,7 +27,7 @@ def _path_dict(report: Report, cp: CriticalPath) -> dict:
         "rank": cp.rank,
         "score": float(score),
         "score_exact": f"{score.numerator}/{score.denominator}",
-        "length": cp.ranked.length,
+        "length": cp.ranked.path.call_count,
         "call_sequence": cp.call_sequence,
         "violations": [v.as_dict() for v in cp.ranked.violations],
         "feasibility": cp.feasibility,

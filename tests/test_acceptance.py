@@ -110,9 +110,7 @@ def test_criterion_3_ranking_constants():
 
     def path_of(length, marker):
         return ProgramPath(blocks=tuple(range(marker, marker + length + 1)),
-                           call_count=length,
-                           functions=((None, "initial"),) * length,
-                           money_related=True)
+                           functions=((None, "initial"),) * length)
 
     one_call_suicide = score(
         path_of(1, 0), [PropertyViolation(PropertyId.GUARD_SUICIDE, {})], config)
@@ -264,9 +262,7 @@ def test_criterion_6_invariant_suites():
         for i, prop in enumerate(PropertyId):
             if prop is PropertyId.MAX_GAS:
                 continue
-            ppath = ProgramPath(blocks=(i,), call_count=1 + i % 2,
-                                functions=((None, "initial"),) * (1 + i % 2),
-                                money_related=True)
+            ppath = ProgramPath(blocks=(i,), functions=((None, "initial"),) * (1 + i % 2))
             violations = [PropertyViolation(prop, {})]
             ranked_pairs.append((make_ranked(ppath, violations, base),
                                  make_ranked(ppath, violations, scaled)))

@@ -36,6 +36,22 @@ _SYMBOLIC_NEAR_CAP_SHA3 = "600035600052" + _NEAR_CAP_SHA3[:-2] + "601157005b33ff
 _OUT_OF_GAS = "OutOfGas (memory up to byte 1099511627776 exceeds the block gas limit)"
 
 
+def diamonds_beside_a_dangling_jump(n: int) -> str:
+    """Block 0 branches to a JUMP on CALLDATASIZE at the end; the other way
+    runs `n` diamonds in series to a STOP, so 2**n acyclic paths never
+    reach that jump."""
+    return (f"3461{9 * n + 6:04x}57"
+            + "".join(f"3461{13 + 9 * i:04x}576000505b" for i in range(n))
+            + "00" + "5b3656")
+
+
+def ladder_of_dangling_jumps(n: int) -> str:
+    """`n` JUMPIs in a row, rung i branching to its own JUMP on
+    CALLDATASIZE: a path of i + 2 blocks reaches each."""
+    return ("".join(f"3461{5 * n + 1 + 3 * i:04x}57" for i in range(n))
+            + "00" + "5b3656" * n)
+
+
 def _config(**kwargs) -> AnalysisConfig:
     return AnalysisConfig(registry_fixture=str(REGISTRY_TXT), include_timing=False,
                           transfer_limit=30, **kwargs)
@@ -140,12 +156,35 @@ def test_a_passed_deadline_stops_the_walk(monkeypatch):
     cfg = get_cfg("toydao")
     path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
     assert len(path.blocks) > 16  # the walk reads the clock at its 16th block
-    paths = [path.blocks] * 300
+    paths = [path] * 300
     outcomes = list(symexec_module.execute_paths(cfg, get_contract("toydao").runtime_code,
                                                  paths, {}, deadline=time.monotonic() - 1))
-    assert [blocks for blocks, _outcome in outcomes] == paths
+    assert [p for p, _outcome in outcomes] == paths
     assert all(isinstance(outcome, symexec_module.DeadlinePassed) for _b, outcome in outcomes)
     assert len(runs) < 16
+
+
+def test_diamonds_beside_a_dangling_jump_return_at_the_deadline():
+    # the jump's path search enters only the block that branches to it
+    code = diamonds_beside_a_dangling_jump(20)
+    assert len(code) == 2 * 189
+    contract = ContractCode(runtime_code=parse_hex(code), name="diamonds")
+    started = time.monotonic()
+    analyze(contract, _config(bounds=PathBounds(call_depth=1, wall_time=1)))
+    assert time.monotonic() - started < 1 + 1
+
+
+def test_a_ladder_of_dangling_jumps_returns_at_the_deadline():
+    code = ladder_of_dangling_jumps(1000)
+    assert len(code) == 2 * 8001
+    contract = ContractCode(runtime_code=parse_hex(code), name="ladder")
+    started = time.monotonic()
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=1, wall_time=1)))
+    assert time.monotonic() - started < 1 + 2
+    assert report.statistics["timed_out"] is True
+    late = [d for d in report.diagnostics
+            if d.endswith(": deadline passed during stack simulation; jump left unresolved")]
+    assert late and all(d.startswith("unresolved_indirect_jump: Node_") for d in late)
 
 
 def test_near_cap_sha3_returns_at_the_deadline():

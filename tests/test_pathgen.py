@@ -65,11 +65,12 @@ def test_filter_output_is_subset_of_enumeration():
     assert kept <= everything
 
 
-def test_money_flag_matches_block_contents():
+def test_money_filter_matches_block_contents():
     cfg = get_cfg("toydao")
     money_blocks = cfg.money_blocks
-    for p in _paths("toydao", call_depth=2):
-        assert p.money_related == any(b in money_blocks for b in p.blocks)
+    paths = _paths("toydao", call_depth=2)
+    assert list(filter_money(iter(paths), cfg)) == \
+        [p for p in paths if any(b in money_blocks for b in p.blocks)]
 
 
 def test_no_path_exceeds_bounds():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from evmscope.cli import main as cli_main
 from evmscope.disasm import load_contract
 from evmscope.keccak import selector
-from evmscope.pathgen import PathBounds, enumerate_paths
+from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
 from evmscope.report import (
     AnalysisConfig,
     Report,
@@ -143,8 +143,7 @@ def test_call_sequence_with_witness_value():
 def test_call_sequence_decodes_calldata_arguments():
     contract = get_contract("problematic")
     cfg = get_cfg("problematic")
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.money_related)
+    path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     seq = to_call_sequence(path, contract,
                            witness={"CALLDATA#1@4": 777, "CALLVALUE#1": 0})
     assert seq == ["destroycontract(address) args=[777]"]
@@ -155,8 +154,7 @@ def test_call_sequence_unknown_selector_rendered_as_hex():
     contract_stripped = type(contract)(
         runtime_code=contract.runtime_code, name="anon")
     cfg = get_cfg("toydao")
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.money_related)
+    path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     seq = to_call_sequence(path, contract_stripped)
     assert seq == [f"0x{selector('withdraw()'):08x}"]
 

@@ -98,11 +98,10 @@ def test_non_ascii_name_signature_and_diagnostic():
 def _hand_built_path(rank: int, score: Fraction, blocks: tuple[int, ...],
                      violations: tuple[PropertyViolation, ...],
                      witness: dict[str, int] | None) -> CriticalPath:
-    path = ProgramPath(blocks=blocks, call_count=2,
-                       functions=((1, "initial"), (2, "initial")), money_related=True)
+    path = ProgramPath(blocks=blocks, functions=((1, "initial"), (2, "initial")))
     return CriticalPath(
         rank=rank,
-        ranked=RankedPath(path=path, violations=violations, score=score, length=2),
+        ranked=RankedPath(path=path, violations=violations, score=score),
         call_sequence=["f(uint256) args=[1]", "↩g()"],
         feasibility="feasible" if witness else "not_checked",
         witness=witness,

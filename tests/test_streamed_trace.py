@@ -88,9 +88,9 @@ def test_guard_suicide_alone_traces_the_money_paths_that_self_destruct(monkeypat
     shared_walk = report_module.execute_paths
 
     def recording_walk(*args, **kwargs):
-        for blocks, outcome in shared_walk(*args, **kwargs):
-            traced.append(blocks)
-            yield blocks, outcome
+        for path, outcome in shared_walk(*args, **kwargs):
+            traced.append(path)
+            yield path, outcome
 
     monkeypatch.setattr(report_module, "execute_paths", recording_walk)
     bounds = PathBounds(call_depth=call_bound)
@@ -105,8 +105,7 @@ def test_guard_suicide_alone_traces_the_money_paths_that_self_destruct(monkeypat
             destructs = {b.id for b in cfg.blocks.values()
                          if any(i.mnemonic == "SELFDESTRUCT" for i in b.instructions)}
             money = list(filter_money(enumerate_paths(cfg, bounds), cfg, payable))
-            expected = [p.blocks for p in money
-                        if any(b in destructs for b in p.blocks)]
+            expected = [p for p in money if any(b in destructs for b in p.blocks)]
             fewer += len(expected) < len(money)
         traced.clear()
         analyze(get_contract(name), config)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,10 @@ from evmscope.analyzers import detect_payable_entries
 from evmscope.cfg import BasicBlock, Cfg, Terminator, build_cfg
 from evmscope.disasm import Instruction, disassemble, parse_hex
 from evmscope.keccak import keccak256, selector
-from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
+from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths, filter_money
 from evmscope.solver import BoundedSolver
 from evmscope.symexec import (
+    DeadlinePassed,
     FeasibilityStatus,
     Interpreter,
     StackUnderflow,
@@ -196,10 +198,15 @@ def test_free_vars_and_concretize():
 
 # -- interpreter over block sequences ------------------------------------------
 
+def _paths(*block_seqs):
+    """Bare block sequences as paths; the walk reads only their blocks."""
+    return [ProgramPath(tuple(blocks), ()) for blocks in block_seqs]
+
+
 def _alone(cfg, code, blocks, storage):
     """The state of one block sequence walked by itself; raises the
     SymExecError that stops it."""
-    ((_blocks, outcome),) = execute_paths(cfg, code, [blocks], storage)
+    ((_path, outcome),) = execute_paths(cfg, code, _paths(blocks), storage)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -265,8 +272,7 @@ def test_stack_underflow_raises():
 def test_path_condition_accumulates_monotonically():
     contract = get_contract("toydao")
     cfg = get_cfg("toydao")
-    paths = [p for p in enumerate_paths(cfg, PathBounds(call_depth=2))
-             if p.money_related]
+    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=2)), cfg))
     state = trace_path(cfg, contract.runtime_code, paths[0], {})
     assert len(state.path_condition) >= 4  # dispatcher + preamble + branches
     # conditions only referencing the first transaction precede the second's
@@ -276,8 +282,8 @@ def test_path_condition_accumulates_monotonically():
 def test_transaction_boundary_freshens_environment():
     contract = get_contract("toydao")
     cfg = get_cfg("toydao")
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=2))
-                if p.money_related and p.blocks.count(112) == 2)
+    path = next(p for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=2)), cfg)
+                if p.blocks.count(112) == 2)
     state = trace_path(cfg, contract.runtime_code, path, {})
     names = set().union(*(free_vars(c) for c in state.path_condition))
     assert any(n.startswith("CALLVALUE#1") for n in names)
@@ -392,9 +398,7 @@ def test_malformed_path_is_infeasible():
     cfg = get_cfg("toydao")
     real = next(iter(enumerate_paths(cfg, PathBounds(call_depth=1))))
     # claim a block order the bytecode cannot follow
-    fake = real.__class__(blocks=(0, 112), call_count=1,
-                          functions=real.functions[:1],
-                          money_related=True)
+    fake = real._replace(blocks=(0, 112), functions=real.functions[:1])
     _state, feas = execute_path(cfg, contract.runtime_code, fake, {}, BoundedSolver())
     assert feas.status is FeasibilityStatus.INFEASIBLE
 
@@ -404,8 +408,7 @@ def test_malformed_path_is_infeasible():
 def test_toydao_withdraw_transfers_twenty():
     contract = get_contract("toydao")
     cfg = get_cfg("toydao")
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.money_related)
+    path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import refine_transfer_values
     values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
@@ -415,9 +418,8 @@ def test_toydao_withdraw_transfers_twenty():
 def test_transfer_of_callvalue_is_unknown():
     contract = get_contract("gigstoken")
     cfg = get_cfg("gigstoken")
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.money_related
-                and cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
+    path = next(p for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg)
+                if cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import UNKNOWN_AMOUNT, refine_transfer_values
     values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
@@ -427,8 +429,7 @@ def test_transfer_of_callvalue_is_unknown():
 def test_transfer_of_constructor_constant_is_concrete():
     contract = get_contract("pay_const_0")
     cfg = build_cfg(disassemble(contract.runtime_code))
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.money_related)
+    path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import refine_transfer_values
     values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
@@ -465,12 +466,11 @@ def test_shared_walk_matches_solo_execution(path):
         storage, _diags = run_constructor(build_cfg(disassemble(contract.creation_code)),
                                           contract.creation_code)
     payable, _details = detect_payable_entries(cfg, instructions)
-    paths = [p.blocks for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)),
-                                            cfg, payable)]
+    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg, payable))
     shared = list(execute_paths(cfg, code, paths, storage))
-    assert [blocks for blocks, _state in shared] == paths
-    for blocks, state in shared:
-        assert _observable(state) == _observable(_alone(cfg, code, blocks, storage))
+    assert [p for p, _state in shared] == paths
+    for p, state in shared:
+        assert _observable(state) == _observable(_alone(cfg, code, p.blocks, storage))
 
 
 # CALL (records a transfer), then branch on calldata to REVERT or to STOP
@@ -482,12 +482,13 @@ _CALL_THEN_BRANCH = "6000" * 7 + "f1" + "50" + "6000" + "35" + "601b" + "57" \
 def test_revert_branch_leaves_sibling_records_live(order):
     code = parse_hex(_CALL_THEN_BRANCH)
     cfg = build_cfg(disassemble(code))
-    unfolded = [p.blocks for p in enumerate_paths(cfg, PathBounds(call_depth=2))]
+    unfolded = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
     assert len(unfolded) == 4
     paths = [unfolded[i] for i in order]
     outcomes = list(execute_paths(cfg, code, paths, {}))
-    assert [blocks for blocks, _state in outcomes] == paths
-    for blocks, state in outcomes:
+    assert [p for p, _state in outcomes] == paths
+    for p, state in outcomes:
+        blocks = p.blocks
         assert _observable(state) == _observable(_alone(cfg, code, blocks, {}))
         segments_reverted = [cfg.blocks[seg[-1]].last.mnemonic == "REVERT"
                              for seg in (blocks[:3], blocks[3:])]
@@ -500,13 +501,12 @@ def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
                         lambda *args: runs.append(1) or _run_body(*args))
     for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
         code, cfg = get_contract(name).runtime_code, get_cfg(name)
-        paths = [p.blocks for p in filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)),
-                                                cfg)]
+        paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg))
         runs.clear()
-        for _blocks, _outcome in execute_paths(cfg, code, paths, {}):
+        for _path, _outcome in execute_paths(cfg, code, paths, {}):
             pass
-        assert len(runs) == len({blocks[:n] for blocks in paths
-                                 for n in range(1, len(blocks) + 1)}), name
+        assert len(runs) == len({p.blocks[:n] for p in paths
+                                 for n in range(1, len(p.blocks) + 1)}), name
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
@@ -517,26 +517,26 @@ def test_walk_in_any_order_matches_solo_execution(order):
     rng = random.Random(11)
     for name in ("toydao", "bitway", "suicide_guarded_0", "micro_dispatcher"):
         code, cfg = get_contract(name).runtime_code, get_cfg(name)
-        paths = [p.blocks for p in enumerate_paths(cfg, PathBounds(call_depth=2))]
+        paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
         if order == "reversed":
             paths.reverse()
         else:
             paths += rng.sample(paths, len(paths) // 4)
             rng.shuffle(paths)
         first = paths[0]
-        paths += [first[:3], first, first, first[:1]]
+        paths += [*_paths(first.blocks[:3]), first, first, *_paths(first.blocks[:1])]
         walked = list(execute_paths(cfg, code, paths, {}))
-        assert [blocks for blocks, _state in walked] == paths
-        for blocks, state in walked:
-            assert _observable(state) == _observable(_alone(cfg, code, blocks, {}))
+        assert [p for p, _state in walked] == paths
+        for p, state in walked:
+            assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
 
 
 def test_shared_walk_reports_failure_below_failing_block():
     code = parse_hex("f100")  # CALL on an empty stack, then STOP
     cfg = build_cfg(disassemble(code))
-    paths = [(0, 1), (0, 1, 0, 1)]
+    paths = _paths((0, 1), (0, 1, 0, 1))
     outcomes = list(execute_paths(cfg, code, paths, {}))
-    assert [blocks for blocks, _exc in outcomes] == paths
+    assert [p for p, _exc in outcomes] == paths
     assert isinstance(outcomes[0][1], StackUnderflow)
     assert outcomes[0][1] is outcomes[1][1]
 
@@ -545,8 +545,31 @@ def test_a_failure_is_the_outcome_of_every_later_sequence_below_the_failing_bloc
     # JUMPI on calldata to 6: STOP, or to 7: JUMPDEST; CALL on an empty stack
     code = parse_hex("600035600757005bf100")
     cfg = build_cfg(disassemble(code))
-    paths = [(0, 7, 9, 0, 6), (0, 7), (0, 6, 0, 6), (0, 7, 9, 0, 7, 9)]
-    outcomes = [outcome for _blocks, outcome in execute_paths(cfg, code, paths, {})]
+    paths = _paths((0, 7, 9, 0, 6), (0, 7), (0, 6, 0, 6), (0, 7, 9, 0, 7, 9))
+    outcomes = [outcome for _path, outcome in execute_paths(cfg, code, paths, {})]
     assert isinstance(outcomes[0], StackUnderflow)
     assert outcomes[1] is outcomes[0] and outcomes[3] is outcomes[0]
-    assert _observable(outcomes[2]) == _observable(_alone(cfg, code, paths[2], {}))
+    assert _observable(outcomes[2]) == _observable(_alone(cfg, code, paths[2].blocks, {}))
+
+
+def test_the_walk_yields_the_very_paths_it_is_given():
+    """Each outcome comes with the object it was given, in order: below a
+    failing block, and after a passed deadline too.  Equal copies stay apart."""
+    code = parse_hex("600035600757005bf100")
+    cfg = build_cfg(disassemble(code))
+    paths = _paths((0, 7, 9, 0, 6), (0, 7), (0, 6, 0, 6), (0, 7, 9, 0, 7, 9))
+    paths.insert(2, ProgramPath(*paths[1]))
+    walked = list(execute_paths(cfg, code, paths, {}))
+    assert len(walked) == len(paths)
+    assert all(got is given for (got, _outcome), given in zip(walked, paths))
+    assert isinstance(walked[1][1], StackUnderflow) and walked[2][1] is walked[1][1]
+
+    code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
+    paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
+    paths.append(ProgramPath(*paths[-1]))
+    walked = list(execute_paths(cfg, code, paths, {}, deadline=time.monotonic() - 1))
+    assert len(walked) == len(paths)
+    assert all(got is given for (got, _outcome), given in zip(walked, paths))
+    late = [outcome for _path, outcome in walked if isinstance(outcome, DeadlinePassed)]
+    assert late and len(late) < len(paths)
+    assert all(outcome is late[0] for outcome in late)

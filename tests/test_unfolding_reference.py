@@ -4,7 +4,8 @@
 behaviour as the reference: one generator per tree node, with the block
 list and the visited set copied at every step.  The explicit-stack walk
 must give the identical ProgramPath sequence: the same paths, in the same
-order, with the same functions, money flag and block-cap flag.
+order, with the same functions.  The reference's own call count must equal
+the number of calls it lists.
 """
 
 import time
@@ -36,7 +37,6 @@ class _RecursiveEnumeration:
         self.deadline = deadline
         self.timed_out = False
         self._entry_names = {block: name for name, block in cfg.function_entries.items()}
-        self._money = cfg.money_blocks
         self._steps = 0
 
     def __iter__(self) -> Iterator[ProgramPath]:
@@ -54,9 +54,8 @@ class _RecursiveEnumeration:
         return self.timed_out
 
     def _emit(self, blocks, call_count, functions) -> ProgramPath:
-        return ProgramPath(blocks=tuple(blocks), call_count=call_count,
-                           functions=tuple(functions),
-                           money_related=any(b in self._money for b in blocks))
+        assert call_count == len(functions)
+        return ProgramPath(tuple(blocks), tuple(functions))
 
     def _walk(self, block_id, blocks, call_count, functions, seg_visited,
               seg_edge_counts) -> Iterator[ProgramPath]:
