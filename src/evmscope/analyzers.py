@@ -19,7 +19,6 @@ from .symexec import (
     UNKNOWN_AMOUNT,
     Word,
     concretize,
-    contains_op,
     contains_var_prefix,
 )
 
@@ -125,19 +124,22 @@ def check_address_existence(records: list[ExternalRecord],
     return violations, warnings
 
 
-def _is_ownership_guard(cond: Word) -> bool:
-    """A comparison with the caller on one side and a storage read on the
-    other, anywhere in `cond`."""
-    if cond.op in ("EQ", "LT", "GT", "SLT", "SGT"):
-        left, right = cond.args
-        for a, b in ((left, right), (right, left)):
-            if contains_var_prefix(a, "CALLER") and (contains_op(b, "sload")
-                                                     or contains_var_prefix(b, "STORAGE@")):
-                return True
-    for a in cond.args:
-        if _is_ownership_guard(a):
-            return True
-    return False
+def _ownership(w: Word) -> int:
+    """Bits of what `w` holds: 1 a CALLER variable, 2 a storage read, 4 a
+    comparison of the two (an ownership guard), from one walk."""
+    op = w.op
+    if op == "var":
+        name = w.name or ""
+        return name.startswith("CALLER") | name.startswith("STORAGE@") << 1
+    if op in ("EQ", "LT", "GT", "SLT", "SGT"):
+        left, right = _ownership(w.args[0]), _ownership(w.args[1])
+        return 4 if left & 1 and right & 2 or right & 1 and left & 2 else left | right
+    bits = 2 if op == "sload" else 0
+    for a in w.args:
+        bits |= _ownership(a)
+        if bits & 4:
+            return 4
+    return bits
 
 
 def _is_time_guard(cond: Word) -> bool:
@@ -168,7 +170,7 @@ def check_guard_suicide(state: SymbolicState,
     for cond in state.path_condition:
         facts = guard_facts.get(id(cond))
         if facts is None:
-            facts = guard_facts[id(cond)] = (cond, _is_ownership_guard(cond),
+            facts = guard_facts[id(cond)] = (cond, bool(_ownership(cond) & 4),
                                              _is_time_guard(cond))
         has_ownership = has_ownership or facts[1]
         has_time = has_time or facts[2]

@@ -18,11 +18,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analyzers import PropertyId
+from .cfg import to_dot
 from .disasm import load_contract
 from .isa import load_gas_overrides
 from .pathgen import PathBounds
 from .ranker import RankConfig
-from .report import AnalysisConfig, analyze, build_registry, dump_cfg_dot, emit, to_json
+from .report import AnalysisConfig, analyze, build_registry, emit, to_json
 
 _PROPERTY_NAMES = {p.value: p for p in PropertyId}
 _ALPHA_NAMES = {
@@ -194,9 +195,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.dump_cfg:
-        Path(args.dump_cfg).write_text(dump_cfg_dot(contract))
     report = analyze(contract, config)
+    if args.dump_cfg:
+        Path(args.dump_cfg).write_text(to_dot(report.cfg))
     if args.out:
         written = emit(report, args.output, args.out, contract.source)
         for path in written:

@@ -26,7 +26,7 @@ from .analyzers import (
     check_transfer_limit,
     detect_payable_entries,
 )
-from .cfg import Cfg, FALLBACK, build_cfg, to_dot
+from .cfg import Cfg, FALLBACK, build_cfg
 from .disasm import ContractCode, disassemble
 # perfbench/tracer.py patches enumerate_paths and filter_money here
 from .pathgen import (  # noqa: F401
@@ -44,8 +44,6 @@ from .symexec import (
     Feasibility,
     FeasibilityStatus,
     SymExecError,
-    TOO_DEEP,
-    TermTooDeep,
     Word,
     execute_path,
     execute_paths,
@@ -101,6 +99,7 @@ class Report:
     diagnostics: list[str]
     config_echo: dict
     block_labels: dict[int, str]
+    cfg: Cfg | None = None  # the graph the analysis ran on, for --dump-cfg
 
     @property
     def has_violations(self) -> bool:
@@ -251,7 +250,6 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         outcomes = execute_paths(cfg, contract.runtime_code, unfolding.select(traced),
                                  base_storage, deadline)
         skipped: dict[SymExecError, int] = {}
-        too_deep = TermTooDeep(TOO_DEEP)  # where an analyzer meets one
         guard_facts: GuardFacts = {}
         analyzed = 0
         for path, state in outcomes:
@@ -263,25 +261,21 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 continue
             live_records = [r for r in state.records if not r.reverted]
             found: list[PropertyViolation] = []
-            try:
-                if check_limit:
-                    transfers = [(rec, amount) for rec, amount
-                                 in refine_transfer_values(state) if not rec.reverted]
-                    v = check_transfer_limit(config.transfer_limit, transfers)
-                    if v:
-                        found.append(v)
-                if check_addr:
-                    addr_violations, addr_warnings = check_address_existence(live_records,
-                                                                             registry)
-                    found.extend(addr_violations)
-                    diagnostics.extend(addr_warnings)
-                if check_suicide:
-                    v = check_guard_suicide(state, guard_facts)
-                    if v:
-                        found.append(v)
-            except RecursionError:
-                skipped[too_deep] = skipped.get(too_deep, 0) + 1
-                continue
+            if check_limit:
+                transfers = [(rec, amount) for rec, amount
+                             in refine_transfer_values(state) if not rec.reverted]
+                v = check_transfer_limit(config.transfer_limit, transfers)
+                if v:
+                    found.append(v)
+            if check_addr:
+                addr_violations, addr_warnings = check_address_existence(live_records,
+                                                                         registry)
+                found.extend(addr_violations)
+                diagnostics.extend(addr_warnings)
+            if check_suicide:
+                v = check_guard_suicide(state, guard_facts)
+                if v:
+                    found.append(v)
             if found:
                 violations_by_path.append((path, found))
         left = unfolding.count(traced) - analyzed
@@ -380,11 +374,8 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         diagnostics=diagnostics,
         config_echo=_config_echo(config),
         block_labels=block_labels,
+        cfg=cfg,
     )
-
-
-def dump_cfg_dot(contract: ContractCode) -> str:
-    return to_dot(build_cfg(disassemble(contract.runtime_code)))
 
 
 # ---------------------------------------------------------------------------

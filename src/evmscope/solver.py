@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .symexec import Word, concretize, const, eval_word, free_vars, mk, WORD_MAX
+from .symexec import Word, concretize, const, eval_word, free_vars, mk, node, WORD_MAX
 
 _CMP_OPS = ("EQ", "LT", "GT", "SLT", "SGT")
 
@@ -59,12 +59,12 @@ def _substitute(w: Word, env: dict[str, int], deadline: float) -> Word:
     if new_args == w.args:
         return w
     if w.op in ("sha3", "sload", "ite"):
-        node = Word(w.op, new_args, value=w.value, name=w.name, meta=w.meta)
         if w.op == "ite" and new_args[0].is_concrete:
             return new_args[1] if new_args[0].value else new_args[2]
+        term = node(w.op, new_args, w.meta)
         if all(a.is_concrete for a in new_args):
-            return const(eval_word(node, {}, deadline))
-        return node
+            return const(eval_word(term, {}, deadline))
+        return term
     return mk(w.op, *new_args)
 
 
@@ -268,15 +268,19 @@ class BoundedSolver:
             out[name] = sorted(pool)[:16] or [iv.lo]
         return out
 
-    def _comparison_candidates(self, node: Word, cands: dict[str, set[int]]) -> None:
+    def _comparison_candidates(self, node: Word, cands: dict[str, set[int]]) -> bool:
         """Add to `cands` the values, and their neighbours, that make a
-        comparison anywhere in `node` hold with equality."""
+        comparison anywhere in `node` hold with equality; returns whether
+        `node` is closed, so that no comparison walks its sides again."""
+        if node.op == "var":
+            return False
+        closed = [self._comparison_candidates(a, cands) for a in node.args]
         if node.op in _CMP_OPS:
             a, b = node.args
-            for x, y in ((a, b), (b, a)):
-                target = concretize(y)
-                if target is None:
+            for x, y, y_closed in ((a, b, closed[1]), (b, a, closed[0])):
+                if not y_closed:
                     continue
+                target = eval_word(y, {})
                 inverted = self._invert_chain(x, target)
                 if inverted is None:
                     continue
@@ -285,8 +289,7 @@ class BoundedSolver:
                     continue
                 for delta in (-1, 0, 1):
                     cands[var_name].add((base + delta) % (WORD_MAX + 1))
-        for a in node.args:
-            self._comparison_candidates(a, cands)
+        return all(closed)
 
     def _invert_chain(self, w: Word, target: int) -> tuple[str, int] | None:
         """Solve f(v) == target for a single-variable chain of simple ops."""
@@ -365,17 +368,21 @@ class BoundedSolver:
         # Depth-first over each stage's pools in itertools.product order,
         # backtracking on the first failing due conjunct: only combinations
         # some conjunct rejects are skipped, so the first model is the
-        # product's first, its keys in `names` order.
-        tick = 0
+        # product's first, its keys in `names` order.  The clock is read
+        # once per 64 values tried or term nodes evaluated, whichever is first.
+        cost = [1 + sum(c.size for c in cs) for cs in due]
+        spent = 0
         for stage in stages:
             model: dict[str, int] = {}
             values = [iter(stage[0])]
             while values:
                 k = len(values) - 1
                 for value in values[k]:
-                    tick += 1
-                    if (tick & 0x3F) == 0 and time.monotonic() > deadline:
-                        return None
+                    spent += cost[k]
+                    if spent >= 64:
+                        spent = 0
+                        if time.monotonic() > deadline:
+                            return None
                     model[names[k]] = value
                     if all(eval_word(c, model, deadline) != 0 for c in due[k]):
                         break

@@ -3,7 +3,8 @@
 Words are finite terms over per-transaction free variables (caller, call
 value, calldata, timestamp, block number, balances, foreign-call returns,
 unknown storage) and the EVM operator set, modular 2**256; each is a
-tuple underneath.  Executing a path walks its block sequence, asserting
+tuple underneath, and `node` builds each compound one within MAX_DEPTH
+and MAX_SIZE.  Executing a path walks its block sequence, asserting
 each branch condition (or its negation) into the path condition; crossing
 a transaction boundary introduces a fresh environment while storage
 persists.  One block runner, `_run_body`, executes each block from a plan
@@ -60,10 +61,11 @@ class DeadlinePassed(SymExecError):
 
 
 class TermTooDeep(SymExecError):
-    """A term nested past the recursion limit; says nothing about the path."""
+    """`node` met a term past MAX_DEPTH or MAX_SIZE; says nothing of the path."""
 
 
-TOO_DEEP = "term nested too deep"  # the message of every TermTooDeep
+MAX_DEPTH = 200  # `str` takes three interpreter frames per level
+MAX_SIZE = 2 ** 17  # tree nodes: a hash over all of memory fits
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +73,15 @@ TOO_DEEP = "term nested too deep"  # the message of every TermTooDeep
 # ---------------------------------------------------------------------------
 
 class Word(NamedTuple):
-    """A term.  A tuple underneath, so building and comparing one run in C;
-    the hash is that of the five fields in order."""
+    """A term.  A tuple underneath, so building, comparing and hashing one
+    run in C; `depth` and `size` follow from `args`, set by `node`."""
     op: str                      # "const", "var", "sha3", "sload", "ite", or an operator
     args: tuple["Word", ...] = ()
     value: int | None = None     # const payload
     name: str | None = None      # var payload
     meta: int | str | None = None
-
-    def __hash__(self) -> int:
-        # one Python frame per node, as for `==` and `repr`: a term nested
-        # too deep meets the recursion limit, where the C hash of nested
-        # tuples would overflow the C stack
-        return hash(self[:])
+    depth: int = 1               # nesting levels, a leaf being one
+    size: int = 1                # nodes of the tree
 
     @property
     def is_concrete(self) -> bool:
@@ -96,6 +94,22 @@ class Word(NamedTuple):
             return self.name or "?"
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.op}({inner})"
+
+
+def node(op: str, args: tuple[Word, ...], meta: int | str | None = None) -> Word:
+    """The one builder of compound terms.  Bounding each term here keeps
+    every walk over one under the recursion limit and within MAX_SIZE
+    nodes, however much the term shares."""
+    depth = size = 0
+    for a in args:
+        if a.depth > depth:
+            depth = a.depth
+        size += a.size
+    if depth >= MAX_DEPTH:
+        raise TermTooDeep("term nested too deep")
+    if size >= MAX_SIZE:
+        raise TermTooDeep("term too large")
+    return Word(op, args, None, None, meta, depth + 1, size + 1)
 
 
 def const(value: int) -> Word:
@@ -120,7 +134,10 @@ def concrete_op(name: str, vals: list[int]) -> int:
 
 def mk(op: str, *args: Word) -> Word:
     """Build an operator term, folding constants and a few identities."""
-    if all(a.is_concrete for a in args):
+    for a in args:
+        if a.op != "const":
+            break
+    else:
         return const(concrete_op(op, [a.value or 0 for a in args]))
     if op in ("SUB", "XOR") and len(args) == 2 and args[0] == args[1]:
         return ZERO
@@ -136,7 +153,7 @@ def mk(op: str, *args: Word) -> Word:
         for i in (0, 1):
             if args[i].is_concrete and args[i].value == 0:
                 return args[1 - i]
-    return Word(op, args)
+    return node(op, args)
 
 
 def eval_word(w: Word, env: dict[str, int], deadline: float | None = None) -> int:
@@ -197,15 +214,6 @@ def contains_var_prefix(w: Word, prefix: str | tuple[str, ...]) -> bool:
         return bool(w.name) and w.name.startswith(prefix)
     for a in w.args:
         if contains_var_prefix(a, prefix):
-            return True
-    return False
-
-
-def contains_op(w: Word, op: str) -> bool:
-    if w.op == op:
-        return True
-    for a in w.args:
-        if contains_op(a, op):
             return True
     return False
 
@@ -306,8 +314,8 @@ class SymbolicState:
         if value is None:
             value = self._base_read(key)
         for wkey, wval in reversed(undecided):
-            value = Word("ite", (mk("EQ", wkey, key), wval, value))
-        return Word("sload", (value,), meta=str(key))
+            value = node("ite", (mk("EQ", wkey, key), wval, value))
+        return node("sload", (value,), str(key))
 
     def _base_read(self, key: Word) -> Word:
         if key in self.base_storage:
@@ -471,7 +479,7 @@ class Interpreter:
         offset, length = state.pop(), state.pop()
         if offset.is_concrete and length.is_concrete:
             words = self._mem_words(offset.value or 0, length.value or 0)
-            term = Word("sha3", tuple(words), meta=(length.value or 0))
+            term = node("sha3", tuple(words), length.value or 0)
             if all(w.is_concrete for w in words):
                 try:
                     state.push(const(eval_word(term, {}, self.deadline)))
@@ -772,8 +780,8 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     """Interpret paths (anything with a `blocks` sequence) in turn; yields
     `(path, outcome)` for each as soon as it is run, `path` being the very
     object given.  The outcome is the state its blocks give when run alone,
-    or the SymExecError that stopped them: a term nested past the recursion
-    limit stops them with TermTooDeep.
+    or the SymExecError that stopped them: a term past the bounds of `node`
+    stops them with TermTooDeep.
 
     A path resumes from the deepest saved frame inside the prefix it shares
     with the path before it, and runs only the blocks after it.  Looking one
@@ -832,9 +840,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
             yield from ((rest, passed) for rest in chain((path, following), ahead)
                         if rest is not None)
             return
-        except (SymExecError, RecursionError) as error:
-            if isinstance(error, RecursionError):
-                error = TermTooDeep(TOO_DEEP)
+        except SymExecError as error:
             failed = (blocks[:depth + 1], error)
             state = error
         yield path, state
@@ -899,23 +905,17 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
     raise SymExecError("replay exceeded block budget")
 
 
-_DEADLINE_PASSED = Feasibility(FeasibilityStatus.UNKNOWN, reason="deadline passed")
-_TOO_DEEP = Feasibility(FeasibilityStatus.UNKNOWN, reason=TOO_DEEP)
-
-
 def execute_path(cfg: Cfg, code: bytes, path,
                  base_storage: dict[Word, Word], solver,
                  solver_timeout_ms: int = 100,
                  deadline: float | None = None) -> tuple[SymbolicState | None, Feasibility]:
     """Execute one gated path and decide its feasibility.  A `deadline`
     passed while tracing, re-checking or replaying makes it unknown, and so
-    does a term nested past the recursion limit."""
+    does a term the trace cannot build within the bounds of `node`."""
     try:
         state = trace_path(cfg, code, path, base_storage, deadline)
-    except DeadlinePassed:
-        return None, _DEADLINE_PASSED
-    except TermTooDeep:
-        return None, _TOO_DEEP
+    except (DeadlinePassed, TermTooDeep) as exc:  # neither says anything about the path
+        return None, Feasibility(FeasibilityStatus.UNKNOWN, reason=str(exc))
     except (StackUnderflow, StackOverflow) as exc:
         return None, Feasibility(FeasibilityStatus.INFEASIBLE, reason=f"malformed path: {exc}")
     except SymExecError as exc:
@@ -934,9 +934,7 @@ def execute_path(cfg: Cfg, code: bytes, path,
                                           reason="witness failed re-check")
         taken = replay_blocks(cfg, code, witness, base_storage, path.call_count, deadline)
     except (DeadlinePassed, TimeoutError):
-        return state, _DEADLINE_PASSED
-    except RecursionError:
-        return state, _TOO_DEEP
+        return state, Feasibility(FeasibilityStatus.UNKNOWN, reason="deadline passed")
     except SymExecError as exc:
         return state, Feasibility(FeasibilityStatus.UNKNOWN,
                                   reason=f"witness replay failed: {exc}")
@@ -961,8 +959,8 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
 
     Constructor arguments stay symbolic.  At a branch with a symbolic
     condition the walk prefers the branch that does not revert.  If the walk
-    exceeds its budget, `deadline` passes or a term nests past the
-    recursion limit, the result is empty (all-symbolic) storage.
+    exceeds its budget, `deadline` passes or a term passes the bounds of
+    `node`, the result is empty (all-symbolic) storage.
     """
     if creation_cfg is None or code is None:
         return {}, []
@@ -1019,9 +1017,6 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
                 raise ConstructorDiverged(f"constructor jumped outside code ({block_id})")
     except SymExecError as exc:
         diagnostics.append(f"constructor pre-run abandoned: {exc}")
-        return {}, diagnostics
-    except RecursionError:
-        diagnostics.append(f"constructor pre-run abandoned: {TOO_DEEP}")
         return {}, diagnostics
 
 

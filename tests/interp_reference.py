@@ -27,6 +27,7 @@ from evmscope.symexec import (
     const,
     eval_word,
     mk,
+    node,
     var,
 )
 
@@ -130,7 +131,7 @@ class ReferenceInterpreter:
             offset, length = state.pop(), state.pop()
             if offset.is_concrete and length.is_concrete:
                 words = self._mem_words(offset.value or 0, length.value or 0)
-                term = Word("sha3", tuple(words), meta=(length.value or 0))
+                term = node("sha3", tuple(words), length.value or 0)
                 if all(w.is_concrete for w in words):
                     state.push(const(eval_word(term, {})))
                 else:

@@ -178,6 +178,21 @@ def test_canonical_owner_guard_not_flagged():
     assert results and results == [None] * len(results)
 
 
+@pytest.mark.parametrize("guard", [
+    "33" + "600054" + "14" + "600154" + "14",  # EQ(EQ(CALLER, sload 0), sload 1)
+    "33" + "600054" + "14" + "33" + "14",  # EQ(EQ(CALLER, sload 0), CALLER)
+], ids=["beside-a-storage-read", "beside-the-caller"])
+def test_an_owner_guard_compared_again_is_still_a_guard(guard):
+    # JUMPI on the guard; STOP; JUMPDEST; CALLER; SELFDESTRUCT
+    code = guard + f"60{len(guard) // 2 + 4:02x}57" + "00" + "5b33ff"
+    code = parse_hex(code)
+    cfg = build_cfg(disassemble(code))
+    paths = filter_money(iter(enumerate_paths(cfg, PathBounds(call_depth=1))), cfg)
+    states = [trace_path(cfg, code, p, {}) for p in paths]
+    assert [check_guard_suicide(s) for s in states
+            if any(r.kind == "SELFDESTRUCT" for r in s.records)] == [None]
+
+
 def test_unguarded_selfdestruct_flagged():
     results = _suicide_check("suicide_open_0")
     hits = [v for v in results if v is not None]

@@ -7,6 +7,7 @@ import pytest
 
 import evmscope.report as report_module
 import evmscope.symexec as symexec_module
+from evmscope.analyzers import PropertyId, check_guard_suicide
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
@@ -15,12 +16,20 @@ from evmscope.report import AnalysisConfig, analyze
 from evmscope.solver import BoundedSolver, CheckResult
 from evmscope.symexec import (
     BLOCK_GAS_LIMIT,
+    MAX_DEPTH,
+    MAX_SIZE,
     MEMORY_CAP,
     ZERO,
+    ExternalRecord,
     FeasibilityStatus,
-    Word,
+    SymbolicState,
+    TermTooDeep,
+    contains_var_prefix,
+    eval_word,
     execute_path,
+    free_vars,
     mk,
+    node,
     run_constructor,
     var,
 )
@@ -267,7 +276,7 @@ def test_solver_stops_hashing_at_its_timeout(pinned):
     # a 3.9 MB preimage whose first word is free: every evaluation hashes it,
     # in the search, or when equality propagation makes it concrete
     x = var("CALLDATA#1@0")
-    digest = Word("sha3", (x,) + (ZERO,) * (MEMORY_CAP // 32 - 2), meta=MEMORY_CAP - 32)
+    digest = node("sha3", (x,) + (ZERO,) * (MEMORY_CAP // 32 - 2), MEMORY_CAP - 32)
     conjuncts = [digest] + ([mk("EQ", x, ZERO)] if pinned else [])
     started = time.monotonic()
     result = BoundedSolver().check(conjuncts, timeout_ms=100)
@@ -286,16 +295,17 @@ def test_symbolic_near_cap_sha3_is_decided_within_the_wall_time():
     assert [cp.feasibility for cp in report.critical_paths] == ["unknown"]
 
 
-# Terms nested past the recursion limit: CALLER, then 2,000 times CALLER ADD.
+# A term nested past MAX_DEPTH: CALLER, then 2,000 times CALLER ADD.
 _DEEP_TERM = "33" + "3301" * 2000
 _DEEP = "trace_abandoned: TermTooDeep (term nested too deep); 1 money path(s) not analyzed"
+_LARGE = "trace_abandoned: TermTooDeep (term too large); 1 money path(s) not analyzed"
 
 
 @pytest.mark.parametrize("code", [
     # SLOAD of the deep key hashes it in the trace; CALLER; SELFDESTRUCT
     _DEEP_TERM + "54" + "33ff",
-    # CALL(GAS, CALLER, deep value, 0, 0, 0, 0); STOP: the trace runs, the
-    # transfer-limit check meets the deep value
+    # CALL(GAS, CALLER, deep value, 0, 0, 0, 0); STOP: the trace stops
+    # building the value the transfer-limit check would read
     "6000" * 4 + _DEEP_TERM + "33" + "5a" + "f1" + "00",
 ], ids=["trace", "analyzer"])
 def test_a_term_nested_too_deep_abandons_its_path(code):
@@ -312,16 +322,96 @@ def test_a_term_nested_too_deep_abandons_the_constructor_pre_run():
     assert abandoned in analyze(contract, _config()).diagnostics
 
 
-@pytest.mark.parametrize("code, traced", [
-    (_DEEP_TERM + "54" + "33ff", False),
+@pytest.mark.parametrize("code", [
+    _DEEP_TERM + "54" + "33ff",
     # JUMPI(4006, deep); STOP; 4006: JUMPDEST; CALLER; SELFDESTRUCT: the
-    # trace runs, the solver meets the deep branch condition
-    (_DEEP_TERM + "610fa6" + "57" + "00" + "5b33ff", True),
+    # trace stops building the branch condition the solver would read
+    _DEEP_TERM + "610fa6" + "57" + "00" + "5b33ff",
 ], ids=["trace", "solver"])
-def test_a_term_nested_too_deep_makes_a_verdict_unknown(code, traced):
+def test_a_term_nested_too_deep_makes_a_verdict_unknown(code):
     code = parse_hex(code)
     cfg = build_cfg(disassemble(code))
     (path,) = _money_paths(cfg)
     state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
-    assert (state is not None) is traced
+    assert state is None
     assert (feas.status, feas.reason) == (FeasibilityStatus.UNKNOWN, "term nested too deep")
+
+
+def shared_term_ladder(n: int) -> str:
+    """CALLER, `n` times DUP1 ADD, SLOAD, CALLER, SELFDESTRUCT: each rung
+    adds one node to the term's DAG and doubles its tree."""
+    return "33" + "8001" * n + "54" + "33ff"
+
+
+@pytest.mark.parametrize("n", [21, 40])
+def test_a_shared_term_past_max_size_abandons_its_path_at_once(n):
+    contract = ContractCode(runtime_code=parse_hex(shared_term_ladder(n)), name="shared")
+    config = _config(bounds=PathBounds(call_depth=1, wall_time=2), rank=RankConfig(threshold=0))
+    started = time.monotonic()
+    report = analyze(contract, config)
+    assert time.monotonic() - started < 3
+    assert _LARGE in report.diagnostics
+
+
+def test_a_shared_term_within_max_size_is_analyzed():
+    contract = ContractCode(runtime_code=parse_hex(shared_term_ladder(16)), name="shared")
+    config = _config(bounds=PathBounds(call_depth=1, wall_time=2), rank=RankConfig(threshold=0))
+    report = analyze(contract, config)
+    (critical,) = report.critical_paths
+    assert PropertyId.GUARD_SUICIDE in critical.ranked.property_set
+    assert not any(d.startswith("trace_abandoned") for d in report.diagnostics)
+
+
+def test_nested_comparisons_over_a_shared_term_are_walked_once():
+    # CALLER, 15 times DUP1 ADD (65,535 tree nodes), 180 times CALLER EQ;
+    # JUMPI to CALLER SELFDESTRUCT.  When the guard check and the solver's
+    # candidate scan walked each comparison's sides again, this took 5.3 s
+    code = "33" + "8001" * 15 + "3314" * 180
+    code += f"61{len(code) // 2 + 5:04x}57" + "00" + "5b33ff"
+    contract = ContractCode(runtime_code=parse_hex(code), name="comparisons")
+    started = time.monotonic()
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=1, wall_time=2)))
+    assert time.monotonic() - started < 2
+    assert report.statistics["timed_out"] is False
+    (critical,) = report.critical_paths
+    assert PropertyId.GUARD_SUICIDE in critical.ranked.property_set
+    assert critical.feasibility == "unknown"
+
+
+def _deepest_term(levels: int):
+    """A term `levels` deep under an ownership-guard comparison: CALLER
+    and a storage read, then alternating operators over a calldata word."""
+    x = var("CALLDATA#1@0")
+    term = node("sload", (var("CALLER#1"),), "0x0")
+    for i in range(levels - 3):
+        term = mk(("ADD", "LT", "AND", "EQ")[i % 4], term, x)
+    return mk("EQ", var("CALLER#1"), term)
+
+
+def _largest_sha3(nodes: int):
+    """A hash over `nodes - 1` words, the first of them free."""
+    return node("sha3", (var("CALLDATA#1@0"),) + (ZERO,) * (nodes - 2), 32)
+
+
+def _at_frame_depth(depth: int, fn):
+    return _at_frame_depth(depth - 1, fn) if depth else fn()
+
+
+@pytest.mark.parametrize("build, field, bound, past", [
+    (_deepest_term, "depth", MAX_DEPTH, "term nested too deep"),
+    (_largest_sha3, "size", MAX_SIZE, "term too large"),
+], ids=["depth", "size"])
+def test_every_walk_over_a_term_at_its_bound_stays_under_the_recursion_limit(build, field,
+                                                                             bound, past):
+    term, twin = build(bound), build(bound)
+    assert getattr(term, field) == bound
+    state = SymbolicState(path_condition=[term],
+                          records=[ExternalRecord("SELFDESTRUCT", 0, 1, var("CALLER#1"), ZERO)])
+    for walk in (lambda: str(term), lambda: hash(term), lambda: term == twin,
+                 lambda: eval_word(term, {}), lambda: free_vars(term),
+                 lambda: contains_var_prefix(term, "TIMESTAMP"),
+                 lambda: check_guard_suicide(state),
+                 lambda: BoundedSolver().check([term], timeout_ms=100)):
+        _at_frame_depth(150, walk)  # raises nothing, RecursionError least of all
+    with pytest.raises(TermTooDeep, match=past):
+        build(bound + 1)

@@ -1,4 +1,5 @@
 import json
+import time
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from evmscope.report import (
 from evmscope.symexec import const
 
 from conftest import FIXTURES, REGISTRY_TXT, get_cfg, get_contract
+from test_hostile_input import ladder_of_dangling_jumps
 
 VOID_ELEMENTS = {"meta", "br", "img", "hr", "input", "link"}
 
@@ -250,6 +252,19 @@ def test_cli_dump_cfg(tmp_path):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert "Node_112_162" in text
+
+
+def test_cli_dump_cfg_and_analysis_share_the_wall_time(tmp_path):
+    # without a deadline the CFG dump alone takes several times the bound
+    code = tmp_path / "ladder.hex"
+    code.write_text(ladder_of_dangling_jumps(1000))
+    dot = tmp_path / "graph.dot"
+    started = time.monotonic()
+    rc = cli_main(["analyze", str(code), "--registry-fixture", str(REGISTRY_TXT),
+                   "--wall-time", "1", "--dump-cfg", str(dot), "--out", str(tmp_path / "r")])
+    assert time.monotonic() - started < 1 + 1
+    assert rc in (0, 2)
+    assert dot.read_text().startswith("digraph")
 
 
 @pytest.mark.parametrize("option, name", [("--dump-cfg", "x.dot"), ("--out", "report")])

@@ -29,6 +29,7 @@ from evmscope.symexec import (
     const,
     eval_word,
     mk,
+    node,
     run_constructor,
     trace_path,
     var,
@@ -148,9 +149,9 @@ def _terms(names):
             .map(lambda t: mk(t[0], t[1], const(t[2]))),
             st.tuples(st.sampled_from(["ADD", "SUB", "AND"]), children, children)
             .map(lambda t: mk(*t)),
-            st.tuples(children, children, children).map(lambda t: Word("ite", t)),
+            st.tuples(children, children, children).map(lambda t: node("ite", t)),
             st.lists(children, min_size=1, max_size=2)
-            .map(lambda args: Word("sha3", tuple(args), meta=32 * len(args))),
+            .map(lambda args: node("sha3", tuple(args), 32 * len(args))),
         )
 
     return st.recursive(leaves, extend, max_leaves=5)
@@ -168,10 +169,10 @@ def _conjuncts(names):
 
 # conjuncts with no free variable that stay terms (neither folds to a constant)
 _CLOSED = st.sampled_from([
-    Word("sha3", (const(1),), meta=32),
-    mk("ISZERO", Word("sha3", (const(1),), meta=32)),
-    Word("ite", (const(0), const(0), const(5))),
-    mk("ISZERO", Word("ite", (const(1), const(0), const(5)))),
+    node("sha3", (const(1),), 32),
+    mk("ISZERO", node("sha3", (const(1),), 32)),
+    node("ite", (const(0), const(0), const(5))),
+    mk("ISZERO", node("ite", (const(1), const(0), const(5)))),
 ])
 
 

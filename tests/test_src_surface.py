@@ -89,3 +89,26 @@ def test_every_src_field_is_read_outside_tests():
                      for cls, name in _fields(ast.parse(path.read_text()))
                      if name not in loaded})
     assert unread == []
+
+
+def test_no_src_code_handles_the_recursion_limit():
+    """`symexec.node` bounds every term where it is built, so no walk over
+    a term meets the recursion limit and nothing in src catches it."""
+    assert [path.name for path in _SRC if "RecursionError" in path.read_text()] == []
+
+
+def test_only_the_term_builder_makes_compound_terms():
+    """`Word(...)` with arguments, and `raise TermTooDeep`, appear in src
+    only inside `symexec.node`."""
+    found = []
+    for path in _SRC:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef) or func.name == "node":
+                continue
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Word" \
+                        and (len(call.args) > 1 or any(k.arg == "args" for k in call.keywords)):
+                    found.append(f"{path.stem}.{func.name}: Word")
+                if isinstance(call, ast.Raise) and "TermTooDeep" in ast.unparse(call):
+                    found.append(f"{path.stem}.{func.name}: TermTooDeep")
+    assert found == []

@@ -18,7 +18,6 @@ from evmscope.symexec import (
     Interpreter,
     StackUnderflow,
     SymbolicState,
-    Word,
     _run_body,
     concrete_op,
     concretize,
@@ -28,6 +27,7 @@ from evmscope.symexec import (
     execute_paths,
     free_vars,
     mk,
+    node,
     replay_blocks,
     run_constructor,
     trace_path,
@@ -183,7 +183,7 @@ def test_eval_word_defaults_unassigned_to_zero():
 def test_sha3_term_evaluates_with_real_hash():
     data = (7).to_bytes(32, "big") + (9).to_bytes(32, "big")
     expected = int.from_bytes(keccak256(data), "big")
-    term = Word("sha3", (const(7), const(9)), meta=64)
+    term = node("sha3", (const(7), const(9)), 64)
     assert eval_word(term, {}) == expected
     assert concretize(term) == expected
 
@@ -192,7 +192,7 @@ def test_free_vars_and_concretize():
     w = mk("ADD", var("a"), mk("MUL", var("b"), const(3)))
     assert free_vars(w) == {"a", "b"}
     assert concretize(w) is None
-    closed = Word("sload", (const(42),), meta="0x1")
+    closed = node("sload", (const(42),), "0x1")
     assert concretize(closed) == 42
 
 
@@ -388,7 +388,7 @@ def test_infeasible_branch_pair_detected():
 
 def test_solver_unknown_on_hash_heavy_condition():
     solver = BoundedSolver()
-    hashed = Word("sha3", (var("x"),), meta=32)
+    hashed = node("sha3", (var("x"),), 32)
     result = solver.check([mk("EQ", hashed, const(12345))], timeout_ms=50)
     assert result.status == "unknown"
 
