@@ -161,7 +161,7 @@ def check_guard_suicide(state: SymbolicState,
     terms; pass one `guard_facts` dict for all of them to examine each term
     once.
     """
-    destructs = [r for r in state.records if r.kind == "SELFDESTRUCT" and not r.reverted]
+    destructs = [r for r in state.records if r.kind == "SELFDESTRUCT"]
     if not destructs:
         return None
     if guard_facts is None:
@@ -254,7 +254,7 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
     can take Ether in.
 
     A path takes Ether in when some call enters a payable entry and does not
-    revert (a reverted transaction returns the value).  A call ends at its
+    revert (a transaction that reverts returns the value).  A call ends at its
     first terminal block, unless a callback edge ends it first.
     """
     if cfg.money_blocks:

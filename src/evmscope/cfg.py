@@ -290,13 +290,18 @@ def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
 _RESTARTS = (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)
 
 
-def _paths_to_block(cfg: Cfg, target: int, cap: int,
-                    deadline: float | None = None) -> list[list[int]] | None:
-    """All acyclic root-to-target block paths, or None when the cap is hit;
-    raises TimeoutError once `deadline` passes (read at the first pop and
-    every 256th).  Only blocks that reach the target without a restart are
-    entered: the paths run through them alone, so they come out the same
-    and in the same order."""
+def _jump_targets(cfg: Cfg, target: int, cap: int,
+                  deadline: float | None = None) -> set | None:
+    """The jump targets that simulating the stack along each acyclic
+    root-to-target block path gives `target`, TOP among them when some path
+    leaves it unknown; None once more than `cap` paths reach it.  Raises
+    TimeoutError once `deadline` passes (read at the first entry and every
+    256th).
+
+    One depth-first search carries the simulated stack down, so a prefix
+    shared by many paths is simulated once; the blocks on the path are a
+    set, undone on leaving a block.  Only blocks that reach the target
+    without a restart are entered: the paths run through them alone."""
     within = {target}
     todo = [target]
     while todo:
@@ -304,24 +309,32 @@ def _paths_to_block(cfg: Cfg, target: int, cap: int,
             if edge.kind not in _RESTARTS and edge.src not in within:
                 within.add(edge.src)
                 todo.append(edge.src)
-    paths: list[list[int]] = []
-    stack: list[tuple[int, list[int]]] = [(cfg.root, [cfg.root])]
-    pops = 0
-    while stack:
-        if deadline is not None and not pops & 0xFF and time.monotonic() > deadline:
-            raise TimeoutError
-        pops += 1
-        node, path = stack.pop()
-        if node == target:
-            paths.append(path)
-            if len(paths) > cap:
-                return None
+    targets: set = set()
+    found = entered = 0
+    on_path: set[int] = set()
+    # (block, stack at its entry) to enter; (block, None) leaves it
+    entries: list[tuple[int, list | None]] = [(cfg.root, [])]
+    while entries:
+        node, stack = entries.pop()
+        if stack is None:
+            on_path.remove(node)
             continue
+        if deadline is not None and not entered & 0xFF and time.monotonic() > deadline:
+            raise TimeoutError
+        entered += 1
+        stack, top = _simulate_block(cfg.blocks[node], stack)
+        if node == target:
+            found += 1
+            if found > cap:
+                return None
+            targets.add(top)
+            continue
+        on_path.add(node)
+        entries.append((node, None))
         for edge in cfg.successors(node):
-            if edge.kind in _RESTARTS or edge.dst not in within or edge.dst in path:
-                continue
-            stack.append((edge.dst, path + [edge.dst]))
-    return paths
+            if edge.kind not in _RESTARTS and edge.dst in within and edge.dst not in on_path:
+                entries.append((edge.dst, stack))
+    return targets
 
 
 def stack_simulate(cfg: Cfg, deadline: float | None = None) -> Cfg:
@@ -341,7 +354,7 @@ def stack_simulate(cfg: Cfg, deadline: float | None = None) -> Cfg:
         for index, block_id in enumerate(order):
             block = cfg.blocks[block_id]
             try:
-                paths = _paths_to_block(cfg, block_id, MAX_SIM_PATHS, deadline)
+                targets = _jump_targets(cfg, block_id, MAX_SIM_PATHS, deadline)
             except TimeoutError:
                 for late in order[index:]:
                     cfg.add_diagnostic(
@@ -350,24 +363,15 @@ def stack_simulate(cfg: Cfg, deadline: float | None = None) -> Cfg:
                         f"simulation; jump left unresolved",
                         cfg.blocks[late].last_offset)
                 return cfg
-            if paths is None:
+            if targets is None:
                 cfg.add_diagnostic(
                     "unresolved_indirect_jump",
                     f"{block.label}: more than {MAX_SIM_PATHS} paths during stack "
                     f"simulation; jump left unresolved",
                     block.last_offset)
                 continue
-            targets: set[int] = set()
-            unresolved = False
-            for path in paths:
-                stack: list = []
-                for node in path[:-1]:
-                    stack, _ = _simulate_block(cfg.blocks[node], stack)
-                _, top = _simulate_block(block, stack)
-                if top is TOP or top is None:
-                    unresolved = True
-                else:
-                    targets.add(int(top))  # type: ignore[arg-type]
+            unresolved = TOP in targets
+            targets.discard(TOP)
             for target in sorted(targets):
                 if _is_jumpdest(cfg.blocks, target):
                     if cfg.add_edge(block_id, target, EdgeKind.INDIRECT_JUMP):

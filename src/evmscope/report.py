@@ -259,16 +259,13 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             if isinstance(state, SymExecError):
                 skipped[state] = skipped.get(state, 0) + 1
                 continue
-            live_records = [r for r in state.records if not r.reverted]
             found: list[PropertyViolation] = []
             if check_limit:
-                transfers = [(rec, amount) for rec, amount
-                             in refine_transfer_values(state) if not rec.reverted]
-                v = check_transfer_limit(config.transfer_limit, transfers)
+                v = check_transfer_limit(config.transfer_limit, refine_transfer_values(state))
                 if v:
                     found.append(v)
             if check_addr:
-                addr_violations, addr_warnings = check_address_existence(live_records,
+                addr_violations, addr_warnings = check_address_existence(state.records,
                                                                          registry)
                 found.extend(addr_violations)
                 diagnostics.extend(addr_warnings)

@@ -15,7 +15,6 @@ satisfying witness is re-validated by replaying the path concretely.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import time
 from dataclasses import dataclass, field
@@ -237,20 +236,21 @@ class Feasibility:
 
 @dataclass(frozen=True)
 class ExternalRecord:
-    """One money/call event observed along a path.
-
-    Frozen because forked states share their records: a revert replaces
-    the records it cancels instead of marking them in place."""
+    """One money/call event observed along a path, in a call that did not
+    revert: a REVERT drops its call's records.  Frozen because forked
+    states share the record objects."""
     kind: str            # CALL, CALLCODE, DELEGATECALL, STATICCALL, CREATE, SELFDESTRUCT
     offset: int
     txn: int
     target: Word | None
     value: Word | None
-    reverted: bool = False
 
 
 @dataclass
 class SymbolicState:
+    """What a path has built.  Stack and memory belong to the current call;
+    storage writes, balance, the call counter and the records carry across
+    calls, and a REVERT truncates both lists at `call_start`."""
     stack: list[Word] = field(default_factory=list)
     memory: dict[int, Word] = field(default_factory=dict)
     storage_writes: list[tuple[Word, Word]] = field(default_factory=list)
@@ -263,6 +263,7 @@ class SymbolicState:
     fresh_counter: int = 0
     storage_var_cache: dict[Word, Word] = field(default_factory=dict)
     mem_unknown: bool = False    # memory was written through an unknown pointer
+    call_start: tuple[int, int] = (0, 0)  # (storage writes, records) before this call
 
     def fork(self) -> SymbolicState:
         """An independent copy.  Words are immutable, so shallow copies of
@@ -327,12 +328,6 @@ class SymbolicState:
     def sstore(self, key: Word, value: Word) -> None:
         self.storage_writes.append((key, value))
 
-    def storage_snapshot(self) -> int:
-        return len(self.storage_writes)
-
-    def storage_rollback(self, mark: int) -> None:
-        del self.storage_writes[mark:]
-
     def final_storage(self) -> dict[Word, Word]:
         merged = dict(self.base_storage)
         for key, value in self.storage_writes:
@@ -390,6 +385,7 @@ class Interpreter:
         self.state.stack = []
         self.state.memory = {}
         self.state.mem_unknown = False
+        self.state.call_start = (len(self.state.storage_writes), len(self.state.records))
         self.state.balance = mk("ADD", self.state.balance, self._env("CALLVALUE"))
 
     # -- memory -----------------------------------------------------------
@@ -690,13 +686,15 @@ def compile_block(block) -> BlockPlan:
 # Path execution
 # ---------------------------------------------------------------------------
 
-def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[Word, ...]:
+def _run_body(interp: Interpreter, cfg: Cfg, block) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
-    This is the one block runner: the path walk, replay and the constructor
-    pre-run differ only in how they choose the next block from the operands.
-    The block is compiled on first use and its plan kept with `cfg`.  A
-    REVERT rolls back the transaction here, whatever block follows.
+    This is the one block runner: the path walk and the steered walks
+    (witness replay, the constructor pre-run) differ only in how they choose
+    the next block from the operands.  The block is compiled on first use
+    and its plan kept with `cfg`.  A REVERT rolls back the call here,
+    whatever block follows: the storage writes and records made since the
+    call's `call_start` are dropped.
 
     The stack is checked once per block: when its depth lies within the
     plan's bounds no instruction of the body can under- or overflow it, so
@@ -732,21 +730,20 @@ def _run_body(interp: Interpreter, cfg: Cfg, block, revert_mark: int) -> tuple[W
         target = state.pop()
         return (target, state.pop())
     if reverts:
-        state.storage_rollback(revert_mark)
-        state.records = [dataclasses.replace(rec, reverted=True) if rec.txn == state.txn
-                         else rec for rec in state.records]
+        writes, records = state.call_start
+        del state.storage_writes[writes:]
+        del state.records[records:]
     return ()
 
 
 def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
-               next_offset: int, root: int) -> bool:
+               next_offset: int, root: int) -> None:
     """Leave `block` for `next_offset`: start the next transaction, or
-    assert the jump that gets there.  Returns whether a transaction began."""
+    assert the jump that gets there."""
     state = interp.state
     if next_offset == root and block.terminator is Terminator.TERMINAL:
         interp.begin_transaction()
-        return True
-    if len(operands) == 1:  # JUMP
+    elif len(operands) == 1:  # JUMP
         target = operands[0]
         if target.is_concrete:
             if (target.value or 0) != next_offset:
@@ -768,7 +765,6 @@ def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
             state.assert_cond(mk("EQ", target, const(next_offset)))
             taken = True
         state.assert_cond(cond if taken else mk("ISZERO", cond))
-    return False
 
 
 _P = TypeVar("_P")  # a path: anything with a `blocks` sequence
@@ -794,7 +790,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     every 16 blocks run.
     """
     interp = Interpreter(code, SymbolicState(), deadline=deadline)
-    saved: list[tuple] = []  # (depth, block, state, operands, root, revert mark)
+    saved: list[tuple] = []  # (depth, block, state, operands, root)
     failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
     shared = 0  # blocks this sequence shares with the one before
     runs = 0
@@ -811,9 +807,9 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
         if failed is not None and blocks[:len(failed[0])] == failed[0]:
             depth, state = len(blocks), failed[1]  # below the failing block: nothing runs
         elif saved and saved[-1][0] == shared - 1:
-            depth, block, state, operands, root, revert_mark = saved.pop()
+            depth, block, state, operands, root = saved.pop()
         elif saved:
-            depth, block, state, operands, root, revert_mark = saved[-1]
+            depth, block, state, operands, root = saved[-1]
             state = state.fork()
         else:
             depth, block = -1, None
@@ -827,15 +823,14 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                     state = SymbolicState(base_storage=dict(base_storage))
                     interp.state = state
                     interp.begin_transaction()
-                    root, revert_mark = block_id, state.storage_snapshot()
+                    root = block_id
                 else:
                     interp.state = state
-                    if _take_exit(interp, block, operands, block_id, root):
-                        revert_mark = state.storage_snapshot()
+                    _take_exit(interp, block, operands, block_id, root)
                 block = cfg.blocks[block_id]
-                operands = _run_body(interp, cfg, block, revert_mark)
+                operands = _run_body(interp, cfg, block)
                 if len(operands) == 2 and depth < keep:
-                    saved.append((depth, block, state.fork(), operands, root, revert_mark))
+                    saved.append((depth, block, state.fork(), operands, root))
         except DeadlinePassed as passed:
             yield from ((rest, passed) for rest in chain((path, following), ahead)
                         if rest is not None)
@@ -867,42 +862,51 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
     return outcome
 
 
-# Blocks a witness replay may run before it is abandoned.
-REPLAY_BLOCK_LIMIT = 4096
+# Blocks a steered walk (witness replay, constructor pre-run) may run
+# before it is abandoned.
+STEER_BLOCK_LIMIT = 4096
+
+
+def _steer(interp: Interpreter, cfg: Cfg,
+           choose: Callable[[Any, tuple[Word, ...]], int | None]) -> list[int]:
+    """Run blocks from the root, each one the block before names through
+    `choose(block, operands)`, until it names none; returns the blocks run.
+    The clock is read before every block.  Raises SymExecError past
+    STEER_BLOCK_LIMIT blocks, or at an offset that starts no block."""
+    taken = [cfg.root]
+    while len(taken) <= STEER_BLOCK_LIMIT:
+        interp.check_deadline()
+        block = cfg.blocks[taken[-1]]
+        block_id = choose(block, _run_body(interp, cfg, block))
+        if block_id is None:
+            return taken
+        if block_id not in cfg.blocks:
+            raise SymExecError(f"jumped to unknown offset {block_id}")
+        taken.append(block_id)
+    raise SymExecError("exceeded block budget")
 
 
 def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
                   base_storage: dict[Word, Word], call_count: int,
                   deadline: float | None = None) -> tuple[int, ...]:
-    """Run concretely under a witness and report the block sequence taken."""
+    """Run `call_count` calls concretely under a witness and report the
+    block sequence taken: every jump and branch goes where the witness
+    sends it."""
     state = SymbolicState(base_storage=dict(base_storage))
     interp = Interpreter(code, state, witness=witness, deadline=deadline)
     interp.begin_transaction()
-    taken: list[int] = [cfg.root]
-    revert_mark = state.storage_snapshot()
-    while len(taken) <= REPLAY_BLOCK_LIMIT:
-        interp.check_deadline()
-        block = cfg.blocks[taken[-1]]
-        operands = _run_body(interp, cfg, block, revert_mark)
+
+    def choose(block, operands: tuple[Word, ...]) -> int | None:
         if block.terminator is Terminator.TERMINAL:
             if state.txn >= call_count:
-                return tuple(taken)
+                return None
             interp.begin_transaction()
-            revert_mark = state.storage_snapshot()
-            taken.append(cfg.root)
-            continue
-        if len(operands) == 1:  # JUMP
-            block_id = eval_word(operands[0], witness)
-        elif operands:  # JUMPI
-            target, cond = operands
-            block_id = eval_word(target, witness) if eval_word(cond, witness) \
-                else block.last_offset + 1
-        else:
-            block_id = block.last.next_offset
-        if block_id not in cfg.blocks:
-            raise SymExecError(f"replay jumped to unknown offset {block_id}")
-        taken.append(block_id)
-    raise SymExecError("replay exceeded block budget")
+            return cfg.root
+        if operands and (len(operands) == 1 or eval_word(operands[1], witness)):
+            return eval_word(operands[0], witness)  # a JUMP, or a JUMPI taken
+        return block.last.next_offset
+
+    return tuple(_steer(interp, cfg, choose))
 
 
 def execute_path(cfg: Cfg, code: bytes, path,
@@ -948,19 +952,17 @@ def execute_path(cfg: Cfg, code: bytes, path,
 # Constructor pre-run
 # ---------------------------------------------------------------------------
 
-# Blocks the constructor pre-run may run before it is abandoned.
-CONSTRUCTOR_STEP_LIMIT = 4096
-
-
 def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
                     deadline: float | None = None,
                     ) -> tuple[dict[Word, Word], list[str]]:
     """Execute the constructor's main path; returns (storage, diagnostics).
 
-    Constructor arguments stay symbolic.  At a branch with a symbolic
-    condition the walk prefers the branch that does not revert.  If the walk
-    exceeds its budget, `deadline` passes or a term passes the bounds of
-    `node`, the result is empty (all-symbolic) storage.
+    Constructor arguments stay symbolic.  The walk is steered like a replay,
+    but chooses each next block itself: at a branch with a symbolic
+    condition it prefers the branch that does not revert.  If the walk
+    enters a block more than 64 times, exceeds the steered walks' block
+    budget, `deadline` passes or a term passes the bounds of `node`, the
+    result is empty (all-symbolic) storage.
     """
     if creation_cfg is None or code is None:
         return {}, []
@@ -968,56 +970,40 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
     # constructor runs in its own deployment transaction, in its own namespace
     interp = Interpreter(code, state, deadline=deadline)
     interp.begin_transaction()
-    diagnostics: list[str] = []
-    block_id = creation_cfg.root
-    steps = 0
-    visited_guard: dict[int, int] = {}
+    blocks = creation_cfg.blocks
+    visits = {creation_cfg.root: 1}
+
+    def choose(block, operands: tuple[Word, ...]) -> int | None:
+        last = block.last
+        if block.terminator is Terminator.TERMINAL:
+            if last.mnemonic in ("RETURN", "STOP"):
+                return None
+            raise ConstructorDiverged(f"constructor main path ends in {last.mnemonic}")
+        block_id = last.next_offset
+        jump = bool(operands)
+        if len(operands) == 2:  # JUMPI
+            target, cond = operands
+            if cond.is_concrete:
+                jump = bool(cond.value)
+            else:  # prefer the branch that does not revert
+                taken = blocks.get(target.value or 0) if target.is_concrete else None
+                fall = blocks.get(block_id)
+                jump = (fall is None or fall.last.mnemonic == "REVERT") if taken is None \
+                    else taken.last.mnemonic != "REVERT"
+        if jump:
+            if not operands[0].is_concrete:
+                raise ConstructorDiverged("symbolic jump target in constructor")
+            block_id = operands[0].value or 0
+        visits[block_id] = visits.get(block_id, 0) + 1
+        if visits[block_id] > 64:
+            raise ConstructorDiverged("constructor walk looped")
+        return block_id
+
     try:
-        while True:
-            steps += 1
-            if steps > CONSTRUCTOR_STEP_LIMIT:
-                raise ConstructorDiverged("constructor walk exceeded step budget")
-            interp.check_deadline()
-            visited_guard[block_id] = visited_guard.get(block_id, 0) + 1
-            if visited_guard[block_id] > 64:
-                raise ConstructorDiverged("constructor walk looped")
-            block = creation_cfg.blocks[block_id]
-            operands = _run_body(interp, creation_cfg, block, 0)
-            last = block.last
-            if block.terminator is Terminator.TERMINAL:
-                if last.mnemonic in ("RETURN", "STOP"):
-                    return state.final_storage(), diagnostics
-                raise ConstructorDiverged(f"constructor main path ends in {last.mnemonic}")
-            if len(operands) == 1:  # JUMP
-                target = operands[0]
-                if not target.is_concrete:
-                    raise ConstructorDiverged("symbolic jump in constructor")
-                block_id = target.value or 0
-            elif operands:  # JUMPI
-                target, cond = operands
-                if cond.is_concrete:
-                    branch_taken = bool(cond.value)
-                else:
-                    taken_block = creation_cfg.blocks.get(target.value or 0) \
-                        if target.is_concrete else None
-                    fall_block = creation_cfg.blocks.get(last.offset + 1)
-                    branch_taken = not (taken_block is not None
-                                        and taken_block.last.mnemonic == "REVERT") \
-                        and (fall_block is None or fall_block.last.mnemonic == "REVERT"
-                             or taken_block is not None)
-                if branch_taken:
-                    if not target.is_concrete:
-                        raise ConstructorDiverged("symbolic branch target in constructor")
-                    block_id = target.value or 0
-                else:
-                    block_id = last.offset + 1
-            else:
-                block_id = last.next_offset
-            if block_id not in creation_cfg.blocks:
-                raise ConstructorDiverged(f"constructor jumped outside code ({block_id})")
+        _steer(interp, creation_cfg, choose)
     except SymExecError as exc:
-        diagnostics.append(f"constructor pre-run abandoned: {exc}")
-        return {}, diagnostics
+        return {}, [f"constructor pre-run abandoned: {exc}"]
+    return state.final_storage(), []
 
 
 # ---------------------------------------------------------------------------

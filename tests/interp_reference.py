@@ -3,14 +3,16 @@
 `ReferenceInterpreter` keeps the former `Interpreter` verbatim in behaviour:
 one `step` per instruction through a chain of mnemonic tests, a fresh
 constant word built for every PUSH.
-`reference_run_body` is the former block runner over it.  The compiled
-plans must leave the identical state after every block, and raise the
-identical exception where a block cannot run.
+`reference_run_body` is the former block runner over it.  On a REVERT it
+keeps a rule of its own: it drops the records numbered with the current
+call, and the storage writes made since `mark`, which its caller takes when
+the call begins; the runner under test truncates both lists at the
+`call_start` that `begin_transaction` sets.  The compiled plans must leave
+the identical state after every block, and raise the identical exception
+where a block cannot run.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from evmscope import isa
 from evmscope.cfg import Terminator
@@ -242,8 +244,7 @@ class ReferenceInterpreter:
             self.state.memory[dest + i] = const(int.from_bytes(chunk, "big"))
 
 
-def reference_run_body(interp: ReferenceInterpreter, block,
-                       revert_mark: int) -> tuple[Word, ...]:
+def reference_run_body(interp: ReferenceInterpreter, block, mark: int) -> tuple[Word, ...]:
     state = interp.state
     for ins in block.instructions[:-1]:
         interp.step(ins)
@@ -256,7 +257,7 @@ def reference_run_body(interp: ReferenceInterpreter, block,
         return (target, state.pop())
     interp.step(last)
     if name == "REVERT" and block.terminator is Terminator.TERMINAL:
-        state.storage_rollback(revert_mark)
-        state.records = [dataclasses.replace(rec, reverted=True) if rec.txn == state.txn
-                         else rec for rec in state.records]
+        # the call's own records carry its number; its writes follow `mark`
+        del state.storage_writes[mark:]
+        state.records = [rec for rec in state.records if rec.txn != state.txn]
     return ()

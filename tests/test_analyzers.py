@@ -107,8 +107,7 @@ def test_enjinbuyer_sale_address_flagged():
     traced = _traced_money_paths("enjinbuyer", depth=1)
     found = []
     for path, state in traced:
-        violations, warnings = check_address_existence(
-            [r for r in state.records if not r.reverted], registry)
+        violations, warnings = check_address_existence(state.records, registry)
         found.extend(violations)
         assert warnings == []
     assert found

@@ -63,25 +63,27 @@ def _outcome(exc):
 def _lanes(cfg):
     """(interpreter class, block runner) of the reference and of the plans."""
     return ((ReferenceInterpreter, reference_run_body),
-            (Interpreter, lambda interp, block, mark: _run_body(interp, cfg, block, mark)))
+            (Interpreter, lambda interp, block, _mark: _run_body(interp, cfg, block)))
 
 
 def _advance(lane, cfg, code, storage, witness, parent, block_id):
     """Run `block_id` after the frame `parent` (None at the root); returns
-    the new frame, or the SymExecError that stopped it."""
+    the new frame, or the SymExecError that stopped it.  The frame keeps the
+    reference's mark: the storage writes made before the current call."""
     cls, run = lane
     try:
         if parent is None:
             state = SymbolicState(base_storage=dict(storage))
             interp = cls(code, state, witness=witness)
             interp.begin_transaction()
-            root, mark = block_id, state.storage_snapshot()
+            root, mark = block_id, len(state.storage_writes)
         else:
             parent_block, parent_state, operands, root, mark = parent
             state = parent_state.fork()
             interp = cls(code, state, witness=witness)
-            if _take_exit(interp, parent_block, operands, block_id, root):
-                mark = state.storage_snapshot()
+            _take_exit(interp, parent_block, operands, block_id, root)
+            if state.txn != parent_state.txn:
+                mark = len(state.storage_writes)
         block = cfg.blocks[block_id]
         return block, state, run(interp, block, mark), root, mark
     except SymExecError as exc:

@@ -1,9 +1,11 @@
-"""The pruned path search of stack simulation against the search it
+"""The jump-target search of stack simulation against the path search it
 replaced.
 
-`_reference_paths_to_block` is the former `cfg._paths_to_block`, kept
-verbatim in behaviour: it enters every block, also those that never reach
-the jump.  The pruned search must give the same paths in the same order,
+`_reference_paths_to_block` is the former path search, kept verbatim in
+behaviour: it lists every acyclic root-to-jump path, entering every block,
+also those that never reach the jump.  `_reference_targets` simulates the
+stack along each listed path from the root.  The pruned depth-first search
+of `cfg._jump_targets` must give the same set of targets, TOP included,
 and hit the cap on the same programs.
 """
 
@@ -11,9 +13,11 @@ import pytest
 
 from evmscope.cfg import (
     MAX_SIM_PATHS,
+    TOP,
     Cfg,
     EdgeKind,
-    _paths_to_block,
+    _jump_targets,
+    _simulate_block,
     build_blocks,
     build_cfg,
     connect_static,
@@ -44,6 +48,20 @@ def _reference_paths_to_block(cfg: Cfg, target: int, cap: int) -> list[list[int]
     return paths
 
 
+def _reference_targets(cfg: Cfg, target: int, cap: int) -> set | None:
+    """The jump target simulated along each reference path, or None."""
+    paths = _reference_paths_to_block(cfg, target, cap)
+    if paths is None:
+        return None
+    targets = set()
+    for path in paths:
+        stack: list = []
+        for node in path:
+            stack, top = _simulate_block(cfg.blocks[node], stack)
+        targets.add(top)
+    return targets
+
+
 def _graphs(code: bytes) -> list[Cfg]:
     """The graph before stack simulation and after it."""
     instructions = disassemble(code)
@@ -57,8 +75,8 @@ def _assert_same_searches(code: bytes, cap: int = MAX_SIM_PATHS) -> int:
     static, built = _graphs(code)
     for cfg in (static, built):
         for target in sorted(static.dangling):
-            want = _reference_paths_to_block(cfg, target, cap)
-            assert _paths_to_block(cfg, target, cap) == want, target
+            want = _reference_targets(cfg, target, cap)
+            assert _jump_targets(cfg, target, cap) == want, target
             found += bool(want)
     return found
 
@@ -95,8 +113,8 @@ def test_pruned_search_hits_the_cap_where_the_reference_does():
                      + "5b3656")
     static, _built = _graphs(code)
     (target,) = static.dangling
-    assert _reference_paths_to_block(static, target, MAX_SIM_PATHS) is None
-    assert _paths_to_block(static, target, MAX_SIM_PATHS) is None
-    for cap in (2 ** 14 - 1, 2 ** 14):
-        assert _paths_to_block(static, target, cap) == \
-            _reference_paths_to_block(static, target, cap)
+    assert _reference_targets(static, target, MAX_SIM_PATHS) is None
+    assert _jump_targets(static, target, MAX_SIM_PATHS) is None
+    assert _jump_targets(static, target, 2 ** 14 - 1) is None
+    assert _jump_targets(static, target, 2 ** 14) == \
+        _reference_targets(static, target, 2 ** 14) == {TOP}

@@ -18,6 +18,7 @@ from evmscope.symexec import (
     Interpreter,
     StackUnderflow,
     SymbolicState,
+    SymExecError,
     _run_body,
     concrete_op,
     concretize,
@@ -257,7 +258,7 @@ def test_step_covers_every_opcode_byte(witness):
         block = BasicBlock(64, 64, 64, [ins], terminator)
         cfg = Cfg(blocks={64: block}, root=64, edges=set())
         state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
-        operands = _run_body(Interpreter(bytes(100), state, witness=witness), cfg, block, 0)
+        operands = _run_body(Interpreter(bytes(100), state, witness=witness), cfg, block)
         assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
         assert len(operands) == (info.stack_pops if jump else 0), info.mnemonic
 
@@ -347,7 +348,33 @@ def test_diverging_constructor_falls_back_to_symbolic():
     creation_cfg = build_cfg(disassemble(code))
     storage, diags = run_constructor(creation_cfg, code)
     assert storage == {}
-    assert diags and "constructor" in diags[0]
+    assert diags == ["constructor pre-run abandoned: constructor walk looped"]
+
+
+def test_constructor_walk_stops_at_the_block_budget():
+    # 65 blocks in a cycle: none is entered 64 times before the budget ends
+    code = parse_hex("5b" * 64 + "5b600056")
+    creation_cfg = build_cfg(disassemble(code))
+    assert len(creation_cfg.blocks) == 65
+    assert run_constructor(creation_cfg, code) == (
+        {}, ["constructor pre-run abandoned: exceeded block budget"])
+
+
+def test_constructor_jumping_outside_its_code_is_abandoned():
+    code = parse_hex("600160005560ff56")  # SSTORE(0, 1); JUMP to 0xff, past the code
+    assert run_constructor(build_cfg(disassemble(code)), code) == (
+        {}, ["constructor pre-run abandoned: jumped to unknown offset 255"])
+
+
+def test_replay_stops_at_the_block_budget(monkeypatch):
+    # JUMPDEST; PUSH1 0; JUMP loops under any witness
+    code = parse_hex("5b600056")
+    runs = []
+    monkeypatch.setattr(symexec_module, "_run_body",
+                        lambda *args: runs.append(1) or _run_body(*args))
+    with pytest.raises(SymExecError, match="^exceeded block budget$"):
+        replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
+    assert len(runs) == symexec_module.STEER_BLOCK_LIMIT == 4096
 
 
 # -- execute_path / feasibility ---------------------------------------------------
@@ -490,9 +517,36 @@ def test_revert_branch_leaves_sibling_records_live(order):
     for p, state in outcomes:
         blocks = p.blocks
         assert _observable(state) == _observable(_alone(cfg, code, blocks, {}))
-        segments_reverted = [cfg.blocks[seg[-1]].last.mnemonic == "REVERT"
-                             for seg in (blocks[:3], blocks[3:])]
-        assert [rec.reverted for rec in state.records] == segments_reverted
+        # one CALL record per call; a call that reverts keeps none
+        kept = [txn for txn, seg in enumerate((blocks[:3], blocks[3:]), start=1)
+                if cfg.blocks[seg[-1]].last.mnemonic != "REVERT"]
+        assert [rec.txn for rec in state.records] == kept
+
+
+# SSTORE(0, CALLER) and a CALL, then the branch of _CALL_THEN_BRANCH
+_STORE_CALL_THEN_BRANCH = "33600055" + "6000" * 7 + "f1" + "50" + "6000" + "35" + "601f" \
+    + "57" + "6000" + "6000" + "fd" + "5b" + "00"
+
+
+def test_revert_resumed_from_a_saved_fork_drops_only_its_own_call(monkeypatch):
+    code = parse_hex(_STORE_CALL_THEN_BRANCH)
+    cfg = build_cfg(disassemble(code))
+    reverts = {b.id for b in cfg.blocks.values() if b.last.mnemonic == "REVERT"}
+    stops = [p for p in enumerate_paths(cfg, PathBounds(call_depth=2))
+             if p.blocks[2] not in reverts]
+    # call 1 stops; call 2 stops, then the same prefix with call 2 reverting
+    first, second = sorted(stops, key=lambda p: p.blocks[-1] in reverts)
+    assert first.blocks[:-1] == second.blocks[:-1] and len(second.blocks) == 6
+    runs = []
+    monkeypatch.setattr(symexec_module, "_run_body",
+                        lambda *args: runs.append(args[2].id) or _run_body(*args))
+    (_, stopped), (_, reverted) = execute_paths(cfg, code, [first, second], {})
+    # the second path resumes from the fork saved at call 2's JUMPI
+    assert runs == [*first.blocks, second.blocks[-1]]
+    assert stopped.storage_writes == [(const(0), var("CALLER#1")), (const(0), var("CALLER#2"))]
+    assert [(rec.kind, rec.txn) for rec in stopped.records] == [("CALL", 1), ("CALL", 2)]
+    assert reverted.storage_writes == [(const(0), var("CALLER#1"))]
+    assert [(rec.kind, rec.txn) for rec in reverted.records] == [("CALL", 1)]
 
 
 def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
