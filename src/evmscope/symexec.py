@@ -10,7 +10,11 @@ a transaction boundary introduces a fresh environment while storage
 persists.  One block runner, `_run_body`, executes each block from a plan
 compiled once, checking the stack against the plan's static bounds once
 per block.  Feasibility is decided by a pluggable constraint backend; a
-satisfying witness is re-validated by replaying the path concretely.
+satisfying witness is re-validated by replaying the path on plain ints:
+`Replay` runs the same compiled plans, reading every value the symbolic
+walk leaves free from the witness, and `_steer`, the one steering loop,
+picks each next block from the jump operands.  Memory is keyed by word
+offset in both runners.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -347,38 +352,47 @@ _OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE"
 # Transaction environment: one variable per transaction.
 _ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
                         "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"})
-# Always the same symbolic constant, so the self-balance check in BALANCE
-# behaves identically in symbolic and replay runs.
+# The one symbolic constant for the contract's own address, so that BALANCE
+# can tell it from every other word.
 _ADDRESS = var("ADDRESS")
 
 
-class Interpreter:
-    """Executes instructions over a SymbolicState.
+def check_deadline(deadline: float | None) -> None:
+    """Raise DeadlinePassed once `deadline` (a time.monotonic() value) has
+    passed; None sets no limit."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlinePassed("deadline passed")
 
-    In symbolic mode environment reads produce per-transaction variables; in
-    concrete (replay) mode they evaluate immediately under a witness, so
-    every branch condition folds to a constant and the walk is deterministic.
+
+def _expand_memory(offset: int, length: int) -> None:
+    """Halt as out of gas if memory would grow past MEMORY_CAP."""
+    if length > 0 and offset + length > MEMORY_CAP:
+        raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
+
+
+def _copy_code(memory: dict, code: bytes, dest: int, src: int, length: int,
+               word: Callable[[int], Any]) -> None:
+    """CODECOPY into word-keyed memory: `code` from `src`, zeros past its
+    end; `word` turns each 32-byte big-endian value into a memory word."""
+    _expand_memory(dest, length)
+    data = code[src:src + length]
+    for i in range(0, len(data), 32):
+        memory[dest + i] = word(int.from_bytes(data[i:i + 32].ljust(32, b"\x00"), "big"))
+    # past the end of the code: zero words, up to 3.9 MB of them
+    tail = dest + -(-len(data) // 32) * 32
+    memory.update(dict.fromkeys(range(tail, dest + length, 32), word(0)))
+
+
+class Interpreter:
+    """Executes instructions over a SymbolicState.  Environment reads give
+    per-transaction variables and untracked reads fresh ones; `Replay` is
+    the concrete counterpart that reads them all from a witness.
     """
 
-    def __init__(self, code: bytes, state: SymbolicState,
-                 witness: dict[str, int] | None = None,
-                 deadline: float | None = None):
+    def __init__(self, code: bytes, state: SymbolicState, deadline: float | None = None):
         self.code = code
         self.state = state
-        self.witness = witness
         self.deadline = deadline  # time.monotonic() value; None: no limit
-
-    def check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlinePassed("deadline passed")
-
-    # -- environment ------------------------------------------------------
-
-    def _env(self, tag: str) -> Word:
-        name = f"{tag}#{self.state.txn_label}"
-        if self.witness is not None:
-            return const(self.witness.get(name, 0))
-        return var(name)
 
     def begin_transaction(self) -> None:
         self.state.txn += 1
@@ -386,46 +400,21 @@ class Interpreter:
         self.state.memory = {}
         self.state.mem_unknown = False
         self.state.call_start = (len(self.state.storage_writes), len(self.state.records))
-        self.state.balance = mk("ADD", self.state.balance, self._env("CALLVALUE"))
-
-    # -- memory -----------------------------------------------------------
-
-    @staticmethod
-    def _expand_memory(offset: int, length: int) -> None:
-        """Halt as out of gas if memory would grow past MEMORY_CAP."""
-        if length > 0 and offset + length > MEMORY_CAP:
-            raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
+        self.state.balance = mk("ADD", self.state.balance,
+                                var(f"CALLVALUE#{self.state.txn_label}"))
 
     def _mem_words(self, offset: int, length: int) -> list[Word]:
-        self._expand_memory(offset, length)
+        _expand_memory(offset, length)
         words = []
         for i in range(0, max(length, 0), 32):
             word = self.state.memory.get(offset + i)
             if word is None:
-                if self.witness is not None or not self.state.mem_unknown:
-                    word = ZERO
-                else:
+                if self.state.mem_unknown:
                     word = self.state.fresh(f"MEM#{self.state.txn_label}")
+                else:
+                    word = ZERO
             words.append(word)
         return words
-
-    # -- instruction dispatch ----------------------------------------------
-
-    def _fresh_or_zero(self, tag: str) -> Word:
-        w = self.state.fresh(tag)
-        if self.witness is not None:
-            return const(self.witness.get(w.name or "", 0))
-        return w
-
-    def _copy_code(self, dest: int, src: int, length: int) -> None:
-        self._expand_memory(dest, length)
-        data = self.code[src:src + length]
-        memory = self.state.memory
-        for i in range(0, len(data), 32):
-            memory[dest + i] = const(int.from_bytes(data[i:i + 32].ljust(32, b"\x00"), "big"))
-        # past the end of the code: zero words, up to 3.9 MB of them
-        tail = dest + -(-len(data) // 32) * 32
-        memory.update(dict.fromkeys(range(tail, dest + length, 32), ZERO))
 
     # -- instruction handlers ----------------------------------------------
     # `handler(interp, ins, operand)`: the operand is decoded once per
@@ -465,10 +454,13 @@ class Interpreter:
 
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
         self._pop_only(ins, pops)
-        self.state.push(self._fresh_or_zero(ins.info.mnemonic))
+        self.state.push(self.state.fresh(ins.info.mnemonic))
 
     def _env_read(self, ins: Instruction, tag: str) -> None:
-        self.state.push(self._env(tag))
+        self.state.push(var(f"{tag}#{self.state.txn_label}"))
+
+    def _address(self, ins: Instruction, operand: None) -> None:
+        self.state.push(_ADDRESS)
 
     def _sha3(self, ins: Instruction, operand: None) -> None:
         state = self.state
@@ -492,19 +484,15 @@ class Interpreter:
         if target.op == "var" and target.name == "ADDRESS":
             state.push(state.balance)
         else:
-            state.push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
+            state.push(state.fresh(f"EXTBAL#{state.txn_label}"))
 
     def _calldataload(self, ins: Instruction, operand: None) -> None:
         state = self.state
         offset = state.pop()
         if offset.is_concrete:
-            word_name = f"CALLDATA#{state.txn_label}@{offset.value}"
-            if self.witness is not None:
-                state.push(const(self.witness.get(word_name, 0)))
-            else:
-                state.push(var(word_name))
+            state.push(var(f"CALLDATA#{state.txn_label}@{offset.value}"))
         else:
-            state.push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
+            state.push(state.fresh(f"CALLDATA#{state.txn_label}"))
 
     def _codesize(self, ins: Instruction, operand: None) -> None:
         self.state.push(const(len(self.code)))
@@ -513,7 +501,8 @@ class Interpreter:
         state = self.state
         dest, src, length = state.pop(), state.pop(), state.pop()
         if dest.is_concrete and src.is_concrete and length.is_concrete:
-            self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
+            _copy_code(state.memory, self.code, dest.value or 0, src.value or 0,
+                       length.value or 0, const)
         else:
             state.memory.clear()
             state.mem_unknown = True
@@ -522,7 +511,7 @@ class Interpreter:
         """CALLDATACOPY, RETURNDATACOPY, EXTCODECOPY: data the model does not track."""
         self._pop_only(ins, pops)
         self.state.memory.clear()
-        self.state.mem_unknown = self.witness is None
+        self.state.mem_unknown = True
 
     def _mload(self, ins: Instruction, operand: None) -> None:
         state = self.state
@@ -531,7 +520,7 @@ class Interpreter:
             state.push(state.memory[offset.value or 0])
         else:
             # fresh-counter use must match between symbolic and replay runs
-            state.push(self._fresh_or_zero(f"MEM#{state.txn_label}"))
+            state.push(state.fresh(f"MEM#{state.txn_label}"))
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
         state = self.state
@@ -548,15 +537,11 @@ class Interpreter:
         offset, _value = state.pop(), state.pop()
         if offset.is_concrete:
             aligned = (offset.value or 0) & ~31
-            state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
+            state.memory[aligned] = state.fresh(f"MEM#{state.txn_label}")
 
     def _sload(self, ins: Instruction, operand: None) -> None:
         state = self.state
-        loaded = state.sload(state.pop())
-        if self.witness is not None:
-            state.push(const(eval_word(loaded, self.witness)))
-        else:
-            state.push(loaded)
+        state.push(state.sload(state.pop()))
 
     def _sstore(self, ins: Instruction, operand: None) -> None:
         state = self.state
@@ -573,14 +558,14 @@ class Interpreter:
         state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
         if name == "CALL":
             state.balance = mk("SUB", state.balance, value)
-        state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
+        state.push(state.fresh(f"XRET#{state.txn_label}"))
 
     def _create(self, ins: Instruction, operand: None) -> None:
         state = self.state
         value = state.pop()
         state.pop(), state.pop()
         state.records.append(ExternalRecord("CREATE", ins.offset, state.txn, None, value))
-        state.push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
+        state.push(state.fresh(f"XADDR#{state.txn_label}"))
 
     def _selfdestruct(self, ins: Instruction, operand: None) -> None:
         state = self.state
@@ -628,16 +613,18 @@ def _handler_entry(info: isa.OpcodeInfo) -> tuple:
             return Interpreter._pop_only, info.stack_pops
         return Interpreter._nothing, None
     if name == "ADDRESS":
-        return Interpreter._push_word, _ADDRESS
+        return Interpreter._address, None
     return _NAMED_HANDLERS[name], info.stack_pops
 
 
 # Every opcode byte's handler and static operand, indexed by byte.
 _HANDLERS: tuple[tuple, ...] = tuple(_handler_entry(info) for info in isa.TABLE)
 
-# The handlers whose stack moves the block runner makes inline.
-_PUSH, _DUP, _SWAP, _POP = (Interpreter._push_word, Interpreter._dup, Interpreter._swap,
-                            Interpreter._pop_only)
+# The handlers the block runners make inline: the stack moves in both, the
+# operators in replay.
+_PUSH, _DUP, _SWAP, _POP, _OPERATOR = (Interpreter._push_word, Interpreter._dup,
+                                       Interpreter._swap, Interpreter._pop_only,
+                                       Interpreter._operator)
 
 # One decoded instruction: (handler, instruction, operand).
 Op = tuple[Callable[[Interpreter, Instruction, Any], None], Instruction, Any]
@@ -686,15 +673,22 @@ def compile_block(block) -> BlockPlan:
 # Path execution
 # ---------------------------------------------------------------------------
 
+def _plan(cfg: Cfg, block) -> BlockPlan:
+    """The block's plan, compiled on first use and kept with `cfg`."""
+    plan = cfg.plans.get(block.id)
+    if plan is None:
+        plan = cfg.plans[block.id] = compile_block(block)
+    return plan
+
+
 def _run_body(interp: Interpreter, cfg: Cfg, block) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
-    This is the one block runner: the path walk and the steered walks
-    (witness replay, the constructor pre-run) differ only in how they choose
-    the next block from the operands.  The block is compiled on first use
-    and its plan kept with `cfg`.  A REVERT rolls back the call here,
-    whatever block follows: the storage writes and records made since the
-    call's `call_start` are dropped.
+    This is the one symbolic block runner: the path walk and the constructor
+    pre-run differ only in how they choose the next block from the
+    operands; `_replay_body` runs the same plans on ints.  A REVERT rolls
+    back the call here, whatever block follows: the storage writes and
+    records made since the call's `call_start` are dropped.
 
     The stack is checked once per block: when its depth lies within the
     plan's bounds no instruction of the body can under- or overflow it, so
@@ -702,10 +696,7 @@ def _run_body(interp: Interpreter, cfg: Cfg, block) -> tuple[Word, ...]:
     only the other opcodes go through their handlers.  Otherwise every
     instruction goes through its handler, which raises where the stack
     fails, with the message it gives."""
-    plan = cfg.plans.get(block.id)
-    if plan is None:
-        plan = cfg.plans[block.id] = compile_block(block)
-    ops, jump_pops, reverts, need, grow = plan
+    ops, jump_pops, reverts, need, grow = _plan(cfg, block)
     state = interp.state
     stack = state.stack
     if need <= len(stack) <= STACK_LIMIT - grow:
@@ -818,7 +809,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                 block_id = blocks[depth]
                 runs += 1
                 if not runs & 0xF:
-                    interp.check_deadline()
+                    check_deadline(deadline)
                 if block is None:
                     state = SymbolicState(base_storage=dict(base_storage))
                     interp.state = state
@@ -867,17 +858,21 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
 STEER_BLOCK_LIMIT = 4096
 
 
-def _steer(interp: Interpreter, cfg: Cfg,
-           choose: Callable[[Any, tuple[Word, ...]], int | None]) -> list[int]:
-    """Run blocks from the root, each one the block before names through
-    `choose(block, operands)`, until it names none; returns the blocks run.
-    The clock is read before every block.  Raises SymExecError past
-    STEER_BLOCK_LIMIT blocks, or at an offset that starts no block."""
+def _steer(cfg: Cfg, run: Callable[[Any], tuple],
+           choose: Callable[[Any, tuple], int | None],
+           deadline: float | None) -> list[int]:
+    """The one steering loop.  Runs blocks from the root with the block
+    runner `run(block)`, which returns the jump operands, each next block
+    the one the block before names through `choose(block, operands)`,
+    until it names none; returns the blocks run.  The constructor pre-run
+    steers the symbolic runner, witness replay the concrete one.  The clock
+    is read before every block.  Raises SymExecError past STEER_BLOCK_LIMIT
+    blocks, or at an offset that starts no block."""
     taken = [cfg.root]
     while len(taken) <= STEER_BLOCK_LIMIT:
-        interp.check_deadline()
+        check_deadline(deadline)
         block = cfg.blocks[taken[-1]]
-        block_id = choose(block, _run_body(interp, cfg, block))
+        block_id = choose(block, run(block))
         if block_id is None:
             return taken
         if block_id not in cfg.blocks:
@@ -886,27 +881,248 @@ def _steer(interp: Interpreter, cfg: Cfg,
     raise SymExecError("exceeded block budget")
 
 
+# ---------------------------------------------------------------------------
+# Witness replay
+# ---------------------------------------------------------------------------
+
+class _SelfAddress(int):
+    """The contract's own address in a replay.  BALANCE reads the contract's
+    balance only for this very word, moved about but not computed on, as
+    the symbolic walk does only for its one ADDRESS variable."""
+
+
+class Replay:
+    """The concrete counterpart of `Interpreter`: it runs the same compiled
+    plans on plain ints under a witness.
+
+    Every value the symbolic walk leaves free is read from the witness under
+    the name the walk gives it, an absent name reading zero: the
+    environment words (`CALLER#1`), calldata words at constant offsets
+    (`CALLDATA#1@4`), storage the path never wrote and the constructor left
+    unset (`STORAGE@0x0`), and the fresh reads (`MEM#1.2`, `XRET#2.5`,
+    `GAS.3`), numbered in the order the walk numbers them.  Memory is keyed
+    by word offset, as in the symbolic walk.  Storage writes, the balance
+    and the call counter carry across calls; a REVERT returns storage to
+    where its call began.  Each handler has the name of the symbolic
+    handler it stands for."""
+
+    def __init__(self, code: bytes, witness: dict[str, int],
+                 base_storage: dict[Word, Word], deadline: float | None = None):
+        self.code = code
+        self.witness = witness
+        self.base = {key.value: value for key, value in base_storage.items()
+                     if key.is_concrete}  # terms, evaluated under the witness when read
+        self.deadline = deadline
+        self.stack: list[int] = []
+        self.memory: dict[int, int] = {}
+        self.storage: dict[int, int] = {}  # the writes of the calls so far
+        self.committed: dict[int, int] = {}  # `storage` when this call began
+        self.balance = self.read("BALANCE0")
+        self.txn = 0
+        self.fresh_counter = 0
+        self.address = _SelfAddress(self.read("ADDRESS"))
+
+    def begin_transaction(self) -> None:
+        self.txn += 1
+        self.stack = []
+        self.memory = {}
+        self.committed = self.storage.copy()
+        self.balance = (self.balance + self.read(f"CALLVALUE#{self.txn}")) % WORD_MOD
+
+    def read(self, name: str) -> int:
+        return self.witness.get(name, 0) % WORD_MOD
+
+    def fresh(self, tag: str) -> int:
+        self.fresh_counter += 1
+        return self.read(f"{tag}.{self.fresh_counter}")
+
+    def push(self, value: int) -> None:
+        if len(self.stack) >= STACK_LIMIT:
+            raise StackOverflow("stack limit exceeded")
+        self.stack.append(value)
+
+    def pop(self) -> int:
+        if not self.stack:
+            raise StackUnderflow("pop from empty stack")
+        return self.stack.pop()
+
+    # -- instruction handlers, as in `Interpreter` ---------------------------
+
+    def _nothing(self, ins: Instruction, operand: None) -> None:
+        """STOP, JUMPDEST, INVALID."""
+
+    def _push_word(self, ins: Instruction, word: Word) -> None:
+        self.push(word.value)
+
+    def _dup(self, ins: Instruction, depth: int) -> None:
+        if len(self.stack) < depth:
+            raise StackUnderflow(ins.info.mnemonic)
+        self.push(self.stack[-depth])
+
+    def _swap(self, ins: Instruction, depth: int) -> None:
+        stack = self.stack
+        if len(stack) <= depth:
+            raise StackUnderflow(ins.info.mnemonic)
+        stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
+
+    def _operator(self, ins: Instruction, operator: tuple) -> None:
+        _name, fn, pops = operator
+        self.push(fn(*[self.pop() for _ in range(pops)]))
+
+    def _pop_only(self, ins: Instruction, pops: int) -> None:
+        for _ in range(pops):
+            self.pop()
+
+    def _opaque_read(self, ins: Instruction, pops: int) -> None:
+        self._pop_only(ins, pops)
+        self.push(self.fresh(ins.info.mnemonic))
+
+    def _env_read(self, ins: Instruction, tag: str) -> None:
+        self.push(self.read(f"{tag}#{self.txn}"))
+
+    def _address(self, ins: Instruction, operand: None) -> None:
+        self.push(self.address)
+
+    def _sha3(self, ins: Instruction, operand: None) -> None:
+        offset, length = self.pop(), self.pop()
+        _expand_memory(offset, length)
+        memory = self.memory
+        data = b"".join(memory.get(offset + i, 0).to_bytes(32, "big")
+                        for i in range(0, length, 32))
+        try:
+            self.push(int.from_bytes(keccak256(data[:length], self.deadline), "big"))
+        except TimeoutError as exc:
+            raise DeadlinePassed(str(exc)) from None
+
+    def _balance(self, ins: Instruction, operand: None) -> None:
+        if type(self.pop()) is _SelfAddress:
+            self.push(self.balance)
+        else:
+            self.push(self.fresh(f"EXTBAL#{self.txn}"))
+
+    def _calldataload(self, ins: Instruction, operand: None) -> None:
+        self.push(self.read(f"CALLDATA#{self.txn}@{self.pop()}"))
+
+    def _codesize(self, ins: Instruction, operand: None) -> None:
+        self.push(len(self.code))
+
+    def _codecopy(self, ins: Instruction, operand: None) -> None:
+        dest, src, length = self.pop(), self.pop(), self.pop()
+        _copy_code(self.memory, self.code, dest, src, length, int)
+
+    def _copy_unknown(self, ins: Instruction, pops: int) -> None:
+        self._pop_only(ins, pops)
+        self.memory.clear()
+
+    def _mload(self, ins: Instruction, operand: None) -> None:
+        offset = self.pop()
+        if offset in self.memory:
+            self.push(self.memory[offset])
+        else:
+            self.push(self.fresh(f"MEM#{self.txn}"))
+
+    def _mstore(self, ins: Instruction, operand: None) -> None:
+        offset, value = self.pop(), self.pop()
+        self.memory[offset] = value
+
+    def _mstore8(self, ins: Instruction, operand: None) -> None:
+        offset, _value = self.pop(), self.pop()
+        self.memory[offset & ~31] = self.fresh(f"MEM#{self.txn}")
+
+    def _sload(self, ins: Instruction, operand: None) -> None:
+        key = self.pop()
+        if key in self.storage:
+            self.push(self.storage[key])
+        elif key in self.base:
+            self.push(eval_word(self.base[key], self.witness, self.deadline))
+        else:
+            self.push(self.read(f"STORAGE@{hex(key)}"))
+
+    def _sstore(self, ins: Instruction, operand: None) -> None:
+        key, value = self.pop(), self.pop()
+        self.storage[key] = int(value)  # a storage read is never the ADDRESS word
+
+    def _call(self, ins: Instruction, pops: int) -> None:
+        args = [self.pop() for _ in range(pops)]
+        if ins.info.mnemonic == "CALL":
+            self.balance = (self.balance - args[2]) % WORD_MOD
+        self.push(self.fresh(f"XRET#{self.txn}"))
+
+    def _create(self, ins: Instruction, operand: None) -> None:
+        self._pop_only(ins, 3)
+        self.push(self.fresh(f"XADDR#{self.txn}"))
+
+    def _selfdestruct(self, ins: Instruction, operand: None) -> None:
+        self.pop()
+
+    def _unhandled(self, ins: Instruction, operand: None) -> None:
+        raise SymExecError(f"unhandled opcode {ins.info.mnemonic}")
+
+
+# Each symbolic handler's concrete counterpart, the method of the same name.
+_CONCRETE = {handler: getattr(Replay, handler.__name__) for handler, _operand in _HANDLERS}
+
+
+def _replay_body(replay: Replay, cfg: Cfg, block) -> tuple[int, ...]:
+    """`_run_body` on ints: execute a block's plan up to its exit and
+    return the jump operands it popped.  The stack is checked against the
+    plan's bounds once per block, as there; within them PUSH, DUP, SWAP,
+    the operators and the pop-only opcodes work on the list directly."""
+    ops, jump_pops, reverts, need, grow = _plan(cfg, block)
+    stack = replay.stack
+    if need <= len(stack) <= STACK_LIMIT - grow:
+        append, pop = stack.append, stack.pop
+        for handler, ins, operand in ops:
+            if handler is _PUSH:
+                append(operand.value)
+            elif handler is _DUP:
+                append(stack[-operand])
+            elif handler is _SWAP:
+                stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
+            elif handler is _OPERATOR:
+                fn, pops = operand[1], operand[2]
+                if pops == 2:
+                    append(fn(pop(), pop()))
+                elif pops == 1:
+                    append(fn(pop()))
+                else:
+                    append(fn(pop(), pop(), pop()))
+            elif handler is _POP:
+                del stack[-operand:]
+            else:
+                _CONCRETE[handler](replay, ins, operand)
+    else:
+        for handler, ins, operand in ops:
+            _CONCRETE[handler](replay, ins, operand)
+    if jump_pops:
+        if len(stack) < jump_pops:
+            raise StackUnderflow("pop from empty stack")
+        return (stack.pop(),) if jump_pops == 1 else (stack.pop(), stack.pop())
+    if reverts:
+        replay.storage = replay.committed.copy()
+    return ()
+
+
 def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
                   base_storage: dict[Word, Word], call_count: int,
                   deadline: float | None = None) -> tuple[int, ...]:
-    """Run `call_count` calls concretely under a witness and report the
-    block sequence taken: every jump and branch goes where the witness
-    sends it."""
-    state = SymbolicState(base_storage=dict(base_storage))
-    interp = Interpreter(code, state, witness=witness, deadline=deadline)
-    interp.begin_transaction()
+    """Run `call_count` calls on ints under a witness (`Replay` over the
+    compiled plans, steered by `_steer`) and report the block sequence
+    taken: every jump and branch goes where the witness sends it."""
+    replay = Replay(code, witness, base_storage, deadline)
+    replay.begin_transaction()
 
-    def choose(block, operands: tuple[Word, ...]) -> int | None:
+    def choose(block, operands: tuple[int, ...]) -> int | None:
         if block.terminator is Terminator.TERMINAL:
-            if state.txn >= call_count:
+            if replay.txn >= call_count:
                 return None
-            interp.begin_transaction()
+            replay.begin_transaction()
             return cfg.root
-        if operands and (len(operands) == 1 or eval_word(operands[1], witness)):
-            return eval_word(operands[0], witness)  # a JUMP, or a JUMPI taken
+        if operands and (len(operands) == 1 or operands[1]):
+            return operands[0]  # a JUMP, or a JUMPI taken
         return block.last.next_offset
 
-    return tuple(_steer(interp, cfg, choose))
+    return tuple(_steer(cfg, partial(_replay_body, replay, cfg), choose, deadline))
 
 
 def execute_path(cfg: Cfg, code: bytes, path,
@@ -1000,7 +1216,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
         return block_id
 
     try:
-        _steer(interp, creation_cfg, choose)
+        _steer(creation_cfg, partial(_run_body, interp, creation_cfg), choose, deadline)
     except SymExecError as exc:
         return {}, [f"constructor pre-run abandoned: {exc}"]
     return state.final_storage(), []

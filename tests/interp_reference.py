@@ -2,7 +2,9 @@
 
 `ReferenceInterpreter` keeps the former `Interpreter` verbatim in behaviour:
 one `step` per instruction through a chain of mnemonic tests, a fresh
-constant word built for every PUSH.
+constant word built for every PUSH.  It keeps the former witness mode too,
+which evaluates every free value under a witness as it is read; that mode
+is the oracle of the concrete replay runner, `symexec.Replay`.
 `reference_run_body` is the former block runner over it.  On a REVERT it
 keeps a rule of its own: it drops the records numbered with the current
 call, and the storage writes made since `mark`, which its caller takes when

@@ -16,9 +16,11 @@ from evmscope.symexec import (
     DeadlinePassed,
     FeasibilityStatus,
     Interpreter,
+    Replay,
     StackUnderflow,
     SymbolicState,
     SymExecError,
+    _replay_body,
     _run_body,
     concrete_op,
     concretize,
@@ -246,9 +248,10 @@ def test_storage_unknown_slot_reads_stable_var():
     assert free_vars(stored[const(1)])
 
 
-@pytest.mark.parametrize("witness", [None, {}], ids=["symbolic", "witness"])
-def test_step_covers_every_opcode_byte(witness):
-    # every byte as a one-instruction block through the compiled block runner
+@pytest.mark.parametrize("runner", ["symbolic", "witness"])
+def test_step_covers_every_opcode_byte(runner):
+    # every byte as a one-instruction block through the symbolic block
+    # runner, or through the concrete one that witness replay uses
     for info in isa.TABLE:
         ins = Instruction(64, info, 0x1234 if info.immediate_bytes else None)
         jump = info.mnemonic in ("JUMP", "JUMPI")
@@ -257,9 +260,15 @@ def test_step_covers_every_opcode_byte(witness):
                             else Terminator.FALL_THROUGH)
         block = BasicBlock(64, 64, 64, [ins], terminator)
         cfg = Cfg(blocks={64: block}, root=64, edges=set())
-        state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
-        operands = _run_body(Interpreter(bytes(100), state, witness=witness), cfg, block)
-        assert len(state.stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
+        if runner == "symbolic":
+            state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
+            operands = _run_body(Interpreter(bytes(100), state), cfg, block)
+            stack = state.stack
+        else:
+            replay = Replay(bytes(100), {}, {})
+            replay.stack = stack = list(range(20))
+            operands = _replay_body(replay, cfg, block)
+        assert len(stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
         assert len(operands) == (info.stack_pops if jump else 0), info.mnemonic
 
 
@@ -370,11 +379,55 @@ def test_replay_stops_at_the_block_budget(monkeypatch):
     # JUMPDEST; PUSH1 0; JUMP loops under any witness
     code = parse_hex("5b600056")
     runs = []
-    monkeypatch.setattr(symexec_module, "_run_body",
-                        lambda *args: runs.append(1) or _run_body(*args))
+    monkeypatch.setattr(symexec_module, "_replay_body",
+                        lambda *args: runs.append(1) or _replay_body(*args))
     with pytest.raises(SymExecError, match="^exceeded block budget$"):
         replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
     assert len(runs) == symexec_module.STEER_BLOCK_LIMIT == 4096
+
+
+def test_a_reverted_write_is_gone_in_the_next_call_in_trace_and_replay():
+    # call 1 (no value) stores 5 at slot 0, then reverts; call 2 (with
+    # value) reads slot 0 and branches on whether it still holds the 7
+    # the constructor left there
+    asm = Asm().op("CALLVALUE").push_label("second").op("JUMPI")
+    asm.label("revert").push(5).push(0).op("SSTORE").push(0).op("DUP1").op("REVERT")
+    asm.label("second").op("JUMPDEST").push(0).op("SLOAD").push(7).op("EQ")
+    asm.push_label("seven").op("JUMPI")
+    asm.label("other").op("STOP")
+    asm.label("seven").op("JUMPDEST").op("STOP")
+    code = asm.assemble()
+    cfg = build_cfg(disassemble(code))
+    base = {const(0): const(7)}
+    revert, second, other, seven = map(asm.offset_of, ("revert", "second", "other", "seven"))
+    paths = {p.blocks[-1]: p for p in enumerate_paths(cfg, PathBounds(call_depth=2))
+             if p.blocks[:4] == (0, revert, 0, second)}
+    assert set(paths) == {seven, other}
+    for end, reads_seven in ((seven, 1), (other, 0)):
+        state = trace_path(cfg, code, paths[end], base)
+        assert state.final_storage() == base
+        assert [concretize(c) for c in state.path_condition if not free_vars(c)] \
+            == [reads_seven]
+    witness = {"CALLVALUE#1": 0, "CALLVALUE#2": 1}
+    assert replay_blocks(cfg, code, witness, base, 2) == paths[seven].blocks
+    _state, feas = execute_path(cfg, code, paths[seven], base, BoundedSolver())
+    assert feas.status is FeasibilityStatus.FEASIBLE
+
+
+def test_a_replay_past_its_deadline_ends_unknown():
+    # CALLVALUE; JUMPI to a SELFDESTRUCT: two blocks, too few for the trace
+    # to read the clock, so the deadline is first seen by the replay
+    code = parse_hex("34600557005b33ff")
+    cfg = build_cfg(disassemble(code))
+    path = ProgramPath((0, 5), ((None, "initial"),))
+    state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert feas.status is FeasibilityStatus.FEASIBLE
+    state, feas = execute_path(cfg, code, path, {}, BoundedSolver(),
+                               deadline=time.monotonic() - 1)
+    assert state is not None  # the trace and the solver finished
+    assert (feas.status, feas.reason) == (FeasibilityStatus.UNKNOWN, "deadline passed")
+    with pytest.raises(DeadlinePassed):
+        replay_blocks(cfg, code, {"CALLVALUE#1": 1}, {}, 1, time.monotonic() - 1)
 
 
 # -- execute_path / feasibility ---------------------------------------------------
