@@ -121,7 +121,7 @@ class BoundedSolver:
             return CheckResult("unsat", reason=u.reason)
 
         live = [c for c in conjuncts if not (c.is_concrete and c.value)]
-        if any(c.is_concrete and not c.value for c in live):
+        if any(not free_vars(c) and eval_word(c, {}, deadline) == 0 for c in live):
             return CheckResult("unsat", reason="condition folds to false")
         if not live:
             return CheckResult("sat", model=dict(pinned),
@@ -359,10 +359,8 @@ class BoundedSolver:
         due: list[list[Word]] = [[] for _ in names]
         for c in conjuncts:
             used = free_vars(c)
-            if used:
+            if used:  # a closed conjunct holds: `_check` has evaluated it
                 due[max(map(level.__getitem__, used))].append(c)
-            elif eval_word(c, {}, deadline) == 0:
-                return None
         if not names:
             return {}
         # Depth-first over each stage's pools in itertools.product order,

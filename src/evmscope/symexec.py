@@ -7,9 +7,11 @@ tuple underneath, and `node` builds each compound one within MAX_DEPTH
 and MAX_SIZE.  Executing a path walks its block sequence, asserting
 each branch condition (or its negation) into the path condition; crossing
 a transaction boundary introduces a fresh environment while storage
-persists.  One block runner, `_run_body`, executes each block from a plan
-compiled once, checking the stack against the plan's static bounds once
-per block.  Feasibility is decided by a pluggable constraint backend; a
+persists.  `SymbolicState` is the symbolic machine: it holds what a path
+has built and runs the instructions.  One block runner, `_run_body`,
+executes each block over it from a plan compiled once, checking the stack
+against the plan's static bounds once, at block entry, and never per
+instruction.  Feasibility is decided by a pluggable constraint backend; a
 satisfying witness is re-validated by replaying the path on plain ints:
 `Replay` runs the same compiled plans, reading every value the symbolic
 walk leaves free from the witness, and `_steer`, the one steering loop,
@@ -253,9 +255,13 @@ class ExternalRecord:
 
 @dataclass
 class SymbolicState:
-    """What a path has built.  Stack and memory belong to the current call;
-    storage writes, balance, the call counter and the records carry across
-    calls, and a REVERT truncates both lists at `call_start`."""
+    """The symbolic machine: what a path has built, and a handler for each
+    kind of instruction run over it.  Stack and memory belong to the current
+    call; storage writes, balance, the call counter and the records carry
+    across calls, and a REVERT truncates both lists at `call_start`.
+    Environment reads give per-transaction variables and untracked reads
+    fresh ones; `Replay` is the concrete counterpart that reads them all
+    from a witness."""
     stack: list[Word] = field(default_factory=list)
     memory: dict[int, Word] = field(default_factory=dict)
     storage_writes: list[tuple[Word, Word]] = field(default_factory=list)
@@ -269,11 +275,14 @@ class SymbolicState:
     storage_var_cache: dict[Word, Word] = field(default_factory=dict)
     mem_unknown: bool = False    # memory was written through an unknown pointer
     call_start: tuple[int, int] = (0, 0)  # (storage writes, records) before this call
+    code: bytes = b""            # what CODESIZE and CODECOPY read
+    deadline: float | None = None  # time.monotonic() value; None: no limit
 
     def fork(self) -> SymbolicState:
         """An independent copy.  Words are immutable, so shallow copies of
-        the containers suffice; base storage and the storage-variable cache
-        stay shared, since neither changes what a read returns."""
+        the containers suffice; base storage, the storage-variable cache,
+        the code and the deadline stay shared, since none of them changes
+        what a read returns."""
         twin = SymbolicState.__new__(SymbolicState)
         twin.__dict__.update(self.__dict__)
         twin.stack = self.stack.copy()
@@ -286,16 +295,6 @@ class SymbolicState:
     @property
     def txn_label(self) -> str:
         return f"{self.txn_prefix}{self.txn}"
-
-    def push(self, w: Word) -> None:
-        if len(self.stack) >= STACK_LIMIT:
-            raise StackOverflow("stack limit exceeded")
-        self.stack.append(w)
-
-    def pop(self) -> Word:
-        if not self.stack:
-            raise StackUnderflow("pop from empty stack")
-        return self.stack.pop()
 
     def fresh(self, tag: str) -> Word:
         self.fresh_counter += 1
@@ -330,18 +329,158 @@ class SymbolicState:
             self.storage_var_cache[key] = var(f"STORAGE@{key}")
         return self.storage_var_cache[key]
 
-    def sstore(self, key: Word, value: Word) -> None:
-        self.storage_writes.append((key, value))
-
     def final_storage(self) -> dict[Word, Word]:
         merged = dict(self.base_storage)
         for key, value in self.storage_writes:
             merged[key] = value
         return merged
 
+    def begin_transaction(self) -> None:
+        self.txn += 1
+        self.stack = []
+        self.memory = {}
+        self.mem_unknown = False
+        self.call_start = (len(self.storage_writes), len(self.records))
+        self.balance = mk("ADD", self.balance, var(f"CALLVALUE#{self.txn_label}"))
+
+    def _mem_words(self, offset: int, length: int) -> list[Word]:
+        _expand_memory(offset, length)
+        words = []
+        for i in range(0, max(length, 0), 32):
+            word = self.memory.get(offset + i)
+            if word is None:
+                word = self.fresh(f"MEM#{self.txn_label}") if self.mem_unknown else ZERO
+            words.append(word)
+        return words
+
+    # -- instruction handlers ----------------------------------------------
+    # `handler(state, ins, operand)`: the operand is decoded once per
+    # instruction by `compile_instruction`.  The block runner has checked
+    # the stack against the block's bounds, so no handler checks it.
+
+    def _operator(self, ins: Instruction, operator: tuple) -> None:
+        name, fn, pops = operator
+        stack = self.stack
+        args = [stack.pop() for _ in range(pops)]
+        for a in args:  # closed arguments fold through `fn`, the rest go to `mk`
+            if a.op != "const":
+                stack.append(mk(name, *args))
+                return
+        stack.append(const(fn(*[a.value or 0 for a in args])))
+
+    def _opaque_read(self, ins: Instruction, pops: int) -> None:
+        del self.stack[len(self.stack) - pops:]
+        self.stack.append(self.fresh(ins.info.mnemonic))
+
+    def _env_read(self, ins: Instruction, tag: str) -> None:
+        self.stack.append(var(f"{tag}#{self.txn_label}"))
+
+    def _address(self, ins: Instruction, operand: None) -> None:
+        self.stack.append(_ADDRESS)
+
+    def _sha3(self, ins: Instruction, operand: None) -> None:
+        stack = self.stack
+        offset, length = stack.pop(), stack.pop()
+        if offset.is_concrete and length.is_concrete:
+            words = self._mem_words(offset.value or 0, length.value or 0)
+            term = node("sha3", tuple(words), length.value or 0)
+            if all(w.is_concrete for w in words):
+                try:
+                    term = const(eval_word(term, {}, self.deadline))
+                except TimeoutError as exc:
+                    raise DeadlinePassed(str(exc)) from None
+            stack.append(term)
+        else:
+            stack.append(self.fresh(f"SHA3#{self.txn_label}"))
+
+    def _balance(self, ins: Instruction, operand: None) -> None:
+        target = self.stack.pop()
+        if target.op == "var" and target.name == "ADDRESS":
+            self.stack.append(self.balance)
+        else:
+            self.stack.append(self.fresh(f"EXTBAL#{self.txn_label}"))
+
+    def _calldataload(self, ins: Instruction, operand: None) -> None:
+        offset = self.stack.pop()
+        if offset.is_concrete:
+            self.stack.append(var(f"CALLDATA#{self.txn_label}@{offset.value}"))
+        else:
+            self.stack.append(self.fresh(f"CALLDATA#{self.txn_label}"))
+
+    def _codesize(self, ins: Instruction, operand: None) -> None:
+        self.stack.append(const(len(self.code)))
+
+    def _codecopy(self, ins: Instruction, operand: None) -> None:
+        stack = self.stack
+        dest, src, length = stack.pop(), stack.pop(), stack.pop()
+        if dest.is_concrete and src.is_concrete and length.is_concrete:
+            _copy_code(self.memory, self.code, dest.value or 0, src.value or 0,
+                       length.value or 0, const)
+        else:
+            self.memory.clear()
+            self.mem_unknown = True
+
+    def _copy_unknown(self, ins: Instruction, pops: int) -> None:
+        """CALLDATACOPY, RETURNDATACOPY, EXTCODECOPY: data the model does not track."""
+        del self.stack[len(self.stack) - pops:]
+        self.memory.clear()
+        self.mem_unknown = True
+
+    def _mload(self, ins: Instruction, operand: None) -> None:
+        offset = self.stack.pop()
+        if offset.is_concrete and (offset.value or 0) in self.memory:
+            self.stack.append(self.memory[offset.value or 0])
+        else:
+            # fresh-counter use must match between symbolic and replay runs
+            self.stack.append(self.fresh(f"MEM#{self.txn_label}"))
+
+    def _mstore(self, ins: Instruction, operand: None) -> None:
+        offset, value = self.stack.pop(), self.stack.pop()
+        if offset.is_concrete:
+            self.memory[offset.value or 0] = value
+        else:
+            # write through an unknown pointer: all recorded words are stale
+            self.memory.clear()
+            self.mem_unknown = True
+
+    def _mstore8(self, ins: Instruction, operand: None) -> None:
+        offset, _value = self.stack.pop(), self.stack.pop()
+        if offset.is_concrete:
+            aligned = (offset.value or 0) & ~31
+            self.memory[aligned] = self.fresh(f"MEM#{self.txn_label}")
+
+    def _sload(self, ins: Instruction, operand: None) -> None:
+        self.stack.append(self.sload(self.stack.pop()))
+
+    def _sstore(self, ins: Instruction, operand: None) -> None:
+        key, value = self.stack.pop(), self.stack.pop()
+        self.storage_writes.append((key, value))
+
+    def _call(self, ins: Instruction, pops: int) -> None:
+        """CALL, CALLCODE, DELEGATECALL, STATICCALL."""
+        name = ins.info.mnemonic
+        # gas, target, [value,] then four memory operands
+        args = [self.stack.pop() for _ in range(pops)]
+        value = args[2] if name in ("CALL", "CALLCODE") else None
+        self.records.append(ExternalRecord(name, ins.offset, self.txn, args[1], value))
+        if name == "CALL":
+            self.balance = mk("SUB", self.balance, value)
+        self.stack.append(self.fresh(f"XRET#{self.txn_label}"))
+
+    def _create(self, ins: Instruction, operand: None) -> None:
+        value = self.stack.pop()
+        del self.stack[-2:]
+        self.records.append(ExternalRecord("CREATE", ins.offset, self.txn, None, value))
+        self.stack.append(self.fresh(f"XADDR#{self.txn_label}"))
+
+    def _selfdestruct(self, ins: Instruction, operand: None) -> None:
+        target = self.stack.pop()
+        self.records.append(ExternalRecord("SELFDESTRUCT", ins.offset, self.txn,
+                                           target, self.balance))
+
 
 # ---------------------------------------------------------------------------
-# Interpreter
+# Block plans
 # ---------------------------------------------------------------------------
 
 # Opcodes whose only effect on the modelled state is popping their operands.
@@ -383,256 +522,63 @@ def _copy_code(memory: dict, code: bytes, dest: int, src: int, length: int,
     memory.update(dict.fromkeys(range(tail, dest + length, 32), word(0)))
 
 
-class Interpreter:
-    """Executes instructions over a SymbolicState.  Environment reads give
-    per-transaction variables and untracked reads fresh ones; `Replay` is
-    the concrete counterpart that reads them all from a witness.
-    """
-
-    def __init__(self, code: bytes, state: SymbolicState, deadline: float | None = None):
-        self.code = code
-        self.state = state
-        self.deadline = deadline  # time.monotonic() value; None: no limit
-
-    def begin_transaction(self) -> None:
-        self.state.txn += 1
-        self.state.stack = []
-        self.state.memory = {}
-        self.state.mem_unknown = False
-        self.state.call_start = (len(self.state.storage_writes), len(self.state.records))
-        self.state.balance = mk("ADD", self.state.balance,
-                                var(f"CALLVALUE#{self.state.txn_label}"))
-
-    def _mem_words(self, offset: int, length: int) -> list[Word]:
-        _expand_memory(offset, length)
-        words = []
-        for i in range(0, max(length, 0), 32):
-            word = self.state.memory.get(offset + i)
-            if word is None:
-                if self.state.mem_unknown:
-                    word = self.state.fresh(f"MEM#{self.state.txn_label}")
-                else:
-                    word = ZERO
-            words.append(word)
-        return words
-
-    # -- instruction handlers ----------------------------------------------
-    # `handler(interp, ins, operand)`: the operand is decoded once per
-    # instruction by `compile_instruction`.
-
-    def _nothing(self, ins: Instruction, operand: None) -> None:
-        """STOP, JUMPDEST, INVALID: no effect on the modelled state."""
-
-    def _push_word(self, ins: Instruction, word: Word) -> None:
-        self.state.push(word)
-
-    def _dup(self, ins: Instruction, depth: int) -> None:
-        state = self.state
-        if len(state.stack) < depth:
-            raise StackUnderflow(ins.info.mnemonic)
-        state.push(state.stack[-depth])
-
-    def _swap(self, ins: Instruction, depth: int) -> None:
-        stack = self.state.stack
-        if len(stack) <= depth:
-            raise StackUnderflow(ins.info.mnemonic)
-        stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-
-    def _operator(self, ins: Instruction, operator: tuple) -> None:
-        name, fn, pops = operator
-        state = self.state
-        args = [state.pop() for _ in range(pops)]
-        for a in args:  # closed arguments fold through `fn`, the rest go to `mk`
-            if a.op != "const":
-                state.push(mk(name, *args))
-                return
-        state.push(const(fn(*[a.value or 0 for a in args])))
-
-    def _pop_only(self, ins: Instruction, pops: int) -> None:
-        for _ in range(pops):
-            self.state.pop()
-
-    def _opaque_read(self, ins: Instruction, pops: int) -> None:
-        self._pop_only(ins, pops)
-        self.state.push(self.state.fresh(ins.info.mnemonic))
-
-    def _env_read(self, ins: Instruction, tag: str) -> None:
-        self.state.push(var(f"{tag}#{self.state.txn_label}"))
-
-    def _address(self, ins: Instruction, operand: None) -> None:
-        self.state.push(_ADDRESS)
-
-    def _sha3(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        offset, length = state.pop(), state.pop()
-        if offset.is_concrete and length.is_concrete:
-            words = self._mem_words(offset.value or 0, length.value or 0)
-            term = node("sha3", tuple(words), length.value or 0)
-            if all(w.is_concrete for w in words):
-                try:
-                    state.push(const(eval_word(term, {}, self.deadline)))
-                except TimeoutError as exc:
-                    raise DeadlinePassed(str(exc)) from None
-            else:
-                state.push(term)
-        else:
-            state.push(state.fresh(f"SHA3#{state.txn_label}"))
-
-    def _balance(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        target = state.pop()
-        if target.op == "var" and target.name == "ADDRESS":
-            state.push(state.balance)
-        else:
-            state.push(state.fresh(f"EXTBAL#{state.txn_label}"))
-
-    def _calldataload(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        offset = state.pop()
-        if offset.is_concrete:
-            state.push(var(f"CALLDATA#{state.txn_label}@{offset.value}"))
-        else:
-            state.push(state.fresh(f"CALLDATA#{state.txn_label}"))
-
-    def _codesize(self, ins: Instruction, operand: None) -> None:
-        self.state.push(const(len(self.code)))
-
-    def _codecopy(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        dest, src, length = state.pop(), state.pop(), state.pop()
-        if dest.is_concrete and src.is_concrete and length.is_concrete:
-            _copy_code(state.memory, self.code, dest.value or 0, src.value or 0,
-                       length.value or 0, const)
-        else:
-            state.memory.clear()
-            state.mem_unknown = True
-
-    def _copy_unknown(self, ins: Instruction, pops: int) -> None:
-        """CALLDATACOPY, RETURNDATACOPY, EXTCODECOPY: data the model does not track."""
-        self._pop_only(ins, pops)
-        self.state.memory.clear()
-        self.state.mem_unknown = True
-
-    def _mload(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        offset = state.pop()
-        if offset.is_concrete and (offset.value or 0) in state.memory:
-            state.push(state.memory[offset.value or 0])
-        else:
-            # fresh-counter use must match between symbolic and replay runs
-            state.push(state.fresh(f"MEM#{state.txn_label}"))
-
-    def _mstore(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        offset, value = state.pop(), state.pop()
-        if offset.is_concrete:
-            state.memory[offset.value or 0] = value
-        else:
-            # write through an unknown pointer: all recorded words are stale
-            state.memory.clear()
-            state.mem_unknown = True
-
-    def _mstore8(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        offset, _value = state.pop(), state.pop()
-        if offset.is_concrete:
-            aligned = (offset.value or 0) & ~31
-            state.memory[aligned] = state.fresh(f"MEM#{state.txn_label}")
-
-    def _sload(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        state.push(state.sload(state.pop()))
-
-    def _sstore(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        key, value = state.pop(), state.pop()
-        state.sstore(key, value)
-
-    def _call(self, ins: Instruction, pops: int) -> None:
-        """CALL, CALLCODE, DELEGATECALL, STATICCALL."""
-        state = self.state
-        name = ins.info.mnemonic
-        # gas, target, [value,] then four memory operands
-        args = [state.pop() for _ in range(pops)]
-        value = args[2] if name in ("CALL", "CALLCODE") else None
-        state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
-        if name == "CALL":
-            state.balance = mk("SUB", state.balance, value)
-        state.push(state.fresh(f"XRET#{state.txn_label}"))
-
-    def _create(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        value = state.pop()
-        state.pop(), state.pop()
-        state.records.append(ExternalRecord("CREATE", ins.offset, state.txn, None, value))
-        state.push(state.fresh(f"XADDR#{state.txn_label}"))
-
-    def _selfdestruct(self, ins: Instruction, operand: None) -> None:
-        state = self.state
-        target = state.pop()
-        state.records.append(ExternalRecord("SELFDESTRUCT", ins.offset, state.txn,
-                                            target, state.balance))
-
-    def _unhandled(self, ins: Instruction, operand: None) -> None:
-        # JUMP and JUMPI: the block runner pops their operands
-        raise SymExecError(f"unhandled opcode {ins.info.mnemonic}")
-
-
 _NAMED_HANDLERS = {
-    "SHA3": Interpreter._sha3, "BALANCE": Interpreter._balance,
-    "CALLDATALOAD": Interpreter._calldataload, "CODESIZE": Interpreter._codesize,
-    "CODECOPY": Interpreter._codecopy, "CALLDATACOPY": Interpreter._copy_unknown,
-    "RETURNDATACOPY": Interpreter._copy_unknown, "EXTCODECOPY": Interpreter._copy_unknown,
-    "MLOAD": Interpreter._mload, "MSTORE": Interpreter._mstore,
-    "MSTORE8": Interpreter._mstore8, "SLOAD": Interpreter._sload,
-    "SSTORE": Interpreter._sstore, "CALL": Interpreter._call, "CALLCODE": Interpreter._call,
-    "DELEGATECALL": Interpreter._call, "STATICCALL": Interpreter._call,
-    "CREATE": Interpreter._create, "SELFDESTRUCT": Interpreter._selfdestruct,
-    "JUMP": Interpreter._unhandled, "JUMPI": Interpreter._unhandled,
+    "SHA3": SymbolicState._sha3, "BALANCE": SymbolicState._balance,
+    "CALLDATALOAD": SymbolicState._calldataload, "CODESIZE": SymbolicState._codesize,
+    "CODECOPY": SymbolicState._codecopy, "CALLDATACOPY": SymbolicState._copy_unknown,
+    "RETURNDATACOPY": SymbolicState._copy_unknown, "EXTCODECOPY": SymbolicState._copy_unknown,
+    "MLOAD": SymbolicState._mload, "MSTORE": SymbolicState._mstore,
+    "MSTORE8": SymbolicState._mstore8, "SLOAD": SymbolicState._sload,
+    "SSTORE": SymbolicState._sstore, "CALL": SymbolicState._call,
+    "CALLCODE": SymbolicState._call, "DELEGATECALL": SymbolicState._call,
+    "STATICCALL": SymbolicState._call, "CREATE": SymbolicState._create,
+    "SELFDESTRUCT": SymbolicState._selfdestruct,
 }
+
+# The stack moves a plan marks instead of naming a handler; both block
+# runners make them inline.  The operand of a PUSH is its word, of a DUP or
+# SWAP its depth, of a POP the number of words popped.
+_PUSH, _DUP, _SWAP, _POP = "PUSH", "DUP", "SWAP", "POP"
+# The handler replay makes inline too.
+_OPERATOR = SymbolicState._operator
 
 
 def _handler_entry(info: isa.OpcodeInfo) -> tuple:
-    """(handler, operand) of one opcode; PUSHn and PC get their operand,
-    the constant they push, per instruction."""
+    """(handler, operand) of one opcode: a stack-move mark, a SymbolicState
+    handler, or None where the opcode leaves the modelled state as it is.
+    PUSHn and PC get their operand, the constant they push, per instruction."""
     name, byte = info.mnemonic, info.byte_value
     if info.is_push or name == "PC":
-        return Interpreter._push_word, None
+        return _PUSH, None
     if 0x80 <= byte <= 0x8F:
-        return Interpreter._dup, byte - 0x7F
+        return _DUP, byte - 0x7F
     if 0x90 <= byte <= 0x9F:
-        return Interpreter._swap, byte - 0x8F
+        return _SWAP, byte - 0x8F
     if name in isa.OPERATORS:
-        return Interpreter._operator, (name, isa.OPERATORS[name], info.stack_pops)
+        return _OPERATOR, (name, isa.OPERATORS[name], info.stack_pops)
     if name in _ENV_READS:
-        return Interpreter._env_read, name
+        return SymbolicState._env_read, name
     if name in _OPAQUE_READS:
-        return Interpreter._opaque_read, info.stack_pops
+        return SymbolicState._opaque_read, info.stack_pops
     if name in _POP_ONLY:
-        if info.stack_pops:
-            return Interpreter._pop_only, info.stack_pops
-        return Interpreter._nothing, None
+        return (_POP, info.stack_pops) if info.stack_pops else (None, None)
     if name == "ADDRESS":
-        return Interpreter._address, None
+        return SymbolicState._address, None
+    if name in ("JUMP", "JUMPI"):  # a block's exit: the runners pop its operands
+        return None, None
     return _NAMED_HANDLERS[name], info.stack_pops
 
 
 # Every opcode byte's handler and static operand, indexed by byte.
 _HANDLERS: tuple[tuple, ...] = tuple(_handler_entry(info) for info in isa.TABLE)
 
-# The handlers the block runners make inline: the stack moves in both, the
-# operators in replay.
-_PUSH, _DUP, _SWAP, _POP, _OPERATOR = (Interpreter._push_word, Interpreter._dup,
-                                       Interpreter._swap, Interpreter._pop_only,
-                                       Interpreter._operator)
-
-# One decoded instruction: (handler, instruction, operand).
-Op = tuple[Callable[[Interpreter, Instruction, Any], None], Instruction, Any]
+# One decoded instruction: (handler or stack-move mark, instruction, operand).
+Op = tuple[Callable[[SymbolicState, Instruction, Any], None] | str, Instruction, Any]
 
 
 def compile_instruction(ins: Instruction) -> Op:
     handler, operand = _HANDLERS[ins.info.byte_value]
-    if handler is Interpreter._push_word and operand is None:
+    if handler is _PUSH:
         operand = const(ins.offset if ins.info.mnemonic == "PC" else ins.immediate or 0)
     return handler, ins, operand
 
@@ -642,16 +588,16 @@ class BlockPlan(NamedTuple):
     ops: tuple[Op, ...]     # the body; instructions with no effect are left out
     jump_pops: int          # operands the exit pops: 1 for JUMP, 2 for JUMPI, else 0
     reverts: bool           # ends in REVERT: the transaction is rolled back
-    need: int               # stack depth the body needs at entry
-    grow: int               # the most the body raises the stack above its entry depth
+    need: int               # stack depth the block, exit included, needs at entry
+    grow: int               # the most the block raises the stack above its entry depth
 
 
-def _stack_bounds(body: list[Instruction]) -> tuple[int, int]:
-    """(need, grow) of a straight-line body, from the ISA's pops and pushes.
-    The table gives DUPn as n pops and n+1 pushes and SWAPn as n+1 of each,
-    which is how deep they reach; every handler pops before it pushes."""
+def _stack_bounds(instructions: list[Instruction]) -> tuple[int, int]:
+    """(need, grow) of a block, from the ISA's pops and pushes.  The table
+    gives DUPn as n pops and n+1 pushes and SWAPn as n+1 of each, which is
+    how deep they reach; every handler pops before it pushes."""
     need = grow = height = 0
-    for ins in body:
+    for ins in instructions:
         info = ins.info
         need = max(need, info.stack_pops - height)
         height += info.stack_pushes - info.stack_pops
@@ -661,12 +607,11 @@ def _stack_bounds(body: list[Instruction]) -> tuple[int, int]:
 
 def compile_block(block) -> BlockPlan:
     last = block.last
-    jump_pops = {"JUMP": 1, "JUMPI": 2}.get(last.mnemonic, 0)
-    body = block.instructions[:-1] if jump_pops else block.instructions
-    ops = tuple(op for op in map(compile_instruction, body)
-                if op[0] is not Interpreter._nothing)
+    ops = tuple(op for op in map(compile_instruction, block.instructions)
+                if op[0] is not None)
     reverts = last.mnemonic == "REVERT" and block.terminator is Terminator.TERMINAL
-    return BlockPlan(ops, jump_pops, reverts, *_stack_bounds(body))
+    return BlockPlan(ops, {"JUMP": 1, "JUMPI": 2}.get(last.mnemonic, 0), reverts,
+                     *_stack_bounds(block.instructions))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +626,7 @@ def _plan(cfg: Cfg, block) -> BlockPlan:
     return plan
 
 
-def _run_body(interp: Interpreter, cfg: Cfg, block) -> tuple[Word, ...]:
+def _run_body(state: SymbolicState, cfg: Cfg, block) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
     This is the one symbolic block runner: the path walk and the constructor
@@ -690,36 +635,32 @@ def _run_body(interp: Interpreter, cfg: Cfg, block) -> tuple[Word, ...]:
     back the call here, whatever block follows: the storage writes and
     records made since the call's `call_start` are dropped.
 
-    The stack is checked once per block: when its depth lies within the
-    plan's bounds no instruction of the body can under- or overflow it, so
-    PUSH, DUP, SWAP and the pop-only opcodes work on the list directly and
-    only the other opcodes go through their handlers.  Otherwise every
-    instruction goes through its handler, which raises where the stack
-    fails, with the message it gives."""
+    The stack is checked once, at entry, against the plan's bounds: a block
+    entered below the depth it needs or too close to STACK_LIMIT halts
+    there, as the EVM halts at one of its instructions.  Within the bounds
+    no instruction can under- or overflow the stack, so PUSH, DUP, SWAP and
+    the pop-only opcodes work on the list directly, the other opcodes go
+    through their handlers, and the exit pops its operands unchecked."""
     ops, jump_pops, reverts, need, grow = _plan(cfg, block)
-    state = interp.state
     stack = state.stack
-    if need <= len(stack) <= STACK_LIMIT - grow:
-        append = stack.append
-        for handler, ins, operand in ops:
-            if handler is _PUSH:
-                append(operand)
-            elif handler is _DUP:
-                append(stack[-operand])
-            elif handler is _SWAP:
-                stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
-            elif handler is _POP:
-                del stack[-operand:]
-            else:
-                handler(interp, ins, operand)
-    else:
-        for handler, ins, operand in ops:
-            handler(interp, ins, operand)
-    if jump_pops == 1:
-        return (state.pop(),)
-    if jump_pops == 2:
-        target = state.pop()
-        return (target, state.pop())
+    if len(stack) < need:
+        raise StackUnderflow("pop from empty stack")
+    if len(stack) + grow > STACK_LIMIT:
+        raise StackOverflow("stack limit exceeded")
+    append = stack.append
+    for handler, ins, operand in ops:
+        if handler is _PUSH:
+            append(operand)
+        elif handler is _DUP:
+            append(stack[-operand])
+        elif handler is _SWAP:
+            stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
+        elif handler is _POP:
+            del stack[-operand:]
+        else:
+            handler(state, ins, operand)
+    if jump_pops:
+        return (stack.pop(),) if jump_pops == 1 else (stack.pop(), stack.pop())
     if reverts:
         writes, records = state.call_start
         del state.storage_writes[writes:]
@@ -727,13 +668,12 @@ def _run_body(interp: Interpreter, cfg: Cfg, block) -> tuple[Word, ...]:
     return ()
 
 
-def _take_exit(interp: Interpreter, block, operands: tuple[Word, ...],
+def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
                next_offset: int, root: int) -> None:
     """Leave `block` for `next_offset`: start the next transaction, or
     assert the jump that gets there."""
-    state = interp.state
     if next_offset == root and block.terminator is Terminator.TERMINAL:
-        interp.begin_transaction()
+        state.begin_transaction()
     elif len(operands) == 1:  # JUMP
         target = operands[0]
         if target.is_concrete:
@@ -780,7 +720,6 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     failing one; a DeadlinePassed, of every later path.  The clock is read
     every 16 blocks run.
     """
-    interp = Interpreter(code, SymbolicState(), deadline=deadline)
     saved: list[tuple] = []  # (depth, block, state, operands, root)
     failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
     shared = 0  # blocks this sequence shares with the one before
@@ -811,15 +750,14 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                 if not runs & 0xF:
                     check_deadline(deadline)
                 if block is None:
-                    state = SymbolicState(base_storage=dict(base_storage))
-                    interp.state = state
-                    interp.begin_transaction()
+                    state = SymbolicState(base_storage=dict(base_storage), code=code,
+                                          deadline=deadline)
+                    state.begin_transaction()
                     root = block_id
                 else:
-                    interp.state = state
-                    _take_exit(interp, block, operands, block_id, root)
+                    _take_exit(state, block, operands, block_id, root)
                 block = cfg.blocks[block_id]
-                operands = _run_body(interp, cfg, block)
+                operands = _run_body(state, cfg, block)
                 if len(operands) == 2 and depth < keep:
                     saved.append((depth, block, state.fork(), operands, root))
         except DeadlinePassed as passed:
@@ -892,8 +830,8 @@ class _SelfAddress(int):
 
 
 class Replay:
-    """The concrete counterpart of `Interpreter`: it runs the same compiled
-    plans on plain ints under a witness.
+    """The concrete counterpart of `SymbolicState`: it runs the same
+    compiled plans on plain ints under a witness.
 
     Every value the symbolic walk leaves free is read from the witness under
     the name the walk gives it, an absent name reading zero: the
@@ -904,7 +842,8 @@ class Replay:
     by word offset, as in the symbolic walk.  Storage writes, the balance
     and the call counter carry across calls; a REVERT returns storage to
     where its call began.  Each handler has the name of the symbolic
-    handler it stands for."""
+    handler it stands for, and like it leaves the stack check to the block
+    runner."""
 
     def __init__(self, code: bytes, witness: dict[str, int],
                  base_storage: dict[Word, Word], deadline: float | None = None):
@@ -936,168 +875,131 @@ class Replay:
         self.fresh_counter += 1
         return self.read(f"{tag}.{self.fresh_counter}")
 
-    def push(self, value: int) -> None:
-        if len(self.stack) >= STACK_LIMIT:
-            raise StackOverflow("stack limit exceeded")
-        self.stack.append(value)
-
-    def pop(self) -> int:
-        if not self.stack:
-            raise StackUnderflow("pop from empty stack")
-        return self.stack.pop()
-
-    # -- instruction handlers, as in `Interpreter` ---------------------------
-
-    def _nothing(self, ins: Instruction, operand: None) -> None:
-        """STOP, JUMPDEST, INVALID."""
-
-    def _push_word(self, ins: Instruction, word: Word) -> None:
-        self.push(word.value)
-
-    def _dup(self, ins: Instruction, depth: int) -> None:
-        if len(self.stack) < depth:
-            raise StackUnderflow(ins.info.mnemonic)
-        self.push(self.stack[-depth])
-
-    def _swap(self, ins: Instruction, depth: int) -> None:
-        stack = self.stack
-        if len(stack) <= depth:
-            raise StackUnderflow(ins.info.mnemonic)
-        stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-
-    def _operator(self, ins: Instruction, operator: tuple) -> None:
-        _name, fn, pops = operator
-        self.push(fn(*[self.pop() for _ in range(pops)]))
-
-    def _pop_only(self, ins: Instruction, pops: int) -> None:
-        for _ in range(pops):
-            self.pop()
+    # -- instruction handlers, as in `SymbolicState` --------------------------
 
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
-        self._pop_only(ins, pops)
-        self.push(self.fresh(ins.info.mnemonic))
+        del self.stack[len(self.stack) - pops:]
+        self.stack.append(self.fresh(ins.info.mnemonic))
 
     def _env_read(self, ins: Instruction, tag: str) -> None:
-        self.push(self.read(f"{tag}#{self.txn}"))
+        self.stack.append(self.read(f"{tag}#{self.txn}"))
 
     def _address(self, ins: Instruction, operand: None) -> None:
-        self.push(self.address)
+        self.stack.append(self.address)
 
     def _sha3(self, ins: Instruction, operand: None) -> None:
-        offset, length = self.pop(), self.pop()
+        offset, length = self.stack.pop(), self.stack.pop()
         _expand_memory(offset, length)
         memory = self.memory
         data = b"".join(memory.get(offset + i, 0).to_bytes(32, "big")
                         for i in range(0, length, 32))
         try:
-            self.push(int.from_bytes(keccak256(data[:length], self.deadline), "big"))
+            self.stack.append(int.from_bytes(keccak256(data[:length], self.deadline), "big"))
         except TimeoutError as exc:
             raise DeadlinePassed(str(exc)) from None
 
     def _balance(self, ins: Instruction, operand: None) -> None:
-        if type(self.pop()) is _SelfAddress:
-            self.push(self.balance)
+        if type(self.stack.pop()) is _SelfAddress:
+            self.stack.append(self.balance)
         else:
-            self.push(self.fresh(f"EXTBAL#{self.txn}"))
+            self.stack.append(self.fresh(f"EXTBAL#{self.txn}"))
 
     def _calldataload(self, ins: Instruction, operand: None) -> None:
-        self.push(self.read(f"CALLDATA#{self.txn}@{self.pop()}"))
+        self.stack.append(self.read(f"CALLDATA#{self.txn}@{self.stack.pop()}"))
 
     def _codesize(self, ins: Instruction, operand: None) -> None:
-        self.push(len(self.code))
+        self.stack.append(len(self.code))
 
     def _codecopy(self, ins: Instruction, operand: None) -> None:
-        dest, src, length = self.pop(), self.pop(), self.pop()
+        stack = self.stack
+        dest, src, length = stack.pop(), stack.pop(), stack.pop()
         _copy_code(self.memory, self.code, dest, src, length, int)
 
     def _copy_unknown(self, ins: Instruction, pops: int) -> None:
-        self._pop_only(ins, pops)
+        del self.stack[len(self.stack) - pops:]
         self.memory.clear()
 
     def _mload(self, ins: Instruction, operand: None) -> None:
-        offset = self.pop()
+        offset = self.stack.pop()
         if offset in self.memory:
-            self.push(self.memory[offset])
+            self.stack.append(self.memory[offset])
         else:
-            self.push(self.fresh(f"MEM#{self.txn}"))
+            self.stack.append(self.fresh(f"MEM#{self.txn}"))
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
-        offset, value = self.pop(), self.pop()
+        offset, value = self.stack.pop(), self.stack.pop()
         self.memory[offset] = value
 
     def _mstore8(self, ins: Instruction, operand: None) -> None:
-        offset, _value = self.pop(), self.pop()
+        offset, _value = self.stack.pop(), self.stack.pop()
         self.memory[offset & ~31] = self.fresh(f"MEM#{self.txn}")
 
     def _sload(self, ins: Instruction, operand: None) -> None:
-        key = self.pop()
+        key = self.stack.pop()
         if key in self.storage:
-            self.push(self.storage[key])
+            self.stack.append(self.storage[key])
         elif key in self.base:
-            self.push(eval_word(self.base[key], self.witness, self.deadline))
+            self.stack.append(eval_word(self.base[key], self.witness, self.deadline))
         else:
-            self.push(self.read(f"STORAGE@{hex(key)}"))
+            self.stack.append(self.read(f"STORAGE@{hex(key)}"))
 
     def _sstore(self, ins: Instruction, operand: None) -> None:
-        key, value = self.pop(), self.pop()
+        key, value = self.stack.pop(), self.stack.pop()
         self.storage[key] = int(value)  # a storage read is never the ADDRESS word
 
     def _call(self, ins: Instruction, pops: int) -> None:
-        args = [self.pop() for _ in range(pops)]
+        args = [self.stack.pop() for _ in range(pops)]
         if ins.info.mnemonic == "CALL":
             self.balance = (self.balance - args[2]) % WORD_MOD
-        self.push(self.fresh(f"XRET#{self.txn}"))
+        self.stack.append(self.fresh(f"XRET#{self.txn}"))
 
     def _create(self, ins: Instruction, operand: None) -> None:
-        self._pop_only(ins, 3)
-        self.push(self.fresh(f"XADDR#{self.txn}"))
+        del self.stack[-3:]
+        self.stack.append(self.fresh(f"XADDR#{self.txn}"))
 
     def _selfdestruct(self, ins: Instruction, operand: None) -> None:
-        self.pop()
-
-    def _unhandled(self, ins: Instruction, operand: None) -> None:
-        raise SymExecError(f"unhandled opcode {ins.info.mnemonic}")
+        self.stack.pop()
 
 
-# Each symbolic handler's concrete counterpart, the method of the same name.
-_CONCRETE = {handler: getattr(Replay, handler.__name__) for handler, _operand in _HANDLERS}
+# Each symbolic handler's concrete counterpart, the method of the same name;
+# `_replay_body` makes the stack moves and the operators inline.
+_CONCRETE = {handler: getattr(Replay, handler.__name__) for handler, _operand in _HANDLERS
+             if callable(handler) and handler is not _OPERATOR}
 
 
 def _replay_body(replay: Replay, cfg: Cfg, block) -> tuple[int, ...]:
     """`_run_body` on ints: execute a block's plan up to its exit and
-    return the jump operands it popped.  The stack is checked against the
-    plan's bounds once per block, as there; within them PUSH, DUP, SWAP,
-    the operators and the pop-only opcodes work on the list directly."""
+    return the jump operands it popped.  The stack is checked once, at
+    entry, against the plan's bounds, as there; within them PUSH, DUP,
+    SWAP, the operators and the pop-only opcodes work on the list directly."""
     ops, jump_pops, reverts, need, grow = _plan(cfg, block)
     stack = replay.stack
-    if need <= len(stack) <= STACK_LIMIT - grow:
-        append, pop = stack.append, stack.pop
-        for handler, ins, operand in ops:
-            if handler is _PUSH:
-                append(operand.value)
-            elif handler is _DUP:
-                append(stack[-operand])
-            elif handler is _SWAP:
-                stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
-            elif handler is _OPERATOR:
-                fn, pops = operand[1], operand[2]
-                if pops == 2:
-                    append(fn(pop(), pop()))
-                elif pops == 1:
-                    append(fn(pop()))
-                else:
-                    append(fn(pop(), pop(), pop()))
-            elif handler is _POP:
-                del stack[-operand:]
+    if len(stack) < need:
+        raise StackUnderflow("pop from empty stack")
+    if len(stack) + grow > STACK_LIMIT:
+        raise StackOverflow("stack limit exceeded")
+    append, pop = stack.append, stack.pop
+    for handler, ins, operand in ops:
+        if handler is _PUSH:
+            append(operand.value)
+        elif handler is _DUP:
+            append(stack[-operand])
+        elif handler is _SWAP:
+            stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
+        elif handler is _OPERATOR:
+            fn, pops = operand[1], operand[2]
+            if pops == 2:
+                append(fn(pop(), pop()))
+            elif pops == 1:
+                append(fn(pop()))
             else:
-                _CONCRETE[handler](replay, ins, operand)
-    else:
-        for handler, ins, operand in ops:
+                append(fn(pop(), pop(), pop()))
+        elif handler is _POP:
+            del stack[-operand:]
+        else:
             _CONCRETE[handler](replay, ins, operand)
     if jump_pops:
-        if len(stack) < jump_pops:
-            raise StackUnderflow("pop from empty stack")
-        return (stack.pop(),) if jump_pops == 1 else (stack.pop(), stack.pop())
+        return (pop(),) if jump_pops == 1 else (pop(), pop())
     if reverts:
         replay.storage = replay.committed.copy()
     return ()
@@ -1182,10 +1084,9 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
     """
     if creation_cfg is None or code is None:
         return {}, []
-    state = SymbolicState(txn_prefix="c")
     # constructor runs in its own deployment transaction, in its own namespace
-    interp = Interpreter(code, state, deadline=deadline)
-    interp.begin_transaction()
+    state = SymbolicState(txn_prefix="c", code=code, deadline=deadline)
+    state.begin_transaction()
     blocks = creation_cfg.blocks
     visits = {creation_cfg.root: 1}
 
@@ -1216,7 +1117,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
         return block_id
 
     try:
-        _steer(creation_cfg, partial(_run_body, interp, creation_cfg), choose, deadline)
+        _steer(creation_cfg, partial(_run_body, state, creation_cfg), choose, deadline)
     except SymExecError as exc:
         return {}, [f"constructor pre-run abandoned: {exc}"]
     return state.final_storage(), []

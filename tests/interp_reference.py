@@ -9,9 +9,13 @@ is the oracle of the concrete replay runner, `symexec.Replay`.
 keeps a rule of its own: it drops the records numbered with the current
 call, and the storage writes made since `mark`, which its caller takes when
 the call begins; the runner under test truncates both lists at the
-`call_start` that `begin_transaction` sets.  The compiled plans must leave
-the identical state after every block, and raise the identical exception
-where a block cannot run.
+`call_start` that `begin_transaction` sets.  `reference_take_exit` is the
+former `_take_exit`, over this interpreter.  Its own checked `_push` and
+`_pop` raise the stack errors with the two messages the block runners give
+("pop from empty stack", "stack limit exceeded"); a DUP or SWAP too short
+of words gives the first.  The compiled plans must leave the identical
+state after every block, and raise the identical exception where a block
+cannot run.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from evmscope.cfg import Terminator
 from evmscope.disasm import Instruction
 from evmscope.symexec import (
     MEMORY_CAP,
+    STACK_LIMIT,
     ZERO,
     ExternalRecord,
     OutOfGas,
+    StackOverflow,
     StackUnderflow,
     SymbolicState,
     SymExecError,
@@ -48,6 +54,16 @@ class ReferenceInterpreter:
         self.code = code
         self.state = state
         self.witness = witness
+
+    def _push(self, w: Word) -> None:
+        if len(self.state.stack) >= STACK_LIMIT:
+            raise StackOverflow("stack limit exceeded")
+        self.state.stack.append(w)
+
+    def _pop(self) -> Word:
+        if not self.state.stack:
+            raise StackUnderflow("pop from empty stack")
+        return self.state.stack.pop()
 
     def _env(self, tag: str, per_txn: bool = True) -> Word:
         name = f"{tag}#{self.state.txn_label}" if per_txn else tag
@@ -100,75 +116,75 @@ class ReferenceInterpreter:
         name = info.mnemonic
 
         if 0x60 <= byte <= 0x7F:  # PUSHn
-            state.push(const(ins.immediate or 0))
+            self._push(const(ins.immediate or 0))
             return
         if 0x80 <= byte <= 0x8F:  # DUPn
             n = byte - 0x7F
             if len(state.stack) < n:
-                raise StackUnderflow(name)
-            state.push(state.stack[-n])
+                raise StackUnderflow("pop from empty stack")
+            self._push(state.stack[-n])
             return
         if 0x90 <= byte <= 0x9F:  # SWAPn
             n = byte - 0x8F
             stack = state.stack
             if len(stack) < n + 1:
-                raise StackUnderflow(name)
+                raise StackUnderflow("pop from empty stack")
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             return
         if name in isa.OPERATORS:
-            args = [state.pop() for _ in range(info.stack_pops)]
-            state.push(mk(name, *args))
+            args = [self._pop() for _ in range(info.stack_pops)]
+            self._push(mk(name, *args))
             return
         if name in _POP_ONLY:
             for _ in range(info.stack_pops):
-                state.pop()
+                self._pop()
             return
         if name in _OPAQUE_READS:
             for _ in range(info.stack_pops):
-                state.pop()
-            state.push(self._fresh_or_zero(name))
+                self._pop()
+            self._push(self._fresh_or_zero(name))
             return
         if name in _ENV_READS:
-            state.push(self._env(name))
+            self._push(self._env(name))
             return
         if name == "SHA3":
-            offset, length = state.pop(), state.pop()
+            offset, length = self._pop(), self._pop()
             if offset.is_concrete and length.is_concrete:
                 words = self._mem_words(offset.value or 0, length.value or 0)
                 term = node("sha3", tuple(words), length.value or 0)
                 if all(w.is_concrete for w in words):
-                    state.push(const(eval_word(term, {})))
+                    self._push(const(eval_word(term, {})))
                 else:
-                    state.push(term)
+                    self._push(term)
             else:
-                state.push(state.fresh(f"SHA3#{state.txn_label}"))
+                self._push(state.fresh(f"SHA3#{state.txn_label}"))
             return
         if name == "ADDRESS":
-            state.push(var("ADDRESS"))
+            self._push(var("ADDRESS"))
             return
         if name == "BALANCE":
-            target = state.pop()
+            target = self._pop()
             if target.op == "var" and target.name == "ADDRESS":
-                state.push(state.balance)
+                self._push(state.balance)
             else:
-                state.push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
+                self._push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
             return
         if name == "CALLDATALOAD":
-            offset = state.pop()
+            offset = self._pop()
             if offset.is_concrete:
                 word_name = f"CALLDATA#{state.txn_label}@{offset.value}"
                 if self.witness is not None:
-                    state.push(const(self.witness.get(word_name, 0)))
+                    self._push(const(self.witness.get(word_name, 0)))
                 else:
-                    state.push(var(word_name))
+                    self._push(var(word_name))
             else:
-                state.push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
+                self._push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
             return
         if name == "CODESIZE":
-            state.push(const(len(self.code)))
+            self._push(const(len(self.code)))
             return
         if name == "CODECOPY":
-            dest, src, length = state.pop(), state.pop(), state.pop()
+            dest, src, length = self._pop(), self._pop(), self._pop()
             if dest.is_concrete and src.is_concrete and length.is_concrete:
                 self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
             else:
@@ -177,54 +193,54 @@ class ReferenceInterpreter:
             return
         if name in ("CALLDATACOPY", "RETURNDATACOPY", "EXTCODECOPY"):
             for _ in range(info.stack_pops):
-                state.pop()
+                self._pop()
             self.state.memory.clear()
             self.state.mem_unknown = self.witness is None
             return
         if name == "PC":
-            state.push(const(ins.offset))
+            self._push(const(ins.offset))
             return
         if name == "MLOAD":
-            state.push(self._mload(state.pop()))
+            self._push(self._mload(self._pop()))
             return
         if name == "MSTORE":
-            offset, value = state.pop(), state.pop()
+            offset, value = self._pop(), self._pop()
             self._mstore(offset, value)
             return
         if name == "MSTORE8":
-            offset, value = state.pop(), state.pop()
+            offset, value = self._pop(), self._pop()
             if offset.is_concrete:
                 aligned = (offset.value or 0) & ~31
                 self.state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
             return
         if name == "SLOAD":
-            key = state.pop()
+            key = self._pop()
             loaded = state.sload(key)
             if self.witness is not None:
-                state.push(const(eval_word(loaded, self.witness)))
+                self._push(const(eval_word(loaded, self.witness)))
             else:
-                state.push(loaded)
+                self._push(loaded)
             return
         if name == "SSTORE":
-            key, value = state.pop(), state.pop()
-            state.sstore(key, value)
+            key, value = self._pop(), self._pop()
+            state.storage_writes.append((key, value))
             return
         if name in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
-            args = [state.pop() for _ in range(info.stack_pops)]
+            args = [self._pop() for _ in range(info.stack_pops)]
             value = args[2] if name in ("CALL", "CALLCODE") else None
             state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
             if name == "CALL":
                 state.balance = mk("SUB", state.balance, value)
-            state.push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
+            self._push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
             return
         if name == "CREATE":
-            value = state.pop()
-            state.pop(), state.pop()
+            value = self._pop()
+            self._pop(), self._pop()
             state.records.append(ExternalRecord(name, ins.offset, state.txn, None, value))
-            state.push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
+            self._push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
             return
         if name == "SELFDESTRUCT":
-            target = state.pop()
+            target = self._pop()
             state.records.append(ExternalRecord(name, ins.offset, state.txn,
                                                 target, state.balance))
             return
@@ -253,13 +269,43 @@ def reference_run_body(interp: ReferenceInterpreter, block, mark: int) -> tuple[
     last = block.instructions[-1]
     name = last.mnemonic
     if name == "JUMP":
-        return (state.pop(),)
+        return (interp._pop(),)
     if name == "JUMPI":
-        target = state.pop()
-        return (target, state.pop())
+        target = interp._pop()
+        return (target, interp._pop())
     interp.step(last)
     if name == "REVERT" and block.terminator is Terminator.TERMINAL:
         # the call's own records carry its number; its writes follow `mark`
         del state.storage_writes[mark:]
         state.records = [rec for rec in state.records if rec.txn != state.txn]
     return ()
+
+
+def reference_take_exit(interp: ReferenceInterpreter, block, operands: tuple[Word, ...],
+                        next_offset: int, root: int) -> None:
+    """The former `symexec._take_exit`, over the reference interpreter:
+    leave `block` for `next_offset`, starting the next transaction or
+    asserting the jump that gets there."""
+    state = interp.state
+    if next_offset == root and block.terminator is Terminator.TERMINAL:
+        interp.begin_transaction()
+    elif len(operands) == 1:  # JUMP
+        target = operands[0]
+        if target.is_concrete:
+            if (target.value or 0) != next_offset:
+                raise SymExecError(
+                    f"path claims jump to {next_offset} but target is {target.value}")
+        else:
+            state.assert_cond(mk("EQ", target, const(next_offset)))
+    elif operands:  # JUMPI
+        target, cond = operands
+        fallthrough = block.last_offset + 1
+        taken = target.is_concrete and (target.value or 0) == next_offset
+        if not taken and next_offset != fallthrough:
+            if target.is_concrete:
+                raise SymExecError(
+                    f"path leaves JUMPI at {block.last_offset} for {next_offset}, "
+                    f"which is neither the target nor the fallthrough")
+            state.assert_cond(mk("EQ", target, const(next_offset)))
+            taken = True
+        state.assert_cond(cond if taken else mk("ISZERO", cond))

@@ -10,6 +10,10 @@ and each word the reference leaves must have the runner's int as its value
 under the witness.  Where a block cannot run, both must raise the same
 exception type with the same message, since those messages reach reports
 (`trace_abandoned: ...`, `malformed path: ...`, `witness replay failed: ...`).
+The one difference by design: the runners check the stack once, at block
+entry, so a block entered outside its stack bounds halts there with the
+stack error, where the reference may first halt out of gas at an earlier
+instruction.  The EVM halts in that block either way.
 
 In witness mode the reference keeps a word derived from ADDRESS or BALANCE0
 symbolic, where the runner holds its value.  Where such a word is read as
@@ -33,8 +37,10 @@ from evmscope.disasm import Instruction, disassemble
 from evmscope.pathgen import PathBounds, enumerate_paths
 from evmscope.symexec import (
     STACK_LIMIT,
-    Interpreter,
+    OutOfGas,
     Replay,
+    StackOverflow,
+    StackUnderflow,
     SymbolicState,
     SymExecError,
     _copy_code,
@@ -49,7 +55,7 @@ from evmscope.symexec import (
 )
 
 from conftest import FIXTURES, MICRO, get_contract
-from interp_reference import ReferenceInterpreter, reference_run_body
+from interp_reference import ReferenceInterpreter, reference_run_body, reference_take_exit
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json"))
 _ADDRESS = var("ADDRESS")
@@ -127,32 +133,39 @@ def _fork(replay):
 
 # -- the symbolic lanes --------------------------------------------------------------
 
+def _machine(code, state):
+    """The symbolic machine under test: the state itself, reading `code`."""
+    state.code = code
+    return state
+
+
 def _lanes(cfg):
-    """(interpreter class, block runner) of the reference and of the plans."""
-    return ((ReferenceInterpreter, reference_run_body),
-            (Interpreter, lambda interp, block, _mark: _run_body(interp, cfg, block)))
+    """(machine, block runner, exit) of the reference and of the plans; a
+    machine is made from the code and a state."""
+    return ((ReferenceInterpreter, reference_run_body, reference_take_exit),
+            (_machine, lambda state, block, _mark: _run_body(state, cfg, block), _take_exit))
 
 
 def _advance(lane, cfg, code, storage, parent, block_id):
     """Run `block_id` after the frame `parent` (None at the root); returns
     the new frame, or the SymExecError that stopped it.  The frame keeps the
     reference's mark: the storage writes made before the current call."""
-    cls, run = lane
+    make, run, take_exit = lane
     try:
         if parent is None:
             state = SymbolicState(base_storage=dict(storage))
-            interp = cls(code, state)
-            interp.begin_transaction()
+            machine = make(code, state)
+            machine.begin_transaction()
             root, mark = block_id, len(state.storage_writes)
         else:
             parent_block, parent_state, operands, root, mark = parent
             state = parent_state.fork()
-            interp = cls(code, state)
-            _take_exit(interp, parent_block, operands, block_id, root)
+            machine = make(code, state)
+            take_exit(machine, parent_block, operands, block_id, root)
             if state.txn != parent_state.txn:
                 mark = len(state.storage_writes)
         block = cfg.blocks[block_id]
-        return block, state, run(interp, block, mark), root, mark
+        return block, state, run(machine, block, mark), root, mark
     except SymExecError as exc:
         return exc
 
@@ -200,7 +213,7 @@ def _advance_witness(cfg, code, storage, witness, parent, block_id):
         state = parent_state.fork()
         interp = _NotingReference(code, state, witness=witness)
         try:
-            _take_exit(interp, parent_block, operands, block_id, root)
+            reference_take_exit(interp, parent_block, operands, block_id, root)
         except SymExecError:
             return None
         if state.txn != parent_state.txn:
@@ -303,24 +316,43 @@ def _blocks(draw):
 
 
 # Depths at the block's own stack bounds, from its plan: one short of what
-# its body needs, exactly that, the deepest stack it can start on without
-# overflowing, and one more.  The runner checks the stack once per block
-# against these bounds.
+# it needs, exactly that, the deepest stack it can start on without
+# overflowing, and one more, but never past STACK_LIMIT: no block is
+# entered on a deeper stack.  The runner checks the stack once, at block
+# entry, against these bounds.
 _OWN_BOUNDS = {
     "need - 1": lambda plan: plan.need - 1,
     "need": lambda plan: plan.need,
     "limit - grow": lambda plan: STACK_LIMIT - plan.grow,
-    "limit - grow + 1": lambda plan: STACK_LIMIT - plan.grow + 1,
+    "limit - grow + 1": lambda plan: min(STACK_LIMIT - plan.grow + 1, STACK_LIMIT),
 }
+
+
+def _stack_fault(block, depth):
+    """The outcome of the stack error `block` entered at `depth` halts
+    with, from the ISA's pops and pushes instruction by instruction; None
+    where the stack holds throughout."""
+    for ins in block.instructions:
+        if depth < ins.info.stack_pops:
+            return StackUnderflow, "pop from empty stack"
+        depth += ins.info.stack_pushes - ins.info.stack_pops
+        if depth > STACK_LIMIT:
+            return StackOverflow, "stack limit exceeded"
+    return None
+
+
+def _out_of_gas_first(ref, new, fault):
+    """Whether the reference ran out of gas at an instruction before the
+    stack fault that the runner, checking the stack at entry, halted with."""
+    return fault is not None and new == fault and ref[0] is OutOfGas
 
 
 def _symbolic_outcomes(cfg, block, code, words, storage_word):
     outcomes = []
-    for cls, run in _lanes(cfg):
-        state = SymbolicState(stack=list(words))
-        state.sstore(const(1), storage_word)
+    for make, run, _exit in _lanes(cfg):
+        state = SymbolicState(stack=list(words), storage_writes=[(const(1), storage_word)])
         try:
-            outcomes.append(_observable(state, run(cls(code, state), block, 0)))
+            outcomes.append(_observable(state, run(make(code, state), block, 0)))
         except SymExecError as exc:
             outcomes.append(_outcome(exc))
     return outcomes
@@ -335,8 +367,8 @@ def _witness_outcomes(cfg, block, code, words, storage_word):
 
     def value(w):
         return eval_word(w, witness)
-    state = SymbolicState(stack=[w if w == _ADDRESS else const(value(w)) for w in words])
-    state.sstore(const(1), storage_word)
+    state = SymbolicState(stack=[w if w == _ADDRESS else const(value(w)) for w in words],
+                          storage_writes=[(const(1), storage_word)])
     interp = _NotingReference(code, state, witness=witness)
     replay = Replay(code, witness, {})
     replay.stack = [replay.address if w == _ADDRESS else value(w) for w in words]
@@ -363,12 +395,13 @@ def test_random_blocks_match_the_reference(block, depth, words, mode):
     cfg = Cfg(blocks={0: block}, root=0, edges=set())
     code = b"".join(ins.encode() for ins in block.instructions)
     stack = [words[i % len(words)] for i in range(depth)]
+    fault = _stack_fault(block, depth)
     if mode == "symbolic":
         ref, new = _symbolic_outcomes(cfg, block, code, stack, var("V"))
-        assert new == ref
+        assert new == ref or _out_of_gas_first(ref, new, fault)
     else:
         ref, new, differs = _witness_outcomes(cfg, block, code, stack, var("V"))
-        assert new == ref or differs
+        assert new == ref or differs or _out_of_gas_first(ref, new, fault)
 
 
 @pytest.mark.parametrize("mode", MODES)

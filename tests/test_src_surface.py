@@ -112,3 +112,39 @@ def test_only_the_term_builder_makes_compound_terms():
                 if isinstance(call, ast.Raise) and "TermTooDeep" in ast.unparse(call):
                     found.append(f"{path.stem}.{func.name}: TermTooDeep")
     assert found == []
+
+
+def _own_nodes(func: ast.FunctionDef):
+    """The nodes of `func` outside any function defined inside it."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_block_runners_check_the_stack():
+    """`raise StackUnderflow` and `raise StackOverflow` appear in src only
+    in the two block runners, `symexec._run_body` and `_replay_body`, once
+    each, and each runner has one loop over its instructions: no handler
+    checks the stack, and no second loop runs a block instruction by
+    instruction."""
+    raised, loops = [], []
+    for path in _SRC:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in _own_nodes(func):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    name = getattr(exc, "id", getattr(exc, "attr", None))
+                    if name in ("StackUnderflow", "StackOverflow"):
+                        raised.append(f"{path.stem}.{func.name}: {name}")
+                if isinstance(node, (ast.For, ast.While)):
+                    loops.append(f"{path.stem}.{func.name}")
+    assert sorted(raised) == ["symexec._replay_body: StackOverflow",
+                              "symexec._replay_body: StackUnderflow",
+                              "symexec._run_body: StackOverflow",
+                              "symexec._run_body: StackUnderflow"]
+    assert loops.count("symexec._run_body") == loops.count("symexec._replay_body") == 1

@@ -15,7 +15,6 @@ from evmscope.solver import BoundedSolver
 from evmscope.symexec import (
     DeadlinePassed,
     FeasibilityStatus,
-    Interpreter,
     Replay,
     StackUnderflow,
     SymbolicState,
@@ -261,8 +260,8 @@ def test_step_covers_every_opcode_byte(runner):
         block = BasicBlock(64, 64, 64, [ins], terminator)
         cfg = Cfg(blocks={64: block}, root=64, edges=set())
         if runner == "symbolic":
-            state = SymbolicState(stack=[var(f"S{i}") for i in range(20)])
-            operands = _run_body(Interpreter(bytes(100), state), cfg, block)
+            state = SymbolicState(stack=[var(f"S{i}") for i in range(20)], code=bytes(100))
+            operands = _run_body(state, cfg, block)
             stack = state.stack
         else:
             replay = Replay(bytes(100), {}, {})
@@ -277,6 +276,20 @@ def test_stack_underflow_raises():
     cfg = build_cfg(disassemble(code))
     with pytest.raises(StackUnderflow):
         _alone(cfg, code, (0,), {})
+
+
+def test_a_block_entered_below_its_stack_need_halts_before_it_runs():
+    # PUSH1 0x20; PUSH4 0xffffffff; SHA3 past MEMORY_CAP; POP; POP (one too
+    # many); CALLER; SELFDESTRUCT.  The block needs one word at entry, so
+    # it halts on the stack before the SHA3 can run out of gas.
+    code = parse_hex("602063ffffffff20505033ff")
+    cfg = build_cfg(disassemble(code))
+    (path,) = enumerate_paths(cfg, PathBounds(call_depth=1))
+    with pytest.raises(StackUnderflow, match="^pop from empty stack$"):
+        trace_path(cfg, code, path, {})
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert (feas.status, feas.reason) == (FeasibilityStatus.INFEASIBLE,
+                                          "malformed path: pop from empty stack")
 
 
 def test_path_condition_accumulates_monotonically():
@@ -412,6 +425,10 @@ def test_a_reverted_write_is_gone_in_the_next_call_in_trace_and_replay():
     assert replay_blocks(cfg, code, witness, base, 2) == paths[seven].blocks
     _state, feas = execute_path(cfg, code, paths[seven], base, BoundedSolver())
     assert feas.status is FeasibilityStatus.FEASIBLE
+    # the other way asserts ISZERO(EQ(sload(0x0), 0x7)), closed and false
+    _state, feas = execute_path(cfg, code, paths[other], base, BoundedSolver())
+    assert (feas.status, feas.reason) == (FeasibilityStatus.INFEASIBLE,
+                                          "condition folds to false")
 
 
 def test_a_replay_past_its_deadline_ends_unknown():
@@ -519,9 +536,8 @@ def test_transfer_of_constructor_constant_is_concrete():
 # -- storage reads over symbolic keys ----------------------------------------------
 
 def test_symbolic_key_read_sees_every_write():
-    state = SymbolicState()
-    for slot, value in ((1, 10), (2, 20), (1, 10)):
-        state.sstore(const(slot), const(value))
+    state = SymbolicState(storage_writes=[(const(slot), const(value))
+                                          for slot, value in ((1, 10), (2, 20), (1, 10))])
     loaded = state.sload(var("K"))
     assert [eval_word(loaded, {"K": k}) for k in (1, 2, 3)] == [10, 20, 0]
 
