@@ -19,7 +19,6 @@ from .symexec import (
     UNKNOWN_AMOUNT,
     Word,
     concretize,
-    contains_var_prefix,
 )
 
 ADDRESS_MASK = (1 << 160) - 1
@@ -124,26 +123,25 @@ def check_address_existence(records: list[ExternalRecord],
     return violations, warnings
 
 
-def _ownership(w: Word) -> int:
+def _guards(w: Word) -> int:
     """Bits of what `w` holds: 1 a CALLER variable, 2 a storage read, 4 a
-    comparison of the two (an ownership guard), from one walk."""
+    comparison of the two (an ownership guard), 8 a TIMESTAMP or NUMBER
+    variable (a time guard), from one walk.  Once bit 4 is set the others
+    are dropped: an ownership guard makes a path safe whatever else holds."""
     op = w.op
     if op == "var":
         name = w.name or ""
-        return name.startswith("CALLER") | name.startswith("STORAGE@") << 1
+        return (name.startswith("CALLER") | name.startswith("STORAGE@") << 1
+                | name.startswith(("TIMESTAMP", "NUMBER")) << 3)
     if op in ("EQ", "LT", "GT", "SLT", "SGT"):
-        left, right = _ownership(w.args[0]), _ownership(w.args[1])
+        left, right = _guards(w.args[0]), _guards(w.args[1])
         return 4 if left & 1 and right & 2 or right & 1 and left & 2 else left | right
     bits = 2 if op == "sload" else 0
     for a in w.args:
-        bits |= _ownership(a)
+        bits |= _guards(a)
         if bits & 4:
             return 4
     return bits
-
-
-def _is_time_guard(cond: Word) -> bool:
-    return contains_var_prefix(cond, ("TIMESTAMP", "NUMBER"))
 
 
 # Per path-condition term, by identity: (the term, is an ownership guard,
@@ -170,8 +168,8 @@ def check_guard_suicide(state: SymbolicState,
     for cond in state.path_condition:
         facts = guard_facts.get(id(cond))
         if facts is None:
-            facts = guard_facts[id(cond)] = (cond, bool(_ownership(cond) & 4),
-                                             _is_time_guard(cond))
+            bits = _guards(cond)
+            facts = guard_facts[id(cond)] = (cond, bool(bits & 4), bool(bits & 8))
         has_ownership = has_ownership or facts[1]
         has_time = has_time or facts[2]
     if has_ownership:
@@ -225,14 +223,15 @@ def detect_payable_entries(cfg: Cfg, instructions: list[Instruction],
 
     Non-payable entries carry the compiler's CALLVALUE-check template right
     after the entry JUMPDEST; an entry that unconditionally reverts cannot
-    receive Ether either.  Everything else is treated as payable.
+    receive Ether either.  Everything else is treated as payable, the
+    implicit STOP past the end of the code among it.
     """
     index_by_offset = {ins.offset: i for i, ins in enumerate(instructions)}
     payable: set[int | str] = set()
     details: dict[int | str, dict] = {}
     for name, entry_block in cfg.function_entries.items():
         block = cfg.blocks[entry_block]
-        idx = index_by_offset[block.first_offset]
+        idx = index_by_offset.get(block.first_offset, len(instructions))
         if block.instructions[0].mnemonic == "JUMPDEST":
             idx += 1
         if _matches_preamble(instructions, idx):

@@ -141,9 +141,14 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
     Boundaries: JUMP/JUMPI and terminal instructions end a block; JUMPDEST
     starts one; the instruction after a call-class opcode starts one.  The
     entry block begins at offset 0 whether or not that is a JUMPDEST.
+    Running past the end of the code is STOP (Yellow Paper): unless the last
+    instruction is JUMP or terminal, a STOP follows it at its next offset.
     """
     if not instructions:
         raise ValueError("cannot build blocks from an empty instruction list")
+    last = instructions[-1]
+    if last.mnemonic != "JUMP" and not last.info.is_terminal:
+        instructions = instructions + [Instruction(last.next_offset, isa.lookup(0x00))]
     blocks: dict[int, BasicBlock] = {}
     current: list[Instruction] = []
 
@@ -183,13 +188,11 @@ def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
     root = min(blocks)
     cfg = Cfg(blocks=blocks, root=root, edges=set())
     ordered = sorted(blocks)
-    next_block: dict[int, int | None] = {}
-    for i, off in enumerate(ordered):
-        next_block[off] = ordered[i + 1] if i + 1 < len(ordered) else None
+    # every block that does not end in JUMP or a terminal instruction has
+    # one: the code ends in one of those or in the implicit STOP
+    follower = dict(zip(ordered, ordered[1:]))
 
     for block in blocks.values():
-        last = block.last
-        follower = next_block[block.id]
         if block.terminator is Terminator.TERMINAL:
             # A finished transaction can always be followed by a new one.
             cfg.add_edge(block.id, root, EdgeKind.NEW_TRANSACTION)
@@ -197,19 +200,13 @@ def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
             # The foreign callee may call back into any function of this
             # contract, so the call block targets the root as well.
             cfg.add_edge(block.id, root, EdgeKind.EXTERNAL_CALLBACK)
-            if follower is not None:
-                cfg.add_edge(block.id, follower, EdgeKind.SEQUENTIAL)
+            cfg.add_edge(block.id, follower[block.id], EdgeKind.SEQUENTIAL)
         elif block.terminator is Terminator.FALL_THROUGH:
-            if follower is not None:
-                cfg.add_edge(block.id, follower, EdgeKind.SEQUENTIAL)
-            else:
-                # Code ends without a terminator; execution would run off the
-                # end and stop, so treat like a terminal block.
-                cfg.add_edge(block.id, root, EdgeKind.NEW_TRANSACTION)
+            cfg.add_edge(block.id, follower[block.id], EdgeKind.SEQUENTIAL)
         elif block.terminator in (Terminator.JUMP, Terminator.COND_JUMP):
             is_cond = block.terminator is Terminator.COND_JUMP
-            if is_cond and follower is not None:
-                cfg.add_edge(block.id, follower, EdgeKind.COND_FALLTHROUGH)
+            if is_cond:
+                cfg.add_edge(block.id, follower[block.id], EdgeKind.COND_FALLTHROUGH)
             target = _static_target(block)
             if target is None:
                 cfg.dangling.add(block.id)

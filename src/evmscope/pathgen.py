@@ -114,17 +114,18 @@ class PathEnumeration:
     def _moves(self) -> dict[int, tuple[tuple[int, bool], ...] | None]:
         """Per block: None if it ends a transaction, else its successors in
         visiting order as (destination, is external callback), reversed for
-        pushing onto the stack."""
+        pushing onto the stack.  A destination is one move however many
+        edges reach it (a JUMPI whose target is its own fallthrough)."""
         moves: dict[int, tuple[tuple[int, bool], ...] | None] = {}
         for block_id, block in self.cfg.blocks.items():
             if block.terminator is Terminator.TERMINAL:
                 moves[block_id] = None
                 continue
             edges = sorted(self.cfg.successors(block_id), key=lambda e: (e.dst, e.kind.value))
-            moves[block_id] = tuple(
-                (e.dst, e.kind is EdgeKind.EXTERNAL_CALLBACK) for e in reversed(edges)
-                if e.kind is not EdgeKind.NEW_TRANSACTION
-                and (self.include_reentrant or e.kind is not EdgeKind.EXTERNAL_CALLBACK))
+            dests = {e.dst: e.kind is EdgeKind.EXTERNAL_CALLBACK for e in edges
+                     if e.kind is not EdgeKind.NEW_TRANSACTION
+                     and (self.include_reentrant or e.kind is not EdgeKind.EXTERNAL_CALLBACK)}
+            moves[block_id] = tuple(reversed(dests.items()))
         return moves
 
     def _tables(self) -> dict[int, list[_Piece]] | None:

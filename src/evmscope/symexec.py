@@ -85,7 +85,7 @@ class Word(NamedTuple):
     args: tuple["Word", ...] = ()
     value: int | None = None     # const payload
     name: str | None = None      # var payload
-    meta: int | str | None = None
+    meta: int | None = None      # sha3 preimage length in bytes
     depth: int = 1               # nesting levels, a leaf being one
     size: int = 1                # nodes of the tree
 
@@ -102,7 +102,7 @@ class Word(NamedTuple):
         return f"{self.op}({inner})"
 
 
-def node(op: str, args: tuple[Word, ...], meta: int | str | None = None) -> Word:
+def node(op: str, args: tuple[Word, ...], meta: int | None = None) -> Word:
     """The one builder of compound terms.  Bounding each term here keeps
     every walk over one under the recursion limit and within MAX_SIZE
     nodes, however much the term shares."""
@@ -213,17 +213,6 @@ def concretize(w: Word | None) -> int | None:
     return eval_word(w, {})
 
 
-def contains_var_prefix(w: Word, prefix: str | tuple[str, ...]) -> bool:
-    """Whether a variable whose name starts with `prefix` (or with one of
-    them) occurs in `w`."""
-    if w.op == "var":
-        return bool(w.name) and w.name.startswith(prefix)
-    for a in w.args:
-        if contains_var_prefix(a, prefix):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # State
 # ---------------------------------------------------------------------------
@@ -320,7 +309,7 @@ class SymbolicState:
             value = self._base_read(key)
         for wkey, wval in reversed(undecided):
             value = node("ite", (mk("EQ", wkey, key), wval, value))
-        return node("sload", (value,), str(key))
+        return node("sload", (value,))
 
     def _base_read(self, key: Word) -> Word:
         if key in self.base_storage:
@@ -686,6 +675,8 @@ def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
         target, cond = operands
         fallthrough = block.last_offset + 1
         taken = target.is_concrete and (target.value or 0) == next_offset
+        if taken and next_offset == fallthrough:
+            return  # both ways lead there
         if not taken and next_offset != fallthrough:
             if target.is_concrete:
                 raise SymExecError(

@@ -254,6 +254,22 @@ def test_reverting_receive_branch_not_flagged():
             assert p.blocks not in flagged_blocks
 
 
+# 0: an indirect JUMP to 9; 6: JUMPDEST CALLER SELFDESTRUCT; 9: JUMPDEST, then
+# a selector dispatch whose JUMPI to 6 is the last instruction: the dispatch
+# falls through to the implicit STOP at 25, the fallback entry.
+_DISPATCH_AT_THE_END = "600960005056" "5b33ff" "5b60003560e01c" "6312345678" "14600657"
+
+
+def test_the_stop_past_the_end_of_the_code_is_a_payable_fallback():
+    instructions = disassemble(parse_hex(_DISPATCH_AT_THE_END))
+    cfg = build_cfg(instructions)
+    assert cfg.function_entries == {0x12345678: 6, FALLBACK: 25}
+    assert cfg.blocks[25].last.mnemonic == "STOP"
+    payable, details = detect_payable_entries(cfg, instructions)
+    assert payable == {0x12345678, FALLBACK}
+    assert details[FALLBACK] == {"payable": True, "preamble_span": None}
+
+
 # A loop back to offset 0 inside one call, then REVERT at offset 15: every
 # transaction reverts, so no Ether can be taken in.
 _LOOP_TO_ROOT_THEN_REVERT = "5b600054600f576001600055600056" + "5b600080fd"

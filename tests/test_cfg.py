@@ -54,6 +54,35 @@ def test_block_boundaries_at_call():
     assert follow.instructions[0].mnemonic == "STOP"
 
 
+# PUSH1 0 x4; PUSH1 5; CALLER; GAS; CALL (sends 5 wei to the caller), then POP
+_CALL_THEN_POP = "6000600060006000600533" "5af1" "50"
+
+
+@pytest.mark.parametrize("code_hex, block, offset", [
+    (_CALL_THEN_POP, 13, 14),       # the STOP joins the POP's block
+    (_CALL_THEN_POP[:-2], 13, 13),  # after a CALL the STOP is a block of its own
+    ("6000600557", 5, 5),           # so it is after a JUMPI
+    ("61", 0, 3),                   # after a truncated PUSH2, at its next offset
+])
+def test_running_past_the_end_of_the_code_is_stop(code_hex, block, offset):
+    cfg = build_cfg(disassemble(parse_hex(code_hex)))
+    stop = cfg.blocks[max(cfg.blocks)]
+    assert stop.id == block and stop.terminator is Terminator.TERMINAL
+    assert (stop.last.offset, stop.last.mnemonic) == (offset, "STOP")
+    assert {e.kind for e in cfg.successors(stop.id)} == {EdgeKind.NEW_TRANSACTION}
+    # every block that neither jumps nor ends the call has its follower
+    for other in cfg.blocks.values():
+        if other.terminator not in (Terminator.JUMP, Terminator.TERMINAL):
+            assert any(e.dst > other.id for e in cfg.successors(other.id)), other
+
+
+def test_code_ending_in_jump_or_a_terminal_gets_no_stop():
+    for code_hex in ("6000600056", "600035ff", "00", "fe"):
+        code = parse_hex(code_hex)
+        assert max(ins.offset for b in build_blocks(disassemble(code)).values()
+                   for ins in b.instructions) < len(code)
+
+
 def test_entry_block_starts_at_zero_without_jumpdest(toydao_cfg):
     root = toydao_cfg.blocks[toydao_cfg.root]
     assert root.first_offset == 0

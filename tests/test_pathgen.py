@@ -2,8 +2,9 @@ import time
 
 import pytest
 
+from evmscope.analyzers import PropertyId
 from evmscope.cfg import build_cfg
-from evmscope.disasm import disassemble, parse_hex
+from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.keccak import selector
 from evmscope.pathgen import (
     PathBounds,
@@ -12,6 +13,8 @@ from evmscope.pathgen import (
     enumerate_paths,
     filter_money,
 )
+from evmscope.ranker import RankConfig
+from evmscope.report import AnalysisConfig, analyze
 
 from conftest import get_cfg
 
@@ -166,3 +169,32 @@ def test_passthrough_for_moneyless_contract():
     assert all(any(sel in (ct, "<fallback>") for sel, _ in p.functions) for p in kept)
     none_kept = list(filter_money(iter(paths), cfg, payable_entries=set()))
     assert none_kept == []
+
+
+# -- control flow at the edges of the code ---------------------------------------
+
+def _critical(code_hex, **config):
+    """(paths enumerated, each critical path's feasibility and properties)
+    at call bound 1 with every path past the gate."""
+    report = analyze(ContractCode(runtime_code=parse_hex(code_hex), name="probe"),
+                     AnalysisConfig(bounds=PathBounds(call_depth=1), include_timing=False,
+                                    rank=RankConfig(threshold=0), **config))
+    return report.statistics["paths_enumerated"], [
+        (cp.feasibility, [v.property for v in cp.ranked.violations])
+        for cp in report.critical_paths]
+
+
+@pytest.mark.parametrize("condition", ["01", "00"])
+def test_a_jumpi_to_its_own_fallthrough_is_one_path(condition):
+    # JUMPI(5, condition); 5: JUMPDEST; CALLER; SELFDESTRUCT.  Both ways
+    # reach the SELFDESTRUCT, so it is unguarded whatever the condition.
+    assert _critical(f"60{condition}600557" "5b33ff") == (
+        1, [("feasible", [PropertyId.GUARD_SUICIDE])])
+
+
+@pytest.mark.parametrize("tail", ["", "00"])
+def test_a_call_that_runs_past_the_end_of_the_code_ends_there(tail):
+    # CALL sending 5 wei to the caller, then POP; the code ends with or
+    # without a STOP, and both end the call the same way
+    assert _critical("6000600060006000600533" "5af150" + tail, transfer_limit=1) == (
+        1, [("feasible", [PropertyId.TRANSFER_LIMIT])])

@@ -1,20 +1,23 @@
-"""The pruned depth-first search against the product loop it replaced.
+"""The bounded solver against two references.
 
-`_ProductSolver` keeps the former `BoundedSolver._search` verbatim in
-behaviour as the reference: it walks `itertools.product` over the candidate
-pools and evaluates every conjunct for every combination, then does the
-same over the truncated exhaustive domain for one or two variables.  The
-depth-first search checks each conjunct once its last variable is bound,
-so `check()` must return the identical CheckResult: the same status, the
-same model with the same key order, and the same reason.
+`solver_reference.BoundedSolver` is the solver before each conjunct was
+normalized once, kept verbatim.  `_ProductSolver` is that reference with
+the former `_search` in behaviour: it walks `itertools.product` over the
+candidate pools and evaluates every conjunct for every combination, then
+does the same over the truncated exhaustive domain for one or two
+variables.  The depth-first search checks each conjunct once its last
+variable is bound.  `check()` must return the identical CheckResult: the
+same status, the same model with the same key order, and the same reason.
 """
 
 import itertools
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evmscope.solver as solver_module
 from evmscope.analyzers import detect_payable_entries
@@ -35,12 +38,13 @@ from evmscope.symexec import (
     var,
 )
 
+import solver_reference
 from conftest import FIXTURES, MICRO, get_contract
 
 _NO_TIMEOUT_MS = 600_000
 
 
-class _ProductSolver(BoundedSolver):
+class _ProductSolver(solver_reference.BoundedSolver):
     def _check_model(self, conjuncts, model):
         return all(eval_word(c, model) != 0 for c in conjuncts)
 
@@ -103,7 +107,7 @@ def _money_conditions(call_bound: int, directory: Path) -> list[tuple[Word, ...]
 
 
 def test_money_paths_get_the_reference_result():
-    solver, reference = BoundedSolver(), _ProductSolver()
+    solver, reference, product = BoundedSolver(), solver_reference.BoundedSolver(), _ProductSolver()
     for call_bound in (1, 2):
         conditions = _money_conditions(call_bound, FIXTURES) + _money_conditions(call_bound, MICRO)
         assert len(conditions) > 50
@@ -111,6 +115,7 @@ def test_money_paths_get_the_reference_result():
             got = solver.check(list(conjuncts), _NO_TIMEOUT_MS)
             want = reference.check(list(conjuncts), _NO_TIMEOUT_MS)
             assert _key(got) == _key(want), [str(c) for c in conjuncts]
+            assert _key(product.check(list(conjuncts), _NO_TIMEOUT_MS)) == _key(want)
 
 
 def test_corpus_search_work_is_bounded(monkeypatch):
@@ -184,13 +189,55 @@ def _systems(draw):
     return draw(st.permutations(conjuncts))
 
 
+@contextmanager
+def _small_search():
+    """The solver with the search sizes the references are given."""
+    with mock.patch.multiple(solver_module, MAX_COMBINATIONS=120, EXHAUSTIVE_BITS=3):
+        yield BoundedSolver()
+
+
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_random_systems_get_the_reference_result(conjuncts):
     # small domains keep the reference's full product affordable
-    solver = BoundedSolver(max_combinations=120, exhaustive_bits=3)
     reference = _ProductSolver(max_combinations=120, exhaustive_bits=3)
-    got = solver.check(conjuncts, _NO_TIMEOUT_MS)
+    with _small_search() as solver:
+        got = solver.check(conjuncts, _NO_TIMEOUT_MS)
+    assert _key(got) == _key(reference.check(conjuncts, _NO_TIMEOUT_MS))
+
+
+_a, _b = var("a"), var("b")
+_SHARED = (_a, _b, mk("ADD", _a, const(1)), node("sload", (_b,)), mk("GT", _a, _b))
+
+
+@st.composite
+def _conflicting_systems(draw):
+    """Equalities, comparisons and truth assertions over a few shared
+    terms, with repeats, so that one propagation round can meet both an
+    equality conflict and a term asserted both true and false."""
+    term, value = st.sampled_from(_SHARED), st.integers(0, 2).map(const)
+    atom = st.one_of(
+        st.tuples(term, value).map(lambda t: mk("EQ", *t)),
+        st.tuples(value, term).map(lambda t: mk("EQ", *t)),
+        st.tuples(st.sampled_from(["LT", "GT"]), term, value).map(lambda t: mk(*t)),
+        term,
+        term.map(lambda t: mk("ISZERO", t)),
+    )
+    conjuncts = draw(st.lists(atom, min_size=1, max_size=6))
+    conjuncts += draw(st.lists(st.sampled_from(conjuncts), max_size=3))
+    return draw(st.permutations(conjuncts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conflicting_systems())
+# one round with both conflict kinds: the equality conflict is reported
+@example([_a, mk("ISZERO", _a), mk("EQ", _a, const(1)), _a])
+# a repeated binding beside a term asserted both true and false
+@example([_SHARED[3], mk("EQ", _b, const(2)), mk("ISZERO", _SHARED[3]), mk("EQ", _b, const(2))])
+def test_conflicting_systems_get_the_reference_result(conjuncts):
+    reference = solver_reference.BoundedSolver(max_combinations=120, exhaustive_bits=3)
+    with _small_search() as solver:
+        got = solver.check(conjuncts, _NO_TIMEOUT_MS)
     assert _key(got) == _key(reference.check(conjuncts, _NO_TIMEOUT_MS))
 
 

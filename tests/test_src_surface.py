@@ -148,3 +148,23 @@ def test_only_the_block_runners_check_the_stack():
                               "symexec._run_body: StackOverflow",
                               "symexec._run_body: StackUnderflow"]
     assert loops.count("symexec._run_body") == loops.count("symexec._replay_body") == 1
+
+
+def _settable_values(tree: ast.Module) -> int:
+    """Parameters with a default, plus `@dataclass` fields with one."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(b, ast.AnnAssign) and b.value is not None
+                         for b in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    """Each default is a value a caller may set and a test must cover; the
+    search sizes of the solver, for one, are fixed.  Lower the bound when a
+    change removes one."""
+    assert sum(_settable_values(ast.parse(path.read_text())) for path in _SRC) <= 99

@@ -19,6 +19,7 @@ from evmscope.symexec import (
     StackUnderflow,
     SymbolicState,
     SymExecError,
+    Word,
     _replay_body,
     _run_body,
     concrete_op,
@@ -245,6 +246,17 @@ def test_storage_unknown_slot_reads_stable_var():
     # both loads of the untouched slot 0 produced the same variable
     assert stored[const(1)] == stored[const(2)]
     assert free_vars(stored[const(1)])
+
+
+def test_loads_of_one_key_render_the_key_once(monkeypatch):
+    # CALLER, then 40 times DUP1 SLOAD POP: the storage variable is named
+    # from the key once, and no load renders the key again
+    renders = []
+    render = Word.__str__
+    monkeypatch.setattr(Word, "__str__", lambda w: renders.append(w) or render(w))
+    _run("33" + "805450" * 40 + "00")
+    assert [w for w in renders if w.op == "var" and w.name.startswith("CALLER")] == [
+        var("CALLER#1")]
 
 
 @pytest.mark.parametrize("runner", ["symbolic", "witness"])
