@@ -21,7 +21,11 @@ states, and a selection builds only the paths it keeps, one at a time.
 
 A selection keeps this order, so each path shares the longest prefix it can
 with the path before it: the trace walk (`symexec.execute_paths`) relies on
-that to run each shared prefix once, and hands back each path it is given.
+that to resume each path where it parts from the one before, and hands back
+each path it is given.  The walk also keeps each call's outcome under the
+state the call starts from, so a piece reached after different pieces that
+leave the same state runs once; the order matters only to how far each
+path resumes.
 A `ProgramPath` is only its blocks and its calls: its call count, the
 ranking length, is the number of calls, and `filter_money` tests its blocks
 against the CFG's money blocks.

@@ -4,19 +4,20 @@ Words are finite terms over per-transaction free variables (caller, call
 value, calldata, timestamp, block number, balances, foreign-call returns,
 unknown storage) and the EVM operator set, modular 2**256; each is a
 tuple underneath, and `node` builds each compound one within MAX_DEPTH
-and MAX_SIZE.  Executing a path walks its block sequence, asserting
-each branch condition (or its negation) into the path condition; crossing
-a transaction boundary introduces a fresh environment while storage
-persists.  `SymbolicState` is the symbolic machine: it holds what a path
-has built and runs the instructions.  One block runner, `_run_body`,
-executes each block over it from a plan compiled once, checking the stack
-against the plan's static bounds once, at block entry, and never per
-instruction.  Feasibility is decided by a pluggable constraint backend; a
-satisfying witness is re-validated by replaying the path on plain ints:
-`Replay` runs the same compiled plans, reading every value the symbolic
-walk leaves free from the witness, and `_steer`, the one steering loop,
-picks each next block from the jump operands.  Memory is keyed by word
-offset in both runners.
+and MAX_SIZE.  Executing a path walks its block sequence, asserting each
+branch condition (or its negation) into the path condition; crossing a
+transaction boundary introduces a fresh environment while storage
+persists.  A walk of many paths (`execute_paths`) runs each shared prefix
+once, and each call once per state it starts from.  `SymbolicState` is the
+symbolic machine: it holds what a path has built and runs the
+instructions.  One block runner, `_run_body`, executes each block over it
+from a plan compiled once, checking the stack against the plan's static
+bounds once, at block entry, and never per instruction.  Feasibility is
+decided by a pluggable constraint backend; a satisfying witness is
+re-validated by replaying the path on plain ints: `Replay` runs the same
+compiled plans, reading every value the symbolic walk leaves free from the
+witness, and `_steer`, the one steering loop, picks each next block from
+the jump operands.  Memory is keyed by word offset in both runners.
 """
 
 from __future__ import annotations
@@ -658,12 +659,10 @@ def _run_body(state: SymbolicState, cfg: Cfg, block) -> tuple[Word, ...]:
 
 
 def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
-               next_offset: int, root: int) -> None:
-    """Leave `block` for `next_offset`: start the next transaction, or
-    assert the jump that gets there."""
-    if next_offset == root and block.terminator is Terminator.TERMINAL:
-        state.begin_transaction()
-    elif len(operands) == 1:  # JUMP
+               next_offset: int) -> None:
+    """Leave `block` for `next_offset` within one call: assert the jump that
+    gets there."""
+    if len(operands) == 1:  # JUMP
         target = operands[0]
         if target.is_concrete:
             if (target.value or 0) != next_offset:
@@ -674,19 +673,71 @@ def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
     elif operands:  # JUMPI
         target, cond = operands
         fallthrough = block.last_offset + 1
-        taken = target.is_concrete and (target.value or 0) == next_offset
-        if taken and next_offset == fallthrough:
-            return  # both ways lead there
-        if not taken and next_offset != fallthrough:
-            if target.is_concrete:
-                raise SymExecError(
-                    f"path leaves JUMPI at {block.last_offset} for {next_offset}, "
-                    f"which is neither the target nor the fallthrough")
-            # symbolic target and the path goes somewhere other than the
-            # fallthrough: it must be the taken branch
+        if target.is_concrete and (target.value or 0) == next_offset:
+            if next_offset != fallthrough:  # else both ways lead there
+                state.assert_cond(cond)
+        elif next_offset == fallthrough:
+            not_taken = mk("ISZERO", cond)
+            # a symbolic target may name the fallthrough too
+            state.assert_cond(not_taken if target.is_concrete else
+                              mk("OR", not_taken, mk("EQ", target, const(fallthrough))))
+        elif target.is_concrete:
+            raise SymExecError(
+                f"path leaves JUMPI at {block.last_offset} for {next_offset}, "
+                f"which is neither the target nor the fallthrough")
+        else:  # a symbolic target, and the path goes elsewhere: the jump is taken
             state.assert_cond(mk("EQ", target, const(next_offset)))
-            taken = True
-        state.assert_cond(cond if taken else mk("ISZERO", cond))
+            state.assert_cond(cond)
+
+
+# The most entries the call memo of one walk holds in its lists (conditions,
+# records, storage writes, stack and memory): as many as a full memory has
+# words.  A call that would pass it is not stored, so the memo stays small
+# when calls fill memory (a CODECOPY of 3.9 MB is one instruction).
+MEMO_ENTRIES = MEMORY_CAP // 32
+
+
+def _call_end(cfg: Cfg, blocks, i: int, root: int) -> int:
+    """The index of the first call start in `blocks` at or after `i` (the
+    root entered from a terminal block), or their length if none."""
+    while True:
+        try:
+            i = blocks.index(root, i)
+        except ValueError:
+            return len(blocks)
+        if cfg.blocks[blocks[i - 1]].terminator is Terminator.TERMINAL:
+            return i
+        i += 1
+
+
+class _CallDelta(NamedTuple):
+    """What one call changed, stored under the state it started from."""
+    conditions: list[Word]           # the path condition it added
+    records: list[ExternalRecord]    # the records it left
+    storage_writes: list[tuple[Word, Word]]  # the whole write list after it
+    balance: Word
+    fresh_counter: int
+    stack: list[Word]                # its last stack, memory and mem_unknown
+    memory: dict[int, Word]
+    mem_unknown: bool
+    entry_balance: Word              # held, so that no other word takes its id
+
+
+def _append_call(state: SymbolicState, delta: _CallDelta) -> None:
+    """Give `state`, at a call start, the state the call stored as `delta`
+    leaves.  The key leaves out how many records came before (a
+    SELFDESTRUCT adds one and changes nothing else), so `call_start` is
+    taken from `state`'s own lists, as `begin_transaction` takes it."""
+    state.call_start = (len(state.storage_writes), len(state.records))
+    state.txn += 1
+    state.path_condition.extend(delta.conditions)
+    state.records.extend(delta.records)
+    state.storage_writes = delta.storage_writes.copy()
+    state.balance = delta.balance
+    state.fresh_counter = delta.fresh_counter
+    state.stack = delta.stack.copy()
+    state.memory = delta.memory.copy()
+    state.mem_unknown = delta.mem_unknown
 
 
 _P = TypeVar("_P")  # a path: anything with a `blocks` sequence
@@ -703,54 +754,112 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
 
     A path resumes from the deepest saved frame inside the prefix it shares
     with the path before it, and runs only the blocks after it.  Looking one
-    path ahead, a fork is saved at each JUMPI block inside the prefix the
-    next path shares; resuming at that depth takes the JUMPI's second way,
-    so it takes the frame itself.  Any order is correct; in depth-first order
-    each shared prefix runs once.  A failure at depth d is the outcome, as
-    one object, of every later path that shares more than d blocks with the
-    failing one; a DeadlinePassed, of every later path.  The clock is read
-    every 16 blocks run.
+    path ahead, a fork is saved at each JUMPI block and at each call's last
+    block inside the prefix the next path shares; resuming after a JUMPI
+    takes its second way, so the last path to part there takes the frame
+    itself.
+
+    A call (its blocks run from the root to the terminal block the next
+    root follows, or to the end of the path) is stored in a memo under the
+    state it starts from, taken before `begin_transaction`, and its blocks.
+    That state is the call counter, the fresh counter, the balance and the
+    storage-write pairs, the last two compared by identity, and it is all a
+    call reads: `begin_transaction` resets the stack, memory and
+    `mem_unknown`, no handler reads the path condition or the records, base
+    storage and the code are the walk's own, and an unwritten slot reads
+    the same word in any state.  A path that starts a stored call from the same state appends what
+    the call changed (`_CallDelta`) instead of running its blocks, so a call
+    reached under many prefixes runs once.  Resuming at a call's start, a
+    path that leaves a reused call partway looks its own call up.  The memo
+    holds every object whose identity its keys use, and at most
+    MEMO_ENTRIES list entries; it is only looked up, never iterated.  A
+    walk of one path keeps none.
+
+    Any order is correct.  A failure at depth d is the outcome, as one
+    object, of every later path that shares more than d blocks with the
+    failing one; a call that fails is not stored, so another prefix that
+    reaches it runs it and gets an error of its own.  A DeadlinePassed is
+    the outcome of every later path.  The clock is read every 16 steps, a
+    step being a block run or a stored call reused.
     """
-    saved: list[tuple] = []  # (depth, block, state, operands, root)
+    # one base storage and one first balance for every path, so that the
+    # first calls of two paths start from the same state
+    base, balance0 = dict(base_storage), var("BALANCE0")
+    # (depth, block, state, operands, root, call); `call`, the current
+    # call's (entry key, start depth, conditions at entry, entry balance)
+    saved: list[tuple] = []
     failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
     shared = 0  # blocks this sequence shares with the one before
     runs = 0
+    held = 0  # entries of the lists the memo holds
     ahead = iter(paths)
     path = next(ahead, None)
+    following = next(ahead, None)
+    memo: dict[tuple, _CallDelta] | None = {} if following is not None else None
     while path is not None:
         blocks = path.blocks
         if not blocks:
             raise ValueError("empty block sequence")
-        following = next(ahead, None)
         keep = _shared(blocks, following.blocks) if following is not None else 0
         while saved and saved[-1][0] >= shared:
             saved.pop()  # it holds a block this sequence does not
         if failed is not None and blocks[:len(failed[0])] == failed[0]:
             depth, state = len(blocks), failed[1]  # below the failing block: nothing runs
-        elif saved and saved[-1][0] == shared - 1:
-            depth, block, state, operands, root = saved.pop()
         elif saved:
-            depth, block, state, operands, root = saved[-1]
-            state = state.fork()
+            last = saved[-1][0] == shared - 1  # no later path parts there
+            depth, block, state, operands, root, call = saved.pop() if last else saved[-1]
+            if not last:
+                state = state.fork()
+            end = _call_end(cfg, blocks, depth + 1, root)
         else:
             depth, block = -1, None
         try:
-            for depth in range(depth + 1, len(blocks)):
+            depth += 1
+            while depth < len(blocks):
                 block_id = blocks[depth]
                 runs += 1
                 if not runs & 0xF:
                     check_deadline(deadline)
-                if block is None:
-                    state = SymbolicState(base_storage=dict(base_storage), code=code,
-                                          deadline=deadline)
+                if block is not None and (block_id != root
+                                          or block.terminator is not Terminator.TERMINAL):
+                    _take_exit(state, block, operands, block_id)
+                else:  # a call starts
+                    if block is None:
+                        state = SymbolicState(base_storage=base, balance=balance0, code=code,
+                                              deadline=deadline)
+                        root = block_id
+                    if memo is not None:
+                        end = _call_end(cfg, blocks, depth + 1, root)
+                        head = (state.txn, state.fresh_counter, id(state.balance),
+                                tuple(map(id, state.storage_writes)))
+                        call = (head, depth, len(state.path_condition), state.balance)
+                        delta = memo.get((head, blocks[depth:end]))
+                        if delta is not None:
+                            _append_call(state, delta)
+                            depth = end - 1
+                            block, operands = cfg.blocks[blocks[depth]], ()
+                            if depth < keep:
+                                saved.append((depth, block, state.fork(), operands, root, call))
+                            depth += 1
+                            continue
                     state.begin_transaction()
-                    root = block_id
-                else:
-                    _take_exit(state, block, operands, block_id, root)
                 block = cfg.blocks[block_id]
                 operands = _run_body(state, cfg, block)
-                if len(operands) == 2 and depth < keep:
-                    saved.append((depth, block, state.fork(), operands, root))
+                if memo is not None and depth + 1 == end:
+                    head, first, conditions, balance = call
+                    size = (len(state.path_condition) - conditions
+                            + len(state.records) - state.call_start[1]
+                            + len(state.storage_writes) + len(state.stack) + len(state.memory))
+                    if held + size <= MEMO_ENTRIES:
+                        held += size
+                        memo[head, blocks[first:end]] = _CallDelta(
+                            state.path_condition[conditions:],
+                            state.records[state.call_start[1]:], state.storage_writes.copy(),
+                            state.balance, state.fresh_counter, state.stack.copy(),
+                            state.memory.copy(), state.mem_unknown, balance)
+                if depth < keep and (len(operands) == 2 or depth + 1 == end):
+                    saved.append((depth, block, state.fork(), operands, root, call))
+                depth += 1
         except DeadlinePassed as passed:
             yield from ((rest, passed) for rest in chain((path, following), ahead)
                         if rest is not None)
@@ -760,6 +869,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
             state = error
         yield path, state
         path, shared = following, keep
+        following = next(ahead, None)
 
 
 def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -10,7 +10,10 @@ keeps a rule of its own: it drops the records numbered with the current
 call, and the storage writes made since `mark`, which its caller takes when
 the call begins; the runner under test truncates both lists at the
 `call_start` that `begin_transaction` sets.  `reference_take_exit` is the
-former `_take_exit`, over this interpreter.  Its own checked `_push` and
+former `_take_exit`, which also started the next call, over this
+interpreter; where a path takes a JUMPI's fallthrough and the target is
+symbolic, it asserts that the condition is zero or the target is the
+fallthrough, as `_take_exit` does.  Its own checked `_push` and
 `_pop` raise the stack errors with the two messages the block runners give
 ("pop from empty stack", "stack limit exceeded"); a DUP or SWAP too short
 of words gives the first.  The compiled plans must leave the identical
@@ -308,4 +311,9 @@ def reference_take_exit(interp: ReferenceInterpreter, block, operands: tuple[Wor
                     f"which is neither the target nor the fallthrough")
             state.assert_cond(mk("EQ", target, const(next_offset)))
             taken = True
-        state.assert_cond(cond if taken else mk("ISZERO", cond))
+        if taken:
+            state.assert_cond(cond)
+        elif target.is_concrete:
+            state.assert_cond(mk("ISZERO", cond))
+        else:  # the fallthrough, reached too by a jump to a symbolic target equal to it
+            state.assert_cond(mk("OR", mk("ISZERO", cond), mk("EQ", target, const(fallthrough))))

@@ -143,7 +143,16 @@ def _lanes(cfg):
     """(machine, block runner, exit) of the reference and of the plans; a
     machine is made from the code and a state."""
     return ((ReferenceInterpreter, reference_run_body, reference_take_exit),
-            (_machine, lambda state, block, _mark: _run_body(state, cfg, block), _take_exit))
+            (_machine, lambda state, block, _mark: _run_body(state, cfg, block), _leave))
+
+
+def _leave(state, block, operands, next_offset, root):
+    """The walk's step between two blocks: a call start at the root after a
+    terminal block, else `_take_exit`."""
+    if next_offset == root and block.terminator is Terminator.TERMINAL:
+        state.begin_transaction()
+    else:
+        _take_exit(state, block, operands, next_offset)
 
 
 def _advance(lane, cfg, code, storage, parent, block_id):

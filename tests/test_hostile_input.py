@@ -93,6 +93,19 @@ def test_huge_memory_size_abandons_the_trace(runtime):
         f"trace_abandoned: {_OUT_OF_GAS}; 1 money path(s) not analyzed"]
 
 
+def test_a_call_failing_under_many_prefixes_is_abandoned_once_per_prefix():
+    # JUMPI on calldata word 0 to 15 (JUMPDEST; CALL on an empty stack),
+    # else JUMPI on word 32 to 13 (JUMPDEST; STOP), else STOP.  The failing
+    # call starts from the same state after either stopping piece; it is
+    # never reused, so each failing prefix keeps its own line
+    contract = ContractCode(runtime_code=parse_hex("600035600f57" "602035600d57" "00"
+                                                   "5b00" "5bf100"), name="fails")
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=3)))
+    line = "trace_abandoned: StackUnderflow (pop from empty stack); {} money path(s) not analyzed"
+    assert [d for d in report.diagnostics if d.startswith("trace_")] == [
+        line.format(n) for n in (1, 1, 3, 1, 1, 3, 9)]
+
+
 def test_huge_memory_size_abandons_the_constructor_pre_run():
     contract = ContractCode(runtime_code=parse_hex("00"), name="ctor",
                             creation_code=parse_hex("6501000000000060002000"))
@@ -228,6 +241,23 @@ def test_near_cap_codecopy_loop_returns_at_the_deadline():
     report = analyze(contract, _config(bounds=PathBounds(call_depth=3, wall_time=1)))
     assert time.monotonic() - started < 1 + 1
     assert report.statistics["timed_out"] is True
+
+
+def test_the_call_memo_holds_at_most_a_full_memory(monkeypatch):
+    # the CODECOPY loop above, each pass filling a third of memory: the
+    # calls the memo holds together hold no more entries than one full
+    # memory has words, and the calls past that run again
+    code = parse_hex(f"5b62{MEMORY_CAP // 3:06x}600060003960003560005733ff")
+    cfg = build_cfg(disassemble(code))
+    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=2)), cfg, set()))
+    held = []
+    delta = symexec_module._CallDelta
+    monkeypatch.setattr(symexec_module, "_CallDelta", lambda *args: held.append(
+        sum(map(len, args[:3])) + len(args[5]) + len(args[6])) or delta(*args))
+    walked = list(symexec_module.execute_paths(cfg, code, paths, {}))
+    assert len(walked) == len(paths) > 2
+    assert len(held) == 2
+    assert sum(held) <= symexec_module.MEMO_ENTRIES == MEMORY_CAP // 32
 
 
 def _money_paths(cfg):

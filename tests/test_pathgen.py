@@ -192,6 +192,14 @@ def test_a_jumpi_to_its_own_fallthrough_is_one_path(condition):
         1, [("feasible", [PropertyId.GUARD_SUICIDE])])
 
 
+def test_a_symbolic_jump_target_may_name_the_fallthrough():
+    # JUMPI(CALLDATALOAD(0), 1); 6: JUMPDEST; CALLER; SELFDESTRUCT.  The
+    # condition holds, so the path reaches 6 only by jumping there, with
+    # calldata word 0 equal to 6
+    assert _critical("6001600035575b33ff") == (
+        1, [("feasible", [PropertyId.GUARD_SUICIDE])])
+
+
 @pytest.mark.parametrize("tail", ["", "00"])
 def test_a_call_that_runs_past_the_end_of_the_code_ends_there(tail):
     # CALL sending 5 wei to the caller, then POP; the code ends with or

@@ -15,6 +15,7 @@ from evmscope.solver import BoundedSolver
 from evmscope.symexec import (
     DeadlinePassed,
     FeasibilityStatus,
+    ONE,
     Replay,
     StackUnderflow,
     SymbolicState,
@@ -304,6 +305,20 @@ def test_a_block_entered_below_its_stack_need_halts_before_it_runs():
                                           "malformed path: pop from empty stack")
 
 
+def test_a_symbolic_jumpi_target_may_be_the_fallthrough():
+    # JUMPI(CALLDATALOAD(0), 1); 6: JUMPDEST; CALLER; SELFDESTRUCT.  The
+    # condition holds, so the path reaches 6 only by jumping there
+    code = parse_hex("6001600035575b33ff")
+    cfg = build_cfg(disassemble(code))
+    (path,) = enumerate_paths(cfg, PathBounds(call_depth=1))
+    assert path.blocks == (0, 6)
+    state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert state.path_condition == [
+        mk("OR", mk("ISZERO", ONE), mk("EQ", var("CALLDATA#1@0"), const(6)))]
+    assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"CALLDATA#1@0": 6})
+    assert replay_blocks(cfg, code, feas.witness, {}, 1) == path.blocks
+
+
 def test_path_condition_accumulates_monotonically():
     contract = get_contract("toydao")
     cfg = get_cfg("toydao")
@@ -559,13 +574,11 @@ def test_symbolic_key_read_sees_every_write():
 def _observable(state):
     return (state.path_condition, state.storage_writes, state.fresh_counter,
             state.balance, state.records, state.txn, state.stack, state.memory,
-            state.mem_unknown)
+            state.mem_unknown, state.call_start)
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json")),
-                         ids=lambda p: p.stem)
-def test_shared_walk_matches_solo_execution(path):
-    contract = get_contract(path.stem)
+def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant=False):
+    contract = get_contract(name)
     code = contract.runtime_code
     instructions = disassemble(code)
     cfg = build_cfg(instructions)
@@ -574,11 +587,27 @@ def test_shared_walk_matches_solo_execution(path):
         storage, _diags = run_constructor(build_cfg(disassemble(contract.creation_code)),
                                           contract.creation_code)
     payable, _details = detect_payable_entries(cfg, instructions)
-    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg, payable))
+    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=call_depth),
+                                              include_reentrant), cfg, payable))
     shared = list(execute_paths(cfg, code, paths, storage))
     assert [p for p, _state in shared] == paths
     for p, state in shared:
         assert _observable(state) == _observable(_alone(cfg, code, p.blocks, storage))
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shared_walk_matches_solo_execution(path):
+    _assert_shared_walk_matches_solo(path.stem, 3)
+
+
+@pytest.mark.parametrize("reentrant", [False, True], ids=["whole_calls", "reentrant"])
+@pytest.mark.parametrize("name", ["toydao", "enjinbuyer", "problematic", "micarstoken",
+                                  "gigstoken"])
+def test_shared_walk_matches_solo_execution_at_bound_four(name, reentrant):
+    """At four calls most calls are reused from the memo: every leaf state
+    still equals the state its blocks give alone, on every field."""
+    _assert_shared_walk_matches_solo(name, 4, reentrant)
 
 
 # CALL (records a transfer), then branch on calldata to REVERT or to STOP
@@ -630,18 +659,128 @@ def test_revert_resumed_from_a_saved_fork_drops_only_its_own_call(monkeypatch):
     assert [(rec.kind, rec.txn) for rec in reverted.records] == [("CALL", 1)]
 
 
-def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
-    runs = []
+def _counting_runs(monkeypatch) -> list[int]:
+    """The id of each block body the walk runs, in order."""
+    runs: list[int] = []
     monkeypatch.setattr(symexec_module, "_run_body",
-                        lambda *args: runs.append(1) or _run_body(*args))
+                        lambda *args: runs.append(args[2].id) or _run_body(*args))
+    return runs
+
+
+def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
+    """Each shared block prefix runs at most once, and a call started from
+    a state a call of the same blocks started from before runs not at all:
+    over the corpus's money paths at call bound 3, 1,242 block bodies run
+    where the prefix trie has 4,428 nodes."""
+    runs = _counting_runs(monkeypatch)
+    total_runs = total_nodes = 0
     for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
         code, cfg = get_contract(name).runtime_code, get_cfg(name)
         paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg))
         runs.clear()
         for _path, _outcome in execute_paths(cfg, code, paths, {}):
             pass
-        assert len(runs) == len({p.blocks[:n] for p in paths
-                                 for n in range(1, len(p.blocks) + 1)}), name
+        nodes = len({p.blocks[:n] for p in paths for n in range(1, len(p.blocks) + 1)})
+        assert len(runs) <= nodes, name
+        total_runs += len(runs)
+        total_nodes += nodes
+    assert (total_runs, total_nodes) == (1242, 4428)
+
+
+# JUMPI on calldata word 0 to 7, else STOP; 7: JUMPDEST; CALLER; SELFDESTRUCT.
+# Neither call writes storage, draws a fresh word or moves the balance, so
+# each call after the first starts from the same state whichever came before.
+_STOP_OR_DESTRUCT = "600035600757" + "00" + "5b33ff"
+
+
+def test_a_call_started_from_the_same_state_runs_once(monkeypatch):
+    code = parse_hex(_STOP_OR_DESTRUCT)
+    cfg = build_cfg(disassemble(code))
+    paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
+    assert [p.blocks for p in paths] == [(0, 6, 0, 6), (0, 6, 0, 7), (0, 7, 0, 6), (0, 7, 0, 7)]
+    runs = _counting_runs(monkeypatch)
+    walked = list(execute_paths(cfg, code, paths, {}))
+    # call 2 runs its blocks 0, 6 and 7 once, after the first call-1 piece
+    assert runs == [0, 6, 0, 6, 7, 7]
+    monkeypatch.setattr(symexec_module, "_run_body", _run_body)
+    for p, state in walked:
+        assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
+    # a reused call still starts where its own prefix left the lists
+    assert [state.call_start for _p, state in walked] == [(0, 0), (0, 0), (0, 1), (0, 1)]
+
+
+def test_a_call_the_memo_cannot_hold_runs_again(monkeypatch):
+    """With no room in the memo the walk runs every prefix-trie node once,
+    as a walk without one would, and gives the same states."""
+    monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", 0)
+    code = parse_hex(_STOP_OR_DESTRUCT)
+    cfg = build_cfg(disassemble(code))
+    paths = list(enumerate_paths(cfg, PathBounds(call_depth=3)))
+    runs = _counting_runs(monkeypatch)
+    walked = list(execute_paths(cfg, code, paths, {}))
+    assert len(runs) == len({p.blocks[:n] for p in paths for n in range(1, len(p.blocks) + 1)})
+    monkeypatch.setattr(symexec_module, "_run_body", _run_body)
+    for p, state in walked:
+        assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
+
+
+def test_trace_path_runs_exactly_its_own_blocks(monkeypatch):
+    code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
+    path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg))
+    runs = _counting_runs(monkeypatch)
+    trace_path(cfg, code, path, {})
+    assert runs == list(path.blocks)
+
+
+# JUMPI on calldata word 0 to 15 (JUMPDEST; CALL on an empty stack; STOP),
+# else JUMPI on word 32 to 13 (JUMPDEST; STOP), else STOP: two call pieces
+# that leave the state as they found it, and one that fails
+_TWO_WAYS_OR_FAIL = "600035600f57" + "602035600d57" + "00" + "5b00" + "5bf100"
+
+
+def test_a_failing_call_fails_anew_under_each_prefix():
+    code = parse_hex(_TWO_WAYS_OR_FAIL)
+    cfg = build_cfg(disassemble(code))
+    paths = _paths((0, 6, 12, 0, 15), (0, 6, 13, 0, 15), (0, 6, 13, 0, 15, 17))
+    (_, first), (_, second), (_, below) = execute_paths(cfg, code, paths, {})
+    assert isinstance(first, StackUnderflow) and isinstance(second, StackUnderflow)
+    assert first is not second and str(first) == str(second)
+    assert below is second  # the same failing prefix: one error
+
+
+def test_a_deadline_mid_walk_is_the_outcome_of_every_path_left(monkeypatch):
+    code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
+    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
+    reads = []
+    check = symexec_module.check_deadline
+
+    def expire_at_the_tenth_read(deadline):
+        reads.append(deadline)
+        check(deadline - 1e9 if len(reads) == 10 else deadline)
+
+    monkeypatch.setattr(symexec_module, "check_deadline", expire_at_the_tenth_read)
+    walked = list(execute_paths(cfg, code, paths, {}, deadline=time.monotonic() + 3600))
+    assert [p for p, _outcome in walked] == paths
+    late = [n for n, (_p, outcome) in enumerate(walked) if isinstance(outcome, DeadlinePassed)]
+    assert late == list(range(late[0], len(paths))) and 0 < late[0] < len(paths) - 1
+    assert all(walked[n][1] is walked[late[0]][1] for n in late)
+
+
+def test_a_reused_call_is_a_step_of_the_clock(monkeypatch):
+    """The clock is read every 16 steps, a step being a block run or a
+    stored call reused, so a walk of reused calls reads it too."""
+    code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
+    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
+    runs = _counting_runs(monkeypatch)
+    reused, reads = [], []
+    append_call = symexec_module._append_call
+    monkeypatch.setattr(symexec_module, "_append_call",
+                        lambda *args: reused.append(1) or append_call(*args))
+    monkeypatch.setattr(symexec_module, "check_deadline", reads.append)
+    for _path, _outcome in execute_paths(cfg, code, paths, {}):
+        pass
+    assert len(reused) > 100
+    assert len(reads) == (len(runs) + len(reused)) // 16
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
