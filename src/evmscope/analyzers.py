@@ -150,20 +150,16 @@ GuardFacts = dict[int, tuple[Word, bool, bool]]
 
 
 def check_guard_suicide(state: SymbolicState,
-                        guard_facts: GuardFacts | None = None,
-                        ) -> PropertyViolation | None:
+                        guard_facts: GuardFacts) -> PropertyViolation | None:
     """Violation when a self-destruct is reachable without an ownership guard.
 
     A date/height constraint is recorded but does not make the destruction
     safe (anyone can wait).  Paths traced together share path-condition
-    terms; pass one `guard_facts` dict for all of them to examine each term
-    once.
+    terms; one `guard_facts` dict for all of them examines each term once.
     """
     destructs = [r for r in state.records if r.kind == "SELFDESTRUCT"]
     if not destructs:
         return None
-    if guard_facts is None:
-        guard_facts = {}
     has_ownership = has_time = False
     for cond in state.path_condition:
         facts = guard_facts.get(id(cond))

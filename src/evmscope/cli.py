@@ -134,29 +134,30 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--call-bound", type=int, default=3,
-                        help="max function calls per path (default 3)")
-    parser.add_argument("--loop-bound", type=int, default=5,
-                        help="max traversals of any back-edge per call segment (default 5)")
-    parser.add_argument("--max-blocks", type=int, default=60,
-                        help="max blocks per path (default 60)")
-    parser.add_argument("--wall-time", type=float, default=60.0,
-                        help="global time budget in seconds (default 60)")
-    parser.add_argument("--solver-timeout", type=int, default=100,
-                        help="per-query solver timeout in ms (default 100)")
+    bounds, config, rank = PathBounds(), AnalysisConfig(), RankConfig()
+    parser.add_argument("--call-bound", type=int, default=bounds.call_depth,
+                        help="max function calls per path (default %(default)s)")
+    parser.add_argument("--loop-bound", type=int, default=bounds.loop_bound,
+                        help="max back-edge traversals per call segment (default %(default)s)")
+    parser.add_argument("--max-blocks", type=int, default=bounds.max_blocks,
+                        help="max blocks per path (default %(default)s)")
+    parser.add_argument("--wall-time", type=float, default=bounds.wall_time,
+                        help="global time budget in seconds (default %(default)s)")
+    parser.add_argument("--solver-timeout", type=int, default=config.solver_timeout_ms,
+                        help="per-query solver timeout in ms (default %(default)s)")
     parser.add_argument("--transfer-limit", type=int, default=None,
                         help="wei limit for the transfer-limit property "
                              "(absent = checker disabled)")
     parser.add_argument("--threshold", type=str, default=None,
-                        help="criticalness gate threshold (default 10)")
+                        help=f"criticalness gate threshold (default {rank.threshold})")
     parser.add_argument("--epsilon", type=str, default=None,
-                        help="criticalness length scale (default 1)")
+                        help=f"criticalness length scale (default {rank.epsilon})")
     parser.add_argument("--alpha", action="append", metavar="PROP=N",
                         help="override a property weight (repeatable)")
     parser.add_argument("--disable", default="",
                         help="comma-separated properties to switch off")
     parser.add_argument("--registry-mode", choices=["online", "offline", "disabled"],
-                        default="offline")
+                        default=config.registry_mode)
     parser.add_argument("--registry-fixture", default=None,
                         help="address table for offline mode")
     parser.add_argument("--registry-cache", default=None,

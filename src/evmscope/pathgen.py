@@ -324,14 +324,12 @@ class PathEnumeration:
     def __iter__(self) -> Iterator[ProgramPath]:
         return self.select(_every)
 
-    def money_marker(self, payable_entries: set[int | str] | None = None,
-                     ) -> Callable[[_Piece], bool]:
+    def money_marker(self, payable_entries: set[int | str]) -> Callable[[_Piece], bool]:
         """The piece test of `filter_money`: a piece runs a money block, or,
         in a contract without one, enters a payable entry."""
         if self.cfg.money_blocks:
             return _runs_money
-        payable = payable_entries or set()
-        return lambda p: p.selector is not None and p.selector in payable
+        return lambda p: p.selector is not None and p.selector in payable_entries
 
     def select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
         """The paths with at least one `marked` piece, in unfolding order, each

@@ -10,7 +10,9 @@ import threading
 import time
 from pathlib import Path
 
-DEFAULT_RATE_PER_SECOND = 5.0
+# Online lookups: RATE_PER_SECOND a second, after a burst of BURST.
+RATE_PER_SECOND = 5.0
+BURST = 5
 DEFAULT_RETRIES = 4
 URL_ENV = "EVMSCOPE_EXPLORER_URL"
 KEY_ENV = "EVMSCOPE_EXPLORER_KEY"
@@ -46,21 +48,19 @@ def load_fixture_table(path: str | Path) -> dict[int, bool]:
 
 
 class _TokenBucket:
-    def __init__(self, rate: float, burst: int = 5):
-        self.rate = rate
-        self.capacity = burst
-        self.tokens = float(burst)
+    def __init__(self):
+        self.tokens = float(BURST)
         self.updated = time.monotonic()
 
     def acquire(self) -> None:
         while True:
             now = time.monotonic()
-            self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
+            self.tokens = min(BURST, self.tokens + (now - self.updated) * RATE_PER_SECOND)
             self.updated = now
             if self.tokens >= 1:
                 self.tokens -= 1
                 return
-            time.sleep((1 - self.tokens) / self.rate)
+            time.sleep((1 - self.tokens) / RATE_PER_SECOND)
 
 
 class AddressRegistry:
@@ -71,7 +71,6 @@ class AddressRegistry:
                  cache_path: str | Path | None = None,
                  url: str | None = None,
                  api_key: str | None = None,
-                 rate_per_second: float = DEFAULT_RATE_PER_SECOND,
                  transport=None):
         if mode not in ("online", "offline", "disabled"):
             raise ValueError(f"unknown registry mode {mode!r}")
@@ -80,7 +79,7 @@ class AddressRegistry:
         self.cache_path = Path(cache_path) if cache_path else None
         self.url = url or os.environ.get(URL_ENV, "https://api.etherscan.io/api")
         self.api_key = api_key or os.environ.get(KEY_ENV, "")
-        self._bucket = _TokenBucket(rate_per_second)
+        self._bucket = _TokenBucket()
         self._transport = transport  # injectable for tests
         self._cache: dict[int, bool] = {}
         self._lock = threading.Lock()  # one query at a time; cache writes serialized

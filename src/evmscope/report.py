@@ -41,6 +41,7 @@ from .ranker import RankConfig, RankedPath, make_ranked, rank_and_gate
 from .registry import AddressRegistry
 from .solver import BoundedSolver, default_solver
 from .symexec import (
+    SOLVER_TIMEOUT_MS,
     Feasibility,
     FeasibilityStatus,
     SymExecError,
@@ -66,7 +67,7 @@ class AnalysisConfig:
     registry_mode: str = "offline"
     registry_fixture: str | None = None
     registry_cache: str | None = None
-    solver_timeout_ms: int = 100
+    solver_timeout_ms: int = SOLVER_TIMEOUT_MS
     disabled: set[PropertyId] = field(default_factory=set)
     include_reentrant: bool = False
     include_timing: bool = True

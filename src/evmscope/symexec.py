@@ -41,6 +41,7 @@ BLOCK_GAS_LIMIT = 30_000_000
 # 123,169 words is the most whose gas fits in BLOCK_GAS_LIMIT, so no
 # transaction touches memory past this byte (about 3.9 MB).
 MEMORY_CAP = 123_169 * 32
+SOLVER_TIMEOUT_MS = 100  # a solver query's time unless the caller sets one
 
 
 class SymExecError(Exception):
@@ -434,10 +435,11 @@ class SymbolicState:
             self.mem_unknown = True
 
     def _mstore8(self, ins: Instruction, operand: None) -> None:
-        offset, _value = self.stack.pop(), self.stack.pop()
+        offset = self.stack[-1]  # an MSTORE of an unknown word over the byte's word
         if offset.is_concrete:
-            aligned = (offset.value or 0) & ~31
-            self.memory[aligned] = self.fresh(f"MEM#{self.txn_label}")
+            self.stack[-2:] = (self.fresh(f"MEM#{self.txn_label}"),
+                               const((offset.value or 0) & ~31))
+        self._mstore(ins, operand)
 
     def _sload(self, ins: Instruction, operand: None) -> None:
         self.stack.append(self.sload(self.stack.pop()))
@@ -690,10 +692,9 @@ def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
             state.assert_cond(cond)
 
 
-# The most entries the call memo of one walk holds in its lists (conditions,
-# records, storage writes, stack and memory): as many as a full memory has
-# words.  A call that would pass it is not stored, so the memo stays small
-# when calls fill memory (a CODECOPY of 3.9 MB is one instruction).
+# A cap on the entries the call memo of one walk holds in its lists
+# (conditions, records and storage writes): a call that would pass it is
+# not stored, and runs again under each prefix that reaches it.
 MEMO_ENTRIES = MEMORY_CAP // 32
 
 
@@ -711,23 +712,21 @@ def _call_end(cfg: Cfg, blocks, i: int, root: int) -> int:
 
 
 class _CallDelta(NamedTuple):
-    """What one call changed, stored under the state it started from."""
+    """A call summary: what one call that ended at a terminal block
+    changed, stored under the state it started from."""
     conditions: list[Word]           # the path condition it added
     records: list[ExternalRecord]    # the records it left
     storage_writes: list[tuple[Word, Word]]  # the whole write list after it
     balance: Word
     fresh_counter: int
-    stack: list[Word]                # its last stack, memory and mem_unknown
-    memory: dict[int, Word]
-    mem_unknown: bool
     entry_balance: Word              # held, so that no other word takes its id
 
 
 def _append_call(state: SymbolicState, delta: _CallDelta) -> None:
     """Give `state`, at a call start, the state the call stored as `delta`
-    leaves.  The key leaves out how many records came before (a
-    SELFDESTRUCT adds one and changes nothing else), so `call_start` is
-    taken from `state`'s own lists, as `begin_transaction` takes it."""
+    leaves; its stack and memory are empty already.  The key leaves out
+    how many records came before (a SELFDESTRUCT adds one and changes
+    nothing else), so `call_start` is taken from `state`'s own lists."""
     state.call_start = (len(state.storage_writes), len(state.records))
     state.txn += 1
     state.path_condition.extend(delta.conditions)
@@ -735,9 +734,6 @@ def _append_call(state: SymbolicState, delta: _CallDelta) -> None:
     state.storage_writes = delta.storage_writes.copy()
     state.balance = delta.balance
     state.fresh_counter = delta.fresh_counter
-    state.stack = delta.stack.copy()
-    state.memory = delta.memory.copy()
-    state.mem_unknown = delta.mem_unknown
 
 
 _P = TypeVar("_P")  # a path: anything with a `blocks` sequence
@@ -757,23 +753,26 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     path ahead, a fork is saved at each JUMPI block and at each call's last
     block inside the prefix the next path shares; resuming after a JUMPI
     takes its second way, so the last path to part there takes the frame
-    itself.
+    itself.  Right after a terminal block the walk empties the stack and
+    memory, as the EVM ends a call's frame there: a frame saved at a call's
+    end, and the outcome of a path that ends there, hold neither.
 
     A call (its blocks run from the root to the terminal block the next
-    root follows, or to the end of the path) is stored in a memo under the
-    state it starts from, taken before `begin_transaction`, and its blocks.
-    That state is the call counter, the fresh counter, the balance and the
-    storage-write pairs, the last two compared by identity, and it is all a
-    call reads: `begin_transaction` resets the stack, memory and
-    `mem_unknown`, no handler reads the path condition or the records, base
-    storage and the code are the walk's own, and an unwritten slot reads
-    the same word in any state.  A path that starts a stored call from the same state appends what
-    the call changed (`_CallDelta`) instead of running its blocks, so a call
-    reached under many prefixes runs once.  Resuming at a call's start, a
-    path that leaves a reused call partway looks its own call up.  The memo
-    holds every object whose identity its keys use, and at most
-    MEMO_ENTRIES list entries; it is only looked up, never iterated.  A
-    walk of one path keeps none.
+    root follows, or to the end of the path) that ends at a terminal block
+    is stored in a memo under the state it starts from, taken before
+    `begin_transaction`, and its blocks.  That state is the call counter,
+    the fresh counter, the balance and the storage-write pairs, the last
+    two compared by identity, and it is all a call reads: its stack and
+    memory start empty, no handler reads the path condition or the
+    records, base storage and the code are the walk's own, and an
+    unwritten slot reads the same word in any state.  A path that starts a
+    stored call from the same state appends what the call changed
+    (`_CallDelta`) instead of running its blocks, so a call reached under
+    many prefixes runs once.  Resuming at a call's start, a path that
+    leaves a reused call partway looks its own call up.  The memo holds
+    every object whose identity its keys use, and at most MEMO_ENTRIES
+    list entries; it is only looked up, never iterated.  A walk of one
+    path keeps none.
 
     Any order is correct.  A failure at depth d is the outcome, as one
     object, of every later path that shares more than d blocks with the
@@ -845,18 +844,21 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                     state.begin_transaction()
                 block = cfg.blocks[block_id]
                 operands = _run_body(state, cfg, block)
-                if memo is not None and depth + 1 == end:
-                    head, first, conditions, balance = call
-                    size = (len(state.path_condition) - conditions
-                            + len(state.records) - state.call_start[1]
-                            + len(state.storage_writes) + len(state.stack) + len(state.memory))
-                    if held + size <= MEMO_ENTRIES:
-                        held += size
-                        memo[head, blocks[first:end]] = _CallDelta(
-                            state.path_condition[conditions:],
-                            state.records[state.call_start[1]:], state.storage_writes.copy(),
-                            state.balance, state.fresh_counter, state.stack.copy(),
-                            state.memory.copy(), state.mem_unknown, balance)
+                if block.terminator is Terminator.TERMINAL:
+                    # the call halts, and with it its stack and memory
+                    state.stack, state.memory, state.mem_unknown = [], {}, False
+                    if memo is not None and depth + 1 == end:
+                        head, first, conditions, balance = call
+                        size = (len(state.path_condition) - conditions
+                                + len(state.records) - state.call_start[1]
+                                + len(state.storage_writes))
+                        if held + size <= MEMO_ENTRIES:
+                            held += size
+                            memo[head, blocks[first:end]] = _CallDelta(
+                                state.path_condition[conditions:],
+                                state.records[state.call_start[1]:],
+                                state.storage_writes.copy(), state.balance,
+                                state.fresh_counter, balance)
                 if depth < keep and (len(operands) == 2 or depth + 1 == end):
                     saved.append((depth, block, state.fork(), operands, root, call))
                 depth += 1
@@ -1130,7 +1132,7 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
 
 def execute_path(cfg: Cfg, code: bytes, path,
                  base_storage: dict[Word, Word], solver,
-                 solver_timeout_ms: int = 100,
+                 solver_timeout_ms: int = SOLVER_TIMEOUT_MS,
                  deadline: float | None = None) -> tuple[SymbolicState | None, Feasibility]:
     """Execute one gated path and decide its feasibility.  A `deadline`
     passed while tracing, re-checking or replaying makes it unknown, and so

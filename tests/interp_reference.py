@@ -5,7 +5,8 @@ one `step` per instruction through a chain of mnemonic tests, a fresh
 constant word built for every PUSH.  It keeps the former witness mode too,
 which evaluates every free value under a witness as it is read; that mode
 is the oracle of the concrete replay runner, `symexec.Replay`.
-`reference_run_body` is the former block runner over it.  On a REVERT it
+`reference_run_body` is the former block runner over it.  An MSTORE8
+through a symbolic offset clears memory, as an MSTORE through one does.  On a REVERT it
 keeps a rule of its own: it drops the records numbered with the current
 call, and the storage writes made since `mark`, which its caller takes when
 the call begins; the runner under test truncates both lists at the
@@ -215,6 +216,9 @@ class ReferenceInterpreter:
             if offset.is_concrete:
                 aligned = (offset.value or 0) & ~31
                 self.state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
+            else:
+                self.state.memory.clear()
+                self.state.mem_unknown = True
             return
         if name == "SLOAD":
             key = self._pop()

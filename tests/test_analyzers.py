@@ -154,7 +154,7 @@ def _suicide_check(name, depth=1):
     results = []
     for path, state in _traced_money_paths(name, depth=depth):
         if any(r.kind == "SELFDESTRUCT" for r in state.records):
-            results.append(check_guard_suicide(state))
+            results.append(check_guard_suicide(state, {}))
     return results
 
 
@@ -188,7 +188,7 @@ def test_an_owner_guard_compared_again_is_still_a_guard(guard):
     cfg = build_cfg(disassemble(code))
     paths = filter_money(iter(enumerate_paths(cfg, PathBounds(call_depth=1))), cfg)
     states = [trace_path(cfg, code, p, {}) for p in paths]
-    assert [check_guard_suicide(s) for s in states
+    assert [check_guard_suicide(s, {}) for s in states
             if any(r.kind == "SELFDESTRUCT" for r in s.records)] == [None]
 
 

@@ -232,32 +232,60 @@ def test_near_cap_sha3_in_the_constructor_returns_at_the_deadline():
     assert "constructor pre-run abandoned: deadline passed" in report.diagnostics
 
 
+# 0: JUMPDEST; CODECOPY(0, 0, MEMORY_CAP-32); JUMPI(0, CALLDATALOAD(0)):
+# every pass round the loop fills 3.9 MB of memory
+_NEAR_CAP_CODECOPY_LOOP = f"5b62{MEMORY_CAP - 32:06x}6000600039600035600057"
+
+
 def test_near_cap_codecopy_loop_returns_at_the_deadline():
-    # 0: JUMPDEST; CODECOPY(0, 0, MEMORY_CAP-32); JUMPI(0, CALLDATALOAD(0));
-    # CALLER; SELFDESTRUCT: every pass round the loop fills 3.9 MB of memory
+    # the loop above, storing CALLER in each pass (SSTORE(0, CALLER)), then
+    # CALLER; SELFDESTRUCT: its calls differ in their writes, so none is
+    # reused, and each pass fills memory anew
+    loop = _NEAR_CAP_CODECOPY_LOOP
     contract = ContractCode(name="codecopy", runtime_code=parse_hex(
-        f"5b62{MEMORY_CAP - 32:06x}600060003960003560005733ff"))
+        loop[:-12] + "33600055" + loop[-12:] + "33ff"))
     started = time.monotonic()
     report = analyze(contract, _config(bounds=PathBounds(call_depth=3, wall_time=1)))
     assert time.monotonic() - started < 1 + 1
     assert report.statistics["timed_out"] is True
 
 
+def test_near_cap_codecopy_loop_at_four_calls_finishes():
+    # the loop above, then CALLER; SELFDESTRUCT.  Its memory ends with each
+    # call, so the walk reuses each call without copying 3.9 MB per frame
+    contract = ContractCode(name="codecopy", runtime_code=parse_hex(
+        _NEAR_CAP_CODECOPY_LOOP + "33ff"))
+    report = analyze(contract, _config(bounds=PathBounds(call_depth=4, wall_time=5)))
+    assert report.statistics["timed_out"] is False
+    assert len(report.critical_paths) == 1296
+
+
 def test_the_call_memo_holds_at_most_a_full_memory(monkeypatch):
     # the CODECOPY loop above, each pass filling a third of memory: the
-    # calls the memo holds together hold no more entries than one full
-    # memory has words, and the calls past that run again
+    # calls the memo holds together hold no more list entries than one full
+    # memory has words, and, with room for fewer, the calls past it run again
     code = parse_hex(f"5b62{MEMORY_CAP // 3:06x}600060003960003560005733ff")
     cfg = build_cfg(disassemble(code))
     paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=2)), cfg, set()))
-    held = []
-    delta = symexec_module._CallDelta
+    held, runs = [], []
+    delta, run_body = symexec_module._CallDelta, symexec_module._run_body
     monkeypatch.setattr(symexec_module, "_CallDelta", lambda *args: held.append(
-        sum(map(len, args[:3])) + len(args[5]) + len(args[6])) or delta(*args))
-    walked = list(symexec_module.execute_paths(cfg, code, paths, {}))
-    assert len(walked) == len(paths) > 2
-    assert len(held) == 2
-    assert sum(held) <= symexec_module.MEMO_ENTRIES == MEMORY_CAP // 32
+        sum(map(len, args[:3]))) or delta(*args))
+    monkeypatch.setattr(symexec_module, "_run_body",
+                        lambda *args: runs.append(args[2].id) or run_body(*args))
+
+    def walk(entries):
+        monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", entries)
+        held.clear()
+        runs.clear()
+        walked = list(symexec_module.execute_paths(cfg, code, paths, {}))
+        assert len(walked) == len(paths) > 2
+        assert sum(held) <= entries
+        return len(held), len(runs)
+
+    assert symexec_module.MEMO_ENTRIES == MEMORY_CAP // 32
+    assert walk(MEMORY_CAP // 32) == (12, 24)
+    assert walk(20) == (3, 64)
 
 
 def _money_paths(cfg):
@@ -438,7 +466,7 @@ def test_every_walk_over_a_term_at_its_bound_stays_under_the_recursion_limit(bui
                           records=[ExternalRecord("SELFDESTRUCT", 0, 1, var("CALLER#1"), ZERO)])
     for walk in (lambda: str(term), lambda: hash(term), lambda: term == twin,
                  lambda: eval_word(term, {}), lambda: free_vars(term),
-                 lambda: check_guard_suicide(state),
+                 lambda: check_guard_suicide(state, {}),
                  lambda: BoundedSolver().check([term], timeout_ms=100)):
         _at_frame_depth(150, walk)  # raises nothing, RecursionError least of all
     with pytest.raises(TermTooDeep, match=past):

@@ -143,9 +143,8 @@ def test_malformed_response_raises_unavailable(monkeypatch):
 def test_token_bucket_limits_rate(monkeypatch):
     sleeps = []
     monkeypatch.setattr("evmscope.registry.time.sleep", lambda s: sleeps.append(s))
-    reg = AddressRegistry(
-        mode="online", rate_per_second=5.0,
-        transport=lambda url, p: {"status": "1", "result": [{}]})
+    reg = AddressRegistry(mode="online",
+                          transport=lambda url, p: {"status": "1", "result": [{}]})
     for i in range(8):
         reg.exists(i + 1)
     assert sleeps  # the sixth query within the burst must wait

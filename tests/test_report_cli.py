@@ -216,6 +216,13 @@ def test_cli_exit_zero_without_violations(tmp_path, capsys):
     assert doc["contract"] == "safe_token_0"
 
 
+def test_cli_defaults_are_the_library_defaults(capsys):
+    contract_file = FIXTURES / "toydao.json"
+    cli_main(["analyze", str(contract_file), "--no-timing"])
+    expected = to_json(analyze(load_contract(contract_file), AnalysisConfig(include_timing=False)))
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_exit_two_with_violations(tmp_path):
     out = tmp_path / "report"
     rc = cli_main(["analyze", str(FIXTURES / "toydao.json"),

@@ -319,6 +319,20 @@ def test_a_symbolic_jumpi_target_may_be_the_fallthrough():
     assert replay_blocks(cfg, code, feas.witness, {}, 1) == path.blocks
 
 
+def test_mstore8_through_a_symbolic_offset_leaves_memory_unknown():
+    # MSTORE(0, 1); MSTORE8(CALLDATALOAD(0), 0xff); JUMPI(22, EQ(1, MLOAD(0)));
+    # 20: CALLER; SELFDESTRUCT; 22: JUMPDEST; STOP.  The byte may land in
+    # word 0, as it does for empty calldata, so the SELFDESTRUCT is reachable
+    code = parse_hex("6001600052" "60ff60003553" "600051600114601657" "33ff" "5b00")
+    cfg = build_cfg(disassemble(code))
+    (path,) = [p for p in enumerate_paths(cfg, PathBounds(call_depth=1)) if p.blocks == (0, 20)]
+    state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert state.path_condition == [
+        mk("ISZERO", mk("EQ", ONE, var("MEM#1.1")))]
+    assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"MEM#1.1": 0})
+    assert replay_blocks(cfg, code, feas.witness, {}, 1) == path.blocks
+
+
 def test_path_condition_accumulates_monotonically():
     contract = get_contract("toydao")
     cfg = get_cfg("toydao")
@@ -707,6 +721,22 @@ def test_a_call_started_from_the_same_state_runs_once(monkeypatch):
         assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
     # a reused call still starts where its own prefix left the lists
     assert [state.call_start for _p, state in walked] == [(0, 0), (0, 0), (0, 1), (0, 1)]
+
+
+def test_a_call_cut_off_by_the_path_end_keeps_its_frame_and_is_not_reused(monkeypatch):
+    # PUSH1 1, then the branch of _STOP_OR_DESTRUCT to 9.  Call 2 of the two
+    # hand-built paths starts from the same state, and each path ends in
+    # call 2's first block, with the 1 still on the stack
+    code = parse_hex("6001" "600035600957" "00" "5b33ff")
+    cfg = build_cfg(disassemble(code))
+    paths = _paths((0, 8, 0), (0, 9, 0))
+    runs = _counting_runs(monkeypatch)
+    walked = list(execute_paths(cfg, code, paths, {}))
+    assert runs == [0, 8, 0, 9, 0]
+    monkeypatch.setattr(symexec_module, "_run_body", _run_body)
+    for p, state in walked:
+        assert state.stack == [ONE]
+        assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
 
 
 def test_a_call_the_memo_cannot_hold_runs_again(monkeypatch):

@@ -46,7 +46,7 @@ def _max_gas_scan(paths, estimator):
     return best, best_path
 
 
-def _money_paths(unfolding, payable=None):
+def _money_paths(unfolding, payable=frozenset()):
     return unfolding.select(unfolding.money_marker(payable))
 
 
