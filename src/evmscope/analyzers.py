@@ -1,24 +1,27 @@
 """Per-path property checkers: transfer limit, non-existing address, guarded
-suicide, black hole, and static gas estimation."""
+suicide, black hole, and static gas estimation.  The paths of one analysis
+share pieces, terms and records, so each fact is found once per object it
+comes from: per piece, or in the analysis's `AnalysisMemo`."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import isa
-from .cfg import Cfg, Terminator
+from .cfg import Cfg
 from .disasm import Instruction
 from .isa import estimate_gas
-from .pathgen import VIA_EXTERNAL_CALLBACK, ProgramPath
+from .pathgen import ProgramPath, _Piece
 from .registry import AddressRegistry, RegistryUnavailable
 from .symexec import (
     ExternalRecord,
+    RecordFacts,
     SymbolicState,
     UNKNOWN_AMOUNT,
     Word,
-    concretize,
+    record_values,
 )
 
 ADDRESS_MASK = (1 << 160) - 1
@@ -47,6 +50,30 @@ class PropertyViolation:
         return {"property": self.property.value, "evidence": ev}
 
 
+class AnalysisMemo:
+    """What one analysis learns once for all its paths: each term's guards,
+    each record's values (`symexec.RecordFacts`), each address's registry
+    answer (a bool, or the message of the outage that kept it), and one
+    violation per distinct evidence, so that a report can key violation
+    texts by identity.  A memo serves one analysis only."""
+
+    def __init__(self) -> None:
+        # per path-condition term, by identity: (the term, held so that its
+        # id is not reused, is an ownership guard, is a time guard)
+        self.guards: dict[int, tuple[Word, bool, bool]] = {}
+        self.records: RecordFacts = {}
+        self.addresses: dict[int, bool | str] = {}
+        self.violations: dict[tuple, PropertyViolation] = {}
+
+    def violation(self, key: tuple, prop: PropertyId, evidence: dict) -> PropertyViolation:
+        """The violation kept under `key`, made from `prop` and `evidence`
+        the first time."""
+        found = self.violations.get(key)
+        if found is None:
+            found = self.violations[key] = PropertyViolation(prop, evidence)
+        return found
+
+
 @dataclass
 class TransferLedger:
     """Remaining transfer allowance along one path; only ever decreases."""
@@ -71,7 +98,7 @@ class TransferLedger:
 
 
 def check_transfer_limit(limit: int, transfers: list[tuple[ExternalRecord, int | str]],
-                         ) -> PropertyViolation | None:
+                         memo: AnalysisMemo) -> PropertyViolation | None:
     """Violation iff the summed outgoing amounts can exceed the limit."""
     ledger = TransferLedger(limit)
     for _rec, amount in transfers:
@@ -80,19 +107,20 @@ def check_transfer_limit(limit: int, transfers: list[tuple[ExternalRecord, int |
         ledger.spend(amount)
     if not ledger.violated:
         return None
-    return PropertyViolation(PropertyId.TRANSFER_LIMIT, {
-        "limit": limit,
-        "remaining": ledger.remaining if ledger.exact else UNKNOWN_AMOUNT,
-    })
+    remaining = ledger.remaining if ledger.exact else UNKNOWN_AMOUNT
+    return memo.violation(("transfer_limit", limit, remaining),
+                          PropertyId.TRANSFER_LIMIT, {"limit": limit, "remaining": remaining})
 
 
 def check_address_existence(records: list[ExternalRecord],
-                            registry: AddressRegistry,
+                            registry: AddressRegistry, memo: AnalysisMemo,
                             ) -> tuple[list[PropertyViolation], list[str]]:
     """Flag transfers whose constant 160-bit target is not registered.
 
     Non-constant targets are skipped: there is no evidence either way.  A
-    registry outage degrades to a warning, never a violation.
+    registry outage degrades to a warning, never a violation.  The registry
+    is asked once per address per memo, an outage included, and each path
+    that reaches the address gets its own warning.
     """
     violations: list[PropertyViolation] = []
     warnings: list[str] = []
@@ -100,26 +128,34 @@ def check_address_existence(records: list[ExternalRecord],
     for rec in records:
         if rec.kind not in ("CALL", "CALLCODE", "SELFDESTRUCT"):
             continue
-        resolved = concretize(rec.target)
+        resolved = record_values(rec, memo.records)[1]
         if resolved is None:
             continue
         address = resolved & ADDRESS_MASK
         if (rec.offset, address) in seen:
             continue
         seen.add((rec.offset, address))
-        try:
-            if not registry.exists(address):
-                violations.append(PropertyViolation(PropertyId.NON_EXISTING_ADDRESS, {
+        outcome = memo.addresses.get(address)
+        if outcome is None:
+            try:
+                outcome = registry.exists(address)
+            except RegistryUnavailable as exc:
+                outcome = str(exc)
+            memo.addresses[address] = outcome
+        if isinstance(outcome, str):
+            warnings.append(
+                f"address registry unavailable for 0x{address:040x} at offset "
+                f"{rec.offset}: {outcome}")
+        elif not outcome:
+            violations.append(memo.violation(
+                ("non_existing_address", address, rec.offset),
+                PropertyId.NON_EXISTING_ADDRESS, {
                     "address": f"0x{address:040x}",
                     "instruction_offset": rec.offset,
                     "note": ("sending to an unregistered address loses the funds; "
                              "first use also costs at least 25,000 extra to create "
                              "the account"),
                 }))
-        except RegistryUnavailable as exc:
-            warnings.append(
-                f"address registry unavailable for 0x{address:040x} at offset "
-                f"{rec.offset}: {exc}")
     return violations, warnings
 
 
@@ -144,22 +180,17 @@ def _guards(w: Word) -> int:
     return bits
 
 
-# Per path-condition term, by identity: (the term, is an ownership guard,
-# is a time guard).  Holding the term keeps its id from being reused.
-GuardFacts = dict[int, tuple[Word, bool, bool]]
-
-
-def check_guard_suicide(state: SymbolicState,
-                        guard_facts: GuardFacts) -> PropertyViolation | None:
+def check_guard_suicide(state: SymbolicState, memo: AnalysisMemo) -> PropertyViolation | None:
     """Violation when a self-destruct is reachable without an ownership guard.
 
     A date/height constraint is recorded but does not make the destruction
     safe (anyone can wait).  Paths traced together share path-condition
-    terms; one `guard_facts` dict for all of them examines each term once.
+    terms; one memo for all of them examines each term once.
     """
     destructs = [r for r in state.records if r.kind == "SELFDESTRUCT"]
     if not destructs:
         return None
+    guard_facts = memo.guards
     has_ownership = has_time = False
     for cond in state.path_condition:
         facts = guard_facts.get(id(cond))
@@ -170,12 +201,11 @@ def check_guard_suicide(state: SymbolicState,
         has_time = has_time or facts[2]
     if has_ownership:
         return None
-    missing = {"ownership"}
-    if not has_time:
-        missing.add("time_or_height")
-    return PropertyViolation(PropertyId.GUARD_SUICIDE, {
-        "selfdestruct_offset": destructs[0].offset,
-        "missing_guards": missing,
+    offset = destructs[0].offset
+    return memo.violation(("guard_suicide", offset, has_time),
+                          PropertyId.GUARD_SUICIDE, {
+        "selfdestruct_offset": offset,
+        "missing_guards": {"ownership"} if has_time else {"ownership", "time_or_height"},
         "present_guards": {"time_or_height"} if has_time else set(),
     })
 
@@ -242,50 +272,62 @@ def detect_payable_entries(cfg: Cfg, instructions: list[Instruction],
     return payable, details
 
 
+def takes_ether(cfg: Cfg, payable_entries: set[int | str]) -> Callable[[_Piece], bool]:
+    """The piece test of `check_black_hole`: the piece's call enters a
+    payable entry and does not end in REVERT (a transaction that reverts
+    returns the value).  A piece that a callback edge ends has not ended in
+    REVERT; a terminal piece ends at its last block."""
+    reverts = {b.id for b in cfg.blocks.values() if b.last.mnemonic == "REVERT"}
+    return lambda p: p.selector in payable_entries and p.blocks[-1] not in reverts
+
+
 def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
                      payable_entries: set[int | str],
                      ) -> list[tuple[ProgramPath, PropertyViolation]]:
     """For a contract that can never send Ether out, flag every path that
-    can take Ether in.
-
-    A path takes Ether in when some call enters a payable entry and does not
-    revert (a transaction that reverts returns the value).  A call ends at its
-    first terminal block, unless a callback edge ends it first.
-    """
+    can take Ether in: one of its pieces passes `takes_ether`, and the
+    first that does names the entry.  Paths come from the unfolding, which
+    hands each its pieces; `select(takes_ether(...))` yields just the paths
+    this flags."""
     if cfg.money_blocks:
         raise ValueError("black-hole analysis applies only to contracts "
                          "without money-related opcodes")
     if not payable_entries:
         return []
-    terminal = {b.id for b in cfg.blocks.values() if b.terminator is Terminator.TERMINAL}
+    takes = takes_ether(cfg, payable_entries)
+    by_entry: dict[int | str, PropertyViolation] = {}  # one violation per entry
     out = []
     for path in paths:
-        entry = None
-        ends = (b for b in path.blocks if b in terminal)
-        vias = [via for _sel, via in path.functions[1:]] + [None]
-        for (sel, _via), next_via in zip(path.functions, vias):
-            end = None if next_via == VIA_EXTERNAL_CALLBACK else next(ends, None)
-            if sel is None or sel not in payable_entries:
-                continue
-            if end is not None and cfg.blocks[end].last.mnemonic == "REVERT":
-                continue
-            entry = sel
-            break
+        entry = next((p.selector for p in path.pieces if takes(p)), None)
         if entry is None:
             continue
-        display = entry if isinstance(entry, str) else f"0x{entry:08x}"
-        out.append((path, PropertyViolation(PropertyId.BLACK_HOLE, {
-            "payable_entry": display,
-        })))
+        violation = by_entry.get(entry)
+        if violation is None:
+            display = entry if isinstance(entry, str) else f"0x{entry:08x}"
+            violation = by_entry[entry] = PropertyViolation(PropertyId.BLACK_HOLE, {
+                "payable_entry": display,
+            })
+        out.append((path, violation))
     return out
 
 
 class GasEstimator:
-    """Static per-path gas: the sum of every instruction's scheduled cost."""
+    """Static per-path gas: the sum of every instruction's scheduled cost,
+    added up once per piece."""
 
     def __init__(self, cfg: Cfg, gas_table: isa.GasTable = isa.DEFAULT_GAS):
         self.block_costs = {block_id: estimate_gas(block.instructions, gas_table)
                             for block_id, block in cfg.blocks.items()}
+        # per piece, by identity: (its gas, the piece, held so that its id
+        # is not reused); a path without pieces counts as one
+        self._gas: dict[int, tuple[int, object]] = {}
 
     def path_gas(self, path: ProgramPath) -> int:
-        return sum(map(self.block_costs.__getitem__, path.blocks))
+        total = 0
+        for piece in path.pieces or (path,):
+            known = self._gas.get(id(piece))
+            if known is None:
+                known = self._gas[id(piece)] = (
+                    sum(map(self.block_costs.__getitem__, piece.blocks)), piece)
+            total += known[0]
+        return total

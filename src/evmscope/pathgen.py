@@ -26,9 +26,12 @@ each path it is given.  The walk also keeps each call's outcome under the
 state the call starts from, so a piece reached after different pieces that
 leave the same state runs once; the order matters only to how far each
 path resumes.
-A `ProgramPath` is only its blocks and its calls: its call count, the
-ranking length, is the number of calls, and `filter_money` tests its blocks
-against the CFG's money blocks.
+A `ProgramPath` is its blocks and its calls: its call count, the ranking
+length, is the number of calls, and `filter_money` tests its blocks against
+the CFG's money blocks.  A path the unfolding builds also carries the pieces
+it is made of, so that what holds of a piece (its gas, its labels, whether
+it takes Ether in) is found once per piece rather than once per path; it
+still equals, and hashes like, the `ProgramPath` of its blocks and calls.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ class PathBounds:
 class ProgramPath(NamedTuple):
     blocks: tuple[int, ...]
     functions: tuple[tuple[int | str | None, str], ...]  # (selector/fallback/None, via)
+    pieces = ()  # a hand-built path has none; see _Unfolded
 
     @property
     def call_count(self) -> int:
@@ -76,6 +80,19 @@ class _Piece(NamedTuple):
     money: bool  # it runs a money block
     callback: int | None  # the callback target that ends it; None: a terminal block
     shape: tuple[int, int | None]  # (blocks, callback): all that decides where it fits
+
+
+class _Unfolded(ProgramPath):
+    """A path the unfolding built: its `pieces` sit in its instance dict, so
+    equality and hashing stay those of its blocks and calls."""
+
+
+def _unfolded(blocks: tuple[int, ...], functions: tuple, pieces: tuple[_Piece, ...],
+              ) -> ProgramPath:
+    # cheaper than the NamedTuple's own constructor, a Python function
+    path = tuple.__new__(_Unfolded, (blocks, functions))
+    path.pieces = pieces
+    return path
 
 
 # Where the next piece goes: (its start block, blocks so far, calls so far
@@ -313,13 +330,13 @@ class PathEnumeration:
         choice = best[self._first]
         if choice is None or choice[0] <= 0:
             return 0, None
-        return choice[0], self._path(list(choice[2]))
+        return choice[0], self._path(choice[2])
 
-    def _path(self, pieces: list[_Piece]) -> ProgramPath:
+    def _path(self, pieces: tuple[_Piece, ...]) -> ProgramPath:
         vias = [VIA_INITIAL] + [VIA_NEW_TRANSACTION if p.callback is None
                                 else VIA_EXTERNAL_CALLBACK for p in pieces[:-1]]
-        return ProgramPath(tuple(b for p in pieces for b in p.blocks),
-                           tuple((p.selector, via) for p, via in zip(pieces, vias)))
+        return _unfolded(tuple(b for p in pieces for b in p.blocks),
+                         tuple((p.selector, via) for p, via in zip(pieces, vias)), pieces)
 
     def __iter__(self) -> Iterator[ProgramPath]:
         return self.select(_every)
@@ -339,14 +356,15 @@ class PathEnumeration:
             return
         nexts, counts = self._next, self._counts(marked)
         deadline = self.deadline
-        # (state, its pieces still to try, the path's blocks and functions
-        # so far, whether it has a marked piece, the way the next call is made)
-        frames = [(self._first, iter(tables[self.cfg.root]), (), (), False, VIA_INITIAL)]
+        # (state, its pieces still to try, the path's blocks, functions and
+        # pieces so far, whether it has a marked piece, the way the next call
+        # is made)
+        frames = [(self._first, iter(tables[self.cfg.root]), (), (), (), False, VIA_INITIAL)]
         steps = 0
         while frames:
-            state, pieces, blocks, functions, kept, via = frames[-1]
+            state, choices, blocks, functions, pieces, kept, via = frames[-1]
             here = nexts[state]
-            for p in pieces:
+            for p in choices:
                 steps += 1
                 if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
                     self.timed_out = True
@@ -357,12 +375,13 @@ class PathEnumeration:
                 keep = kept or marked(p)
                 if after is None:
                     if keep:
-                        yield ProgramPath(blocks + p.blocks, functions + ((p.selector, via),))
+                        yield _unfolded(blocks + p.blocks, functions + ((p.selector, via),),
+                                        pieces + (p,))
                     continue
                 rest = counts[after]
                 if rest is not None and rest[0] > (0 if keep else rest[1]):
                     frames.append((after, iter(tables[after[0]]), blocks + p.blocks,
-                                   functions + ((p.selector, via),), keep,
+                                   functions + ((p.selector, via),), pieces + (p,), keep,
                                    VIA_NEW_TRANSACTION if p.callback is None
                                    else VIA_EXTERNAL_CALLBACK))
                     break

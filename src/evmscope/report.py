@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import isa
 from .analyzers import (
+    AnalysisMemo,
     GasEstimator,
-    GuardFacts,
     PropertyId,
     PropertyViolation,
     check_address_existence,
@@ -25,6 +25,7 @@ from .analyzers import (
     check_guard_suicide,
     check_transfer_limit,
     detect_payable_entries,
+    takes_ether,
 )
 from .cfg import Cfg, FALLBACK, build_cfg
 from .disasm import ContractCode, disassemble
@@ -234,7 +235,9 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     if not cfg.money_blocks:
         if enabled(PropertyId.BLACK_HOLE):
-            for path, violation in check_black_hole(cfg, unfolding.select(money), payable):
+            # only the paths with a piece that takes Ether in are built
+            black_holes = unfolding.select(takes_ether(cfg, payable))
+            for path, violation in check_black_hole(cfg, black_holes, payable):
                 violations_by_path.append((path, [violation]))
     else:
         check_limit = config.transfer_limit is not None and enabled(PropertyId.TRANSFER_LIMIT)
@@ -251,7 +254,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         outcomes = execute_paths(cfg, contract.runtime_code, unfolding.select(traced),
                                  base_storage, deadline)
         skipped: dict[SymExecError, int] = {}
-        guard_facts: GuardFacts = {}
+        memo = AnalysisMemo()
         analyzed = 0
         for path, state in outcomes:
             if time.monotonic() > deadline:
@@ -262,16 +265,17 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                 continue
             found: list[PropertyViolation] = []
             if check_limit:
-                v = check_transfer_limit(config.transfer_limit, refine_transfer_values(state))
+                v = check_transfer_limit(config.transfer_limit,
+                                         refine_transfer_values(state, memo.records), memo)
                 if v:
                     found.append(v)
             if check_addr:
                 addr_violations, addr_warnings = check_address_existence(state.records,
-                                                                         registry)
+                                                                         registry, memo)
                 found.extend(addr_violations)
                 diagnostics.extend(addr_warnings)
             if check_suicide:
-                v = check_guard_suicide(state, guard_facts)
+                v = check_guard_suicide(state, memo)
                 if v:
                     found.append(v)
             if found:
@@ -383,8 +387,8 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 def to_json(report: Report) -> str:
     """The text of `json.dumps(report_dict, indent=2) + "\\n"`.  Critical paths
     are written from a fixed template straight from their fields; the label
-    text of each block, the score text of each distinct score and the text of
-    each distinct violation list are made once per report."""
+    text of each block and of each piece, the score text of each score object
+    and the text of each list of violation objects are made once per report."""
     parts = ['{\n  "schema": ', str(SCHEMA_VERSION),
              ',\n  "contract": ', _json_str(report.contract_name),
              ',\n  "gas_schedule": ', _json_str(isa.GAS_SCHEDULE_NAME),
@@ -406,10 +410,13 @@ _ITEM = ",\n        "
 
 def _write_paths(parts: list[str], report: Report) -> None:
     labels = {b: _json_str(label) for b, label in report.block_labels.items()}
-    # by the score object's id (paths of one score share the object, and the
-    # report holds every score while this runs); a Fraction's hash is slow
+    # Texts by the identity of what they render: the report holds every
+    # path, and so its pieces, scores and violations, while this runs.
+    # Paths of one score share the object (a Fraction's hash is slow), and
+    # an analysis makes one violation object per distinct evidence.
     score_texts: dict[int, str] = {}
-    violation_texts: dict[tuple, str] = {}
+    violation_texts: dict[tuple[int, ...], str] = {}
+    piece_texts: dict[int, str] = {}  # a piece's block labels, joined
     opening = "[\n    {\n      "
     for cp in report.critical_paths:
         ranked = cp.ranked
@@ -420,12 +427,18 @@ def _write_paths(parts: list[str], report: Report) -> None:
                 f'"score": {float.__repr__(float(score))}{_KEY}'
                 f'"score_exact": "{score.numerator}/{score.denominator}"')
         violations = ranked.violations
-        key = tuple(_violation_key(v) for v in violations)
+        key = tuple(map(id, violations))
         violation_text = violation_texts.get(key)
         if violation_text is None:
             violation_text = violation_texts[key] = _json_text(
                 [v.as_dict() for v in violations], "      ")
-        blocks = [labels.get(b) or _json_str(str(b)) for b in ranked.path.blocks]
+        blocks = []
+        for piece in ranked.path.pieces or (ranked.path,):  # a hand-built path: one piece
+            text = piece_texts.get(id(piece))
+            if text is None:
+                text = piece_texts[id(piece)] = _ITEM.join(
+                    [labels.get(b) or _json_str(str(b)) for b in piece.blocks])
+            blocks.append(text)
         parts += (opening, '"rank": ', str(cp.rank), _KEY, score_text,
                   _KEY, '"length": ', str(ranked.path.call_count),
                   _KEY, '"call_sequence": ', _str_list(map(_json_str, cp.call_sequence)),
@@ -444,15 +457,6 @@ def _str_list(texts) -> str:
     """A list-valued field of a critical path, from its items' JSON texts."""
     joined = _ITEM.join(texts)
     return f"[\n        {joined}\n      ]" if joined else "[]"
-
-
-def _violation_key(v: PropertyViolation) -> tuple:
-    """The violation's content: equal keys give equal `as_dict()` texts.  The
-    value's type is part of the key, since 1 == True yet they print apart."""
-    return v.property, tuple(
-        (name, type(value), tuple(sorted(value)) if isinstance(value, (set, frozenset))
-         else value)
-        for name, value in v.evidence.items())
 
 
 _json_str = json.encoder.encode_basestring_ascii

@@ -1232,19 +1232,31 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
 
 UNKNOWN_AMOUNT = "unknown"
 
+# Per record, by identity: (the record, its target's one possible value or
+# None, the amount it sends: an int or UNKNOWN_AMOUNT).  Paths that share a
+# call share its records, so one dict for an analysis resolves each record
+# once; holding the record keeps its id from being reused.
+RecordFacts = dict[int, tuple[ExternalRecord, int | None, int | str]]
 
-def refine_transfer_values(state: SymbolicState) -> list[tuple[ExternalRecord, int | str]]:
-    """Resolve each outgoing transfer to a concrete amount where possible."""
-    out: list[tuple[ExternalRecord, int | str]] = []
-    for rec in state.records:
+
+def record_values(rec: ExternalRecord, facts: RecordFacts,
+                  ) -> tuple[ExternalRecord, int | None, int | str]:
+    """`rec`'s entry in `facts`, found the first time it is asked for."""
+    found = facts.get(id(rec))
+    if found is None:
         if rec.kind in ("CALL", "CALLCODE", "CREATE"):
-            resolved = concretize(rec.value)
-            if resolved is not None:
-                out.append((rec, resolved))
-            else:
-                out.append((rec, UNKNOWN_AMOUNT))
+            amount = concretize(rec.value)
+            if amount is None:
+                amount = UNKNOWN_AMOUNT
         elif rec.kind in ("DELEGATECALL", "SELFDESTRUCT"):
-            out.append((rec, UNKNOWN_AMOUNT))
+            amount = UNKNOWN_AMOUNT
         else:  # STATICCALL cannot move value
-            out.append((rec, 0))
-    return out
+            amount = 0
+        found = facts[id(rec)] = (rec, concretize(rec.target), amount)
+    return found
+
+
+def refine_transfer_values(state: SymbolicState, facts: RecordFacts,
+                           ) -> list[tuple[ExternalRecord, int | str]]:
+    """Resolve each outgoing transfer to a concrete amount where possible."""
+    return [(rec, record_values(rec, facts)[2]) for rec in state.records]

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from evmscope.analyzers import (
+    AnalysisMemo,
     GasEstimator,
     PropertyId,
     TransferLedger,
@@ -16,7 +19,7 @@ from evmscope.cfg import FALLBACK, Terminator, build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
-from evmscope.registry import AddressRegistry, RegistryUnavailable
+from evmscope.registry import DEFAULT_RETRIES, AddressRegistry, RegistryUnavailable
 from evmscope.report import AnalysisConfig, analyze
 from evmscope.symexec import (
     UNKNOWN_AMOUNT,
@@ -56,8 +59,8 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
     double = [(p, s) for p, s in traced if p.blocks.count(112) == 2]
     assert double
     for path, state in double:
-        transfers = refine_transfer_values(state)
-        v = check_transfer_limit(30, transfers)
+        transfers = refine_transfer_values(state, {})
+        v = check_transfer_limit(30, transfers, AnalysisMemo())
         assert v is not None and v.property is PropertyId.TRANSFER_LIMIT
         assert v.evidence["remaining"] == -10
 
@@ -65,12 +68,14 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
 def test_single_transfer_within_limit():
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
-        assert check_transfer_limit(30, refine_transfer_values(state)) is None
+        memo = AnalysisMemo()
+        assert check_transfer_limit(30, refine_transfer_values(state, memo.records),
+                                    memo) is None
 
 
 def test_unknown_amount_is_conservative_violation():
     traced = _traced_money_paths("gigstoken", depth=1)
-    flagged = [check_transfer_limit(10**18, refine_transfer_values(s))
+    flagged = [check_transfer_limit(10**18, refine_transfer_values(s, {}), AnalysisMemo())
                for p, s in traced]
     assert any(v is not None and v.evidence["remaining"] == UNKNOWN_AMOUNT
                for v in flagged)
@@ -107,7 +112,8 @@ def test_enjinbuyer_sale_address_flagged():
     traced = _traced_money_paths("enjinbuyer", depth=1)
     found = []
     for path, state in traced:
-        violations, warnings = check_address_existence(state.records, registry)
+        violations, warnings = check_address_existence(state.records, registry,
+                                                       AnalysisMemo())
         found.extend(violations)
         assert warnings == []
     assert found
@@ -121,7 +127,7 @@ def test_registered_constant_not_flagged():
     traced = _traced_money_paths("pay_const_0", depth=1)
     assert traced
     for path, state in traced:
-        violations, _ = check_address_existence(state.records, registry)
+        violations, _ = check_address_existence(state.records, registry, AnalysisMemo())
         assert violations == []
 
 
@@ -130,7 +136,7 @@ def test_symbolic_address_skipped():
     registry = _registry()
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
-        violations, _ = check_address_existence(state.records, registry)
+        violations, _ = check_address_existence(state.records, registry, AnalysisMemo())
         assert violations == []
 
 
@@ -143,9 +149,34 @@ def test_registry_outage_degrades_to_warning():
 
     traced = _traced_money_paths("pay_unreg_0", depth=1)
     path, state = traced[0]
-    violations, warnings = check_address_existence(state.records, FailingRegistry())
+    violations, warnings = check_address_existence(state.records, FailingRegistry(),
+                                                   AnalysisMemo())
     assert violations == []
     assert warnings and "unavailable" in warnings[0]
+
+
+def test_an_address_is_asked_once_per_analysis_during_an_outage(monkeypatch):
+    """A lookup that fails is kept for the rest of the analysis: one lookup,
+    four attempts and one backoff, not 37 of each (one per path), and still
+    one warning per path.  The next analysis asks again."""
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    attempts = []
+
+    def transport(url, params):
+        attempts.append(params["address"])
+        raise OSError("network down")
+
+    registry = AddressRegistry(mode="online", transport=transport)
+    config = AnalysisConfig(bounds=PathBounds(call_depth=3), transfer_limit=30)
+    report = analyze(get_contract("pay_unreg_0"), config, registry=registry)
+    assert attempts == ["0x" + "dead".ljust(36, "0") + "beef"] * DEFAULT_RETRIES
+    assert DEFAULT_RETRIES == 4 and sleeps == [0.25, 0.5, 1.0]
+    assert report.diagnostics == [
+        "address registry unavailable for 0xdead00000000000000000000000000000000beef "
+        "at offset 116: network down"] * 37
+    analyze(get_contract("pay_unreg_0"), config, registry=registry)
+    assert len(attempts) == 2 * DEFAULT_RETRIES
 
 
 # -- guard suicide ------------------------------------------------------------------
@@ -154,7 +185,7 @@ def _suicide_check(name, depth=1):
     results = []
     for path, state in _traced_money_paths(name, depth=depth):
         if any(r.kind == "SELFDESTRUCT" for r in state.records):
-            results.append(check_guard_suicide(state, {}))
+            results.append(check_guard_suicide(state, AnalysisMemo()))
     return results
 
 
@@ -188,7 +219,7 @@ def test_an_owner_guard_compared_again_is_still_a_guard(guard):
     cfg = build_cfg(disassemble(code))
     paths = filter_money(iter(enumerate_paths(cfg, PathBounds(call_depth=1))), cfg)
     states = [trace_path(cfg, code, p, {}) for p in paths]
-    assert [check_guard_suicide(s, {}) for s in states
+    assert [check_guard_suicide(s, AnalysisMemo()) for s in states
             if any(r.kind == "SELFDESTRUCT" for r in s.records)] == [None]
 
 
@@ -360,6 +391,7 @@ def test_ctor_stored_registered_address_not_flagged():
     for path, state in traced:
         calls = [r for r in state.records if r.kind == "CALL"]
         saw_call = saw_call or bool(calls)
-        violations, warnings = check_address_existence(state.records, registry)
+        violations, warnings = check_address_existence(state.records, registry,
+                                                       AnalysisMemo())
         assert violations == [] and warnings == []
     assert saw_call

@@ -7,7 +7,7 @@ import pytest
 
 import evmscope.report as report_module
 import evmscope.symexec as symexec_module
-from evmscope.analyzers import PropertyId, check_guard_suicide
+from evmscope.analyzers import AnalysisMemo, PropertyId, check_guard_suicide
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
@@ -466,7 +466,7 @@ def test_every_walk_over_a_term_at_its_bound_stays_under_the_recursion_limit(bui
                           records=[ExternalRecord("SELFDESTRUCT", 0, 1, var("CALLER#1"), ZERO)])
     for walk in (lambda: str(term), lambda: hash(term), lambda: term == twin,
                  lambda: eval_word(term, {}), lambda: free_vars(term),
-                 lambda: check_guard_suicide(state, {}),
+                 lambda: check_guard_suicide(state, AnalysisMemo()),
                  lambda: BoundedSolver().check([term], timeout_ms=100)):
         _at_frame_depth(150, walk)  # raises nothing, RecursionError least of all
     with pytest.raises(TermTooDeep, match=past):

@@ -549,7 +549,7 @@ def test_toydao_withdraw_transfers_twenty():
     path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import refine_transfer_values
-    values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
+    values = [v for rec, v in refine_transfer_values(state, {}) if rec.kind == "CALL"]
     assert values == [20]
 
 
@@ -560,7 +560,7 @@ def test_transfer_of_callvalue_is_unknown():
                 if cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import UNKNOWN_AMOUNT, refine_transfer_values
-    values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
+    values = [v for rec, v in refine_transfer_values(state, {}) if rec.kind == "CALL"]
     assert values == [UNKNOWN_AMOUNT]
 
 
@@ -570,7 +570,7 @@ def test_transfer_of_constructor_constant_is_concrete():
     path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import refine_transfer_values
-    values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
+    values = [v for rec, v in refine_transfer_values(state, {}) if rec.kind == "CALL"]
     assert values == [5]
 
 

@@ -7,14 +7,14 @@ pieces without building the paths it drops.
 """
 
 import time
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
 from evmscope.analyzers import GasEstimator, detect_payable_entries
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
-from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
+from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths, filter_money
 from evmscope.report import AnalysisConfig, analyze
 
 from conftest import get_contract
@@ -87,6 +87,24 @@ def test_pieces_match_reference(call_depth, extra, reentrant):
 def test_pieces_match_reference_on_a_looping_diamond(bounds, reentrant):
     cfg = build_cfg(disassemble(parse_hex(_DIAMOND_LOOP)))
     _check(cfg, {"<fallback>"}, bounds, reentrant, "diamond_loop")
+
+
+@pytest.mark.parametrize("call_depth", [1, 2, 3])
+def test_unfolded_paths_are_their_blocks_and_calls(call_depth):
+    """A path carries its pieces, yet equals and hashes like the ProgramPath
+    of its blocks and calls; its gas, added up per piece, is its blocks'."""
+    for name, cfg, _payable in _PROGRAMS:
+        unfolding = enumerate_paths(cfg, PathBounds(call_depth=call_depth))
+        estimator = GasEstimator(cfg)
+        _gas, heaviest = unfolding.max_gas_path(estimator.block_costs)
+        assert heaviest is not None, name
+        for path in chain(unfolding, [heaviest]):
+            plain = ProgramPath(path.blocks, path.functions)
+            assert path == plain and plain == path and hash(path) == hash(plain), name
+            assert tuple(b for piece in path.pieces for b in piece.blocks) == path.blocks
+            assert len(path.pieces) == path.call_count
+            gas = sum(estimator.block_costs[b] for b in path.blocks)
+            assert estimator.path_gas(path) == gas == estimator.path_gas(plain), name
 
 
 def test_max_gas_ties_go_to_the_first_path():
