@@ -1,7 +1,8 @@
 """Per-path property checkers: transfer limit, non-existing address, guarded
 suicide, black hole, and static gas estimation.  The paths of one analysis
 share pieces, terms and records, so each fact is found once per object it
-comes from: per piece, or in the analysis's `AnalysisMemo`."""
+comes from: per piece, per record (`ExternalRecord` resolves its own target
+and amount), or in the analysis's `AnalysisMemo`."""
 
 from __future__ import annotations
 
@@ -15,14 +16,7 @@ from .disasm import Instruction
 from .isa import estimate_gas
 from .pathgen import ProgramPath, _Piece
 from .registry import AddressRegistry, RegistryUnavailable
-from .symexec import (
-    ExternalRecord,
-    RecordFacts,
-    SymbolicState,
-    UNKNOWN_AMOUNT,
-    Word,
-    record_values,
-)
+from .symexec import ExternalRecord, SymbolicState, UNKNOWN_AMOUNT, Word
 
 ADDRESS_MASK = (1 << 160) - 1
 
@@ -52,16 +46,15 @@ class PropertyViolation:
 
 class AnalysisMemo:
     """What one analysis learns once for all its paths: each term's guards,
-    each record's values (`symexec.RecordFacts`), each address's registry
-    answer (a bool, or the message of the outage that kept it), and one
-    violation per distinct evidence, so that a report can key violation
-    texts by identity.  A memo serves one analysis only."""
+    each address's registry answer (a bool, or the message of the outage
+    that kept it), and one violation per distinct evidence, so that a
+    report can key violation texts by identity.  A memo serves one analysis
+    only."""
 
     def __init__(self) -> None:
         # per path-condition term, by identity: (the term, held so that its
         # id is not reused, is an ownership guard, is a time guard)
         self.guards: dict[int, tuple[Word, bool, bool]] = {}
-        self.records: RecordFacts = {}
         self.addresses: dict[int, bool | str] = {}
         self.violations: dict[tuple, PropertyViolation] = {}
 
@@ -128,7 +121,7 @@ def check_address_existence(records: list[ExternalRecord],
     for rec in records:
         if rec.kind not in ("CALL", "CALLCODE", "SELFDESTRUCT"):
             continue
-        resolved = record_values(rec, memo.records)[1]
+        resolved = rec.concrete_target
         if resolved is None:
             continue
         address = resolved & ADDRESS_MASK

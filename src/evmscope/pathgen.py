@@ -9,14 +9,14 @@ forked into separate paths by default: a re-entrant call sequence visits the
 same blocks as the equivalent chain of whole transactions, which the
 unfolding already covers (storage persists across segments downstream).
 
-Each call starts afresh, at the root or at a callback target, so a path is
-a sequence of *pieces*: one call segment each, from its start block to the
-terminal block or callback edge that ends it.  The pieces of a start block
-are found once, by a depth-first search of one segment, and paths are their
+Each call starts afresh at the root, a re-entrant callback included, so a
+path is a sequence of *pieces*: one call segment each, from the root to
+the terminal block or callback edge that ends it.  The root's pieces are
+found once, by a depth-first search of one segment, and paths are their
 concatenations in lexicographic piece order, which is the order of a
 depth-first search over whole paths.  Whether a piece fits depends only on
 its length and shape and on the blocks and calls before it, so path counts
-and the max-gas path are computed over (start, blocks so far, calls so far)
+and the max-gas path are computed over (blocks so far, calls so far)
 states, and a selection builds only the paths it keeps, one at a time.
 
 A selection keeps this order, so each path shares the longest prefix it can
@@ -78,7 +78,7 @@ class _Piece(NamedTuple):
     blocks: tuple[int, ...]
     selector: int | str | None  # the first function entry it passes
     money: bool  # it runs a money block
-    callback: int | None  # the callback target that ends it; None: a terminal block
+    callback: int | None  # the root, if a callback edge ends it; None: a terminal block
     shape: tuple[int, int | None]  # (blocks, callback): all that decides where it fits
 
 
@@ -95,9 +95,10 @@ def _unfolded(blocks: tuple[int, ...], functions: tuple, pieces: tuple[_Piece, .
     return path
 
 
-# Where the next piece goes: (its start block, blocks so far, calls so far
-# including the one it makes).
-_State = tuple[int, int, int]
+# Where the next piece goes: (blocks so far, calls so far including the one
+# it makes).
+_State = tuple[int, int]
+_FIRST: _State = (0, 1)
 
 
 def _every(_piece: _Piece) -> bool:
@@ -126,11 +127,10 @@ class PathEnumeration:
         self.include_reentrant = include_reentrant
         self.deadline = deadline
         self.timed_out = False
-        self._pieces: dict[int, list[_Piece]] | None = None
+        self._pieces: list[_Piece] | None = None
         # per reachable state, the state after each piece shape that fits
         # there (None: the path ends with that piece); longest prefix first
         self._next: dict[_State, dict[tuple[int, int | None], _State | None]] = {}
-        self._first: _State = (cfg.root, 0, 1)
 
     def _moves(self) -> dict[int, tuple[tuple[int, bool], ...] | None]:
         """Per block: None if it ends a transaction, else its successors in
@@ -149,33 +149,23 @@ class PathEnumeration:
             moves[block_id] = tuple(reversed(dests.items()))
         return moves
 
-    def _tables(self) -> dict[int, list[_Piece]] | None:
-        """The pieces of every start block the unfolding reaches, each list
-        in depth-first order, and the composition states; None once the
-        deadline has cut the search short."""
+    def _tables(self) -> list[_Piece] | None:
+        """The root's pieces in depth-first order, and the composition
+        states; None once the deadline has cut the search short."""
         if self._pieces is None and not self.timed_out:
-            moves = self._moves()
-            pieces: dict[int, list[_Piece]] = {}
-            todo = [self.cfg.root]
-            while todo:
-                start = todo.pop()
-                if start not in pieces:
-                    found = self._segment(start, moves)
-                    if found is None:
-                        self.timed_out = True
-                        return None
-                    pieces[start] = found
-                    todo.extend(p.callback for p in found if p.callback is not None)
-            self._pieces = pieces
+            self._pieces = self._segment(self._moves())
+            if self._pieces is None:
+                self.timed_out = True
+                return None
             self._plan()
         return self._pieces
 
-    def _segment(self, start: int, moves) -> list[_Piece] | None:
-        """Depth-first search of one call segment from `start`, with its own
-        visit and loop-edge counts; a piece ends at each terminal block and
-        each callback edge reached.  Blocks are capped as for a piece that
-        starts the path.  The block list and counts are undone on leaving a
-        block, so each tree node costs O(1) plus its successors."""
+    def _segment(self, moves) -> list[_Piece] | None:
+        """Depth-first search of one call segment from the root, with its
+        own visit and loop-edge counts; a piece ends at each terminal block
+        and each callback edge reached.  Blocks are capped as for a piece
+        that starts the path.  The block list and counts are undone on
+        leaving a block, so each tree node costs O(1) plus its successors."""
         loop_bound, max_blocks = self.bounds.loop_bound, self.bounds.max_blocks
         deadline = self.deadline
         entry_names = {block: name for name, block in self.cfg.function_entries.items()}
@@ -193,7 +183,7 @@ class PathEnumeration:
         entered: list[tuple[int, int] | None] = []  # the back-edge into each block on `blocks`
         # To enter: (block, back-edge); a _Piece is a callback piece, done;
         # None leaves the block entered last.
-        todo: list = [(start, None)]
+        todo: list = [(self.cfg.root, None)]
         steps = 0
         while todo:
             item = todo.pop()
@@ -242,19 +232,17 @@ class PathEnumeration:
         L + n - 1 < max_blocks, or at a callback edge, L + n < max_blocks and
         j < call_depth.  A path ends after a terminal piece once the calls
         reach call_depth or the blocks reach max_blocks."""
-        root = self.cfg.root
         call_depth, max_blocks = self.bounds.call_depth, self.bounds.max_blocks
-        shapes = {start: dict.fromkeys(p.shape for p in pieces)
-                  for start, pieces in self._pieces.items()}
+        shapes = dict.fromkeys(p.shape for p in self._pieces)
         found: dict[_State, dict] = {}
-        todo = [self._first]
+        todo = [_FIRST]
         while todo:
             state = todo.pop()
             if state in found:
                 continue
-            start, length, calls = state
+            length, calls = state
             here = found[state] = {}
-            for shape in shapes[start]:
+            for shape in shapes:
                 n, callback = shape
                 end = length + n
                 if callback is None:
@@ -263,33 +251,30 @@ class PathEnumeration:
                     if calls >= call_depth or end >= max_blocks:
                         here[shape] = None
                         continue
-                    here[shape] = (root, end, calls + 1)
-                elif end < max_blocks and calls < call_depth:
-                    here[shape] = (callback, end, calls + 1)
-                else:
+                elif end >= max_blocks or calls >= call_depth:
                     continue
+                here[shape] = (end, calls + 1)
                 todo.append(here[shape])
         # a piece adds at least one block, so every state comes after the
         # states it leads to
         self._next = {state: found[state]
-                      for state in sorted(found, key=lambda s: s[1], reverse=True)}
+                      for state in sorted(found, key=lambda s: s[0], reverse=True)}
 
     def _fold(self, weigh: Callable, join: Callable, extend: Callable) -> dict:
         """Per state, the `join` of the values of the paths that complete it:
         `weigh(index, piece)` values a piece alone (`index`: its place among
-        its start's pieces), and `extend(value, rest)` a piece followed by
-        the rest of a path.  A dead state, where no piece fits, gets None and
-        adds nothing to the states before it; a path end is no state."""
-        weights: dict[tuple[int, tuple], object] = {}
-        for start, pieces in self._pieces.items():
-            for index, p in enumerate(pieces):
-                key, value = (start, p.shape), weigh(index, p)
-                weights[key] = join(weights[key], value) if key in weights else value
+        the pieces), and `extend(value, rest)` a piece followed by the rest
+        of a path.  A dead state, where no piece fits, gets None and adds
+        nothing to the states before it; a path end is no state."""
+        weights: dict[tuple[int, int | None], object] = {}
+        for index, p in enumerate(self._pieces):
+            value = weigh(index, p)
+            weights[p.shape] = join(weights[p.shape], value) if p.shape in weights else value
         values: dict[_State, object] = {}
         for state, here in self._next.items():
             total = None
             for shape, after in here.items():
-                value = weights[state[0], shape]
+                value = weights[shape]
                 if after is not None:
                     if values[after] is None:
                         continue
@@ -311,7 +296,7 @@ class PathEnumeration:
         without building them; 0 once the piece search was cut short."""
         if self._tables() is None:
             return 0
-        counts = self._counts(marked)[self._first]
+        counts = self._counts(marked)[_FIRST]
         return 0 if counts is None else counts[0] - counts[1]
 
     def max_gas_path(self, block_costs: Mapping[int, int]) -> tuple[int, ProgramPath | None]:
@@ -321,13 +306,13 @@ class PathEnumeration:
         if self._tables() is None:
             return 0, None
         # (gas, -index of the first piece, the pieces): the rest of a path
-        # depends only on its pieces' shapes, so per start and shape only the
-        # first piece of greatest gas can win
+        # depends only on its pieces' shapes, so per shape only the first
+        # piece of greatest gas can win
         best = self._fold(
             lambda index, p: (sum(map(block_costs.__getitem__, p.blocks)), -index, (p,)),
             max,
             lambda w, rest: (w[0] + rest[0], w[1], w[2] + rest[2]))
-        choice = best[self._first]
+        choice = best[_FIRST]
         if choice is None or choice[0] <= 0:
             return 0, None
         return choice[0], self._path(choice[2])
@@ -351,18 +336,18 @@ class PathEnumeration:
     def select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
         """The paths with at least one `marked` piece, in unfolding order, each
         built when asked for.  A subtree with no such path is not entered."""
-        tables = self._tables()
-        if tables is None:
+        pieces = self._tables()
+        if pieces is None:
             return
         nexts, counts = self._next, self._counts(marked)
         deadline = self.deadline
         # (state, its pieces still to try, the path's blocks, functions and
         # pieces so far, whether it has a marked piece, the way the next call
         # is made)
-        frames = [(self._first, iter(tables[self.cfg.root]), (), (), (), False, VIA_INITIAL)]
+        frames = [(_FIRST, iter(pieces), (), (), (), False, VIA_INITIAL)]
         steps = 0
         while frames:
-            state, choices, blocks, functions, pieces, kept, via = frames[-1]
+            state, choices, blocks, functions, done, kept, via = frames[-1]
             here = nexts[state]
             for p in choices:
                 steps += 1
@@ -376,12 +361,12 @@ class PathEnumeration:
                 if after is None:
                     if keep:
                         yield _unfolded(blocks + p.blocks, functions + ((p.selector, via),),
-                                        pieces + (p,))
+                                        done + (p,))
                     continue
                 rest = counts[after]
                 if rest is not None and rest[0] > (0 if keep else rest[1]):
-                    frames.append((after, iter(tables[after[0]]), blocks + p.blocks,
-                                   functions + ((p.selector, via),), pieces + (p,), keep,
+                    frames.append((after, iter(pieces), blocks + p.blocks,
+                                   functions + ((p.selector, via),), done + (p,), keep,
                                    VIA_NEW_TRANSACTION if p.callback is None
                                    else VIA_EXTERNAL_CALLBACK))
                     break

@@ -266,7 +266,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             found: list[PropertyViolation] = []
             if check_limit:
                 v = check_transfer_limit(config.transfer_limit,
-                                         refine_transfer_values(state, memo.records), memo)
+                                         refine_transfer_values(state), memo)
                 if v:
                     found.append(v)
             if check_addr:

@@ -5,19 +5,21 @@ value, calldata, timestamp, block number, balances, foreign-call returns,
 unknown storage) and the EVM operator set, modular 2**256; each is a
 tuple underneath, and `node` builds each compound one within MAX_DEPTH
 and MAX_SIZE.  Executing a path walks its block sequence, asserting each
-branch condition (or its negation) into the path condition; crossing a
-transaction boundary introduces a fresh environment while storage
-persists.  A walk of many paths (`execute_paths`) runs each shared prefix
-once, and each call once per state it starts from.  `SymbolicState` is the
-symbolic machine: it holds what a path has built and runs the
-instructions.  One block runner, `_run_body`, executes each block over it
-from a plan compiled once, checking the stack against the plan's static
-bounds once, at block entry, and never per instruction.  Feasibility is
-decided by a pluggable constraint backend; a satisfying witness is
-re-validated by replaying the path on plain ints: `Replay` runs the same
-compiled plans, reading every value the symbolic walk leaves free from the
-witness, and `_steer`, the one steering loop, picks each next block from
-the jump operands.  Memory is keyed by word offset in both runners.
+branch condition (or its negation) into the path condition; each call
+starts at the CFG root in a fresh environment, while storage persists.  A
+walk of many paths (`execute_paths`) runs each shared prefix once, and
+each call once per state it starts from; paths that share a call share
+its `ExternalRecord`s, which resolve their own target and amount once.
+`SymbolicState` is the symbolic machine: it holds what a path has built
+and runs the instructions.  One block runner, `_run_body`, executes each
+block over it from a plan compiled once, checking the stack against the
+plan's static bounds once, at block entry, and never per instruction.
+Feasibility is decided by a pluggable constraint backend; a satisfying
+witness is re-validated by replaying the path on plain ints: `Replay` runs
+the same compiled plans, reading every value the symbolic walk leaves free
+from the witness, and `_steer`, the one steering loop, picks each next
+block from the jump operands.  Memory is keyed by word offset in both
+runners, and a copy of untracked data or a call's return data clears it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -232,16 +234,35 @@ class Feasibility:
     reason: str = ""
 
 
+UNKNOWN_AMOUNT = "unknown"
+
+
 @dataclass(frozen=True)
 class ExternalRecord:
     """One money/call event observed along a path, in a call that did not
     revert: a REVERT drops its call's records.  Frozen because forked
-    states share the record objects."""
+    states, and paths that share a call, share the record objects; each
+    resolves its target and amount once, on first use."""
     kind: str            # CALL, CALLCODE, DELEGATECALL, STATICCALL, CREATE, SELFDESTRUCT
     offset: int
     txn: int
     target: Word | None
     value: Word | None
+
+    @cached_property
+    def concrete_target(self) -> int | None:
+        """The target's one possible value, or None."""
+        return concretize(self.target)
+
+    @cached_property
+    def amount(self) -> int | str:
+        """What it sends: an int, or UNKNOWN_AMOUNT."""
+        if self.kind in ("CALL", "CALLCODE", "CREATE"):
+            amount = concretize(self.value)
+            return UNKNOWN_AMOUNT if amount is None else amount
+        if self.kind in ("DELEGATECALL", "SELFDESTRUCT"):
+            return UNKNOWN_AMOUNT
+        return 0  # STATICCALL cannot move value
 
 
 @dataclass
@@ -457,6 +478,9 @@ class SymbolicState:
         self.records.append(ExternalRecord(name, ins.offset, self.txn, args[1], value))
         if name == "CALL":
             self.balance = mk("SUB", self.balance, value)
+        if args[-1] != ZERO:  # the return data overwrites the output area
+            self.memory.clear()
+            self.mem_unknown = True
         self.stack.append(self.fresh(f"XRET#{self.txn_label}"))
 
     def _create(self, ins: Instruction, operand: None) -> None:
@@ -698,12 +722,12 @@ def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
 MEMO_ENTRIES = MEMORY_CAP // 32
 
 
-def _call_end(cfg: Cfg, blocks, i: int, root: int) -> int:
+def _call_end(cfg: Cfg, blocks, i: int) -> int:
     """The index of the first call start in `blocks` at or after `i` (the
     root entered from a terminal block), or their length if none."""
     while True:
         try:
-            i = blocks.index(root, i)
+            i = blocks.index(cfg.root, i)
         except ValueError:
             return len(blocks)
         if cfg.blocks[blocks[i - 1]].terminator is Terminator.TERMINAL:
@@ -746,7 +770,8 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     `(path, outcome)` for each as soon as it is run, `path` being the very
     object given.  The outcome is the state its blocks give when run alone,
     or the SymExecError that stopped them: a term past the bounds of `node`
-    stops them with TermTooDeep.
+    stops them with TermTooDeep.  Every call starts at the root, so a path
+    that is empty or starts elsewhere raises ValueError.
 
     A path resumes from the deepest saved frame inside the prefix it shares
     with the path before it, and runs only the blocks after it.  Looking one
@@ -784,8 +809,9 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     # one base storage and one first balance for every path, so that the
     # first calls of two paths start from the same state
     base, balance0 = dict(base_storage), var("BALANCE0")
-    # (depth, block, state, operands, root, call); `call`, the current
-    # call's (entry key, start depth, conditions at entry, entry balance)
+    root = cfg.root
+    # (depth, block, state, operands, call); `call`, the current call's
+    # (entry key, start depth, conditions at entry, entry balance)
     saved: list[tuple] = []
     failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
     shared = 0  # blocks this sequence shares with the one before
@@ -797,8 +823,8 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
     memo: dict[tuple, _CallDelta] | None = {} if following is not None else None
     while path is not None:
         blocks = path.blocks
-        if not blocks:
-            raise ValueError("empty block sequence")
+        if not blocks or blocks[0] != root:
+            raise ValueError("a block sequence starts at the root")
         keep = _shared(blocks, following.blocks) if following is not None else 0
         while saved and saved[-1][0] >= shared:
             saved.pop()  # it holds a block this sequence does not
@@ -806,10 +832,10 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
             depth, state = len(blocks), failed[1]  # below the failing block: nothing runs
         elif saved:
             last = saved[-1][0] == shared - 1  # no later path parts there
-            depth, block, state, operands, root, call = saved.pop() if last else saved[-1]
+            depth, block, state, operands, call = saved.pop() if last else saved[-1]
             if not last:
                 state = state.fork()
-            end = _call_end(cfg, blocks, depth + 1, root)
+            end = _call_end(cfg, blocks, depth + 1)
         else:
             depth, block = -1, None
         try:
@@ -826,9 +852,8 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                     if block is None:
                         state = SymbolicState(base_storage=base, balance=balance0, code=code,
                                               deadline=deadline)
-                        root = block_id
                     if memo is not None:
-                        end = _call_end(cfg, blocks, depth + 1, root)
+                        end = _call_end(cfg, blocks, depth + 1)
                         head = (state.txn, state.fresh_counter, id(state.balance),
                                 tuple(map(id, state.storage_writes)))
                         call = (head, depth, len(state.path_condition), state.balance)
@@ -838,7 +863,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                             depth = end - 1
                             block, operands = cfg.blocks[blocks[depth]], ()
                             if depth < keep:
-                                saved.append((depth, block, state.fork(), operands, root, call))
+                                saved.append((depth, block, state.fork(), operands, call))
                             depth += 1
                             continue
                     state.begin_transaction()
@@ -860,7 +885,7 @@ def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
                                 state.storage_writes.copy(), state.balance,
                                 state.fresh_counter, balance)
                 if depth < keep and (len(operands) == 2 or depth + 1 == end):
-                    saved.append((depth, block, state.fork(), operands, root, call))
+                    saved.append((depth, block, state.fork(), operands, call))
                 depth += 1
         except DeadlinePassed as passed:
             yield from ((rest, passed) for rest in chain((path, following), ahead)
@@ -957,6 +982,7 @@ class Replay:
         self.deadline = deadline
         self.stack: list[int] = []
         self.memory: dict[int, int] = {}
+        self.mem_unknown = False  # an unwritten word reads as a fresh one
         self.storage: dict[int, int] = {}  # the writes of the calls so far
         self.committed: dict[int, int] = {}  # `storage` when this call began
         self.balance = self.read("BALANCE0")
@@ -968,6 +994,7 @@ class Replay:
         self.txn += 1
         self.stack = []
         self.memory = {}
+        self.mem_unknown = False
         self.committed = self.storage.copy()
         self.balance = (self.balance + self.read(f"CALLVALUE#{self.txn}")) % WORD_MOD
 
@@ -994,8 +1021,12 @@ class Replay:
         offset, length = self.stack.pop(), self.stack.pop()
         _expand_memory(offset, length)
         memory = self.memory
-        data = b"".join(memory.get(offset + i, 0).to_bytes(32, "big")
-                        for i in range(0, length, 32))
+        if self.mem_unknown:  # as `_mem_words` reads it
+            words = [memory[offset + i] if offset + i in memory
+                     else self.fresh(f"MEM#{self.txn}") for i in range(0, length, 32)]
+        else:
+            words = [memory.get(offset + i, 0) for i in range(0, length, 32)]
+        data = b"".join(word.to_bytes(32, "big") for word in words)
         try:
             self.stack.append(int.from_bytes(keccak256(data[:length], self.deadline), "big"))
         except TimeoutError as exc:
@@ -1021,6 +1052,7 @@ class Replay:
     def _copy_unknown(self, ins: Instruction, pops: int) -> None:
         del self.stack[len(self.stack) - pops:]
         self.memory.clear()
+        self.mem_unknown = True
 
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
@@ -1054,6 +1086,9 @@ class Replay:
         args = [self.stack.pop() for _ in range(pops)]
         if ins.info.mnemonic == "CALL":
             self.balance = (self.balance - args[2]) % WORD_MOD
+        if args[-1]:
+            self.memory.clear()
+            self.mem_unknown = True
         self.stack.append(self.fresh(f"XRET#{self.txn}"))
 
     def _create(self, ins: Instruction, operand: None) -> None:
@@ -1230,33 +1265,6 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
 # Transfer-value refinement
 # ---------------------------------------------------------------------------
 
-UNKNOWN_AMOUNT = "unknown"
-
-# Per record, by identity: (the record, its target's one possible value or
-# None, the amount it sends: an int or UNKNOWN_AMOUNT).  Paths that share a
-# call share its records, so one dict for an analysis resolves each record
-# once; holding the record keeps its id from being reused.
-RecordFacts = dict[int, tuple[ExternalRecord, int | None, int | str]]
-
-
-def record_values(rec: ExternalRecord, facts: RecordFacts,
-                  ) -> tuple[ExternalRecord, int | None, int | str]:
-    """`rec`'s entry in `facts`, found the first time it is asked for."""
-    found = facts.get(id(rec))
-    if found is None:
-        if rec.kind in ("CALL", "CALLCODE", "CREATE"):
-            amount = concretize(rec.value)
-            if amount is None:
-                amount = UNKNOWN_AMOUNT
-        elif rec.kind in ("DELEGATECALL", "SELFDESTRUCT"):
-            amount = UNKNOWN_AMOUNT
-        else:  # STATICCALL cannot move value
-            amount = 0
-        found = facts[id(rec)] = (rec, concretize(rec.target), amount)
-    return found
-
-
-def refine_transfer_values(state: SymbolicState, facts: RecordFacts,
-                           ) -> list[tuple[ExternalRecord, int | str]]:
+def refine_transfer_values(state: SymbolicState) -> list[tuple[ExternalRecord, int | str]]:
     """Resolve each outgoing transfer to a concrete amount where possible."""
-    return [(rec, record_values(rec, facts)[2]) for rec in state.records]
+    return [(rec, rec.amount) for rec in state.records]

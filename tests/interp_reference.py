@@ -6,7 +6,10 @@ constant word built for every PUSH.  It keeps the former witness mode too,
 which evaluates every free value under a witness as it is read; that mode
 is the oracle of the concrete replay runner, `symexec.Replay`.
 `reference_run_body` is the former block runner over it.  An MSTORE8
-through a symbolic offset clears memory, as an MSTORE through one does.  On a REVERT it
+through a symbolic offset clears memory, as an MSTORE through one does, and
+so does a CALL whose output size is not the constant 0, since the return
+data overwrites the output area; after such a clear, or a copy of untracked
+data, SHA3 reads an unwritten word as a fresh one in witness mode too.  On a REVERT it
 keeps a rule of its own: it drops the records numbered with the current
 call, and the storage writes made since `mark`, which its caller takes when
 the call begins; the runner under test truncates both lists at the
@@ -106,10 +109,10 @@ class ReferenceInterpreter:
         for i in range(0, max(length, 0), 32):
             word = self.state.memory.get(offset + i)
             if word is None:
-                if self.witness is not None or not self.state.mem_unknown:
-                    word = ZERO
+                if self.state.mem_unknown:
+                    word = self._fresh_or_zero(f"MEM#{self.state.txn_label}")
                 else:
-                    word = self.state.fresh(f"MEM#{self.state.txn_label}")
+                    word = ZERO
             words.append(word)
         return words
 
@@ -199,7 +202,7 @@ class ReferenceInterpreter:
             for _ in range(info.stack_pops):
                 self._pop()
             self.state.memory.clear()
-            self.state.mem_unknown = self.witness is None
+            self.state.mem_unknown = True
             return
         if name == "PC":
             self._push(const(ins.offset))
@@ -238,6 +241,10 @@ class ReferenceInterpreter:
             state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
             if name == "CALL":
                 state.balance = mk("SUB", state.balance, value)
+            if not (args[-1].is_concrete and args[-1].value == 0):
+                # the return data overwrites the output area
+                state.memory.clear()
+                state.mem_unknown = True
             self._push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
             return
         if name == "CREATE":

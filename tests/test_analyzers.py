@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from evmscope import report, symexec
 from evmscope.analyzers import (
     AnalysisMemo,
     GasEstimator,
@@ -59,7 +60,7 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
     double = [(p, s) for p, s in traced if p.blocks.count(112) == 2]
     assert double
     for path, state in double:
-        transfers = refine_transfer_values(state, {})
+        transfers = refine_transfer_values(state)
         v = check_transfer_limit(30, transfers, AnalysisMemo())
         assert v is not None and v.property is PropertyId.TRANSFER_LIMIT
         assert v.evidence["remaining"] == -10
@@ -69,13 +70,13 @@ def test_single_transfer_within_limit():
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
         memo = AnalysisMemo()
-        assert check_transfer_limit(30, refine_transfer_values(state, memo.records),
+        assert check_transfer_limit(30, refine_transfer_values(state),
                                     memo) is None
 
 
 def test_unknown_amount_is_conservative_violation():
     traced = _traced_money_paths("gigstoken", depth=1)
-    flagged = [check_transfer_limit(10**18, refine_transfer_values(s, {}), AnalysisMemo())
+    flagged = [check_transfer_limit(10**18, refine_transfer_values(s), AnalysisMemo())
                for p, s in traced]
     assert any(v is not None and v.evidence["remaining"] == UNKNOWN_AMOUNT
                for v in flagged)
@@ -177,6 +178,27 @@ def test_an_address_is_asked_once_per_analysis_during_an_outage(monkeypatch):
         "at offset 116: network down"] * 37
     analyze(get_contract("pay_unreg_0"), config, registry=registry)
     assert len(attempts) == 2 * DEFAULT_RETRIES
+
+
+def test_each_record_resolves_its_target_and_amount_once(monkeypatch):
+    # the paths of an analysis share their calls' records, so each field a
+    # check reads is resolved once per record, not once per path
+    resolved = []
+    concretize = symexec.concretize
+    monkeypatch.setattr(symexec, "concretize", lambda w: resolved.append(w) or concretize(w))
+    held = []  # each analyzed path's records
+    refine = report.refine_transfer_values
+    monkeypatch.setattr(report, "refine_transfer_values",
+                        lambda state: held.append(list(state.records)) or refine(state))
+    analyze(get_contract("toydao"),
+            AnalysisConfig(bounds=PathBounds(call_depth=3), transfer_limit=30,
+                           registry_fixture=str(REGISTRY_TXT), include_timing=False))
+    records = {id(rec): rec for path_records in held for rec in path_records}.values()
+    fields = sum((rec.kind in ("CALL", "CALLCODE", "CREATE"))  # amount
+                 + (rec.kind in ("CALL", "CALLCODE", "SELFDESTRUCT"))  # target
+                 for rec in records)
+    assert len(resolved) == fields
+    assert sum(map(len, held)) > 2 * len(records)
 
 
 # -- guard suicide ------------------------------------------------------------------

@@ -444,3 +444,21 @@ def test_codecopy_matches_the_reference():
                 _copy_code(ints, code, dest, src, length, int)
                 assert words == interp.state.memory, (dest, src, length)
                 assert ints == {k: w.value for k, w in words.items()}, (dest, src, length)
+
+
+@pytest.mark.parametrize("offset", [0, 64, 5, 33])
+def test_an_mload_reads_the_word_stored_at_its_offset(offset):
+    # MSTORE(offset, CALLDATALOAD(0)); MLOAD(offset); STOP, aligned and not:
+    # every runner gives back the stored word and draws no fresh one
+    code = bytes([0x60, 0, 0x35, 0x60, offset, 0x52, 0x60, offset, 0x51, 0x00])
+    cfg = build_cfg(disassemble(code))
+    for make, run, _exit in _lanes(cfg):
+        state = SymbolicState()
+        machine = make(code, state)
+        machine.begin_transaction()
+        run(machine, cfg.blocks[0], 0)
+        assert (state.stack, state.fresh_counter) == ([var("CALLDATA#1@0")], 0)
+    replay = Replay(code, {"CALLDATA#1@0": 7}, {})
+    replay.begin_transaction()
+    _replay_body(replay, cfg, cfg.blocks[0])
+    assert (replay.stack, replay.fresh_counter) == ([7], 0)

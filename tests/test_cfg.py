@@ -16,7 +16,7 @@ from evmscope.keccak import selector
 from evmscope.symexec import concrete_op
 
 from asmtool import Asm, by_mnemonic
-from conftest import get_cfg, get_contract
+from conftest import FIXTURES, MICRO, get_cfg, get_contract
 
 
 def _edges(cfg, kind):
@@ -115,6 +115,21 @@ def test_call_block_has_sequential_and_callback(toydao_cfg):
     kinds = {e.kind: e.dst for e in cfg.successors(112)}
     assert kinds[EdgeKind.EXTERNAL_CALLBACK] == cfg.root
     assert kinds[EdgeKind.SEQUENTIAL] == 163
+
+
+def test_every_callback_edge_leads_to_the_root():
+    # a callee may re-enter any function, so a callback starts a call at the
+    # root, as a new transaction does; the unfolding rests on it
+    names = [p.stem for p in sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json"))]
+    assert len(names) == 52
+    callbacks = 0
+    for name in names:
+        cfg = get_cfg(name)
+        for edge in cfg.edges:
+            if edge.kind is EdgeKind.EXTERNAL_CALLBACK:
+                callbacks += 1
+                assert edge.dst == cfg.root, (name, edge)
+    assert callbacks
 
 
 def test_direct_jump_resolution(toydao_cfg):

@@ -319,6 +319,23 @@ def test_a_symbolic_jumpi_target_may_be_the_fallthrough():
     assert replay_blocks(cfg, code, feas.witness, {}, 1) == path.blocks
 
 
+@pytest.mark.parametrize("code_hex, blocks", [
+    # JUMPI(11, CALLDATALOAD(0)); 6: JUMP(18) with 20 below; 11: JUMP(18)
+    # with CALLDATALOAD(32) below; 18: JUMP; 20: CALLER; SELFDESTRUCT
+    ("600035600b57" "6014601256" "5b602035601256" "5b56" "5b33ff", (0, 11, 18, 20)),
+    # as above, but 18 is JUMPI(target, CALLDATALOAD(64)); 24: STOP;
+    # 25: CALLER; SELFDESTRUCT
+    ("600035600b57" "6019601256" "5b602035601256" "5b6040359057" "00" "5b33ff",
+     (0, 11, 18, 25)),
+])
+def test_a_jump_taken_to_a_symbolic_target(code_hex, blocks):
+    # the stack simulation finds the target through block 6; through block
+    # 11 it is calldata word 32, which must name it
+    status, witness, replays = _verdict(code_hex, blocks)
+    assert status is FeasibilityStatus.FEASIBLE and replays
+    assert witness["CALLDATA#1@32"] == blocks[-1]
+
+
 def test_mstore8_through_a_symbolic_offset_leaves_memory_unknown():
     # MSTORE(0, 1); MSTORE8(CALLDATALOAD(0), 0xff); JUMPI(22, EQ(1, MLOAD(0)));
     # 20: CALLER; SELFDESTRUCT; 22: JUMPDEST; STOP.  The byte may land in
@@ -331,6 +348,44 @@ def test_mstore8_through_a_symbolic_offset_leaves_memory_unknown():
         mk("ISZERO", mk("EQ", ONE, var("MEM#1.1")))]
     assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"MEM#1.1": 0})
     assert replay_blocks(cfg, code, feas.witness, {}, 1) == path.blocks
+
+
+
+def _verdict(code_hex, blocks):
+    """The feasibility of the one-call path `blocks` of runtime `code_hex`,
+    and whether its witness replays it."""
+    code = parse_hex(code_hex)
+    cfg = build_cfg(disassemble(code))
+    (path,) = [p for p in enumerate_paths(cfg, PathBounds(call_depth=1)) if p.blocks == blocks]
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver(), solver_timeout_ms=2000)
+    replays = feas.witness is not None and replay_blocks(cfg, code, feas.witness, {}, 1) == blocks
+    return feas.status, feas.witness, replays
+
+
+# MSTORE(0, 5); CALL(GAS, CALLER, 0, 0, 0, 0, <out size>); POP;
+# JUMPI(30, EQ(5, MLOAD(0))); 28: CALLER; SELFDESTRUCT; 30: JUMPDEST; STOP
+_CALL_OVER_MEMORY = "6005600052" "60{}600060006000600033" "5af1" "50" \
+    "600051600514601e57" "33ff" "5b00"
+
+
+def test_a_call_s_return_data_overwrites_its_output_area():
+    # the callee may return any word into memory word 0, so the unguarded
+    # SELFDESTRUCT is reachable
+    assert _verdict(_CALL_OVER_MEMORY.format("20"), (0, 18, 28)) == (
+        FeasibilityStatus.FEASIBLE, {"MEM#1.3": 0}, True)
+    # with no output area the stored 5 is still there
+    assert _verdict(_CALL_OVER_MEMORY.format("00"), (0, 18, 28))[0] \
+        is FeasibilityStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("op, witness", [("20", {"GAS.2": 1}), ("01", {"GAS.1": 1})])
+def test_replay_hashes_the_fresh_words_the_trace_hashes(op, witness):
+    # CALLDATACOPY(0, 0, 32); POP(SHA3(0, 32)), or ADD in its place;
+    # JUMPI(19, GAS); STOP; STOP; 19: JUMPDEST; CALLER; SELFDESTRUCT.  The
+    # SHA3 reads word 0 as a fresh word in both runners, so the GAS read
+    # after it is numbered alike
+    code = f"6020600060003760206000{op}505a6013570000" "5b33ff"
+    assert _verdict(code, (0, 19)) == (FeasibilityStatus.FEASIBLE, witness, True)
 
 
 def test_path_condition_accumulates_monotonically():
@@ -395,6 +450,16 @@ def test_constructor_prefers_the_branch_that_does_not_revert():
     storage, diags = run_constructor(build_cfg(disassemble(code)), code)
     assert storage == {const(0): const(7)}
     assert diags == []
+
+
+@pytest.mark.parametrize("code_hex", ["6001600957600080fd5b602a60005500",
+                                      "34600857600080fd5b602a60005500"])
+def test_constructor_takes_a_jumpi(code_hex):
+    # JUMPI(9, 1) or JUMPI(8, CALLVALUE); PUSH1 0; DUP1; REVERT; JUMPDEST;
+    # SSTORE(0, 42); STOP: a constant condition jumps, and a symbolic one
+    # prefers the jump, since the fallthrough reverts
+    code = parse_hex(code_hex)
+    assert run_constructor(build_cfg(disassemble(code)), code) == ({const(0): const(42)}, [])
 
 
 def test_constructor_return_on_short_stack_is_abandoned():
@@ -549,7 +614,7 @@ def test_toydao_withdraw_transfers_twenty():
     path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import refine_transfer_values
-    values = [v for rec, v in refine_transfer_values(state, {}) if rec.kind == "CALL"]
+    values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
     assert values == [20]
 
 
@@ -560,7 +625,7 @@ def test_transfer_of_callvalue_is_unknown():
                 if cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import UNKNOWN_AMOUNT, refine_transfer_values
-    values = [v for rec, v in refine_transfer_values(state, {}) if rec.kind == "CALL"]
+    values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
     assert values == [UNKNOWN_AMOUNT]
 
 
@@ -570,7 +635,7 @@ def test_transfer_of_constructor_constant_is_concrete():
     path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=1)), cfg))
     state = trace_path(cfg, contract.runtime_code, path, {})
     from evmscope.symexec import refine_transfer_values
-    values = [v for rec, v in refine_transfer_values(state, {}) if rec.kind == "CALL"]
+    values = [v for rec, v in refine_transfer_values(state) if rec.kind == "CALL"]
     assert values == [5]
 
 
@@ -877,3 +942,12 @@ def test_the_walk_yields_the_very_paths_it_is_given():
     late = [outcome for _path, outcome in walked if isinstance(outcome, DeadlinePassed)]
     assert late and len(late) < len(paths)
     assert all(outcome is late[0] for outcome in late)
+
+
+@pytest.mark.parametrize("blocks", [(), (7,)])
+def test_a_path_that_does_not_start_at_the_root_is_refused(blocks):
+    # every call starts at the root
+    code = parse_hex("600035600757005bf100")
+    cfg = build_cfg(disassemble(code))
+    with pytest.raises(ValueError, match="starts at the root"):
+        list(execute_paths(cfg, code, [ProgramPath(blocks, ())], {}))
