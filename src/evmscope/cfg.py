@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import isa
 from .disasm import Instruction
@@ -130,8 +131,9 @@ class Cfg:
                     stack.append(e.dst)
         return seen
 
-    @property
+    @cached_property
     def money_blocks(self) -> set[int]:
+        """Found on first read: a graph's blocks are complete once built."""
         return {b.id for b in self.blocks.values() if b.is_money_related}
 
 

@@ -19,13 +19,15 @@ its length and shape and on the blocks and calls before it, so path counts
 and the max-gas path are computed over (blocks so far, calls so far)
 states, and a selection builds only the paths it keeps, one at a time.
 
-A selection keeps this order, so each path shares the longest prefix it can
-with the path before it: the trace walk (`symexec.execute_paths`) relies on
-that to resume each path where it parts from the one before, and hands back
-each path it is given.  The walk also keeps each call's outcome under the
-state the call starts from, so a piece reached after different pieces that
-leave the same state runs once; the order matters only to how far each
-path resumes.
+There is one depth-first search over the piece tree, `walk`, and it
+threads a value down the tree as it goes: `select` threads none, and the
+trace (`symexec.execute_paths`) threads the symbolic state, so a path runs
+only its last piece past the state its prefix left.  The pieces come in
+depth-first order, so each records the prefix it shares with the next
+piece of the list, and no later piece shares more with it: a piece's
+trace saves its branch states inside that prefix for the siblings after
+it.
+
 A `ProgramPath` is its blocks and its calls: its call count, the ranking
 length, is the number of calls, and `filter_money` tests its blocks against
 the CFG's money blocks.  A path the unfolding builds also carries the pieces
@@ -80,6 +82,8 @@ class _Piece(NamedTuple):
     money: bool  # it runs a money block
     callback: int | None  # the root, if a callback edge ends it; None: a terminal block
     shape: tuple[int, int | None]  # (blocks, callback): all that decides where it fits
+    shared: int  # the blocks it shares with the next piece of the list; 0 for the last
+    index: int  # its place in the list
 
 
 class _Unfolded(ProgramPath):
@@ -171,30 +175,38 @@ class PathEnumeration:
         entry_names = {block: name for name, block in self.cfg.function_entries.items()}
         money_blocks = self.cfg.money_blocks
 
-        def piece(callback: int | None) -> _Piece:
+        def piece(callback: int | None) -> list:
             selector = next((entry_names[b] for b in blocks if b in entry_names), None)
-            return _Piece(tuple(blocks), selector, not money_blocks.isdisjoint(blocks),
-                          callback, (len(blocks), callback))
+            return [tuple(blocks), selector, not money_blocks.isdisjoint(blocks),
+                    callback, (len(blocks), callback)]
 
-        pieces: list[_Piece] = []
+        found: list[list] = []  # each piece's fields up to its shape
+        shared: list[int] = []  # per piece, the blocks it shares with the one before
+        low = 0  # the fewest blocks on `blocks` since the last piece was found
         blocks: list[int] = []
         visits: dict[int, int] = {}
         loops: dict[tuple[int, int], int] = {}  # back-edges taken
         entered: list[tuple[int, int] | None] = []  # the back-edge into each block on `blocks`
-        # To enter: (block, back-edge); a _Piece is a callback piece, done;
-        # None leaves the block entered last.
+        # To enter: (block, back-edge); a list is a callback piece's fields,
+        # done; None leaves the block entered last.  A piece is found with
+        # its own blocks on `blocks`, so the fewest blocks there since the
+        # piece before is the prefix the two share.
         todo: list = [(self.cfg.root, None)]
         steps = 0
         while todo:
             item = todo.pop()
             if item is None:
                 visits[blocks.pop()] -= 1
+                if len(blocks) < low:
+                    low = len(blocks)
                 loop = entered.pop()
                 if loop is not None:
                     loops[loop] -= 1
                 continue
-            if isinstance(item, _Piece):
-                pieces.append(item)
+            if isinstance(item, list):
+                shared.append(low)
+                found.append(item)
+                low = len(blocks)
                 continue
             steps += 1
             if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
@@ -209,7 +221,9 @@ class PathEnumeration:
 
             successors = moves[block_id]
             if successors is None:  # the transaction ends here
-                pieces.append(piece(None))
+                shared.append(low)
+                found.append(piece(None))
+                low = len(blocks)
                 continue
             if len(blocks) >= max_blocks:
                 continue
@@ -224,7 +238,9 @@ class PathEnumeration:
                         todo.append((dst, edge))
                 else:
                     todo.append((dst, None))
-        return pieces
+        shared.append(0)
+        return [_Piece(*fields, after, index)
+                for index, (fields, after) in enumerate(zip(found, shared[1:]))]
 
     def _plan(self) -> None:
         """Fill `_next` from the first state: after L blocks and j calls, a
@@ -333,42 +349,74 @@ class PathEnumeration:
             return _runs_money
         return lambda p: p.selector is not None and p.selector in payable_entries
 
+    def pieces(self) -> list[_Piece]:
+        """The root's pieces, in depth-first order; none once the piece
+        search was cut short."""
+        return self._tables() or []
+
     def select(self, marked: Callable[[_Piece], bool]) -> Iterator[ProgramPath]:
         """The paths with at least one `marked` piece, in unfolding order, each
-        built when asked for.  A subtree with no such path is not entered."""
+        built when asked for."""
+        return (path for path, _value in self.walk(marked, None, None))
+
+    def walk(self, marked: Callable[[_Piece], bool], step: Callable | None,
+             start: object) -> Iterator[tuple[ProgramPath, object]]:
+        """The one depth-first search over the piece tree: yields `(path,
+        value)` for each path with at least one `marked` piece, in unfolding
+        order, each built when asked for.  The value is threaded down the
+        tree: `start` at the root, then `step(value, piece)` for each piece
+        entered, given the value of the pieces before it; without a step it
+        stays `start`.  A node's children are entered in list order, each
+        subtree whole before the next, and a subtree with no kept path is
+        not entered."""
         pieces = self._tables()
         if pieces is None:
             return
         nexts, counts = self._next, self._counts(marked)
         deadline = self.deadline
-        # (state, its pieces still to try, the path's blocks, functions and
-        # pieces so far, whether it has a marked piece, the way the next call
-        # is made)
-        frames = [(_FIRST, iter(pieces), (), (), (), False, VIA_INITIAL)]
+        options: dict[_State, list[tuple]] = {}
+
+        def fitting(state: _State) -> list[tuple]:
+            """Per piece that fits at `state`, in list order: (the piece,
+            whether it is marked, the state after it, the path counts there),
+            the last two None where the path ends with it; a piece that
+            leaves a dead state is left out."""
+            here, found = nexts[state], []
+            for p in pieces:
+                after = here.get(p.shape, False)
+                if after is None:
+                    found.append((p, marked(p), None, None))
+                elif after is not False and counts[after] is not None:
+                    found.append((p, marked(p), after, counts[after]))
+            options[state] = found
+            return found
+
+        # (its pieces still to try, the path's blocks, functions and pieces
+        # so far, whether it has a marked piece, the way the next call is
+        # made, the value threaded down)
+        frames = [(iter(fitting(_FIRST)), (), (), (), False, VIA_INITIAL, start)]
         steps = 0
         while frames:
-            state, choices, blocks, functions, done, kept, via = frames[-1]
-            here = nexts[state]
-            for p in choices:
+            choices, blocks, functions, done, kept, via, value = frames[-1]
+            for p, mark, after, rest in choices:
                 steps += 1
                 if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
                     self.timed_out = True
                     return
-                after = here.get(p.shape, False)
-                if after is False:
-                    continue
-                keep = kept or marked(p)
+                keep = kept or mark
                 if after is None:
                     if keep:
-                        yield _unfolded(blocks + p.blocks, functions + ((p.selector, via),),
-                                        done + (p,))
+                        yield (_unfolded(blocks + p.blocks, functions + ((p.selector, via),),
+                                         done + (p,)),
+                               value if step is None else step(value, p))
                     continue
-                rest = counts[after]
-                if rest is not None and rest[0] > (0 if keep else rest[1]):
-                    frames.append((after, iter(pieces), blocks + p.blocks,
-                                   functions + ((p.selector, via),), done + (p,), keep,
+                if rest[0] > (0 if keep else rest[1]):
+                    frames.append((iter(options.get(after) or fitting(after)),
+                                   blocks + p.blocks, functions + ((p.selector, via),),
+                                   done + (p,), keep,
                                    VIA_NEW_TRANSACTION if p.callback is None
-                                   else VIA_EXTERNAL_CALLBACK))
+                                   else VIA_EXTERNAL_CALLBACK,
+                                   value if step is None else step(value, p)))
                     break
             else:
                 frames.pop()

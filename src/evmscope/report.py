@@ -249,9 +249,10 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
                      and any(i.mnemonic == "SELFDESTRUCT" for i in b.instructions)}
         traced = money if check_limit or check_addr else (
             lambda piece: not destructs.isdisjoint(piece.blocks))
-        # each path is run from where it parts from the path before it; a
-        # walk that fails skips the paths below the failing block, reported once
-        outcomes = execute_paths(cfg, contract.runtime_code, unfolding.select(traced),
+        # the trace walks the piece tree, so each path runs only its last
+        # piece; a piece that fails skips the paths below the failing block,
+        # reported once
+        outcomes = execute_paths(cfg, contract.runtime_code, unfolding, traced,
                                  base_storage, deadline)
         skipped: dict[SymExecError, int] = {}
         memo = AnalysisMemo()

@@ -6,10 +6,15 @@ unknown storage) and the EVM operator set, modular 2**256; each is a
 tuple underneath, and `node` builds each compound one within MAX_DEPTH
 and MAX_SIZE.  Executing a path walks its block sequence, asserting each
 branch condition (or its negation) into the path condition; each call
-starts at the CFG root in a fresh environment, while storage persists.  A
-walk of many paths (`execute_paths`) runs each shared prefix once, and
-each call once per state it starts from; paths that share a call share
-its `ExternalRecord`s, which resolve their own target and amount once.
+starts at the CFG root in a fresh environment, while storage persists.
+One piece runner (`_piece_runner`) turns the state at a piece boundary
+into the state after the piece.  The trace of an unfolding
+(`execute_paths`) drives it down the piece tree the unfolding walks, so
+each piece runs once per node it hangs from, siblings share the blocks
+their pieces share, and a whole call runs once per state it starts from;
+paths that share a call share its `ExternalRecord`s, which resolve their
+own target and amount once.  `trace_path` folds the same runner over one
+path.
 `SymbolicState` is the symbolic machine: it holds what a path has built
 and runs the instructions.  One block runner, `_run_body`, executes each
 block over it from a plan compiled once, checking the stack against the
@@ -28,14 +33,14 @@ import enum
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import isa
 from .cfg import Cfg, Terminator
 from .disasm import Instruction
 from .isa import WORD_MAX, WORD_MOD
 from .keccak import keccak256
+from .pathgen import PathEnumeration, ProgramPath
 
 STACK_LIMIT = 1024
 BLOCK_GAS_LIMIT = 30_000_000
@@ -718,26 +723,13 @@ def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
 
 # A cap on the entries the call memo of one walk holds in its lists
 # (conditions, records and storage writes): a call that would pass it is
-# not stored, and runs again under each prefix that reaches it.
+# not stored, and runs again under each node that reaches it.
 MEMO_ENTRIES = MEMORY_CAP // 32
 
 
-def _call_end(cfg: Cfg, blocks, i: int) -> int:
-    """The index of the first call start in `blocks` at or after `i` (the
-    root entered from a terminal block), or their length if none."""
-    while True:
-        try:
-            i = blocks.index(cfg.root, i)
-        except ValueError:
-            return len(blocks)
-        if cfg.blocks[blocks[i - 1]].terminator is Terminator.TERMINAL:
-            return i
-        i += 1
-
-
 class _CallDelta(NamedTuple):
-    """A call summary: what one call that ended at a terminal block
-    changed, stored under the state it started from."""
+    """A call summary: what one whole-call piece changed, stored under the
+    state it started from."""
     conditions: list[Word]           # the path condition it added
     records: list[ExternalRecord]    # the records it left
     storage_writes: list[tuple[Word, Word]]  # the whole write list after it
@@ -746,177 +738,226 @@ class _CallDelta(NamedTuple):
     entry_balance: Word              # held, so that no other word takes its id
 
 
-def _append_call(state: SymbolicState, delta: _CallDelta) -> None:
-    """Give `state`, at a call start, the state the call stored as `delta`
-    leaves; its stack and memory are empty already.  The key leaves out
-    how many records came before (a SELFDESTRUCT adds one and changes
-    nothing else), so `call_start` is taken from `state`'s own lists."""
-    state.call_start = (len(state.storage_writes), len(state.records))
+def _after_call(entry: SymbolicState, delta: _CallDelta) -> SymbolicState:
+    """The state the call stored as `delta` leaves, run from `entry`, a
+    state at a call start: its stack and memory are empty.  The key leaves
+    out how many records came before (a SELFDESTRUCT adds one and changes
+    nothing else), so `call_start` is taken from `entry`'s own lists."""
+    state = SymbolicState.__new__(SymbolicState)
+    state.__dict__.update(entry.__dict__)
+    state.stack, state.memory = [], {}
+    state.call_start = (len(entry.storage_writes), len(entry.records))
     state.txn += 1
-    state.path_condition.extend(delta.conditions)
-    state.records.extend(delta.records)
+    state.path_condition = entry.path_condition + delta.conditions
+    state.records = entry.records + delta.records
     state.storage_writes = delta.storage_writes.copy()
     state.balance = delta.balance
     state.fresh_counter = delta.fresh_counter
+    return state
 
 
-_P = TypeVar("_P")  # a path: anything with a `blocks` sequence
+class _Node:
+    """A piece boundary of a walk: the state the pieces above it leave, and
+    what its child pieces share.  Its state is never run on: a child runs
+    on a copy, or on a frame an earlier child saved."""
+    __slots__ = ("state", "block", "operands", "calls", "ran", "frames", "failed")
+
+    def __init__(self, state: SymbolicState, block, operands: tuple) -> None:
+        self.state = state
+        # the block a callback piece leaves and its jump operands, which the
+        # next piece continues from; None after a terminal block
+        self.block = block
+        self.operands = operands
+        # the memo's stored pieces under its head, by index; found on first use
+        self.calls: dict[int, _CallDelta] | None = None
+        # the sibling scratch: the index of the last child piece it ran, that
+        # piece's JUMPI frames (depth, state, operands) inside the prefix it
+        # shares with the next piece of the list, and (depth, error) if it failed
+        self.ran = -1
+        self.frames: list[tuple[int, SymbolicState, tuple]] = []
+        self.failed: tuple[int, SymExecError] | None = None
 
 
-def execute_paths(cfg: Cfg, code: bytes, paths: Iterable[_P],
-                  base_storage: dict[Word, Word], deadline: float | None = None,
-                  ) -> Iterator[tuple[_P, SymbolicState | SymExecError]]:
-    """Interpret paths (anything with a `blocks` sequence) in turn; yields
-    `(path, outcome)` for each as soon as it is run, `path` being the very
-    object given.  The outcome is the state its blocks give when run alone,
-    or the SymExecError that stopped them: a term past the bounds of `node`
-    stops them with TermTooDeep.  Every call starts at the root, so a path
-    that is empty or starts elsewhere raises ValueError.
+class _Call(NamedTuple):
+    """A call of a hand-built path, run as one piece."""
+    blocks: tuple[int, ...]
 
-    A path resumes from the deepest saved frame inside the prefix it shares
-    with the path before it, and runs only the blocks after it.  Looking one
-    path ahead, a fork is saved at each JUMPI block and at each call's last
-    block inside the prefix the next path shares; resuming after a JUMPI
-    takes its second way, so the last path to part there takes the frame
-    itself.  Right after a terminal block the walk empties the stack and
-    memory, as the EVM ends a call's frame there: a frame saved at a call's
-    end, and the outcome of a path that ends there, hold neither.
 
-    A call (its blocks run from the root to the terminal block the next
-    root follows, or to the end of the path) that ends at a terminal block
-    is stored in a memo under the state it starts from, taken before
-    `begin_transaction`, and its blocks.  That state is the call counter,
-    the fresh counter, the balance and the storage-write pairs, the last
-    two compared by identity, and it is all a call reads: its stack and
-    memory start empty, no handler reads the path condition or the
-    records, base storage and the code are the walk's own, and an
-    unwritten slot reads the same word in any state.  A path that starts a
-    stored call from the same state appends what the call changed
-    (`_CallDelta`) instead of running its blocks, so a call reached under
-    many prefixes runs once.  Resuming at a call's start, a path that
-    leaves a reused call partway looks its own call up.  The memo holds
-    every object whose identity its keys use, and at most MEMO_ENTRIES
-    list entries; it is only looked up, never iterated.  A walk of one
-    path keeps none.
+def _calls(cfg: Cfg, blocks: tuple[int, ...]) -> list[_Call]:
+    """A hand-built path split at each call start: the root entered from a
+    terminal block.  A callback stays inside the call it interrupts."""
+    calls, start = [], 0
+    for i in range(1, len(blocks)):
+        if blocks[i] == cfg.root and cfg.blocks[blocks[i - 1]].terminator is Terminator.TERMINAL:
+            calls.append(_Call(blocks[start:i]))
+            start = i
+    calls.append(_Call(blocks[start:]))
+    return calls
 
-    Any order is correct.  A failure at depth d is the outcome, as one
-    object, of every later path that shares more than d blocks with the
-    failing one; a call that fails is not stored, so another prefix that
-    reaches it runs it and gets an error of its own.  A DeadlinePassed is
-    the outcome of every later path.  The clock is read every 16 steps, a
-    step being a block run or a stored call reused.
-    """
-    # one base storage and one first balance for every path, so that the
-    # first calls of two paths start from the same state
-    base, balance0 = dict(base_storage), var("BALANCE0")
-    root = cfg.root
-    # (depth, block, state, operands, call); `call`, the current call's
-    # (entry key, start depth, conditions at entry, entry balance)
-    saved: list[tuple] = []
-    failed: tuple[tuple[int, ...], SymExecError] | None = None  # (failing prefix, error)
-    shared = 0  # blocks this sequence shares with the one before
-    runs = 0
-    held = 0  # entries of the lists the memo holds
-    ahead = iter(paths)
-    path = next(ahead, None)
-    following = next(ahead, None)
-    memo: dict[tuple, _CallDelta] | None = {} if following is not None else None
-    while path is not None:
-        blocks = path.blocks
-        if not blocks or blocks[0] != root:
-            raise ValueError("a block sequence starts at the root")
-        keep = _shared(blocks, following.blocks) if following is not None else 0
-        while saved and saved[-1][0] >= shared:
-            saved.pop()  # it holds a block this sequence does not
-        if failed is not None and blocks[:len(failed[0])] == failed[0]:
-            depth, state = len(blocks), failed[1]  # below the failing block: nothing runs
-        elif saved:
-            last = saved[-1][0] == shared - 1  # no later path parts there
-            depth, block, state, operands, call = saved.pop() if last else saved[-1]
-            if not last:
+
+def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
+                  deadline: float | None, pieces: list | None,
+                  ) -> tuple[_Node, Callable[[Any, Any], Any]]:
+    """The root node of a walk, and `enter(node, piece)`: it runs `piece`
+    from `node` and gives the node below it, or the SymExecError that stops
+    the piece (a DeadlinePassed it raises).  `pieces` is the unfolding's
+    list, whose pieces a node enters in list order; None, for a walk of
+    one path, keeps nothing for another piece.
+
+    A piece resumes from the deepest frame its node's last piece saved
+    inside the prefix the two share, or from a copy of the node's state.
+    Frames are saved at JUMPI blocks inside the prefix the piece shares
+    with the next piece of the list, which is at least what it shares with
+    any later one; the last piece to part at a frame takes the frame
+    itself.  A piece below the block its node's last piece failed at gets
+    that piece's error object.  Right after a terminal block the runner
+    empties the stack and memory, as the EVM ends a call's frame there.
+
+    A whole-call piece, from a call start to a terminal block, is stored
+    in a memo under its node's head and its index: the call counter, the
+    fresh counter, the balance and the storage-write pairs, the last two
+    compared by identity, are all a call reads, since its stack and memory
+    start empty, no handler reads the path condition or the records, base
+    storage and the code are the walk's own, and an unwritten slot reads
+    the same word in any state.  Entering a stored piece from an equal
+    head builds its state from what the piece changed (`_CallDelta`)
+    instead of running it, so a call reached under many prefixes runs
+    once.  A callback piece, and
+    the pieces after it up to the call's end, continue their caller's call
+    and are not stored.  The memo holds every object whose identity its
+    keys use, and at most MEMO_ENTRIES list entries; a piece that fails is
+    not stored.  The clock is read every 16 steps, a step being a block run
+    or a stored piece reused."""
+    root = _Node(SymbolicState(base_storage=dict(base_storage), balance=var("BALANCE0"),
+                               code=code, deadline=deadline), None, ())
+    sharing = pieces is not None
+    shared = [p.shared for p in pieces] if sharing else []
+    memo: dict[tuple, dict[int, _CallDelta]] = {}  # by head, then piece index
+    held = steps = 0  # list entries the memo holds; steps taken
+
+    def enter(node, piece):
+        nonlocal held, steps
+        if type(node) is not _Node:
+            return node  # below a failing block
+        blocks, entry, frames = piece.blocks, node.state, node.frames
+        whole, keep, common = False, 0, 0
+        if sharing:
+            index, ran = piece.index, node.ran
+            whole = node.block is None and piece.callback is None
+            if whole:
+                calls = node.calls
+                if calls is None:
+                    head = (entry.txn, entry.fresh_counter, id(entry.balance),
+                            tuple(map(id, entry.storage_writes)))
+                    calls = node.calls = memo.get(head)
+                    if calls is None:
+                        calls = node.calls = memo[head] = {}
+                # a piece below a failing block fails under any equal head,
+                # so it is never stored
+                delta = calls.get(index)
+                if delta is not None:
+                    steps += 1
+                    if not steps & 0xF:
+                        check_deadline(deadline)
+                    return _Node(_after_call(entry, delta), None, ())
+            if ran >= 0:
+                common = shared[ran] if index == ran + 1 else min(shared[ran:index])
+                if node.failed is not None and node.failed[0] < common:
+                    return node.failed[1]
+                while frames and frames[-1][0] >= common:
+                    frames.pop()  # it holds a block this piece does not
+            node.ran, node.failed, keep = index, None, piece.shared
+        if frames:
+            depth, state, operands = frames[-1]
+            if depth == common - 1:  # no later piece parts there
+                frames.pop()
+            else:
                 state = state.fork()
-            end = _call_end(cfg, blocks, depth + 1)
-        else:
-            depth, block = -1, None
-        try:
+            block = cfg.blocks[blocks[depth]]
             depth += 1
-            while depth < len(blocks):
-                block_id = blocks[depth]
-                runs += 1
-                if not runs & 0xF:
+        else:
+            depth, block, operands = 0, node.block, node.operands
+            state = entry.fork() if sharing else entry
+        try:
+            for depth in range(depth, len(blocks)):
+                steps += 1
+                if not steps & 0xF:
                     check_deadline(deadline)
-                if block is not None and (block_id != root
-                                          or block.terminator is not Terminator.TERMINAL):
-                    _take_exit(state, block, operands, block_id)
-                else:  # a call starts
-                    if block is None:
-                        state = SymbolicState(base_storage=base, balance=balance0, code=code,
-                                              deadline=deadline)
-                    if memo is not None:
-                        end = _call_end(cfg, blocks, depth + 1)
-                        head = (state.txn, state.fresh_counter, id(state.balance),
-                                tuple(map(id, state.storage_writes)))
-                        call = (head, depth, len(state.path_condition), state.balance)
-                        delta = memo.get((head, blocks[depth:end]))
-                        if delta is not None:
-                            _append_call(state, delta)
-                            depth = end - 1
-                            block, operands = cfg.blocks[blocks[depth]], ()
-                            if depth < keep:
-                                saved.append((depth, block, state.fork(), operands, call))
-                            depth += 1
-                            continue
+                block_id = blocks[depth]
+                if block is None:
                     state.begin_transaction()
+                else:
+                    _take_exit(state, block, operands, block_id)
                 block = cfg.blocks[block_id]
                 operands = _run_body(state, cfg, block)
                 if block.terminator is Terminator.TERMINAL:
                     # the call halts, and with it its stack and memory
                     state.stack, state.memory, state.mem_unknown = [], {}, False
-                    if memo is not None and depth + 1 == end:
-                        head, first, conditions, balance = call
-                        size = (len(state.path_condition) - conditions
-                                + len(state.records) - state.call_start[1]
-                                + len(state.storage_writes))
-                        if held + size <= MEMO_ENTRIES:
-                            held += size
-                            memo[head, blocks[first:end]] = _CallDelta(
-                                state.path_condition[conditions:],
-                                state.records[state.call_start[1]:],
-                                state.storage_writes.copy(), state.balance,
-                                state.fresh_counter, balance)
-                if depth < keep and (len(operands) == 2 or depth + 1 == end):
-                    saved.append((depth, block, state.fork(), operands, call))
-                depth += 1
-        except DeadlinePassed as passed:
-            yield from ((rest, passed) for rest in chain((path, following), ahead)
-                        if rest is not None)
-            return
+                elif depth < keep and len(operands) == 2:
+                    frames.append((depth, state.fork(), operands))
+        except DeadlinePassed:
+            raise
         except SymExecError as error:
-            failed = (blocks[:depth + 1], error)
-            state = error
-        yield path, state
-        path, shared = following, keep
-        following = next(ahead, None)
+            node.failed = (depth, error)
+            return error
+        if block.terminator is not Terminator.TERMINAL:
+            return _Node(state, block, operands)
+        if whole:
+            conditions, records = len(entry.path_condition), state.call_start[1]
+            size = (len(state.path_condition) - conditions + len(state.records) - records
+                    + len(state.storage_writes))
+            if held + size <= MEMO_ENTRIES:
+                held += size
+                calls[index] = _CallDelta(
+                    state.path_condition[conditions:], state.records[records:],
+                    state.storage_writes.copy(), state.balance, state.fresh_counter,
+                    entry.balance)
+        return _Node(state, None, ())
+
+    return root, enter
 
 
-def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """The length of the longest common prefix of `a` and `b`."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+def execute_paths(cfg: Cfg, code: bytes, unfolding: PathEnumeration,
+                  marked: Callable[[Any], bool], base_storage: dict[Word, Word],
+                  deadline: float | None = None,
+                  ) -> Iterator[tuple[ProgramPath, SymbolicState | SymExecError]]:
+    """Trace the unfolding's paths with a `marked` piece as its walk
+    (`PathEnumeration.walk`) builds them; yields `(path, outcome)` for each
+    in unfolding order.  The outcome is the state its blocks give when run
+    alone, or the SymExecError that stopped them: a term past the bounds of
+    `node` stops them with TermTooDeep.
+
+    The walk threads a node (`_Node`) down the piece tree, and the piece
+    runner (`_piece_runner`) makes each child node from its parent: so a
+    path runs only its last piece past the nodes above it, and the
+    siblings below a node share the blocks their pieces share.  A failure
+    is the outcome, as one object, of every path below the failing block.
+    A passed deadline stops the walk: the paths not yielded are left to the
+    caller to count from the unfolding's counts."""
+    root, enter = _piece_runner(cfg, code, base_storage, deadline, unfolding.pieces())
+    try:
+        for path, node in unfolding.walk(marked, enter, root):
+            yield path, node.state if isinstance(node, _Node) else node
+    except DeadlinePassed:
+        return
 
 
 def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
                deadline: float | None = None) -> SymbolicState:
-    """The symbolic walk of one path alone, without any solving; raises the
-    SymExecError that stops it.  Transaction boundaries reset environments."""
-    ((_path, outcome),) = execute_paths(cfg, code, [path], base_storage, deadline)
-    if isinstance(outcome, SymExecError):
-        raise outcome
-    return outcome
+    """The symbolic walk of one path alone, without any solving: the piece
+    runner folded over the path's pieces, or over a hand-built path's calls
+    (anything with a `blocks` sequence); raises the SymExecError that stops
+    it.  Every call starts at the root, so a path that is empty or starts
+    elsewhere raises ValueError."""
+    blocks = path.blocks
+    if not blocks or blocks[0] != cfg.root:
+        raise ValueError("a block sequence starts at the root")
+    node, enter = _piece_runner(cfg, code, base_storage, deadline, None)
+    for piece in path.pieces or _calls(cfg, blocks):
+        node = enter(node, piece)
+        if not isinstance(node, _Node):
+            raise node
+    return node.state
 
 
 # Blocks a steered walk (witness replay, constructor pre-run) may run

@@ -177,11 +177,11 @@ def test_a_passed_deadline_stops_the_walk(monkeypatch):
     cfg = get_cfg("toydao")
     path = next(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
     assert len(path.blocks) > 16  # the walk reads the clock at its 16th block
-    paths = [path] * 300
+    unfolding = enumerate_paths(cfg, PathBounds(call_depth=4))
     outcomes = list(symexec_module.execute_paths(cfg, get_contract("toydao").runtime_code,
-                                                 paths, {}, deadline=time.monotonic() - 1))
-    assert [p for p, _outcome in outcomes] == paths
-    assert all(isinstance(outcome, symexec_module.DeadlinePassed) for _b, outcome in outcomes)
+                                                 unfolding, unfolding.money_marker(set()), {},
+                                                 deadline=time.monotonic() - 1))
+    assert outcomes == [] and unfolding.count(unfolding.money_marker(set())) > 300
     assert len(runs) < 16
 
 
@@ -267,6 +267,7 @@ def test_the_call_memo_holds_at_most_a_full_memory(monkeypatch):
     code = parse_hex(f"5b62{MEMORY_CAP // 3:06x}600060003960003560005733ff")
     cfg = build_cfg(disassemble(code))
     paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=2)), cfg, set()))
+    unfolding = enumerate_paths(cfg, PathBounds(call_depth=2))
     held, runs = [], []
     delta, run_body = symexec_module._CallDelta, symexec_module._run_body
     monkeypatch.setattr(symexec_module, "_CallDelta", lambda *args: held.append(
@@ -278,8 +279,9 @@ def test_the_call_memo_holds_at_most_a_full_memory(monkeypatch):
         monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", entries)
         held.clear()
         runs.clear()
-        walked = list(symexec_module.execute_paths(cfg, code, paths, {}))
-        assert len(walked) == len(paths) > 2
+        walked = list(symexec_module.execute_paths(cfg, code, unfolding,
+                                                   unfolding.money_marker(set()), {}))
+        assert [p for p, _state in walked] == paths and len(paths) > 2
         assert sum(held) <= entries
         return len(held), len(runs)
 

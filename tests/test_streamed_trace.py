@@ -33,10 +33,10 @@ def test_analyze_builds_paths_only_as_it_traces_them(monkeypatch):
     built = []
 
     class Recorded(report_module.PathEnumeration):
-        def select(self, marked):
-            for path in super().select(marked):
+        def walk(self, marked, step, start):
+            for path, value in super().walk(marked, step, start):
                 built.append(path)
-                yield path
+                yield path, value
 
     shared_walk = report_module.execute_paths
 
@@ -55,8 +55,8 @@ def test_analyze_builds_paths_only_as_it_traces_them(monkeypatch):
     assert report.statistics["timed_out"] is True
     assert _trace_diagnostics(report) == [
         f"trace_timed_out: deadline passed; {money - 2} money path(s) not analyzed"]
-    # the three paths traced and the one the walk looks ahead to
-    assert len(built) == 4 < money
+    # the three paths traced: the walk looks no path ahead
+    assert len(built) == 3 < money
 
 
 def test_a_timed_out_report_counts_the_paths_not_analyzed(monkeypatch):

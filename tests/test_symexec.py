@@ -11,6 +11,7 @@ from evmscope.cfg import BasicBlock, Cfg, Terminator, build_cfg
 from evmscope.disasm import Instruction, disassemble, parse_hex
 from evmscope.keccak import keccak256, selector
 from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths, filter_money
+from evmscope.report import AnalysisConfig, analyze
 from evmscope.solver import BoundedSolver
 from evmscope.symexec import (
     DeadlinePassed,
@@ -39,7 +40,7 @@ from evmscope.symexec import (
 )
 
 from asmtool import Asm
-from conftest import FIXTURES, MICRO, get_cfg, get_contract
+from conftest import FIXTURES, MICRO, REGISTRY_TXT, get_cfg, get_contract
 
 WORD = 1 << 256
 
@@ -202,18 +203,10 @@ def test_free_vars_and_concretize():
 
 # -- interpreter over block sequences ------------------------------------------
 
-def _paths(*block_seqs):
-    """Bare block sequences as paths; the walk reads only their blocks."""
-    return [ProgramPath(tuple(blocks), ()) for blocks in block_seqs]
-
-
 def _alone(cfg, code, blocks, storage):
     """The state of one block sequence walked by itself; raises the
     SymExecError that stops it."""
-    ((_path, outcome),) = execute_paths(cfg, code, _paths(blocks), storage)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return trace_path(cfg, code, ProgramPath(tuple(blocks), ()), storage)
 
 
 def _run(code_hex, blocks=None, storage=None):
@@ -656,7 +649,14 @@ def _observable(state):
             state.mem_unknown, state.call_start)
 
 
-def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant=False):
+def _walk(cfg, code, bounds, storage=None, marked=None, reentrant=False):
+    """The trace walk over the unfolding: (path, outcome) pairs."""
+    unfolding = enumerate_paths(cfg, bounds, reentrant)
+    return list(execute_paths(cfg, code, unfolding, marked or (lambda _piece: True),
+                              storage or {}))
+
+
+def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant, monkeypatch):
     contract = get_contract(name)
     code = contract.runtime_code
     instructions = disassemble(code)
@@ -666,27 +666,32 @@ def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant=False):
         storage, _diags = run_constructor(build_cfg(disassemble(contract.creation_code)),
                                           contract.creation_code)
     payable, _details = detect_payable_entries(cfg, instructions)
-    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=call_depth),
-                                              include_reentrant), cfg, payable))
-    shared = list(execute_paths(cfg, code, paths, storage))
-    assert [p for p, _state in shared] == paths
-    for p, state in shared:
-        assert _observable(state) == _observable(_alone(cfg, code, p.blocks, storage))
+    bounds = PathBounds(call_depth=call_depth)
+    paths = list(filter_money(enumerate_paths(cfg, bounds, include_reentrant), cfg, payable))
+    alone = [_observable(_alone(cfg, code, p.blocks, storage)) for p in paths]
+    unfolding = enumerate_paths(cfg, bounds, include_reentrant)
+    marked = unfolding.money_marker(payable)
+    for entries in (symexec_module.MEMO_ENTRIES, 0):  # with the memo, then frames alone
+        monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", entries)
+        shared = list(execute_paths(cfg, code, unfolding, marked, storage))
+        assert [p for p, _state in shared] == paths
+        assert [_observable(state) for _p, state in shared] == alone
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json")),
                          ids=lambda p: p.stem)
-def test_shared_walk_matches_solo_execution(path):
-    _assert_shared_walk_matches_solo(path.stem, 3)
+def test_shared_walk_matches_solo_execution(path, monkeypatch):
+    for reentrant in (False, True):
+        _assert_shared_walk_matches_solo(path.stem, 3, reentrant, monkeypatch)
 
 
 @pytest.mark.parametrize("reentrant", [False, True], ids=["whole_calls", "reentrant"])
-@pytest.mark.parametrize("name", ["toydao", "enjinbuyer", "problematic", "micarstoken",
-                                  "gigstoken"])
-def test_shared_walk_matches_solo_execution_at_bound_four(name, reentrant):
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json"))
+                         + sorted(p.stem for p in MICRO.glob("*.json")))
+def test_shared_walk_matches_solo_execution_at_bound_four(name, reentrant, monkeypatch):
     """At four calls most calls are reused from the memo: every leaf state
     still equals the state its blocks give alone, on every field."""
-    _assert_shared_walk_matches_solo(name, 4, reentrant)
+    _assert_shared_walk_matches_solo(name, 4, reentrant, monkeypatch)
 
 
 # CALL (records a transfer), then branch on calldata to REVERT or to STOP
@@ -694,15 +699,11 @@ _CALL_THEN_BRANCH = "6000" * 7 + "f1" + "50" + "6000" + "35" + "601b" + "57" \
     + "6000" + "6000" + "fd" + "5b" + "00"
 
 
-@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (0, 2, 1, 3)])
-def test_revert_branch_leaves_sibling_records_live(order):
+def test_revert_branch_leaves_sibling_records_live():
     code = parse_hex(_CALL_THEN_BRANCH)
     cfg = build_cfg(disassemble(code))
-    unfolded = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
-    assert len(unfolded) == 4
-    paths = [unfolded[i] for i in order]
-    outcomes = list(execute_paths(cfg, code, paths, {}))
-    assert [p for p, _state in outcomes] == paths
+    outcomes = _walk(cfg, code, PathBounds(call_depth=2))
+    assert len(outcomes) == 4
     for p, state in outcomes:
         blocks = p.blocks
         assert _observable(state) == _observable(_alone(cfg, code, blocks, {}))
@@ -720,18 +721,20 @@ _STORE_CALL_THEN_BRANCH = "33600055" + "6000" * 7 + "f1" + "50" + "6000" + "35" 
 def test_revert_resumed_from_a_saved_fork_drops_only_its_own_call(monkeypatch):
     code = parse_hex(_STORE_CALL_THEN_BRANCH)
     cfg = build_cfg(disassemble(code))
-    reverts = {b.id for b in cfg.blocks.values() if b.last.mnemonic == "REVERT"}
-    stops = [p for p in enumerate_paths(cfg, PathBounds(call_depth=2))
-             if p.blocks[2] not in reverts]
-    # call 1 stops; call 2 stops, then the same prefix with call 2 reverting
-    first, second = sorted(stops, key=lambda p: p.blocks[-1] in reverts)
-    assert first.blocks[:-1] == second.blocks[:-1] and len(second.blocks) == 6
-    runs = []
-    monkeypatch.setattr(symexec_module, "_run_body",
-                        lambda *args: runs.append(args[2].id) or _run_body(*args))
-    (_, stopped), (_, reverted) = execute_paths(cfg, code, [first, second], {})
-    # the second path resumes from the fork saved at call 2's JUMPI
-    assert runs == [*first.blocks, second.blocks[-1]]
+    runs = _counting_runs(monkeypatch)
+    per_path = []
+    unfolding = enumerate_paths(cfg, PathBounds(call_depth=2))
+    for _path, state in execute_paths(cfg, code, unfolding, lambda _piece: True, {}):
+        per_path.append((runs.copy(), state))
+        runs.clear()
+    # each call reverts (26) or stops (31) after its JUMPI block (19); a
+    # piece that parts from its sibling there resumes from the fork saved
+    # at that JUMPI, and a call after a stopped one writes again, so is not
+    # the call after a reverted one
+    assert [r for r, _state in per_path] == [[0, 19, 26, 0, 19, 26], [31],
+                                             [31, 0, 19, 26], [31]]
+    _, reverted = per_path[2]
+    _, stopped = per_path[3]
     assert stopped.storage_writes == [(const(0), var("CALLER#1")), (const(0), var("CALLER#2"))]
     assert [(rec.kind, rec.txn) for rec in stopped.records] == [("CALL", 1), ("CALL", 2)]
     assert reverted.storage_writes == [(const(0), var("CALLER#1"))]
@@ -748,8 +751,8 @@ def _counting_runs(monkeypatch) -> list[int]:
 
 def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
     """Each shared block prefix runs at most once, and a call started from
-    a state a call of the same blocks started from before runs not at all:
-    over the corpus's money paths at call bound 3, 1,242 block bodies run
+    a state a call of the same piece started from before runs not at all:
+    over the corpus's money paths at call bound 3, 1,233 block bodies run
     where the prefix trie has 4,428 nodes."""
     runs = _counting_runs(monkeypatch)
     total_runs = total_nodes = 0
@@ -757,13 +760,28 @@ def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
         code, cfg = get_contract(name).runtime_code, get_cfg(name)
         paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg))
         runs.clear()
-        for _path, _outcome in execute_paths(cfg, code, paths, {}):
-            pass
+        unfolding = enumerate_paths(cfg, PathBounds(call_depth=3))
+        walked = list(execute_paths(cfg, code, unfolding, unfolding.money_marker(set()), {}))
+        assert [p for p, _state in walked] == paths
         nodes = len({p.blocks[:n] for p in paths for n in range(1, len(p.blocks) + 1)})
         assert len(runs) <= nodes, name
         total_runs += len(runs)
         total_nodes += nodes
-    assert (total_runs, total_nodes) == (1242, 4428)
+    assert (total_runs, total_nodes) == (1233, 4428)
+
+
+@pytest.mark.parametrize("call_bound, most", [(2, 557), (3, 1273), (4, 3349)])
+def test_a_corpus_pass_runs_no_more_block_bodies_than_a_walk_of_paths(monkeypatch, call_bound,
+                                                                     most):
+    """The piece tree keeps the sharing inside a call that a walk resuming
+    each path along the one before had: a corpus pass at call bounds 2, 3
+    and 4 runs at most the 557, 1,273 and 3,349 block bodies that walk ran."""
+    runs = _counting_runs(monkeypatch)
+    config = AnalysisConfig(bounds=PathBounds(call_depth=call_bound), transfer_limit=30,
+                            registry_fixture=str(REGISTRY_TXT), include_timing=False)
+    for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
+        analyze(get_contract(name), config)
+    assert 0 < len(runs) <= most
 
 
 # JUMPI on calldata word 0 to 7, else STOP; 7: JUMPDEST; CALLER; SELFDESTRUCT.
@@ -775,10 +793,10 @@ _STOP_OR_DESTRUCT = "600035600757" + "00" + "5b33ff"
 def test_a_call_started_from_the_same_state_runs_once(monkeypatch):
     code = parse_hex(_STOP_OR_DESTRUCT)
     cfg = build_cfg(disassemble(code))
-    paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
-    assert [p.blocks for p in paths] == [(0, 6, 0, 6), (0, 6, 0, 7), (0, 7, 0, 6), (0, 7, 0, 7)]
     runs = _counting_runs(monkeypatch)
-    walked = list(execute_paths(cfg, code, paths, {}))
+    walked = _walk(cfg, code, PathBounds(call_depth=2))
+    assert [p.blocks for p, _state in walked] == [
+        (0, 6, 0, 6), (0, 6, 0, 7), (0, 7, 0, 6), (0, 7, 0, 7)]
     # call 2 runs its blocks 0, 6 and 7 once, after the first call-1 piece
     assert runs == [0, 6, 0, 6, 7, 7]
     monkeypatch.setattr(symexec_module, "_run_body", _run_body)
@@ -788,20 +806,13 @@ def test_a_call_started_from_the_same_state_runs_once(monkeypatch):
     assert [state.call_start for _p, state in walked] == [(0, 0), (0, 0), (0, 1), (0, 1)]
 
 
-def test_a_call_cut_off_by_the_path_end_keeps_its_frame_and_is_not_reused(monkeypatch):
-    # PUSH1 1, then the branch of _STOP_OR_DESTRUCT to 9.  Call 2 of the two
-    # hand-built paths starts from the same state, and each path ends in
-    # call 2's first block, with the 1 still on the stack
+def test_a_hand_built_path_that_ends_mid_call_keeps_its_stack():
+    # PUSH1 1, then the branch of _STOP_OR_DESTRUCT to 9: a path cut off in
+    # call 2's first block still has the 1 on the stack
     code = parse_hex("6001" "600035600957" "00" "5b33ff")
     cfg = build_cfg(disassemble(code))
-    paths = _paths((0, 8, 0), (0, 9, 0))
-    runs = _counting_runs(monkeypatch)
-    walked = list(execute_paths(cfg, code, paths, {}))
-    assert runs == [0, 8, 0, 9, 0]
-    monkeypatch.setattr(symexec_module, "_run_body", _run_body)
-    for p, state in walked:
-        assert state.stack == [ONE]
-        assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
+    for blocks in ((0, 8, 0), (0, 9, 0)):
+        assert _alone(cfg, code, blocks, {}).stack == [ONE]
 
 
 def test_a_call_the_memo_cannot_hold_runs_again(monkeypatch):
@@ -810,9 +821,10 @@ def test_a_call_the_memo_cannot_hold_runs_again(monkeypatch):
     monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", 0)
     code = parse_hex(_STOP_OR_DESTRUCT)
     cfg = build_cfg(disassemble(code))
-    paths = list(enumerate_paths(cfg, PathBounds(call_depth=3)))
     runs = _counting_runs(monkeypatch)
-    walked = list(execute_paths(cfg, code, paths, {}))
+    walked = _walk(cfg, code, PathBounds(call_depth=3))
+    paths = [p for p, _state in walked]
+    assert paths == list(enumerate_paths(cfg, PathBounds(call_depth=3)))
     assert len(runs) == len({p.blocks[:n] for p in paths for n in range(1, len(p.blocks) + 1)})
     monkeypatch.setattr(symexec_module, "_run_body", _run_body)
     for p, state in walked:
@@ -825,6 +837,9 @@ def test_trace_path_runs_exactly_its_own_blocks(monkeypatch):
     runs = _counting_runs(monkeypatch)
     trace_path(cfg, code, path, {})
     assert runs == list(path.blocks)
+    runs.clear()
+    _alone(cfg, code, path.blocks, {})  # a hand-built path, split at its call starts
+    assert runs == list(path.blocks)
 
 
 # JUMPI on calldata word 0 to 15 (JUMPDEST; CALL on an empty stack; STOP),
@@ -836,14 +851,17 @@ _TWO_WAYS_OR_FAIL = "600035600f57" + "602035600d57" + "00" + "5b00" + "5bf100"
 def test_a_failing_call_fails_anew_under_each_prefix():
     code = parse_hex(_TWO_WAYS_OR_FAIL)
     cfg = build_cfg(disassemble(code))
-    paths = _paths((0, 6, 12, 0, 15), (0, 6, 13, 0, 15), (0, 6, 13, 0, 15, 17))
-    (_, first), (_, second), (_, below) = execute_paths(cfg, code, paths, {})
+    walked = dict((p.blocks, outcome) for p, outcome in _walk(cfg, code, PathBounds(call_depth=2)))
+    first, second = walked[0, 6, 12, 0, 15, 17], walked[0, 6, 13, 0, 15, 17]
     assert isinstance(first, StackUnderflow) and isinstance(second, StackUnderflow)
     assert first is not second and str(first) == str(second)
-    assert below is second  # the same failing prefix: one error
+    # the same failing prefix: one error
+    below = [outcome for blocks, outcome in walked.items() if blocks[:2] == (0, 15)]
+    assert len(below) == 3 and isinstance(below[0], StackUnderflow)
+    assert all(outcome is below[0] for outcome in below)
 
 
-def test_a_deadline_mid_walk_is_the_outcome_of_every_path_left(monkeypatch):
+def test_a_deadline_mid_walk_stops_the_walk(monkeypatch):
     code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
     paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
     reads = []
@@ -854,58 +872,40 @@ def test_a_deadline_mid_walk_is_the_outcome_of_every_path_left(monkeypatch):
         check(deadline - 1e9 if len(reads) == 10 else deadline)
 
     monkeypatch.setattr(symexec_module, "check_deadline", expire_at_the_tenth_read)
-    walked = list(execute_paths(cfg, code, paths, {}, deadline=time.monotonic() + 3600))
-    assert [p for p, _outcome in walked] == paths
-    late = [n for n, (_p, outcome) in enumerate(walked) if isinstance(outcome, DeadlinePassed)]
-    assert late == list(range(late[0], len(paths))) and 0 < late[0] < len(paths) - 1
-    assert all(walked[n][1] is walked[late[0]][1] for n in late)
+    unfolding = enumerate_paths(cfg, PathBounds(call_depth=4))
+    walked = list(execute_paths(cfg, code, unfolding, unfolding.money_marker(set()), {},
+                                deadline=time.monotonic() + 3600))
+    # a prefix of the paths, each with its own outcome; none after the deadline
+    assert 0 < len(walked) < len(paths) - 1 and len(reads) == 10
+    assert [p for p, _outcome in walked] == paths[:len(walked)]
+    assert not any(isinstance(outcome, SymExecError) for _p, outcome in walked)
 
 
 def test_a_reused_call_is_a_step_of_the_clock(monkeypatch):
     """The clock is read every 16 steps, a step being a block run or a
     stored call reused, so a walk of reused calls reads it too."""
     code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
-    paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=4)), cfg))
     runs = _counting_runs(monkeypatch)
     reused, reads = [], []
-    append_call = symexec_module._append_call
-    monkeypatch.setattr(symexec_module, "_append_call",
-                        lambda *args: reused.append(1) or append_call(*args))
+    after_call = symexec_module._after_call
+    monkeypatch.setattr(symexec_module, "_after_call",
+                        lambda *args: reused.append(1) or after_call(*args))
     monkeypatch.setattr(symexec_module, "check_deadline", reads.append)
-    for _path, _outcome in execute_paths(cfg, code, paths, {}):
+    unfolding = enumerate_paths(cfg, PathBounds(call_depth=4))
+    for _path, _outcome in execute_paths(cfg, code, unfolding, unfolding.money_marker(set()),
+                                         {}):
         pass
     assert len(reused) > 100
     assert len(reads) == (len(runs) + len(reused)) // 16
 
 
-@pytest.mark.parametrize("order", ["reversed", "shuffled"])
-def test_walk_in_any_order_matches_solo_execution(order):
-    """A sequence resumes from a frame along the sequence before it, or from
-    a shallower one: in any order, with duplicates and prefixes, each
-    sequence gets the state it gets alone."""
-    rng = random.Random(11)
-    for name in ("toydao", "bitway", "suicide_guarded_0", "micro_dispatcher"):
-        code, cfg = get_contract(name).runtime_code, get_cfg(name)
-        paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
-        if order == "reversed":
-            paths.reverse()
-        else:
-            paths += rng.sample(paths, len(paths) // 4)
-            rng.shuffle(paths)
-        first = paths[0]
-        paths += [*_paths(first.blocks[:3]), first, first, *_paths(first.blocks[:1])]
-        walked = list(execute_paths(cfg, code, paths, {}))
-        assert [p for p, _state in walked] == paths
-        for p, state in walked:
-            assert _observable(state) == _observable(_alone(cfg, code, p.blocks, {}))
-
-
 def test_shared_walk_reports_failure_below_failing_block():
-    code = parse_hex("f100")  # CALL on an empty stack, then STOP
+    # CALL on an empty stack, then STOP: the call block fails, under a
+    # callback piece too
+    code = parse_hex("f100")
     cfg = build_cfg(disassemble(code))
-    paths = _paths((0, 1), (0, 1, 0, 1))
-    outcomes = list(execute_paths(cfg, code, paths, {}))
-    assert [p for p, _exc in outcomes] == paths
+    outcomes = _walk(cfg, code, PathBounds(call_depth=2), reentrant=True)
+    assert [p.blocks for p, _exc in outcomes] == [(0, 0, 1), (0, 1, 0, 1)]
     assert isinstance(outcomes[0][1], StackUnderflow)
     assert outcomes[0][1] is outcomes[1][1]
 
@@ -914,34 +914,13 @@ def test_a_failure_is_the_outcome_of_every_later_sequence_below_the_failing_bloc
     # JUMPI on calldata to 6: STOP, or to 7: JUMPDEST; CALL on an empty stack
     code = parse_hex("600035600757005bf100")
     cfg = build_cfg(disassemble(code))
-    paths = _paths((0, 7, 9, 0, 6), (0, 7), (0, 6, 0, 6), (0, 7, 9, 0, 7, 9))
-    outcomes = [outcome for _path, outcome in execute_paths(cfg, code, paths, {})]
-    assert isinstance(outcomes[0], StackUnderflow)
-    assert outcomes[1] is outcomes[0] and outcomes[3] is outcomes[0]
-    assert _observable(outcomes[2]) == _observable(_alone(cfg, code, paths[2].blocks, {}))
-
-
-def test_the_walk_yields_the_very_paths_it_is_given():
-    """Each outcome comes with the object it was given, in order: below a
-    failing block, and after a passed deadline too.  Equal copies stay apart."""
-    code = parse_hex("600035600757005bf100")
-    cfg = build_cfg(disassemble(code))
-    paths = _paths((0, 7, 9, 0, 6), (0, 7), (0, 6, 0, 6), (0, 7, 9, 0, 7, 9))
-    paths.insert(2, ProgramPath(*paths[1]))
-    walked = list(execute_paths(cfg, code, paths, {}))
-    assert len(walked) == len(paths)
-    assert all(got is given for (got, _outcome), given in zip(walked, paths))
-    assert isinstance(walked[1][1], StackUnderflow) and walked[2][1] is walked[1][1]
-
-    code, cfg = get_contract("toydao").runtime_code, get_cfg("toydao")
-    paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
-    paths.append(ProgramPath(*paths[-1]))
-    walked = list(execute_paths(cfg, code, paths, {}, deadline=time.monotonic() - 1))
-    assert len(walked) == len(paths)
-    assert all(got is given for (got, _outcome), given in zip(walked, paths))
-    late = [outcome for _path, outcome in walked if isinstance(outcome, DeadlinePassed)]
-    assert late and len(late) < len(paths)
-    assert all(outcome is late[0] for outcome in late)
+    walked = _walk(cfg, code, PathBounds(call_depth=2))
+    assert [p.blocks for p, _outcome in walked] == [
+        (0, 6, 0, 6), (0, 6, 0, 7, 9), (0, 7, 9, 0, 6), (0, 7, 9, 0, 7, 9)]
+    outcomes = [outcome for _path, outcome in walked]
+    assert _observable(outcomes[0]) == _observable(_alone(cfg, code, walked[0][0].blocks, {}))
+    assert isinstance(outcomes[1], StackUnderflow) and isinstance(outcomes[2], StackUnderflow)
+    assert outcomes[3] is outcomes[2] and outcomes[1] is not outcomes[2]
 
 
 @pytest.mark.parametrize("blocks", [(), (7,)])
@@ -950,4 +929,4 @@ def test_a_path_that_does_not_start_at_the_root_is_refused(blocks):
     code = parse_hex("600035600757005bf100")
     cfg = build_cfg(disassemble(code))
     with pytest.raises(ValueError, match="starts at the root"):
-        list(execute_paths(cfg, code, [ProgramPath(blocks, ())], {}))
+        trace_path(cfg, code, ProgramPath(blocks, ()), {})

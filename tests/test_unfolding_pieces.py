@@ -107,6 +107,34 @@ def test_unfolded_paths_are_their_blocks_and_calls(call_depth):
             assert estimator.path_gas(path) == gas == estimator.path_gas(plain), name
 
 
+def _common(a, b) -> int:
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
+def test_the_unfolding_order_lets_a_piece_look_one_piece_ahead(reentrant):
+    """What the trace walk's frames rest on.  Paths come in strictly
+    increasing block order.  Each piece records the prefix it shares with
+    the next piece of the list, and no later piece shares more with it, so
+    the frames a piece saves inside that prefix serve every later sibling."""
+    assert len(_NAMES) == 52
+    for name, cfg, _payable in _PROGRAMS:
+        for call_depth in (1, 2, 3, 4):
+            paths = list(enumerate_paths(cfg, PathBounds(call_depth=call_depth),
+                                         include_reentrant=reentrant))
+            assert all(a.blocks < b.blocks for a, b in zip(paths, paths[1:])), name
+        pieces = enumerate_paths(cfg, PathBounds(), include_reentrant=reentrant).pieces()
+        assert [p.index for p in pieces] == list(range(len(pieces))), name
+        assert pieces[-1].shared == 0, name
+        for i, piece in enumerate(pieces[:-1]):
+            assert piece.shared == _common(piece.blocks, pieces[i + 1].blocks), name
+            assert all(_common(piece.blocks, later.blocks) <= piece.shared
+                       for later in pieces[i + 2:]), name
+
+
 def test_max_gas_ties_go_to_the_first_path():
     # two branches of equal cost: PUSH1 0; CALLDATALOAD; PUSH1 11; JUMPI;
     # 6: JUMPDEST; PUSH1 0; POP; STOP; 11: JUMPDEST; PUSH1 0; POP; STOP
