@@ -1,5 +1,9 @@
-"""Per-path property checkers: transfer limit, non-existing address, guarded
-suicide, black hole, and static gas estimation.  The paths of one analysis
+"""Property rules: transfer limit, non-existing address, guarded suicide,
+black hole, and static gas estimation.  Each rule is a fold over what a
+path's pieces add and a verdict on the result, so the walk over the piece
+tree applies it one piece or call at a time (`PathFacts`, `check_black_hole`
+given the unfolding), and a path's violations follow from its leaf alone;
+the per-path checkers fold one path's lists.  The paths of one analysis
 share pieces, terms and records, so each fact is found once per object it
 comes from: per piece, per record (`ExternalRecord` resolves its own target
 and amount), or in the analysis's `AnalysisMemo`."""
@@ -7,7 +11,8 @@ and amount), or in the analysis's `AnalysisMemo`."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import isa
@@ -53,8 +58,8 @@ class AnalysisMemo:
 
     def __init__(self) -> None:
         # per path-condition term, by identity: (the term, held so that its
-        # id is not reused, is an ownership guard, is a time guard)
-        self.guards: dict[int, tuple[Word, bool, bool]] = {}
+        # id is not reused, its guard bits: 4 ownership, 8 time)
+        self.guards: dict[int, tuple[Word, int]] = {}
         self.addresses: dict[int, bool | str] = {}
         self.violations: dict[tuple, PropertyViolation] = {}
 
@@ -67,27 +72,40 @@ class AnalysisMemo:
         return found
 
 
+def _spend(remaining: int, exact: bool, amount: int | str) -> tuple[int, bool]:
+    """The transfer rule's step: the allowance left after `amount`, and
+    whether it is known."""
+    if amount == UNKNOWN_AMOUNT:
+        # an amount we cannot bound may always break the limit
+        return remaining, False
+    assert isinstance(amount, int) and amount >= 0
+    return remaining - amount, exact
+
+
 @dataclass
 class TransferLedger:
     """Remaining transfer allowance along one path; only ever decreases."""
     limit: int
-    remaining: int = field(init=False)
-    exact: bool = field(init=False, default=True)
+    remaining: int | None = None  # the whole limit unless given
+    exact: bool = True
 
     def __post_init__(self) -> None:
-        self.remaining = self.limit
+        if self.remaining is None:
+            self.remaining = self.limit
 
     def spend(self, amount: int | str) -> None:
-        if amount == UNKNOWN_AMOUNT:
-            # an amount we cannot bound may always break the limit
-            self.exact = False
-            return
-        assert isinstance(amount, int) and amount >= 0
-        self.remaining -= amount
+        self.remaining, self.exact = _spend(self.remaining, self.exact, amount)
 
     @property
     def violated(self) -> bool:
         return self.remaining < 0 or not self.exact
+
+    def violation(self, memo: AnalysisMemo) -> PropertyViolation | None:
+        if not self.violated:
+            return None
+        remaining = self.remaining if self.exact else UNKNOWN_AMOUNT
+        return memo.violation(("transfer_limit", self.limit, remaining), PropertyId.TRANSFER_LIMIT,
+                              {"limit": self.limit, "remaining": remaining})
 
 
 def check_transfer_limit(limit: int, transfers: list[tuple[ExternalRecord, int | str]],
@@ -95,61 +113,8 @@ def check_transfer_limit(limit: int, transfers: list[tuple[ExternalRecord, int |
     """Violation iff the summed outgoing amounts can exceed the limit."""
     ledger = TransferLedger(limit)
     for _rec, amount in transfers:
-        if isinstance(amount, int) and amount == 0:
-            continue
         ledger.spend(amount)
-    if not ledger.violated:
-        return None
-    remaining = ledger.remaining if ledger.exact else UNKNOWN_AMOUNT
-    return memo.violation(("transfer_limit", limit, remaining),
-                          PropertyId.TRANSFER_LIMIT, {"limit": limit, "remaining": remaining})
-
-
-def check_address_existence(records: list[ExternalRecord],
-                            registry: AddressRegistry, memo: AnalysisMemo,
-                            ) -> tuple[list[PropertyViolation], list[str]]:
-    """Flag transfers whose constant 160-bit target is not registered.
-
-    Non-constant targets are skipped: there is no evidence either way.  A
-    registry outage degrades to a warning, never a violation.  The registry
-    is asked once per address per memo, an outage included, and each path
-    that reaches the address gets its own warning.
-    """
-    violations: list[PropertyViolation] = []
-    warnings: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    for rec in records:
-        if rec.kind not in ("CALL", "CALLCODE", "SELFDESTRUCT"):
-            continue
-        resolved = rec.concrete_target
-        if resolved is None:
-            continue
-        address = resolved & ADDRESS_MASK
-        if (rec.offset, address) in seen:
-            continue
-        seen.add((rec.offset, address))
-        outcome = memo.addresses.get(address)
-        if outcome is None:
-            try:
-                outcome = registry.exists(address)
-            except RegistryUnavailable as exc:
-                outcome = str(exc)
-            memo.addresses[address] = outcome
-        if isinstance(outcome, str):
-            warnings.append(
-                f"address registry unavailable for 0x{address:040x} at offset "
-                f"{rec.offset}: {outcome}")
-        elif not outcome:
-            violations.append(memo.violation(
-                ("non_existing_address", address, rec.offset),
-                PropertyId.NON_EXISTING_ADDRESS, {
-                    "address": f"0x{address:040x}",
-                    "instruction_offset": rec.offset,
-                    "note": ("sending to an unregistered address loses the funds; "
-                             "first use also costs at least 25,000 extra to create "
-                             "the account"),
-                }))
-    return violations, warnings
+    return ledger.violation(memo)
 
 
 def _guards(w: Word) -> int:
@@ -173,34 +138,138 @@ def _guards(w: Word) -> int:
     return bits
 
 
-def check_guard_suicide(state: SymbolicState, memo: AnalysisMemo) -> PropertyViolation | None:
-    """Violation when a self-destruct is reachable without an ownership guard.
+# A path's facts: (the transfer allowance left, whether it is exact, the
+# first SELFDESTRUCT's offset or None, the guard bits of its path condition,
+# the (offset, address) of each transfer to one constant address, in order)
+Facts = tuple[int, bool, int | None, int, tuple[tuple[int, int], ...]]
 
-    A date/height constraint is recorded but does not make the destruction
-    safe (anyone can wait).  Paths traced together share path-condition
-    terms; one memo for all of them examines each term once.
-    """
-    destructs = [r for r in state.records if r.kind == "SELFDESTRUCT"]
-    if not destructs:
-        return None
-    guard_facts = memo.guards
-    has_ownership = has_time = False
-    for cond in state.path_condition:
-        facts = guard_facts.get(id(cond))
-        if facts is None:
-            bits = _guards(cond)
-            facts = guard_facts[id(cond)] = (cond, bool(bits & 4), bool(bits & 8))
-        has_ownership = has_ownership or facts[1]
-        has_time = has_time or facts[2]
-    if has_ownership:
-        return None
-    offset = destructs[0].offset
-    return memo.violation(("guard_suicide", offset, has_time),
-                          PropertyId.GUARD_SUICIDE, {
-        "selfdestruct_offset": offset,
-        "missing_guards": {"ownership"} if has_time else {"ownership", "time_or_height"},
-        "present_guards": {"time_or_height"} if has_time else set(),
-    })
+
+class PathFacts:
+    """The transfer-limit, non-existing-address and guarded-suicide rules,
+    each a fold over a path's records and path condition and a verdict on
+    what the fold made.  The trace walk folds them call by call
+    (`symexec.execute_paths` given these facts): a node's facts are its
+    parent's extended by what its last piece added, and a path's
+    violations and registry warnings follow from its leaf's facts alone.
+    The per-path checkers fold one state's lists in one step.  A rule not
+    checked (a None `limit` or `registry`, a false `suicide`) leaves its
+    facts as they start."""
+
+    def __init__(self, limit: int | None, registry: AddressRegistry | None, suicide: bool,
+                 memo: AnalysisMemo) -> None:
+        self.limit = limit
+        self.registry = registry
+        self.suicide = suicide
+        self.memo = memo
+        self.start: Facts = (limit or 0, True, None, 0, ())
+        self.verdicts: dict[Facts, tuple[list[PropertyViolation], list[str]]] = {}
+
+    def extend(self, facts: Facts, before: list[Word], conditions: list[Word],
+               records: list[ExternalRecord]) -> Facts:
+        """`facts` and then a piece's: `before` is the path condition it
+        started from, `conditions` and `records` what it added.  Guard bits
+        are gathered from the first self-destruct on, over the whole path
+        condition then, and up to the first ownership guard."""
+        remaining, exact, destruct, bits, targets = facts
+        if records:
+            if self.limit is not None:
+                for rec in records:
+                    remaining, exact = _spend(remaining, exact, rec.amount)
+            if self.registry is not None:
+                for rec in records:  # a target that is not one constant is no evidence
+                    if rec.kind in ("CALL", "CALLCODE", "SELFDESTRUCT") \
+                            and rec.concrete_target is not None:
+                        target = (rec.offset, rec.concrete_target & ADDRESS_MASK)
+                        if target not in targets:
+                            targets += (target,)
+            if destruct is None and self.suicide:
+                destruct = next((r.offset for r in records if r.kind == "SELFDESTRUCT"), None)
+                if destruct is not None:
+                    conditions = [*before, *conditions]
+        elif destruct is None or bits & 4 or not conditions:
+            return facts
+        if destruct is not None:
+            # paths traced together share terms: each is examined once
+            guards = self.memo.guards
+            for cond in conditions:
+                if bits & 4:
+                    break
+                known = guards.get(id(cond))
+                if known is None:
+                    known = guards[id(cond)] = (cond, _guards(cond) & 12)
+                bits |= known[1]
+        return remaining, exact, destruct, bits, targets
+
+    def verdict(self, facts: Facts) -> tuple[list[PropertyViolation], list[str]]:
+        """The violations of a path with these facts, in the order the
+        rules are listed, and its registry warnings, found once per facts.
+        The registry is asked once per address per memo, an outage
+        included, which degrades to a warning, never a violation."""
+        found = self.verdicts.get(facts)
+        if found is not None:
+            return found
+        remaining, exact, destruct, bits, targets = facts
+        memo = self.memo
+        violations: list[PropertyViolation] = []
+        warnings: list[str] = []
+        if self.limit is not None:
+            violation = TransferLedger(self.limit, remaining, exact).violation(memo)
+            if violation:
+                violations.append(violation)
+        for offset, address in targets:
+            outcome = memo.addresses.get(address)
+            if outcome is None:
+                try:
+                    outcome = self.registry.exists(address)
+                except RegistryUnavailable as exc:
+                    outcome = str(exc)
+                memo.addresses[address] = outcome
+            if isinstance(outcome, str):
+                warnings.append(f"address registry unavailable for 0x{address:040x} at "
+                                f"offset {offset}: {outcome}")
+            elif not outcome:
+                violations.append(memo.violation(
+                    ("non_existing_address", address, offset),
+                    PropertyId.NON_EXISTING_ADDRESS, {
+                        "address": f"0x{address:040x}",
+                        "instruction_offset": offset,
+                        "note": ("sending to an unregistered address loses the funds; "
+                                 "first use also costs at least 25,000 extra to create "
+                                 "the account"),
+                    }))
+        # a date/height constraint is recorded but does not make the
+        # destruction safe (anyone can wait)
+        if destruct is not None and not bits & 4:
+            has_time = bool(bits & 8)
+            violations.append(memo.violation(
+                ("guard_suicide", destruct, has_time), PropertyId.GUARD_SUICIDE, {
+                    "selfdestruct_offset": destruct,
+                    "missing_guards": ({"ownership"} if has_time
+                                       else {"ownership", "time_or_height"}),
+                    "present_guards": {"time_or_height"} if has_time else set(),
+                }))
+        found = self.verdicts[facts] = (violations, warnings)
+        return found
+
+    def of(self, conditions: list[Word], records: list[ExternalRecord],
+           ) -> tuple[list[PropertyViolation], list[str]]:
+        """The verdict on one path's whole lists."""
+        return self.verdict(self.extend(self.start, [], conditions, records))
+
+
+def check_address_existence(records: list[ExternalRecord],
+                            registry: AddressRegistry, memo: AnalysisMemo,
+                            ) -> tuple[list[PropertyViolation], list[str]]:
+    """Flag transfers whose constant 160-bit target is not registered; each
+    path that reaches an address the registry could not answer for gets its
+    own warning."""
+    return PathFacts(None, registry, False, memo).of([], records)
+
+
+def check_guard_suicide(state: SymbolicState, memo: AnalysisMemo) -> PropertyViolation | None:
+    """Violation when a self-destruct is reachable without an ownership guard."""
+    found, _warnings = PathFacts(None, None, True, memo).of(state.path_condition, state.records)
+    return found[0] if found else None
 
 
 # The template the compiler inserts in front of a non-payable function body.
@@ -280,18 +349,25 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
     """For a contract that can never send Ether out, flag every path that
     can take Ether in: one of its pieces passes `takes_ether`, and the
     first that does names the entry.  Paths come from the unfolding, which
-    hands each its pieces; `select(takes_ether(...))` yields just the paths
-    this flags."""
+    hands each its pieces.  Given the unfolding itself, this walks it,
+    threading the first such entry down the piece tree, and builds just the
+    paths it flags."""
     if cfg.money_blocks:
         raise ValueError("black-hole analysis applies only to contracts "
                          "without money-related opcodes")
     if not payable_entries:
         return []
     takes = takes_ether(cfg, payable_entries)
+
+    def first(entry, piece: _Piece):
+        return piece.selector if entry is None and takes(piece) else entry
+
+    walk = getattr(paths, "walk", None)
+    walked = walk(takes, first, None) if walk else (
+        (path, functools.reduce(first, path.pieces, None)) for path in paths)
     by_entry: dict[int | str, PropertyViolation] = {}  # one violation per entry
     out = []
-    for path in paths:
-        entry = next((p.selector for p in path.pieces if takes(p)), None)
+    for path, entry in walked:
         if entry is None:
             continue
         violation = by_entry.get(entry)

@@ -112,7 +112,7 @@ class Cfg:
         self._pred.setdefault(dst, []).append(edge)
         return True
 
-    def add_diagnostic(self, code: str, message: str, offset: int | None = None) -> None:
+    def add_diagnostic(self, code: str, message: str, offset: int | None) -> None:
         for d in self.diagnostics:
             if (d.code, d.message, d.offset) == (code, message, offset):
                 return
@@ -336,7 +336,7 @@ def _jump_targets(cfg: Cfg, target: int, cap: int,
     return targets
 
 
-def stack_simulate(cfg: Cfg, deadline: float | None = None) -> Cfg:
+def stack_simulate(cfg: Cfg, deadline: float | None) -> Cfg:
     """Resolve dangling indirect jumps by constant propagation along paths.
 
     Repeats until no further progress, because adding an indirect-jump edge

@@ -135,6 +135,9 @@ class PathEnumeration:
         # per reachable state, the state after each piece shape that fits
         # there (None: the path ends with that piece); longest prefix first
         self._next: dict[_State, dict[tuple[int, int | None], _State | None]] = {}
+        # per piece marker, by identity: (the marker, held so that its id is
+        # not reused, its `_counts`)
+        self._marked: dict[int, tuple[Callable, dict]] = {}
 
     def _moves(self) -> dict[int, tuple[tuple[int, bool], ...] | None]:
         """Per block: None if it ends a transaction, else its successors in
@@ -301,11 +304,15 @@ class PathEnumeration:
 
     def _counts(self, marked: Callable[[_Piece], bool]) -> dict[_State, tuple[int, int] | None]:
         """Per state: the paths that complete it, and how many of those
-        have no marked piece; None where none does."""
-        return self._fold(
-            lambda _index, p: (1, 0 if marked(p) else 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            lambda w, rest: (w[0] * rest[0], w[1] * rest[1]))
+        have no marked piece; None where none does.  Folded once per
+        marker: a walk and the counts of its marker share one fold."""
+        found = self._marked.get(id(marked))
+        if found is None:
+            found = self._marked[id(marked)] = (marked, self._fold(
+                lambda _index, p: (1, 0 if marked(p) else 1),
+                lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                lambda w, rest: (w[0] * rest[0], w[1] * rest[1])))
+        return found[1]
 
     def count(self, marked: Callable[[_Piece], bool] = _every) -> int:
         """The number of paths with a marked piece, by default every path,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analyzers import PropertyId, PropertyViolation
 from .pathgen import ProgramPath
@@ -57,8 +58,7 @@ class RankConfig:
         self.fmea.pop(prop, None)  # a hand-set weight has no FMEA triple
 
 
-@dataclass(frozen=True)
-class RankedPath:
+class RankedPath(NamedTuple):
     path: ProgramPath
     violations: tuple[PropertyViolation, ...]
     score: Fraction

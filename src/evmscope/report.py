@@ -1,9 +1,9 @@
 """Pipeline orchestration and report generation.
 
 Runs the six stages (disassemble, CFG recovery, bounded path enumeration
-with money filtering, per-path property analysis, criticalness ranking with
-the threshold gate, symbolic-execution feasibility filtering) and assembles
-machine-readable (JSON) and human-readable (HTML) reports.
+with money filtering, property analysis on the trace walk, criticalness
+ranking with the threshold gate, symbolic-execution feasibility filtering)
+and assembles machine-readable (JSON) and human-readable (HTML) reports.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import isa
-from .analyzers import (
+# perfbench/tracer.py patches the per-path check_* here, which analyze()
+# leaves to PathFacts
+from .analyzers import (  # noqa: F401
     AnalysisMemo,
     GasEstimator,
+    PathFacts,
     PropertyId,
     PropertyViolation,
     check_address_existence,
@@ -25,7 +28,6 @@ from .analyzers import (
     check_guard_suicide,
     check_transfer_limit,
     detect_payable_entries,
-    takes_ether,
 )
 from .cfg import Cfg, FALLBACK, build_cfg
 from .disasm import ContractCode, disassemble
@@ -49,7 +51,7 @@ from .symexec import (
     Word,
     execute_path,
     execute_paths,
-    refine_transfer_values,
+    refine_transfer_values,  # noqa: F401 -- perfbench/tracer.py patches this name
     run_constructor,
     trace_path,  # noqa: F401 -- re-exported; perfbench/tracer.py patches this name
 )
@@ -195,7 +197,10 @@ def build_registry(config: AnalysisConfig) -> AddressRegistry:
 def analyze(contract: ContractCode, config: AnalysisConfig,
             registry: AddressRegistry | None = None,
             solver: BoundedSolver | None = None) -> Report:
-    """Run the whole pipeline on one contract."""
+    """Run the whole pipeline on one contract.  The property checks ride on
+    the unfolding's walk: the trace walk folds each call's facts
+    (`PathFacts`) and the black-hole walk each piece's, so each path's
+    violations, warnings and score are read from its leaf's facts."""
     started = time.monotonic()
     deadline = started + config.bounds.wall_time
     if registry is None:
@@ -228,17 +233,26 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     max_gas, max_gas_path = unfolding.max_gas_path(estimator.block_costs)
     money = unfolding.money_marker(payable)
 
-    violations_by_path: list[tuple[ProgramPath, list[PropertyViolation]]] = []
+    ranked: list[RankedPath] = []
+    scores: dict = {}  # one score per (property set, call count) in this analysis
+    firsts: dict[tuple, RankedPath] = {}  # per (the evidence, call count)
+
+    def rank(path: ProgramPath, evidence, violations: list[PropertyViolation]) -> None:
+        """Rank a path as the first path of its evidence and call count was."""
+        first = firsts.get((evidence, path.call_count))
+        if first is None:
+            first = firsts[evidence, path.call_count] = make_ranked(path, violations,
+                                                                    config.rank, scores)
+        ranked.append(RankedPath(path, first.violations, first.score))
 
     def enabled(prop: PropertyId) -> bool:
         return prop not in config.disabled
 
     if not cfg.money_blocks:
         if enabled(PropertyId.BLACK_HOLE):
-            # only the paths with a piece that takes Ether in are built
-            black_holes = unfolding.select(takes_ether(cfg, payable))
-            for path, violation in check_black_hole(cfg, black_holes, payable):
-                violations_by_path.append((path, [violation]))
+            # the walk builds only the paths with a piece that takes Ether in
+            for path, violation in check_black_hole(cfg, unfolding, payable):
+                rank(path, id(violation), [violation])
     else:
         check_limit = config.transfer_limit is not None and enabled(PropertyId.TRANSFER_LIMIT)
         check_addr = registry.mode != "disabled" and enabled(PropertyId.NON_EXISTING_ADDRESS)
@@ -250,37 +264,26 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         traced = money if check_limit or check_addr else (
             lambda piece: not destructs.isdisjoint(piece.blocks))
         # the trace walks the piece tree, so each path runs only its last
-        # piece; a piece that fails skips the paths below the failing block,
-        # reported once
+        # piece, and folds each call's share of the facts the rules need as
+        # it enters it; a path's violations follow from its leaf's facts.  A
+        # piece that fails skips the paths below the failing block, reported once
+        facts = PathFacts(config.transfer_limit if check_limit else None,
+                          registry if check_addr else None, check_suicide, AnalysisMemo())
         outcomes = execute_paths(cfg, contract.runtime_code, unfolding, traced,
-                                 base_storage, deadline)
+                                 base_storage, deadline, facts)
         skipped: dict[SymExecError, int] = {}
-        memo = AnalysisMemo()
         analyzed = 0
-        for path, state in outcomes:
+        for path, outcome in outcomes:
             if time.monotonic() > deadline:
                 break
             analyzed += 1
-            if isinstance(state, SymExecError):
-                skipped[state] = skipped.get(state, 0) + 1
+            if isinstance(outcome, SymExecError):
+                skipped[outcome] = skipped.get(outcome, 0) + 1
                 continue
-            found: list[PropertyViolation] = []
-            if check_limit:
-                v = check_transfer_limit(config.transfer_limit,
-                                         refine_transfer_values(state), memo)
-                if v:
-                    found.append(v)
-            if check_addr:
-                addr_violations, addr_warnings = check_address_existence(state.records,
-                                                                         registry, memo)
-                found.extend(addr_violations)
-                diagnostics.extend(addr_warnings)
-            if check_suicide:
-                v = check_guard_suicide(state, memo)
-                if v:
-                    found.append(v)
+            found, warnings = facts.verdict(outcome)
+            diagnostics += warnings
             if found:
-                violations_by_path.append((path, found))
+                rank(path, outcome, found)
         left = unfolding.count(traced) - analyzed
         if left:
             diagnostics.append(f"trace_timed_out: deadline passed; "
@@ -289,9 +292,6 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             diagnostics.append(f"trace_abandoned: {type(exc).__name__} ({exc}); "
                                f"{count} money path(s) not analyzed")
 
-    scores: dict = {}  # one score per (property set, call count) in this analysis
-    ranked = [make_ranked(path, viols, config.rank, scores)
-              for path, viols in violations_by_path]
     plan = rank_and_gate(ranked, config.rank)
 
     feasibility: dict[tuple, Feasibility] = {}  # by the path's blocks
@@ -329,7 +329,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     block_lines: dict[int, frozenset[int]] = {}
     rank_no = 0
     for rp in plan.ordered:
-        feas = feasibility.get(rp.path.blocks)
+        feas = feasibility.get(rp.path.blocks) if feasibility else None
         if feas is None:
             status, witness = FEAS_NOT_CHECKED, None
         elif feas.status is FeasibilityStatus.INFEASIBLE:
@@ -412,12 +412,14 @@ _ITEM = ",\n        "
 def _write_paths(parts: list[str], report: Report) -> None:
     labels = {b: _json_str(label) for b, label in report.block_labels.items()}
     # Texts by the identity of what they render: the report holds every
-    # path, and so its pieces, scores and violations, while this runs.
-    # Paths of one score share the object (a Fraction's hash is slow), and
-    # an analysis makes one violation object per distinct evidence.
+    # path, and so its pieces, scores, violations and call sequences, while
+    # this runs.  Paths of one score share the object (a Fraction's hash is
+    # slow), an analysis makes one violation object per distinct evidence,
+    # and paths of equal functions share a witness-free call sequence.
     score_texts: dict[int, str] = {}
     violation_texts: dict[tuple[int, ...], str] = {}
     piece_texts: dict[int, str] = {}  # a piece's block labels, joined
+    call_texts: dict[int, str] = {}
     opening = "[\n    {\n      "
     for cp in report.critical_paths:
         ranked = cp.ranked
@@ -433,6 +435,10 @@ def _write_paths(parts: list[str], report: Report) -> None:
         if violation_text is None:
             violation_text = violation_texts[key] = _json_text(
                 [v.as_dict() for v in violations], "      ")
+        calls = call_texts.get(id(cp.call_sequence))
+        if calls is None:
+            calls = call_texts[id(cp.call_sequence)] = _str_list(map(_json_str,
+                                                                     cp.call_sequence))
         blocks = []
         for piece in ranked.path.pieces or (ranked.path,):  # a hand-built path: one piece
             text = piece_texts.get(id(piece))
@@ -442,7 +448,7 @@ def _write_paths(parts: list[str], report: Report) -> None:
             blocks.append(text)
         parts += (opening, '"rank": ', str(cp.rank), _KEY, score_text,
                   _KEY, '"length": ', str(ranked.path.call_count),
-                  _KEY, '"call_sequence": ', _str_list(map(_json_str, cp.call_sequence)),
+                  _KEY, '"call_sequence": ', calls,
                   _KEY, '"violations": ', violation_text,
                   _KEY, '"feasibility": ', _json_str(cp.feasibility),
                   _KEY, '"witness": ', _json_text(_witness_dict(cp.witness), "      "),

@@ -759,11 +759,18 @@ def _after_call(entry: SymbolicState, delta: _CallDelta) -> SymbolicState:
 class _Node:
     """A piece boundary of a walk: the state the pieces above it leave, and
     what its child pieces share.  Its state is never run on: a child runs
-    on a copy, or on a frame an earlier child saved."""
-    __slots__ = ("state", "block", "operands", "calls", "ran", "frames", "failed")
+    on a copy, or on a frame an earlier child saved.  A node a stored call
+    made holds the state that call started from and the call's delta until
+    its state is first asked for, so a leaf of a reused call builds none."""
+    __slots__ = ("_state", "delta", "facts", "block", "operands", "calls", "ran", "frames",
+                 "failed")
 
-    def __init__(self, state: SymbolicState, block, operands: tuple) -> None:
-        self.state = state
+    def __init__(self, state: SymbolicState, block, operands: tuple, facts,
+                 delta: _CallDelta | None) -> None:
+        self._state = state
+        self.delta = delta
+        # what the walk's fold made of the pieces above it
+        self.facts = facts
         # the block a callback piece leaves and its jump operands, which the
         # next piece continues from; None after a terminal block
         self.block = block
@@ -776,6 +783,12 @@ class _Node:
         self.ran = -1
         self.frames: list[tuple[int, SymbolicState, tuple]] = []
         self.failed: tuple[int, SymExecError] | None = None
+
+    @property
+    def state(self) -> SymbolicState:
+        if self.delta is not None:
+            self._state, self.delta = _after_call(self._state, self.delta), None
+        return self._state
 
 
 class _Call(NamedTuple):
@@ -796,13 +809,20 @@ def _calls(cfg: Cfg, blocks: tuple[int, ...]) -> list[_Call]:
 
 
 def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
-                  deadline: float | None, pieces: list | None,
+                  deadline: float | None, pieces: list | None, facts,
                   ) -> tuple[_Node, Callable[[Any, Any], Any]]:
     """The root node of a walk, and `enter(node, piece)`: it runs `piece`
     from `node` and gives the node below it, or the SymExecError that stops
     the piece (a DeadlinePassed it raises).  `pieces` is the unfolding's
     list, whose pieces a node enters in list order; None, for a walk of
     one path, keeps nothing for another piece.
+
+    Given `facts` (see `execute_paths`), each node's facts are its
+    parent's extended by what its piece added: `facts.extend(parent's,
+    before, conditions, records)`, `before` being the path condition the
+    piece started from.  The root's are `facts.start`.  A REVERT that
+    drops records the parent holds (a callback's caller reverting) folds
+    the node's whole lists from the start instead.
 
     A piece resumes from the deepest frame its node's last piece saved
     inside the prefix the two share, or from a copy of the node's state.
@@ -820,16 +840,18 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     start empty, no handler reads the path condition or the records, base
     storage and the code are the walk's own, and an unwritten slot reads
     the same word in any state.  Entering a stored piece from an equal
-    head builds its state from what the piece changed (`_CallDelta`)
-    instead of running it, so a call reached under many prefixes runs
-    once.  A callback piece, and
-    the pieces after it up to the call's end, continue their caller's call
-    and are not stored.  The memo holds every object whose identity its
+    head gives a node that builds its state from what the piece changed
+    (`_CallDelta`) when the state is first asked for, instead of running
+    it, so a call reached under many prefixes runs once.  A callback
+    piece, and the pieces after it up to the call's end, continue their
+    caller's call and are not stored.  The memo holds every object whose identity its
     keys use, and at most MEMO_ENTRIES list entries; a piece that fails is
     not stored.  The clock is read every 16 steps, a step being a block run
     or a stored piece reused."""
     root = _Node(SymbolicState(base_storage=dict(base_storage), balance=var("BALANCE0"),
-                               code=code, deadline=deadline), None, ())
+                               code=code, deadline=deadline), None, (),
+                 None if facts is None else facts.start, None)
+    fold = None if facts is None else facts.extend
     sharing = pieces is not None
     shared = [p.shared for p in pieces] if sharing else []
     memo: dict[tuple, dict[int, _CallDelta]] = {}  # by head, then piece index
@@ -859,7 +881,9 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
                     steps += 1
                     if not steps & 0xF:
                         check_deadline(deadline)
-                    return _Node(_after_call(entry, delta), None, ())
+                    return _Node(entry, None, (), fold and fold(
+                        node.facts, entry.path_condition, delta.conditions, delta.records),
+                        delta)
             if ran >= 0:
                 common = shared[ran] if index == ran + 1 else min(shared[ran:index])
                 if node.failed is not None and node.failed[0] < common:
@@ -900,8 +924,16 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
         except SymExecError as error:
             node.failed = (depth, error)
             return error
+        below = None
+        if fold is not None:
+            known, before = len(entry.records), entry.path_condition
+            if len(state.records) < known:
+                below = fold(root.facts, (), state.path_condition, state.records)
+            else:
+                below = fold(node.facts, before, state.path_condition[len(before):],
+                             state.records[known:])
         if block.terminator is not Terminator.TERMINAL:
-            return _Node(state, block, operands)
+            return _Node(state, block, operands, below, None)
         if whole:
             conditions, records = len(entry.path_condition), state.call_start[1]
             size = (len(state.path_condition) - conditions + len(state.records) - records
@@ -912,20 +944,24 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
                     state.path_condition[conditions:], state.records[records:],
                     state.storage_writes.copy(), state.balance, state.fresh_counter,
                     entry.balance)
-        return _Node(state, None, ())
+        return _Node(state, None, (), below, None)
 
     return root, enter
 
 
 def execute_paths(cfg: Cfg, code: bytes, unfolding: PathEnumeration,
                   marked: Callable[[Any], bool], base_storage: dict[Word, Word],
-                  deadline: float | None = None,
-                  ) -> Iterator[tuple[ProgramPath, SymbolicState | SymExecError]]:
+                  deadline: float | None = None, facts=None,
+                  ) -> Iterator[tuple[ProgramPath, Any]]:
     """Trace the unfolding's paths with a `marked` piece as its walk
     (`PathEnumeration.walk`) builds them; yields `(path, outcome)` for each
     in unfolding order.  The outcome is the state its blocks give when run
     alone, or the SymExecError that stopped them: a term past the bounds of
-    `node` stops them with TermTooDeep.
+    `node` stops them with TermTooDeep.  Given `facts`, a fold over what
+    each piece adds to a path (`analyzers.PathFacts`: its `start` and
+    `extend`), it is instead the facts the fold made of the path's pieces
+    (see `_piece_runner`), and no leaf that a reused call made builds its
+    state.
 
     The walk threads a node (`_Node`) down the piece tree, and the piece
     runner (`_piece_runner`) makes each child node from its parent: so a
@@ -934,10 +970,13 @@ def execute_paths(cfg: Cfg, code: bytes, unfolding: PathEnumeration,
     is the outcome, as one object, of every path below the failing block.
     A passed deadline stops the walk: the paths not yielded are left to the
     caller to count from the unfolding's counts."""
-    root, enter = _piece_runner(cfg, code, base_storage, deadline, unfolding.pieces())
+    root, enter = _piece_runner(cfg, code, base_storage, deadline, unfolding.pieces(), facts)
     try:
         for path, node in unfolding.walk(marked, enter, root):
-            yield path, node.state if isinstance(node, _Node) else node
+            if type(node) is not _Node:
+                yield path, node
+            else:
+                yield path, node.state if facts is None else node.facts
     except DeadlinePassed:
         return
 
@@ -952,7 +991,7 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
     blocks = path.blocks
     if not blocks or blocks[0] != cfg.root:
         raise ValueError("a block sequence starts at the root")
-    node, enter = _piece_runner(cfg, code, base_storage, deadline, None)
+    node, enter = _piece_runner(cfg, code, base_storage, deadline, None, None)
     for piece in path.pieces or _calls(cfg, blocks):
         node = enter(node, piece)
         if not isinstance(node, _Node):

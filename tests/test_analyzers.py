@@ -187,9 +187,24 @@ def test_each_record_resolves_its_target_and_amount_once(monkeypatch):
     concretize = symexec.concretize
     monkeypatch.setattr(symexec, "concretize", lambda w: resolved.append(w) or concretize(w))
     held = []  # each analyzed path's records
-    refine = report.refine_transfer_values
-    monkeypatch.setattr(report, "refine_transfer_values",
-                        lambda state: held.append(list(state.records)) or refine(state))
+    walk = report.execute_paths
+
+    class Tracked:
+        """The analysis's facts, with the records of the path so far beside them."""
+
+        def __init__(self, facts):
+            self.start = (facts.start, ())
+            self.extend = lambda value, before, conditions, records: (
+                facts.extend(value[0], before, conditions, records), value[1] + tuple(records))
+
+    def tracked_walk(*args):
+        for path, outcome in walk(*args[:-1], Tracked(args[-1])):
+            if isinstance(outcome, tuple):
+                outcome, records = outcome
+                held.append(records)
+            yield path, outcome
+
+    monkeypatch.setattr(report, "execute_paths", tracked_walk)
     analyze(get_contract("toydao"),
             AnalysisConfig(bounds=PathBounds(call_depth=3), transfer_limit=30,
                            registry_fixture=str(REGISTRY_TXT), include_timing=False))

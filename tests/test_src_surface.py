@@ -167,4 +167,4 @@ def test_settable_values_do_not_grow():
     """Each default is a value a caller may set and a test must cover; the
     search sizes of the solver, for one, are fixed.  Lower the bound when a
     change removes one."""
-    assert sum(_settable_values(ast.parse(path.read_text())) for path in _SRC) <= 95
+    assert sum(_settable_values(ast.parse(path.read_text())) for path in _SRC) <= 94

@@ -61,14 +61,18 @@ def test_analyze_builds_paths_only_as_it_traces_them(monkeypatch):
 
 def test_a_timed_out_report_counts_the_paths_not_analyzed(monkeypatch):
     # the clock runs out on its 40th reading, while the unfolding is still
-    # selecting paths; each path analyzed meets the guard_suicide check once
+    # selecting paths; each path analyzed asks for its facts' verdict once
     readings = itertools.count()
     monkeypatch.setattr(time, "monotonic",
                         lambda: 1000.0 if next(readings) < 40 else 1e9)
     checked = []
-    check = report_module.check_guard_suicide
-    monkeypatch.setattr(report_module, "check_guard_suicide",
-                        lambda *args: checked.append(1) or check(*args))
+
+    class Counted(report_module.PathFacts):
+        def verdict(self, facts):
+            checked.append(1)
+            return super().verdict(facts)
+
+    monkeypatch.setattr(report_module, "PathFacts", Counted)
     contract = ContractCode(runtime_code=parse_hex(_diamonds(5)), name="diamonds_5")
     report = analyze(contract, AnalysisConfig(bounds=PathBounds(call_depth=3),
                                               include_timing=False))

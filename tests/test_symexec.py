@@ -784,6 +784,23 @@ def test_a_corpus_pass_runs_no_more_block_bodies_than_a_walk_of_paths(monkeypatc
     assert 0 < len(runs) <= most
 
 
+@pytest.mark.parametrize("call_bound, most", [(3, 267), (4, 2036)])
+def test_a_corpus_pass_builds_a_reused_call_state_only_below_it(monkeypatch, call_bound, most):
+    """A call the memo reuses builds its state only when a piece below it
+    is entered, and a leaf's facts come from the call's delta: a corpus
+    pass at call bounds 3 and 4 builds at most 267 and 2,036 such states,
+    where building one per reuse built 1,287 and 9,213."""
+    built = []
+    after_call = symexec_module._after_call
+    monkeypatch.setattr(symexec_module, "_after_call",
+                        lambda *args: built.append(1) or after_call(*args))
+    config = AnalysisConfig(bounds=PathBounds(call_depth=call_bound), transfer_limit=30,
+                            registry_fixture=str(REGISTRY_TXT), include_timing=False)
+    for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
+        analyze(get_contract(name), config)
+    assert 0 < len(built) <= most
+
+
 # JUMPI on calldata word 0 to 7, else STOP; 7: JUMPDEST; CALLER; SELFDESTRUCT.
 # Neither call writes storage, draws a fresh word or moves the balance, so
 # each call after the first starts from the same state whichever came before.

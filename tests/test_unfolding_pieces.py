@@ -14,10 +14,11 @@ import pytest
 from evmscope.analyzers import GasEstimator, detect_payable_entries
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
-from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths, filter_money
+from evmscope.pathgen import (PathBounds, PathEnumeration, ProgramPath, enumerate_paths,
+                              filter_money)
 from evmscope.report import AnalysisConfig, analyze
 
-from conftest import get_contract
+from conftest import FIXTURES, REGISTRY_TXT, get_contract
 from test_unfolding_reference import _DIAMOND_LOOP, _LOOPS, _NAMES, _RecursiveEnumeration
 
 
@@ -200,3 +201,18 @@ def test_analysis_of_a_diamond_chain_stops_at_the_deadline(k, depth):
     assert report.statistics["timed_out"] is True
     expected = 0 if k == 32 else 32 ** 4
     assert report.statistics["paths_enumerated"] == expected
+
+
+def test_a_corpus_pass_folds_each_marker_once(monkeypatch):
+    """A walk and the counts of its marker share one fold of the path
+    counts: a corpus pass at call bound 4 folds at most 99 times, where
+    folding the money marker once per use folded 137 times."""
+    folds = []
+    fold = PathEnumeration._fold
+    monkeypatch.setattr(PathEnumeration, "_fold",
+                        lambda self, *args: folds.append(1) or fold(self, *args))
+    config = AnalysisConfig(bounds=PathBounds(call_depth=4), transfer_limit=30,
+                            registry_fixture=str(REGISTRY_TXT), include_timing=False)
+    for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
+        analyze(get_contract(name), config)
+    assert 0 < len(folds) <= 99
