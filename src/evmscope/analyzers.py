@@ -382,21 +382,22 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
 
 class GasEstimator:
     """Static per-path gas: the sum of every instruction's scheduled cost,
-    added up once per piece."""
+    added up once per piece.  One estimator serves the paths of one
+    unfolding, whose pieces it tells apart by their place in its list."""
 
     def __init__(self, cfg: Cfg, gas_table: isa.GasTable = isa.DEFAULT_GAS):
         self.block_costs = {block_id: estimate_gas(block.instructions, gas_table)
                             for block_id, block in cfg.blocks.items()}
-        # per piece, by identity: (its gas, the piece, held so that its id
-        # is not reused); a path without pieces counts as one
-        self._gas: dict[int, tuple[int, object]] = {}
+        self._piece_gas: dict[int, int] = {}  # by the piece's index
 
     def path_gas(self, path: ProgramPath) -> int:
+        if not path.pieces:  # a hand-built path
+            return sum(map(self.block_costs.__getitem__, path.blocks))
+        known = self._piece_gas
         total = 0
-        for piece in path.pieces or (path,):
-            known = self._gas.get(id(piece))
-            if known is None:
-                known = self._gas[id(piece)] = (
-                    sum(map(self.block_costs.__getitem__, piece.blocks)), piece)
-            total += known[0]
+        for piece in path.pieces:
+            gas = known.get(piece.index)
+            if gas is None:
+                gas = known[piece.index] = sum(map(self.block_costs.__getitem__, piece.blocks))
+            total += gas
         return total

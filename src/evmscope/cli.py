@@ -23,7 +23,7 @@ from .disasm import load_contract
 from .isa import load_gas_overrides
 from .pathgen import PathBounds
 from .ranker import RankConfig
-from .report import AnalysisConfig, analyze, build_registry, emit, to_json
+from .report import AnalysisConfig, analyze, build_registry, emit, write_json
 
 _PROPERTY_NAMES = {p.value: p for p in PropertyId}
 _ALPHA_NAMES = {
@@ -204,7 +204,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
     else:
-        sys.stdout.write(to_json(report))
+        write_json(report, sys.stdout.write)
     return 2 if report.has_violations else 0
 
 
@@ -245,18 +245,19 @@ def _run_batch(args: argparse.Namespace) -> int:
             continue
         emit(report, args.output, out_dir / path.stem, contract.source)
         any_violation = any_violation or report.has_violations
+        stats = report.statistics
+        # the next analysis must not run while this report is still held
+        del report
         summary.append({
             "contract": contract.name,
             "file": path.name,
-            "paths_enumerated": report.statistics["paths_enumerated"],
-            "paths_money_related": report.statistics["paths_money_related"],
-            "paths_symbolically_executed":
-                report.statistics["paths_symbolically_executed"],
-            "violation_counts": report.statistics["violation_counts"],
-            "timed_out": report.statistics["timed_out"],
+            "paths_enumerated": stats["paths_enumerated"],
+            "paths_money_related": stats["paths_money_related"],
+            "paths_symbolically_executed": stats["paths_symbolically_executed"],
+            "violation_counts": stats["violation_counts"],
+            "timed_out": stats["timed_out"],
         })
-        print(f"{contract.name}: "
-              f"{sum(report.statistics['violation_counts'].values())} warning(s)",
+        print(f"{contract.name}: {sum(stats['violation_counts'].values())} warning(s)",
               file=sys.stderr)
     totals: dict[str, int] = {}
     for entry in summary:

@@ -127,7 +127,7 @@ def rank_and_gate(ranked: list[RankedPath], config: RankConfig) -> GatePlan:
     places, distinct = _score_places(ranked)
 
     def key(rp: RankedPath) -> tuple:
-        return places[id(rp.score)], rp.path.call_count, rp.path.blocks
+        return places[id(rp.score)], len(rp.path.functions), rp.path.blocks
 
     ordered = sorted(ranked, key=key)
     # the scores above the threshold hold the first places
@@ -136,7 +136,7 @@ def rank_and_gate(ranked: list[RankedPath], config: RankConfig) -> GatePlan:
     queue: list[RankedPath] = []
     deferred: dict[frozenset, list[RankedPath]] = {}
     seen: set[frozenset] = set()
-    for rp in sorted(admitted, key=lambda rp: (rp.path.call_count, rp.path.blocks)):
+    for rp in sorted(admitted, key=lambda rp: (len(rp.path.functions), rp.path.blocks)):
         prop_set = rp.property_set
         if prop_set in seen:
             deferred.setdefault(prop_set, []).append(rp)

@@ -4,6 +4,9 @@ Runs the six stages (disassemble, CFG recovery, bounded path enumeration
 with money filtering, property analysis on the trace walk, criticalness
 ranking with the threshold gate, symbolic-execution feasibility filtering)
 and assembles machine-readable (JSON) and human-readable (HTML) reports.
+`write_json` writes a report's JSON text row by row through the caller's
+`write`, so a file or stdout never waits for the whole text; `to_json`
+joins the same rows for the callers that want a string.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 import html
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import isa
 # perfbench/tracer.py patches the per-path check_* here, which analyze()
@@ -77,8 +82,8 @@ class AnalysisConfig:
     gas_overrides: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
-class CriticalPath:
+class CriticalPath(NamedTuple):
+    """One row of the ranked list."""
     rank: int
     ranked: RankedPath
     call_sequence: list[str]
@@ -166,18 +171,19 @@ def to_call_sequence(path: ProgramPath, contract: ContractCode,
 
 
 def _source_lines(path: ProgramPath, cfg: Cfg, source_map: dict[int, int],
-                  block_lines: dict[int, frozenset[int]]) -> list[int]:
-    """The source lines of the path's instructions; `block_lines` keeps each
-    block's line set for the other paths of the same analysis."""
+                  piece_lines: dict[int, frozenset[int]]) -> list[int]:
+    """The source lines of the path's instructions; `piece_lines` keeps each
+    piece's line set, by identity, for the other paths of the same
+    analysis, which hold the pieces while it runs."""
     if not source_map:
         return []
     lines: set[int] = set()
-    for block_id in path.blocks:
-        found = block_lines.get(block_id)
+    for piece in path.pieces or (path,):  # a hand-built path: one piece
+        found = piece_lines.get(id(piece))
         if found is None:
-            found = block_lines[block_id] = frozenset(
-                source_map[ins.offset] for ins in cfg.blocks[block_id].instructions
-                if ins.offset in source_map)
+            found = piece_lines[id(piece)] = frozenset(
+                source_map[ins.offset] for block_id in piece.blocks
+                for ins in cfg.blocks[block_id].instructions if ins.offset in source_map)
         lines |= found
     return sorted(lines)
 
@@ -239,10 +245,10 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     def rank(path: ProgramPath, evidence, violations: list[PropertyViolation]) -> None:
         """Rank a path as the first path of its evidence and call count was."""
-        first = firsts.get((evidence, path.call_count))
+        key = (evidence, len(path.functions))
+        first = firsts.get(key)
         if first is None:
-            first = firsts[evidence, path.call_count] = make_ranked(path, violations,
-                                                                    config.rank, scores)
+            first = firsts[key] = make_ranked(path, violations, config.rank, scores)
         ranked.append(RankedPath(path, first.violations, first.score))
 
     def enabled(prop: PropertyId) -> bool:
@@ -326,8 +332,8 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         return seq
 
     critical: list[CriticalPath] = []
-    block_lines: dict[int, frozenset[int]] = {}
-    rank_no = 0
+    piece_lines: dict[int, frozenset[int]] = {}
+    path_gas = estimator.path_gas
     for rp in plan.ordered:
         feas = feasibility.get(rp.path.blocks) if feasibility else None
         if feas is None:
@@ -336,22 +342,18 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             continue  # proven-impossible paths never reach the report
         else:
             status, witness = feas.status.value, feas.witness
-        rank_no += 1
         critical.append(CriticalPath(
-            rank=rank_no,
-            ranked=rp,
-            call_sequence=call_sequence(rp.path, witness),
-            feasibility=status,
-            witness=witness,
-            gas=estimator.path_gas(rp.path),
-            source_lines=_source_lines(rp.path, cfg, contract.source_map, block_lines),
-        ))
+            len(critical) + 1, rp, call_sequence(rp.path, witness), status, witness,
+            path_gas(rp.path), _source_lines(rp.path, cfg, contract.source_map, piece_lines)))
 
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    violation_counts: dict[str, int] = {}
-    for cp in critical:
-        for v in cp.ranked.violations:
-            violation_counts[v.property.value] = violation_counts.get(v.property.value, 0) + 1
+    # the paths of one evidence and call count share their first's
+    # violations tuple: each tuple counts once, weighted by its rows
+    distinct = {id(first.violations): first.violations for first in firsts.values()}
+    violation_counts: Counter[str] = Counter()
+    for held, rows in Counter([id(cp.ranked.violations) for cp in critical]).items():
+        for v in distinct[held]:
+            violation_counts[v.property.value] += rows
 
     statistics = {
         "total_time_ms": elapsed_ms if config.include_timing else None,
@@ -385,22 +387,26 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 # Emission
 # ---------------------------------------------------------------------------
 
-def to_json(report: Report) -> str:
-    """The text of `json.dumps(report_dict, indent=2) + "\\n"`.  Critical paths
-    are written from a fixed template straight from their fields; the label
-    text of each block and of each piece, the score text of each score object
-    and the text of each list of violation objects are made once per report."""
-    parts = ['{\n  "schema": ', str(SCHEMA_VERSION),
-             ',\n  "contract": ', _json_str(report.contract_name),
-             ',\n  "gas_schedule": ', _json_str(isa.GAS_SCHEDULE_NAME),
-             ',\n  "config": ', _json_text(report.config_echo, "  "),
-             ',\n  "statistics": ', _json_text(report.statistics, "  "),
-             ',\n  "critical_paths": ']
+def write_json(report: Report, write: Callable[[str], object]) -> None:
+    """Write the text of `json.dumps(report_dict, indent=2) + "\\n"` through
+    `write`: the head, then one critical path at a time, then the tail."""
+    write(f'{{\n  "schema": {SCHEMA_VERSION}'
+          f',\n  "contract": {_json_str(report.contract_name)}'
+          f',\n  "gas_schedule": {_json_str(isa.GAS_SCHEDULE_NAME)}'
+          f',\n  "config": {_json_text(report.config_echo, "  ")}'
+          f',\n  "statistics": {_json_text(report.statistics, "  ")}'
+          ',\n  "critical_paths": ')
     if report.critical_paths:
-        _write_paths(parts, report)
+        _write_paths(write, report)
     else:
-        parts.append("[]")
-    parts += ',\n  "diagnostics": ', _json_text(report.diagnostics, "  "), "\n}\n"
+        write("[]")
+    write(f',\n  "diagnostics": {_json_text(report.diagnostics, "  ")}\n}}\n')
+
+
+def to_json(report: Report) -> str:
+    """The report's JSON text, as `write_json` writes it."""
+    parts: list[str] = []
+    write_json(report, parts.append)
     return "".join(parts)
 
 
@@ -409,60 +415,66 @@ _KEY = ",\n      "
 _ITEM = ",\n        "
 
 
-def _write_paths(parts: list[str], report: Report) -> None:
+def _write_paths(write: Callable[[str], object], report: Report) -> None:
+    """Each critical path from a fixed template, as one string.  Texts are
+    kept by the identity of what they render: the report holds every path,
+    and so its pieces, scores, violations and call sequences, while this
+    runs.  Paths of one score share the object (a Fraction's hash is
+    slow), an analysis makes one violations tuple per evidence and call
+    count, and paths of equal functions share a witness-free call
+    sequence.  So the rows without a witness that also agree on
+    feasibility and length share their text from score to witness, and a
+    row adds only its rank, gas, blocks and source lines."""
     labels = {b: _json_str(label) for b, label in report.block_labels.items()}
-    # Texts by the identity of what they render: the report holds every
-    # path, and so its pieces, scores, violations and call sequences, while
-    # this runs.  Paths of one score share the object (a Fraction's hash is
-    # slow), an analysis makes one violation object per distinct evidence,
-    # and paths of equal functions share a witness-free call sequence.
-    score_texts: dict[int, str] = {}
-    violation_texts: dict[tuple[int, ...], str] = {}
+    middles: dict[tuple, str] = {}
+    violation_texts: dict[int, str] = {}
     piece_texts: dict[int, str] = {}  # a piece's block labels, joined
-    call_texts: dict[int, str] = {}
     opening = "[\n    {\n      "
     for cp in report.critical_paths:
-        ranked = cp.ranked
-        score = ranked.score
-        score_text = score_texts.get(id(score))
-        if score_text is None:
-            score_text = score_texts[id(score)] = (
-                f'"score": {float.__repr__(float(score))}{_KEY}'
-                f'"score_exact": "{score.numerator}/{score.denominator}"')
-        violations = ranked.violations
-        key = tuple(map(id, violations))
-        violation_text = violation_texts.get(key)
-        if violation_text is None:
-            violation_text = violation_texts[key] = _json_text(
-                [v.as_dict() for v in violations], "      ")
-        calls = call_texts.get(id(cp.call_sequence))
-        if calls is None:
-            calls = call_texts[id(cp.call_sequence)] = _str_list(map(_json_str,
-                                                                     cp.call_sequence))
-        blocks = []
-        for piece in ranked.path.pieces or (ranked.path,):  # a hand-built path: one piece
-            text = piece_texts.get(id(piece))
-            if text is None:
-                text = piece_texts[id(piece)] = _ITEM.join(
+        rank, (path, violations, score), calls, feasibility, witness, gas, lines = cp
+        if witness is None:
+            key = (id(score), id(violations), id(calls), feasibility, len(path.functions))
+            middle = middles.get(key)
+            if middle is None:
+                middle = middles[key] = _row_middle(cp, violation_texts)
+        else:
+            middle = _row_middle(cp, violation_texts)
+        pieces = path.pieces or (path,)  # a hand-built path: one piece
+        try:
+            blocks = _ITEM.join(map(piece_texts.__getitem__, map(id, pieces)))
+        except KeyError:  # a piece not written before
+            for piece in pieces:
+                piece_texts[id(piece)] = _ITEM.join(
                     [labels.get(b) or _json_str(str(b)) for b in piece.blocks])
-            blocks.append(text)
-        parts += (opening, '"rank": ', str(cp.rank), _KEY, score_text,
-                  _KEY, '"length": ', str(ranked.path.call_count),
-                  _KEY, '"call_sequence": ', calls,
-                  _KEY, '"violations": ', violation_text,
-                  _KEY, '"feasibility": ', _json_str(cp.feasibility),
-                  _KEY, '"witness": ', _json_text(_witness_dict(cp.witness), "      "),
-                  _KEY, '"gas": ', str(cp.gas),
-                  _KEY, '"blocks": ', _str_list(blocks),
-                  _KEY, '"source_lines": ', _str_list(map(str, cp.source_lines)),
-                  "\n    }")
+            blocks = _ITEM.join(map(piece_texts.__getitem__, map(id, pieces)))
+        line_text = _str_list(_ITEM.join(map(str, lines))) if lines else "[]"
+        write(f'{opening}"rank": {rank}{_KEY}{middle}{_KEY}"gas": {gas}'
+              f'{_KEY}"blocks": {_str_list(blocks)}{_KEY}"source_lines": {line_text}\n    }}')
         opening = ",\n    {\n      "
-    parts.append("\n  ]")
+    write("\n  ]")
 
 
-def _str_list(texts) -> str:
-    """A list-valued field of a critical path, from its items' JSON texts."""
-    joined = _ITEM.join(texts)
+def _row_middle(cp: CriticalPath, violation_texts: dict[int, str]) -> str:
+    """A critical path's text from its score to its witness."""
+    ranked = cp.ranked
+    score = ranked.score
+    violations = ranked.violations
+    violation_text = violation_texts.get(id(violations))
+    if violation_text is None:
+        violation_text = violation_texts[id(violations)] = _json_text(
+            [v.as_dict() for v in violations], "      ")
+    return (f'"score": {float.__repr__(float(score))}'
+            f'{_KEY}"score_exact": "{score.numerator}/{score.denominator}"'
+            f'{_KEY}"length": {len(ranked.path.functions)}'
+            f'{_KEY}"call_sequence": {_str_list(_ITEM.join(map(_json_str, cp.call_sequence)))}'
+            f'{_KEY}"violations": {violation_text}'
+            f'{_KEY}"feasibility": {_json_str(cp.feasibility)}'
+            f'{_KEY}"witness": {_json_text(_witness_dict(cp.witness), "      ")}')
+
+
+def _str_list(joined: str) -> str:
+    """A list-valued field of a critical path, from its items' JSON texts
+    joined by `_ITEM`."""
     return f"[\n        {joined}\n      ]" if joined else "[]"
 
 
@@ -582,13 +594,15 @@ def to_html(report: Report, source: str | None = None) -> str:
 
 def emit(report: Report, fmt: str, out_base: str | Path,
          source: str | None = None) -> list[Path]:
-    """Write the report in the requested format(s); returns written paths."""
+    """Write the report in the requested format(s); returns written paths.
+    The JSON text goes to its file one critical path at a time."""
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("json", "both"):
         path = out_base.with_suffix(".json")
-        path.write_text(to_json(report))
+        with path.open("w") as fp:
+            write_json(report, fp.write)
         written.append(path)
     if fmt in ("html", "both"):
         path = out_base.with_suffix(".html")

@@ -1,5 +1,6 @@
 import json
 import time
+import weakref
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -417,6 +418,33 @@ def test_batch_records_a_failed_analysis_and_goes_on(tmp_path, capsys, monkeypat
     assert [entry["file"] for entry in contracts] == ["pay_const_0.json", "sink_3.json",
                                                        "toydao.json"]
     assert contracts[1] == {"file": "sink_3.json", "error": "RuntimeError: analysis blew up"}
+
+
+def test_batch_releases_each_report_before_the_next_analysis(tmp_path, monkeypatch):
+    """Batch peak memory is one report's, not two neighbours': each report
+    and its graph are gone before the next `analyze()` starts."""
+    for name in ("pay_const_0", "sink_3", "toydao"):
+        (tmp_path / f"{name}.json").write_text((FIXTURES / f"{name}.json").read_text())
+    real_analyze = analyze
+    previous: list[weakref.ref] = []
+    alive_at_start = []
+
+    def analyze_and_watch(contract, config, **kwargs):
+        alive_at_start.append([ref() is not None for ref in previous])
+        report = real_analyze(contract, config, **kwargs)
+        previous[:] = [weakref.ref(report), weakref.ref(report.cfg)]
+        return report
+
+    monkeypatch.setattr("evmscope.cli.analyze", analyze_and_watch)
+    out = tmp_path / "reports"
+    assert cli_main(["batch", str(tmp_path), "--out", str(out), "--call-bound", "2",
+                     "--transfer-limit", "30"]) == 2
+    assert alive_at_start == [[], [False, False], [False, False]]
+    for name in ("pay_const_0", "sink_3", "toydao"):
+        assert (out / f"{name}.json").read_text() == to_json(real_analyze(
+            load_contract(FIXTURES / f"{name}.json"),
+            AnalysisConfig(bounds=PathBounds(call_depth=2), transfer_limit=30,
+                           include_timing=False)))
 
 
 @pytest.mark.parametrize("doc, message", [

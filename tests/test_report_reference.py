@@ -1,22 +1,29 @@
 """The template JSON writer against the report-as-dict reference.
 
 `report_reference.py` keeps the former dict construction of a report.
-`to_json` writes critical paths from a fixed template and must give exactly
-`json.dumps(reference_dict(report), indent=2) + "\\n"`: for every fixture at
-call bounds 1 to 4 (witness-bearing reports, witness arguments and values in
-call sequences, two-violation paths, source lines) and for hand-built reports that no fixture produces.  Each path's
+`write_json` writes critical paths from a fixed template, one at a time,
+and what it writes, into a string buffer, into a file, or joined by
+`to_json`, must be exactly `json.dumps(reference_dict(report), indent=2) +
+"\\n"`: for every fixture at call bounds 1 to 4 (witness-bearing reports,
+witness arguments and values in call sequences, two-violation paths, source
+lines) and for hand-built reports that no fixture produces.  Each path's
 call sequence and source lines, made once per distinct input within an
-analysis, must equal those made for the path alone.
+analysis, must equal those made for the path alone, and the warning counts,
+made once per distinct violations tuple, must equal a count over every path
+and violation.
 """
 
 import dataclasses
+import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import evmscope.report as report_module
 from evmscope.analyzers import PropertyId, PropertyViolation
-from evmscope.pathgen import PathBounds, ProgramPath
+from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths
 from evmscope.ranker import RankedPath
 from evmscope.report import (
     AnalysisConfig,
@@ -26,6 +33,7 @@ from evmscope.report import (
     analyze,
     to_call_sequence,
     to_json,
+    write_json,
 )
 
 from conftest import FIXTURES, MICRO, REGISTRY_TXT, get_cfg, get_contract
@@ -41,20 +49,31 @@ def _config(call_bound: int) -> AnalysisConfig:
                           solver_timeout_ms=2000)  # every query decides
 
 
-def _assert_matches_reference(report: Report) -> str:
+def _assert_matches_reference(report: Report, tmp_path) -> str:
+    """The report's text, checked against the reference, written into a
+    string buffer one critical path per write and written into a file."""
     text = to_json(report)
     assert text == json.dumps(reference_dict(report), indent=2) + "\n"
+    buffer, writes = io.StringIO(), []
+    write_json(report, lambda chunk: writes.append(buffer.write(chunk)))
+    assert buffer.getvalue() == text
+    # the head, each path (or an empty list), then the list's end and the tail
+    assert len(writes) == 3 + len(report.critical_paths)
+    out = tmp_path / "report.json"
+    with out.open("w") as fp:
+        write_json(report, fp.write)
+    assert out.read_text() == text
     return text
 
 
 @pytest.mark.parametrize("call_bound", [1, 2, 3, 4])
-def test_every_fixture_report_matches_reference(call_bound):
+def test_every_fixture_report_matches_reference(call_bound, tmp_path):
     config = _config(call_bound)
     kinds = set()
     for name in NAMES:
         contract, cfg = get_contract(name), get_cfg(name)
         report = analyze(contract, config)
-        _assert_matches_reference(report)
+        _assert_matches_reference(report, tmp_path)
         for cp in report.critical_paths:
             path = cp.ranked.path
             assert cp.call_sequence == to_call_sequence(path, contract, cp.witness)
@@ -73,16 +92,16 @@ def test_every_fixture_report_matches_reference(call_bound):
         assert ("witness", True) in kinds
 
 
-def test_report_with_no_critical_paths():
+def test_report_with_no_critical_paths(tmp_path):
     report = analyze(get_contract("safe_token_0"), _config(2))
     assert report.critical_paths == []
-    assert '"critical_paths": [],' in _assert_matches_reference(report)
+    assert '"critical_paths": [],' in _assert_matches_reference(report, tmp_path)
     bare = Report(contract_name="", statistics={}, critical_paths=[], diagnostics=[],
                   config_echo={}, block_labels={})
-    _assert_matches_reference(bare)
+    _assert_matches_reference(bare, tmp_path)
 
 
-def test_non_ascii_name_signature_and_diagnostic():
+def test_non_ascii_name_signature_and_diagnostic(tmp_path):
     contract = get_contract("toydao")
     functions = {sel: {**meta, "signature": "wíthdraw€😀()"}
                  for sel, meta in contract.functions.items()}
@@ -91,7 +110,7 @@ def test_non_ascii_name_signature_and_diagnostic():
     report.diagnostics.append("naïve: \"quoted\"\tand \x00 escaped")
     assert report.critical_paths
     assert any("€" in s for cp in report.critical_paths for s in cp.call_sequence)
-    text = _assert_matches_reference(report)
+    text = _assert_matches_reference(report, tmp_path)
     assert text.isascii()
 
 
@@ -110,7 +129,7 @@ def _hand_built_path(rank: int, score: Fraction, blocks: tuple[int, ...],
     )
 
 
-def test_hand_built_paths_witness_scores_and_evidence():
+def test_hand_built_paths_witness_scores_and_evidence(tmp_path):
     suicide = PropertyViolation(PropertyId.GUARD_SUICIDE, {
         "selfdestruct_offset": 7, "missing_guards": {"time_or_height", "ownership"},
         "present_guards": set()})
@@ -135,8 +154,78 @@ def test_hand_built_paths_witness_scores_and_evidence():
         config_echo=_config_echo(AnalysisConfig()),
         block_labels={0: "entry", 4: "0x4:ret"},  # block 99 has no label
     )
-    text = _assert_matches_reference(report)
+    text = _assert_matches_reference(report, tmp_path)
     assert '"CALLVALUE#1": "0x20000000000000"' in text
     assert '"CALLDATA#1@4": "9007199254740991"' in text
     assert '"limit": 1,' in text and '"limit": true,' in text
     assert '"99"' in text
+
+
+def test_rows_that_share_their_objects_keep_their_own_witness_and_length(tmp_path):
+    """Rows without a witness share the text from score to witness when
+    they share the score object, the violations tuple, the call-sequence
+    list and the feasibility; a row with a witness, or with another number
+    of calls, writes its own.  Paths with one piece and with none."""
+    cfg = get_cfg("toydao")
+    single = next(iter(enumerate_paths(cfg, PathBounds(call_depth=1))))
+    assert len(single.pieces) == 1
+    two = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=2))
+               if p.call_count == 2)
+    bare = ProgramPath(blocks=two.blocks, functions=two.functions)  # no pieces
+    score = Fraction(7, 3)
+    violations = (PropertyViolation(PropertyId.TRANSFER_LIMIT, {"limit": 30, "remaining": -1}),)
+    calls = ["withdraw()", "donate() {value: 5}"]
+    witness = {"CALLVALUE#2": 5, "CALLER#1": 2 ** 160 - 1}
+
+    def row(rank, path, witness, gas, lines):
+        return CriticalPath(rank, RankedPath(path, violations, score), calls,
+                            "feasible", witness, gas, lines)
+
+    report = Report(
+        contract_name="shared",
+        statistics={"violation_counts": {"transfer_limit": 5}},
+        critical_paths=[row(1, single, None, 10, []), row(2, single, witness, 11, [2]),
+                        row(3, bare, None, 12, [3, 5]), row(4, single, None, 13, []),
+                        row(5, bare, witness, 14, [])],
+        diagnostics=[],
+        config_echo={},
+        block_labels={b.id: b.label for b in cfg.blocks.values()},
+    )
+    text = _assert_matches_reference(report, tmp_path)
+    assert text.count('"witness": null') == 3
+    assert text.count('"CALLER#1": "0xffffffffffffffffffffffffffffffffffffffff"') == 2
+    assert text.count('"length": 1,') == 3 and text.count('"length": 2,') == 2
+
+
+@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
+@pytest.mark.parametrize("call_bound", [1, 2, 3, 4])
+def test_warning_counts_count_every_path_and_violation(call_bound, reentrant):
+    config = dataclasses.replace(_config(call_bound), include_reentrant=reentrant)
+    shown = set()
+    for name in NAMES:
+        report = analyze(get_contract(name), config)
+        counted = Counter(v.property.value for cp in report.critical_paths
+                          for v in cp.ranked.violations)
+        assert list(report.statistics["violation_counts"].items()) == \
+            sorted(counted.items()), name
+        shown |= set(counted)
+    assert len(shown) >= 3
+
+
+def test_a_corpus_pass_renders_each_shared_row_middle_once(monkeypatch):
+    """A corpus pass at call bound 4 writes 10,324 critical paths and
+    renders the text from score to witness at most 682 times: once per
+    score object, violations tuple, call-sequence list and feasibility."""
+    rendered = []
+    row_middle = report_module._row_middle
+    monkeypatch.setattr(report_module, "_row_middle",
+                        lambda *args: rendered.append(1) or row_middle(*args))
+    config = AnalysisConfig(bounds=PathBounds(call_depth=4), transfer_limit=30,
+                            registry_fixture=str(REGISTRY_TXT), include_timing=False)
+    rows = 0
+    for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
+        report = analyze(get_contract(name), config)
+        to_json(report)
+        rows += len(report.critical_paths)
+    assert rows == 10324
+    assert 0 < len(rendered) <= 682
