@@ -385,7 +385,7 @@ class GasEstimator:
     added up once per piece.  One estimator serves the paths of one
     unfolding, whose pieces it tells apart by their place in its list."""
 
-    def __init__(self, cfg: Cfg, gas_table: isa.GasTable = isa.DEFAULT_GAS):
+    def __init__(self, cfg: Cfg, gas_table: isa.GasTable):
         self.block_costs = {block_id: estimate_gas(block.instructions, gas_table)
                             for block_id, block in cfg.blocks.items()}
         self._piece_gas: dict[int, int] = {}  # by the piece's index

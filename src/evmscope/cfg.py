@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import isa
@@ -83,22 +83,22 @@ class BasicBlock:
 class Diagnostic:
     code: str
     message: str
-    offset: int | None = None
+    offset: int | None
 
 
-@dataclass
 class Cfg:
-    blocks: dict[int, BasicBlock]
-    root: int
-    edges: set[Edge]
-    function_entries: dict[int | str, int] = field(default_factory=dict)
-    dangling: set[int] = field(default_factory=set)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    _succ: dict[int, list[Edge]] = field(default_factory=dict, repr=False)
-    _pred: dict[int, list[Edge]] = field(default_factory=dict, repr=False)
-    # compiled block plans by block id, filled by symbolic execution on
-    # first use; they live as long as the graph
-    plans: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, blocks: dict[int, BasicBlock], root: int, edges: set[Edge]) -> None:
+        self.blocks = blocks
+        self.root = root
+        self.edges = edges
+        self.function_entries: dict[int | str, int] = {}
+        self.dangling: set[int] = set()
+        self.diagnostics: list[Diagnostic] = []
+        self._succ: dict[int, list[Edge]] = {}
+        self._pred: dict[int, list[Edge]] = {}
+        # compiled block plans by block id, filled by symbolic execution on
+        # first use; they live as long as the graph
+        self.plans: dict = {}
 
     def successors(self, block_id: int) -> list[Edge]:
         return self._succ.get(block_id, [])
@@ -113,10 +113,9 @@ class Cfg:
         return True
 
     def add_diagnostic(self, code: str, message: str, offset: int | None) -> None:
-        for d in self.diagnostics:
-            if (d.code, d.message, d.offset) == (code, message, offset):
-                return
-        self.diagnostics.append(Diagnostic(code, message, offset))
+        diagnostic = Diagnostic(code, message, offset)
+        if diagnostic not in self.diagnostics:
+            self.diagnostics.append(diagnostic)
 
     def reachable_from_root(self) -> set[int]:
         seen: set[int] = set()
@@ -188,7 +187,7 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
 def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
     """Wire all edges that are decidable without simulating the stack."""
     root = min(blocks)
-    cfg = Cfg(blocks=blocks, root=root, edges=set())
+    cfg = Cfg(blocks, root, set())
     ordered = sorted(blocks)
     # every block that does not end in JUMP or a terminal instruction has
     # one: the code ends in one of those or in the implicit STOP
@@ -215,11 +214,8 @@ def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
                 continue
             kind = EdgeKind.COND_TAKEN if is_cond else EdgeKind.DIRECT_JUMP
             if not _is_jumpdest(blocks, target):
-                cfg.diagnostics.append(Diagnostic(
-                    "malformed_target",
-                    f"{block.label} jumps to 0x{target:x} which is not a JUMPDEST",
-                    block.last_offset,
-                ))
+                cfg.add_diagnostic("malformed_target", f"{block.label} jumps to 0x{target:x} "
+                                   "which is not a JUMPDEST", block.last_offset)
                 cfg.add_edge(block.id, root, EdgeKind.NEW_TRANSACTION)
                 continue
             cfg.add_edge(block.id, target, kind)
@@ -289,8 +285,7 @@ def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
 _RESTARTS = (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)
 
 
-def _jump_targets(cfg: Cfg, target: int, cap: int,
-                  deadline: float | None = None) -> set | None:
+def _jump_targets(cfg: Cfg, target: int, cap: int, deadline: float | None) -> set | None:
     """The jump targets that simulating the stack along each acyclic
     root-to-target block path gives `target`, TOP among them when some path
     leaves it unknown; None once more than `cap` paths reach it.  Raises
@@ -448,8 +443,8 @@ def discover_functions(cfg: Cfg) -> dict[int | str, int]:
         fallback = block_id if found_dispatch or fallback is None else fallback
         break
     if not found_dispatch:
-        cfg.diagnostics.append(Diagnostic(
-            "no_dispatcher", "no selector dispatch template found; treating all code as fallback"))
+        cfg.add_diagnostic("no_dispatcher", "no selector dispatch template found; "
+                           "treating all code as fallback", None)
         entries = {FALLBACK: cfg.root}
     else:
         entries[FALLBACK] = fallback if fallback is not None else cfg.root

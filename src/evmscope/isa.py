@@ -282,21 +282,17 @@ def load_gas_overrides(text: str) -> dict[int, int]:
 
 
 class GasTable:
-    """Per-opcode static gas, optionally with user overrides applied."""
+    """Per-opcode static gas, with the user's overrides (byte to gas) applied."""
 
-    def __init__(self, overrides: dict[int, int] | None = None):
+    def __init__(self, overrides: dict[int, int]):
         self._costs = [info.static_gas for info in TABLE]
-        if overrides:
-            for byte, gas in overrides.items():
-                self._costs[byte & 0xFF] = gas
+        for byte, gas in overrides.items():
+            self._costs[byte & 0xFF] = gas
 
     def cost(self, byte_value: int) -> int:
         return self._costs[byte_value & 0xFF]
 
 
-DEFAULT_GAS = GasTable()
-
-
-def estimate_gas(instructions: Iterable, gas_table: GasTable = DEFAULT_GAS) -> int:
+def estimate_gas(instructions: Iterable, gas_table: GasTable) -> int:
     """Static gas of an instruction sequence: the sum of its scheduled costs."""
     return sum(gas_table.cost(ins.info.byte_value) for ins in instructions)

@@ -123,9 +123,8 @@ class PathEnumeration:
     cut short nothing is built or counted.
     """
 
-    def __init__(self, cfg: Cfg, bounds: PathBounds,
-                 include_reentrant: bool = False,
-                 deadline: float | None = None):
+    def __init__(self, cfg: Cfg, bounds: PathBounds, include_reentrant: bool,
+                 deadline: float | None):
         self.cfg = cfg
         self.bounds = bounds
         self.include_reentrant = include_reentrant

@@ -69,18 +69,16 @@ class AddressRegistry:
     def __init__(self, mode: str = "offline",
                  fixture: dict[int, bool] | None = None,
                  cache_path: str | Path | None = None,
-                 url: str | None = None,
-                 api_key: str | None = None,
                  transport=None):
         if mode not in ("online", "offline", "disabled"):
             raise ValueError(f"unknown registry mode {mode!r}")
         self.mode = mode
         self.fixture = dict(fixture or {})
         self.cache_path = Path(cache_path) if cache_path else None
-        self.url = url or os.environ.get(URL_ENV, "https://api.etherscan.io/api")
-        self.api_key = api_key or os.environ.get(KEY_ENV, "")
+        self.url = os.environ.get(URL_ENV, "https://api.etherscan.io/api")
+        self.api_key = os.environ.get(KEY_ENV, "")
         self._bucket = _TokenBucket()
-        self._transport = transport  # injectable for tests
+        self._transport = transport or self._default_transport  # injectable for tests
         self._cache: dict[int, bool] = {}
         self._lock = threading.Lock()  # one query at a time; cache writes serialized
         if self.cache_path and self.cache_path.exists():
@@ -109,7 +107,6 @@ class AddressRegistry:
             fh.write(line)
 
     def _query_online(self, address: int) -> bool:
-        transport = self._transport or self._default_transport
         params = {
             "module": "account",
             "action": "txlist",
@@ -127,7 +124,7 @@ class AddressRegistry:
                 delay *= 2
             self._bucket.acquire()
             try:
-                doc = transport(self.url, params)
+                doc = self._transport(self.url, params)
             except Exception as exc:  # noqa: BLE001 - network layer varies
                 last_error = str(exc)
                 continue

@@ -4,9 +4,10 @@ Runs the six stages (disassemble, CFG recovery, bounded path enumeration
 with money filtering, property analysis on the trace walk, criticalness
 ranking with the threshold gate, symbolic-execution feasibility filtering)
 and assembles machine-readable (JSON) and human-readable (HTML) reports.
-`write_json` writes a report's JSON text row by row through the caller's
-`write`, so a file or stdout never waits for the whole text; `to_json`
-joins the same rows for the callers that want a string.
+`write_json` and `write_html` write a report's JSON and HTML text row by
+row through the caller's `write`, so a file or stdout never waits for the
+whole text; `to_json` joins the JSON rows for the callers that want a
+string.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Report:
     diagnostics: list[str]
     config_echo: dict
     block_labels: dict[int, str]
-    cfg: Cfg | None = None  # the graph the analysis ran on, for --dump-cfg
+    cfg: Cfg  # the graph the analysis ran on, for --dump-cfg
 
     @property
     def has_violations(self) -> bool:
@@ -231,9 +232,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     # the unfolding's pieces serve the counts, the max-gas path and the
     # traced paths, which are built one at a time as the trace asks for them
-    unfolding = PathEnumeration(cfg, config.bounds,
-                                include_reentrant=config.include_reentrant,
-                                deadline=deadline)
+    unfolding = PathEnumeration(cfg, config.bounds, config.include_reentrant, deadline)
     estimator = GasEstimator(cfg, isa.GasTable(config.gas_overrides))
     paths_enumerated = unfolding.count()
     max_gas, max_gas_path = unfolding.max_gas_path(estimator.block_costs)
@@ -534,8 +533,8 @@ pre.source { background: #f6f6f6; padding: 0.5em; }
 """
 
 
-def to_html(report: Report, source: str | None = None) -> str:
-    """Single self-contained page: statistics, then the ranked path list."""
+def write_html(report: Report, write: Callable[[str], object], source: str | None) -> None:
+    """Write one self-contained page through `write`: statistics, then each ranked path."""
     e = html.escape
     doc = ["<!DOCTYPE html>", "<html lang=\"en\">", "<head>",
            "<meta charset=\"utf-8\">",
@@ -565,9 +564,10 @@ def to_html(report: Report, source: str | None = None) -> str:
     doc.append("<h2>Critical paths</h2>")
     if not report.critical_paths:
         doc.append("<p>No property-violating paths.</p>")
+    write("\n".join(doc) + "\n")
     source_lines = source.splitlines() if source else []
     for cp in report.critical_paths:
-        doc.append('<div class="path">')
+        doc = ['<div class="path">']
         seq = " &rarr; ".join(e(s) for s in cp.call_sequence)
         doc.append(f"<h3>#{cp.rank} (score {float(cp.ranked.score):g}): {seq}</h3>")
         for v in cp.ranked.violations:
@@ -587,15 +587,14 @@ def to_html(report: Report, source: str | None = None) -> str:
                     doc.append(f"<mark>{n:4}: {e(source_lines[n - 1])}</mark>")
             doc.append("</pre>")
         doc.append("</div>")
-    doc.append("</body>")
-    doc.append("</html>")
-    return "\n".join(doc) + "\n"
+        write("\n".join(doc) + "\n")
+    write("</body>\n</html>\n")
 
 
 def emit(report: Report, fmt: str, out_base: str | Path,
-         source: str | None = None) -> list[Path]:
+         source: str | None) -> list[Path]:
     """Write the report in the requested format(s); returns written paths.
-    The JSON text goes to its file one critical path at a time."""
+    Each text goes to its file one critical path at a time."""
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     written = []
@@ -606,6 +605,7 @@ def emit(report: Report, fmt: str, out_base: str | Path,
         written.append(path)
     if fmt in ("html", "both"):
         path = out_base.with_suffix(".html")
-        path.write_text(to_html(report, source))
+        with path.open("w") as fp:
+            write_html(report, fp.write, source)
         written.append(path)
     return written

@@ -15,7 +15,7 @@ being returned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .symexec import (SOLVER_TIMEOUT_MS, Word, concretize, const, eval_word, free_vars, mk,
                       node, WORD_MAX)
@@ -75,9 +75,9 @@ class _Unsat(Exception):
 
 @dataclass
 class _Interval:
-    lo: int = 0
-    hi: int = WORD_MAX
-    excluded: set[int] = field(default_factory=set)
+    lo: int
+    hi: int
+    excluded: set[int]
 
     def check(self, name: str) -> None:
         if self.lo > self.hi:
@@ -167,7 +167,7 @@ class BoundedSolver:
     def _intervals(self, conjuncts: list[Word], names: list[str]) -> dict[str, _Interval]:
         """Unsigned bounds per variable from each conjunct comparing it with
         a closed term; signed comparisons are not tracked (kept sound)."""
-        intervals = {n: _Interval() for n in names}
+        intervals = {n: _Interval(0, WORD_MAX, set()) for n in names}
         for c in conjuncts:
             op, lhs, rhs, positive = _normalize(c)
             if op == "TRUTHY":

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -270,7 +270,6 @@ class ExternalRecord:
         return 0  # STATICCALL cannot move value
 
 
-@dataclass
 class SymbolicState:
     """The symbolic machine: what a path has built, and a handler for each
     kind of instruction run over it.  Stack and memory belong to the current
@@ -279,21 +278,24 @@ class SymbolicState:
     Environment reads give per-transaction variables and untracked reads
     fresh ones; `Replay` is the concrete counterpart that reads them all
     from a witness."""
-    stack: list[Word] = field(default_factory=list)
-    memory: dict[int, Word] = field(default_factory=dict)
-    storage_writes: list[tuple[Word, Word]] = field(default_factory=list)
-    base_storage: dict[Word, Word] = field(default_factory=dict)
-    path_condition: list[Word] = field(default_factory=list)
-    balance: Word = field(default_factory=lambda: var("BALANCE0"))
-    txn: int = 0
-    txn_prefix: str = ""
-    records: list[ExternalRecord] = field(default_factory=list)
-    fresh_counter: int = 0
-    storage_var_cache: dict[Word, Word] = field(default_factory=dict)
-    mem_unknown: bool = False    # memory was written through an unknown pointer
-    call_start: tuple[int, int] = (0, 0)  # (storage writes, records) before this call
-    code: bytes = b""            # what CODESIZE and CODECOPY read
-    deadline: float | None = None  # time.monotonic() value; None: no limit
+
+    def __init__(self, base_storage: dict[Word, Word], code: bytes,
+                 deadline: float | None, txn_prefix: str) -> None:
+        self.stack: list[Word] = []
+        self.memory: dict[int, Word] = {}
+        self.storage_writes: list[tuple[Word, Word]] = []
+        self.base_storage = base_storage
+        self.path_condition: list[Word] = []
+        self.balance = var("BALANCE0")
+        self.txn = 0
+        self.txn_prefix = txn_prefix
+        self.records: list[ExternalRecord] = []
+        self.fresh_counter = 0
+        self.storage_var_cache: dict[Word, Word] = {}
+        self.mem_unknown = False  # memory was written through an unknown pointer
+        self.call_start = (0, 0)  # (storage writes, records) before this call
+        self.code = code  # what CODESIZE and CODECOPY read
+        self.deadline = deadline  # time.monotonic() value; None: no limit
 
     def fork(self) -> SymbolicState:
         """An independent copy.  Words are immutable, so shallow copies of
@@ -445,16 +447,23 @@ class SymbolicState:
 
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
-        if offset.is_concrete and (offset.value or 0) in self.memory:
-            self.stack.append(self.memory[offset.value or 0])
-        else:
-            # fresh-counter use must match between symbolic and replay runs
-            self.stack.append(self.fresh(f"MEM#{self.txn_label}"))
+        if offset.is_concrete:
+            at = offset.value or 0
+            if at + 32 > MEMORY_CAP:
+                _expand_memory(at, 32)
+            if at in self.memory:
+                self.stack.append(self.memory[at])
+                return
+        # fresh-counter use must match between symbolic and replay runs
+        self.stack.append(self.fresh(f"MEM#{self.txn_label}"))
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
         offset, value = self.stack.pop(), self.stack.pop()
         if offset.is_concrete:
-            self.memory[offset.value or 0] = value
+            at = offset.value or 0
+            if at + 32 > MEMORY_CAP:
+                _expand_memory(at, 32)
+            self.memory[at] = value
         else:
             # write through an unknown pointer: all recorded words are stale
             self.memory.clear()
@@ -848,8 +857,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     keys use, and at most MEMO_ENTRIES list entries; a piece that fails is
     not stored.  The clock is read every 16 steps, a step being a block run
     or a stored piece reused."""
-    root = _Node(SymbolicState(base_storage=dict(base_storage), balance=var("BALANCE0"),
-                               code=code, deadline=deadline), None, (),
+    root = _Node(SymbolicState(dict(base_storage), code, deadline, ""), None, (),
                  None if facts is None else facts.start, None)
     fold = None if facts is None else facts.extend
     sharing = pieces is not None
@@ -951,7 +959,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
 
 def execute_paths(cfg: Cfg, code: bytes, unfolding: PathEnumeration,
                   marked: Callable[[Any], bool], base_storage: dict[Word, Word],
-                  deadline: float | None = None, facts=None,
+                  deadline: float | None, facts,
                   ) -> Iterator[tuple[ProgramPath, Any]]:
     """Trace the unfolding's paths with a `marked` piece as its walk
     (`PathEnumeration.walk`) builds them; yields `(path, outcome)` for each
@@ -1054,7 +1062,7 @@ class Replay:
     runner."""
 
     def __init__(self, code: bytes, witness: dict[str, int],
-                 base_storage: dict[Word, Word], deadline: float | None = None):
+                 base_storage: dict[Word, Word], deadline: float | None):
         self.code = code
         self.witness = witness
         self.base = {key.value: value for key, value in base_storage.items()
@@ -1136,6 +1144,8 @@ class Replay:
 
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
+        if offset + 32 > MEMORY_CAP:
+            _expand_memory(offset, 32)
         if offset in self.memory:
             self.stack.append(self.memory[offset])
         else:
@@ -1143,11 +1153,14 @@ class Replay:
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
         offset, value = self.stack.pop(), self.stack.pop()
+        if offset + 32 > MEMORY_CAP:
+            _expand_memory(offset, 32)
         self.memory[offset] = value
 
     def _mstore8(self, ins: Instruction, operand: None) -> None:
-        offset, _value = self.stack.pop(), self.stack.pop()
-        self.memory[offset & ~31] = self.fresh(f"MEM#{self.txn}")
+        offset = self.stack[-1]  # an MSTORE of an unknown word over the byte's word
+        self.stack[-2:] = (self.fresh(f"MEM#{self.txn}"), offset & ~31)
+        self._mstore(ins, operand)
 
     def _sload(self, ins: Instruction, operand: None) -> None:
         key = self.stack.pop()
@@ -1303,7 +1316,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
     if creation_cfg is None or code is None:
         return {}, []
     # constructor runs in its own deployment transaction, in its own namespace
-    state = SymbolicState(txn_prefix="c", code=code, deadline=deadline)
+    state = SymbolicState({}, code, deadline, "c")
     state.begin_transaction()
     blocks = creation_cfg.blocks
     visits = {creation_cfg.root: 1}

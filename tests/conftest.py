@@ -6,6 +6,7 @@ import pytest
 
 from evmscope.cfg import Cfg, build_cfg
 from evmscope.disasm import ContractCode, disassemble, load_contract
+from evmscope.symexec import SymbolicState
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -33,6 +34,17 @@ def get_cfg(name: str) -> Cfg:
     if name not in _cfg_cache:
         _cfg_cache[name] = build_cfg(disassemble(get_contract(name).runtime_code))
     return _cfg_cache[name]
+
+
+def symbolic_state(**fields) -> SymbolicState:
+    """A machine as a walk starts one, over no base storage or code and with
+    no deadline, then with each of `fields` set on it."""
+    state = SymbolicState({}, b"", None, "")
+    for name, value in fields.items():
+        if not hasattr(state, name):
+            raise AttributeError(f"SymbolicState has no field {name!r}")
+        setattr(state, name, value)
+    return state
 
 
 @pytest.fixture

@@ -9,7 +9,10 @@ is the oracle of the concrete replay runner, `symexec.Replay`.
 through a symbolic offset clears memory, as an MSTORE through one does, and
 so does a CALL whose output size is not the constant 0, since the return
 data overwrites the output area; after such a clear, or a copy of untracked
-data, SHA3 reads an unwritten word as a fresh one in witness mode too.  On a REVERT it
+data, SHA3 reads an unwritten word as a fresh one in witness mode too.
+MLOAD, MSTORE and MSTORE8 at a constant offset charge memory expansion
+for the word they touch (MSTORE8 for its byte's word), as SHA3 and
+CODECOPY charge theirs: past MEMORY_CAP they halt out of gas.  On a REVERT it
 keeps a rule of its own: it drops the records numbered with the current
 call, and the storage writes made since `mark`, which its caller takes when
 the call begins; the runner under test truncates both lists at the
@@ -88,12 +91,15 @@ class ReferenceInterpreter:
 
     def _mstore(self, offset: Word, value: Word) -> None:
         if offset.is_concrete:
+            self._expand_memory(offset.value or 0, 32)
             self.state.memory[offset.value or 0] = value
         else:
             self.state.memory.clear()
             self.state.mem_unknown = True
 
     def _mload(self, offset: Word) -> Word:
+        if offset.is_concrete:
+            self._expand_memory(offset.value or 0, 32)
         if offset.is_concrete and (offset.value or 0) in self.state.memory:
             return self.state.memory[offset.value or 0]
         return self._fresh_or_zero(f"MEM#{self.state.txn_label}")
@@ -218,6 +224,7 @@ class ReferenceInterpreter:
             offset, value = self._pop(), self._pop()
             if offset.is_concrete:
                 aligned = (offset.value or 0) & ~31
+                self._expand_memory(aligned, 32)
                 self.state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
             else:
                 self.state.memory.clear()

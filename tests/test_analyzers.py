@@ -18,6 +18,7 @@ from evmscope.analyzers import (
 )
 from evmscope.cfg import FALLBACK, Terminator, build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
+from evmscope.isa import GasTable
 from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
 from evmscope.registry import DEFAULT_RETRIES, AddressRegistry, RegistryUnavailable
@@ -382,16 +383,17 @@ def test_preamble_found_for_every_nonpayable_fixture_function():
 # -- gas estimation -----------------------------------------------------------------
 
 def test_gas_push_push_add_stop_is_nine():
-    assert estimate_gas(disassemble(parse_hex("6001600201 00".replace(" ", "")))) == 9
+    code = parse_hex("6001600201 00".replace(" ", ""))
+    assert estimate_gas(disassemble(code), GasTable({})) == 9
 
 
 def test_gas_empty_path_zero():
-    assert estimate_gas([]) == 0
+    assert estimate_gas([], GasTable({})) == 0
 
 
 def test_withdraw_path_costs_more_than_donate():
     cfg = get_cfg("toydao")
-    estimator = GasEstimator(cfg)
+    estimator = GasEstimator(cfg, GasTable({}))
     paths = list(enumerate_paths(cfg, PathBounds(call_depth=1)))
     withdraw = [p for p in paths if 112 in p.blocks]
     donate = [p for p in paths if 308 in p.blocks]
@@ -406,7 +408,7 @@ def test_withdraw_path_costs_more_than_donate():
 
 def test_gas_additive_over_concatenation():
     cfg = get_cfg("toydao")
-    estimator = GasEstimator(cfg)
+    estimator = GasEstimator(cfg, GasTable({}))
     paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
     terminal = {b.id for b in cfg.blocks.values() if b.terminator is Terminator.TERMINAL}
     for p in paths[:10]:

@@ -54,7 +54,7 @@ from evmscope.symexec import (
     var,
 )
 
-from conftest import FIXTURES, MICRO, get_contract
+from conftest import FIXTURES, MICRO, get_contract, symbolic_state
 from interp_reference import ReferenceInterpreter, reference_run_body, reference_take_exit
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json"))
@@ -162,7 +162,7 @@ def _advance(lane, cfg, code, storage, parent, block_id):
     make, run, take_exit = lane
     try:
         if parent is None:
-            state = SymbolicState(base_storage=dict(storage))
+            state = SymbolicState(dict(storage), b"", None, "")
             machine = make(code, state)
             machine.begin_transaction()
             root, mark = block_id, len(state.storage_writes)
@@ -210,11 +210,11 @@ def _advance_witness(cfg, code, storage, witness, parent, block_id):
     one a replay takes), else ((reference frame or error), (runner frame or
     error), excused)."""
     if parent is None:
-        state = SymbolicState(base_storage=dict(storage))
+        state = SymbolicState(dict(storage), b"", None, "")
         interp = _NotingReference(code, state, witness=witness)
         interp.begin_transaction()
         root, mark = block_id, len(state.storage_writes)
-        replay = Replay(code, witness, storage)
+        replay = Replay(code, witness, storage, None)
         replay.begin_transaction()
         differs = False
     else:
@@ -359,7 +359,7 @@ def _out_of_gas_first(ref, new, fault):
 def _symbolic_outcomes(cfg, block, code, words, storage_word):
     outcomes = []
     for make, run, _exit in _lanes(cfg):
-        state = SymbolicState(stack=list(words), storage_writes=[(const(1), storage_word)])
+        state = symbolic_state(stack=list(words), storage_writes=[(const(1), storage_word)])
         try:
             outcomes.append(_observable(state, run(make(code, state), block, 0)))
         except SymExecError as exc:
@@ -376,10 +376,10 @@ def _witness_outcomes(cfg, block, code, words, storage_word):
 
     def value(w):
         return eval_word(w, witness)
-    state = SymbolicState(stack=[w if w == _ADDRESS else const(value(w)) for w in words],
-                          storage_writes=[(const(1), storage_word)])
+    state = symbolic_state(stack=[w if w == _ADDRESS else const(value(w)) for w in words],
+                           storage_writes=[(const(1), storage_word)])
     interp = _NotingReference(code, state, witness=witness)
-    replay = Replay(code, witness, {})
+    replay = Replay(code, witness, {}, None)
     replay.stack = [replay.address if w == _ADDRESS else value(w) for w in words]
     replay.storage[1] = value(storage_word)
     try:
@@ -436,7 +436,7 @@ def test_codecopy_matches_the_reference():
     for dest in (0, 5):
         for src in (0, 3, 32, 90, 99, 150):
             for length in (0, 1, 31, 32, 33, 65, 200):
-                interp = ReferenceInterpreter(code, SymbolicState())
+                interp = ReferenceInterpreter(code, SymbolicState({}, b"", None, ""))
                 interp._copy_code(dest, src, length)
                 words: dict = {}
                 ints: dict = {}
@@ -453,12 +453,12 @@ def test_an_mload_reads_the_word_stored_at_its_offset(offset):
     code = bytes([0x60, 0, 0x35, 0x60, offset, 0x52, 0x60, offset, 0x51, 0x00])
     cfg = build_cfg(disassemble(code))
     for make, run, _exit in _lanes(cfg):
-        state = SymbolicState()
+        state = SymbolicState({}, b"", None, "")
         machine = make(code, state)
         machine.begin_transaction()
         run(machine, cfg.blocks[0], 0)
         assert (state.stack, state.fresh_counter) == ([var("CALLDATA#1@0")], 0)
-    replay = Replay(code, {"CALLDATA#1@0": 7}, {})
+    replay = Replay(code, {"CALLDATA#1@0": 7}, {}, None)
     replay.begin_transaction()
     _replay_body(replay, cfg, cfg.blocks[0])
     assert (replay.stack, replay.fresh_counter) == ([7], 0)

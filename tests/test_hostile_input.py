@@ -22,18 +22,19 @@ from evmscope.symexec import (
     ZERO,
     ExternalRecord,
     FeasibilityStatus,
-    SymbolicState,
+    OutOfGas,
     TermTooDeep,
     eval_word,
     execute_path,
     free_vars,
     mk,
     node,
+    replay_blocks,
     run_constructor,
     var,
 )
 
-from conftest import REGISTRY_TXT, get_cfg, get_contract
+from conftest import REGISTRY_TXT, get_cfg, get_contract, symbolic_state
 
 # PUSH3 MEMORY_CAP-32; PUSH1 0; SHA3; POP: hashes 3.9 MB of zero memory
 _NEAR_CAP_SHA3 = f"62{MEMORY_CAP - 32:06x}60002050"
@@ -91,6 +92,29 @@ def test_huge_memory_size_abandons_the_trace(runtime):
     report = analyze(contract, _config(bounds=PathBounds(call_depth=2, wall_time=2)))
     assert [d for d in report.diagnostics if d.startswith("trace_abandoned")] == [
         f"trace_abandoned: {_OUT_OF_GAS}; 1 money path(s) not analyzed"]
+
+
+_PUSH_2_POW_255 = "7f80" + "00" * 31
+
+
+@pytest.mark.parametrize("runtime", [
+    "6001" + _PUSH_2_POW_255 + "52" + "33ff",  # MSTORE(2**255, 1); CALLER; SELFDESTRUCT
+    "6001" + _PUSH_2_POW_255 + "53" + "33ff",  # MSTORE8(2**255, 1); CALLER; SELFDESTRUCT
+    _PUSH_2_POW_255 + "51" + "50" + "33ff",    # MLOAD(2**255); POP; CALLER; SELFDESTRUCT
+], ids=["mstore", "mstore8", "mload"])
+def test_a_word_past_the_memory_cap_halts_the_trace_and_the_replay(runtime):
+    # no transaction pays for memory up to 2**255 bytes: the path runs out
+    # of gas, and its unguarded SELFDESTRUCT is never reported feasible
+    code = parse_hex(runtime)
+    config = AnalysisConfig(bounds=PathBounds(call_depth=1), rank=RankConfig(threshold=0),
+                            registry_mode="disabled", include_timing=False)
+    report = analyze(ContractCode(runtime_code=code, name="huge"), config)
+    assert report.critical_paths == []
+    assert [d for d in report.diagnostics if d.startswith("trace_")] == [
+        f"trace_abandoned: OutOfGas (memory up to byte {2 ** 255 + 32} exceeds the block "
+        f"gas limit); 1 money path(s) not analyzed"]
+    with pytest.raises(OutOfGas):
+        replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
 
 
 def test_a_call_failing_under_many_prefixes_is_abandoned_once_per_prefix():
@@ -180,7 +204,7 @@ def test_a_passed_deadline_stops_the_walk(monkeypatch):
     unfolding = enumerate_paths(cfg, PathBounds(call_depth=4))
     outcomes = list(symexec_module.execute_paths(cfg, get_contract("toydao").runtime_code,
                                                  unfolding, unfolding.money_marker(set()), {},
-                                                 deadline=time.monotonic() - 1))
+                                                 time.monotonic() - 1, None))
     assert outcomes == [] and unfolding.count(unfolding.money_marker(set())) > 300
     assert len(runs) < 16
 
@@ -280,7 +304,7 @@ def test_the_call_memo_holds_at_most_a_full_memory(monkeypatch):
         held.clear()
         runs.clear()
         walked = list(symexec_module.execute_paths(cfg, code, unfolding,
-                                                   unfolding.money_marker(set()), {}))
+                                                   unfolding.money_marker(set()), {}, None, None))
         assert [p for p, _state in walked] == paths and len(paths) > 2
         assert sum(held) <= entries
         return len(held), len(runs)
@@ -464,8 +488,8 @@ def test_every_walk_over_a_term_at_its_bound_stays_under_the_recursion_limit(bui
                                                                              bound, past):
     term, twin = build(bound), build(bound)
     assert getattr(term, field) == bound
-    state = SymbolicState(path_condition=[term],
-                          records=[ExternalRecord("SELFDESTRUCT", 0, 1, var("CALLER#1"), ZERO)])
+    state = symbolic_state(path_condition=[term],
+                           records=[ExternalRecord("SELFDESTRUCT", 0, 1, var("CALLER#1"), ZERO)])
     for walk in (lambda: str(term), lambda: hash(term), lambda: term == twin,
                  lambda: eval_word(term, {}), lambda: free_vars(term),
                  lambda: check_guard_suicide(state, AnalysisMemo()),

@@ -66,7 +66,7 @@ def test_stack_effects_spot_checks():
 
 
 def test_gas_spot_checks():
-    gas = isa.DEFAULT_GAS
+    gas = isa.GasTable({})
     assert gas.cost(by_mnemonic("PUSH1").byte_value) == 3
     assert gas.cost(by_mnemonic("ADD").byte_value) == 3
     assert gas.cost(by_mnemonic("STOP").byte_value) == 0

@@ -3,6 +3,8 @@ import socket
 import pytest
 
 from evmscope.registry import (
+    KEY_ENV,
+    URL_ENV,
     AddressRegistry,
     RegistryDisabled,
     RegistryUnavailable,
@@ -81,6 +83,20 @@ def test_online_nonempty_history_means_registered():
     assert reg.exists(DEV) is True
     assert calls[0]["action"] == "txlist"
     assert calls[0]["address"] == f"0x{DEV:040x}"
+
+
+def test_online_queries_the_explorer_the_environment_names(monkeypatch):
+    monkeypatch.setenv(URL_ENV, "https://explorer.invalid/api")
+    monkeypatch.setenv(KEY_ENV, "key-123")
+    calls = []
+
+    def transport(url, params):
+        calls.append((url, params.get("apikey")))
+        return {"status": "1", "result": [{}]}
+
+    reg = AddressRegistry(mode="online", transport=transport)
+    assert reg.exists(DEV) is True
+    assert calls == [("https://explorer.invalid/api", "key-123")]
 
 
 def test_online_empty_history_means_unregistered():

@@ -44,7 +44,7 @@ class _WitnessReplay:
     def __init__(self, cfg, code, witness, base_storage):
         self.cfg = cfg
         self.witness = witness
-        self.state = SymbolicState(base_storage=dict(base_storage))
+        self.state = SymbolicState(dict(base_storage), b"", None, "")
         self.interp = ReferenceInterpreter(code, self.state, witness=witness)
 
     def _begin(self):

@@ -17,8 +17,8 @@ from evmscope.report import (
     _json_text,
     analyze,
     to_call_sequence,
-    to_html,
     to_json,
+    write_html,
 )
 from evmscope.symexec import const
 
@@ -189,20 +189,26 @@ def test_json_empty_report_is_valid():
     assert doc["statistics"]["violation_counts"] == {}
 
 
+def _html(report, source):
+    parts = []
+    write_html(report, parts.append, source)
+    return "".join(parts)
+
+
 def test_html_well_formed_for_all_named_fixtures():
     for name in ("toydao", "bitway", "enjinbuyer", "problematic",
                  "micarstoken", "gigstoken", "safe_token_0"):
         contract = get_contract(name)
         report = analyze(contract, _config(bounds=PathBounds(call_depth=2),
                                            transfer_limit=30))
-        assert_valid_html(to_html(report, contract.source))
+        assert_valid_html(_html(report, contract.source))
 
 
 def test_html_highlights_source_lines():
     contract = get_contract("toydao")
     report = analyze(contract, _config(bounds=PathBounds(call_depth=2),
                                        transfer_limit=30))
-    html_text = to_html(report, contract.source)
+    html_text = _html(report, contract.source)
     assert "<mark>" in html_text
     assert "msg.sender.call.value" in html_text
 
@@ -503,6 +509,6 @@ def test_json_writer_edge_cases():
         _json_text({"x": {1, 2}}, "")
     # a Word is a tuple underneath, yet no JSON value
     report = Report(contract_name="", statistics={"word": const(1)}, critical_paths=[],
-                    diagnostics=[], config_echo={}, block_labels={})
+                    diagnostics=[], config_echo={}, block_labels={}, cfg=None)
     with pytest.raises(TypeError):
         to_json(report)

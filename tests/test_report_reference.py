@@ -10,7 +10,8 @@ lines) and for hand-built reports that no fixture produces.  Each path's
 call sequence and source lines, made once per distinct input within an
 analysis, must equal those made for the path alone, and the warning counts,
 made once per distinct violations tuple, must equal a count over every path
-and violation.
+and violation.  `write_html` writes a page, one critical path at a time,
+that must equal the page the former `to_html` built whole.
 """
 
 import dataclasses
@@ -31,13 +32,15 @@ from evmscope.report import (
     Report,
     _config_echo,
     analyze,
+    emit,
     to_call_sequence,
     to_json,
+    write_html,
     write_json,
 )
 
 from conftest import FIXTURES, MICRO, REGISTRY_TXT, get_cfg, get_contract
-from report_reference import reference_dict, reference_source_lines
+from report_reference import reference_dict, reference_html, reference_source_lines
 
 NAMES = sorted(p.stem for p in FIXTURES.glob("*.json")) + \
     sorted(p.stem for p in MICRO.glob("*.json"))
@@ -92,12 +95,29 @@ def test_every_fixture_report_matches_reference(call_bound, tmp_path):
         assert ("witness", True) in kinds
 
 
+@pytest.mark.parametrize("call_bound", [2, 3])
+def test_every_fixture_html_page_streams_the_reference_page(call_bound, tmp_path):
+    config = _config(call_bound)
+    for name in NAMES:
+        contract = get_contract(name)
+        report = analyze(contract, config)
+        page = reference_html(report, contract.source)
+        writes: list[str] = []
+        write_html(report, writes.append, contract.source)
+        assert "".join(writes) == page, name
+        # the head, each path, then the tail
+        assert len(writes) == 2 + len(report.critical_paths), name
+        emit(report, "both", tmp_path / name, contract.source)
+        assert (tmp_path / f"{name}.html").read_text() == page, name
+        assert (tmp_path / f"{name}.json").read_text() == to_json(report), name
+
+
 def test_report_with_no_critical_paths(tmp_path):
     report = analyze(get_contract("safe_token_0"), _config(2))
     assert report.critical_paths == []
     assert '"critical_paths": [],' in _assert_matches_reference(report, tmp_path)
     bare = Report(contract_name="", statistics={}, critical_paths=[], diagnostics=[],
-                  config_echo={}, block_labels={})
+                  config_echo={}, block_labels={}, cfg=None)
     _assert_matches_reference(bare, tmp_path)
 
 
@@ -153,6 +173,7 @@ def test_hand_built_paths_witness_scores_and_evidence(tmp_path):
         diagnostics=["one", "two"],
         config_echo=_config_echo(AnalysisConfig()),
         block_labels={0: "entry", 4: "0x4:ret"},  # block 99 has no label
+        cfg=None,
     )
     text = _assert_matches_reference(report, tmp_path)
     assert '"CALLVALUE#1": "0x20000000000000"' in text
@@ -190,6 +211,7 @@ def test_rows_that_share_their_objects_keep_their_own_witness_and_length(tmp_pat
         diagnostics=[],
         config_echo={},
         block_labels={b.id: b.label for b in cfg.blocks.values()},
+        cfg=cfg,
     )
     text = _assert_matches_reference(report, tmp_path)
     assert text.count('"witness": null') == 3

@@ -166,5 +166,6 @@ def _settable_values(tree: ast.Module) -> int:
 def test_settable_values_do_not_grow():
     """Each default is a value a caller may set and a test must cover; the
     search sizes of the solver, for one, are fixed.  Lower the bound when a
-    change removes one."""
-    assert sum(_settable_values(ast.parse(path.read_text())) for path in _SRC) <= 94
+    change removes one.  The message gives each module's count."""
+    counts = {path.stem: _settable_values(ast.parse(path.read_text())) for path in _SRC}
+    assert sum(counts.values()) <= 55, counts

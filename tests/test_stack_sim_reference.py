@@ -76,7 +76,7 @@ def _assert_same_searches(code: bytes, cap: int = MAX_SIM_PATHS) -> int:
     for cfg in (static, built):
         for target in sorted(static.dangling):
             want = _reference_targets(cfg, target, cap)
-            assert _jump_targets(cfg, target, cap) == want, target
+            assert _jump_targets(cfg, target, cap, None) == want, target
             found += bool(want)
     return found
 
@@ -114,7 +114,7 @@ def test_pruned_search_hits_the_cap_where_the_reference_does():
     static, _built = _graphs(code)
     (target,) = static.dangling
     assert _reference_targets(static, target, MAX_SIM_PATHS) is None
-    assert _jump_targets(static, target, MAX_SIM_PATHS) is None
-    assert _jump_targets(static, target, 2 ** 14 - 1) is None
-    assert _jump_targets(static, target, 2 ** 14) == \
+    assert _jump_targets(static, target, MAX_SIM_PATHS, None) is None
+    assert _jump_targets(static, target, 2 ** 14 - 1, None) is None
+    assert _jump_targets(static, target, 2 ** 14, None) == \
         _reference_targets(static, target, 2 ** 14) == {TOP}

@@ -19,7 +19,6 @@ from evmscope.symexec import (
     ONE,
     Replay,
     StackUnderflow,
-    SymbolicState,
     SymExecError,
     Word,
     _replay_body,
@@ -40,7 +39,7 @@ from evmscope.symexec import (
 )
 
 from asmtool import Asm
-from conftest import FIXTURES, MICRO, REGISTRY_TXT, get_cfg, get_contract
+from conftest import FIXTURES, MICRO, REGISTRY_TXT, get_cfg, get_contract, symbolic_state
 
 WORD = 1 << 256
 
@@ -266,11 +265,11 @@ def test_step_covers_every_opcode_byte(runner):
         block = BasicBlock(64, 64, 64, [ins], terminator)
         cfg = Cfg(blocks={64: block}, root=64, edges=set())
         if runner == "symbolic":
-            state = SymbolicState(stack=[var(f"S{i}") for i in range(20)], code=bytes(100))
+            state = symbolic_state(stack=[var(f"S{i}") for i in range(20)], code=bytes(100))
             operands = _run_body(state, cfg, block)
             stack = state.stack
         else:
-            replay = Replay(bytes(100), {}, {})
+            replay = Replay(bytes(100), {}, {}, None)
             replay.stack = stack = list(range(20))
             operands = _replay_body(replay, cfg, block)
         assert len(stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
@@ -635,8 +634,8 @@ def test_transfer_of_constructor_constant_is_concrete():
 # -- storage reads over symbolic keys ----------------------------------------------
 
 def test_symbolic_key_read_sees_every_write():
-    state = SymbolicState(storage_writes=[(const(slot), const(value))
-                                          for slot, value in ((1, 10), (2, 20), (1, 10))])
+    state = symbolic_state(storage_writes=[(const(slot), const(value))
+                                           for slot, value in ((1, 10), (2, 20), (1, 10))])
     loaded = state.sload(var("K"))
     assert [eval_word(loaded, {"K": k}) for k in (1, 2, 3)] == [10, 20, 0]
 
@@ -653,7 +652,7 @@ def _walk(cfg, code, bounds, storage=None, marked=None, reentrant=False):
     """The trace walk over the unfolding: (path, outcome) pairs."""
     unfolding = enumerate_paths(cfg, bounds, reentrant)
     return list(execute_paths(cfg, code, unfolding, marked or (lambda _piece: True),
-                              storage or {}))
+                              storage or {}, None, None))
 
 
 def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant, monkeypatch):
@@ -673,7 +672,7 @@ def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant, monkey
     marked = unfolding.money_marker(payable)
     for entries in (symexec_module.MEMO_ENTRIES, 0):  # with the memo, then frames alone
         monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", entries)
-        shared = list(execute_paths(cfg, code, unfolding, marked, storage))
+        shared = list(execute_paths(cfg, code, unfolding, marked, storage, None, None))
         assert [p for p, _state in shared] == paths
         assert [_observable(state) for _p, state in shared] == alone
 
@@ -724,7 +723,7 @@ def test_revert_resumed_from_a_saved_fork_drops_only_its_own_call(monkeypatch):
     runs = _counting_runs(monkeypatch)
     per_path = []
     unfolding = enumerate_paths(cfg, PathBounds(call_depth=2))
-    for _path, state in execute_paths(cfg, code, unfolding, lambda _piece: True, {}):
+    for _path, state in execute_paths(cfg, code, unfolding, lambda _piece: True, {}, None, None):
         per_path.append((runs.copy(), state))
         runs.clear()
     # each call reverts (26) or stops (31) after its JUMPI block (19); a
@@ -761,7 +760,8 @@ def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
         paths = list(filter_money(enumerate_paths(cfg, PathBounds(call_depth=3)), cfg))
         runs.clear()
         unfolding = enumerate_paths(cfg, PathBounds(call_depth=3))
-        walked = list(execute_paths(cfg, code, unfolding, unfolding.money_marker(set()), {}))
+        walked = list(execute_paths(cfg, code, unfolding, unfolding.money_marker(set()), {},
+                                    None, None))
         assert [p for p, _state in walked] == paths
         nodes = len({p.blocks[:n] for p in paths for n in range(1, len(p.blocks) + 1)})
         assert len(runs) <= nodes, name
@@ -891,7 +891,7 @@ def test_a_deadline_mid_walk_stops_the_walk(monkeypatch):
     monkeypatch.setattr(symexec_module, "check_deadline", expire_at_the_tenth_read)
     unfolding = enumerate_paths(cfg, PathBounds(call_depth=4))
     walked = list(execute_paths(cfg, code, unfolding, unfolding.money_marker(set()), {},
-                                deadline=time.monotonic() + 3600))
+                                time.monotonic() + 3600, None))
     # a prefix of the paths, each with its own outcome; none after the deadline
     assert 0 < len(walked) < len(paths) - 1 and len(reads) == 10
     assert [p for p, _outcome in walked] == paths[:len(walked)]
@@ -910,7 +910,7 @@ def test_a_reused_call_is_a_step_of_the_clock(monkeypatch):
     monkeypatch.setattr(symexec_module, "check_deadline", reads.append)
     unfolding = enumerate_paths(cfg, PathBounds(call_depth=4))
     for _path, _outcome in execute_paths(cfg, code, unfolding, unfolding.money_marker(set()),
-                                         {}):
+                                         {}, None, None):
         pass
     assert len(reused) > 100
     assert len(reads) == (len(runs) + len(reused)) // 16

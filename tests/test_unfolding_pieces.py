@@ -14,6 +14,7 @@ import pytest
 from evmscope.analyzers import GasEstimator, detect_payable_entries
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
+from evmscope.isa import GasTable
 from evmscope.pathgen import (PathBounds, PathEnumeration, ProgramPath, enumerate_paths,
                               filter_money)
 from evmscope.report import AnalysisConfig, analyze
@@ -55,7 +56,7 @@ def _check(cfg, payable, bounds, reentrant, name):
     expected = list(_RecursiveEnumeration(cfg, bounds, reentrant))
     unfolding = enumerate_paths(cfg, bounds, include_reentrant=reentrant)
     assert unfolding.count() == len(expected), name
-    estimator = GasEstimator(cfg)
+    estimator = GasEstimator(cfg, GasTable({}))
     assert unfolding.max_gas_path(estimator.block_costs) == \
         _max_gas_scan(expected, estimator), name
     for entries in (payable, set()):
@@ -96,7 +97,7 @@ def test_unfolded_paths_are_their_blocks_and_calls(call_depth):
     of its blocks and calls; its gas, added up per piece, is its blocks'."""
     for name, cfg, _payable in _PROGRAMS:
         unfolding = enumerate_paths(cfg, PathBounds(call_depth=call_depth))
-        estimator = GasEstimator(cfg)
+        estimator = GasEstimator(cfg, GasTable({}))
         _gas, heaviest = unfolding.max_gas_path(estimator.block_costs)
         assert heaviest is not None, name
         for path in chain(unfolding, [heaviest]):
@@ -140,7 +141,7 @@ def test_max_gas_ties_go_to_the_first_path():
     # two branches of equal cost: PUSH1 0; CALLDATALOAD; PUSH1 11; JUMPI;
     # 6: JUMPDEST; PUSH1 0; POP; STOP; 11: JUMPDEST; PUSH1 0; POP; STOP
     cfg = build_cfg(disassemble(parse_hex("600035600b57" "5b60005000" "5b60005000")))
-    estimator = GasEstimator(cfg)
+    estimator = GasEstimator(cfg, GasTable({}))
     paths = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
     gas = {estimator.path_gas(p) for p in paths}
     assert len(paths) == 4 and len(gas) == 1

@@ -71,7 +71,7 @@ def _compare(cfg, code, storage, payable) -> tuple[int, int]:
             facts = PathFacts(LIMIT, walk_registry, True, AnalysisMemo())
             walked = list(execute_paths(cfg, code, unfolding, marked, storage, None, facts))
             whole = list(execute_paths(cfg, code, enumerate_paths(cfg, bounds, reentrant),
-                                       marked, storage))
+                                       marked, storage, None, None))
             assert [p for p, _facts in walked] == [p for p, _state in whole]
             memo = AnalysisMemo()
             for (path, leaf), (_path, state) in zip(walked, whole):
