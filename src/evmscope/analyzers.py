@@ -6,7 +6,9 @@ given the unfolding), and a path's violations follow from its leaf alone;
 the per-path checkers fold one path's lists.  The paths of one analysis
 share pieces, terms and records, so each fact is found once per object it
 comes from: per piece, per record (`ExternalRecord` resolves its own target
-and amount), or in the analysis's `AnalysisMemo`."""
+and amount), or per term and address in the analysis's `PathFacts`.  A
+verdict is made anew each time it is asked for; `report.analyze()` asks
+once per facts and call count."""
 
 from __future__ import annotations
 
@@ -49,29 +51,6 @@ class PropertyViolation:
         return {"property": self.property.value, "evidence": ev}
 
 
-class AnalysisMemo:
-    """What one analysis learns once for all its paths: each term's guards,
-    each address's registry answer (a bool, or the message of the outage
-    that kept it), and one violation per distinct evidence, so that a
-    report can key violation texts by identity.  A memo serves one analysis
-    only."""
-
-    def __init__(self) -> None:
-        # per path-condition term, by identity: (the term, held so that its
-        # id is not reused, its guard bits: 4 ownership, 8 time)
-        self.guards: dict[int, tuple[Word, int]] = {}
-        self.addresses: dict[int, bool | str] = {}
-        self.violations: dict[tuple, PropertyViolation] = {}
-
-    def violation(self, key: tuple, prop: PropertyId, evidence: dict) -> PropertyViolation:
-        """The violation kept under `key`, made from `prop` and `evidence`
-        the first time."""
-        found = self.violations.get(key)
-        if found is None:
-            found = self.violations[key] = PropertyViolation(prop, evidence)
-        return found
-
-
 def _spend(remaining: int, exact: bool, amount: int | str) -> tuple[int, bool]:
     """The transfer rule's step: the allowance left after `amount`, and
     whether it is known."""
@@ -100,21 +79,21 @@ class TransferLedger:
     def violated(self) -> bool:
         return self.remaining < 0 or not self.exact
 
-    def violation(self, memo: AnalysisMemo) -> PropertyViolation | None:
+    def violation(self) -> PropertyViolation | None:
         if not self.violated:
             return None
         remaining = self.remaining if self.exact else UNKNOWN_AMOUNT
-        return memo.violation(("transfer_limit", self.limit, remaining), PropertyId.TRANSFER_LIMIT,
-                              {"limit": self.limit, "remaining": remaining})
+        return PropertyViolation(PropertyId.TRANSFER_LIMIT,
+                                 {"limit": self.limit, "remaining": remaining})
 
 
 def check_transfer_limit(limit: int, transfers: list[tuple[ExternalRecord, int | str]],
-                         memo: AnalysisMemo) -> PropertyViolation | None:
+                         ) -> PropertyViolation | None:
     """Violation iff the summed outgoing amounts can exceed the limit."""
     ledger = TransferLedger(limit)
     for _rec, amount in transfers:
         ledger.spend(amount)
-    return ledger.violation(memo)
+    return ledger.violation()
 
 
 def _guards(w: Word) -> int:
@@ -153,16 +132,21 @@ class PathFacts:
     violations and registry warnings follow from its leaf's facts alone.
     The per-path checkers fold one state's lists in one step.  A rule not
     checked (a None `limit` or `registry`, a false `suicide`) leaves its
-    facts as they start."""
+    facts as they start.  The paths of one analysis share terms and
+    addresses, and one `PathFacts` serves one analysis: it learns each
+    term's guards and each address's registry answer once."""
 
-    def __init__(self, limit: int | None, registry: AddressRegistry | None, suicide: bool,
-                 memo: AnalysisMemo) -> None:
+    def __init__(self, limit: int | None, registry: AddressRegistry | None,
+                 suicide: bool) -> None:
         self.limit = limit
         self.registry = registry
         self.suicide = suicide
-        self.memo = memo
         self.start: Facts = (limit or 0, True, None, 0, ())
-        self.verdicts: dict[Facts, tuple[list[PropertyViolation], list[str]]] = {}
+        # per path-condition term, by identity: (the term, held so that its
+        # id is not reused, its guard bits: 4 ownership, 8 time)
+        self.guards: dict[int, tuple[Word, int]] = {}
+        # per address: whether it exists, or the message of the outage that kept it
+        self.addresses: dict[int, bool | str] = {}
 
     def extend(self, facts: Facts, before: list[Word], conditions: list[Word],
                records: list[ExternalRecord]) -> Facts:
@@ -190,7 +174,7 @@ class PathFacts:
             return facts
         if destruct is not None:
             # paths traced together share terms: each is examined once
-            guards = self.memo.guards
+            guards = self.guards
             for cond in conditions:
                 if bits & 4:
                     break
@@ -202,54 +186,46 @@ class PathFacts:
 
     def verdict(self, facts: Facts) -> tuple[list[PropertyViolation], list[str]]:
         """The violations of a path with these facts, in the order the
-        rules are listed, and its registry warnings, found once per facts.
-        The registry is asked once per address per memo, an outage
-        included, which degrades to a warning, never a violation."""
-        found = self.verdicts.get(facts)
-        if found is not None:
-            return found
+        rules are listed, and its registry warnings.  The registry is asked
+        once per address per analysis, an outage included, which degrades
+        to a warning, never a violation."""
         remaining, exact, destruct, bits, targets = facts
-        memo = self.memo
         violations: list[PropertyViolation] = []
         warnings: list[str] = []
         if self.limit is not None:
-            violation = TransferLedger(self.limit, remaining, exact).violation(memo)
+            violation = TransferLedger(self.limit, remaining, exact).violation()
             if violation:
                 violations.append(violation)
         for offset, address in targets:
-            outcome = memo.addresses.get(address)
+            outcome = self.addresses.get(address)
             if outcome is None:
                 try:
                     outcome = self.registry.exists(address)
                 except RegistryUnavailable as exc:
                     outcome = str(exc)
-                memo.addresses[address] = outcome
+                self.addresses[address] = outcome
             if isinstance(outcome, str):
                 warnings.append(f"address registry unavailable for 0x{address:040x} at "
                                 f"offset {offset}: {outcome}")
             elif not outcome:
-                violations.append(memo.violation(
-                    ("non_existing_address", address, offset),
-                    PropertyId.NON_EXISTING_ADDRESS, {
-                        "address": f"0x{address:040x}",
-                        "instruction_offset": offset,
-                        "note": ("sending to an unregistered address loses the funds; "
-                                 "first use also costs at least 25,000 extra to create "
-                                 "the account"),
-                    }))
+                violations.append(PropertyViolation(PropertyId.NON_EXISTING_ADDRESS, {
+                    "address": f"0x{address:040x}",
+                    "instruction_offset": offset,
+                    "note": ("sending to an unregistered address loses the funds; "
+                             "first use also costs at least 25,000 extra to create "
+                             "the account"),
+                }))
         # a date/height constraint is recorded but does not make the
         # destruction safe (anyone can wait)
         if destruct is not None and not bits & 4:
             has_time = bool(bits & 8)
-            violations.append(memo.violation(
-                ("guard_suicide", destruct, has_time), PropertyId.GUARD_SUICIDE, {
-                    "selfdestruct_offset": destruct,
-                    "missing_guards": ({"ownership"} if has_time
-                                       else {"ownership", "time_or_height"}),
-                    "present_guards": {"time_or_height"} if has_time else set(),
-                }))
-        found = self.verdicts[facts] = (violations, warnings)
-        return found
+            violations.append(PropertyViolation(PropertyId.GUARD_SUICIDE, {
+                "selfdestruct_offset": destruct,
+                "missing_guards": ({"ownership"} if has_time
+                                   else {"ownership", "time_or_height"}),
+                "present_guards": {"time_or_height"} if has_time else set(),
+            }))
+        return violations, warnings
 
     def of(self, conditions: list[Word], records: list[ExternalRecord],
            ) -> tuple[list[PropertyViolation], list[str]]:
@@ -257,18 +233,17 @@ class PathFacts:
         return self.verdict(self.extend(self.start, [], conditions, records))
 
 
-def check_address_existence(records: list[ExternalRecord],
-                            registry: AddressRegistry, memo: AnalysisMemo,
+def check_address_existence(records: list[ExternalRecord], registry: AddressRegistry,
                             ) -> tuple[list[PropertyViolation], list[str]]:
     """Flag transfers whose constant 160-bit target is not registered; each
     path that reaches an address the registry could not answer for gets its
     own warning."""
-    return PathFacts(None, registry, False, memo).of([], records)
+    return PathFacts(None, registry, False).of([], records)
 
 
-def check_guard_suicide(state: SymbolicState, memo: AnalysisMemo) -> PropertyViolation | None:
+def check_guard_suicide(state: SymbolicState) -> PropertyViolation | None:
     """Violation when a self-destruct is reachable without an ownership guard."""
-    found, _warnings = PathFacts(None, None, True, memo).of(state.path_condition, state.records)
+    found, _warnings = PathFacts(None, None, True).of(state.path_condition, state.records)
     return found[0] if found else None
 
 

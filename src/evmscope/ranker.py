@@ -80,18 +80,9 @@ def score(path: ProgramPath, violations: list[PropertyViolation],
 
 
 def make_ranked(path: ProgramPath, violations: list[PropertyViolation],
-                config: RankConfig,
-                scores: dict[tuple, Fraction] | None = None) -> RankedPath:
-    """`scores`, if given, memoizes scores by (property set, call count)
-    for callers that rank many paths under one config."""
-    if scores is None:
-        path_score = score(path, violations, config)
-    else:
-        key = (frozenset(v.property for v in violations), path.call_count)
-        path_score = scores.get(key)
-        if path_score is None:
-            path_score = scores[key] = score(path, violations, config)
-    return RankedPath(path=path, violations=tuple(violations), score=path_score)
+                config: RankConfig) -> RankedPath:
+    return RankedPath(path=path, violations=tuple(violations),
+                      score=score(path, violations, config))
 
 
 def _score_places(ranked: list[RankedPath]) -> tuple[dict[int, int], list[Fraction]]:

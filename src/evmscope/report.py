@@ -24,11 +24,9 @@ from . import isa
 # perfbench/tracer.py patches the per-path check_* here, which analyze()
 # leaves to PathFacts
 from .analyzers import (  # noqa: F401
-    AnalysisMemo,
     GasEstimator,
     PathFacts,
     PropertyId,
-    PropertyViolation,
     check_address_existence,
     check_black_hole,
     check_guard_suicide,
@@ -239,16 +237,10 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     money = unfolding.money_marker(payable)
 
     ranked: list[RankedPath] = []
-    scores: dict = {}  # one score per (property set, call count) in this analysis
-    firsts: dict[tuple, RankedPath] = {}  # per (the evidence, call count)
-
-    def rank(path: ProgramPath, evidence, violations: list[PropertyViolation]) -> None:
-        """Rank a path as the first path of its evidence and call count was."""
-        key = (evidence, len(path.functions))
-        first = firsts.get(key)
-        if first is None:
-            first = firsts[key] = make_ranked(path, violations, config.rank, scores)
-        ranked.append(RankedPath(path, first.violations, first.score))
+    # per (the evidence, call count): the first such path ranked, or None
+    # if it violates nothing, and its registry warnings; the paths after it
+    # share its violations and score
+    firsts: dict[tuple, tuple[RankedPath | None, list[str]]] = {}
 
     def enabled(prop: PropertyId) -> bool:
         return prop not in config.disabled
@@ -257,7 +249,11 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         if enabled(PropertyId.BLACK_HOLE):
             # the walk builds only the paths with a piece that takes Ether in
             for path, violation in check_black_hole(cfg, unfolding, payable):
-                rank(path, id(violation), [violation])
+                key = (id(violation), len(path.functions))
+                first = firsts.get(key)
+                if first is None:
+                    first = firsts[key] = (make_ranked(path, [violation], config.rank), [])
+                ranked.append(RankedPath(path, first[0].violations, first[0].score))
     else:
         check_limit = config.transfer_limit is not None and enabled(PropertyId.TRANSFER_LIMIT)
         check_addr = registry.mode != "disabled" and enabled(PropertyId.NON_EXISTING_ADDRESS)
@@ -273,7 +269,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
         # it enters it; a path's violations follow from its leaf's facts.  A
         # piece that fails skips the paths below the failing block, reported once
         facts = PathFacts(config.transfer_limit if check_limit else None,
-                          registry if check_addr else None, check_suicide, AnalysisMemo())
+                          registry if check_addr else None, check_suicide)
         outcomes = execute_paths(cfg, contract.runtime_code, unfolding, traced,
                                  base_storage, deadline, facts)
         skipped: dict[SymExecError, int] = {}
@@ -285,10 +281,16 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
             if isinstance(outcome, SymExecError):
                 skipped[outcome] = skipped.get(outcome, 0) + 1
                 continue
-            found, warnings = facts.verdict(outcome)
+            key = (outcome, len(path.functions))
+            first = firsts.get(key)
+            if first is None:
+                found, warnings = facts.verdict(outcome)
+                first = firsts[key] = (
+                    make_ranked(path, found, config.rank) if found else None, warnings)
+            top, warnings = first
             diagnostics += warnings
-            if found:
-                rank(path, outcome, found)
+            if top is not None:
+                ranked.append(RankedPath(path, top.violations, top.score))
         left = unfolding.count(traced) - analyzed
         if left:
             diagnostics.append(f"trace_timed_out: deadline passed; "
@@ -348,7 +350,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
     elapsed_ms = int((time.monotonic() - started) * 1000)
     # the paths of one evidence and call count share their first's
     # violations tuple: each tuple counts once, weighted by its rows
-    distinct = {id(first.violations): first.violations for first in firsts.values()}
+    distinct = {id(top.violations): top.violations for top, _warnings in firsts.values() if top}
     violation_counts: Counter[str] = Counter()
     for held, rows in Counter([id(cp.ranked.violations) for cp in critical]).items():
         for v in distinct[held]:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .symexec import (SOLVER_TIMEOUT_MS, Word, concretize, const, eval_word, free_vars, mk,
-                      node, WORD_MAX)
+from .symexec import Word, concretize, const, eval_word, free_vars, mk, node, WORD_MAX
 
 _CMP_OPS = ("EQ", "LT", "GT", "SLT", "SGT")
 
@@ -93,7 +92,7 @@ class _Interval:
 class BoundedSolver:
     """Candidate-search SAT with sound-only unsat rules."""
 
-    def check(self, conjuncts: list[Word], timeout_ms: int = SOLVER_TIMEOUT_MS) -> CheckResult:
+    def check(self, conjuncts: list[Word], timeout_ms: int) -> CheckResult:
         deadline = time.monotonic() + timeout_ms / 1000.0
         try:
             return self._check(conjuncts, deadline)

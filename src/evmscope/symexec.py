@@ -25,6 +25,8 @@ the same compiled plans, reading every value the symbolic walk leaves free
 from the witness, and `_steer`, the one steering loop, picks each next
 block from the jump operands.  Memory is keyed by word offset in both
 runners, and a copy of untracked data or a call's return data clears it.
+Every memory area an opcode reads, writes or hands out is charged against
+MEMORY_CAP: replay charges each, the symbolic walk each of constant bounds.
 """
 
 from __future__ import annotations
@@ -440,10 +442,20 @@ class SymbolicState:
             self.mem_unknown = True
 
     def _copy_unknown(self, ins: Instruction, pops: int) -> None:
-        """CALLDATACOPY, RETURNDATACOPY, EXTCODECOPY: data the model does not track."""
-        del self.stack[len(self.stack) - pops:]
+        """CALLDATACOPY, RETURNDATACOPY, EXTCODECOPY: data the model does not
+        track, into the area the destination and the length name."""
+        stack = self.stack
+        _charge(stack[2 - pops], stack[-pops])
+        del stack[len(stack) - pops:]
         self.memory.clear()
         self.mem_unknown = True
+
+    def _output(self, ins: Instruction, pops: int) -> None:
+        """LOG0-LOG4, RETURN, REVERT: hand out the memory area the first two
+        operands name."""
+        stack = self.stack
+        _charge(stack[-1], stack[-2])
+        del stack[len(stack) - pops:]
 
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
@@ -486,8 +498,10 @@ class SymbolicState:
     def _call(self, ins: Instruction, pops: int) -> None:
         """CALL, CALLCODE, DELEGATECALL, STATICCALL."""
         name = ins.info.mnemonic
-        # gas, target, [value,] then four memory operands
+        # gas, target, [value,] then the input and the output area
         args = [self.stack.pop() for _ in range(pops)]
+        _charge(args[-4], args[-3])
+        _charge(args[-2], args[-1])
         value = args[2] if name in ("CALL", "CALLCODE") else None
         self.records.append(ExternalRecord(name, ins.offset, self.txn, args[1], value))
         if name == "CALL":
@@ -498,8 +512,9 @@ class SymbolicState:
         self.stack.append(self.fresh(f"XRET#{self.txn_label}"))
 
     def _create(self, ins: Instruction, operand: None) -> None:
-        value = self.stack.pop()
-        del self.stack[-2:]
+        stack = self.stack
+        value, offset, length = stack.pop(), stack.pop(), stack.pop()
+        _charge(offset, length)  # the init code's area
         self.records.append(ExternalRecord("CREATE", ins.offset, self.txn, None, value))
         self.stack.append(self.fresh(f"XADDR#{self.txn_label}"))
 
@@ -514,8 +529,7 @@ class SymbolicState:
 # ---------------------------------------------------------------------------
 
 # Opcodes whose only effect on the modelled state is popping their operands.
-_POP_ONLY = frozenset({"POP", "LOG0", "LOG1", "LOG2", "LOG3", "LOG4",
-                       "RETURN", "REVERT", "STOP", "JUMPDEST", "INVALID"})
+_POP_ONLY = frozenset({"POP", "STOP", "JUMPDEST", "INVALID"})
 # Reads of values the model does not track: every use is a fresh word.
 _OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE", "GAS"})
 # Transaction environment: one variable per transaction.
@@ -537,6 +551,13 @@ def _expand_memory(offset: int, length: int) -> None:
     """Halt as out of gas if memory would grow past MEMORY_CAP."""
     if length > 0 and offset + length > MEMORY_CAP:
         raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
+
+
+def _charge(offset: Word, length: Word) -> None:
+    """`_expand_memory` for the area two symbolic operands name, if both
+    are constants; an area that a word not known names is not charged."""
+    if offset.op == length.op == "const":
+        _expand_memory(offset.value or 0, length.value or 0)
 
 
 def _copy_code(memory: dict, code: bytes, dest: int, src: int, length: int,
@@ -563,6 +584,8 @@ _NAMED_HANDLERS = {
     "CALLCODE": SymbolicState._call, "DELEGATECALL": SymbolicState._call,
     "STATICCALL": SymbolicState._call, "CREATE": SymbolicState._create,
     "SELFDESTRUCT": SymbolicState._selfdestruct,
+    **dict.fromkeys(("LOG0", "LOG1", "LOG2", "LOG3", "LOG4", "RETURN", "REVERT"),
+                    SymbolicState._output),
 }
 
 # The stack moves a plan marks instead of naming a handler; both block
@@ -1138,9 +1161,16 @@ class Replay:
         _copy_code(self.memory, self.code, dest, src, length, int)
 
     def _copy_unknown(self, ins: Instruction, pops: int) -> None:
-        del self.stack[len(self.stack) - pops:]
+        stack = self.stack
+        _expand_memory(stack[2 - pops], stack[-pops])
+        del stack[len(stack) - pops:]
         self.memory.clear()
         self.mem_unknown = True
+
+    def _output(self, ins: Instruction, pops: int) -> None:
+        stack = self.stack
+        _expand_memory(stack[-1], stack[-2])
+        del stack[len(stack) - pops:]
 
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
@@ -1177,6 +1207,8 @@ class Replay:
 
     def _call(self, ins: Instruction, pops: int) -> None:
         args = [self.stack.pop() for _ in range(pops)]
+        _expand_memory(args[-4], args[-3])
+        _expand_memory(args[-2], args[-1])
         if ins.info.mnemonic == "CALL":
             self.balance = (self.balance - args[2]) % WORD_MOD
         if args[-1]:
@@ -1185,6 +1217,7 @@ class Replay:
         self.stack.append(self.fresh(f"XRET#{self.txn}"))
 
     def _create(self, ins: Instruction, operand: None) -> None:
+        _expand_memory(self.stack[-2], self.stack[-3])
         del self.stack[-3:]
         self.stack.append(self.fresh(f"XADDR#{self.txn}"))
 

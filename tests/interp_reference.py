@@ -12,18 +12,21 @@ data overwrites the output area; after such a clear, or a copy of untracked
 data, SHA3 reads an unwritten word as a fresh one in witness mode too.
 MLOAD, MSTORE and MSTORE8 at a constant offset charge memory expansion
 for the word they touch (MSTORE8 for its byte's word), as SHA3 and
-CODECOPY charge theirs: past MEMORY_CAP they halt out of gas.  On a REVERT it
-keeps a rule of its own: it drops the records numbered with the current
-call, and the storage writes made since `mark`, which its caller takes when
-the call begins; the runner under test truncates both lists at the
-`call_start` that `begin_transaction` sets.  `reference_take_exit` is the
-former `_take_exit`, which also started the next call, over this
-interpreter; where a path takes a JUMPI's fallthrough and the target is
-symbolic, it asserts that the condition is zero or the target is the
-fallthrough, as `_take_exit` does.  Its own checked `_push` and
-`_pop` raise the stack errors with the two messages the block runners give
-("pop from empty stack", "stack limit exceeded"); a DUP or SWAP too short
-of words gives the first.  The compiled plans must leave the identical
+CODECOPY charge theirs: past MEMORY_CAP they halt out of gas.  So do the
+areas, of a constant offset and length, that LOG0-LOG4, RETURN and REVERT
+hand out, that a CALL-family opcode passes in and takes back, that CREATE
+runs as init code, and that CALLDATACOPY, RETURNDATACOPY and EXTCODECOPY
+copy into.  On a REVERT it keeps a rule of its own: it drops the records
+numbered with the current call, and the storage writes made since `mark`,
+which its caller takes when the call begins; the runner under test
+truncates both lists at the `call_start` that `begin_transaction` sets.
+`reference_take_exit` is the former `_take_exit`, which also started the
+next call, over this interpreter; where a path takes a JUMPI's fallthrough
+and the target is symbolic, it asserts that the condition is zero or the
+target is the fallthrough, as `_take_exit` does.  Its own checked `_push`
+and `_pop` raise the stack errors with the two messages the block runners
+give ("pop from empty stack", "stack limit exceeded"); a DUP or SWAP too
+short of words gives the first.  The compiled plans must leave the identical
 state after every block, and raise the identical exception where a block
 cannot run.
 """
@@ -51,8 +54,8 @@ from evmscope.symexec import (
     var,
 )
 
-_POP_ONLY = frozenset({"POP", "LOG0", "LOG1", "LOG2", "LOG3", "LOG4",
-                       "RETURN", "REVERT", "STOP", "JUMPDEST", "INVALID"})
+_POP_ONLY = frozenset({"POP", "STOP", "JUMPDEST", "INVALID"})
+_OUTPUTS = frozenset({"LOG0", "LOG1", "LOG2", "LOG3", "LOG4", "RETURN", "REVERT"})
 _OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE", "GAS"})
 _ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
                         "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"})
@@ -109,6 +112,10 @@ class ReferenceInterpreter:
         if length > 0 and offset + length > MEMORY_CAP:
             raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
 
+    def _charge(self, offset: Word, length: Word) -> None:
+        if offset.is_concrete and length.is_concrete:
+            self._expand_memory(offset.value or 0, length.value or 0)
+
     def _mem_words(self, offset: int, length: int) -> list[Word]:
         self._expand_memory(offset, length)
         words = []
@@ -151,6 +158,10 @@ class ReferenceInterpreter:
         if name in _POP_ONLY:
             for _ in range(info.stack_pops):
                 self._pop()
+            return
+        if name in _OUTPUTS:
+            args = [self._pop() for _ in range(info.stack_pops)]
+            self._charge(args[0], args[1])
             return
         if name in _OPAQUE_READS:
             for _ in range(info.stack_pops):
@@ -205,8 +216,8 @@ class ReferenceInterpreter:
                 self.state.mem_unknown = True
             return
         if name in ("CALLDATACOPY", "RETURNDATACOPY", "EXTCODECOPY"):
-            for _ in range(info.stack_pops):
-                self._pop()
+            args = [self._pop() for _ in range(info.stack_pops)]
+            self._charge(args[-3], args[-1])  # the destination and the length
             self.state.memory.clear()
             self.state.mem_unknown = True
             return
@@ -244,6 +255,8 @@ class ReferenceInterpreter:
             return
         if name in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
             args = [self._pop() for _ in range(info.stack_pops)]
+            self._charge(args[-4], args[-3])
+            self._charge(args[-2], args[-1])
             value = args[2] if name in ("CALL", "CALLCODE") else None
             state.records.append(ExternalRecord(name, ins.offset, state.txn, args[1], value))
             if name == "CALL":
@@ -255,8 +268,8 @@ class ReferenceInterpreter:
             self._push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
             return
         if name == "CREATE":
-            value = self._pop()
-            self._pop(), self._pop()
+            value, offset, length = self._pop(), self._pop(), self._pop()
+            self._charge(offset, length)
             state.records.append(ExternalRecord(name, ins.offset, state.txn, None, value))
             self._push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
             return

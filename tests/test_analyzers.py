@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from evmscope import report, symexec
 from evmscope.analyzers import (
-    AnalysisMemo,
     GasEstimator,
     PropertyId,
     TransferLedger,
@@ -62,7 +61,7 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
     assert double
     for path, state in double:
         transfers = refine_transfer_values(state)
-        v = check_transfer_limit(30, transfers, AnalysisMemo())
+        v = check_transfer_limit(30, transfers)
         assert v is not None and v.property is PropertyId.TRANSFER_LIMIT
         assert v.evidence["remaining"] == -10
 
@@ -70,14 +69,12 @@ def test_two_twenty_wei_transfers_break_limit_thirty():
 def test_single_transfer_within_limit():
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
-        memo = AnalysisMemo()
-        assert check_transfer_limit(30, refine_transfer_values(state),
-                                    memo) is None
+        assert check_transfer_limit(30, refine_transfer_values(state)) is None
 
 
 def test_unknown_amount_is_conservative_violation():
     traced = _traced_money_paths("gigstoken", depth=1)
-    flagged = [check_transfer_limit(10**18, refine_transfer_values(s), AnalysisMemo())
+    flagged = [check_transfer_limit(10**18, refine_transfer_values(s))
                for p, s in traced]
     assert any(v is not None and v.evidence["remaining"] == UNKNOWN_AMOUNT
                for v in flagged)
@@ -114,8 +111,7 @@ def test_enjinbuyer_sale_address_flagged():
     traced = _traced_money_paths("enjinbuyer", depth=1)
     found = []
     for path, state in traced:
-        violations, warnings = check_address_existence(state.records, registry,
-                                                       AnalysisMemo())
+        violations, warnings = check_address_existence(state.records, registry)
         found.extend(violations)
         assert warnings == []
     assert found
@@ -129,7 +125,7 @@ def test_registered_constant_not_flagged():
     traced = _traced_money_paths("pay_const_0", depth=1)
     assert traced
     for path, state in traced:
-        violations, _ = check_address_existence(state.records, registry, AnalysisMemo())
+        violations, _ = check_address_existence(state.records, registry)
         assert violations == []
 
 
@@ -138,7 +134,7 @@ def test_symbolic_address_skipped():
     registry = _registry()
     traced = _traced_money_paths("toydao", depth=1)
     for path, state in traced:
-        violations, _ = check_address_existence(state.records, registry, AnalysisMemo())
+        violations, _ = check_address_existence(state.records, registry)
         assert violations == []
 
 
@@ -151,8 +147,7 @@ def test_registry_outage_degrades_to_warning():
 
     traced = _traced_money_paths("pay_unreg_0", depth=1)
     path, state = traced[0]
-    violations, warnings = check_address_existence(state.records, FailingRegistry(),
-                                                   AnalysisMemo())
+    violations, warnings = check_address_existence(state.records, FailingRegistry())
     assert violations == []
     assert warnings and "unavailable" in warnings[0]
 
@@ -223,7 +218,7 @@ def _suicide_check(name, depth=1):
     results = []
     for path, state in _traced_money_paths(name, depth=depth):
         if any(r.kind == "SELFDESTRUCT" for r in state.records):
-            results.append(check_guard_suicide(state, AnalysisMemo()))
+            results.append(check_guard_suicide(state))
     return results
 
 
@@ -257,7 +252,7 @@ def test_an_owner_guard_compared_again_is_still_a_guard(guard):
     cfg = build_cfg(disassemble(code))
     paths = filter_money(iter(enumerate_paths(cfg, PathBounds(call_depth=1))), cfg)
     states = [trace_path(cfg, code, p, {}) for p in paths]
-    assert [check_guard_suicide(s, AnalysisMemo()) for s in states
+    assert [check_guard_suicide(s) for s in states
             if any(r.kind == "SELFDESTRUCT" for r in s.records)] == [None]
 
 
@@ -430,7 +425,6 @@ def test_ctor_stored_registered_address_not_flagged():
     for path, state in traced:
         calls = [r for r in state.records if r.kind == "CALL"]
         saw_call = saw_call or bool(calls)
-        violations, warnings = check_address_existence(state.records, registry,
-                                                       AnalysisMemo())
+        violations, warnings = check_address_existence(state.records, registry)
         assert violations == [] and warnings == []
     assert saw_call

@@ -77,7 +77,13 @@ MODES = {"symbolic": None, "witness": _Witness()}
 # witness mode reads as an address (memory offset, length, calldata
 # offset, storage key) and treats differently when the word is symbolic.
 _ADDRESS_OPERANDS = {"MLOAD": (0,), "MSTORE": (0,), "MSTORE8": (0,), "SHA3": (0, 1),
-                     "CALLDATALOAD": (0,), "CODECOPY": (0, 1, 2), "SLOAD": (0,)}
+                     "CALLDATALOAD": (0,), "CODECOPY": (0, 1, 2), "SLOAD": (0,),
+                     **dict.fromkeys(("LOG0", "LOG1", "LOG2", "LOG3", "LOG4", "RETURN",
+                                      "REVERT"), (0, 1)),
+                     "CALL": (3, 4, 5, 6), "CALLCODE": (3, 4, 5, 6),
+                     "DELEGATECALL": (2, 3, 4, 5), "STATICCALL": (2, 3, 4, 5),
+                     "CREATE": (1, 2), "CALLDATACOPY": (0, 2), "RETURNDATACOPY": (0, 2),
+                     "EXTCODECOPY": (1, 3)}
 
 
 class _NotingReference(ReferenceInterpreter):

@@ -7,7 +7,7 @@ import pytest
 
 import evmscope.report as report_module
 import evmscope.symexec as symexec_module
-from evmscope.analyzers import AnalysisMemo, PropertyId, check_guard_suicide
+from evmscope.analyzers import PropertyId, check_guard_suicide
 from evmscope.cfg import build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
@@ -113,6 +113,29 @@ def test_a_word_past_the_memory_cap_halts_the_trace_and_the_replay(runtime):
     assert [d for d in report.diagnostics if d.startswith("trace_")] == [
         f"trace_abandoned: OutOfGas (memory up to byte {2 ** 255 + 32} exceeds the block "
         f"gas limit); 1 money path(s) not analyzed"]
+    with pytest.raises(OutOfGas):
+        replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
+
+
+@pytest.mark.parametrize("runtime", [
+    # LOG0(0, 2**255); CALLER; SELFDESTRUCT
+    _PUSH_2_POW_255 + "6000a0" + "33ff",
+    # RETURN(0, 2**255): no money opcode, and the path a black hole
+    _PUSH_2_POW_255 + "6000f3",
+    # CALL(0, CALLER, 0, 0, 2**255, 0, 0); POP; CALLER; SELFDESTRUCT
+    "6000" * 2 + _PUSH_2_POW_255 + "6000" * 2 + "33" + "6000f1" + "50" + "33ff",
+    # CALLDATACOPY(0, 0, 2**255); CALLER; SELFDESTRUCT
+    _PUSH_2_POW_255 + "6000" * 2 + "37" + "33ff",
+], ids=["log0", "return", "call-input", "calldatacopy"])
+def test_an_area_past_the_memory_cap_halts_the_trace_and_the_replay(runtime):
+    # an opcode that reads or writes a memory area pays for its expansion,
+    # as MLOAD and MSTORE do: a path handing out 2**255 bytes runs out of
+    # gas and is never reported feasible
+    code = parse_hex(runtime)
+    config = AnalysisConfig(bounds=PathBounds(call_depth=1), rank=RankConfig(threshold=0),
+                            registry_mode="disabled", include_timing=False)
+    report = analyze(ContractCode(runtime_code=code, name="huge"), config)
+    assert [cp.feasibility for cp in report.critical_paths] == []
     with pytest.raises(OutOfGas):
         replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
 
@@ -492,7 +515,7 @@ def test_every_walk_over_a_term_at_its_bound_stays_under_the_recursion_limit(bui
                            records=[ExternalRecord("SELFDESTRUCT", 0, 1, var("CALLER#1"), ZERO)])
     for walk in (lambda: str(term), lambda: hash(term), lambda: term == twin,
                  lambda: eval_word(term, {}), lambda: free_vars(term),
-                 lambda: check_guard_suicide(state, AnalysisMemo()),
+                 lambda: check_guard_suicide(state),
                  lambda: BoundedSolver().check([term], timeout_ms=100)):
         _at_frame_depth(150, walk)  # raises nothing, RecursionError least of all
     with pytest.raises(TermTooDeep, match=past):

@@ -187,16 +187,3 @@ def test_override_alpha_drops_fmea_triple():
     with pytest.raises(ValueError):
         config.override_alpha(PropertyId.BLACK_HOLE, Fraction(0))
 
-
-_PROPS = st.sampled_from(list(PropertyId))
-
-
-@given(st.lists(st.tuples(st.integers(1, 4), st.lists(_PROPS, max_size=4)), max_size=30))
-def test_memoized_scores_match_direct_scoring(cases):
-    config = RankConfig()
-    scores: dict = {}
-    for length, props in cases:
-        path, violations = _path(length), [_violation(p) for p in props]
-        assert make_ranked(path, violations, config, scores) == \
-            make_ranked(path, violations, config)
-    assert len(scores) == len({(frozenset(props), length) for length, props in cases})

@@ -61,18 +61,19 @@ def test_analyze_builds_paths_only_as_it_traces_them(monkeypatch):
 
 def test_a_timed_out_report_counts_the_paths_not_analyzed(monkeypatch):
     # the clock runs out on its 40th reading, while the unfolding is still
-    # selecting paths; each path analyzed asks for its facts' verdict once
+    # selecting paths; each path the trace walk yields is analyzed
     readings = itertools.count()
     monkeypatch.setattr(time, "monotonic",
                         lambda: 1000.0 if next(readings) < 40 else 1e9)
     checked = []
+    shared_walk = report_module.execute_paths
 
-    class Counted(report_module.PathFacts):
-        def verdict(self, facts):
+    def counted_walk(*args, **kwargs):
+        for outcome in shared_walk(*args, **kwargs):
             checked.append(1)
-            return super().verdict(facts)
+            yield outcome
 
-    monkeypatch.setattr(report_module, "PathFacts", Counted)
+    monkeypatch.setattr(report_module, "execute_paths", counted_walk)
     contract = ContractCode(runtime_code=parse_hex(_diamonds(5)), name="diamonds_5")
     report = analyze(contract, AnalysisConfig(bounds=PathBounds(call_depth=3),
                                               include_timing=False))

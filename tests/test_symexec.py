@@ -18,6 +18,7 @@ from evmscope.symexec import (
     FeasibilityStatus,
     ONE,
     Replay,
+    SOLVER_TIMEOUT_MS,
     StackUnderflow,
     SymExecError,
     Word,
@@ -551,7 +552,7 @@ def test_contradictory_condition_infeasible():
     solver = BoundedSolver()
     # value > 0 and value == 0 cannot hold together
     x = var("CALLVALUE#1")
-    result = solver.check([mk("GT", x, const(0)), mk("EQ", x, const(0))])
+    result = solver.check([mk("GT", x, const(0)), mk("EQ", x, const(0))], SOLVER_TIMEOUT_MS)
     assert result.status == "unsat"
 
 
