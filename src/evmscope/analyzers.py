@@ -148,12 +148,13 @@ class PathFacts:
         # per address: whether it exists, or the message of the outage that kept it
         self.addresses: dict[int, bool | str] = {}
 
-    def extend(self, facts: Facts, before: list[Word], conditions: list[Word],
+    def extend(self, facts: Facts, before: Callable[[], list[Word]], conditions: list[Word],
                records: list[ExternalRecord]) -> Facts:
-        """`facts` and then a piece's: `before` is the path condition it
-        started from, `conditions` and `records` what it added.  Guard bits
-        are gathered from the first self-destruct on, over the whole path
-        condition then, and up to the first ownership guard."""
+        """`facts` and then a piece's: `before()` gives the path condition
+        it started from, asked for only at the path's first self-destruct,
+        `conditions` and `records` what it added.  Guard bits are gathered
+        from the first self-destruct on, over the whole path condition
+        then, and up to the first ownership guard."""
         remaining, exact, destruct, bits, targets = facts
         if records:
             if self.limit is not None:
@@ -169,7 +170,7 @@ class PathFacts:
             if destruct is None and self.suicide:
                 destruct = next((r.offset for r in records if r.kind == "SELFDESTRUCT"), None)
                 if destruct is not None:
-                    conditions = [*before, *conditions]
+                    conditions = [*before(), *conditions]
         elif destruct is None or bits & 4 or not conditions:
             return facts
         if destruct is not None:
@@ -230,7 +231,7 @@ class PathFacts:
     def of(self, conditions: list[Word], records: list[ExternalRecord],
            ) -> tuple[list[PropertyViolation], list[str]]:
         """The verdict on one path's whole lists."""
-        return self.verdict(self.extend(self.start, [], conditions, records))
+        return self.verdict(self.extend(self.start, tuple, conditions, records))
 
 
 def check_address_existence(records: list[ExternalRecord], registry: AddressRegistry,

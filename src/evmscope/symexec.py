@@ -11,7 +11,8 @@ One piece runner (`_piece_runner`) turns the state at a piece boundary
 into the state after the piece.  The trace of an unfolding
 (`execute_paths`) drives it down the piece tree the unfolding walks, so
 each piece runs once per node it hangs from, siblings share the blocks
-their pieces share, and a whole call runs once per state it starts from;
+their pieces share, and a whole call runs once per set of words it reads
+from the states it starts from;
 paths that share a call share its `ExternalRecord`s, which resolve their
 own target and amount once.  `trace_path` folds the same runner over one
 path.
@@ -26,7 +27,8 @@ from the witness, and `_steer`, the one steering loop, picks each next
 block from the jump operands.  Memory is keyed by word offset in both
 runners, and a copy of untracked data or a call's return data clears it.
 Every memory area an opcode reads, writes or hands out is charged against
-MEMORY_CAP: replay charges each, the symbolic walk each of constant bounds.
+MEMORY_CAP: replay charges each, the symbolic walk each of constant length,
+at offset 0 where its offset is not known.
 """
 
 from __future__ import annotations
@@ -293,7 +295,15 @@ class SymbolicState:
         self.txn_prefix = txn_prefix
         self.records: list[ExternalRecord] = []
         self.fresh_counter = 0
-        self.storage_var_cache: dict[Word, Word] = {}
+        self.storage_var_cache: dict[Word, Word] = {}  # what an unwritten key reads
+        # the words `credited` and `debited` built, by the ids of their operands
+        self.credits: dict[tuple[int, int], tuple[Word, Word]] = {}
+        self.debits: dict[tuple[int, int], tuple[Word, Word, Word]] = {}
+        # what this call did with the state it began in: the storage keys it
+        # read, whether it read the balance, and what its CALLs sent
+        self.reads: list[Word] = []
+        self.balance_read = False
+        self.sent: tuple[Word, ...] = ()
         self.mem_unknown = False  # memory was written through an unknown pointer
         self.call_start = (0, 0)  # (storage writes, records) before this call
         self.code = code  # what CODESIZE and CODECOPY read
@@ -301,9 +311,9 @@ class SymbolicState:
 
     def fork(self) -> SymbolicState:
         """An independent copy.  Words are immutable, so shallow copies of
-        the containers suffice; base storage, the storage-variable cache,
-        the code and the deadline stay shared, since none of them changes
-        what a read returns."""
+        the containers suffice; base storage, the storage-variable and
+        balance-word caches, the code and the deadline stay shared, since
+        none of them changes what a read returns."""
         twin = SymbolicState.__new__(SymbolicState)
         twin.__dict__.update(self.__dict__)
         twin.stack = self.stack.copy()
@@ -311,6 +321,7 @@ class SymbolicState:
         twin.storage_writes = self.storage_writes.copy()
         twin.path_condition = self.path_condition.copy()
         twin.records = self.records.copy()
+        twin.reads = self.reads.copy()
         return twin
 
     @property
@@ -343,12 +354,23 @@ class SymbolicState:
             value = node("ite", (mk("EQ", wkey, key), wval, value))
         return node("sload", (value,))
 
+    def entry_read(self, key: Word) -> Word | None:
+        """The word `sload(key)` finds in this state's writes or base
+        storage, itself, or None if a write whose key cannot be told apart
+        from `key` statically comes first."""
+        for wkey, wval in reversed(self.storage_writes):
+            if wkey == key:
+                return wval
+            if not (wkey.is_concrete and key.is_concrete):
+                return None
+        return self._base_read(key)
+
     def _base_read(self, key: Word) -> Word:
-        if key in self.base_storage:
-            return self.base_storage[key]
-        if key not in self.storage_var_cache:
-            self.storage_var_cache[key] = var(f"STORAGE@{key}")
-        return self.storage_var_cache[key]
+        word = self.storage_var_cache.get(key)
+        if word is None:  # base storage's word, else one variable per key
+            word = self.storage_var_cache[key] = (self.base_storage.get(key)
+                                                  or var(f"STORAGE@{key}"))
+        return word
 
     def final_storage(self) -> dict[Word, Word]:
         merged = dict(self.base_storage)
@@ -362,7 +384,27 @@ class SymbolicState:
         self.memory = {}
         self.mem_unknown = False
         self.call_start = (len(self.storage_writes), len(self.records))
-        self.balance = mk("ADD", self.balance, var(f"CALLVALUE#{self.txn_label}"))
+        self.reads, self.balance_read, self.sent = [], False, ()
+        self.balance = self.credited(self.balance)
+
+    def credited(self, balance: Word) -> Word:
+        """`balance` plus this call's CALLVALUE: one word per (balance, call
+        counter), as `debited` gives one per (balance, value), so equal
+        moves of one balance word leave one balance word."""
+        key = (id(balance), self.txn)
+        found = self.credits.get(key)
+        if found is None:
+            found = self.credits[key] = (
+                balance, mk("ADD", balance, var(f"CALLVALUE#{self.txn_label}")))
+        return found[1]
+
+    def debited(self, balance: Word, value: Word) -> Word:
+        """`balance` less the `value` a CALL sends."""
+        key = (id(balance), id(value))
+        found = self.debits.get(key)
+        if found is None:
+            found = self.debits[key] = (balance, value, mk("SUB", balance, value))
+        return found[2]
 
     def _mem_words(self, offset: int, length: int) -> list[Word]:
         _expand_memory(offset, length)
@@ -412,12 +454,14 @@ class SymbolicState:
                     raise DeadlinePassed(str(exc)) from None
             stack.append(term)
         else:
+            _charge(offset, length)
             stack.append(self.fresh(f"SHA3#{self.txn_label}"))
 
     def _balance(self, ins: Instruction, operand: None) -> None:
         target = self.stack.pop()
         if target.op == "var" and target.name == "ADDRESS":
             self.stack.append(self.balance)
+            self.balance_read = True
         else:
             self.stack.append(self.fresh(f"EXTBAL#{self.txn_label}"))
 
@@ -438,6 +482,7 @@ class SymbolicState:
             _copy_code(self.memory, self.code, dest.value or 0, src.value or 0,
                        length.value or 0, const)
         else:
+            _charge(dest, length)
             self.memory.clear()
             self.mem_unknown = True
 
@@ -489,7 +534,9 @@ class SymbolicState:
         self._mstore(ins, operand)
 
     def _sload(self, ins: Instruction, operand: None) -> None:
-        self.stack.append(self.sload(self.stack.pop()))
+        key = self.stack.pop()
+        self.reads.append(key)
+        self.stack.append(self.sload(key))
 
     def _sstore(self, ins: Instruction, operand: None) -> None:
         key, value = self.stack.pop(), self.stack.pop()
@@ -505,7 +552,8 @@ class SymbolicState:
         value = args[2] if name in ("CALL", "CALLCODE") else None
         self.records.append(ExternalRecord(name, ins.offset, self.txn, args[1], value))
         if name == "CALL":
-            self.balance = mk("SUB", self.balance, value)
+            self.balance = self.debited(self.balance, value)
+            self.sent += (value,)
         if args[-1] != ZERO:  # the return data overwrites the output area
             self.memory.clear()
             self.mem_unknown = True
@@ -520,6 +568,7 @@ class SymbolicState:
 
     def _selfdestruct(self, ins: Instruction, operand: None) -> None:
         target = self.stack.pop()
+        self.balance_read = True
         self.records.append(ExternalRecord("SELFDESTRUCT", ins.offset, self.txn,
                                            target, self.balance))
 
@@ -554,10 +603,12 @@ def _expand_memory(offset: int, length: int) -> None:
 
 
 def _charge(offset: Word, length: Word) -> None:
-    """`_expand_memory` for the area two symbolic operands name, if both
-    are constants; an area that a word not known names is not charged."""
-    if offset.op == length.op == "const":
-        _expand_memory(offset.value or 0, length.value or 0)
+    """`_expand_memory` for the area two symbolic operands name, if its
+    length is a constant: at its offset if that is one too, else at any
+    offset, so a length past MEMORY_CAP halts; an area of a length not
+    known is not charged."""
+    if length.op == "const":
+        _expand_memory(offset.value or 0 if offset.op == "const" else 0, length.value or 0)
 
 
 def _copy_code(memory: dict, code: bytes, dest: int, src: int, length: int,
@@ -753,21 +804,24 @@ def _take_exit(state: SymbolicState, block, operands: tuple[Word, ...],
             state.assert_cond(cond)
 
 
-# A cap on the entries the call memo of one walk holds in its lists
-# (conditions, records and storage writes): a call that would pass it is
-# not stored, and runs again under each node that reaches it.
+# A cap on the entries the call memo of one walk holds: one per stored
+# call, and one per condition, record and storage write the call added.  A
+# call that would pass it is not stored, and runs again under each node
+# that reaches it.
 MEMO_ENTRIES = MEMORY_CAP // 32
 
 
 class _CallDelta(NamedTuple):
-    """A call summary: what one whole-call piece changed, stored under the
-    state it started from."""
+    """A call summary: what one whole-call piece added to the state it
+    started from, the same from any state its footprint (`held`) agrees
+    with: its lists go after that state's, and its balance is that
+    state's credited (`SymbolicState.credited`), less what it sent."""
     conditions: list[Word]           # the path condition it added
     records: list[ExternalRecord]    # the records it left
-    storage_writes: list[tuple[Word, Word]]  # the whole write list after it
-    balance: Word
+    storage_writes: list[tuple[Word, Word]]  # the writes it added
+    sent: tuple[Word, ...]           # the values its CALLs sent
     fresh_counter: int
-    entry_balance: Word              # held, so that no other word takes its id
+    held: tuple[Word | None, ...]    # the words its reads gave, then the balance it read
 
 
 def _after_call(entry: SymbolicState, delta: _CallDelta) -> SymbolicState:
@@ -782,8 +836,10 @@ def _after_call(entry: SymbolicState, delta: _CallDelta) -> SymbolicState:
     state.txn += 1
     state.path_condition = entry.path_condition + delta.conditions
     state.records = entry.records + delta.records
-    state.storage_writes = delta.storage_writes.copy()
-    state.balance = delta.balance
+    state.storage_writes = entry.storage_writes + delta.storage_writes
+    state.balance = state.credited(entry.balance)
+    for value in delta.sent:
+        state.balance = state.debited(state.balance, value)
     state.fresh_counter = delta.fresh_counter
     return state
 
@@ -792,12 +848,13 @@ class _Node:
     """A piece boundary of a walk: the state the pieces above it leave, and
     what its child pieces share.  Its state is never run on: a child runs
     on a copy, or on a frame an earlier child saved.  A node a stored call
-    made holds the state that call started from and the call's delta until
-    its state is first asked for, so a leaf of a reused call builds none."""
+    made holds the node that call was entered from and the call's delta
+    until its state is first asked for, so a leaf of a reused call builds
+    none, and neither does a reused call whose children are reused too."""
     __slots__ = ("_state", "delta", "facts", "block", "operands", "calls", "ran", "frames",
                  "failed")
 
-    def __init__(self, state: SymbolicState, block, operands: tuple, facts,
+    def __init__(self, state, block, operands: tuple, facts,
                  delta: _CallDelta | None) -> None:
         self._state = state
         self.delta = delta
@@ -819,8 +876,12 @@ class _Node:
     @property
     def state(self) -> SymbolicState:
         if self.delta is not None:
-            self._state, self.delta = _after_call(self._state, self.delta), None
+            self._state, self.delta = _after_call(self._state.state, self.delta), None
         return self._state
+
+    def conditions(self) -> list[Word]:
+        """Its state's path condition, for a fold that asks for it."""
+        return self.state.path_condition
 
 
 class _Call(NamedTuple):
@@ -840,6 +901,25 @@ def _calls(cfg: Cfg, blocks: tuple[int, ...]) -> list[_Call]:
     return calls
 
 
+def _footprint_match(stored: dict, entry: SymbolicState) -> _CallDelta | None:
+    """The call in `stored` (see `_piece_runner`) whose every read gives,
+    from `entry`, the word it read when it ran, or None."""
+    for (keys, balance), calls in stored.items():
+        ids = []
+        for key in keys:
+            word = entry.entry_read(key)
+            if word is None:
+                break
+            ids.append(id(word))
+        else:
+            if balance:
+                ids.append(id(entry.balance))
+            delta = calls.get(tuple(ids))
+            if delta is not None:
+                return delta
+    return None
+
+
 def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
                   deadline: float | None, pieces: list | None, facts,
                   ) -> tuple[_Node, Callable[[Any, Any], Any]]:
@@ -851,8 +931,8 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
 
     Given `facts` (see `execute_paths`), each node's facts are its
     parent's extended by what its piece added: `facts.extend(parent's,
-    before, conditions, records)`, `before` being the path condition the
-    piece started from.  The root's are `facts.start`.  A REVERT that
+    before, conditions, records)`, `before()` giving the path condition
+    the piece started from.  The root's are `facts.start`.  A REVERT that
     drops records the parent holds (a callback's caller reverting) folds
     the node's whole lists from the start instead.
 
@@ -866,33 +946,70 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     empties the stack and memory, as the EVM ends a call's frame there.
 
     A whole-call piece, from a call start to a terminal block, is stored
-    in a memo under its node's head and its index: the call counter, the
-    fresh counter, the balance and the storage-write pairs, the last two
-    compared by identity, are all a call reads, since its stack and memory
-    start empty, no handler reads the path condition or the records, base
-    storage and the code are the walk's own, and an unwritten slot reads
-    the same word in any state.  Entering a stored piece from an equal
-    head gives a node that builds its state from what the piece changed
-    (`_CallDelta`) when the state is first asked for, instead of running
-    it, so a call reached under many prefixes runs once.  A callback
-    piece, and the pieces after it up to the call's end, continue their
-    caller's call and are not stored.  The memo holds every object whose identity its
-    keys use, and at most MEMO_ENTRIES list entries; a piece that fails is
-    not stored.  The clock is read every 16 steps, a step being a block run
-    or a stored piece reused."""
+    in a memo under the call counter, the fresh counter and its index, on
+    which the names it draws depend, with its footprint: the word that the
+    state it started from gives each key its SLOADs read (`entry_read`),
+    and that state's balance if the call read it (BALANCE of its own
+    address, SELFDESTRUCT).  That is all a call reads, since its stack and
+    memory start empty, no handler reads the path condition or the
+    records, base storage and the code are the walk's own, and an
+    unwritten slot reads the same word in any state.  Entering a piece
+    from a state that gives the same words, by identity, gives a node that
+    builds its state from what the call added (`_CallDelta`) when the
+    state is first asked for, instead of running it, so a call reached
+    under many prefixes runs once per footprint.  The head of such a node
+    follows from the head above it and the call, so the calls below it
+    are found without its state once that pair has been seen; a fold asks
+    for its path condition (`_Node.conditions`, which builds it) only at a
+    path's first self-destruct.  A call with a key whose word a write of a
+    key not told apart from it may hide has no footprint, and is found
+    only under its whole head: the balance and the storage-write pairs, by
+    identity.  The head is probed first, once per node, and a call found
+    by its footprint is kept under the head too; a footprint costs a dict
+    probe per distinct list of read keys.  A callback piece, and the
+    pieces after it up to the call's end, continue their caller's call and
+    are not stored.  The memo holds every object whose identity its keys
+    use, and at most MEMO_ENTRIES entries; a piece that fails is not
+    stored.  The clock is read every 16 steps, a step being a block run or
+    a stored piece reused."""
     root = _Node(SymbolicState(dict(base_storage), code, deadline, ""), None, (),
                  None if facts is None else facts.start, None)
     fold = None if facts is None else facts.extend
     sharing = pieces is not None
     shared = [p.shared for p in pieces] if sharing else []
-    memo: dict[tuple, dict[int, _CallDelta]] = {}  # by head, then piece index
-    held = steps = 0  # list entries the memo holds; steps taken
+    # by whole head: its balance and storage writes, held, and the calls
+    # found under it, by piece index
+    memo: dict[tuple, tuple[Word, list, dict[int, _CallDelta]]] = {}
+    # by (call counter, fresh counter, piece index), then (read keys, whether
+    # the balance is read), then the ids of the words read
+    prints: dict[tuple, dict[tuple, dict[tuple, _CallDelta]]] = {}
+    # by (the calls dict a stored call was found in, the call): the calls
+    # dict under the head of the state it leaves
+    after: dict[tuple[int, int], dict[int, _CallDelta]] = {}
+    held = steps = 0  # entries the memo holds; steps taken
+
+    def head_calls(node):
+        """The calls under the node's head, from the head above it and the
+        call that made it if they were seen before, else from its state."""
+        key = None if node.delta is None else (id(node._state.calls), id(node.delta))
+        calls = after.get(key)
+        if calls is None:
+            entry = node.state
+            head = (entry.txn, entry.fresh_counter, id(entry.balance),
+                    tuple(map(id, entry.storage_writes)))
+            found = memo.get(head)
+            if found is None:
+                found = memo[head] = (entry.balance, entry.storage_writes, {})
+            calls = found[2]
+            if key is not None:
+                after[key] = calls
+        return calls
 
     def enter(node, piece):
         nonlocal held, steps
         if type(node) is not _Node:
             return node  # below a failing block
-        blocks, entry, frames = piece.blocks, node.state, node.frames
+        blocks, frames = piece.blocks, node.frames
         whole, keep, common = False, 0, 0
         if sharing:
             index, ran = piece.index, node.ran
@@ -900,21 +1017,23 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
             if whole:
                 calls = node.calls
                 if calls is None:
-                    head = (entry.txn, entry.fresh_counter, id(entry.balance),
-                            tuple(map(id, entry.storage_writes)))
-                    calls = node.calls = memo.get(head)
-                    if calls is None:
-                        calls = node.calls = memo[head] = {}
+                    calls = node.calls = head_calls(node)
                 # a piece below a failing block fails under any equal head,
                 # so it is never stored
                 delta = calls.get(index)
+                if delta is None:
+                    entry = node.state
+                    stored = prints.get((entry.txn, entry.fresh_counter, index))
+                    if stored is not None:
+                        delta = _footprint_match(stored, entry)
+                        if delta is not None:
+                            calls[index] = delta  # found by the head from now on
                 if delta is not None:
                     steps += 1
                     if not steps & 0xF:
                         check_deadline(deadline)
-                    return _Node(entry, None, (), fold and fold(
-                        node.facts, entry.path_condition, delta.conditions, delta.records),
-                        delta)
+                    return _Node(node, None, (), fold and fold(
+                        node.facts, node.conditions, delta.conditions, delta.records), delta)
             if ran >= 0:
                 common = shared[ran] if index == ran + 1 else min(shared[ran:index])
                 if node.failed is not None and node.failed[0] < common:
@@ -922,6 +1041,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
                 while frames and frames[-1][0] >= common:
                     frames.pop()  # it holds a block this piece does not
             node.ran, node.failed, keep = index, None, piece.shared
+        entry = node.state
         if frames:
             depth, state, operands = frames[-1]
             if depth == common - 1:  # no later piece parts there
@@ -957,24 +1077,29 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
             return error
         below = None
         if fold is not None:
-            known, before = len(entry.records), entry.path_condition
+            known, before = len(entry.records), len(entry.path_condition)
             if len(state.records) < known:
-                below = fold(root.facts, (), state.path_condition, state.records)
+                below = fold(root.facts, tuple, state.path_condition, state.records)
             else:
-                below = fold(node.facts, before, state.path_condition[len(before):],
+                below = fold(node.facts, node.conditions, state.path_condition[before:],
                              state.records[known:])
         if block.terminator is not Terminator.TERMINAL:
             return _Node(state, block, operands, below, None)
         if whole:
-            conditions, records = len(entry.path_condition), state.call_start[1]
-            size = (len(state.path_condition) - conditions + len(state.records) - records
-                    + len(state.storage_writes))
+            conditions, (writes, records) = len(entry.path_condition), state.call_start
+            size = (1 + len(state.path_condition) - conditions + len(state.records) - records
+                    + len(state.storage_writes) - writes)
             if held + size <= MEMO_ENTRIES:
                 held += size
-                calls[index] = _CallDelta(
+                keys, balance = tuple(state.reads), state.balance_read
+                words = tuple(map(entry.entry_read, keys))
+                delta = calls[index] = _CallDelta(
                     state.path_condition[conditions:], state.records[records:],
-                    state.storage_writes.copy(), state.balance, state.fresh_counter,
-                    entry.balance)
+                    state.storage_writes[writes:], state.sent, state.fresh_counter,
+                    words + ((entry.balance,) if balance else ()))
+                if None not in words:
+                    prints.setdefault((entry.txn, entry.fresh_counter, index), {}).setdefault(
+                        (keys, balance), {})[tuple(map(id, delta.held))] = delta
         return _Node(state, None, (), below, None)
 
     return root, enter

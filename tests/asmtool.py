@@ -157,3 +157,28 @@ def creation_wrapper(runtime: bytes, ctor: Asm | None = None) -> bytes:
     asm.label("runtime_start")
     asm.raw(runtime)
     return asm.assemble()
+
+
+def scale_probe(n: int) -> bytes:
+    """A runtime of `n` functions behind `selector_dispatch`, as wide as
+    the fixtures are not: each function requires `SLOAD(i + 1) != 0`, else
+    it reverts; function 0 then CALLs CALLER with `SLOAD(0)` wei, and every
+    other function stores CALLVALUE at slot `i + 1` and stops.  The
+    fallback is a JUMPDEST and a REVERT."""
+    asm = Asm()
+    selector_dispatch(asm, [(0x10000000 + i, f"f{i}") for i in range(n)], "fallback")
+    asm.label("fallback").op("JUMPDEST")
+    revert_block(asm)
+    for i in range(n):
+        asm.label(f"f{i}").op("JUMPDEST")
+        asm.push(i + 1, 1).op("SLOAD").push_label(f"ok{i}").op("JUMPI")
+        revert_block(asm)
+        asm.label(f"ok{i}").op("JUMPDEST")
+        if i == 0:
+            for _ in range(4):
+                asm.push(0, 1)  # no input or output area
+            asm.push(0, 1).op("SLOAD").op("CALLER").op("GAS").op("CALL").op("POP")
+        else:
+            asm.op("CALLVALUE").push(i + 1, 1).op("SSTORE")
+        asm.op("STOP")
+    return asm.assemble()

@@ -13,10 +13,11 @@ data, SHA3 reads an unwritten word as a fresh one in witness mode too.
 MLOAD, MSTORE and MSTORE8 at a constant offset charge memory expansion
 for the word they touch (MSTORE8 for its byte's word), as SHA3 and
 CODECOPY charge theirs: past MEMORY_CAP they halt out of gas.  So do the
-areas, of a constant offset and length, that LOG0-LOG4, RETURN and REVERT
-hand out, that a CALL-family opcode passes in and takes back, that CREATE
-runs as init code, and that CALLDATACOPY, RETURNDATACOPY and EXTCODECOPY
-copy into.  On a REVERT it keeps a rule of its own: it drops the records
+areas, of a constant length, that LOG0-LOG4, RETURN and REVERT hand out,
+that a CALL-family opcode passes in and takes back, that CREATE runs as
+init code, and that SHA3, CODECOPY, CALLDATACOPY, RETURNDATACOPY and
+EXTCODECOPY read or copy into: at their offset if it is constant, else at
+offset 0, where only a length past MEMORY_CAP halts.  On a REVERT it keeps a rule of its own: it drops the records
 numbered with the current call, and the storage writes made since `mark`,
 which its caller takes when the call begins; the runner under test
 truncates both lists at the `call_start` that `begin_transaction` sets.
@@ -113,8 +114,9 @@ class ReferenceInterpreter:
             raise OutOfGas(f"memory up to byte {offset + length} exceeds the block gas limit")
 
     def _charge(self, offset: Word, length: Word) -> None:
-        if offset.is_concrete and length.is_concrete:
-            self._expand_memory(offset.value or 0, length.value or 0)
+        if length.is_concrete:  # at any offset, a length past the cap
+            self._expand_memory(offset.value or 0 if offset.is_concrete else 0,
+                                length.value or 0)
 
     def _mem_words(self, offset: int, length: int) -> list[Word]:
         self._expand_memory(offset, length)
@@ -181,6 +183,7 @@ class ReferenceInterpreter:
                 else:
                     self._push(term)
             else:
+                self._charge(offset, length)
                 self._push(state.fresh(f"SHA3#{state.txn_label}"))
             return
         if name == "ADDRESS":
@@ -212,6 +215,7 @@ class ReferenceInterpreter:
             if dest.is_concrete and src.is_concrete and length.is_concrete:
                 self._copy_code(dest.value or 0, src.value or 0, length.value or 0)
             else:
+                self._charge(dest, length)
                 self.state.memory.clear()
                 self.state.mem_unknown = True
             return

@@ -140,6 +140,26 @@ def test_an_area_past_the_memory_cap_halts_the_trace_and_the_replay(runtime):
         replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
 
 
+@pytest.mark.parametrize("runtime", [
+    # CODECOPY(0, CALLDATALOAD(0), 2**255); CALLER; SELFDESTRUCT
+    _PUSH_2_POW_255 + "600035600039" + "33ff",
+    # SHA3(CALLDATALOAD(0), 2**255); POP; CALLER; SELFDESTRUCT
+    _PUSH_2_POW_255 + "600035205033ff",
+], ids=["codecopy-symbolic-source", "sha3-symbolic-offset"])
+def test_a_constant_length_past_the_memory_cap_halts_at_any_offset(runtime):
+    # memory grows to at least the length, wherever the area starts: the
+    # trace halts out of gas, and the path is not reported, as unknown or
+    # otherwise
+    code = parse_hex(runtime)
+    config = AnalysisConfig(bounds=PathBounds(call_depth=1), rank=RankConfig(threshold=0),
+                            registry_mode="disabled", include_timing=False)
+    report = analyze(ContractCode(runtime_code=code, name="huge"), config)
+    assert report.critical_paths == []
+    assert [d for d in report.diagnostics if d.startswith("trace_")] == [
+        f"trace_abandoned: OutOfGas (memory up to byte {2 ** 255} exceeds the block "
+        f"gas limit); 1 money path(s) not analyzed"]
+
+
 def test_a_call_failing_under_many_prefixes_is_abandoned_once_per_prefix():
     # JUMPI on calldata word 0 to 15 (JUMPDEST; CALL on an empty stack),
     # else JUMPI on word 32 to 13 (JUMPDEST; STOP), else STOP.  The failing
@@ -285,12 +305,13 @@ _NEAR_CAP_CODECOPY_LOOP = f"5b62{MEMORY_CAP - 32:06x}6000600039600035600057"
 
 
 def test_near_cap_codecopy_loop_returns_at_the_deadline():
-    # the loop above, storing CALLER in each pass (SSTORE(0, CALLER)), then
-    # CALLER; SELFDESTRUCT: its calls differ in their writes, so none is
-    # reused, and each pass fills memory anew
+    # the loop above, adding CALLER to slot 0 in each pass (SSTORE(0,
+    # ADD(SLOAD(0), CALLER))), then CALLER; SELFDESTRUCT: each call reads
+    # the slot its prefix wrote, so none is reused, and each pass fills
+    # memory anew
     loop = _NEAR_CAP_CODECOPY_LOOP
     contract = ContractCode(name="codecopy", runtime_code=parse_hex(
-        loop[:-12] + "33600055" + loop[-12:] + "33ff"))
+        loop[:-12] + "6000543301600055" + loop[-12:] + "33ff"))
     started = time.monotonic()
     report = analyze(contract, _config(bounds=PathBounds(call_depth=3, wall_time=1)))
     assert time.monotonic() - started < 1 + 1
@@ -334,7 +355,7 @@ def test_the_call_memo_holds_at_most_a_full_memory(monkeypatch):
 
     assert symexec_module.MEMO_ENTRIES == MEMORY_CAP // 32
     assert walk(MEMORY_CAP // 32) == (12, 24)
-    assert walk(20) == (3, 64)
+    assert walk(20) == (3, 69)
 
 
 def _money_paths(cfg):

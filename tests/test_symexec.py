@@ -39,7 +39,7 @@ from evmscope.symexec import (
     var,
 )
 
-from asmtool import Asm
+from asmtool import Asm, scale_probe
 from conftest import FIXTURES, MICRO, REGISTRY_TXT, get_cfg, get_contract, symbolic_state
 
 WORD = 1 << 256
@@ -729,10 +729,10 @@ def test_revert_resumed_from_a_saved_fork_drops_only_its_own_call(monkeypatch):
         runs.clear()
     # each call reverts (26) or stops (31) after its JUMPI block (19); a
     # piece that parts from its sibling there resumes from the fork saved
-    # at that JUMPI, and a call after a stopped one writes again, so is not
-    # the call after a reverted one
-    assert [r for r, _state in per_path] == [[0, 19, 26, 0, 19, 26], [31],
-                                             [31, 0, 19, 26], [31]]
+    # at that JUMPI.  A call reads no slot, so the calls after a stopped
+    # one are the calls already run after a reverted one, and are reused:
+    # the writes and records each adds go on its own prefix's
+    assert [r for r, _state in per_path] == [[0, 19, 26, 0, 19, 26], [31], [31], []]
     _, reverted = per_path[2]
     _, stopped = per_path[3]
     assert stopped.storage_writes == [(const(0), var("CALLER#1")), (const(0), var("CALLER#2"))]
@@ -750,9 +750,9 @@ def _counting_runs(monkeypatch) -> list[int]:
 
 
 def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
-    """Each shared block prefix runs at most once, and a call started from
-    a state a call of the same piece started from before runs not at all:
-    over the corpus's money paths at call bound 3, 1,233 block bodies run
+    """Each shared block prefix runs at most once, and a call whose reads
+    give the words a call of the same piece read before runs not at all:
+    over the corpus's money paths at call bound 3, 1,025 block bodies run
     where the prefix trie has 4,428 nodes."""
     runs = _counting_runs(monkeypatch)
     total_runs = total_nodes = 0
@@ -768,15 +768,16 @@ def test_unfolding_order_runs_each_shared_prefix_once(monkeypatch):
         assert len(runs) <= nodes, name
         total_runs += len(runs)
         total_nodes += nodes
-    assert (total_runs, total_nodes) == (1233, 4428)
+    assert (total_runs, total_nodes) == (1025, 4428)
 
 
-@pytest.mark.parametrize("call_bound, most", [(2, 557), (3, 1273), (4, 3349)])
+@pytest.mark.parametrize("call_bound, most", [(2, 535), (3, 1056), (4, 2271)])
 def test_a_corpus_pass_runs_no_more_block_bodies_than_a_walk_of_paths(monkeypatch, call_bound,
                                                                      most):
     """The piece tree keeps the sharing inside a call that a walk resuming
-    each path along the one before had: a corpus pass at call bounds 2, 3
-    and 4 runs at most the 557, 1,273 and 3,349 block bodies that walk ran."""
+    each path along the one before had (557, 1,273 and 3,349 block bodies
+    at call bounds 2, 3 and 4), and the call memo reuses a call wherever
+    its reads agree: a corpus pass runs at most 535, 1,056 and 2,271."""
     runs = _counting_runs(monkeypatch)
     config = AnalysisConfig(bounds=PathBounds(call_depth=call_bound), transfer_limit=30,
                             registry_fixture=str(REGISTRY_TXT), include_timing=False)
@@ -785,21 +786,53 @@ def test_a_corpus_pass_runs_no_more_block_bodies_than_a_walk_of_paths(monkeypatc
     assert 0 < len(runs) <= most
 
 
-@pytest.mark.parametrize("call_bound, most", [(3, 267), (4, 2036)])
-def test_a_corpus_pass_builds_a_reused_call_state_only_below_it(monkeypatch, call_bound, most):
+@pytest.mark.parametrize("call_bound, most", [(3, 930), (4, 3657)])
+def test_the_scale_probe_runs_each_call_once_per_footprint(monkeypatch, call_bound, most):
+    """On the 16-function scale probe a call reads two slots at most, and
+    each prefix writes others: the walk runs at most 930 and 3,657 block
+    bodies at call bounds 3 and 4, where a memo keyed by every earlier
+    write ran 4,748 and 235,233."""
+    code = scale_probe(16)
+    cfg = build_cfg(disassemble(code))
+    unfolding = enumerate_paths(cfg, PathBounds(call_depth=call_bound))
+    assert (len(code), len(unfolding.pieces())) == (534, 34)
+    runs = _counting_runs(monkeypatch)
+    walked = sum(1 for _ in execute_paths(cfg, code, unfolding, unfolding.money_marker(set()),
+                                          {}, None, None))
+    assert walked == unfolding.count(unfolding.money_marker(set()))
+    assert 0 < len(runs) <= most
+
+
+@pytest.mark.parametrize("call_bound", [3, 4])
+def test_a_corpus_pass_builds_a_reused_call_state_only_below_it(monkeypatch, call_bound):
     """A call the memo reuses builds its state only when a piece below it
-    is entered, and a leaf's facts come from the call's delta: a corpus
-    pass at call bounds 3 and 4 builds at most 267 and 2,036 such states,
-    where building one per reuse built 1,287 and 9,213."""
-    built = []
-    after_call = symexec_module._after_call
+    is entered, and then once, and a leaf's facts come from the call's
+    delta: over a corpus pass, at most one state per reused call with a
+    child, and fewer, since a call below a reused call is found from the
+    head above it and the call that made it."""
+    built, reused, parents = [], [], set()
+    after_call, runner = symexec_module._after_call, symexec_module._piece_runner
     monkeypatch.setattr(symexec_module, "_after_call",
                         lambda *args: built.append(1) or after_call(*args))
+
+    def noting_runner(*args):
+        root, enter = runner(*args)
+
+        def entering(node, piece):
+            if type(node) is symexec_module._Node and node.delta is not None:
+                parents.add(node)  # a reused call whose state is not built yet
+            below = enter(node, piece)
+            if type(below) is symexec_module._Node and below.delta is not None:
+                reused.append(below)
+            return below
+        return root, entering
+
+    monkeypatch.setattr(symexec_module, "_piece_runner", noting_runner)
     config = AnalysisConfig(bounds=PathBounds(call_depth=call_bound), transfer_limit=30,
                             registry_fixture=str(REGISTRY_TXT), include_timing=False)
     for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
         analyze(get_contract(name), config)
-    assert 0 < len(built) <= most
+    assert 0 < len(built) < len(parents) < len(reused)
 
 
 # JUMPI on calldata word 0 to 7, else STOP; 7: JUMPDEST; CALLER; SELFDESTRUCT.
