@@ -21,14 +21,14 @@ and runs the instructions.  One block runner, `_run_body`, executes each
 block over it from a plan compiled once, checking the stack against the
 plan's static bounds once, at block entry, and never per instruction.
 Feasibility is decided by a pluggable constraint backend; a satisfying
-witness is re-validated by replaying the path on plain ints: `Replay` runs
-the same compiled plans, reading every value the symbolic walk leaves free
-from the witness, and `_steer`, the one steering loop, picks each next
-block from the jump operands.  Memory is keyed by word offset in both
-runners, and a copy of untracked data or a call's return data clears it.
-Every memory area an opcode reads, writes or hands out is charged against
-MEMORY_CAP: replay charges each, the symbolic walk each of constant length,
-at offset 0 where its offset is not known.
+witness is re-validated by replaying the path: the same machine in witness
+mode (`WitnessState`), where every value the walk leaves free is the
+witness's constant, runs the blocks through `_run_body`, and `_steer`, the
+one steering loop, picks each next block from the jump operands.  Memory
+is keyed by word offset, and a copy of untracked data or a call's return
+data clears it.  Every memory area an opcode reads, writes or hands out,
+of a constant length, is charged against MEMORY_CAP, at offset 0 where its
+offset is not known; in witness mode every area is constant.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple
 
 from . import isa
@@ -280,8 +280,11 @@ class SymbolicState:
     call; storage writes, balance, the call counter and the records carry
     across calls, and a REVERT truncates both lists at `call_start`.
     Environment reads give per-transaction variables and untracked reads
-    fresh ones; `Replay` is the concrete counterpart that reads them all
-    from a witness."""
+    fresh ones, each made by `word` from its name; `WitnessState` runs the
+    same handlers with a witness's constant for each name."""
+
+    word = staticmethod(var)  # the word a free value of this name reads as
+    address = var("ADDRESS")  # the one word BALANCE reads the balance of
 
     def __init__(self, base_storage: dict[Word, Word], code: bytes,
                  deadline: float | None, txn_prefix: str) -> None:
@@ -290,7 +293,7 @@ class SymbolicState:
         self.storage_writes: list[tuple[Word, Word]] = []
         self.base_storage = base_storage
         self.path_condition: list[Word] = []
-        self.balance = var("BALANCE0")
+        self.balance = self.word("BALANCE0")
         self.txn = 0
         self.txn_prefix = txn_prefix
         self.records: list[ExternalRecord] = []
@@ -314,7 +317,7 @@ class SymbolicState:
         the containers suffice; base storage, the storage-variable and
         balance-word caches, the code and the deadline stay shared, since
         none of them changes what a read returns."""
-        twin = SymbolicState.__new__(SymbolicState)
+        twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin.stack = self.stack.copy()
         twin.memory = self.memory.copy()
@@ -330,7 +333,7 @@ class SymbolicState:
 
     def fresh(self, tag: str) -> Word:
         self.fresh_counter += 1
-        return var(f"{tag}.{self.fresh_counter}")
+        return self.word(f"{tag}.{self.fresh_counter}")
 
     def assert_cond(self, w: Word) -> None:
         if w.is_concrete and w.value:
@@ -395,7 +398,7 @@ class SymbolicState:
         found = self.credits.get(key)
         if found is None:
             found = self.credits[key] = (
-                balance, mk("ADD", balance, var(f"CALLVALUE#{self.txn_label}")))
+                balance, mk("ADD", balance, self.word(f"CALLVALUE#{self.txn_label}")))
         return found[1]
 
     def debited(self, balance: Word, value: Word) -> Word:
@@ -424,22 +427,21 @@ class SymbolicState:
     def _operator(self, ins: Instruction, operator: tuple) -> None:
         name, fn, pops = operator
         stack = self.stack
-        args = [stack.pop() for _ in range(pops)]
-        for a in args:  # closed arguments fold through `fn`, the rest go to `mk`
-            if a.op != "const":
-                stack.append(mk(name, *args))
-                return
-        stack.append(const(fn(*[a.value or 0 for a in args])))
+        args = stack[:-pops - 1:-1]  # the operands, top first
+        del stack[-pops:]
+        values = [a.value for a in args]  # None but for a constant
+        # closed arguments fold through `fn`, the rest go to `mk`
+        stack.append(mk(name, *args) if None in values else const(fn(*values)))
 
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
         del self.stack[len(self.stack) - pops:]
         self.stack.append(self.fresh(ins.info.mnemonic))
 
     def _env_read(self, ins: Instruction, tag: str) -> None:
-        self.stack.append(var(f"{tag}#{self.txn_label}"))
+        self.stack.append(self.word(f"{tag}#{self.txn_label}"))
 
     def _address(self, ins: Instruction, operand: None) -> None:
-        self.stack.append(_ADDRESS)
+        self.stack.append(self.address)
 
     def _sha3(self, ins: Instruction, operand: None) -> None:
         stack = self.stack
@@ -459,7 +461,7 @@ class SymbolicState:
 
     def _balance(self, ins: Instruction, operand: None) -> None:
         target = self.stack.pop()
-        if target.op == "var" and target.name == "ADDRESS":
+        if target is self.address:
             self.stack.append(self.balance)
             self.balance_read = True
         else:
@@ -468,7 +470,7 @@ class SymbolicState:
     def _calldataload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
         if offset.is_concrete:
-            self.stack.append(var(f"CALLDATA#{self.txn_label}@{offset.value}"))
+            self.stack.append(self.word(f"CALLDATA#{self.txn_label}@{offset.value}"))
         else:
             self.stack.append(self.fresh(f"CALLDATA#{self.txn_label}"))
 
@@ -511,7 +513,6 @@ class SymbolicState:
             if at in self.memory:
                 self.stack.append(self.memory[at])
                 return
-        # fresh-counter use must match between symbolic and replay runs
         self.stack.append(self.fresh(f"MEM#{self.txn_label}"))
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
@@ -527,10 +528,11 @@ class SymbolicState:
             self.mem_unknown = True
 
     def _mstore8(self, ins: Instruction, operand: None) -> None:
-        offset = self.stack[-1]  # an MSTORE of an unknown word over the byte's word
+        # an MSTORE of an unknown word, drawn at any offset, over the byte's word
+        offset = self.stack[-1]
+        self.stack[-2] = self.fresh(f"MEM#{self.txn_label}")
         if offset.is_concrete:
-            self.stack[-2:] = (self.fresh(f"MEM#{self.txn_label}"),
-                               const((offset.value or 0) & ~31))
+            self.stack[-1] = const((offset.value or 0) & ~31)
         self._mstore(ins, operand)
 
     def _sload(self, ins: Instruction, operand: None) -> None:
@@ -584,9 +586,6 @@ _OPAQUE_READS = frozenset({"EXTCODESIZE", "BLOCKHASH", "RETURNDATASIZE", "MSIZE"
 # Transaction environment: one variable per transaction.
 _ENV_READS = frozenset({"ORIGIN", "CALLER", "CALLVALUE", "CALLDATASIZE", "GASPRICE",
                         "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"})
-# The one symbolic constant for the contract's own address, so that BALANCE
-# can tell it from every other word.
-_ADDRESS = var("ADDRESS")
 
 
 def check_deadline(deadline: float | None) -> None:
@@ -639,12 +638,10 @@ _NAMED_HANDLERS = {
                     SymbolicState._output),
 }
 
-# The stack moves a plan marks instead of naming a handler; both block
-# runners make them inline.  The operand of a PUSH is its word, of a DUP or
+# The stack moves a plan marks instead of naming a handler; the block
+# runner makes them inline.  The operand of a PUSH is its word, of a DUP or
 # SWAP its depth, of a POP the number of words popped.
 _PUSH, _DUP, _SWAP, _POP = "PUSH", "DUP", "SWAP", "POP"
-# The handler replay makes inline too.
-_OPERATOR = SymbolicState._operator
 
 
 def _handler_entry(info: isa.OpcodeInfo) -> tuple:
@@ -659,7 +656,7 @@ def _handler_entry(info: isa.OpcodeInfo) -> tuple:
     if 0x90 <= byte <= 0x9F:
         return _SWAP, byte - 0x8F
     if name in isa.OPERATORS:
-        return _OPERATOR, (name, isa.OPERATORS[name], info.stack_pops)
+        return SymbolicState._operator, (name, isa.OPERATORS[name], info.stack_pops)
     if name in _ENV_READS:
         return SymbolicState._env_read, name
     if name in _OPAQUE_READS:
@@ -733,9 +730,9 @@ def _plan(cfg: Cfg, block) -> BlockPlan:
 def _run_body(state: SymbolicState, cfg: Cfg, block) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
-    This is the one symbolic block runner: the path walk and the constructor
-    pre-run differ only in how they choose the next block from the
-    operands; `_replay_body` runs the same plans on ints.  A REVERT rolls
+    This is the one block runner: the path walk, the constructor pre-run
+    and witness replay differ only in the machine they run it over and in
+    how they choose the next block from the operands.  A REVERT rolls
     back the call here, whatever block follows: the storage writes and
     records made since the call's `call_start` are dropped.
 
@@ -1160,21 +1157,21 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
 STEER_BLOCK_LIMIT = 4096
 
 
-def _steer(cfg: Cfg, run: Callable[[Any], tuple],
+def _steer(cfg: Cfg, state: SymbolicState,
            choose: Callable[[Any, tuple], int | None],
            deadline: float | None) -> list[int]:
-    """The one steering loop.  Runs blocks from the root with the block
-    runner `run(block)`, which returns the jump operands, each next block
-    the one the block before names through `choose(block, operands)`,
-    until it names none; returns the blocks run.  The constructor pre-run
-    steers the symbolic runner, witness replay the concrete one.  The clock
-    is read before every block.  Raises SymExecError past STEER_BLOCK_LIMIT
-    blocks, or at an offset that starts no block."""
+    """The one steering loop.  Runs blocks from the root over `state` with
+    `_run_body`, each next block the one the block before names through
+    `choose(block, operands)`, until it names none; returns the blocks run.
+    The constructor pre-run steers a symbolic machine, witness replay one
+    in witness mode.  The clock is read before every block.  Raises
+    SymExecError past STEER_BLOCK_LIMIT blocks, or at an offset that starts
+    no block."""
     taken = [cfg.root]
     while len(taken) <= STEER_BLOCK_LIMIT:
         check_deadline(deadline)
         block = cfg.blocks[taken[-1]]
-        block_id = choose(block, run(block))
+        block_id = choose(block, _run_body(state, cfg, block))
         if block_id is None:
             return taken
         if block_id not in cfg.blocks:
@@ -1187,233 +1184,57 @@ def _steer(cfg: Cfg, run: Callable[[Any], tuple],
 # Witness replay
 # ---------------------------------------------------------------------------
 
-class _SelfAddress(int):
-    """The contract's own address in a replay.  BALANCE reads the contract's
-    balance only for this very word, moved about but not computed on, as
-    the symbolic walk does only for its one ADDRESS variable."""
+class WitnessState(SymbolicState):
+    """The symbolic machine in witness mode, as concolic execution runs it
+    (DART, CUTE): each word the trace leaves free is the witness's
+    constant, read under the trace's own name for it, an absent name
+    reading zero.  So every operand is a constant: `_operator` and `mk`
+    fold each, each JUMPI is decided by its value, and `_charge` charges
+    every area.  A base-storage term is evaluated under the witness, and
+    an SLOAD gives the constant itself.  The ADDRESS word is an object of
+    its own, so BALANCE reads the contract's balance for it alone: moves
+    keep it, an operator or a trip through storage gives a new word, and
+    a value test still compares it by value."""
 
-
-class Replay:
-    """The concrete counterpart of `SymbolicState`: it runs the same
-    compiled plans on plain ints under a witness.
-
-    Every value the symbolic walk leaves free is read from the witness under
-    the name the walk gives it, an absent name reading zero: the
-    environment words (`CALLER#1`), calldata words at constant offsets
-    (`CALLDATA#1@4`), storage the path never wrote and the constructor left
-    unset (`STORAGE@0x0`), and the fresh reads (`MEM#1.2`, `XRET#2.5`,
-    `GAS.3`), numbered in the order the walk numbers them.  Memory is keyed
-    by word offset, as in the symbolic walk.  Storage writes, the balance
-    and the call counter carry across calls; a REVERT returns storage to
-    where its call began.  Each handler has the name of the symbolic
-    handler it stands for, and like it leaves the stack check to the block
-    runner."""
-
-    def __init__(self, code: bytes, witness: dict[str, int],
-                 base_storage: dict[Word, Word], deadline: float | None):
-        self.code = code
+    def __init__(self, base_storage: dict[Word, Word], code: bytes,
+                 deadline: float | None, witness: dict[str, int]) -> None:
         self.witness = witness
-        self.base = {key.value: value for key, value in base_storage.items()
-                     if key.is_concrete}  # terms, evaluated under the witness when read
-        self.deadline = deadline
-        self.stack: list[int] = []
-        self.memory: dict[int, int] = {}
-        self.mem_unknown = False  # an unwritten word reads as a fresh one
-        self.storage: dict[int, int] = {}  # the writes of the calls so far
-        self.committed: dict[int, int] = {}  # `storage` when this call began
-        self.balance = self.read("BALANCE0")
-        self.txn = 0
-        self.fresh_counter = 0
-        self.address = _SelfAddress(self.read("ADDRESS"))
+        super().__init__(base_storage, code, deadline, "")
+        self.address = self.word("ADDRESS")
 
-    def begin_transaction(self) -> None:
-        self.txn += 1
-        self.stack = []
-        self.memory = {}
-        self.mem_unknown = False
-        self.committed = self.storage.copy()
-        self.balance = (self.balance + self.read(f"CALLVALUE#{self.txn}")) % WORD_MOD
+    def word(self, name: str) -> Word:
+        return const(self.witness.get(name, 0))
 
-    def read(self, name: str) -> int:
-        return self.witness.get(name, 0) % WORD_MOD
+    def sload(self, key: Word) -> Word:
+        return const(self.entry_read(key).value)  # every key is a constant
 
-    def fresh(self, tag: str) -> int:
-        self.fresh_counter += 1
-        return self.read(f"{tag}.{self.fresh_counter}")
-
-    # -- instruction handlers, as in `SymbolicState` --------------------------
-
-    def _opaque_read(self, ins: Instruction, pops: int) -> None:
-        del self.stack[len(self.stack) - pops:]
-        self.stack.append(self.fresh(ins.info.mnemonic))
-
-    def _env_read(self, ins: Instruction, tag: str) -> None:
-        self.stack.append(self.read(f"{tag}#{self.txn}"))
-
-    def _address(self, ins: Instruction, operand: None) -> None:
-        self.stack.append(self.address)
-
-    def _sha3(self, ins: Instruction, operand: None) -> None:
-        offset, length = self.stack.pop(), self.stack.pop()
-        _expand_memory(offset, length)
-        memory = self.memory
-        if self.mem_unknown:  # as `_mem_words` reads it
-            words = [memory[offset + i] if offset + i in memory
-                     else self.fresh(f"MEM#{self.txn}") for i in range(0, length, 32)]
-        else:
-            words = [memory.get(offset + i, 0) for i in range(0, length, 32)]
-        data = b"".join(word.to_bytes(32, "big") for word in words)
-        try:
-            self.stack.append(int.from_bytes(keccak256(data[:length], self.deadline), "big"))
-        except TimeoutError as exc:
-            raise DeadlinePassed(str(exc)) from None
-
-    def _balance(self, ins: Instruction, operand: None) -> None:
-        if type(self.stack.pop()) is _SelfAddress:
-            self.stack.append(self.balance)
-        else:
-            self.stack.append(self.fresh(f"EXTBAL#{self.txn}"))
-
-    def _calldataload(self, ins: Instruction, operand: None) -> None:
-        self.stack.append(self.read(f"CALLDATA#{self.txn}@{self.stack.pop()}"))
-
-    def _codesize(self, ins: Instruction, operand: None) -> None:
-        self.stack.append(len(self.code))
-
-    def _codecopy(self, ins: Instruction, operand: None) -> None:
-        stack = self.stack
-        dest, src, length = stack.pop(), stack.pop(), stack.pop()
-        _copy_code(self.memory, self.code, dest, src, length, int)
-
-    def _copy_unknown(self, ins: Instruction, pops: int) -> None:
-        stack = self.stack
-        _expand_memory(stack[2 - pops], stack[-pops])
-        del stack[len(stack) - pops:]
-        self.memory.clear()
-        self.mem_unknown = True
-
-    def _output(self, ins: Instruction, pops: int) -> None:
-        stack = self.stack
-        _expand_memory(stack[-1], stack[-2])
-        del stack[len(stack) - pops:]
-
-    def _mload(self, ins: Instruction, operand: None) -> None:
-        offset = self.stack.pop()
-        if offset + 32 > MEMORY_CAP:
-            _expand_memory(offset, 32)
-        if offset in self.memory:
-            self.stack.append(self.memory[offset])
-        else:
-            self.stack.append(self.fresh(f"MEM#{self.txn}"))
-
-    def _mstore(self, ins: Instruction, operand: None) -> None:
-        offset, value = self.stack.pop(), self.stack.pop()
-        if offset + 32 > MEMORY_CAP:
-            _expand_memory(offset, 32)
-        self.memory[offset] = value
-
-    def _mstore8(self, ins: Instruction, operand: None) -> None:
-        offset = self.stack[-1]  # an MSTORE of an unknown word over the byte's word
-        self.stack[-2:] = (self.fresh(f"MEM#{self.txn}"), offset & ~31)
-        self._mstore(ins, operand)
-
-    def _sload(self, ins: Instruction, operand: None) -> None:
-        key = self.stack.pop()
-        if key in self.storage:
-            self.stack.append(self.storage[key])
-        elif key in self.base:
-            self.stack.append(eval_word(self.base[key], self.witness, self.deadline))
-        else:
-            self.stack.append(self.read(f"STORAGE@{hex(key)}"))
-
-    def _sstore(self, ins: Instruction, operand: None) -> None:
-        key, value = self.stack.pop(), self.stack.pop()
-        self.storage[key] = int(value)  # a storage read is never the ADDRESS word
-
-    def _call(self, ins: Instruction, pops: int) -> None:
-        args = [self.stack.pop() for _ in range(pops)]
-        _expand_memory(args[-4], args[-3])
-        _expand_memory(args[-2], args[-1])
-        if ins.info.mnemonic == "CALL":
-            self.balance = (self.balance - args[2]) % WORD_MOD
-        if args[-1]:
-            self.memory.clear()
-            self.mem_unknown = True
-        self.stack.append(self.fresh(f"XRET#{self.txn}"))
-
-    def _create(self, ins: Instruction, operand: None) -> None:
-        _expand_memory(self.stack[-2], self.stack[-3])
-        del self.stack[-3:]
-        self.stack.append(self.fresh(f"XADDR#{self.txn}"))
-
-    def _selfdestruct(self, ins: Instruction, operand: None) -> None:
-        self.stack.pop()
-
-
-# Each symbolic handler's concrete counterpart, the method of the same name;
-# `_replay_body` makes the stack moves and the operators inline.
-_CONCRETE = {handler: getattr(Replay, handler.__name__) for handler, _operand in _HANDLERS
-             if callable(handler) and handler is not _OPERATOR}
-
-
-def _replay_body(replay: Replay, cfg: Cfg, block) -> tuple[int, ...]:
-    """`_run_body` on ints: execute a block's plan up to its exit and
-    return the jump operands it popped.  The stack is checked once, at
-    entry, against the plan's bounds, as there; within them PUSH, DUP,
-    SWAP, the operators and the pop-only opcodes work on the list directly."""
-    ops, jump_pops, reverts, need, grow = _plan(cfg, block)
-    stack = replay.stack
-    if len(stack) < need:
-        raise StackUnderflow("pop from empty stack")
-    if len(stack) + grow > STACK_LIMIT:
-        raise StackOverflow("stack limit exceeded")
-    append, pop = stack.append, stack.pop
-    for handler, ins, operand in ops:
-        if handler is _PUSH:
-            append(operand.value)
-        elif handler is _DUP:
-            append(stack[-operand])
-        elif handler is _SWAP:
-            stack[-1], stack[-operand - 1] = stack[-operand - 1], stack[-1]
-        elif handler is _OPERATOR:
-            fn, pops = operand[1], operand[2]
-            if pops == 2:
-                append(fn(pop(), pop()))
-            elif pops == 1:
-                append(fn(pop()))
-            else:
-                append(fn(pop(), pop(), pop()))
-        elif handler is _POP:
-            del stack[-operand:]
-        else:
-            _CONCRETE[handler](replay, ins, operand)
-    if jump_pops:
-        return (pop(),) if jump_pops == 1 else (pop(), pop())
-    if reverts:
-        replay.storage = replay.committed.copy()
-    return ()
+    def _base_read(self, key: Word) -> Word:
+        word = self.base_storage.get(key)
+        if word is None:
+            return self.word(f"STORAGE@{key}")
+        return const(eval_word(word, self.witness, self.deadline))
 
 
 def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
                   base_storage: dict[Word, Word], call_count: int,
                   deadline: float | None = None) -> tuple[int, ...]:
-    """Run `call_count` calls on ints under a witness (`Replay` over the
-    compiled plans, steered by `_steer`) and report the block sequence
+    """Run `call_count` calls of the machine in witness mode (`WitnessState`
+    through `_run_body`, steered by `_steer`) and report the block sequence
     taken: every jump and branch goes where the witness sends it."""
-    replay = Replay(code, witness, base_storage, deadline)
-    replay.begin_transaction()
+    state = WitnessState(base_storage, code, deadline, witness)
+    state.begin_transaction()
 
-    def choose(block, operands: tuple[int, ...]) -> int | None:
+    def choose(block, operands: tuple[Word, ...]) -> int | None:
         if block.terminator is Terminator.TERMINAL:
-            if replay.txn >= call_count:
+            if state.txn >= call_count:
                 return None
-            replay.begin_transaction()
+            state.begin_transaction()
             return cfg.root
-        if operands and (len(operands) == 1 or operands[1]):
-            return operands[0]  # a JUMP, or a JUMPI taken
+        if operands and (len(operands) == 1 or operands[1].value):
+            return operands[0].value  # a JUMP, or a JUMPI taken
         return block.last.next_offset
 
-    return tuple(_steer(cfg, partial(_replay_body, replay, cfg), choose, deadline))
+    return tuple(_steer(cfg, state, choose, deadline))
 
 
 def execute_path(cfg: Cfg, code: bytes, path,
@@ -1506,7 +1327,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
         return block_id
 
     try:
-        _steer(creation_cfg, partial(_run_body, state, creation_cfg), choose, deadline)
+        _steer(creation_cfg, state, choose, deadline)
     except SymExecError as exc:
         return {}, [f"constructor pre-run abandoned: {exc}"]
     return state.final_storage(), []

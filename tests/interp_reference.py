@@ -4,12 +4,14 @@
 one `step` per instruction through a chain of mnemonic tests, a fresh
 constant word built for every PUSH.  It keeps the former witness mode too,
 which evaluates every free value under a witness as it is read; that mode
-is the oracle of the concrete replay runner, `symexec.Replay`.
-`reference_run_body` is the former block runner over it.  An MSTORE8
-through a symbolic offset clears memory, as an MSTORE through one does, and
-so does a CALL whose output size is not the constant 0, since the return
-data overwrites the output area; after such a clear, or a copy of untracked
-data, SHA3 reads an unwritten word as a fresh one in witness mode too.
+is the oracle of witness replay, the block runner over the machine in
+witness mode, `symexec.WitnessState`.  `reference_run_body` is the former
+block runner over it.  An MSTORE8 draws the fresh word it writes over its
+byte's word at any offset; through a symbolic offset it then clears
+memory, as an MSTORE through one does, and so does a CALL whose output
+size is not the constant 0, since the return data overwrites the output
+area; after such a clear, or a copy of untracked data, SHA3 reads an
+unwritten word as a fresh one in witness mode too.
 MLOAD, MSTORE and MSTORE8 at a constant offset charge memory expansion
 for the word they touch (MSTORE8 for its byte's word), as SHA3 and
 CODECOPY charge theirs: past MEMORY_CAP they halt out of gas.  So do the
@@ -237,10 +239,11 @@ class ReferenceInterpreter:
             return
         if name == "MSTORE8":
             offset, value = self._pop(), self._pop()
+            word = self._fresh_or_zero(f"MEM#{state.txn_label}")
             if offset.is_concrete:
                 aligned = (offset.value or 0) & ~31
                 self._expand_memory(aligned, 32)
-                self.state.memory[aligned] = self._fresh_or_zero(f"MEM#{state.txn_label}")
+                self.state.memory[aligned] = word
             else:
                 self.state.memory.clear()
                 self.state.mem_unknown = True

@@ -1,31 +1,36 @@
-"""The compiled block runners against the per-instruction interpreter.
+"""The compiled block runner against the per-instruction interpreter.
 
 `interp_reference.py` keeps the former `Interpreter.step` if-chain and its
 block runner as the reference, in symbolic and in witness mode.  In the
 symbolic lanes `_run_body` runs each block from a plan decoded once per
 CFG, and must leave the identical observable state after every block:
 stack, memory, storage writes, path condition, records, fresh counter and
-balance.  In the witness lanes `_replay_body` runs the same plans on ints,
-and each word the reference leaves must have the runner's int as its value
-under the witness.  Where a block cannot run, both must raise the same
-exception type with the same message, since those messages reach reports
-(`trace_abandoned: ...`, `malformed path: ...`, `witness replay failed: ...`).
-The one difference by design: the runners check the stack once, at block
-entry, so a block entered outside its stack bounds halts there with the
-stack error, where the reference may first halt out of gas at an earlier
-instruction.  The EVM halts in that block either way.
+balance.  In the witness lanes `_run_body` runs the same plans over the
+machine in witness mode (`WitnessState`), whose every word is a constant,
+and each word the reference leaves must have the runner's constant as its
+value under the witness.  Where a block cannot run, both must raise the
+same exception type with the same message, since those messages reach
+reports (`trace_abandoned: ...`, `malformed path: ...`, `witness replay
+failed: ...`).  The one difference by design in every lane: the runner
+checks the stack once, at block entry, so a block entered outside its
+stack bounds halts there with the stack error, where the reference may
+first halt out of gas at an earlier instruction.  The EVM halts in that
+block either way.
 
 In witness mode the reference keeps a word derived from ADDRESS or BALANCE0
-symbolic, where the runner holds its value.  Where such a word is read as
-a memory offset, a length, a calldata offset or a storage key, the two
-differ by design (the reference clears memory on an MSTORE through it, the
-runner writes the word there), and so they may where an operator folds a
-word back into the ADDRESS variable (`AND(ADDRESS, 2**256 - 1)`) or where
-BALANCE reads a word computed from ADDRESS.  The witness lanes note each
-such instruction on the reference side and excuse a difference after it.
+symbolic, where the runner holds its value.  Two differences follow by
+design, and the witness lanes note each such instruction on the reference
+side and excuse a difference after it:
+- such a word read as a memory offset, a length, a calldata offset or a
+  storage key (the reference clears memory on an MSTORE through it, the
+  runner writes the word there);
+- an operator that folds a word back into the ADDRESS variable
+  (`AND(ADDRESS, 2**256 - 1)`), which BALANCE then reads as the contract's
+  own address in the reference alone.
+A BALANCE of any other word reads a fresh word in both.  The fixture lanes
+excuse nothing.
 """
 
-import copy
 import zlib
 
 import pytest
@@ -38,13 +43,12 @@ from evmscope.pathgen import PathBounds, enumerate_paths
 from evmscope.symexec import (
     STACK_LIMIT,
     OutOfGas,
-    Replay,
     StackOverflow,
     StackUnderflow,
     SymbolicState,
     SymExecError,
+    WitnessState,
     _copy_code,
-    _replay_body,
     _run_body,
     _take_exit,
     compile_block,
@@ -58,7 +62,7 @@ from conftest import FIXTURES, MICRO, get_contract, symbolic_state
 from interp_reference import ReferenceInterpreter, reference_run_body, reference_take_exit
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json"))
-_ADDRESS = var("ADDRESS")
+_ADDRESS = SymbolicState.address  # the word the machine's ADDRESS pushes
 
 
 class _Witness(dict):
@@ -97,9 +101,6 @@ class _NotingReference(ReferenceInterpreter):
         if any(i < len(stack) and not stack[-1 - i].is_concrete
                for i in _ADDRESS_OPERANDS.get(name, ())):
             self.differs = True
-        if name == "BALANCE" and stack and not stack[-1].is_concrete \
-                and stack[-1] != _ADDRESS:
-            self.differs = True
         super().step(ins)
         if name in isa.OPERATORS and stack and stack[-1] == _ADDRESS:
             self.differs = True
@@ -112,8 +113,11 @@ def _observable(state, operands=()):
 
 
 def _valued(state, operands, witness):
-    """The reference's observable state as values under the witness, in the
-    shape of `_concrete`."""
+    """A machine's observable state as values under the witness: the
+    reference's words may be symbolic, the runner's are constants."""
+    if isinstance(state, WitnessState):
+        assert all(w.is_concrete for w in [*state.stack, *state.memory.values(), *operands])
+
     def value(w):
         return eval_word(w, witness)
     return ([value(w) for w in state.stack], {k: value(w) for k, w in state.memory.items()},
@@ -121,20 +125,8 @@ def _valued(state, operands, witness):
             state.txn, state.fresh_counter, [value(w) for w in operands])
 
 
-def _concrete(replay, operands):
-    return (replay.stack, replay.memory, replay.storage, replay.balance,
-            replay.txn, replay.fresh_counter, list(operands))
-
-
 def _outcome(exc):
     return type(exc), str(exc)
-
-
-def _fork(replay):
-    twin = copy.copy(replay)
-    twin.stack, twin.memory, twin.storage = (replay.stack.copy(), replay.memory.copy(),
-                                             replay.storage.copy())
-    return twin
 
 
 # -- the symbolic lanes --------------------------------------------------------------
@@ -220,11 +212,11 @@ def _advance_witness(cfg, code, storage, witness, parent, block_id):
         interp = _NotingReference(code, state, witness=witness)
         interp.begin_transaction()
         root, mark = block_id, len(state.storage_writes)
-        replay = Replay(code, witness, storage, None)
-        replay.begin_transaction()
+        runner = WitnessState(storage, code, None, witness)
+        runner.begin_transaction()
         differs = False
     else:
-        (parent_block, parent_state, operands, root, mark), (replay, _ops), differs = parent
+        (parent_block, parent_state, operands, root, mark), (runner, _ops), differs = parent
         state = parent_state.fork()
         interp = _NotingReference(code, state, witness=witness)
         try:
@@ -233,9 +225,9 @@ def _advance_witness(cfg, code, storage, witness, parent, block_id):
             return None
         if state.txn != parent_state.txn:
             mark = len(state.storage_writes)
-        replay = _fork(replay)
+        runner = runner.fork()
         if block_id == root and parent_block.terminator is Terminator.TERMINAL:
-            replay.begin_transaction()
+            runner.begin_transaction()
     interp.differs = differs
     block = cfg.blocks[block_id]
     try:
@@ -243,7 +235,7 @@ def _advance_witness(cfg, code, storage, witness, parent, block_id):
     except SymExecError as exc:
         ref = exc
     try:
-        new = replay, _replay_body(replay, cfg, block)
+        new = runner, _run_body(runner, cfg, block)
     except SymExecError as exc:
         new = exc
     return ref, new, interp.differs
@@ -267,7 +259,7 @@ def _compare_witness(cfg, code, storage, trie, witness) -> tuple[int, int]:
             assert same or differs, (block_id, ref, new)
             excused += not same
             continue
-        if _concrete(*new) != _valued(ref[1], ref[2], witness):
+        if _valued(*new, witness) != _valued(ref[1], ref[2], witness):
             assert differs, block_id
             excused += 1
             continue
@@ -306,7 +298,7 @@ def test_every_block_of_every_path_matches_the_reference(path, mode):
 # Stack words: small offsets and lengths keep memory and hashing cheap; the
 # huge ones run into the memory cap; variables keep terms symbolic.
 _WORDS = st.one_of(st.sampled_from([0, 1, 2, 31, 32, 64, 1 << 255, isa.WORD_MAX]).map(const),
-                   st.sampled_from(["A", "B", "ADDRESS"]).map(var))
+                   st.sampled_from([var("A"), var("B"), _ADDRESS]))
 
 
 @st.composite
@@ -385,15 +377,15 @@ def _witness_outcomes(cfg, block, code, words, storage_word):
     state = symbolic_state(stack=[w if w == _ADDRESS else const(value(w)) for w in words],
                            storage_writes=[(const(1), storage_word)])
     interp = _NotingReference(code, state, witness=witness)
-    replay = Replay(code, witness, {}, None)
-    replay.stack = [replay.address if w == _ADDRESS else value(w) for w in words]
-    replay.storage[1] = value(storage_word)
+    runner = WitnessState({}, code, None, witness)
+    runner.stack = [runner.address if w == _ADDRESS else const(value(w)) for w in words]
+    runner.storage_writes = [(const(1), const(value(storage_word)))]
     try:
         ref = _valued(state, reference_run_body(interp, block, 0), witness)
     except SymExecError as exc:
         ref = _outcome(exc)
     try:
-        new = _concrete(replay, _replay_body(replay, cfg, block))
+        new = _valued(runner, _run_body(runner, cfg, block), witness)
     except SymExecError as exc:
         new = _outcome(exc)
     return ref, new, interp.differs
@@ -464,7 +456,7 @@ def test_an_mload_reads_the_word_stored_at_its_offset(offset):
         machine.begin_transaction()
         run(machine, cfg.blocks[0], 0)
         assert (state.stack, state.fresh_counter) == ([var("CALLDATA#1@0")], 0)
-    replay = Replay(code, {"CALLDATA#1@0": 7}, {}, None)
-    replay.begin_transaction()
-    _replay_body(replay, cfg, cfg.blocks[0])
-    assert (replay.stack, replay.fresh_counter) == ([7], 0)
+    state = WitnessState({}, code, None, {"CALLDATA#1@0": 7})
+    state.begin_transaction()
+    _run_body(state, cfg, cfg.blocks[0])
+    assert (state.stack, state.fresh_counter) == ([const(7)], 0)

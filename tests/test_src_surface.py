@@ -126,10 +126,9 @@ def _own_nodes(func: ast.FunctionDef):
 
 def test_only_the_block_runners_check_the_stack():
     """`raise StackUnderflow` and `raise StackOverflow` appear in src only
-    in the two block runners, `symexec._run_body` and `_replay_body`, once
-    each, and each runner has one loop over its instructions: no handler
-    checks the stack, and no second loop runs a block instruction by
-    instruction."""
+    in the one block runner, `symexec._run_body`, once each, and it has one
+    loop over its instructions: no handler checks the stack, and no second
+    loop runs a block instruction by instruction."""
     raised, loops = [], []
     for path in _SRC:
         for func in ast.walk(ast.parse(path.read_text())):
@@ -143,11 +142,9 @@ def test_only_the_block_runners_check_the_stack():
                         raised.append(f"{path.stem}.{func.name}: {name}")
                 if isinstance(node, (ast.For, ast.While)):
                     loops.append(f"{path.stem}.{func.name}")
-    assert sorted(raised) == ["symexec._replay_body: StackOverflow",
-                              "symexec._replay_body: StackUnderflow",
-                              "symexec._run_body: StackOverflow",
+    assert sorted(raised) == ["symexec._run_body: StackOverflow",
                               "symexec._run_body: StackUnderflow"]
-    assert loops.count("symexec._run_body") == loops.count("symexec._replay_body") == 1
+    assert loops.count("symexec._run_body") == 1
 
 
 def _settable_values(tree: ast.Module) -> int:

@@ -17,12 +17,11 @@ from evmscope.symexec import (
     DeadlinePassed,
     FeasibilityStatus,
     ONE,
-    Replay,
     SOLVER_TIMEOUT_MS,
     StackUnderflow,
     SymExecError,
+    WitnessState,
     Word,
-    _replay_body,
     _run_body,
     concrete_op,
     concretize,
@@ -255,8 +254,8 @@ def test_loads_of_one_key_render_the_key_once(monkeypatch):
 
 @pytest.mark.parametrize("runner", ["symbolic", "witness"])
 def test_step_covers_every_opcode_byte(runner):
-    # every byte as a one-instruction block through the symbolic block
-    # runner, or through the concrete one that witness replay uses
+    # every byte as a one-instruction block through the block runner, over
+    # a symbolic machine or over one in witness mode, as witness replay runs
     for info in isa.TABLE:
         ins = Instruction(64, info, 0x1234 if info.immediate_bytes else None)
         jump = info.mnemonic in ("JUMP", "JUMPI")
@@ -267,14 +266,15 @@ def test_step_covers_every_opcode_byte(runner):
         cfg = Cfg(blocks={64: block}, root=64, edges=set())
         if runner == "symbolic":
             state = symbolic_state(stack=[var(f"S{i}") for i in range(20)], code=bytes(100))
-            operands = _run_body(state, cfg, block)
-            stack = state.stack
         else:
-            replay = Replay(bytes(100), {}, {}, None)
-            replay.stack = stack = list(range(20))
-            operands = _replay_body(replay, cfg, block)
+            state = WitnessState({}, bytes(100), None, {})
+            state.stack = [const(i) for i in range(20)]
+        operands = _run_body(state, cfg, block)
+        stack = state.stack
         assert len(stack) - 20 == info.stack_pushes - info.stack_pops, info.mnemonic
         assert len(operands) == (info.stack_pops if jump else 0), info.mnemonic
+        if runner == "witness":  # witness mode builds no term
+            assert all(w.is_concrete for w in stack + list(operands)), info.mnemonic
 
 
 def test_stack_underflow_raises():
@@ -338,8 +338,8 @@ def test_mstore8_through_a_symbolic_offset_leaves_memory_unknown():
     (path,) = [p for p in enumerate_paths(cfg, PathBounds(call_depth=1)) if p.blocks == (0, 20)]
     state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert state.path_condition == [
-        mk("ISZERO", mk("EQ", ONE, var("MEM#1.1")))]
-    assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"MEM#1.1": 0})
+        mk("ISZERO", mk("EQ", ONE, var("MEM#1.2")))]
+    assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"MEM#1.2": 0})
     assert replay_blocks(cfg, code, feas.witness, {}, 1) == path.blocks
 
 
@@ -491,8 +491,8 @@ def test_replay_stops_at_the_block_budget(monkeypatch):
     # JUMPDEST; PUSH1 0; JUMP loops under any witness
     code = parse_hex("5b600056")
     runs = []
-    monkeypatch.setattr(symexec_module, "_replay_body",
-                        lambda *args: runs.append(1) or _replay_body(*args))
+    monkeypatch.setattr(symexec_module, "_run_body",
+                        lambda *args: runs.append(1) or _run_body(*args))
     with pytest.raises(SymExecError, match="^exceeded block budget$"):
         replay_blocks(build_cfg(disassemble(code)), code, {}, {}, 1)
     assert len(runs) == symexec_module.STEER_BLOCK_LIMIT == 4096
@@ -528,6 +528,55 @@ def test_a_reverted_write_is_gone_in_the_next_call_in_trace_and_replay():
     _state, feas = execute_path(cfg, code, paths[other], base, BoundedSolver())
     assert (feas.status, feas.reason) == (FeasibilityStatus.INFEASIBLE,
                                           "condition folds to false")
+
+
+def _replay_reaches(asm: Asm, label: str, witness: dict[str, int]) -> bool:
+    """Whether the one-call replay of `asm`'s code under `witness` ends at `label`."""
+    code = asm.assemble()
+    blocks = replay_blocks(build_cfg(disassemble(code)), code, witness, {}, 1)
+    return blocks[-1] == asm.offset_of(label)
+
+
+@pytest.mark.parametrize("moves, reads_balance", [
+    (["DUP1", "SWAP1", "POP"], True),
+    ([0, "MSTORE", 0, "MLOAD"], True),
+    ([0, "ADD"], False),
+    ([0, "SSTORE", 0, "SLOAD"], False),
+])
+def test_replay_reads_the_own_balance_only_for_the_address_word(moves, reads_balance):
+    # ADDRESS, moved about or computed on, then BALANCE; JUMPI to `own` if
+    # it read the contract's balance, 5 under the witness, where a fresh
+    # EXTBAL word reads 0
+    asm = Asm().op("ADDRESS")
+    for move in moves:
+        asm.push(move) if isinstance(move, int) else asm.op(move)
+    asm.op("BALANCE").push(5).op("EQ").push_label("own").op("JUMPI")
+    asm.op("STOP").label("own").op("JUMPDEST").op("STOP")
+    assert _replay_reaches(asm, "own", {"ADDRESS": 0x1234, "BALANCE0": 5}) is reads_balance
+
+
+@pytest.mark.parametrize("witness, kept", [({}, True), ({"ADDRESS": 1}, False)])
+def test_replay_tests_a_call_output_size_by_its_value(witness, kept):
+    # MSTORE(0, 7); a CALL whose output size is the ADDRESS word, 0 where
+    # the witness leaves it out; JUMPI to `kept` if MLOAD(0) still gives 7,
+    # where memory the return data cleared gives a fresh word, read as 0
+    asm = Asm().push(7).push(0).op("MSTORE").op("ADDRESS")
+    for _ in range(6):
+        asm.push(0)
+    asm.op("CALL").op("POP").push(0).op("MLOAD").push(7).op("EQ")
+    asm.push_label("kept").op("JUMPI").op("STOP").label("kept").op("JUMPDEST").op("STOP")
+    assert _replay_reaches(asm, "kept", witness) is kept
+
+
+def test_an_mstore8_through_a_symbolic_offset_keeps_replay_on_the_path():
+    # MSTORE8(CALLDATALOAD(0), 1); JUMPI on GAS to CALLER; SELFDESTRUCT.
+    # The trace draws the byte's word at any offset, as replay does, so
+    # the trace's GAS word is the one replay reads.
+    code = parse_hex("6001600035535a600b57005b33ff")
+    cfg = build_cfg(disassemble(code))
+    path = ProgramPath((0, 11), ((None, "initial"),))
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert (feas.status, feas.reason) == (FeasibilityStatus.FEASIBLE, "")
 
 
 def test_a_replay_past_its_deadline_ends_unknown():
@@ -742,10 +791,15 @@ def test_revert_resumed_from_a_saved_fork_drops_only_its_own_call(monkeypatch):
 
 
 def _counting_runs(monkeypatch) -> list[int]:
-    """The id of each block body the walk runs, in order."""
+    """The id of each block body the walk runs, in order; witness replay
+    runs the same runner, and is not counted."""
     runs: list[int] = []
-    monkeypatch.setattr(symexec_module, "_run_body",
-                        lambda *args: runs.append(args[2].id) or _run_body(*args))
+
+    def counted(state, cfg, block):
+        if type(state) is not WitnessState:
+            runs.append(block.id)
+        return _run_body(state, cfg, block)
+    monkeypatch.setattr(symexec_module, "_run_body", counted)
     return runs
 
 
