@@ -7,34 +7,34 @@ tuple underneath, and `node` builds each compound one within MAX_DEPTH
 and MAX_SIZE.  Executing a path walks its block sequence, asserting each
 branch condition (or its negation) into the path condition; each call
 starts at the CFG root in a fresh environment, while storage persists.
-One piece runner (`_piece_runner`) turns the state at a piece boundary
-into the state after the piece.  The trace of an unfolding
-(`execute_paths`) drives it down the piece tree the unfolding walks, so
-each piece runs once per node it hangs from, siblings share the blocks
-their pieces share, and a whole call runs once per set of words it reads
-from the states it starts from;
-paths that share a call share its `ExternalRecord`s, which resolve their
-own target and amount once.  `trace_path` folds the same runner over one
-path.
 `SymbolicState` is the symbolic machine: it holds what a path has built
 and runs the instructions.  One block runner, `_run_body`, executes each
 block over it from a plan compiled once, checking the stack against the
 plan's static bounds once, at block entry, and never per instruction.
-Feasibility is decided by a pluggable constraint backend; a satisfying
-witness is re-validated by replaying the path: the same machine in witness
-mode (`WitnessState`), where every value the walk leaves free is the
-witness's constant, runs the blocks through `_run_body`, and `_steer`, the
-one steering loop, picks each next block from the jump operands.  Memory
-is keyed by word offset, and a copy of untracked data or a call's return
-data clears it.  Every memory area an opcode reads, writes or hands out,
-of a constant length, is charged against MEMORY_CAP, at offset 0 where its
-offset is not known; in witness mode every area is constant.
+The trace of an unfolding (`execute_paths`) drives the piece runner
+(`_piece_runner`) down the piece tree the unfolding walks, so each piece
+runs once per node it hangs from, siblings share the blocks their pieces
+share, and a whole call runs once per set of words it reads from the
+states it starts from; paths that share a call share its
+`ExternalRecord`s, which resolve their own target and amount once.
+`_steer` runs every single block sequence: a gated path's trace
+(`trace_path`), the constructor pre-run and witness replay.  Feasibility
+is decided by a pluggable constraint backend; a satisfying witness is
+re-validated by replaying the path: the same machine in witness mode
+(`WitnessState`), where every value the walk leaves free is the witness's
+constant, steered from the jump operands as the trace was steered along
+the path's blocks.  Memory is keyed by word offset, and a copy of
+untracked data or a call's return data clears it.  Every memory area an
+opcode reads, writes or hands out, of a constant length, is charged
+against MEMORY_CAP, at offset 0 where its offset is not known; in witness
+mode every area is constant.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple
@@ -410,13 +410,18 @@ class SymbolicState:
         return found[2]
 
     def _mem_words(self, offset: int, length: int) -> list[Word]:
+        """A memory area's words.  An unwritten word reads zero while memory
+        is clean and no written word overlaps it, else a fresh `MEM#` word."""
         _expand_memory(offset, length)
-        words = []
-        for i in range(0, max(length, 0), 32):
-            word = self.memory.get(offset + i)
-            if word is None:
-                word = self.fresh(f"MEM#{self.txn_label}") if self.mem_unknown else ZERO
-            words.append(word)
+        memory = self.memory
+        words = [memory.get(at) for at in range(offset, offset + length, 32)]
+        starts = sorted(memory) if None in words else []
+        for i, word in enumerate(words):
+            if word is None:  # a write that starts within 31 bytes overlaps it
+                at = offset + 32 * i
+                j = bisect_left(starts, at - 31)
+                unknown = self.mem_unknown or j < len(starts) and starts[j] < at + 32
+                words[i] = self.fresh(f"MEM#{self.txn_label}") if unknown else ZERO
         return words
 
     # -- instruction handlers ----------------------------------------------
@@ -430,8 +435,11 @@ class SymbolicState:
         args = stack[:-pops - 1:-1]  # the operands, top first
         del stack[-pops:]
         values = [a.value for a in args]  # None but for a constant
-        # closed arguments fold through `fn`, the rest go to `mk`
-        stack.append(mk(name, *args) if None in values else const(fn(*values)))
+        # closed arguments fold through `fn`, the rest go to `mk`; BALANCE
+        # reads the own balance for ADDRESS's push alone, so an identity
+        # that gives the ADDRESS word back gives a copy
+        word = mk(name, *args) if None in values else const(fn(*values))
+        stack.append(Word._make(word) if word is self.address else word)
 
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
         del self.stack[len(self.stack) - pops:]
@@ -507,13 +515,10 @@ class SymbolicState:
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
         if offset.is_concrete:
-            at = offset.value or 0
-            if at + 32 > MEMORY_CAP:
-                _expand_memory(at, 32)
-            if at in self.memory:
-                self.stack.append(self.memory[at])
-                return
-        self.stack.append(self.fresh(f"MEM#{self.txn_label}"))
+            word = self._mem_words(offset.value or 0, 32)[0]
+        else:  # nothing written yet: zero at any offset, as in witness mode
+            word = self.fresh(f"MEM#{self.txn_label}") if self.memory or self.mem_unknown else ZERO
+        self.stack.append(word)
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
         offset, value = self.stack.pop(), self.stack.pop()
@@ -730,9 +735,9 @@ def _plan(cfg: Cfg, block) -> BlockPlan:
 def _run_body(state: SymbolicState, cfg: Cfg, block) -> tuple[Word, ...]:
     """Execute a block up to its exit; returns the jump operands it popped.
 
-    This is the one block runner: the path walk, the constructor pre-run
-    and witness replay differ only in the machine they run it over and in
-    how they choose the next block from the operands.  A REVERT rolls
+    This is the one block runner: the unfolding's walk and `_steer`, with
+    its trace, pre-run and replay, differ only in the machine they run it
+    over and in how they choose the next block.  A REVERT rolls
     back the call here, whatever block follows: the storage writes and
     records made since the call's `call_start` are dropped.
 
@@ -881,23 +886,6 @@ class _Node:
         return self.state.path_condition
 
 
-class _Call(NamedTuple):
-    """A call of a hand-built path, run as one piece."""
-    blocks: tuple[int, ...]
-
-
-def _calls(cfg: Cfg, blocks: tuple[int, ...]) -> list[_Call]:
-    """A hand-built path split at each call start: the root entered from a
-    terminal block.  A callback stays inside the call it interrupts."""
-    calls, start = [], 0
-    for i in range(1, len(blocks)):
-        if blocks[i] == cfg.root and cfg.blocks[blocks[i - 1]].terminator is Terminator.TERMINAL:
-            calls.append(_Call(blocks[start:i]))
-            start = i
-    calls.append(_Call(blocks[start:]))
-    return calls
-
-
 def _footprint_match(stored: dict, entry: SymbolicState) -> _CallDelta | None:
     """The call in `stored` (see `_piece_runner`) whose every read gives,
     from `entry`, the word it read when it ran, or None."""
@@ -918,13 +906,13 @@ def _footprint_match(stored: dict, entry: SymbolicState) -> _CallDelta | None:
 
 
 def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
-                  deadline: float | None, pieces: list | None, facts,
+                  deadline: float | None, pieces: list, facts,
                   ) -> tuple[_Node, Callable[[Any, Any], Any]]:
-    """The root node of a walk, and `enter(node, piece)`: it runs `piece`
-    from `node` and gives the node below it, or the SymExecError that stops
-    the piece (a DeadlinePassed it raises).  `pieces` is the unfolding's
-    list, whose pieces a node enters in list order; None, for a walk of
-    one path, keeps nothing for another piece.
+    """The root node of the unfolding's walk (`execute_paths`), and
+    `enter(node, piece)`: it runs `piece` from `node` and gives the node
+    below it, or the SymExecError that stops the piece (a DeadlinePassed it
+    raises).  `pieces` is the unfolding's list, whose pieces a node enters
+    in list order.  One block sequence alone is steered instead (`_steer`).
 
     Given `facts` (see `execute_paths`), each node's facts are its
     parent's extended by what its piece added: `facts.extend(parent's,
@@ -972,8 +960,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     root = _Node(SymbolicState(dict(base_storage), code, deadline, ""), None, (),
                  None if facts is None else facts.start, None)
     fold = None if facts is None else facts.extend
-    sharing = pieces is not None
-    shared = [p.shared for p in pieces] if sharing else []
+    shared = [p.shared for p in pieces]
     # by whole head: its balance and storage writes, held, and the calls
     # found under it, by piece index
     memo: dict[tuple, tuple[Word, list, dict[int, _CallDelta]]] = {}
@@ -1006,38 +993,36 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
         nonlocal held, steps
         if type(node) is not _Node:
             return node  # below a failing block
-        blocks, frames = piece.blocks, node.frames
-        whole, keep, common = False, 0, 0
-        if sharing:
-            index, ran = piece.index, node.ran
-            whole = node.block is None and piece.callback is None
-            if whole:
-                calls = node.calls
-                if calls is None:
-                    calls = node.calls = head_calls(node)
-                # a piece below a failing block fails under any equal head,
-                # so it is never stored
-                delta = calls.get(index)
-                if delta is None:
-                    entry = node.state
-                    stored = prints.get((entry.txn, entry.fresh_counter, index))
-                    if stored is not None:
-                        delta = _footprint_match(stored, entry)
-                        if delta is not None:
-                            calls[index] = delta  # found by the head from now on
-                if delta is not None:
-                    steps += 1
-                    if not steps & 0xF:
-                        check_deadline(deadline)
-                    return _Node(node, None, (), fold and fold(
-                        node.facts, node.conditions, delta.conditions, delta.records), delta)
-            if ran >= 0:
-                common = shared[ran] if index == ran + 1 else min(shared[ran:index])
-                if node.failed is not None and node.failed[0] < common:
-                    return node.failed[1]
-                while frames and frames[-1][0] >= common:
-                    frames.pop()  # it holds a block this piece does not
-            node.ran, node.failed, keep = index, None, piece.shared
+        blocks, frames, index, ran = piece.blocks, node.frames, piece.index, node.ran
+        whole = node.block is None and piece.callback is None
+        if whole:
+            calls = node.calls
+            if calls is None:
+                calls = node.calls = head_calls(node)
+            # a piece below a failing block fails under any equal head, so
+            # it is never stored
+            delta = calls.get(index)
+            if delta is None:
+                entry = node.state
+                stored = prints.get((entry.txn, entry.fresh_counter, index))
+                if stored is not None:
+                    delta = _footprint_match(stored, entry)
+                    if delta is not None:
+                        calls[index] = delta  # found by the head from now on
+            if delta is not None:
+                steps += 1
+                if not steps & 0xF:
+                    check_deadline(deadline)
+                return _Node(node, None, (), fold and fold(
+                    node.facts, node.conditions, delta.conditions, delta.records), delta)
+        common = 0
+        if ran >= 0:
+            common = shared[ran] if index == ran + 1 else min(shared[ran:index])
+            if node.failed is not None and node.failed[0] < common:
+                return node.failed[1]
+            while frames and frames[-1][0] >= common:
+                frames.pop()  # it holds a block this piece does not
+        node.ran, node.failed, keep = index, None, piece.shared
         entry = node.state
         if frames:
             depth, state, operands = frames[-1]
@@ -1049,7 +1034,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
             depth += 1
         else:
             depth, block, operands = 0, node.block, node.operands
-            state = entry.fork() if sharing else entry
+            state = entry.fork()
         try:
             for depth in range(depth, len(blocks)):
                 steps += 1
@@ -1136,48 +1121,63 @@ def execute_paths(cfg: Cfg, code: bytes, unfolding: PathEnumeration,
 
 def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
                deadline: float | None = None) -> SymbolicState:
-    """The symbolic walk of one path alone, without any solving: the piece
-    runner folded over the path's pieces, or over a hand-built path's calls
-    (anything with a `blocks` sequence); raises the SymExecError that stops
-    it.  Every call starts at the root, so a path that is empty or starts
-    elsewhere raises ValueError."""
+    """The symbolic walk of one block sequence (`path.blocks`) alone,
+    without any solving: `_steer` runs its blocks, asserting each exit
+    (`_take_exit`); raises the SymExecError that stops it.  Every call
+    starts at the root, so a path that is empty or starts elsewhere raises
+    ValueError."""
     blocks = path.blocks
     if not blocks or blocks[0] != cfg.root:
         raise ValueError("a block sequence starts at the root")
-    node, enter = _piece_runner(cfg, code, base_storage, deadline, None, None)
-    for piece in path.pieces or _calls(cfg, blocks):
-        node = enter(node, piece)
-        if not isinstance(node, _Node):
-            raise node
-    return node.state
+    state = SymbolicState(dict(base_storage), code, deadline, "")
+    ahead = iter(blocks[1:])
+
+    def choose(block, operands: tuple[Word, ...]) -> int | None:
+        block_id = next(ahead, None)
+        if block_id is not None:
+            _take_exit(state, block, operands, block_id)
+        return block_id
+
+    _steer(cfg, state, choose, deadline, len(blocks))
+    return state
 
 
-# Blocks a steered walk (witness replay, constructor pre-run) may run
-# before it is abandoned.
+# Blocks witness replay or the constructor pre-run may run before it is
+# abandoned.
 STEER_BLOCK_LIMIT = 4096
 
 
 def _steer(cfg: Cfg, state: SymbolicState,
            choose: Callable[[Any, tuple], int | None],
-           deadline: float | None) -> list[int]:
-    """The one steering loop.  Runs blocks from the root over `state` with
-    `_run_body`, each next block the one the block before names through
-    `choose(block, operands)`, until it names none; returns the blocks run.
-    The constructor pre-run steers a symbolic machine, witness replay one
-    in witness mode.  The clock is read before every block.  Raises
-    SymExecError past STEER_BLOCK_LIMIT blocks, or at an offset that starts
-    no block."""
+           deadline: float | None, budget: int) -> list[int]:
+    """The one loop that runs a single block sequence: a path's trace, the
+    constructor pre-run and witness replay.  Runs blocks from the root over
+    `state` with `_run_body`, each next block the one `choose(block,
+    operands)` names, until it names none; returns the blocks run.  It
+    starts each call: the first, and one at the root after a terminal
+    block, which ends the call's stack and memory (after a CALL block the
+    root continues the call).  The clock is read every 16 blocks.  Raises
+    SymExecError past `budget` blocks, or at an offset that starts no block."""
+    state.begin_transaction()
     taken = [cfg.root]
-    while len(taken) <= STEER_BLOCK_LIMIT:
-        check_deadline(deadline)
+    while True:
         block = cfg.blocks[taken[-1]]
-        block_id = choose(block, _run_body(state, cfg, block))
+        operands = _run_body(state, cfg, block)
+        terminal = block.terminator is Terminator.TERMINAL
+        if terminal:
+            state.stack, state.memory, state.mem_unknown = [], {}, False
+        block_id = choose(block, operands)
         if block_id is None:
             return taken
         if block_id not in cfg.blocks:
             raise SymExecError(f"jumped to unknown offset {block_id}")
+        if len(taken) == budget:
+            raise SymExecError("exceeded block budget")
+        if terminal and block_id == cfg.root:
+            state.begin_transaction()
         taken.append(block_id)
-    raise SymExecError("exceeded block budget")
+        if not len(taken) & 0xF:
+            check_deadline(deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,9 +1192,8 @@ class WitnessState(SymbolicState):
     fold each, each JUMPI is decided by its value, and `_charge` charges
     every area.  A base-storage term is evaluated under the witness, and
     an SLOAD gives the constant itself.  The ADDRESS word is an object of
-    its own, so BALANCE reads the contract's balance for it alone: moves
-    keep it, an operator or a trip through storage gives a new word, and
-    a value test still compares it by value."""
+    its own, so BALANCE reads the contract's balance for it alone, as in
+    the trace, and a value test still compares it by value."""
 
     def __init__(self, base_storage: dict[Word, Word], code: bytes,
                  deadline: float | None, witness: dict[str, int]) -> None:
@@ -1218,23 +1217,21 @@ class WitnessState(SymbolicState):
 def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
                   base_storage: dict[Word, Word], call_count: int,
                   deadline: float | None = None) -> tuple[int, ...]:
-    """Run `call_count` calls of the machine in witness mode (`WitnessState`
-    through `_run_body`, steered by `_steer`) and report the block sequence
-    taken: every jump and branch goes where the witness sends it."""
+    """Run `call_count` calls of the machine in witness mode (`WitnessState`,
+    steered by `_steer`) and report the block sequence taken: every jump
+    and branch goes where the witness sends it.  The clock is also read
+    before the first block."""
+    check_deadline(deadline)
     state = WitnessState(base_storage, code, deadline, witness)
-    state.begin_transaction()
 
     def choose(block, operands: tuple[Word, ...]) -> int | None:
         if block.terminator is Terminator.TERMINAL:
-            if state.txn >= call_count:
-                return None
-            state.begin_transaction()
-            return cfg.root
+            return None if state.txn >= call_count else cfg.root
         if operands and (len(operands) == 1 or operands[1].value):
             return operands[0].value  # a JUMP, or a JUMPI taken
         return block.last.next_offset
 
-    return tuple(_steer(cfg, state, choose, deadline))
+    return tuple(_steer(cfg, state, choose, deadline, STEER_BLOCK_LIMIT))
 
 
 def execute_path(cfg: Cfg, code: bytes, path,
@@ -1285,18 +1282,17 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
                     ) -> tuple[dict[Word, Word], list[str]]:
     """Execute the constructor's main path; returns (storage, diagnostics).
 
-    Constructor arguments stay symbolic.  The walk is steered like a replay,
-    but chooses each next block itself: at a branch with a symbolic
-    condition it prefers the branch that does not revert.  If the walk
-    enters a block more than 64 times, exceeds the steered walks' block
-    budget, `deadline` passes or a term passes the bounds of `node`, the
+    Constructor arguments stay symbolic.  The walk is steered (`_steer`)
+    like a replay, but chooses each next block itself: at a branch with a
+    symbolic condition it prefers the branch that does not revert.  If the
+    walk enters a block more than 64 times, runs past STEER_BLOCK_LIMIT
+    blocks, `deadline` passes or a term passes the bounds of `node`, the
     result is empty (all-symbolic) storage.
     """
     if creation_cfg is None or code is None:
         return {}, []
     # constructor runs in its own deployment transaction, in its own namespace
     state = SymbolicState({}, code, deadline, "c")
-    state.begin_transaction()
     blocks = creation_cfg.blocks
     visits = {creation_cfg.root: 1}
 
@@ -1327,7 +1323,7 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
         return block_id
 
     try:
-        _steer(creation_cfg, state, choose, deadline)
+        _steer(creation_cfg, state, choose, deadline, STEER_BLOCK_LIMIT)
     except SymExecError as exc:
         return {}, [f"constructor pre-run abandoned: {exc}"]
     return state.final_storage(), []

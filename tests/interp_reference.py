@@ -10,8 +10,12 @@ block runner over it.  An MSTORE8 draws the fresh word it writes over its
 byte's word at any offset; through a symbolic offset it then clears
 memory, as an MSTORE through one does, and so does a CALL whose output
 size is not the constant 0, since the return data overwrites the output
-area; after such a clear, or a copy of untracked data, SHA3 reads an
-unwritten word as a fresh one in witness mode too.
+area.  SHA3 and MLOAD at a constant offset read an unwritten word as zero
+while memory is clean and no written word overlaps it, else as a fresh
+one, in witness mode too; MLOAD through a symbolic offset reads zero
+while nothing has been written, else a fresh word.  BALANCE reads the contract's own balance only
+for the word ADDRESS pushed (`SymbolicState.address`): an operator that
+folds a word back into it gives an equal new word.
 MLOAD, MSTORE and MSTORE8 at a constant offset charge memory expansion
 for the word they touch (MSTORE8 for its byte's word), as SHA3 and
 CODECOPY charge theirs: past MEMORY_CAP they halt out of gas.  So do the
@@ -105,9 +109,9 @@ class ReferenceInterpreter:
 
     def _mload(self, offset: Word) -> Word:
         if offset.is_concrete:
-            self._expand_memory(offset.value or 0, 32)
-        if offset.is_concrete and (offset.value or 0) in self.state.memory:
-            return self.state.memory[offset.value or 0]
+            return self._mem_words(offset.value or 0, 32)[0]
+        if not self.state.memory and not self.state.mem_unknown:
+            return ZERO  # nothing written: zero at any offset
         return self._fresh_or_zero(f"MEM#{self.state.txn_label}")
 
     @staticmethod
@@ -124,9 +128,12 @@ class ReferenceInterpreter:
         self._expand_memory(offset, length)
         words = []
         for i in range(0, max(length, 0), 32):
-            word = self.state.memory.get(offset + i)
+            at = offset + i
+            word = self.state.memory.get(at)
             if word is None:
-                if self.state.mem_unknown:
+                # unwritten: zero unless memory was cleared or a written
+                # word overlaps this one
+                if self.state.mem_unknown or any(abs(k - at) < 32 for k in self.state.memory):
                     word = self._fresh_or_zero(f"MEM#{self.state.txn_label}")
                 else:
                     word = ZERO
@@ -157,7 +164,9 @@ class ReferenceInterpreter:
             return
         if name in isa.OPERATORS:
             args = [self._pop() for _ in range(info.stack_pops)]
-            self._push(mk(name, *args))
+            word = mk(name, *args)
+            # only the word ADDRESS pushed is the own address to BALANCE
+            self._push(Word._make(word) if word is SymbolicState.address else word)
             return
         if name in _POP_ONLY:
             for _ in range(info.stack_pops):
@@ -189,11 +198,11 @@ class ReferenceInterpreter:
                 self._push(state.fresh(f"SHA3#{state.txn_label}"))
             return
         if name == "ADDRESS":
-            self._push(var("ADDRESS"))
+            self._push(SymbolicState.address)
             return
         if name == "BALANCE":
             target = self._pop()
-            if target.op == "var" and target.name == "ADDRESS":
+            if target is SymbolicState.address:
                 self._push(state.balance)
             else:
                 self._push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))

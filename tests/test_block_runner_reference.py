@@ -18,17 +18,15 @@ first halt out of gas at an earlier instruction.  The EVM halts in that
 block either way.
 
 In witness mode the reference keeps a word derived from ADDRESS or BALANCE0
-symbolic, where the runner holds its value.  Two differences follow by
+symbolic, where the runner holds its value.  One difference follows by
 design, and the witness lanes note each such instruction on the reference
-side and excuse a difference after it:
-- such a word read as a memory offset, a length, a calldata offset or a
-  storage key (the reference clears memory on an MSTORE through it, the
-  runner writes the word there);
-- an operator that folds a word back into the ADDRESS variable
-  (`AND(ADDRESS, 2**256 - 1)`), which BALANCE then reads as the contract's
-  own address in the reference alone.
-A BALANCE of any other word reads a fresh word in both.  The fixture lanes
-excuse nothing.
+side and excuse a difference after it: such a word read as a memory
+offset, a length, a calldata offset or a storage key (the reference clears
+memory on an MSTORE through it, the runner writes the word there).  In
+both, BALANCE reads the contract's own balance only for the word ADDRESS
+pushed, an operator that folds a word back into it
+(`AND(ADDRESS, 2**256 - 1)`) giving a new word, and a fresh word for any
+other.  The fixture lanes excuse nothing.
 """
 
 import zlib
@@ -102,8 +100,6 @@ class _NotingReference(ReferenceInterpreter):
                for i in _ADDRESS_OPERANDS.get(name, ())):
             self.differs = True
         super().step(ins)
-        if name in isa.OPERATORS and stack and stack[-1] == _ADDRESS:
-            self.differs = True
 
 
 def _observable(state, operands=()):

@@ -1,11 +1,12 @@
-"""Witness replay on ints against the witness-mode replay it replaced.
+"""Witness replay against the reference interpreter's witness mode.
 
-`_WitnessReplay` is the former `replay_blocks`: the reference interpreter
-of `interp_reference.py` in witness mode, every block run by
+`_WitnessReplay` is a replay built on the reference interpreter of
+`interp_reference.py` in witness mode, every block run by
 `reference_run_body`, steered from the jump operands evaluated under the
 witness, with the same block budget and errors as `_steer`.  For every
-traceable money path of the fixtures at call bounds 1 and 2, the new
-`replay_blocks` must give the same block tuple, or raise the same
+traceable money path of the fixtures at call bounds 1 and 2,
+`replay_blocks`, the symbolic machine in witness mode (`WitnessState`)
+steered by `_steer`, must give the same block tuple, or raise the same
 SymExecError type with the same message, under the path's solver witness
 and under seeded random perturbations of it, which send most replays down
 other paths.

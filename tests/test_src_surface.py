@@ -147,6 +147,24 @@ def test_only_the_block_runners_check_the_stack():
     assert loops.count("symexec._run_body") == 1
 
 
+def test_the_block_runner_has_two_callers():
+    """`symexec._run_body` is called from the unfolding's piece runner
+    (`_piece_runner.enter`) and from `_steer`, the loop that runs every
+    single block sequence, and from nowhere else."""
+    def calls(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_run_body":
+                yield prefix.rstrip(".")
+                yield from calls(child, prefix)
+            else:
+                yield from calls(child, prefix)
+    callers = [f"{path.stem}.{caller}" for path in _SRC
+               for caller in calls(ast.parse(path.read_text()), "")]
+    assert sorted(callers) == ["symexec._piece_runner.enter", "symexec._steer"]
+
+
 def _settable_values(tree: ast.Module) -> int:
     """Parameters with a default, plus `@dataclass` fields with one."""
     count = 0

@@ -22,6 +22,7 @@ from evmscope.symexec import (
     SymExecError,
     WitnessState,
     Word,
+    ZERO,
     _run_body,
     concrete_op,
     concretize,
@@ -344,6 +345,45 @@ def test_mstore8_through_a_symbolic_offset_leaves_memory_unknown():
 
 
 
+@pytest.mark.parametrize("reads, stored", [
+    ("600051", ZERO),                            # MLOAD(0) of clean memory
+    ("60003551", ZERO),                          # MLOAD(CALLDATALOAD(0)) of it
+    ("3360005260003551", var("MEM#1.1")),        # the same after MSTORE(0, CALLER)
+    ("33600052602051", ZERO),                    # MSTORE(0, CALLER); MLOAD(32)
+    ("33600152600051", var("MEM#1.1")),          # MSTORE(1, CALLER); MLOAD(0)
+    ("336001526020600020", node("sha3", (var("MEM#1.1"),), 32)),  # ...; SHA3(0, 32)
+], ids=["clean", "clean_symbolic_offset", "written_symbolic_offset", "beside_a_write",
+        "overlapped_mload", "overlapped_sha3"])
+def test_mload_and_sha3_read_an_unwritten_word_alike(reads, stored):
+    # the word read is stored at slot 0: an unwritten word is zero unless
+    # a written word overlaps it (memory is keyed by word offset)
+    state = _run(reads + "600055" + "00")
+    assert state.final_storage()[const(0)] == stored
+
+
+def test_mload_of_never_written_memory_takes_no_branch_on_it():
+    # JUMPI(7, MLOAD(0)); 6: STOP; 7: JUMPDEST; CALLER; SELFDESTRUCT.
+    # Memory is zero at a call's start, so the code stops
+    code = parse_hex("600051600757005b33ff")
+    cfg = build_cfg(disassemble(code))
+    path = ProgramPath((0, 7), ((None, "initial"),))
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert (feas.status, feas.reason) == (FeasibilityStatus.INFEASIBLE,
+                                          "condition folds to false")
+
+
+def test_mload_through_a_symbolic_offset_of_unwritten_memory_draws_no_word():
+    # MLOAD(CALLDATALOAD(0)); POP; JUMPI(10, GAS); 9: STOP; 10: JUMPDEST;
+    # CALLER; SELFDESTRUCT.  Nothing is written, so the load is zero at any
+    # offset in the trace, as at replay's constant one, and the trace's
+    # GAS word is the one replay reads
+    code = parse_hex("60003551505a600a57005b33ff")
+    cfg = build_cfg(disassemble(code))
+    path = ProgramPath((0, 10), ((None, "initial"),))
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"GAS.1": 1})
+
+
 def _verdict(code_hex, blocks):
     """The feasibility of the one-call path `blocks` of runtime `code_hex`,
     and whether its witness replays it."""
@@ -498,6 +538,17 @@ def test_replay_stops_at_the_block_budget(monkeypatch):
     assert len(runs) == symexec_module.STEER_BLOCK_LIMIT == 4096
 
 
+def test_trace_path_runs_a_path_past_the_steered_block_budget(monkeypatch):
+    # JUMPDEST; PUSH1 0; JUMP loops at the root: a claimed path is traced
+    # whole, whatever its length, in one call
+    code = parse_hex("5b600056")
+    cfg = build_cfg(disassemble(code))
+    blocks = (0,) * (symexec_module.STEER_BLOCK_LIMIT + 10)
+    runs = _counting_runs(monkeypatch)
+    state = trace_path(cfg, code, ProgramPath(blocks, ()), {})
+    assert (len(runs), state.txn) == (len(blocks), 1)
+
+
 def test_a_reverted_write_is_gone_in_the_next_call_in_trace_and_replay():
     # call 1 (no value) stores 5 at slot 0, then reverts; call 2 (with
     # value) reads slot 0 and branches on whether it still holds the 7
@@ -553,6 +604,17 @@ def test_replay_reads_the_own_balance_only_for_the_address_word(moves, reads_bal
     asm.op("BALANCE").push(5).op("EQ").push_label("own").op("JUMPI")
     asm.op("STOP").label("own").op("JUMPDEST").op("STOP")
     assert _replay_reaches(asm, "own", {"ADDRESS": 0x1234, "BALANCE0": 5}) is reads_balance
+
+
+def test_an_operator_that_gives_back_the_address_word_reads_a_fresh_balance():
+    # BALANCE(ADD(ADDRESS, 0)); POP; JUMPI(11, GAS); 10: STOP; 11: JUMPDEST;
+    # CALLER; SELFDESTRUCT.  The sum is a new word in the trace, as in
+    # replay, so both draw an EXTBAL word and replay reads the trace's GAS
+    code = parse_hex("6000300131505a600b57005b33ff")
+    cfg = build_cfg(disassemble(code))
+    path = ProgramPath((0, 11), ((None, "initial"),))
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"GAS.2": 1})
 
 
 @pytest.mark.parametrize("witness, kept", [({}, True), ({"ADDRESS": 1}, False)])
