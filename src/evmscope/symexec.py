@@ -23,7 +23,8 @@ is decided by a pluggable constraint backend; a satisfying witness is
 re-validated by replaying the path: the same machine in witness mode
 (`WitnessState`), where every value the walk leaves free is the witness's
 constant, steered from the jump operands as the trace was steered along
-the path's blocks.  Memory is keyed by word offset, and a copy of
+the path's blocks; it runs on constants alone and builds no term.
+Memory is keyed by word offset, and a copy of
 untracked data or a call's return data clears it.  Every memory area an
 opcode reads, writes or hands out, of a constant length, is charged
 against MEMORY_CAP, at offset 0 where its offset is not known; in witness
@@ -115,6 +116,9 @@ class Word(NamedTuple):
         return f"{self.op}({inner})"
 
 
+_new = tuple.__new__  # a Word from its seven fields, skipping NamedTuple's keywords
+
+
 def node(op: str, args: tuple[Word, ...], meta: int | None = None) -> Word:
     """The one builder of compound terms.  Bounding each term here keeps
     every walk over one under the recursion limit and within MAX_SIZE
@@ -128,24 +132,25 @@ def node(op: str, args: tuple[Word, ...], meta: int | None = None) -> Word:
         raise TermTooDeep("term nested too deep")
     if size >= MAX_SIZE:
         raise TermTooDeep("term too large")
-    return Word(op, args, None, None, meta, depth + 1, size + 1)
+    return _new(Word, (op, args, None, None, meta, depth + 1, size + 1))
 
 
 def const(value: int) -> Word:
-    return Word("const", value=value % WORD_MOD)
+    return _new(Word, ("const", (), value % WORD_MOD, None, None, 1, 1))
 
 
 def var(name: str) -> Word:
-    return Word("var", name=name)
+    return _new(Word, ("var", (), None, name, None, 1, 1))
 
 
 ZERO = const(0)
 ONE = const(1)
+_OPERATORS = isa.OPERATORS
 
 
 def concrete_op(name: str, vals: list[int]) -> int:
     """Concrete semantics of one EVM operator, result reduced mod 2**256."""
-    fn = isa.OPERATORS.get(name)
+    fn = _OPERATORS.get(name)
     if fn is None:
         raise SymExecError(f"no concrete semantics for {name}")
     return fn(*vals)
@@ -175,23 +180,39 @@ def mk(op: str, *args: Word) -> Word:
     return node(op, args)
 
 
+def _hash(values, length: int, deadline: float | None) -> int:
+    """The keccak256 of the first `length` bytes of the 32-byte big-endian
+    words `values`.  Hashing a long preimage raises TimeoutError once
+    `deadline` has passed."""
+    data = b"".join(value.to_bytes(32, "big") for value in values)
+    return int.from_bytes(keccak256(data[:length], deadline), "big")
+
+
 def eval_word(w: Word, env: dict[str, int], deadline: float | None = None) -> int:
     """Concrete evaluation; unassigned variables read as zero.  Hashing a
-    long preimage raises TimeoutError once `deadline` has passed."""
-    if w.op == "const":
+    long preimage raises TimeoutError once `deadline` has passed.  The
+    solver's search, its candidate scan and the witness re-check all run
+    here, so the leaves come first, then the operator table, and a binary
+    operator's operands go to its function without a list."""
+    op = w.op
+    if op == "const":
         return w.value or 0
-    if w.op == "var":
+    if op == "var":
         return env.get(w.name or "", 0) % WORD_MOD
-    if w.op == "sload":
+    fn = _OPERATORS.get(op)
+    if fn is not None:
+        args = w.args
+        if len(args) == 2:
+            return fn(eval_word(args[0], env, deadline), eval_word(args[1], env, deadline))
+        return fn(*[eval_word(a, env, deadline) for a in args])
+    if op == "sload":
         return eval_word(w.args[0], env, deadline)
-    if w.op == "ite":
+    if op == "ite":
         cond = eval_word(w.args[0], env, deadline)
         return eval_word(w.args[1] if cond else w.args[2], env, deadline)
-    if w.op == "sha3":
-        length = int(w.meta or 0)
-        data = b"".join(eval_word(a, env, deadline).to_bytes(32, "big") for a in w.args)
-        return int.from_bytes(keccak256(data[:length], deadline), "big")
-    return concrete_op(w.op, [eval_word(a, env, deadline) for a in w.args])
+    if op == "sha3":
+        return _hash([eval_word(a, env, deadline) for a in w.args], int(w.meta or 0), deadline)
+    raise SymExecError(f"no concrete semantics for {op}")
 
 
 # The term queries below recurse directly: a generator walk costs more than
@@ -429,18 +450,6 @@ class SymbolicState:
     # instruction by `compile_instruction`.  The block runner has checked
     # the stack against the block's bounds, so no handler checks it.
 
-    def _operator(self, ins: Instruction, operator: tuple) -> None:
-        name, fn, pops = operator
-        stack = self.stack
-        args = stack[:-pops - 1:-1]  # the operands, top first
-        del stack[-pops:]
-        values = [a.value for a in args]  # None but for a constant
-        # closed arguments fold through `fn`, the rest go to `mk`; BALANCE
-        # reads the own balance for ADDRESS's push alone, so an identity
-        # that gives the ADDRESS word back gives a copy
-        word = mk(name, *args) if None in values else const(fn(*values))
-        stack.append(Word._make(word) if word is self.address else word)
-
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
         del self.stack[len(self.stack) - pops:]
         self.stack.append(self.fresh(ins.info.mnemonic))
@@ -456,13 +465,14 @@ class SymbolicState:
         offset, length = stack.pop(), stack.pop()
         if offset.is_concrete and length.is_concrete:
             words = self._mem_words(offset.value or 0, length.value or 0)
-            term = node("sha3", tuple(words), length.value or 0)
-            if all(w.is_concrete for w in words):
-                try:
-                    term = const(eval_word(term, {}, self.deadline))
-                except TimeoutError as exc:
-                    raise DeadlinePassed(str(exc)) from None
-            stack.append(term)
+            values = [w.value for w in words]  # None but for a constant
+            if None in values:
+                stack.append(node("sha3", tuple(words), length.value or 0))
+                return
+            try:
+                stack.append(const(_hash(values, length.value or 0, self.deadline)))
+            except TimeoutError as exc:
+                raise DeadlinePassed(str(exc)) from None
         else:
             _charge(offset, length)
             stack.append(self.fresh(f"SHA3#{self.txn_label}"))
@@ -643,16 +653,17 @@ _NAMED_HANDLERS = {
                     SymbolicState._output),
 }
 
-# The stack moves a plan marks instead of naming a handler; the block
-# runner makes them inline.  The operand of a PUSH is its word, of a DUP or
-# SWAP its depth, of a POP the number of words popped.
-_PUSH, _DUP, _SWAP, _POP = "PUSH", "DUP", "SWAP", "POP"
+# The stack moves and operators a plan marks instead of naming a handler;
+# the block runner makes them inline.  The operand of a PUSH is its word,
+# of a DUP or SWAP its depth, of a POP the number of words popped, of an
+# operator (name, concrete function, operands popped).
+_PUSH, _DUP, _SWAP, _POP, _OPERATOR = "PUSH", "DUP", "SWAP", "POP", "OPERATOR"
 
 
 def _handler_entry(info: isa.OpcodeInfo) -> tuple:
-    """(handler, operand) of one opcode: a stack-move mark, a SymbolicState
-    handler, or None where the opcode leaves the modelled state as it is.
-    PUSHn and PC get their operand, the constant they push, per instruction."""
+    """(handler, operand) of one opcode: a stack-move or operator mark, a
+    SymbolicState handler, or None where the opcode leaves the modelled
+    state as it is.  PUSHn and PC get their operand, the constant they push, per instruction."""
     name, byte = info.mnemonic, info.byte_value
     if info.is_push or name == "PC":
         return _PUSH, None
@@ -661,7 +672,7 @@ def _handler_entry(info: isa.OpcodeInfo) -> tuple:
     if 0x90 <= byte <= 0x9F:
         return _SWAP, byte - 0x8F
     if name in isa.OPERATORS:
-        return SymbolicState._operator, (name, isa.OPERATORS[name], info.stack_pops)
+        return _OPERATOR, (name, isa.OPERATORS[name], info.stack_pops)
     if name in _ENV_READS:
         return SymbolicState._env_read, name
     if name in _OPAQUE_READS:
@@ -744,19 +755,43 @@ def _run_body(state: SymbolicState, cfg: Cfg, block) -> tuple[Word, ...]:
     The stack is checked once, at entry, against the plan's bounds: a block
     entered below the depth it needs or too close to STACK_LIMIT halts
     there, as the EVM halts at one of its instructions.  Within the bounds
-    no instruction can under- or overflow the stack, so PUSH, DUP, SWAP and
-    the pop-only opcodes work on the list directly, the other opcodes go
-    through their handlers, and the exit pops its operands unchecked."""
+    no instruction can under- or overflow the stack, so PUSH, DUP, SWAP,
+    the operators and the pop-only opcodes work on the list directly, the
+    other opcodes go through their handlers, and the exit pops its operands
+    unchecked.
+
+    An operator whose operands are all constants folds through its
+    concrete function into one constant and builds no term, as every
+    operator does in witness mode; any other goes to `mk`.  BALANCE reads
+    the own balance for ADDRESS's push alone, so an identity of `mk` that
+    gives the ADDRESS word back gives a copy."""
     ops, jump_pops, reverts, need, grow = _plan(cfg, block)
     stack = state.stack
     if len(stack) < need:
         raise StackUnderflow("pop from empty stack")
     if len(stack) + grow > STACK_LIMIT:
         raise StackOverflow("stack limit exceeded")
-    append = stack.append
+    append, pop, address = stack.append, stack.pop, state.address
     for handler, ins, operand in ops:
         if handler is _PUSH:
             append(operand)
+        elif handler is _OPERATOR:
+            # the operands, top first; a constant's value is never None
+            name, fn, pops = operand
+            if pops == 2:
+                a = pop()
+                b = stack[-1]
+                word = (mk(name, a, b) if a.value is None or b.value is None else
+                        _new(Word, ("const", (), fn(a.value, b.value), None, None, 1, 1)))
+            elif pops == 1:
+                a = stack[-1]
+                word = (mk(name, a) if a.value is None else
+                        _new(Word, ("const", (), fn(a.value), None, None, 1, 1)))
+            else:  # ADDMOD, MULMOD
+                a, b, c = pop(), pop(), stack[-1]
+                word = (mk(name, a, b, c) if None in (a.value, b.value, c.value) else
+                        _new(Word, ("const", (), fn(a.value, b.value, c.value), None, None, 1, 1)))
+            stack[-1] = Word._make(word) if word is address else word
         elif handler is _DUP:
             append(stack[-operand])
         elif handler is _SWAP:
@@ -766,7 +801,7 @@ def _run_body(state: SymbolicState, cfg: Cfg, block) -> tuple[Word, ...]:
         else:
             handler(state, ins, operand)
     if jump_pops:
-        return (stack.pop(),) if jump_pops == 1 else (stack.pop(), stack.pop())
+        return (pop(),) if jump_pops == 1 else (pop(), pop())
     if reverts:
         writes, records = state.call_start
         del state.storage_writes[writes:]
@@ -1188,12 +1223,14 @@ class WitnessState(SymbolicState):
     """The symbolic machine in witness mode, as concolic execution runs it
     (DART, CUTE): each word the trace leaves free is the witness's
     constant, read under the trace's own name for it, an absent name
-    reading zero.  So every operand is a constant: `_operator` and `mk`
-    fold each, each JUMPI is decided by its value, and `_charge` charges
-    every area.  A base-storage term is evaluated under the witness, and
-    an SLOAD gives the constant itself.  The ADDRESS word is an object of
-    its own, so BALANCE reads the contract's balance for it alone, as in
-    the trace, and a value test still compares it by value."""
+    reading zero.  So every operand is a constant: the block runner folds
+    each operator into one constant without `mk`, each JUMPI is decided by
+    its value, and `_charge` charges every area; a SHA3 hashes its constant
+    words directly, so no compound term is built.  A base-storage term
+    is evaluated under the witness, and an SLOAD gives the constant the
+    key holds.  The ADDRESS word is an object of its own, so BALANCE reads
+    the contract's balance for it alone, as in the trace (where an SLOAD
+    never gives it back), and a value test still compares it by value."""
 
     def __init__(self, base_storage: dict[Word, Word], code: bytes,
                  deadline: float | None, witness: dict[str, int]) -> None:
@@ -1205,7 +1242,8 @@ class WitnessState(SymbolicState):
         return const(self.witness.get(name, 0))
 
     def sload(self, key: Word) -> Word:
-        return const(self.entry_read(key).value)  # every key is a constant
+        word = self.entry_read(key)  # every key is a constant
+        return Word._make(word) if word is self.address else word
 
     def _base_read(self, key: Word) -> Word:
         word = self.base_storage.get(key)
@@ -1232,6 +1270,27 @@ def replay_blocks(cfg: Cfg, code: bytes, witness: dict[str, int],
         return block.last.next_offset
 
     return tuple(_steer(cfg, state, choose, deadline, STEER_BLOCK_LIMIT))
+
+
+def _slot_witness(state: SymbolicState, witness: dict[str, int],
+                  deadline: float | None) -> dict[str, int] | None:
+    """`witness` completed for witness mode's storage names.  The trace
+    names an unwritten slot by its key's term (`STORAGE@sha3(CALLER#1,
+    0x0)`), witness mode by the key's value (`STORAGE@0x…`), so each slot
+    the trace read under a key that is not a constant gets that value's
+    name too, with the value the witness gives the term's name if it is
+    not the zero an absent name reads.  None if two of the trace's keys
+    meet at one slot with different values."""
+    slots: dict[str, int] = {}
+    for key, word in state.storage_var_cache.items():
+        if key in state.base_storage:
+            continue  # the constructor's word, which witness mode evaluates
+        value, name = witness.get(word.name, 0), word.name
+        if not key.is_concrete:
+            name = f"STORAGE@{const(eval_word(key, witness, deadline))}"
+        if slots.setdefault(name, value) != value:
+            return None
+    return {**{name: value for name, value in slots.items() if value}, **witness}
 
 
 def execute_path(cfg: Cfg, code: bytes, path,
@@ -1261,6 +1320,10 @@ def execute_path(cfg: Cfg, code: bytes, path,
             if eval_word(cond, witness, deadline) == 0:
                 return state, Feasibility(FeasibilityStatus.UNKNOWN,
                                           reason="witness failed re-check")
+        witness = _slot_witness(state, witness, deadline)
+        if witness is None:
+            return state, Feasibility(FeasibilityStatus.UNKNOWN,
+                                      reason="witness gives one storage slot two values")
         taken = replay_blocks(cfg, code, witness, base_storage, path.call_count, deadline)
     except (DeadlinePassed, TimeoutError):
         return state, Feasibility(FeasibilityStatus.UNKNOWN, reason="deadline passed")
