@@ -313,8 +313,8 @@ def detect_payable_entries(cfg: Cfg, instructions: list[Instruction],
 def takes_ether(cfg: Cfg, payable_entries: set[int | str]) -> Callable[[_Piece], bool]:
     """The piece test of `check_black_hole`: the piece's call enters a
     payable entry and does not end in REVERT (a transaction that reverts
-    returns the value).  A piece that a callback edge ends has not ended in
-    REVERT; a terminal piece ends at its last block."""
+    returns the value).  A piece is a whole call, which ends at its last
+    block."""
     reverts = {b.id for b in cfg.blocks.values() if b.last.mnemonic == "REVERT"}
     return lambda p: p.selector in payable_entries and p.blocks[-1] not in reverts
 

@@ -4,7 +4,7 @@
     evmscope batch DIR [options]       analyze every fixture in a directory
 
 Exit codes: 0 = analyzed, no violations; 2 = violations found;
-1 = input or configuration error.
+1 = input, configuration or usage error.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ _ALPHA_NAMES = {
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are CliErrors, so they exit 1
+    as a configuration error, not with argparse's 2, which here means
+    violations found.  Subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _parse_property(name: str) -> PropertyId:
@@ -127,7 +136,6 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         registry_cache=args.registry_cache,
         solver_timeout_ms=args.solver_timeout,
         disabled=disabled,
-        include_reentrant=args.reentrant_paths,
         include_timing=not args.no_timing,
         gas_overrides=gas_overrides,
     )
@@ -162,8 +170,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="address table for offline mode")
     parser.add_argument("--registry-cache", default=None,
                         help="persistent cache file for address lookups")
-    parser.add_argument("--reentrant-paths", action="store_true",
-                        help="also fork paths at external-call callback edges")
     parser.add_argument("--config", default=None, help="INI file with a [ranking] section")
     parser.add_argument("--gas-schedule", default=None,
                         help="gas override table (MNEMONIC GAS per line)")
@@ -174,7 +180,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="evmscope")
+    parser = _Parser(prog="evmscope")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="analyze a single contract")
@@ -273,9 +279,8 @@ def _run_batch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_batch(args)

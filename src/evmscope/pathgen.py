@@ -4,20 +4,20 @@ A path is a walk from the root that crosses a new-transaction boundary each
 time a terminating block finishes, until the call-depth budget is spent; the
 walk then ends at its final terminating block.  Loop traversal is limited by
 counting back-edges within each call segment, and the total block count per
-path is capped.  Re-entrant callback edges exist in the CFG but are not
-forked into separate paths by default: a re-entrant call sequence visits the
-same blocks as the equivalent chain of whole transactions, which the
-unfolding already covers (storage persists across segments downstream).
+path is capped.  The CFG's callback edges are not followed: a re-entrant
+call sequence visits the same blocks as the equivalent chain of whole
+transactions, which the unfolding already covers (storage persists across
+segments downstream).
 
-Each call starts afresh at the root, a re-entrant callback included, so a
-path is a sequence of *pieces*: one call segment each, from the root to
-the terminal block or callback edge that ends it.  The root's pieces are
-found once, by a depth-first search of one segment, and paths are their
-concatenations in lexicographic piece order, which is the order of a
-depth-first search over whole paths.  Whether a piece fits depends only on
-its length and shape and on the blocks and calls before it, so path counts
-and the max-gas path are computed over (blocks so far, calls so far)
-states, and a selection builds only the paths it keeps, one at a time.
+Each call starts afresh at the root, so a path is a sequence of *pieces*:
+one whole call each, from the root to the terminal block that ends it.
+The root's pieces are found once, by a depth-first search of one segment,
+and paths are their concatenations in lexicographic piece order, which is
+the order of a depth-first search over whole paths.  Whether a piece fits
+depends only on its length and on the blocks and calls before it, so path
+counts and the max-gas path are computed over (blocks so far, calls so
+far) states, and a selection builds only the paths it keeps, one at a
+time.
 
 There is one depth-first search over the piece tree, `walk`, and it
 threads a value down the tree as it goes: `select` threads none, and the
@@ -47,7 +47,9 @@ from .cfg import Cfg, EdgeKind, Terminator
 
 VIA_INITIAL = "initial"
 VIA_NEW_TRANSACTION = "new_transaction"
-VIA_EXTERNAL_CALLBACK = "external_callback"
+
+# the edges that leave the call: a piece follows every other edge
+_OTHER_CALLS = frozenset((EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK))
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,11 @@ class ProgramPath(NamedTuple):
 
 
 class _Piece(NamedTuple):
-    """One call segment."""
+    """One whole call, from the root to a terminal block."""
     blocks: tuple[int, ...]
     selector: int | str | None  # the first function entry it passes
     money: bool  # it runs a money block
-    callback: int | None  # the root, if a callback edge ends it; None: a terminal block
-    shape: tuple[int, int | None]  # (blocks, callback): all that decides where it fits
+    length: int  # its blocks: all that decides where it fits
     shared: int  # the blocks it shares with the next piece of the list; 0 for the last
     index: int  # its place in the list
 
@@ -123,36 +124,31 @@ class PathEnumeration:
     cut short nothing is built or counted.
     """
 
-    def __init__(self, cfg: Cfg, bounds: PathBounds, include_reentrant: bool,
-                 deadline: float | None):
+    def __init__(self, cfg: Cfg, bounds: PathBounds, deadline: float | None):
         self.cfg = cfg
         self.bounds = bounds
-        self.include_reentrant = include_reentrant
         self.deadline = deadline
         self.timed_out = False
         self._pieces: list[_Piece] | None = None
-        # per reachable state, the state after each piece shape that fits
+        # per reachable state, the state after each piece length that fits
         # there (None: the path ends with that piece); longest prefix first
-        self._next: dict[_State, dict[tuple[int, int | None], _State | None]] = {}
+        self._next: dict[_State, dict[int, _State | None]] = {}
         # per piece marker, by identity: (the marker, held so that its id is
         # not reused, its `_counts`)
         self._marked: dict[int, tuple[Callable, dict]] = {}
 
-    def _moves(self) -> dict[int, tuple[tuple[int, bool], ...] | None]:
-        """Per block: None if it ends a transaction, else its successors in
-        visiting order as (destination, is external callback), reversed for
+    def _moves(self) -> dict[int, tuple[int, ...] | None]:
+        """Per block: None if it ends a transaction, else the destinations
+        of its edges within the call in visiting order, reversed for
         pushing onto the stack.  A destination is one move however many
         edges reach it (a JUMPI whose target is its own fallthrough)."""
-        moves: dict[int, tuple[tuple[int, bool], ...] | None] = {}
+        moves: dict[int, tuple[int, ...] | None] = {}
         for block_id, block in self.cfg.blocks.items():
             if block.terminator is Terminator.TERMINAL:
                 moves[block_id] = None
                 continue
-            edges = sorted(self.cfg.successors(block_id), key=lambda e: (e.dst, e.kind.value))
-            dests = {e.dst: e.kind is EdgeKind.EXTERNAL_CALLBACK for e in edges
-                     if e.kind is not EdgeKind.NEW_TRANSACTION
-                     and (self.include_reentrant or e.kind is not EdgeKind.EXTERNAL_CALLBACK)}
-            moves[block_id] = tuple(reversed(dests.items()))
+            moves[block_id] = tuple(sorted({e.dst for e in self.cfg.successors(block_id)
+                                            if e.kind not in _OTHER_CALLS}, reverse=True))
         return moves
 
     def _tables(self) -> list[_Piece] | None:
@@ -169,30 +165,24 @@ class PathEnumeration:
     def _segment(self, moves) -> list[_Piece] | None:
         """Depth-first search of one call segment from the root, with its
         own visit and loop-edge counts; a piece ends at each terminal block
-        and each callback edge reached.  Blocks are capped as for a piece
-        that starts the path.  The block list and counts are undone on
-        leaving a block, so each tree node costs O(1) plus its successors."""
+        reached.  Blocks are capped as for a piece that starts the path.
+        The block list and counts are undone on leaving a block, so each
+        tree node costs O(1) plus its successors."""
         loop_bound, max_blocks = self.bounds.loop_bound, self.bounds.max_blocks
         deadline = self.deadline
         entry_names = {block: name for name, block in self.cfg.function_entries.items()}
         money_blocks = self.cfg.money_blocks
 
-        def piece(callback: int | None) -> list:
-            selector = next((entry_names[b] for b in blocks if b in entry_names), None)
-            return [tuple(blocks), selector, not money_blocks.isdisjoint(blocks),
-                    callback, (len(blocks), callback)]
-
-        found: list[list] = []  # each piece's fields up to its shape
+        found: list[tuple] = []  # each piece's fields up to its length
         shared: list[int] = []  # per piece, the blocks it shares with the one before
         low = 0  # the fewest blocks on `blocks` since the last piece was found
         blocks: list[int] = []
         visits: dict[int, int] = {}
         loops: dict[tuple[int, int], int] = {}  # back-edges taken
         entered: list[tuple[int, int] | None] = []  # the back-edge into each block on `blocks`
-        # To enter: (block, back-edge); a list is a callback piece's fields,
-        # done; None leaves the block entered last.  A piece is found with
-        # its own blocks on `blocks`, so the fewest blocks there since the
-        # piece before is the prefix the two share.
+        # To enter: (block, back-edge); None leaves the block entered last.
+        # A piece is found with its own blocks on `blocks`, so the fewest
+        # blocks there since the piece before is the prefix the two share.
         todo: list = [(self.cfg.root, None)]
         steps = 0
         while todo:
@@ -204,11 +194,6 @@ class PathEnumeration:
                 loop = entered.pop()
                 if loop is not None:
                     loops[loop] -= 1
-                continue
-            if isinstance(item, list):
-                shared.append(low)
-                found.append(item)
-                low = len(blocks)
                 continue
             steps += 1
             if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
@@ -224,17 +209,17 @@ class PathEnumeration:
             successors = moves[block_id]
             if successors is None:  # the transaction ends here
                 shared.append(low)
-                found.append(piece(None))
+                found.append((tuple(blocks),
+                              next((entry_names[b] for b in blocks if b in entry_names), None),
+                              not money_blocks.isdisjoint(blocks), len(blocks)))
                 low = len(blocks)
                 continue
             if len(blocks) >= max_blocks:
                 continue
             # A child is checked when pushed: by the time it is popped, its
             # earlier siblings' subtrees are undone, so the state is the same.
-            for dst, callback in successors:
-                if callback:
-                    todo.append(piece(dst))
-                elif visits.get(dst):
+            for dst in successors:
+                if visits.get(dst):
                     edge = (block_id, dst)
                     if loops.get(edge, 0) < loop_bound:
                         todo.append((dst, edge))
@@ -246,12 +231,10 @@ class PathEnumeration:
 
     def _plan(self) -> None:
         """Fill `_next` from the first state: after L blocks and j calls, a
-        piece of n blocks fits if it ends at a terminal block and
-        L + n - 1 < max_blocks, or at a callback edge, L + n < max_blocks and
-        j < call_depth.  A path ends after a terminal piece once the calls
-        reach call_depth or the blocks reach max_blocks."""
+        piece of n blocks fits if L + n - 1 < max_blocks.  A path ends after
+        it once the calls reach call_depth or the blocks reach max_blocks."""
         call_depth, max_blocks = self.bounds.call_depth, self.bounds.max_blocks
-        shapes = dict.fromkeys(p.shape for p in self._pieces)
+        lengths = dict.fromkeys(p.length for p in self._pieces)
         found: dict[_State, dict] = {}
         todo = [_FIRST]
         while todo:
@@ -260,19 +243,15 @@ class PathEnumeration:
                 continue
             length, calls = state
             here = found[state] = {}
-            for shape in shapes:
-                n, callback = shape
+            for n in lengths:
                 end = length + n
-                if callback is None:
-                    if end > max_blocks:
-                        continue
-                    if calls >= call_depth or end >= max_blocks:
-                        here[shape] = None
-                        continue
-                elif end >= max_blocks or calls >= call_depth:
+                if end > max_blocks:
                     continue
-                here[shape] = (end, calls + 1)
-                todo.append(here[shape])
+                if calls >= call_depth or end >= max_blocks:
+                    here[n] = None
+                    continue
+                here[n] = (end, calls + 1)
+                todo.append(here[n])
         # a piece adds at least one block, so every state comes after the
         # states it leads to
         self._next = {state: found[state]
@@ -284,15 +263,15 @@ class PathEnumeration:
         the pieces), and `extend(value, rest)` a piece followed by the rest
         of a path.  A dead state, where no piece fits, gets None and adds
         nothing to the states before it; a path end is no state."""
-        weights: dict[tuple[int, int | None], object] = {}
+        weights: dict[int, object] = {}
         for index, p in enumerate(self._pieces):
             value = weigh(index, p)
-            weights[p.shape] = join(weights[p.shape], value) if p.shape in weights else value
+            weights[p.length] = join(weights[p.length], value) if p.length in weights else value
         values: dict[_State, object] = {}
         for state, here in self._next.items():
             total = None
-            for shape, after in here.items():
-                value = weights[shape]
+            for n, after in here.items():
+                value = weights[n]
                 if after is not None:
                     if values[after] is None:
                         continue
@@ -328,7 +307,7 @@ class PathEnumeration:
         if self._tables() is None:
             return 0, None
         # (gas, -index of the first piece, the pieces): the rest of a path
-        # depends only on its pieces' shapes, so per shape only the first
+        # depends only on its pieces' lengths, so per length only the first
         # piece of greatest gas can win
         best = self._fold(
             lambda index, p: (sum(map(block_costs.__getitem__, p.blocks)), -index, (p,)),
@@ -340,10 +319,9 @@ class PathEnumeration:
         return choice[0], self._path(choice[2])
 
     def _path(self, pieces: tuple[_Piece, ...]) -> ProgramPath:
-        vias = [VIA_INITIAL] + [VIA_NEW_TRANSACTION if p.callback is None
-                                else VIA_EXTERNAL_CALLBACK for p in pieces[:-1]]
         return _unfolded(tuple(b for p in pieces for b in p.blocks),
-                         tuple((p.selector, via) for p, via in zip(pieces, vias)), pieces)
+                         tuple((p.selector, VIA_NEW_TRANSACTION if i else VIA_INITIAL)
+                               for i, p in enumerate(pieces)), pieces)
 
     def __iter__(self) -> Iterator[ProgramPath]:
         return self.select(_every)
@@ -389,7 +367,7 @@ class PathEnumeration:
             leaves a dead state is left out."""
             here, found = nexts[state], []
             for p in pieces:
-                after = here.get(p.shape, False)
+                after = here.get(p.length, False)
                 if after is None:
                     found.append((p, marked(p), None, None))
                 elif after is not False and counts[after] is not None:
@@ -419,19 +397,16 @@ class PathEnumeration:
                 if rest[0] > (0 if keep else rest[1]):
                     frames.append((iter(options.get(after) or fitting(after)),
                                    blocks + p.blocks, functions + ((p.selector, via),),
-                                   done + (p,), keep,
-                                   VIA_NEW_TRANSACTION if p.callback is None
-                                   else VIA_EXTERNAL_CALLBACK,
+                                   done + (p,), keep, VIA_NEW_TRANSACTION,
                                    value if step is None else step(value, p)))
                     break
             else:
                 frames.pop()
 
 
-def enumerate_paths(cfg: Cfg, bounds: PathBounds,
-                    include_reentrant: bool = False,
+def enumerate_paths(cfg: Cfg, bounds: PathBounds, *,
                     deadline: float | None = None) -> PathEnumeration:
-    return PathEnumeration(cfg, bounds, include_reentrant, deadline)
+    return PathEnumeration(cfg, bounds, deadline)
 
 
 def filter_money(paths: Iterator[ProgramPath], cfg: Cfg,

@@ -40,7 +40,6 @@ from .pathgen import (  # noqa: F401
     PathBounds,
     PathEnumeration,
     ProgramPath,
-    VIA_EXTERNAL_CALLBACK,
     enumerate_paths,
     filter_money,
 )
@@ -76,7 +75,6 @@ class AnalysisConfig:
     registry_cache: str | None = None
     solver_timeout_ms: int = SOLVER_TIMEOUT_MS
     disabled: set[PropertyId] = field(default_factory=set)
-    include_reentrant: bool = False
     include_timing: bool = True
     gas_overrides: dict[int, int] = field(default_factory=dict)
 
@@ -128,7 +126,7 @@ def _config_echo(config: AnalysisConfig) -> dict:
             config.rank.alpha.items(), key=lambda kv: kv[0].value)},
         "registry_mode": config.registry_mode,
         "disabled": sorted(p.value for p in config.disabled),
-        "reentrant_paths": config.include_reentrant,
+        "reentrant_paths": False,  # schema 1 carries it; the unfolding has no such mode
     }
 
 
@@ -148,10 +146,10 @@ def to_call_sequence(path: ProgramPath, contract: ContractCode,
     """Render the path as the function-call sequence it represents.
 
     With a witness, decoded calldata words become concrete arguments and a
-    nonzero message value is shown; re-entrant segments carry a marker.
+    nonzero message value is shown.  Every call is a new transaction.
     """
     out: list[str] = []
-    for txn, (sel, via) in enumerate(path.functions, start=1):
+    for txn, (sel, _via) in enumerate(path.functions, start=1):
         name = _function_display(contract, sel)
         extras = ""
         if witness:
@@ -164,8 +162,7 @@ def to_call_sequence(path: ProgramPath, contract: ContractCode,
             value = witness.get(f"CALLVALUE#{txn}", 0)
             if value:
                 extras += f" {{value: {value}}}"
-        marker = "↩" if via == VIA_EXTERNAL_CALLBACK else ""
-        out.append(f"{marker}{name}{extras}")
+        out.append(f"{name}{extras}")
     return out
 
 
@@ -230,7 +227,7 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     # the unfolding's pieces serve the counts, the max-gas path and the
     # traced paths, which are built one at a time as the trace asks for them
-    unfolding = PathEnumeration(cfg, config.bounds, config.include_reentrant, deadline)
+    unfolding = PathEnumeration(cfg, config.bounds, deadline)
     estimator = GasEstimator(cfg, isa.GasTable(config.gas_overrides))
     paths_enumerated = unfolding.count()
     max_gas, max_gas_path = unfolding.max_gas_path(estimator.block_costs)

@@ -888,19 +888,13 @@ class _Node:
     made holds the node that call was entered from and the call's delta
     until its state is first asked for, so a leaf of a reused call builds
     none, and neither does a reused call whose children are reused too."""
-    __slots__ = ("_state", "delta", "facts", "block", "operands", "calls", "ran", "frames",
-                 "failed")
+    __slots__ = ("_state", "delta", "facts", "calls", "ran", "frames", "failed")
 
-    def __init__(self, state, block, operands: tuple, facts,
-                 delta: _CallDelta | None) -> None:
+    def __init__(self, state, facts, delta: _CallDelta | None) -> None:
         self._state = state
         self.delta = delta
         # what the walk's fold made of the pieces above it
         self.facts = facts
-        # the block a callback piece leaves and its jump operands, which the
-        # next piece continues from; None after a terminal block
-        self.block = block
-        self.operands = operands
         # the memo's stored pieces under its head, by index; found on first use
         self.calls: dict[int, _CallDelta] | None = None
         # the sibling scratch: the index of the last child piece it ran, that
@@ -952,9 +946,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     Given `facts` (see `execute_paths`), each node's facts are its
     parent's extended by what its piece added: `facts.extend(parent's,
     before, conditions, records)`, `before()` giving the path condition
-    the piece started from.  The root's are `facts.start`.  A REVERT that
-    drops records the parent holds (a callback's caller reverting) folds
-    the node's whole lists from the start instead.
+    the piece started from.  The root's are `facts.start`.
 
     A piece resumes from the deepest frame its node's last piece saved
     inside the prefix the two share, or from a copy of the node's state.
@@ -965,10 +957,11 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     that piece's error object.  Right after a terminal block the runner
     empties the stack and memory, as the EVM ends a call's frame there.
 
-    A whole-call piece, from a call start to a terminal block, is stored
-    in a memo under the call counter, the fresh counter and its index, on
-    which the names it draws depend, with its footprint: the word that the
-    state it started from gives each key its SLOADs read (`entry_read`),
+    Every piece is a whole call, from the root to a terminal block: it
+    begins with `begin_transaction`, and is stored in a memo under the
+    call counter, the fresh counter and its index, on which the names it
+    draws depend, with its footprint: the word that the state it started
+    from gives each key its SLOADs read (`entry_read`),
     and that state's balance if the call read it (BALANCE of its own
     address, SELFDESTRUCT).  That is all a call reads, since its stack and
     memory start empty, no handler reads the path condition or the
@@ -986,13 +979,11 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     only under its whole head: the balance and the storage-write pairs, by
     identity.  The head is probed first, once per node, and a call found
     by its footprint is kept under the head too; a footprint costs a dict
-    probe per distinct list of read keys.  A callback piece, and the
-    pieces after it up to the call's end, continue their caller's call and
-    are not stored.  The memo holds every object whose identity its keys
-    use, and at most MEMO_ENTRIES entries; a piece that fails is not
-    stored.  The clock is read every 16 steps, a step being a block run or
-    a stored piece reused."""
-    root = _Node(SymbolicState(dict(base_storage), code, deadline, ""), None, (),
+    probe per distinct list of read keys.  The memo holds every object
+    whose identity its keys use, and at most MEMO_ENTRIES entries; a
+    piece that fails is not stored.  The clock is read every 16 steps, a
+    step being a block run or a stored piece reused."""
+    root = _Node(SymbolicState(dict(base_storage), code, deadline, ""),
                  None if facts is None else facts.start, None)
     fold = None if facts is None else facts.extend
     shared = [p.shared for p in pieces]
@@ -1029,27 +1020,25 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
         if type(node) is not _Node:
             return node  # below a failing block
         blocks, frames, index, ran = piece.blocks, node.frames, piece.index, node.ran
-        whole = node.block is None and piece.callback is None
-        if whole:
-            calls = node.calls
-            if calls is None:
-                calls = node.calls = head_calls(node)
-            # a piece below a failing block fails under any equal head, so
-            # it is never stored
-            delta = calls.get(index)
-            if delta is None:
-                entry = node.state
-                stored = prints.get((entry.txn, entry.fresh_counter, index))
-                if stored is not None:
-                    delta = _footprint_match(stored, entry)
-                    if delta is not None:
-                        calls[index] = delta  # found by the head from now on
-            if delta is not None:
-                steps += 1
-                if not steps & 0xF:
-                    check_deadline(deadline)
-                return _Node(node, None, (), fold and fold(
-                    node.facts, node.conditions, delta.conditions, delta.records), delta)
+        calls = node.calls
+        if calls is None:
+            calls = node.calls = head_calls(node)
+        # a piece below a failing block fails under any equal head, so it
+        # is never stored
+        delta = calls.get(index)
+        if delta is None:
+            entry = node.state
+            stored = prints.get((entry.txn, entry.fresh_counter, index))
+            if stored is not None:
+                delta = _footprint_match(stored, entry)
+                if delta is not None:
+                    calls[index] = delta  # found by the head from now on
+        if delta is not None:
+            steps += 1
+            if not steps & 0xF:
+                check_deadline(deadline)
+            return _Node(node, fold and fold(
+                node.facts, node.conditions, delta.conditions, delta.records), delta)
         common = 0
         if ran >= 0:
             common = shared[ran] if index == ran + 1 else min(shared[ran:index])
@@ -1068,7 +1057,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
             block = cfg.blocks[blocks[depth]]
             depth += 1
         else:
-            depth, block, operands = 0, node.block, node.operands
+            depth, block, operands = 0, None, ()
             state = entry.fork()
         try:
             for depth in range(depth, len(blocks)):
@@ -1082,42 +1071,31 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
                     _take_exit(state, block, operands, block_id)
                 block = cfg.blocks[block_id]
                 operands = _run_body(state, cfg, block)
-                if block.terminator is Terminator.TERMINAL:
-                    # the call halts, and with it its stack and memory
-                    state.stack, state.memory, state.mem_unknown = [], {}, False
-                elif depth < keep and len(operands) == 2:
+                if depth < keep and len(operands) == 2:
                     frames.append((depth, state.fork(), operands))
         except DeadlinePassed:
             raise
         except SymExecError as error:
             node.failed = (depth, error)
             return error
-        below = None
-        if fold is not None:
-            known, before = len(entry.records), len(entry.path_condition)
-            if len(state.records) < known:
-                below = fold(root.facts, tuple, state.path_condition, state.records)
-            else:
-                below = fold(node.facts, node.conditions, state.path_condition[before:],
-                             state.records[known:])
-        if block.terminator is not Terminator.TERMINAL:
-            return _Node(state, block, operands, below, None)
-        if whole:
-            conditions, (writes, records) = len(entry.path_condition), state.call_start
-            size = (1 + len(state.path_condition) - conditions + len(state.records) - records
-                    + len(state.storage_writes) - writes)
-            if held + size <= MEMO_ENTRIES:
-                held += size
-                keys, balance = tuple(state.reads), state.balance_read
-                words = tuple(map(entry.entry_read, keys))
-                delta = calls[index] = _CallDelta(
-                    state.path_condition[conditions:], state.records[records:],
-                    state.storage_writes[writes:], state.sent, state.fresh_counter,
-                    words + ((entry.balance,) if balance else ()))
-                if None not in words:
-                    prints.setdefault((entry.txn, entry.fresh_counter, index), {}).setdefault(
-                        (keys, balance), {})[tuple(map(id, delta.held))] = delta
-        return _Node(state, None, (), below, None)
+        # the call halts at its terminal block, and with it its stack and memory
+        state.stack, state.memory, state.mem_unknown = [], {}, False
+        writes, records = state.call_start
+        added = state.path_condition[len(entry.path_condition):]
+        made, written = state.records[records:], state.storage_writes[writes:]
+        below = None if fold is None else fold(node.facts, node.conditions, added, made)
+        size = 1 + len(added) + len(made) + len(written)
+        if held + size <= MEMO_ENTRIES:
+            held += size
+            keys, balance = tuple(state.reads), state.balance_read
+            words = tuple(map(entry.entry_read, keys))
+            delta = calls[index] = _CallDelta(
+                added, made, written, state.sent, state.fresh_counter,
+                words + ((entry.balance,) if balance else ()))
+            if None not in words:
+                prints.setdefault((entry.txn, entry.fresh_counter, index), {}).setdefault(
+                    (keys, balance), {})[tuple(map(id, delta.held))] = delta
+        return _Node(state, below, None)
 
     return root, enter
 
@@ -1137,9 +1115,10 @@ def execute_paths(cfg: Cfg, code: bytes, unfolding: PathEnumeration,
     state.
 
     The walk threads a node (`_Node`) down the piece tree, and the piece
-    runner (`_piece_runner`) makes each child node from its parent: so a
-    path runs only its last piece past the nodes above it, and the
-    siblings below a node share the blocks their pieces share.  A failure
+    runner (`_piece_runner`) makes each child node from its parent by
+    running or reusing one whole call: so a path runs only its last call
+    past the nodes above it, and the siblings below a node share the
+    blocks their pieces share.  A failure
     is the outcome, as one object, of every path below the failing block.
     A passed deadline stops the walk: the paths not yielded are left to the
     caller to count from the unfolding's counts."""

@@ -1,10 +1,10 @@
 """The black-hole check as it was before it read paths by their pieces,
-kept verbatim as a reference.
+kept as a reference; since every call of a path is a whole call, it has
+lost its case for a call that a callback edge ends.
 
 This `check_black_hole` walks each path's blocks: it pairs each call with
-the next terminal block in the path, unless a callback edge ends the call
-first, and flags the path at the first call that enters a payable entry
-and does not end in REVERT.  `evmscope.analyzers.check_black_hole` must
+the next terminal block in the path, and flags the path at the first call
+that enters a payable entry and does not end in REVERT.  `evmscope.analyzers.check_black_hole` must
 return the identical (path, evidence) list.
 """
 
@@ -14,7 +14,7 @@ from typing import Iterable
 
 from evmscope.analyzers import PropertyId, PropertyViolation
 from evmscope.cfg import Cfg, Terminator
-from evmscope.pathgen import VIA_EXTERNAL_CALLBACK, ProgramPath
+from evmscope.pathgen import ProgramPath
 
 
 def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
@@ -25,7 +25,7 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
 
     A path takes Ether in when some call enters a payable entry and does not
     revert (a transaction that reverts returns the value).  A call ends at its
-    first terminal block, unless a callback edge ends it first.
+    first terminal block.
     """
     if cfg.money_blocks:
         raise ValueError("black-hole analysis applies only to contracts "
@@ -37,9 +37,8 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
     for path in paths:
         entry = None
         ends = (b for b in path.blocks if b in terminal)
-        vias = [via for _sel, via in path.functions[1:]] + [None]
-        for (sel, _via), next_via in zip(path.functions, vias):
-            end = None if next_via == VIA_EXTERNAL_CALLBACK else next(ends, None)
+        for sel, _via in path.functions:
+            end = next(ends, None)
             if sel is None or sel not in payable_entries:
                 continue
             if end is not None and cfg.blocks[end].last.mnemonic == "REVERT":

@@ -55,8 +55,8 @@ def write_golden() -> None:
 
 def report_configs():
     """(label, config) for each call bound 1-4, the default threshold and
-    threshold 0, re-entrant paths off and on; the solver's timeout is long
-    enough that every query decides."""
+    threshold 0; the solver's timeout is long enough that every query
+    decides."""
     from fractions import Fraction
 
     from evmscope.pathgen import PathBounds
@@ -65,13 +65,11 @@ def report_configs():
 
     for call_bound in (1, 2, 3, 4):
         for threshold in (RankConfig().threshold, Fraction(0)):
-            for reentrant in (False, True):
-                label = f"b{call_bound} threshold={threshold} reentrant={int(reentrant)}"
-                yield label, AnalysisConfig(
-                    bounds=PathBounds(call_depth=call_bound),
-                    rank=RankConfig(threshold=threshold), transfer_limit=30,
-                    registry_fixture=str(FIXTURES / "registry.txt"), include_timing=False,
-                    solver_timeout_ms=2000, include_reentrant=reentrant)
+            yield f"b{call_bound} threshold={threshold}", AnalysisConfig(
+                bounds=PathBounds(call_depth=call_bound),
+                rank=RankConfig(threshold=threshold), transfer_limit=30,
+                registry_fixture=str(FIXTURES / "registry.txt"), include_timing=False,
+                solver_timeout_ms=2000)
 
 
 def report_hashes() -> list[str]:

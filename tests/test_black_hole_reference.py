@@ -1,8 +1,7 @@
 """The per-piece black-hole check against the per-path check it replaced.
 
 On every fixture without a money opcode, every micro fixture and three
-hand-assembled programs, at call bounds 1 to 4, with and without
-re-entrant paths, `check_black_hole` must return the reference's
+hand-assembled programs, at call bounds 1 to 4, `check_black_hole` must return the reference's
 (path, evidence) list over the whole unfolding, and `select` with the
 `takes_ether` piece test must yield exactly the paths it flags.  On the
 one program with a money opcode both must refuse to run.
@@ -21,8 +20,8 @@ from test_analyzers import _DISPATCH_AT_THE_END, _LOOP_TO_ROOT_THEN_REVERT
 
 _NO_MONEY = ["bitway", "fallback_only"] + [f"safe_token_{i}" for i in range(6)]
 _MICRO = sorted(path.stem for path in MICRO.glob("*.json"))
-# STATICCALL moves no Ether, so this fallback has no money opcode; with
-# re-entrant paths its call can end at the callback edge before it reverts.
+# STATICCALL moves no Ether, so this fallback has no money opcode; its call
+# reverts, so it takes no Ether in.
 _STATICCALL_THEN_REVERT = "600060006000600060006000fa50" "60006000fd"
 _HAND = {
     "loop_to_root_then_revert": _LOOP_TO_ROOT_THEN_REVERT,
@@ -53,11 +52,9 @@ def test_programs_cover_both_outcomes():
 
 
 @pytest.mark.parametrize("call_depth", [1, 2, 3, 4])
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
-def test_pieces_flag_what_the_per_path_check_flagged(call_depth, reentrant):
+def test_pieces_flag_what_the_per_path_check_flagged(call_depth):
     for name, cfg, payable in _PROGRAMS:
-        unfolding = enumerate_paths(cfg, PathBounds(call_depth=call_depth),
-                                    include_reentrant=reentrant)
+        unfolding = enumerate_paths(cfg, PathBounds(call_depth=call_depth))
         paths = list(unfolding)
         if cfg.money_blocks:
             for check in (reference.check_black_hole, check_black_hole):
@@ -69,13 +66,3 @@ def test_pieces_flag_what_the_per_path_check_flagged(call_depth, reentrant):
         selected = list(unfolding.select(takes_ether(cfg, payable)))
         assert selected == [path for path, _violation in expected], name
         assert check_black_hole(cfg, selected, payable) == expected, name
-
-
-def test_a_call_that_a_callback_ends_has_not_reverted():
-    _name, cfg, payable = _PROGRAMS[-1]
-    bounds = PathBounds(call_depth=2)
-    assert check_black_hole(cfg, enumerate_paths(cfg, bounds), payable) == []
-    flagged = check_black_hole(cfg, enumerate_paths(cfg, bounds, include_reentrant=True),
-                               payable)
-    assert flagged
-    assert all(path.pieces[0].callback is not None for path, _violation in flagged)

@@ -4,8 +4,7 @@ A call the trace walk has run is reused under any later prefix from which
 every storage read it made gives the same word, and the balance too if it
 reads the balance; a call that read a slot past a write of a symbolic key is
 reused only under an identical head.  Reuse must be invisible: for every
-traced path of every fixture at call bounds 1 to 4, re-entrant calls off and
-on, the walk with the memo gives the same per-path facts and the same final
+traced path of every fixture at call bounds 1 to 4, the walk with the memo gives the same per-path facts and the same final
 state as the walk without it (`MEMO_ENTRIES` 0).
 """
 
@@ -37,8 +36,8 @@ def _text(outcome) -> tuple:
             str(outcome.balance), outcome.fresh_counter)
 
 
-def _walks(cfg, code, storage, payable, bounds, reentrant, facts):
-    unfolding = enumerate_paths(cfg, bounds, reentrant)
+def _walks(cfg, code, storage, payable, bounds, facts):
+    unfolding = enumerate_paths(cfg, bounds)
     return list(execute_paths(cfg, code, unfolding, unfolding.money_marker(payable), storage,
                               None, facts))
 
@@ -57,23 +56,22 @@ def test_the_memo_changes_no_traced_path(name, monkeypatch):
     registry = AddressRegistry("offline", load_fixture_table(REGISTRY_TXT))
     entries = symexec_module.MEMO_ENTRIES
     for call_depth in (1, 2, 3, 4):
-        for reentrant in (False, True):
-            bounds = PathBounds(call_depth=call_depth)
-            seen = []
-            for memo in (entries, 0):
-                monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", memo)
-                states = _walks(cfg, code, storage, payable, bounds, reentrant, None)
-                facts = _walks(cfg, code, storage, payable, bounds, reentrant,
-                               PathFacts(30, registry, True))
-                assert [p for p, _state in states] == [p for p, _facts in facts]
-                seen.append(([p for p, _state in states],
-                             [_text(state) for _p, state in states],
-                             [_text(leaf) if isinstance(leaf, SymExecError) else leaf
-                              for _p, leaf in facts]))
-            with_memo, without = seen
-            assert with_memo[0] == without[0], (call_depth, reentrant)
-            assert with_memo[1] == without[1], (call_depth, reentrant)
-            assert with_memo[2] == without[2], (call_depth, reentrant)
+        bounds = PathBounds(call_depth=call_depth)
+        seen = []
+        for memo in (entries, 0):
+            monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", memo)
+            states = _walks(cfg, code, storage, payable, bounds, None)
+            facts = _walks(cfg, code, storage, payable, bounds,
+                           PathFacts(30, registry, True))
+            assert [p for p, _state in states] == [p for p, _facts in facts]
+            seen.append(([p for p, _state in states],
+                         [_text(state) for _p, state in states],
+                         [_text(leaf) if isinstance(leaf, SymExecError) else leaf
+                          for _p, leaf in facts]))
+        with_memo, without = seen
+        assert with_memo[0] == without[0], call_depth
+        assert with_memo[1] == without[1], call_depth
+        assert with_memo[2] == without[2], call_depth
 
 
 # One piece per body: call data word i nonzero runs body i, else the call

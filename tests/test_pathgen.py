@@ -8,7 +8,6 @@ from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.keccak import selector
 from evmscope.pathgen import (
     PathBounds,
-    VIA_EXTERNAL_CALLBACK,
     VIA_NEW_TRANSACTION,
     enumerate_paths,
     filter_money,
@@ -143,20 +142,6 @@ def test_functions_recorded_per_segment():
     withdraw_paths = [p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
                       if 112 in p.blocks]
     assert all(p.functions[0][0] == wsel for p in withdraw_paths)
-
-
-def test_reentrant_unfolding_is_optional():
-    cfg = get_cfg("toydao")
-    plain = list(enumerate_paths(cfg, PathBounds(call_depth=2)))
-    reentrant = list(enumerate_paths(cfg, PathBounds(call_depth=2),
-                                     include_reentrant=True))
-    assert len(plain) == 36
-    assert len(reentrant) > len(plain)
-    callback_paths = [p for p in reentrant
-                      if any(via == VIA_EXTERNAL_CALLBACK for _s, via in p.functions)]
-    assert callback_paths
-    # a callback re-entry truncates the withdraw body at the CALL block
-    assert all(p.blocks[p.blocks.index(112) + 1] == cfg.root for p in callback_paths)
 
 
 def test_passthrough_for_moneyless_contract():

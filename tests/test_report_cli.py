@@ -162,16 +162,6 @@ def test_call_sequence_unknown_selector_rendered_as_hex():
     assert seq == [f"0x{selector('withdraw()'):08x}"]
 
 
-def test_reentrant_segment_gets_marker():
-    contract = get_contract("toydao")
-    cfg = get_cfg("toydao")
-    path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=2),
-                                           include_reentrant=True)
-                if any(via == "external_callback" for _s, via in p.functions))
-    seq = to_call_sequence(path, contract)
-    assert any(part.startswith("↩") for part in seq)
-
-
 # -- emission -----------------------------------------------------------------------
 
 def test_json_matches_golden_byte_for_byte():
@@ -255,6 +245,23 @@ def test_cli_exit_one_on_bad_config(tmp_path):
                      "--alpha", "nosuch=3"]) == 1
     assert cli_main(["analyze", str(FIXTURES / "toydao.json"),
                      "--epsilon", "0"]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--no-such-flag"], ["--call-bound", "x"],
+                                   ["--reentrant-paths"]],
+                         ids=["unknown_flag", "malformed_int", "retired_flag"])
+def test_cli_usage_error_exits_one(capsys, flags):
+    # 2 means violations found, so a usage error must not exit with argparse's 2
+    assert cli_main(["analyze", str(FIXTURES / "toydao.json"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage: evmscope" in err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["analyze", "--help"])
+    assert exited.value.code == 0
+    assert "--call-bound" in capsys.readouterr().out
 
 
 def test_cli_dump_cfg(tmp_path):

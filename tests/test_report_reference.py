@@ -219,10 +219,9 @@ def test_rows_that_share_their_objects_keep_their_own_witness_and_length(tmp_pat
     assert text.count('"length": 1,') == 3 and text.count('"length": 2,') == 2
 
 
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
 @pytest.mark.parametrize("call_bound", [1, 2, 3, 4])
-def test_warning_counts_count_every_path_and_violation(call_bound, reentrant):
-    config = dataclasses.replace(_config(call_bound), include_reentrant=reentrant)
+def test_warning_counts_count_every_path_and_violation(call_bound):
+    config = _config(call_bound)
     shown = set()
     for name in NAMES:
         report = analyze(get_contract(name), config)

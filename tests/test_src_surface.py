@@ -183,4 +183,4 @@ def test_settable_values_do_not_grow():
     search sizes of the solver, for one, are fixed.  Lower the bound when a
     change removes one.  The message gives each module's count."""
     counts = {path.stem: _settable_values(ast.parse(path.read_text())) for path in _SRC}
-    assert sum(counts.values()) <= 53, counts
+    assert sum(counts.values()) <= 51, counts

@@ -760,14 +760,14 @@ def _observable(state):
             state.mem_unknown, state.call_start)
 
 
-def _walk(cfg, code, bounds, storage=None, marked=None, reentrant=False):
+def _walk(cfg, code, bounds, storage=None, marked=None):
     """The trace walk over the unfolding: (path, outcome) pairs."""
-    unfolding = enumerate_paths(cfg, bounds, reentrant)
+    unfolding = enumerate_paths(cfg, bounds)
     return list(execute_paths(cfg, code, unfolding, marked or (lambda _piece: True),
                               storage or {}, None, None))
 
 
-def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant, monkeypatch):
+def _assert_shared_walk_matches_solo(name, call_depth, monkeypatch):
     contract = get_contract(name)
     code = contract.runtime_code
     instructions = disassemble(code)
@@ -778,9 +778,9 @@ def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant, monkey
                                           contract.creation_code)
     payable, _details = detect_payable_entries(cfg, instructions)
     bounds = PathBounds(call_depth=call_depth)
-    paths = list(filter_money(enumerate_paths(cfg, bounds, include_reentrant), cfg, payable))
+    paths = list(filter_money(enumerate_paths(cfg, bounds), cfg, payable))
     alone = [_observable(_alone(cfg, code, p.blocks, storage)) for p in paths]
-    unfolding = enumerate_paths(cfg, bounds, include_reentrant)
+    unfolding = enumerate_paths(cfg, bounds)
     marked = unfolding.money_marker(payable)
     for entries in (symexec_module.MEMO_ENTRIES, 0):  # with the memo, then frames alone
         monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", entries)
@@ -792,17 +792,44 @@ def _assert_shared_walk_matches_solo(name, call_depth, include_reentrant, monkey
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json")),
                          ids=lambda p: p.stem)
 def test_shared_walk_matches_solo_execution(path, monkeypatch):
-    for reentrant in (False, True):
-        _assert_shared_walk_matches_solo(path.stem, 3, reentrant, monkeypatch)
+    _assert_shared_walk_matches_solo(path.stem, 3, monkeypatch)
 
 
-@pytest.mark.parametrize("reentrant", [False, True], ids=["whole_calls", "reentrant"])
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json"))
                          + sorted(p.stem for p in MICRO.glob("*.json")))
-def test_shared_walk_matches_solo_execution_at_bound_four(name, reentrant, monkeypatch):
+def test_shared_walk_matches_solo_execution_at_bound_four(name, monkeypatch):
     """At four calls most calls are reused from the memo: every leaf state
     still equals the state its blocks give alone, on every field."""
-    _assert_shared_walk_matches_solo(name, 4, reentrant, monkeypatch)
+    _assert_shared_walk_matches_solo(name, 4, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json"))
+                         + sorted(p.stem for p in MICRO.glob("*.json")))
+def test_shared_walk_matches_solo_execution_on_every_path(name, monkeypatch):
+    """Every path of the unfolding, not only the money paths: each outcome
+    equals what its blocks give alone, the state on every field or the
+    same failure."""
+    contract = get_contract(name)
+    code = contract.runtime_code
+    cfg = build_cfg(disassemble(code))
+    storage = {}
+    if contract.creation_code:
+        storage, _diags = run_constructor(build_cfg(disassemble(contract.creation_code)),
+                                          contract.creation_code)
+    bounds = PathBounds(call_depth=3)
+    paths = list(enumerate_paths(cfg, bounds))
+    alone = []
+    for path in paths:
+        try:
+            alone.append(_observable(_alone(cfg, code, path.blocks, storage)))
+        except SymExecError as exc:
+            alone.append((type(exc), str(exc)))
+    for entries in (symexec_module.MEMO_ENTRIES, 0):  # with the memo, then frames alone
+        monkeypatch.setattr(symexec_module, "MEMO_ENTRIES", entries)
+        shared = _walk(cfg, code, bounds, storage)
+        assert [p for p, _outcome in shared] == paths
+        assert [(type(outcome), str(outcome)) if isinstance(outcome, SymExecError)
+                else _observable(outcome) for _p, outcome in shared] == alone
 
 
 # CALL (records a transfer), then branch on calldata to REVERT or to STOP
@@ -1066,15 +1093,21 @@ def test_a_reused_call_is_a_step_of_the_clock(monkeypatch):
     assert len(reads) == (len(runs) + len(reused)) // 16
 
 
-def test_shared_walk_reports_failure_below_failing_block():
-    # CALL on an empty stack, then STOP: the call block fails, under a
-    # callback piece too
+def test_shared_walk_reports_failure_below_failing_block(monkeypatch):
+    # CALL on an empty stack, then STOP: the first call's CALL block fails,
+    # no call below it runs, and every node below holds the one error
     code = parse_hex("f100")
     cfg = build_cfg(disassemble(code))
-    outcomes = _walk(cfg, code, PathBounds(call_depth=2), reentrant=True)
-    assert [p.blocks for p, _exc in outcomes] == [(0, 0, 1), (0, 1, 0, 1)]
+    runs = _counting_runs(monkeypatch)
+    outcomes = _walk(cfg, code, PathBounds(call_depth=3))
+    assert [p.blocks for p, _exc in outcomes] == [(0, 1, 0, 1, 0, 1)]
     assert isinstance(outcomes[0][1], StackUnderflow)
-    assert outcomes[0][1] is outcomes[1][1]
+    assert runs == [0]
+    (piece,) = pieces = enumerate_paths(cfg, PathBounds()).pieces()
+    root, enter = symexec_module._piece_runner(cfg, code, {}, None, pieces, None)
+    error = enter(root, piece)
+    assert isinstance(error, StackUnderflow)
+    assert enter(enter(error, piece), piece) is error
 
 
 def test_a_failure_is_the_outcome_of_every_later_sequence_below_the_failing_block():

@@ -12,11 +12,11 @@ from itertools import chain, islice
 import pytest
 
 from evmscope.analyzers import GasEstimator, detect_payable_entries
-from evmscope.cfg import build_cfg
+from evmscope.cfg import EdgeKind, Terminator, build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.isa import GasTable
-from evmscope.pathgen import (PathBounds, PathEnumeration, ProgramPath, enumerate_paths,
-                              filter_money)
+from evmscope.pathgen import (VIA_INITIAL, VIA_NEW_TRANSACTION, PathBounds, PathEnumeration,
+                              ProgramPath, enumerate_paths, filter_money)
 from evmscope.report import AnalysisConfig, analyze
 
 from conftest import FIXTURES, REGISTRY_TXT, get_contract
@@ -52,9 +52,9 @@ def _money_paths(unfolding, payable=frozenset()):
     return unfolding.select(unfolding.money_marker(payable))
 
 
-def _check(cfg, payable, bounds, reentrant, name):
-    expected = list(_RecursiveEnumeration(cfg, bounds, reentrant))
-    unfolding = enumerate_paths(cfg, bounds, include_reentrant=reentrant)
+def _check(cfg, payable, bounds, name):
+    expected = list(_RecursiveEnumeration(cfg, bounds))
+    unfolding = enumerate_paths(cfg, bounds)
     assert unfolding.count() == len(expected), name
     estimator = GasEstimator(cfg, GasTable({}))
     assert unfolding.max_gas_path(estimator.block_costs) == \
@@ -74,21 +74,19 @@ def test_programs_cover_money_and_payable_selection():
 @pytest.mark.parametrize("call_depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("extra", [{}, {"max_blocks": 12}, {"loop_bound": 1, "max_blocks": 7}],
                          ids=["default", "max_blocks_12", "loop_bound_1_max_blocks_7"])
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
-def test_pieces_match_reference(call_depth, extra, reentrant):
+def test_pieces_match_reference(call_depth, extra):
     bounds = PathBounds(call_depth=call_depth, **extra)
     for name, cfg, payable in _PROGRAMS:
-        _check(cfg, payable, bounds, reentrant, name)
+        _check(cfg, payable, bounds, name)
 
 
 @pytest.mark.parametrize("bounds", [
     PathBounds(call_depth=2), PathBounds(call_depth=3, loop_bound=2),
     PathBounds(call_depth=4, loop_bound=1), PathBounds(call_depth=4, max_blocks=12),
 ], ids=lambda b: f"{b.call_depth}-{b.loop_bound}-{b.max_blocks}")
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
-def test_pieces_match_reference_on_a_looping_diamond(bounds, reentrant):
+def test_pieces_match_reference_on_a_looping_diamond(bounds):
     cfg = build_cfg(disassemble(parse_hex(_DIAMOND_LOOP)))
-    _check(cfg, {"<fallback>"}, bounds, reentrant, "diamond_loop")
+    _check(cfg, {"<fallback>"}, bounds, "diamond_loop")
 
 
 @pytest.mark.parametrize("call_depth", [1, 2, 3])
@@ -109,6 +107,40 @@ def test_unfolded_paths_are_their_blocks_and_calls(call_depth):
             assert estimator.path_gas(path) == gas == estimator.path_gas(plain), name
 
 
+@pytest.mark.parametrize("program", _PROGRAMS, ids=[name for name, _cfg, _p in _PROGRAMS])
+def test_every_piece_is_a_whole_call(program):
+    """The unfolding has one kind of piece: a whole call from the root to
+    the first terminal block it reaches, along edges within the call, so
+    no piece follows a callback edge.  A path is its pieces end to end,
+    each made by a new transaction after the first, and it ends at the
+    call bound or with exactly as many blocks as the cap allows."""
+    name, cfg, _payable = program
+    within = {(e.src, e.dst) for block in cfg.blocks for e in cfg.successors(block)
+              if e.kind not in (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)}
+    entries = {block: entry for entry, block in cfg.function_entries.items()}
+    for bounds in (PathBounds(call_depth=4), PathBounds(call_depth=4, max_blocks=12)):
+        unfolding = enumerate_paths(cfg, bounds)
+        pieces = unfolding.pieces()
+        assert pieces, name
+        for piece in pieces:
+            blocks = piece.blocks
+            assert blocks[0] == cfg.root, name
+            assert [cfg.blocks[b].terminator is Terminator.TERMINAL for b in blocks] == \
+                [False] * (len(blocks) - 1) + [True], name
+            assert set(zip(blocks, blocks[1:])) <= within, name
+            assert piece.length == len(blocks) <= bounds.max_blocks, name
+            assert piece.selector == next((entries[b] for b in blocks if b in entries), None)
+            assert piece.money == (not cfg.money_blocks.isdisjoint(blocks)), name
+        for path in unfolding:
+            assert set(path.pieces) <= set(pieces), name
+            assert path.functions == tuple(
+                (piece.selector, VIA_NEW_TRANSACTION if i else VIA_INITIAL)
+                for i, piece in enumerate(path.pieces)), name
+            assert (path.call_count == bounds.call_depth
+                    or len(path.blocks) == bounds.max_blocks), name
+            assert path.call_count <= bounds.call_depth, name
+
+
 def _common(a, b) -> int:
     n = 0
     while n < min(len(a), len(b)) and a[n] == b[n]:
@@ -116,8 +148,7 @@ def _common(a, b) -> int:
     return n
 
 
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
-def test_the_unfolding_order_lets_a_piece_look_one_piece_ahead(reentrant):
+def test_the_unfolding_order_lets_a_piece_look_one_piece_ahead():
     """What the trace walk's frames rest on.  Paths come in strictly
     increasing block order.  Each piece records the prefix it shares with
     the next piece of the list, and no later piece shares more with it, so
@@ -125,10 +156,9 @@ def test_the_unfolding_order_lets_a_piece_look_one_piece_ahead(reentrant):
     assert len(_NAMES) == 52
     for name, cfg, _payable in _PROGRAMS:
         for call_depth in (1, 2, 3, 4):
-            paths = list(enumerate_paths(cfg, PathBounds(call_depth=call_depth),
-                                         include_reentrant=reentrant))
+            paths = list(enumerate_paths(cfg, PathBounds(call_depth=call_depth)))
             assert all(a.blocks < b.blocks for a, b in zip(paths, paths[1:])), name
-        pieces = enumerate_paths(cfg, PathBounds(), include_reentrant=reentrant).pieces()
+        pieces = enumerate_paths(cfg, PathBounds()).pieces()
         assert [p.index for p in pieces] == list(range(len(pieces))), name
         assert pieces[-1].shared == 0, name
         for i, piece in enumerate(pieces[:-1]):

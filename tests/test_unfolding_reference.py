@@ -16,7 +16,6 @@ import pytest
 from evmscope.cfg import Cfg, EdgeKind, Terminator, build_cfg
 from evmscope.disasm import disassemble, parse_hex
 from evmscope.pathgen import (
-    VIA_EXTERNAL_CALLBACK,
     VIA_INITIAL,
     VIA_NEW_TRANSACTION,
     PathBounds,
@@ -28,12 +27,9 @@ from conftest import FIXTURES, MICRO, get_cfg
 
 
 class _RecursiveEnumeration:
-    def __init__(self, cfg: Cfg, bounds: PathBounds,
-                 include_reentrant: bool = False,
-                 deadline: float | None = None):
+    def __init__(self, cfg: Cfg, bounds: PathBounds, deadline: float | None = None):
         self.cfg = cfg
         self.bounds = bounds
-        self.include_reentrant = include_reentrant
         self.deadline = deadline
         self.timed_out = False
         self._entry_names = {block: name for name, block in cfg.function_entries.items()}
@@ -82,16 +78,7 @@ class _RecursiveEnumeration:
 
         for edge in sorted(self.cfg.successors(block_id),
                            key=lambda e: (e.dst, e.kind.value)):
-            if edge.kind is EdgeKind.NEW_TRANSACTION:
-                continue
-            if edge.kind is EdgeKind.EXTERNAL_CALLBACK:
-                if (self.include_reentrant
-                        and call_count < bounds.call_depth
-                        and len(blocks) + 1 <= bounds.max_blocks):
-                    yield from self._walk(
-                        edge.dst, blocks, call_count + 1,
-                        functions + [(None, VIA_EXTERNAL_CALLBACK)],
-                        seg_visited=set(), seg_edge_counts={})
+            if edge.kind in (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK):
                 continue
             if len(blocks) + 1 > bounds.max_blocks:
                 continue
@@ -137,12 +124,11 @@ def test_corpus_covers_every_fixture():
 @pytest.mark.parametrize("call_depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("extra", [{}, {"max_blocks": 12}, {"loop_bound": 1}],
                          ids=["default", "max_blocks_12", "loop_bound_1"])
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
-def test_stream_matches_recursive_reference(call_depth, extra, reentrant):
+def test_stream_matches_recursive_reference(call_depth, extra):
     bounds = PathBounds(call_depth=call_depth, **extra)
     for name, cfg in _cfgs():
-        expected = list(_RecursiveEnumeration(cfg, bounds, reentrant))
-        got = enumerate_paths(cfg, bounds, include_reentrant=reentrant)
+        expected = list(_RecursiveEnumeration(cfg, bounds))
+        got = enumerate_paths(cfg, bounds)
         assert list(got) == expected, name
         assert not got.timed_out
 
@@ -151,24 +137,21 @@ def test_stream_matches_recursive_reference(call_depth, extra, reentrant):
     PathBounds(call_depth=2), PathBounds(call_depth=3, loop_bound=2),
     PathBounds(call_depth=4, loop_bound=1), PathBounds(call_depth=4, max_blocks=12),
 ], ids=lambda b: f"{b.call_depth}-{b.loop_bound}-{b.max_blocks}")
-@pytest.mark.parametrize("reentrant", [False, True], ids=["plain", "reentrant"])
-def test_stream_matches_reference_on_a_looping_diamond(bounds, reentrant):
+def test_stream_matches_reference_on_a_looping_diamond(bounds):
     cfg = build_cfg(disassemble(parse_hex(_DIAMOND_LOOP)))
-    expected = list(_RecursiveEnumeration(cfg, bounds, reentrant))
-    assert list(enumerate_paths(cfg, bounds, include_reentrant=reentrant)) == expected
+    expected = list(_RecursiveEnumeration(cfg, bounds))
+    assert list(enumerate_paths(cfg, bounds)) == expected
 
 
 def test_reference_run_reaches_caps_and_loops():
-    """The settings above do reach capped paths, loop bounds and callbacks."""
+    """The settings above do reach capped paths and loop bounds."""
     cfgs = dict(_cfgs())
     capped = list(_RecursiveEnumeration(get_cfg("toydao"), PathBounds(call_depth=4, max_blocks=12)))
     assert any(p.call_count < 4 for p in capped)  # the block cap ended these early
     for name in _LOOPS:
-        loose = list(_RecursiveEnumeration(cfgs[name], PathBounds(call_depth=2), True))
-        tight = list(_RecursiveEnumeration(cfgs[name], PathBounds(call_depth=2, loop_bound=1), True))
+        loose = list(_RecursiveEnumeration(cfgs[name], PathBounds(call_depth=2)))
+        tight = list(_RecursiveEnumeration(cfgs[name], PathBounds(call_depth=2, loop_bound=1)))
         assert len(tight) < len(loose)
-    callback = list(_RecursiveEnumeration(cfgs["call_loop"], PathBounds(call_depth=2), True))
-    assert any(via == VIA_EXTERNAL_CALLBACK for p in callback for _sel, via in p.functions)
 
 
 def test_past_deadline_yields_a_prefix():

@@ -3,9 +3,8 @@
 `analyze()` folds each call's share of the transfer-limit, address and
 guarded-suicide facts as the trace walk enters the call, and reads each
 path's violations and registry warnings from its leaf's facts.  For every
-traced path of every fixture at call bounds 1 to 4, re-entrant calls off and
-on, they must equal what the rules find on the path's whole traced state,
-folded in one step by one `PathFacts` per configuration; the per-path
+traced path of every fixture at call bounds 1 to 4, they must equal what
+the rules find on the path's whole traced state, folded in one step by one `PathFacts` per configuration; the per-path
 transfer-limit and guarded-suicide checkers must agree.  The registry
 answers some addresses and fails for the others, so the warnings, their
 order and the order of the lookups are compared too.
@@ -65,31 +64,29 @@ def _per_path(state, facts):
 
 
 def _compare(cfg, code, storage, payable) -> tuple[int, int]:
-    """Walk and per-path verdicts of every traced path at call bounds 1-4,
-    re-entrant calls off and on; the paths with violations and with
-    warnings."""
+    """Walk and per-path verdicts of every traced path at call bounds 1-4;
+    the paths with violations and with warnings."""
     warned = violated = 0
     for call_depth in (1, 2, 3, 4):
-        for reentrant in (False, True):
-            bounds = PathBounds(call_depth=call_depth)
-            unfolding = enumerate_paths(cfg, bounds, reentrant)
-            marked = unfolding.money_marker(payable)
-            walk_registry, path_registry = HalfRegistry(), HalfRegistry()
-            facts = PathFacts(LIMIT, walk_registry, True)
-            walked = list(execute_paths(cfg, code, unfolding, marked, storage, None, facts))
-            whole = list(execute_paths(cfg, code, enumerate_paths(cfg, bounds, reentrant),
-                                       marked, storage, None, None))
-            assert [p for p, _facts in walked] == [p for p, _state in whole]
-            path_facts = PathFacts(LIMIT, path_registry, True)
-            for (path, leaf), (_path, state) in zip(walked, whole):
-                if isinstance(state, SymExecError):
-                    assert type(leaf) is type(state) and str(leaf) == str(state), path
-                    continue
-                got = facts.verdict(leaf)
-                assert got == _per_path(state, path_facts), (call_depth, path)
-                violated += bool(got[0])
-                warned += bool(got[1])
-            assert walk_registry.asked == path_registry.asked
+        bounds = PathBounds(call_depth=call_depth)
+        unfolding = enumerate_paths(cfg, bounds)
+        marked = unfolding.money_marker(payable)
+        walk_registry, path_registry = HalfRegistry(), HalfRegistry()
+        facts = PathFacts(LIMIT, walk_registry, True)
+        walked = list(execute_paths(cfg, code, unfolding, marked, storage, None, facts))
+        whole = list(execute_paths(cfg, code, enumerate_paths(cfg, bounds),
+                                   marked, storage, None, None))
+        assert [p for p, _facts in walked] == [p for p, _state in whole]
+        path_facts = PathFacts(LIMIT, path_registry, True)
+        for (path, leaf), (_path, state) in zip(walked, whole):
+            if isinstance(state, SymExecError):
+                assert type(leaf) is type(state) and str(leaf) == str(state), path
+                continue
+            got = facts.verdict(leaf)
+            assert got == _per_path(state, path_facts), (call_depth, path)
+            violated += bool(got[0])
+            warned += bool(got[1])
+        assert walk_registry.asked == path_registry.asked
     return violated, warned
 
 
