@@ -37,6 +37,11 @@ class EdgeKind(enum.Enum):
     NEW_TRANSACTION = "new_transaction"
 
 
+# the edges that leave a call for the root, which no jump target survives; a
+# tuple, since an enum member hashes in Python and a set test is slower
+CALL_EXITS = (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)
+
+
 class Terminator(enum.Enum):
     FALL_THROUGH = "fall_through"
     JUMP = "jump"
@@ -280,11 +285,6 @@ def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
     return stack, target
 
 
-# new-transaction/callback edges restart at the root: the operand stack does
-# not survive them, so they never carry a jump target
-_RESTARTS = (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)
-
-
 def _jump_targets(cfg: Cfg, target: int, cap: int, deadline: float | None) -> set | None:
     """The jump targets that simulating the stack along each acyclic
     root-to-target block path gives `target`, TOP among them when some path
@@ -295,12 +295,12 @@ def _jump_targets(cfg: Cfg, target: int, cap: int, deadline: float | None) -> se
     One depth-first search carries the simulated stack down, so a prefix
     shared by many paths is simulated once; the blocks on the path are a
     set, undone on leaving a block.  Only blocks that reach the target
-    without a restart are entered: the paths run through them alone."""
+    without a `CALL_EXITS` edge are entered: the paths run through them alone."""
     within = {target}
     todo = [target]
     while todo:
         for edge in cfg._pred.get(todo.pop(), ()):
-            if edge.kind not in _RESTARTS and edge.src not in within:
+            if edge.kind not in CALL_EXITS and edge.src not in within:
                 within.add(edge.src)
                 todo.append(edge.src)
     targets: set = set()
@@ -326,7 +326,7 @@ def _jump_targets(cfg: Cfg, target: int, cap: int, deadline: float | None) -> se
         on_path.add(node)
         entries.append((node, None))
         for edge in cfg.successors(node):
-            if edge.kind not in _RESTARTS and edge.dst in within and edge.dst not in on_path:
+            if edge.kind not in CALL_EXITS and edge.dst in within and edge.dst not in on_path:
                 entries.append((edge.dst, stack))
     return targets
 

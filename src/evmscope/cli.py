@@ -14,6 +14,7 @@ import configparser
 import json
 import sys
 import traceback
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .pathgen import PathBounds
 from .ranker import RankConfig
 from .report import AnalysisConfig, analyze, build_registry, emit, write_json
 
+_SUMMARY = "corpus_summary"  # the stem of a batch run's summary file
 _PROPERTY_NAMES = {p.value: p for p in PropertyId}
 _ALPHA_NAMES = {
     "transferlimit": PropertyId.TRANSFER_LIMIT,
@@ -230,6 +232,9 @@ def _run_batch(args: argparse.Namespace) -> int:
     if not files:
         print("error: no contract fixtures found", file=sys.stderr)
         return 1
+    # a report is named by its input's stem where no other input and not the
+    # summary has that stem or name, else by the input's whole file name
+    taken = Counter([_SUMMARY, *(p.stem for p in files), *(p.name for p in files)])
     summary = []
     any_violation = any_error = False
     for path in files:
@@ -249,7 +254,8 @@ def _run_batch(args: argparse.Namespace) -> int:
             summary.append({"file": path.name, "error": error})
             any_error = True
             continue
-        emit(report, args.output, out_dir / path.stem, contract.source)
+        name = path.stem if taken[path.stem] == 1 else path.name
+        emit(report, args.output, out_dir / f"{name}.json", contract.source)  # emit swaps .json
         any_violation = any_violation or report.has_violations
         stats = report.statistics
         # the next analysis must not run while this report is still held
@@ -274,7 +280,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         "contracts": summary,
         "totals": dict(sorted(totals.items())),
     }
-    (out_dir / "corpus_summary.json").write_text(json.dumps(corpus, indent=2) + "\n")
+    (out_dir / f"{_SUMMARY}.json").write_text(json.dumps(corpus, indent=2) + "\n")
     return 1 if any_error else 2 if any_violation else 0
 
 

@@ -1,16 +1,12 @@
 """Bounded unfolding of the CFG into concrete program paths.
 
-A path is a walk from the root that crosses a new-transaction boundary each
-time a terminating block finishes, until the call-depth budget is spent; the
-walk then ends at its final terminating block.  Loop traversal is limited by
-counting back-edges within each call segment, and the total block count per
-path is capped.  The CFG's callback edges are not followed: a re-entrant
-call sequence visits the same blocks as the equivalent chain of whole
-transactions, which the unfolding already covers (storage persists across
-segments downstream).
-
-Each call starts afresh at the root, so a path is a sequence of *pieces*:
-one whole call each, from the root to the terminal block that ends it.
+A path is a sequence of whole calls, *pieces*, until the call-depth budget
+is spent: each a walk from the root to the terminal block that ends it,
+along no edge that leaves the call (`cfg.CALL_EXITS`), since a callee's call
+back in visits the same blocks as the chain of whole calls the unfolding
+already lists (storage persists across calls downstream).  Loop traversal
+is limited by counting back-edges within each call, and the total block
+count per path is capped.
 The root's pieces are found once, by a depth-first search of one segment,
 and paths are their concatenations in lexicographic piece order, which is
 the order of a depth-first search over whole paths.  Whether a piece fits
@@ -28,8 +24,9 @@ piece of the list, and no later piece shares more with it: a piece's
 trace saves its branch states inside that prefix for the siblings after
 it.
 
-A `ProgramPath` is its blocks and its calls: its call count, the ranking
-length, is the number of calls, and `filter_money` tests its blocks against
+A `ProgramPath` is its blocks and its calls, one selector each (None for a
+call that passes no function entry): its call count, the ranking length,
+is the number of calls, and `filter_money` tests its blocks against
 the CFG's money blocks.  A path the unfolding builds also carries the pieces
 it is made of, so that what holds of a piece (its gas, its labels, whether
 it takes Ether in) is found once per piece rather than once per path; it
@@ -43,13 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .cfg import Cfg, EdgeKind, Terminator
-
-VIA_INITIAL = "initial"
-VIA_NEW_TRANSACTION = "new_transaction"
-
-# the edges that leave the call: a piece follows every other edge
-_OTHER_CALLS = frozenset((EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK))
+from .cfg import CALL_EXITS, Cfg, Terminator
 
 
 @dataclass(frozen=True)
@@ -68,8 +59,9 @@ class PathBounds:
 
 
 class ProgramPath(NamedTuple):
+    """Its blocks, and per call the selector or fallback it enters, or None."""
     blocks: tuple[int, ...]
-    functions: tuple[tuple[int | str | None, str], ...]  # (selector/fallback/None, via)
+    functions: tuple[int | str | None, ...]
     pieces = ()  # a hand-built path has none; see _Unfolded
 
     @property
@@ -148,7 +140,7 @@ class PathEnumeration:
                 moves[block_id] = None
                 continue
             moves[block_id] = tuple(sorted({e.dst for e in self.cfg.successors(block_id)
-                                            if e.kind not in _OTHER_CALLS}, reverse=True))
+                                            if e.kind not in CALL_EXITS}, reverse=True))
         return moves
 
     def _tables(self) -> list[_Piece] | None:
@@ -320,8 +312,7 @@ class PathEnumeration:
 
     def _path(self, pieces: tuple[_Piece, ...]) -> ProgramPath:
         return _unfolded(tuple(b for p in pieces for b in p.blocks),
-                         tuple((p.selector, VIA_NEW_TRANSACTION if i else VIA_INITIAL)
-                               for i, p in enumerate(pieces)), pieces)
+                         tuple(p.selector for p in pieces), pieces)
 
     def __iter__(self) -> Iterator[ProgramPath]:
         return self.select(_every)
@@ -376,12 +367,11 @@ class PathEnumeration:
             return found
 
         # (its pieces still to try, the path's blocks, functions and pieces
-        # so far, whether it has a marked piece, the way the next call is
-        # made, the value threaded down)
-        frames = [(iter(fitting(_FIRST)), (), (), (), False, VIA_INITIAL, start)]
+        # so far, whether it has a marked piece, the value threaded down)
+        frames = [(iter(fitting(_FIRST)), (), (), (), False, start)]
         steps = 0
         while frames:
-            choices, blocks, functions, done, kept, via, value = frames[-1]
+            choices, blocks, functions, done, kept, value = frames[-1]
             for p, mark, after, rest in choices:
                 steps += 1
                 if deadline is not None and not steps & 0xFF and time.monotonic() > deadline:
@@ -390,14 +380,14 @@ class PathEnumeration:
                 keep = kept or mark
                 if after is None:
                     if keep:
-                        yield (_unfolded(blocks + p.blocks, functions + ((p.selector, via),),
+                        yield (_unfolded(blocks + p.blocks, functions + (p.selector,),
                                          done + (p,)),
                                value if step is None else step(value, p))
                     continue
                 if rest[0] > (0 if keep else rest[1]):
                     frames.append((iter(options.get(after) or fitting(after)),
-                                   blocks + p.blocks, functions + ((p.selector, via),),
-                                   done + (p,), keep, VIA_NEW_TRANSACTION,
+                                   blocks + p.blocks, functions + (p.selector,),
+                                   done + (p,), keep,
                                    value if step is None else step(value, p)))
                     break
             else:
@@ -423,5 +413,5 @@ def filter_money(paths: Iterator[ProgramPath], cfg: Cfg,
         if money_blocks:
             if not money_blocks.isdisjoint(path.blocks):
                 yield path
-        elif any(sel in payable for sel, _via in path.functions if sel is not None):
+        elif not payable.isdisjoint(path.functions):
             yield path

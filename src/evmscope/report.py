@@ -146,10 +146,10 @@ def to_call_sequence(path: ProgramPath, contract: ContractCode,
     """Render the path as the function-call sequence it represents.
 
     With a witness, decoded calldata words become concrete arguments and a
-    nonzero message value is shown.  Every call is a new transaction.
+    nonzero message value is shown.  Each selector is a call, a new transaction.
     """
     out: list[str] = []
-    for txn, (sel, _via) in enumerate(path.functions, start=1):
+    for txn, sel in enumerate(path.functions, start=1):
         name = _function_display(contract, sel)
         extras = ""
         if witness:

@@ -402,11 +402,16 @@ class SymbolicState:
             merged[key] = value
         return merged
 
-    def begin_transaction(self) -> None:
-        self.txn += 1
+    def end_call(self) -> None:
+        """The call halts, and its stack and memory end with it."""
         self.stack = []
         self.memory = {}
         self.mem_unknown = False
+
+    def begin_transaction(self) -> None:
+        """Start the next call, its balance credited with its CALLVALUE."""
+        self.end_call()
+        self.txn += 1
         self.call_start = (len(self.storage_writes), len(self.records))
         self.reads, self.balance_read, self.sent = [], False, ()
         self.balance = self.credited(self.balance)
@@ -851,8 +856,8 @@ MEMO_ENTRIES = MEMORY_CAP // 32
 class _CallDelta(NamedTuple):
     """A call summary: what one whole-call piece added to the state it
     started from, the same from any state its footprint (`held`) agrees
-    with: its lists go after that state's, and its balance is that
-    state's credited (`SymbolicState.credited`), less what it sent."""
+    with: the call starts there (`begin_transaction`), its lists go after
+    that state's, and its balance is the one it starts with less what it sent."""
     conditions: list[Word]           # the path condition it added
     records: list[ExternalRecord]    # the records it left
     storage_writes: list[tuple[Word, Word]]  # the writes it added
@@ -863,18 +868,15 @@ class _CallDelta(NamedTuple):
 
 def _after_call(entry: SymbolicState, delta: _CallDelta) -> SymbolicState:
     """The state the call stored as `delta` leaves, run from `entry`, a
-    state at a call start: its stack and memory are empty.  The key leaves
-    out how many records came before (a SELFDESTRUCT adds one and changes
-    nothing else), so `call_start` is taken from `entry`'s own lists."""
+    state between calls: the call starts as any call (`begin_transaction`),
+    at `entry`'s own lists, since the memo key leaves out how many records
+    came before (a SELFDESTRUCT adds one and changes nothing else)."""
     state = SymbolicState.__new__(SymbolicState)
     state.__dict__.update(entry.__dict__)
-    state.stack, state.memory = [], {}
-    state.call_start = (len(entry.storage_writes), len(entry.records))
-    state.txn += 1
+    state.begin_transaction()
     state.path_condition = entry.path_condition + delta.conditions
     state.records = entry.records + delta.records
     state.storage_writes = entry.storage_writes + delta.storage_writes
-    state.balance = state.credited(entry.balance)
     for value in delta.sent:
         state.balance = state.debited(state.balance, value)
     state.fresh_counter = delta.fresh_counter
@@ -955,7 +957,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     any later one; the last piece to part at a frame takes the frame
     itself.  A piece below the block its node's last piece failed at gets
     that piece's error object.  Right after a terminal block the runner
-    empties the stack and memory, as the EVM ends a call's frame there.
+    ends the call (`end_call`), as the EVM ends a call's frame there.
 
     Every piece is a whole call, from the root to a terminal block: it
     begins with `begin_transaction`, and is stored in a memo under the
@@ -1078,8 +1080,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
         except SymExecError as error:
             node.failed = (depth, error)
             return error
-        # the call halts at its terminal block, and with it its stack and memory
-        state.stack, state.memory, state.mem_unknown = [], {}, False
+        state.end_call()  # at its terminal block
         writes, records = state.call_start
         added = state.path_condition[len(entry.path_condition):]
         made, written = state.records[records:], state.storage_writes[writes:]
@@ -1167,10 +1168,10 @@ def _steer(cfg: Cfg, state: SymbolicState,
     """The one loop that runs a single block sequence: a path's trace, the
     constructor pre-run and witness replay.  Runs blocks from the root over
     `state` with `_run_body`, each next block the one `choose(block,
-    operands)` names, until it names none; returns the blocks run.  It
-    starts each call: the first, and one at the root after a terminal
-    block, which ends the call's stack and memory (after a CALL block the
-    root continues the call).  The clock is read every 16 blocks.  Raises
+    operands)` names, until it names none; returns the blocks run.  A
+    terminal block ends its call (`end_call`); the first block and the
+    root after a terminal block start one (after a CALL block the root
+    continues the call).  The clock is read every 16 blocks.  Raises
     SymExecError past `budget` blocks, or at an offset that starts no block."""
     state.begin_transaction()
     taken = [cfg.root]
@@ -1179,7 +1180,7 @@ def _steer(cfg: Cfg, state: SymbolicState,
         operands = _run_body(state, cfg, block)
         terminal = block.terminator is Terminator.TERMINAL
         if terminal:
-            state.stack, state.memory, state.mem_unknown = [], {}, False
+            state.end_call()
         block_id = choose(block, operands)
         if block_id is None:
             return taken

@@ -37,7 +37,7 @@ def check_black_hole(cfg: Cfg, paths: Iterable[ProgramPath],
     for path in paths:
         entry = None
         ends = (b for b in path.blocks if b in terminal)
-        for sel, _via in path.functions:
+        for sel in path.functions:
             end = next(ends, None)
             if sel is None or sel not in payable_entries:
                 continue

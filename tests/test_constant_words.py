@@ -115,7 +115,7 @@ def test_a_mapping_value_branch_is_decided():
     witness names it both ways, and replays by itself."""
     code = parse_hex("336000526000602052604060002054601357005b33ff")
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, 19), ((None, "initial"),))
+    path = ProgramPath((0, 19), (None,))
     _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert feas.status is FeasibilityStatus.FEASIBLE, feas.reason
     assert feas.witness["STORAGE@sha3(CALLER#1, 0x0)"] != 0
@@ -132,7 +132,7 @@ def test_two_keys_at_one_slot_with_different_values_stay_unknown():
     asm.op("CALLER").op("SELFDESTRUCT")
     code = asm.assemble()
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, asm.offset_of("one"), asm.offset_of("two")), ((None, "initial"),))
+    path = ProgramPath((0, asm.offset_of("one"), asm.offset_of("two")), (None,))
     _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert feas.status is FeasibilityStatus.UNKNOWN
     assert feas.reason == "witness gives one storage slot two values"

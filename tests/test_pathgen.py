@@ -8,7 +8,6 @@ from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.keccak import selector
 from evmscope.pathgen import (
     PathBounds,
-    VIA_NEW_TRANSACTION,
     enumerate_paths,
     filter_money,
 )
@@ -137,11 +136,9 @@ def test_functions_recorded_per_segment():
     wsel = selector("withdraw()")
     for p in enumerate_paths(cfg, PathBounds(call_depth=2)):
         assert len(p.functions) == p.call_count
-        assert p.functions[0][1] == "initial"
-        assert all(via == VIA_NEW_TRANSACTION for _s, via in p.functions[1:])
     withdraw_paths = [p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
                       if 112 in p.blocks]
-    assert all(p.functions[0][0] == wsel for p in withdraw_paths)
+    assert all(p.functions[0] == wsel for p in withdraw_paths)
 
 
 def test_passthrough_for_moneyless_contract():
@@ -151,7 +148,7 @@ def test_passthrough_for_moneyless_contract():
     ct = selector("createTokens()")
     kept = list(filter_money(iter(paths), cfg, payable_entries={ct, "<fallback>"}))
     assert kept
-    assert all(any(sel in (ct, "<fallback>") for sel, _ in p.functions) for p in kept)
+    assert all(any(sel in (ct, "<fallback>") for sel in p.functions) for p in kept)
     none_kept = list(filter_money(iter(paths), cfg, payable_entries=set()))
     assert none_kept == []
 

@@ -17,7 +17,7 @@ from evmscope.ranker import (
 def _path(length: int, blocks: tuple[int, ...] | None = None) -> ProgramPath:
     return ProgramPath(
         blocks=blocks or tuple(range(length * 2)),
-        functions=tuple((None, "initial") for _ in range(length)),
+        functions=(None,) * length,
     )
 
 

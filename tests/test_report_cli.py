@@ -137,7 +137,7 @@ def test_call_sequence_with_witness_value():
     cfg = get_cfg("bitway")
     ct_sel = selector("createTokens()")
     path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.functions[0][0] == ct_sel
+                if p.functions[0] == ct_sel
                 and cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
     seq = to_call_sequence(path, contract, witness={"CALLVALUE#1": 301})
     assert seq == ["createTokens() {value: 301}"]
@@ -386,6 +386,29 @@ def test_batch_mode_reports_and_summary(tmp_path):
     summary = json.loads((out / "corpus_summary.json").read_text())
     assert summary["totals"].get("black_hole", 0) > 0
     assert len(summary["contracts"]) == 31
+
+
+def test_batch_gives_every_input_its_own_report(tmp_path):
+    """Inputs that share a stem, and an input with the summary's own name,
+    each keep a report: it is named by the stem where that is unique and
+    not the summary's, else by the whole file name."""
+    (tmp_path / "x.hex").write_text(json.loads((FIXTURES / "bitway.json").read_text())["runtime"])
+    (tmp_path / "x.json").write_text((FIXTURES / "toydao.json").read_text())
+    (tmp_path / "corpus_summary.json").write_text((FIXTURES / "sink_3.json").read_text())
+    (tmp_path / "pay_const_0.json").write_text((FIXTURES / "pay_const_0.json").read_text())
+    out = tmp_path / "reports"
+    assert cli_main(["batch", str(tmp_path), "--out", str(out), "--call-bound", "1",
+                     "--output", "both"]) in (0, 2)
+    contracts = {"x.hex": "x", "x.json": "toydao", "corpus_summary.json": "sink_3",
+                 "pay_const_0": "pay_const_0"}
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{name}.json" for name in contracts] + [f"{name}.html" for name in contracts]
+        + ["corpus_summary.json"])
+    for name, contract in contracts.items():
+        assert json.loads((out / f"{name}.json").read_text())["contract"] == contract
+    summary = json.loads((out / "corpus_summary.json").read_text())
+    assert [entry["contract"] for entry in summary["contracts"]] == [
+        "sink_3", "pay_const_0", "x", "toydao"]
 
 
 def test_unloadable_files_are_reported_and_skipped(tmp_path, capsys, monkeypatch):

@@ -137,7 +137,7 @@ def test_non_ascii_name_signature_and_diagnostic(tmp_path):
 def _hand_built_path(rank: int, score: Fraction, blocks: tuple[int, ...],
                      violations: tuple[PropertyViolation, ...],
                      witness: dict[str, int] | None) -> CriticalPath:
-    path = ProgramPath(blocks=blocks, functions=((1, "initial"), (2, "initial")))
+    path = ProgramPath(blocks=blocks, functions=(1, 2))
     return CriticalPath(
         rank=rank,
         ranked=RankedPath(path=path, violations=violations, score=score),

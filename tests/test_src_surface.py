@@ -184,3 +184,32 @@ def test_settable_values_do_not_grow():
     change removes one.  The message gives each module's count."""
     counts = {path.stem: _settable_values(ast.parse(path.read_text())) for path in _SRC}
     assert sum(counts.values()) <= 51, counts
+
+
+_CALL_FRAME = {"stack", "memory", "mem_unknown", "call_start", "txn"}
+
+
+def test_the_call_boundary_has_one_home_per_layer():
+    """A call starts and ends in `SymbolicState` alone (`begin_transaction`,
+    `end_call`): no other src function assigns a state's stack, memory,
+    `mem_unknown`, `call_start` or call counter.  The edge kinds that leave
+    a call are spelled together only in `cfg.py`, as `CALL_EXITS`, which
+    stack simulation and the unfolding both read."""
+    writers, spellers = [], []
+    for path in _SRC:
+        tree = ast.parse(path.read_text())
+        methods = {node for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "SymbolicState"
+                   for node in cls.body}
+        for func in ast.walk(tree):
+            if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func not in methods
+                    and any(isinstance(node, ast.Attribute) and node.attr in _CALL_FRAME
+                            and isinstance(node.ctx, (ast.Store, ast.Del))
+                            for node in _own_nodes(func))):
+                writers.append(f"{path.stem}.{func.name}")
+        kinds = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "EdgeKind"}
+        if {"NEW_TRANSACTION", "EXTERNAL_CALLBACK"} <= kinds:
+            spellers.append(path.stem)
+    assert (sorted(writers), spellers) == ([], ["cfg"])

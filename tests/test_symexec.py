@@ -366,7 +366,7 @@ def test_mload_of_never_written_memory_takes_no_branch_on_it():
     # Memory is zero at a call's start, so the code stops
     code = parse_hex("600051600757005b33ff")
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, 7), ((None, "initial"),))
+    path = ProgramPath((0, 7), (None,))
     _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert (feas.status, feas.reason) == (FeasibilityStatus.INFEASIBLE,
                                           "condition folds to false")
@@ -379,7 +379,7 @@ def test_mload_through_a_symbolic_offset_of_unwritten_memory_draws_no_word():
     # GAS word is the one replay reads
     code = parse_hex("60003551505a600a57005b33ff")
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, 10), ((None, "initial"),))
+    path = ProgramPath((0, 10), (None,))
     _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"GAS.1": 1})
 
@@ -612,7 +612,7 @@ def test_an_operator_that_gives_back_the_address_word_reads_a_fresh_balance():
     # replay, so both draw an EXTBAL word and replay reads the trace's GAS
     code = parse_hex("6000300131505a600b57005b33ff")
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, 11), ((None, "initial"),))
+    path = ProgramPath((0, 11), (None,))
     _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert (feas.status, feas.witness) == (FeasibilityStatus.FEASIBLE, {"GAS.2": 1})
 
@@ -636,7 +636,7 @@ def test_an_mstore8_through_a_symbolic_offset_keeps_replay_on_the_path():
     # the trace's GAS word is the one replay reads.
     code = parse_hex("6001600035535a600b57005b33ff")
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, 11), ((None, "initial"),))
+    path = ProgramPath((0, 11), (None,))
     _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert (feas.status, feas.reason) == (FeasibilityStatus.FEASIBLE, "")
 
@@ -646,7 +646,7 @@ def test_a_replay_past_its_deadline_ends_unknown():
     # to read the clock, so the deadline is first seen by the replay
     code = parse_hex("34600557005b33ff")
     cfg = build_cfg(disassemble(code))
-    path = ProgramPath((0, 5), ((None, "initial"),))
+    path = ProgramPath((0, 5), (None,))
     state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
     assert feas.status is FeasibilityStatus.FEASIBLE
     state, feas = execute_path(cfg, code, path, {}, BoundedSolver(),
@@ -672,7 +672,7 @@ def test_bitway_create_tokens_witness():
     cfg = get_cfg("bitway")
     ct_sel = selector("createTokens()")
     path = next(p for p in enumerate_paths(cfg, PathBounds(call_depth=1))
-                if p.functions[0][0] == ct_sel
+                if p.functions[0] == ct_sel
                 and cfg.blocks[p.blocks[-1]].last.mnemonic == "STOP")
     state, feas = execute_path(cfg, contract.runtime_code, path, {}, BoundedSolver())
     assert feas.status is FeasibilityStatus.FEASIBLE

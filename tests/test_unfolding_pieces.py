@@ -15,8 +15,8 @@ from evmscope.analyzers import GasEstimator, detect_payable_entries
 from evmscope.cfg import EdgeKind, Terminator, build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.isa import GasTable
-from evmscope.pathgen import (VIA_INITIAL, VIA_NEW_TRANSACTION, PathBounds, PathEnumeration,
-                              ProgramPath, enumerate_paths, filter_money)
+from evmscope.pathgen import (PathBounds, PathEnumeration, ProgramPath, enumerate_paths,
+                              filter_money)
 from evmscope.report import AnalysisConfig, analyze
 
 from conftest import FIXTURES, REGISTRY_TXT, get_contract
@@ -133,9 +133,7 @@ def test_every_piece_is_a_whole_call(program):
             assert piece.money == (not cfg.money_blocks.isdisjoint(blocks)), name
         for path in unfolding:
             assert set(path.pieces) <= set(pieces), name
-            assert path.functions == tuple(
-                (piece.selector, VIA_NEW_TRANSACTION if i else VIA_INITIAL)
-                for i, piece in enumerate(path.pieces)), name
+            assert path.functions == tuple(piece.selector for piece in path.pieces), name
             assert (path.call_count == bounds.call_depth
                     or len(path.blocks) == bounds.max_blocks), name
             assert path.call_count <= bounds.call_depth, name

@@ -15,13 +15,7 @@ import pytest
 
 from evmscope.cfg import Cfg, EdgeKind, Terminator, build_cfg
 from evmscope.disasm import disassemble, parse_hex
-from evmscope.pathgen import (
-    VIA_INITIAL,
-    VIA_NEW_TRANSACTION,
-    PathBounds,
-    ProgramPath,
-    enumerate_paths,
-)
+from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths
 
 from conftest import FIXTURES, MICRO, get_cfg
 
@@ -37,7 +31,7 @@ class _RecursiveEnumeration:
 
     def __iter__(self) -> Iterator[ProgramPath]:
         yield from self._walk(self.cfg.root, blocks=[], call_count=1,
-                              functions=[(None, VIA_INITIAL)],
+                              functions=[None],
                               seg_visited=set(), seg_edge_counts={})
 
     def _expired(self) -> bool:
@@ -59,8 +53,8 @@ class _RecursiveEnumeration:
             return
         blocks = blocks + [block_id]
         seg_visited = seg_visited | {block_id}
-        if functions[-1][0] is None and block_id in self._entry_names:
-            functions = functions[:-1] + [(self._entry_names[block_id], functions[-1][1])]
+        if functions[-1] is None and block_id in self._entry_names:
+            functions = functions[:-1] + [self._entry_names[block_id]]
 
         block = self.cfg.blocks[block_id]
         bounds = self.bounds
@@ -72,7 +66,7 @@ class _RecursiveEnumeration:
             else:
                 yield from self._walk(
                     self.cfg.root, blocks, call_count + 1,
-                    functions + [(None, VIA_NEW_TRANSACTION)],
+                    functions + [None],
                     seg_visited=set(), seg_edge_counts={})
             return
 
