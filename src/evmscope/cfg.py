@@ -1,13 +1,14 @@
 """Control-flow-graph recovery for EVM bytecode.
 
-Construction runs in four stages: linear disassembly is split into basic
-blocks; statically decidable edges are wired (constant jump targets, fall
-throughs, the new-transaction edge from every terminating block back to the
-root, and the callback edge from every external-call block back to the root);
-indirect jumps are then resolved by simulating the operand stack along
-root-to-block paths; resolution repeats to a fixpoint because each resolved
-jump can make further dangling blocks reachable.  The simulation stops once
-the analysis deadline passes, leaving the jumps not yet simulated unresolved.
+The graph holds the control flow of one call: no edge leaves a terminal
+block, and a call that follows another starts at the root again, which the
+unfolding (`pathgen`) composes.  Construction runs in four stages: linear
+disassembly is split into basic blocks; statically decidable edges are
+wired (constant jump targets and fall throughs); indirect jumps are then
+resolved by simulating the operand stack along root-to-block paths;
+resolution repeats to a fixpoint because each resolved jump can make
+further dangling blocks reachable.  The simulation stops once the analysis
+deadline passes, leaving the jumps not yet simulated unresolved.
 """
 
 from __future__ import annotations
@@ -33,20 +34,12 @@ class EdgeKind(enum.Enum):
     INDIRECT_JUMP = "indirect_jump"
     COND_TAKEN = "cond_taken"
     COND_FALLTHROUGH = "cond_fallthrough"
-    EXTERNAL_CALLBACK = "external_callback"
-    NEW_TRANSACTION = "new_transaction"
-
-
-# the edges that leave a call for the root, which no jump target survives; a
-# tuple, since an enum member hashes in Python and a set test is slower
-CALL_EXITS = (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)
 
 
 class Terminator(enum.Enum):
     FALL_THROUGH = "fall_through"
     JUMP = "jump"
     COND_JUMP = "cond_jump"
-    CALL = "call"
     TERMINAL = "terminal"
 
 
@@ -184,30 +177,23 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
         elif info.is_terminal:
             flush(Terminator.TERMINAL)
         elif info.is_call:
-            flush(Terminator.CALL)
+            # the call falls through to its next instruction; the split keeps
+            # the block labels (Node_112_162) that the reports name
+            flush(Terminator.FALL_THROUGH)
     flush(Terminator.FALL_THROUGH)
     return blocks
 
 
 def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
     """Wire all edges that are decidable without simulating the stack."""
-    root = min(blocks)
-    cfg = Cfg(blocks, root, set())
+    cfg = Cfg(blocks, min(blocks), set())
     ordered = sorted(blocks)
     # every block that does not end in JUMP or a terminal instruction has
     # one: the code ends in one of those or in the implicit STOP
     follower = dict(zip(ordered, ordered[1:]))
 
     for block in blocks.values():
-        if block.terminator is Terminator.TERMINAL:
-            # A finished transaction can always be followed by a new one.
-            cfg.add_edge(block.id, root, EdgeKind.NEW_TRANSACTION)
-        elif block.terminator is Terminator.CALL:
-            # The foreign callee may call back into any function of this
-            # contract, so the call block targets the root as well.
-            cfg.add_edge(block.id, root, EdgeKind.EXTERNAL_CALLBACK)
-            cfg.add_edge(block.id, follower[block.id], EdgeKind.SEQUENTIAL)
-        elif block.terminator is Terminator.FALL_THROUGH:
+        if block.terminator is Terminator.FALL_THROUGH:
             cfg.add_edge(block.id, follower[block.id], EdgeKind.SEQUENTIAL)
         elif block.terminator in (Terminator.JUMP, Terminator.COND_JUMP):
             is_cond = block.terminator is Terminator.COND_JUMP
@@ -221,7 +207,6 @@ def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
             if not _is_jumpdest(blocks, target):
                 cfg.add_diagnostic("malformed_target", f"{block.label} jumps to 0x{target:x} "
                                    "which is not a JUMPDEST", block.last_offset)
-                cfg.add_edge(block.id, root, EdgeKind.NEW_TRANSACTION)
                 continue
             cfg.add_edge(block.id, target, kind)
     return cfg
@@ -294,13 +279,13 @@ def _jump_targets(cfg: Cfg, target: int, cap: int, deadline: float | None) -> se
 
     One depth-first search carries the simulated stack down, so a prefix
     shared by many paths is simulated once; the blocks on the path are a
-    set, undone on leaving a block.  Only blocks that reach the target
-    without a `CALL_EXITS` edge are entered: the paths run through them alone."""
+    set, undone on leaving a block.  Only blocks that reach the target are
+    entered: the paths run through them alone."""
     within = {target}
     todo = [target]
     while todo:
         for edge in cfg._pred.get(todo.pop(), ()):
-            if edge.kind not in CALL_EXITS and edge.src not in within:
+            if edge.src not in within:
                 within.add(edge.src)
                 todo.append(edge.src)
     targets: set = set()
@@ -326,7 +311,7 @@ def _jump_targets(cfg: Cfg, target: int, cap: int, deadline: float | None) -> se
         on_path.add(node)
         entries.append((node, None))
         for edge in cfg.successors(node):
-            if edge.kind not in CALL_EXITS and edge.dst in within and edge.dst not in on_path:
+            if edge.dst in within and edge.dst not in on_path:
                 entries.append((edge.dst, stack))
     return targets
 
@@ -481,10 +466,6 @@ def to_dot(cfg: Cfg) -> str:
     for edge in sorted(cfg.edges, key=lambda e: (e.src, e.dst, e.kind.value)):
         if edge.src not in reachable:
             continue
-        attr = {
-            EdgeKind.NEW_TRANSACTION: ' [style=dashed, color=red]',
-            EdgeKind.EXTERNAL_CALLBACK: ' [style=dotted, color=red]',
-        }.get(edge.kind, "")
-        lines.append(f"  n{edge.src} -> n{edge.dst}{attr};")
+        lines.append(f"  n{edge.src} -> n{edge.dst};")
     lines.append("}")
     return "\n".join(lines) + "\n"

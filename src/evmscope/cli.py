@@ -178,7 +178,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-timing", action="store_true",
                         help="omit wall-clock timing from reports (reproducible output)")
     parser.add_argument("--output", choices=["json", "html", "both"], default="json")
-    parser.add_argument("--out", default=None, help="output path base")
+    parser.add_argument("--out", default=None, help="output path base; .json or .html is appended")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -255,7 +255,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             any_error = True
             continue
         name = path.stem if taken[path.stem] == 1 else path.name
-        emit(report, args.output, out_dir / f"{name}.json", contract.source)  # emit swaps .json
+        emit(report, args.output, out_dir / name, contract.source)
         any_violation = any_violation or report.has_violations
         stats = report.statistics
         # the next analysis must not run while this report is still held

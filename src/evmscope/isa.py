@@ -22,7 +22,7 @@ MONEY_OPCODES = frozenset({0xF0, 0xF1, 0xF4, 0xFF})  # CREATE, CALL, DELEGATECAL
 TERMINAL_OPCODES = frozenset({0x00, 0xF3, 0xFD, 0xFF, 0xFE})  # STOP, RETURN, REVERT, SELFDESTRUCT, INVALID
 
 # Opcodes that invoke foreign code; the instruction after them starts a new
-# basic block and the block gets a callback edge to the CFG root.
+# basic block.
 CALL_OPCODES = frozenset({0xF0, 0xF1, 0xF2, 0xF4, 0xFA})  # CREATE, CALL, CALLCODE, DELEGATECALL, STATICCALL
 
 

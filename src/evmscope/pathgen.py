@@ -1,12 +1,12 @@
 """Bounded unfolding of the CFG into concrete program paths.
 
 A path is a sequence of whole calls, *pieces*, until the call-depth budget
-is spent: each a walk from the root to the terminal block that ends it,
-along no edge that leaves the call (`cfg.CALL_EXITS`), since a callee's call
-back in visits the same blocks as the chain of whole calls the unfolding
-already lists (storage persists across calls downstream).  Loop traversal
-is limited by counting back-edges within each call, and the total block
-count per path is capped.
+is spent: each a walk along the CFG's edges, which stay within one call,
+from the root to the terminal block that ends it.  Each call starts at the
+root again; a callee's call back in visits the same blocks as the chain of
+whole calls the unfolding already lists (storage persists across calls
+downstream).  Loop traversal is limited by counting back-edges within each
+call, and the total block count per path is capped.
 The root's pieces are found once, by a depth-first search of one segment,
 and paths are their concatenations in lexicographic piece order, which is
 the order of a depth-first search over whole paths.  Whether a piece fits
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .cfg import CALL_EXITS, Cfg, Terminator
+from .cfg import Cfg, Terminator
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,16 @@ class PathEnumeration:
 
     def _moves(self) -> dict[int, tuple[int, ...] | None]:
         """Per block: None if it ends a transaction, else the destinations
-        of its edges within the call in visiting order, reversed for
-        pushing onto the stack.  A destination is one move however many
-        edges reach it (a JUMPI whose target is its own fallthrough)."""
+        of its edges in visiting order, reversed for pushing onto the
+        stack.  A destination is one move however many edges reach it (a
+        JUMPI whose target is its own fallthrough)."""
         moves: dict[int, tuple[int, ...] | None] = {}
         for block_id, block in self.cfg.blocks.items():
             if block.terminator is Terminator.TERMINAL:
                 moves[block_id] = None
                 continue
-            moves[block_id] = tuple(sorted({e.dst for e in self.cfg.successors(block_id)
-                                            if e.kind not in CALL_EXITS}, reverse=True))
+            moves[block_id] = tuple(sorted({e.dst for e in self.cfg.successors(block_id)},
+                                           reverse=True))
         return moves
 
     def _tables(self) -> list[_Piece] | None:

@@ -592,18 +592,19 @@ def write_html(report: Report, write: Callable[[str], object], source: str | Non
 
 def emit(report: Report, fmt: str, out_base: str | Path,
          source: str | None) -> list[Path]:
-    """Write the report in the requested format(s); returns written paths.
-    Each text goes to its file one critical path at a time."""
+    """Write the report in the requested format(s), each to `out_base`
+    with `.json` or `.html` appended; returns written paths.  Each text
+    goes to its file one critical path at a time."""
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("json", "both"):
-        path = out_base.with_suffix(".json")
+        path = Path(f"{out_base}.json")
         with path.open("w") as fp:
             write_json(report, fp.write)
         written.append(path)
     if fmt in ("html", "both"):
-        path = out_base.with_suffix(".html")
+        path = Path(f"{out_base}.html")
         with path.open("w") as fp:
             write_html(report, fp.write, source)
         written.append(path)

@@ -1138,7 +1138,9 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
                deadline: float | None = None) -> SymbolicState:
     """The symbolic walk of one block sequence (`path.blocks`) alone,
     without any solving: `_steer` runs its blocks, asserting each exit
-    (`_take_exit`); raises the SymExecError that stops it.  Every call
+    (`_take_exit`); raises the SymExecError that stops it, also at a step
+    the EVM cannot take: a terminal block left for any block but the root,
+    or a block without a jump left for any block but its next.  Every call
     starts at the root, so a path that is empty or starts elsewhere raises
     ValueError."""
     blocks = path.blocks
@@ -1149,8 +1151,14 @@ def trace_path(cfg: Cfg, code: bytes, path, base_storage: dict[Word, Word],
 
     def choose(block, operands: tuple[Word, ...]) -> int | None:
         block_id = next(ahead, None)
-        if block_id is not None:
+        if block_id is None:
+            return None
+        if operands:
             _take_exit(state, block, operands, block_id)
+        elif block_id != (cfg.root if block.terminator is Terminator.TERMINAL
+                          else block.last.next_offset):
+            raise SymExecError(f"path leaves {block.label} for {block_id}, "
+                               f"which is no edge of the graph")
         return block_id
 
     _steer(cfg, state, choose, deadline, len(blocks))
@@ -1170,9 +1178,9 @@ def _steer(cfg: Cfg, state: SymbolicState,
     `state` with `_run_body`, each next block the one `choose(block,
     operands)` names, until it names none; returns the blocks run.  A
     terminal block ends its call (`end_call`); the first block and the
-    root after a terminal block start one (after a CALL block the root
-    continues the call).  The clock is read every 16 blocks.  Raises
-    SymExecError past `budget` blocks, or at an offset that starts no block."""
+    block after a terminal block, the root, start one.  The clock is read
+    every 16 blocks.  Raises SymExecError past `budget` blocks, or at an
+    offset that starts no block."""
     state.begin_transaction()
     taken = [cfg.root]
     while True:
@@ -1188,7 +1196,7 @@ def _steer(cfg: Cfg, state: SymbolicState,
             raise SymExecError(f"jumped to unknown offset {block_id}")
         if len(taken) == budget:
             raise SymExecError("exceeded block budget")
-        if terminal and block_id == cfg.root:
+        if terminal:
             state.begin_transaction()
         taken.append(block_id)
         if not len(taken) & 0xF:

@@ -44,12 +44,13 @@ def test_wrapper_and_return_block_boundaries():
 
 
 def test_block_boundaries_at_call():
-    # CALL ends its block; the next instruction starts a new one
+    # CALL ends its block, which falls through; the next instruction starts
+    # a new one
     code = parse_hex("6000600060006000600060006000f100")
     blocks = build_blocks(disassemble(code))
     call_block = [b for b in blocks.values() if b.last.mnemonic == "CALL"]
     assert len(call_block) == 1
-    assert call_block[0].terminator is Terminator.CALL
+    assert call_block[0].terminator is Terminator.FALL_THROUGH
     follow = blocks[call_block[0].last_offset + 1]
     assert follow.instructions[0].mnemonic == "STOP"
 
@@ -69,7 +70,7 @@ def test_running_past_the_end_of_the_code_is_stop(code_hex, block, offset):
     stop = cfg.blocks[max(cfg.blocks)]
     assert stop.id == block and stop.terminator is Terminator.TERMINAL
     assert (stop.last.offset, stop.last.mnemonic) == (offset, "STOP")
-    assert {e.kind for e in cfg.successors(stop.id)} == {EdgeKind.NEW_TRANSACTION}
+    assert cfg.successors(stop.id) == []
     # every block that neither jumps nor ends the call has its follower
     for other in cfg.blocks.values():
         if other.terminator not in (Terminator.JUMP, Terminator.TERMINAL):
@@ -99,37 +100,44 @@ def test_jumpdest_only_at_block_start(toydao_cfg):
 
 # -- static edges -------------------------------------------------------------
 
-def test_terminal_blocks_edge_to_root(toydao_cfg):
+def test_terminal_blocks_have_no_successor(toydao_cfg):
+    # the call ends there; the unfolding starts the next one at the root
     cfg = toydao_cfg
-    for block in cfg.blocks.values():
-        if block.terminator is Terminator.TERMINAL:
-            kinds = [e.kind for e in cfg.successors(block.id)]
-            assert kinds == [EdgeKind.NEW_TRANSACTION]
-            assert cfg.successors(block.id)[0].dst == cfg.root
+    terminal = [b for b in cfg.blocks.values() if b.terminator is Terminator.TERMINAL]
+    assert terminal
+    for block in terminal:
+        assert cfg.successors(block.id) == [], block.label
 
 
-def test_call_block_has_sequential_and_callback(toydao_cfg):
+def test_call_block_has_only_its_sequential_edge(toydao_cfg):
+    # the callee returns to the next instruction; a call back into the
+    # contract is a call of its own, which the unfolding composes
     cfg = toydao_cfg
     call_block = cfg.blocks[112]
     assert call_block.last_offset == 162
-    kinds = {e.kind: e.dst for e in cfg.successors(112)}
-    assert kinds[EdgeKind.EXTERNAL_CALLBACK] == cfg.root
-    assert kinds[EdgeKind.SEQUENTIAL] == 163
+    assert call_block.terminator is Terminator.FALL_THROUGH
+    assert [(e.kind, e.dst) for e in cfg.successors(112)] == [(EdgeKind.SEQUENTIAL, 163)]
 
 
-def test_every_callback_edge_leads_to_the_root():
-    # a callee may re-enter any function, so a callback starts a call at the
-    # root, as a new transaction does; the unfolding rests on it
+def test_every_edge_stays_within_one_call():
+    # no edge leaves a terminal block, and each goes to a JUMPDEST its
+    # source's jump names or to its source's next block
     names = [p.stem for p in sorted(FIXTURES.glob("*.json")) + sorted(MICRO.glob("*.json"))]
     assert len(names) == 52
-    callbacks = 0
+    jumps = (EdgeKind.DIRECT_JUMP, EdgeKind.COND_TAKEN, EdgeKind.INDIRECT_JUMP)
+    edges = 0
     for name in names:
         cfg = get_cfg(name)
         for edge in cfg.edges:
-            if edge.kind is EdgeKind.EXTERNAL_CALLBACK:
-                callbacks += 1
-                assert edge.dst == cfg.root, (name, edge)
-    assert callbacks
+            edges += 1
+            src = cfg.blocks[edge.src]
+            assert src.terminator is not Terminator.TERMINAL, (name, edge)
+            if edge.kind in jumps:
+                assert src.last.mnemonic in ("JUMP", "JUMPI"), (name, edge)
+                assert cfg.blocks[edge.dst].instructions[0].mnemonic == "JUMPDEST", (name, edge)
+            else:
+                assert edge.dst == src.last.next_offset, (name, edge)
+    assert edges == 336
 
 
 def test_direct_jump_resolution(toydao_cfg):
@@ -137,12 +145,12 @@ def test_direct_jump_resolution(toydao_cfg):
     assert (92, 112) in _edges(toydao_cfg, EdgeKind.DIRECT_JUMP)
 
 
-def test_malformed_target_becomes_terminal():
-    # PUSH1 3; JUMP -> offset 3 holds STOP, not a JUMPDEST
+def test_malformed_target_gets_no_edge():
+    # PUSH1 3; JUMP -> offset 3 holds STOP, not a JUMPDEST: the call halts
+    # there, so the unfolding meets a dead end
     cfg = build_cfg(disassemble(parse_hex("60035600")))
     assert any(d.code == "malformed_target" for d in cfg.diagnostics)
-    jump_block = cfg.blocks[0]
-    assert [e.kind for e in cfg.successors(jump_block.id)] == [EdgeKind.NEW_TRANSACTION]
+    assert cfg.successors(0) == []
 
 
 # -- stack simulation ---------------------------------------------------------
@@ -276,6 +284,14 @@ def test_dot_labels_use_offset_naming(toydao_cfg):
     assert "fillcolor=black" in dot  # money node styled distinctly
 
 
+def test_dot_draws_each_edge_once_and_plain(toydao_cfg):
+    cfg = toydao_cfg
+    lines = [line for line in to_dot(cfg).splitlines() if "->" in line]
+    assert lines == [f"  n{e.src} -> n{e.dst};"
+                     for e in sorted(cfg.edges, key=lambda e: (e.src, e.dst, e.kind.value))]
+    assert not any("color=red" in line for line in lines)
+
+
 def test_every_edge_endpoint_is_a_node():
     for name in ("toydao", "bitway", "enjinbuyer", "problematic"):
         cfg = get_cfg(name)
@@ -283,12 +299,9 @@ def test_every_edge_endpoint_is_a_node():
             assert e.src in cfg.blocks and e.dst in cfg.blocks
 
 
-def test_cond_jump_blocks_have_at_most_two_nonroot_edges():
+def test_cond_jump_blocks_have_at_most_two_edges():
     for name in ("toydao", "bitway", "enjinbuyer", "problematic", "micarstoken"):
         cfg = get_cfg(name)
         for block in cfg.blocks.values():
             if block.terminator is Terminator.COND_JUMP:
-                non_root = [e for e in cfg.successors(block.id)
-                            if e.kind not in (EdgeKind.NEW_TRANSACTION,
-                                              EdgeKind.EXTERNAL_CALLBACK)]
-                assert len(non_root) <= 2, block.label
+                assert len(cfg.successors(block.id)) <= 2, block.label

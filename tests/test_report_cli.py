@@ -232,6 +232,14 @@ def test_cli_exit_two_with_violations(tmp_path):
     assert_valid_html((tmp_path / "report.html").read_text())
 
 
+def test_cli_out_appends_each_format_to_a_dotted_base(tmp_path):
+    # the base's last dotted part is its own, not a suffix to swap
+    rc = cli_main(["analyze", str(FIXTURES / "sink_3.json"), "--out", str(tmp_path / "toydao.v2"),
+                   "--output", "both"])
+    assert rc in (0, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toydao.v2.html", "toydao.v2.json"]
+
+
 def test_cli_exit_one_on_bad_input(tmp_path):
     bad = tmp_path / "bad.hex"
     bad.write_text("60 0g")

@@ -192,10 +192,10 @@ _CALL_FRAME = {"stack", "memory", "mem_unknown", "call_start", "txn"}
 def test_the_call_boundary_has_one_home_per_layer():
     """A call starts and ends in `SymbolicState` alone (`begin_transaction`,
     `end_call`): no other src function assigns a state's stack, memory,
-    `mem_unknown`, `call_start` or call counter.  The edge kinds that leave
-    a call are spelled together only in `cfg.py`, as `CALL_EXITS`, which
-    stack simulation and the unfolding both read."""
-    writers, spellers = [], []
+    `mem_unknown`, `call_start` or call counter.  No edge kind leaves a
+    call: each is a jump or a fall through, and the unfolding alone starts
+    the next call at the root."""
+    writers = []
     for path in _SRC:
         tree = ast.parse(path.read_text())
         methods = {node for cls in ast.walk(tree)
@@ -207,9 +207,6 @@ def test_the_call_boundary_has_one_home_per_layer():
                             and isinstance(node.ctx, (ast.Store, ast.Del))
                             for node in _own_nodes(func))):
                 writers.append(f"{path.stem}.{func.name}")
-        kinds = {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                 and node.value.id == "EdgeKind"}
-        if {"NEW_TRANSACTION", "EXTERNAL_CALLBACK"} <= kinds:
-            spellers.append(path.stem)
-    assert (sorted(writers), spellers) == ([], ["cfg"])
+    assert writers == []
+    assert {kind.name for kind in evmscope.EdgeKind} == {
+        "SEQUENTIAL", "DIRECT_JUMP", "INDIRECT_JUMP", "COND_TAKEN", "COND_FALLTHROUGH"}

@@ -15,7 +15,6 @@ from evmscope.cfg import (
     MAX_SIM_PATHS,
     TOP,
     Cfg,
-    EdgeKind,
     _jump_targets,
     _simulate_block,
     build_blocks,
@@ -40,8 +39,6 @@ def _reference_paths_to_block(cfg: Cfg, target: int, cap: int) -> list[list[int]
                 return None
             continue
         for edge in cfg.successors(node):
-            if edge.kind in (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK):
-                continue
             if edge.dst in path:
                 continue
             stack.append((edge.dst, path + [edge.dst]))

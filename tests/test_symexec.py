@@ -299,6 +299,20 @@ def test_a_block_entered_below_its_stack_need_halts_before_it_runs():
                                           "malformed path: pop from empty stack")
 
 
+@pytest.mark.parametrize("blocks", [(0, 6), (0, 4, 6), (0, 4, 0, 6)])
+def test_a_path_steps_only_along_the_graph(blocks):
+    # PUSH1 0; CALLDATALOAD; POP falls through to 4: JUMPDEST; STOP, and 6:
+    # JUMPDEST; CALLER; SELFDESTRUCT follows no block.  A block without a
+    # jump goes on to its next block alone, and a terminal block to the root
+    code = parse_hex("600035505b005b33ff")
+    cfg = build_cfg(disassemble(code))
+    path = ProgramPath(blocks, (None,) * blocks.count(0))
+    with pytest.raises(SymExecError, match="which is no edge of the graph$"):
+        trace_path(cfg, code, path, {})
+    _state, feas = execute_path(cfg, code, path, {}, BoundedSolver())
+    assert feas.status is FeasibilityStatus.INFEASIBLE
+
+
 def test_a_symbolic_jumpi_target_may_be_the_fallthrough():
     # JUMPI(CALLDATALOAD(0), 1); 6: JUMPDEST; CALLER; SELFDESTRUCT.  The
     # condition holds, so the path reaches 6 only by jumping there

@@ -12,7 +12,7 @@ from itertools import chain, islice
 import pytest
 
 from evmscope.analyzers import GasEstimator, detect_payable_entries
-from evmscope.cfg import EdgeKind, Terminator, build_cfg
+from evmscope.cfg import Terminator, build_cfg
 from evmscope.disasm import ContractCode, disassemble, parse_hex
 from evmscope.isa import GasTable
 from evmscope.pathgen import (PathBounds, PathEnumeration, ProgramPath, enumerate_paths,
@@ -110,13 +110,12 @@ def test_unfolded_paths_are_their_blocks_and_calls(call_depth):
 @pytest.mark.parametrize("program", _PROGRAMS, ids=[name for name, _cfg, _p in _PROGRAMS])
 def test_every_piece_is_a_whole_call(program):
     """The unfolding has one kind of piece: a whole call from the root to
-    the first terminal block it reaches, along edges within the call, so
-    no piece follows a callback edge.  A path is its pieces end to end,
+    the first terminal block it reaches, along the graph's edges, all of
+    which stay within the call.  A path is its pieces end to end,
     each made by a new transaction after the first, and it ends at the
     call bound or with exactly as many blocks as the cap allows."""
     name, cfg, _payable = program
-    within = {(e.src, e.dst) for block in cfg.blocks for e in cfg.successors(block)
-              if e.kind not in (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK)}
+    edges = {(e.src, e.dst) for e in cfg.edges}
     entries = {block: entry for entry, block in cfg.function_entries.items()}
     for bounds in (PathBounds(call_depth=4), PathBounds(call_depth=4, max_blocks=12)):
         unfolding = enumerate_paths(cfg, bounds)
@@ -127,7 +126,7 @@ def test_every_piece_is_a_whole_call(program):
             assert blocks[0] == cfg.root, name
             assert [cfg.blocks[b].terminator is Terminator.TERMINAL for b in blocks] == \
                 [False] * (len(blocks) - 1) + [True], name
-            assert set(zip(blocks, blocks[1:])) <= within, name
+            assert set(zip(blocks, blocks[1:])) <= edges, name
             assert piece.length == len(blocks) <= bounds.max_blocks, name
             assert piece.selector == next((entries[b] for b in blocks if b in entries), None)
             assert piece.money == (not cfg.money_blocks.isdisjoint(blocks)), name

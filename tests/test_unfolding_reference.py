@@ -13,7 +13,7 @@ from typing import Iterator
 
 import pytest
 
-from evmscope.cfg import Cfg, EdgeKind, Terminator, build_cfg
+from evmscope.cfg import Cfg, Terminator, build_cfg
 from evmscope.disasm import disassemble, parse_hex
 from evmscope.pathgen import PathBounds, ProgramPath, enumerate_paths
 
@@ -72,8 +72,6 @@ class _RecursiveEnumeration:
 
         for edge in sorted(self.cfg.successors(block_id),
                            key=lambda e: (e.dst, e.kind.value)):
-            if edge.kind in (EdgeKind.NEW_TRANSACTION, EdgeKind.EXTERNAL_CALLBACK):
-                continue
             if len(blocks) + 1 > bounds.max_blocks:
                 continue
             if edge.dst in seg_visited:
