@@ -27,17 +27,10 @@ from .ranker import RankConfig
 from .report import AnalysisConfig, analyze, build_registry, emit, write_json
 
 _SUMMARY = "corpus_summary"  # the stem of a batch run's summary file
+# each property by its value, and each violation also without underscores
 _PROPERTY_NAMES = {p.value: p for p in PropertyId}
-_ALPHA_NAMES = {
-    "transferlimit": PropertyId.TRANSFER_LIMIT,
-    "transfer_limit": PropertyId.TRANSFER_LIMIT,
-    "nonexistingaddress": PropertyId.NON_EXISTING_ADDRESS,
-    "non_existing_address": PropertyId.NON_EXISTING_ADDRESS,
-    "guardsuicide": PropertyId.GUARD_SUICIDE,
-    "guard_suicide": PropertyId.GUARD_SUICIDE,
-    "blackhole": PropertyId.BLACK_HOLE,
-    "black_hole": PropertyId.BLACK_HOLE,
-}
+_PROPERTY_NAMES.update({p.value.replace("_", ""): p for p in PropertyId
+                        if p is not PropertyId.MAX_GAS})
 
 
 class CliError(Exception):
@@ -54,12 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_property(name: str) -> PropertyId:
-    key = name.strip().lower()
-    if key in _ALPHA_NAMES:
-        return _ALPHA_NAMES[key]
-    if key in _PROPERTY_NAMES:
-        return _PROPERTY_NAMES[key]
-    raise CliError(f"unknown property {name!r}")
+    prop = _PROPERTY_NAMES.get(name.strip().lower())
+    if prop is None:
+        raise CliError(f"unknown property {name!r}")
+    return prop
 
 
 def _set_ranking(rank: RankConfig, key: str, value: str) -> None:
@@ -199,6 +190,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    if args.out and Path(args.out).is_dir():  # a base each format's suffix is appended to
+        print(f"error: --out {args.out} is a directory, not a file base", file=sys.stderr)
+        return 1
     try:
         contract = load_contract(args.file)
     except (OSError, ValueError) as exc:

@@ -59,7 +59,7 @@ from .symexec import (
     trace_path,  # noqa: F401 -- re-exported; perfbench/tracer.py patches this name
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # the one verdict the report gives itself: a path the gate did not execute
 FEAS_NOT_CHECKED = "not_checked"
@@ -126,7 +126,6 @@ def _config_echo(config: AnalysisConfig) -> dict:
             config.rank.alpha.items(), key=lambda kv: kv[0].value)},
         "registry_mode": config.registry_mode,
         "disabled": sorted(p.value for p in config.disabled),
-        "reentrant_paths": False,  # schema 1 carries it; the unfolding has no such mode
     }
 
 

@@ -23,12 +23,13 @@ is decided by a pluggable constraint backend; a satisfying witness is
 re-validated by replaying the path: the same machine in witness mode
 (`WitnessState`), where every value the walk leaves free is the witness's
 constant, steered from the jump operands as the trace was steered along
-the path's blocks; it runs on constants alone and builds no term.
-Memory is keyed by word offset, and a copy of
-untracked data or a call's return data clears it.  Every memory area an
-opcode reads, writes or hands out, of a constant length, is charged
-against MEMORY_CAP, at offset 0 where its offset is not known; in witness
-mode every area is constant.
+the path's blocks; it runs on constants alone and builds no term.  A
+fresh word is named by its call and the offset that draws it, so a word
+the trace draws and witness mode does not renames no other.  Memory is
+keyed by word offset, and a copy of untracked data or a call's return
+data clears it.  Every memory area an opcode reads, writes or hands out,
+of a constant length, is charged against MEMORY_CAP, at offset 0 where
+its offset is not known; in witness mode every area is constant.
 """
 
 from __future__ import annotations
@@ -301,8 +302,9 @@ class SymbolicState:
     call; storage writes, balance, the call counter and the records carry
     across calls, and a REVERT truncates both lists at `call_start`.
     Environment reads give per-transaction variables and untracked reads
-    fresh ones, each made by `word` from its name; `WitnessState` runs the
-    same handlers with a witness's constant for each name."""
+    fresh ones named by where they are drawn (`fresh`), each made by `word`
+    from its name; `WitnessState` runs the same handlers with a witness's
+    constant for each name."""
 
     word = staticmethod(var)  # the word a free value of this name reads as
     address = var("ADDRESS")  # the one word BALANCE reads the balance of
@@ -318,7 +320,7 @@ class SymbolicState:
         self.txn = 0
         self.txn_prefix = txn_prefix
         self.records: list[ExternalRecord] = []
-        self.fresh_counter = 0
+        self.sites: dict[int, int] = {}  # this call's draws, counted by offset
         self.storage_var_cache: dict[Word, Word] = {}  # what an unwritten key reads
         # the words `credited` and `debited` built, by the ids of their operands
         self.credits: dict[tuple[int, int], tuple[Word, Word]] = {}
@@ -346,15 +348,19 @@ class SymbolicState:
         twin.path_condition = self.path_condition.copy()
         twin.records = self.records.copy()
         twin.reads = self.reads.copy()
+        twin.sites = self.sites.copy()
         return twin
 
     @property
     def txn_label(self) -> str:
         return f"{self.txn_prefix}{self.txn}"
 
-    def fresh(self, tag: str) -> Word:
-        self.fresh_counter += 1
-        return self.word(f"{tag}.{self.fresh_counter}")
+    def fresh(self, tag: str, site: int) -> Word:
+        """The word drawn at offset `site`: `XRET#2.162` at 162 in call 2,
+        then `XRET#2.162.1`, `.2`, ... for later draws there in the call."""
+        n = self.sites.get(site, 0)
+        self.sites[site] = n + 1
+        return self.word(f"{tag}#{self.txn_label}.{site}" + (f".{n}" if n else ""))
 
     def assert_cond(self, w: Word) -> None:
         if w.is_concrete and w.value:
@@ -403,10 +409,11 @@ class SymbolicState:
         return merged
 
     def end_call(self) -> None:
-        """The call halts, and its stack and memory end with it."""
+        """The call halts, and its stack, memory and draws end with it."""
         self.stack = []
         self.memory = {}
         self.mem_unknown = False
+        self.sites = {}
 
     def begin_transaction(self) -> None:
         """Start the next call, its balance credited with its CALLVALUE."""
@@ -435,7 +442,7 @@ class SymbolicState:
             found = self.debits[key] = (balance, value, mk("SUB", balance, value))
         return found[2]
 
-    def _mem_words(self, offset: int, length: int) -> list[Word]:
+    def _mem_words(self, offset: int, length: int, site: int) -> list[Word]:
         """A memory area's words.  An unwritten word reads zero while memory
         is clean and no written word overlaps it, else a fresh `MEM#` word."""
         _expand_memory(offset, length)
@@ -447,7 +454,7 @@ class SymbolicState:
                 at = offset + 32 * i
                 j = bisect_left(starts, at - 31)
                 unknown = self.mem_unknown or j < len(starts) and starts[j] < at + 32
-                words[i] = self.fresh(f"MEM#{self.txn_label}") if unknown else ZERO
+                words[i] = self.fresh("MEM", site) if unknown else ZERO
         return words
 
     # -- instruction handlers ----------------------------------------------
@@ -457,7 +464,7 @@ class SymbolicState:
 
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
         del self.stack[len(self.stack) - pops:]
-        self.stack.append(self.fresh(ins.info.mnemonic))
+        self.stack.append(self.fresh(ins.info.mnemonic, ins.offset))
 
     def _env_read(self, ins: Instruction, tag: str) -> None:
         self.stack.append(self.word(f"{tag}#{self.txn_label}"))
@@ -469,7 +476,7 @@ class SymbolicState:
         stack = self.stack
         offset, length = stack.pop(), stack.pop()
         if offset.is_concrete and length.is_concrete:
-            words = self._mem_words(offset.value or 0, length.value or 0)
+            words = self._mem_words(offset.value or 0, length.value or 0, ins.offset)
             values = [w.value for w in words]  # None but for a constant
             if None in values:
                 stack.append(node("sha3", tuple(words), length.value or 0))
@@ -480,7 +487,7 @@ class SymbolicState:
                 raise DeadlinePassed(str(exc)) from None
         else:
             _charge(offset, length)
-            stack.append(self.fresh(f"SHA3#{self.txn_label}"))
+            stack.append(self.fresh("SHA3", ins.offset))
 
     def _balance(self, ins: Instruction, operand: None) -> None:
         target = self.stack.pop()
@@ -488,14 +495,14 @@ class SymbolicState:
             self.stack.append(self.balance)
             self.balance_read = True
         else:
-            self.stack.append(self.fresh(f"EXTBAL#{self.txn_label}"))
+            self.stack.append(self.fresh("EXTBAL", ins.offset))
 
     def _calldataload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
         if offset.is_concrete:
             self.stack.append(self.word(f"CALLDATA#{self.txn_label}@{offset.value}"))
         else:
-            self.stack.append(self.fresh(f"CALLDATA#{self.txn_label}"))
+            self.stack.append(self.fresh("CALLDATA", ins.offset))
 
     def _codesize(self, ins: Instruction, operand: None) -> None:
         self.stack.append(const(len(self.code)))
@@ -530,9 +537,9 @@ class SymbolicState:
     def _mload(self, ins: Instruction, operand: None) -> None:
         offset = self.stack.pop()
         if offset.is_concrete:
-            word = self._mem_words(offset.value or 0, 32)[0]
+            word = self._mem_words(offset.value or 0, 32, ins.offset)[0]
         else:  # nothing written yet: zero at any offset, as in witness mode
-            word = self.fresh(f"MEM#{self.txn_label}") if self.memory or self.mem_unknown else ZERO
+            word = self.fresh("MEM", ins.offset) if self.memory or self.mem_unknown else ZERO
         self.stack.append(word)
 
     def _mstore(self, ins: Instruction, operand: None) -> None:
@@ -550,7 +557,7 @@ class SymbolicState:
     def _mstore8(self, ins: Instruction, operand: None) -> None:
         # an MSTORE of an unknown word, drawn at any offset, over the byte's word
         offset = self.stack[-1]
-        self.stack[-2] = self.fresh(f"MEM#{self.txn_label}")
+        self.stack[-2] = self.fresh("MEM", ins.offset)
         if offset.is_concrete:
             self.stack[-1] = const((offset.value or 0) & ~31)
         self._mstore(ins, operand)
@@ -579,14 +586,14 @@ class SymbolicState:
         if args[-1] != ZERO:  # the return data overwrites the output area
             self.memory.clear()
             self.mem_unknown = True
-        self.stack.append(self.fresh(f"XRET#{self.txn_label}"))
+        self.stack.append(self.fresh("XRET", ins.offset))
 
     def _create(self, ins: Instruction, operand: None) -> None:
         stack = self.stack
         value, offset, length = stack.pop(), stack.pop(), stack.pop()
         _charge(offset, length)  # the init code's area
         self.records.append(ExternalRecord("CREATE", ins.offset, self.txn, None, value))
-        self.stack.append(self.fresh(f"XADDR#{self.txn_label}"))
+        self.stack.append(self.fresh("XADDR", ins.offset))
 
     def _selfdestruct(self, ins: Instruction, operand: None) -> None:
         target = self.stack.pop()
@@ -855,14 +862,14 @@ MEMO_ENTRIES = MEMORY_CAP // 32
 
 class _CallDelta(NamedTuple):
     """A call summary: what one whole-call piece added to the state it
-    started from, the same from any state its footprint (`held`) agrees
-    with: the call starts there (`begin_transaction`), its lists go after
-    that state's, and its balance is the one it starts with less what it sent."""
+    started from, the same from any state of its call counter that its
+    footprint (`held`) agrees with: the call starts there (`begin_transaction`),
+    its lists go after that state's, and its balance is the one it starts
+    with less what it sent."""
     conditions: list[Word]           # the path condition it added
     records: list[ExternalRecord]    # the records it left
     storage_writes: list[tuple[Word, Word]]  # the writes it added
     sent: tuple[Word, ...]           # the values its CALLs sent
-    fresh_counter: int
     held: tuple[Word | None, ...]    # the words its reads gave, then the balance it read
 
 
@@ -879,7 +886,6 @@ def _after_call(entry: SymbolicState, delta: _CallDelta) -> SymbolicState:
     state.storage_writes = entry.storage_writes + delta.storage_writes
     for value in delta.sent:
         state.balance = state.debited(state.balance, value)
-    state.fresh_counter = delta.fresh_counter
     return state
 
 
@@ -961,11 +967,11 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
 
     Every piece is a whole call, from the root to a terminal block: it
     begins with `begin_transaction`, and is stored in a memo under the
-    call counter, the fresh counter and its index, on which the names it
-    draws depend, with its footprint: the word that the state it started
-    from gives each key its SLOADs read (`entry_read`),
-    and that state's balance if the call read it (BALANCE of its own
-    address, SELFDESTRUCT).  That is all a call reads, since its stack and
+    call counter and its index, on which alone the names it draws depend
+    (`SymbolicState.fresh`), with its footprint: the word that the state
+    it started from gives each key its SLOADs read (`entry_read`), and
+    that state's balance if the call read it (BALANCE of its own address,
+    SELFDESTRUCT).  That is all a call reads, since its stack and
     memory start empty, no handler reads the path condition or the
     records, base storage and the code are the walk's own, and an
     unwritten slot reads the same word in any state.  Entering a piece
@@ -992,7 +998,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
     # by whole head: its balance and storage writes, held, and the calls
     # found under it, by piece index
     memo: dict[tuple, tuple[Word, list, dict[int, _CallDelta]]] = {}
-    # by (call counter, fresh counter, piece index), then (read keys, whether
+    # by (call counter, piece index), then (read keys, whether
     # the balance is read), then the ids of the words read
     prints: dict[tuple, dict[tuple, dict[tuple, _CallDelta]]] = {}
     # by (the calls dict a stored call was found in, the call): the calls
@@ -1007,8 +1013,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
         calls = after.get(key)
         if calls is None:
             entry = node.state
-            head = (entry.txn, entry.fresh_counter, id(entry.balance),
-                    tuple(map(id, entry.storage_writes)))
+            head = (entry.txn, id(entry.balance), tuple(map(id, entry.storage_writes)))
             found = memo.get(head)
             if found is None:
                 found = memo[head] = (entry.balance, entry.storage_writes, {})
@@ -1030,7 +1035,7 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
         delta = calls.get(index)
         if delta is None:
             entry = node.state
-            stored = prints.get((entry.txn, entry.fresh_counter, index))
+            stored = prints.get((entry.txn, index))
             if stored is not None:
                 delta = _footprint_match(stored, entry)
                 if delta is not None:
@@ -1091,10 +1096,10 @@ def _piece_runner(cfg: Cfg, code: bytes, base_storage: dict[Word, Word],
             keys, balance = tuple(state.reads), state.balance_read
             words = tuple(map(entry.entry_read, keys))
             delta = calls[index] = _CallDelta(
-                added, made, written, state.sent, state.fresh_counter,
+                added, made, written, state.sent,
                 words + ((entry.balance,) if balance else ()))
             if None not in words:
-                prints.setdefault((entry.txn, entry.fresh_counter, index), {}).setdefault(
+                prints.setdefault((entry.txn, index), {}).setdefault(
                     (keys, balance), {})[tuple(map(id, delta.held))] = delta
         return _Node(state, below, None)
 

@@ -13,7 +13,9 @@ size is not the constant 0, since the return data overwrites the output
 area.  SHA3 and MLOAD at a constant offset read an unwritten word as zero
 while memory is clean and no written word overlaps it, else as a fresh
 one, in witness mode too; MLOAD through a symbolic offset reads zero
-while nothing has been written, else a fresh word.  BALANCE reads the contract's own balance only
+while nothing has been written, else a fresh word.  A fresh word is named
+by where it is drawn: its tag, the call label and the drawing offset, with
+a count after the first draw there in the call.  BALANCE reads the contract's own balance only
 for the word ADDRESS pushed (`SymbolicState.address`): an operator that
 folds a word back into it gives an equal new word.
 MLOAD, MSTORE and MSTORE8 at a constant offset charge memory expansion
@@ -97,6 +99,7 @@ class ReferenceInterpreter:
         self.state.stack = []
         self.state.memory = {}
         self.state.mem_unknown = False
+        self.state.sites = {}
         self.state.balance = mk("ADD", self.state.balance, self._env("CALLVALUE"))
 
     def _mstore(self, offset: Word, value: Word) -> None:
@@ -107,12 +110,12 @@ class ReferenceInterpreter:
             self.state.memory.clear()
             self.state.mem_unknown = True
 
-    def _mload(self, offset: Word) -> Word:
+    def _mload(self, offset: Word, site: int) -> Word:
         if offset.is_concrete:
-            return self._mem_words(offset.value or 0, 32)[0]
+            return self._mem_words(offset.value or 0, 32, site)[0]
         if not self.state.memory and not self.state.mem_unknown:
             return ZERO  # nothing written: zero at any offset
-        return self._fresh_or_zero(f"MEM#{self.state.txn_label}")
+        return self._fresh_or_zero("MEM", site)
 
     @staticmethod
     def _expand_memory(offset: int, length: int) -> None:
@@ -124,7 +127,7 @@ class ReferenceInterpreter:
             self._expand_memory(offset.value or 0 if offset.is_concrete else 0,
                                 length.value or 0)
 
-    def _mem_words(self, offset: int, length: int) -> list[Word]:
+    def _mem_words(self, offset: int, length: int, site: int) -> list[Word]:
         self._expand_memory(offset, length)
         words = []
         for i in range(0, max(length, 0), 32):
@@ -134,7 +137,7 @@ class ReferenceInterpreter:
                 # unwritten: zero unless memory was cleared or a written
                 # word overlaps this one
                 if self.state.mem_unknown or any(abs(k - at) < 32 for k in self.state.memory):
-                    word = self._fresh_or_zero(f"MEM#{self.state.txn_label}")
+                    word = self._fresh_or_zero("MEM", site)
                 else:
                     word = ZERO
             words.append(word)
@@ -179,7 +182,7 @@ class ReferenceInterpreter:
         if name in _OPAQUE_READS:
             for _ in range(info.stack_pops):
                 self._pop()
-            self._push(self._fresh_or_zero(name))
+            self._push(self._fresh_or_zero(name, ins.offset))
             return
         if name in _ENV_READS:
             self._push(self._env(name))
@@ -187,7 +190,7 @@ class ReferenceInterpreter:
         if name == "SHA3":
             offset, length = self._pop(), self._pop()
             if offset.is_concrete and length.is_concrete:
-                words = self._mem_words(offset.value or 0, length.value or 0)
+                words = self._mem_words(offset.value or 0, length.value or 0, ins.offset)
                 term = node("sha3", tuple(words), length.value or 0)
                 if all(w.is_concrete for w in words):
                     self._push(const(eval_word(term, {})))
@@ -195,7 +198,7 @@ class ReferenceInterpreter:
                     self._push(term)
             else:
                 self._charge(offset, length)
-                self._push(state.fresh(f"SHA3#{state.txn_label}"))
+                self._push(self._fresh_or_zero("SHA3", ins.offset))
             return
         if name == "ADDRESS":
             self._push(SymbolicState.address)
@@ -205,7 +208,7 @@ class ReferenceInterpreter:
             if target is SymbolicState.address:
                 self._push(state.balance)
             else:
-                self._push(self._fresh_or_zero(f"EXTBAL#{state.txn_label}"))
+                self._push(self._fresh_or_zero("EXTBAL", ins.offset))
             return
         if name == "CALLDATALOAD":
             offset = self._pop()
@@ -216,7 +219,7 @@ class ReferenceInterpreter:
                 else:
                     self._push(var(word_name))
             else:
-                self._push(self._fresh_or_zero(f"CALLDATA#{state.txn_label}"))
+                self._push(self._fresh_or_zero("CALLDATA", ins.offset))
             return
         if name == "CODESIZE":
             self._push(const(len(self.code)))
@@ -240,7 +243,7 @@ class ReferenceInterpreter:
             self._push(const(ins.offset))
             return
         if name == "MLOAD":
-            self._push(self._mload(self._pop()))
+            self._push(self._mload(self._pop(), ins.offset))
             return
         if name == "MSTORE":
             offset, value = self._pop(), self._pop()
@@ -248,7 +251,7 @@ class ReferenceInterpreter:
             return
         if name == "MSTORE8":
             offset, value = self._pop(), self._pop()
-            word = self._fresh_or_zero(f"MEM#{state.txn_label}")
+            word = self._fresh_or_zero("MEM", ins.offset)
             if offset.is_concrete:
                 aligned = (offset.value or 0) & ~31
                 self._expand_memory(aligned, 32)
@@ -281,13 +284,13 @@ class ReferenceInterpreter:
                 # the return data overwrites the output area
                 state.memory.clear()
                 state.mem_unknown = True
-            self._push(self._fresh_or_zero(f"XRET#{state.txn_label}"))
+            self._push(self._fresh_or_zero("XRET", ins.offset))
             return
         if name == "CREATE":
             value, offset, length = self._pop(), self._pop(), self._pop()
             self._charge(offset, length)
             state.records.append(ExternalRecord(name, ins.offset, state.txn, None, value))
-            self._push(self._fresh_or_zero(f"XADDR#{state.txn_label}"))
+            self._push(self._fresh_or_zero("XADDR", ins.offset))
             return
         if name == "SELFDESTRUCT":
             target = self._pop()
@@ -296,11 +299,15 @@ class ReferenceInterpreter:
             return
         raise SymExecError(f"unhandled opcode {name}")
 
-    def _fresh_or_zero(self, tag: str) -> Word:
-        w = self.state.fresh(tag)
+    def _fresh_or_zero(self, tag: str, site: int) -> Word:
+        """The word drawn at offset `site`, named by its call and the site,
+        and by its count of earlier draws there in this call past the first."""
+        n = self.state.sites.get(site, 0)
+        self.state.sites[site] = n + 1
+        name = f"{tag}#{self.state.txn_label}.{site}" + (f".{n}" if n else "")
         if self.witness is not None:
-            return const(self.witness.get(w.name or "", 0))
-        return w
+            return const(self.witness.get(name, 0))
+        return var(name)
 
     def _copy_code(self, dest: int, src: int, length: int) -> None:
         self._expand_memory(dest, length)

@@ -4,7 +4,7 @@
 block runner as the reference, in symbolic and in witness mode.  In the
 symbolic lanes `_run_body` runs each block from a plan decoded once per
 CFG, and must leave the identical observable state after every block:
-stack, memory, storage writes, path condition, records, fresh counter and
+stack, memory, storage writes, path condition, records, draws by site and
 balance.  In the witness lanes `_run_body` runs the same plans over the
 machine in witness mode (`WitnessState`), whose every word is a constant,
 and each word the reference leaves must have the runner's constant as its
@@ -104,7 +104,7 @@ class _NotingReference(ReferenceInterpreter):
 
 def _observable(state, operands=()):
     return (state.stack, state.memory, state.mem_unknown, state.storage_writes,
-            state.path_condition, state.records, state.fresh_counter, state.balance,
+            state.path_condition, state.records, state.sites, state.balance,
             state.txn, operands)
 
 
@@ -118,7 +118,7 @@ def _valued(state, operands, witness):
         return eval_word(w, witness)
     return ([value(w) for w in state.stack], {k: value(w) for k, w in state.memory.items()},
             {value(k): value(w) for k, w in state.storage_writes}, value(state.balance),
-            state.txn, state.fresh_counter, [value(w) for w in operands])
+            state.txn, state.sites, [value(w) for w in operands])
 
 
 def _outcome(exc):
@@ -451,8 +451,8 @@ def test_an_mload_reads_the_word_stored_at_its_offset(offset):
         machine = make(code, state)
         machine.begin_transaction()
         run(machine, cfg.blocks[0], 0)
-        assert (state.stack, state.fresh_counter) == ([var("CALLDATA#1@0")], 0)
+        assert (state.stack, state.sites) == ([var("CALLDATA#1@0")], {})
     state = WitnessState({}, code, None, {"CALLDATA#1@0": 7})
     state.begin_transaction()
     _run_body(state, cfg, cfg.blocks[0])
-    assert (state.stack, state.fresh_counter) == ([const(7)], 0)
+    assert (state.stack, state.sites) == ([const(7)], {})

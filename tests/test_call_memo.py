@@ -27,13 +27,13 @@ _NAMES = sorted(p.stem for p in FIXTURES.glob("*.json")) + sorted(
 
 def _text(outcome) -> tuple:
     """A traced state as text: its storage writes, path condition, records,
-    balance and fresh counter; an error as its type and message."""
+    balance and draws; an error as its type and message."""
     if isinstance(outcome, SymExecError):
         return type(outcome).__name__, str(outcome)
     return ([f"{key} <- {value}" for key, value in outcome.storage_writes],
             list(map(str, outcome.path_condition)),
             [(r.kind, r.offset, r.txn, str(r.target), str(r.value)) for r in outcome.records],
-            str(outcome.balance), outcome.fresh_counter)
+            str(outcome.balance), outcome.sites)
 
 
 def _walks(cfg, code, storage, payable, bounds, facts):
@@ -148,13 +148,15 @@ def test_a_call_is_refused_when_a_read_slot_differs(monkeypatch):
 
 
 def test_a_call_is_refused_when_the_read_balance_differs(monkeypatch):
-    # after send the balance is 1 wei less than after gas2, and the names
-    # drawn so far are the same: balance, which reads it, runs after each
+    # after send the balance is 1 wei less than at the start: balance,
+    # which reads it, runs again there.  gas2 leaves the balance as
+    # stopping does, and a call's names depend on its call counter alone,
+    # so balance after gas2 is the call stored after stop
     ran = _second_calls(monkeypatch, ("send", "gas2", "balance"), "balance")
-    assert ran == {"stop": True, "send": True, "gas2": True, "balance": False}
-    # read0 reads no balance: it runs after one of them only
+    assert ran == {"stop": True, "send": True, "gas2": False, "balance": False}
+    # read0 reads no balance: it runs after stop alone
     ran = _second_calls(monkeypatch, ("send", "gas2", "read0"), "read0")
-    assert ran == {"stop": True, "send": False, "gas2": True, "read0": False}
+    assert ran == {"stop": True, "send": False, "gas2": False, "read0": False}
 
 
 def test_a_read_through_a_symbolic_key_falls_back_to_the_whole_head(monkeypatch):

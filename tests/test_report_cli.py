@@ -12,6 +12,7 @@ from evmscope.disasm import load_contract
 from evmscope.keccak import selector
 from evmscope.pathgen import PathBounds, enumerate_paths, filter_money
 from evmscope.report import (
+    SCHEMA_VERSION,
     AnalysisConfig,
     Report,
     _json_text,
@@ -174,7 +175,7 @@ def test_json_matches_golden_byte_for_byte():
 def test_json_empty_report_is_valid():
     report = analyze(get_contract("safe_token_0"), _config())
     doc = json.loads(to_json(report))
-    assert doc["schema"] == 1
+    assert doc["schema"] == SCHEMA_VERSION
     assert doc["critical_paths"] == []
     assert doc["statistics"]["violation_counts"] == {}
 
@@ -238,6 +239,18 @@ def test_cli_out_appends_each_format_to_a_dotted_base(tmp_path):
                    "--output", "both"])
     assert rc in (0, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["toydao.v2.html", "toydao.v2.json"]
+
+
+@pytest.mark.parametrize("base", [".", "reports"])
+def test_cli_out_refuses_a_directory_as_its_base(tmp_path, monkeypatch, capsys, base):
+    # a directory is no file base: the run exits 1 before it analyzes, and
+    # writes nothing (not a hidden `..json`, nor `reports.json` beside it)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    monkeypatch.setattr("evmscope.cli.analyze", lambda *args: pytest.fail("analyzed"))
+    assert cli_main(["analyze", str(FIXTURES / "sink_3.json"), "--out", base]) == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["reports"]
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_cli_exit_one_on_bad_input(tmp_path):

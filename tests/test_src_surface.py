@@ -186,13 +186,13 @@ def test_settable_values_do_not_grow():
     assert sum(counts.values()) <= 51, counts
 
 
-_CALL_FRAME = {"stack", "memory", "mem_unknown", "call_start", "txn"}
+_CALL_FRAME = {"stack", "memory", "mem_unknown", "sites", "call_start", "txn"}
 
 
 def test_the_call_boundary_has_one_home_per_layer():
     """A call starts and ends in `SymbolicState` alone (`begin_transaction`,
     `end_call`): no other src function assigns a state's stack, memory,
-    `mem_unknown`, `call_start` or call counter.  No edge kind leaves a
+    `mem_unknown`, draw counts (`sites`), `call_start` or call counter.  No edge kind leaves a
     call: each is a jump or a fall through, and the unfolding alone starts
     the next call at the root."""
     writers = []
