@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from . import isa
@@ -290,12 +292,12 @@ def detect_payable_entries(cfg: Cfg, instructions: list[Instruction],
     receive Ether either.  Everything else is treated as payable, the
     implicit STOP past the end of the code among it.
     """
-    index_by_offset = {ins.offset: i for i, ins in enumerate(instructions)}
     payable: set[int | str] = set()
     details: dict[int | str, dict] = {}
     for name, entry_block in cfg.function_entries.items():
         block = cfg.blocks[entry_block]
-        idx = index_by_offset.get(block.first_offset, len(instructions))
+        # a block starts at an instruction, or past the last at the implicit STOP
+        idx = bisect_left(instructions, block.first_offset, key=attrgetter("offset"))
         if block.instructions[0].mnemonic == "JUMPDEST":
             idx += 1
         if _matches_preamble(instructions, idx):

@@ -9,6 +9,11 @@ resolved by simulating the operand stack along root-to-block paths;
 resolution repeats to a fixpoint because each resolved jump can make
 further dangling blocks reachable.  The simulation stops once the analysis
 deadline passes, leaving the jumps not yet simulated unresolved.
+
+Only runtime code gets all four stages.  The constructor pre-run reads the
+creation code's blocks alone (`build_blocks`), as a graph without edges.
+Each stage reads an instruction's opcode classes from its `isa.TABLE`
+entry, or from the tables below indexed by its byte.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import enum
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import isa
 from .disasm import Instruction
@@ -26,6 +32,8 @@ from .disasm import Instruction
 MAX_SIM_PATHS = 10_000
 
 TOP = object()  # lattice top: statically unknown stack slot
+
+_new = tuple.__new__  # an Edge by position, skipping NamedTuple's keywords
 
 
 class EdgeKind(enum.Enum):
@@ -45,9 +53,29 @@ class Terminator(enum.Enum):
 
 FALLBACK = "<fallback>"
 
+_JUMP, _JUMPI, _JUMPDEST = 0x56, 0x57, 0x5B
 
-@dataclass(frozen=True)
-class Edge:
+
+def _block_end(info: isa.OpcodeInfo) -> Terminator | None:
+    """How a block that reaches this opcode ends, None if it goes on.  The
+    instruction after a call starts a block: the split keeps the block
+    labels (Node_112_162) that the reports name."""
+    if info.mnemonic == "JUMP":
+        return Terminator.JUMP
+    if info.mnemonic == "JUMPI":
+        return Terminator.COND_JUMP
+    if info.is_terminal:
+        return Terminator.TERMINAL
+    return Terminator.FALL_THROUGH if info.is_call else None
+
+
+# By opcode byte: how a block ends there, and the word operator's concrete
+# function (`isa.OPERATORS`), None for any other opcode.
+_ENDS: tuple[Terminator | None, ...] = tuple(map(_block_end, isa.TABLE))
+_FOLDS: tuple = tuple(isa.OPERATORS.get(info.mnemonic) for info in isa.TABLE)
+
+
+class Edge(NamedTuple):
     src: int
     dst: int
     kind: EdgeKind
@@ -85,10 +113,10 @@ class Diagnostic:
 
 
 class Cfg:
-    def __init__(self, blocks: dict[int, BasicBlock], root: int, edges: set[Edge]) -> None:
+    def __init__(self, blocks: dict[int, BasicBlock], root: int) -> None:
         self.blocks = blocks
         self.root = root
-        self.edges = edges
+        self.edges: set[Edge] = set()
         self.function_entries: dict[int | str, int] = {}
         self.dangling: set[int] = set()
         self.diagnostics: list[Diagnostic] = []
@@ -102,10 +130,11 @@ class Cfg:
         return self._succ.get(block_id, [])
 
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> bool:
-        edge = Edge(src, dst, kind)
-        if edge in self.edges:
+        edge = _new(Edge, (src, dst, kind))
+        size = len(self.edges)
+        self.edges.add(edge)  # one hash, where a test and an add take two
+        if len(self.edges) == size:
             return False
-        self.edges.add(edge)
         self._succ.setdefault(src, []).append(edge)
         self._pred.setdefault(dst, []).append(edge)
         return True
@@ -141,52 +170,37 @@ def build_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
     starts one; the instruction after a call-class opcode starts one.  The
     entry block begins at offset 0 whether or not that is a JUMPDEST.
     Running past the end of the code is STOP (Yellow Paper): unless the last
-    instruction is JUMP or terminal, a STOP follows it at its next offset.
+    instruction is JUMP or terminal, a STOP follows it at its next offset,
+    so the last instruction always ends a block.
     """
     if not instructions:
         raise ValueError("cannot build blocks from an empty instruction list")
     last = instructions[-1]
     if last.mnemonic != "JUMP" and not last.info.is_terminal:
-        instructions = instructions + [Instruction(last.next_offset, isa.lookup(0x00))]
+        instructions = instructions + [Instruction(last.next_offset, isa.TABLE[0x00], None)]
     blocks: dict[int, BasicBlock] = {}
-    current: list[Instruction] = []
 
-    def flush(terminator: Terminator) -> None:
-        nonlocal current
-        if not current:
-            return
-        first = current[0].offset
-        blocks[first] = BasicBlock(
-            id=first,
-            first_offset=first,
-            last_offset=current[-1].offset,
-            instructions=current,
-            terminator=terminator,
-        )
-        current = []
+    def flush(start: int, end: int, terminator: Terminator) -> None:
+        first = instructions[start].offset
+        blocks[first] = BasicBlock(first, first, instructions[end - 1].offset,
+                                   instructions[start:end], terminator)
 
-    for ins in instructions:
-        info = ins.info
-        if info.mnemonic == "JUMPDEST" and current:
-            flush(Terminator.FALL_THROUGH)
-        current.append(ins)
-        if info.mnemonic == "JUMP":
-            flush(Terminator.JUMP)
-        elif info.mnemonic == "JUMPI":
-            flush(Terminator.COND_JUMP)
-        elif info.is_terminal:
-            flush(Terminator.TERMINAL)
-        elif info.is_call:
-            # the call falls through to its next instruction; the split keeps
-            # the block labels (Node_112_162) that the reports name
-            flush(Terminator.FALL_THROUGH)
-    flush(Terminator.FALL_THROUGH)
+    start = 0
+    for index, ins in enumerate(instructions):
+        byte = ins.info.byte_value
+        if byte == _JUMPDEST and index > start:
+            flush(start, index, Terminator.FALL_THROUGH)
+            start = index
+        terminator = _ENDS[byte]
+        if terminator is not None:
+            flush(start, index + 1, terminator)
+            start = index + 1
     return blocks
 
 
 def connect_static(blocks: dict[int, BasicBlock]) -> Cfg:
     """Wire all edges that are decidable without simulating the stack."""
-    cfg = Cfg(blocks, min(blocks), set())
+    cfg = Cfg(blocks, min(blocks))
     ordered = sorted(blocks)
     # every block that does not end in JUMP or a terminal instruction has
     # one: the code ends in one of those or in the implicit STOP
@@ -244,28 +258,28 @@ def _simulate_block(block: BasicBlock, stack: list) -> tuple[list, object]:
 
     for ins in block.instructions:
         info = ins.info
-        name = info.mnemonic
+        byte = info.byte_value
         if info.is_push:
             stack.append(ins.immediate or 0)
-        elif name.startswith("DUP"):
-            n = info.byte_value - 0x80 + 1
+        elif 0x80 <= byte <= 0x8F:  # DUPn
+            n = byte - 0x7F
             stack.append(stack[-n] if len(stack) >= n else TOP)
-        elif name.startswith("SWAP"):
-            n = info.byte_value - 0x90 + 1
+        elif 0x90 <= byte <= 0x9F:  # SWAPn
+            n = byte - 0x8F
             if len(stack) >= n + 1:
                 stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             else:
                 # depth unknown below the modelled part: havoc what we have
                 stack = [TOP] * len(stack)
-        elif name == "JUMP":
+        elif byte == _JUMP:
             target = pop()
-        elif name == "JUMPI":
+        elif byte == _JUMPI:
             target = pop()
             pop()  # condition
         else:
             args = [pop() for _ in range(info.stack_pops)]
             if info.stack_pushes:  # never more than one word here
-                op = isa.OPERATORS.get(name)
+                op = _FOLDS[byte]
                 stack.append(op(*args) if op is not None and TOP not in args else TOP)
     return stack, target
 
@@ -383,9 +397,10 @@ def _dispatch_selector(block: BasicBlock) -> int | None:
     push4 = None
     saw_eq = False
     for ins in block.instructions:
-        if ins.mnemonic == "PUSH4" and ins.immediate != _SELECTOR_MASK:
+        name = ins.info.mnemonic
+        if name == "PUSH4" and ins.immediate != _SELECTOR_MASK:
             push4 = ins.immediate
-        elif ins.mnemonic == "EQ" and push4 is not None:
+        elif name == "EQ" and push4 is not None:
             saw_eq = True
     return push4 if saw_eq else None
 

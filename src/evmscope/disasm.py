@@ -6,6 +6,7 @@ import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import isa
 
@@ -22,15 +23,21 @@ class NonHexCharacterError(HexError):
     pass
 
 
-@dataclass(frozen=True)
-class Instruction:
+_new = tuple.__new__  # an Instruction from its three fields, skipping NamedTuple's keywords
+
+
+class Instruction(NamedTuple):
+    """One decoded instruction: its offset, its opcode's entry in
+    `isa.TABLE`, and its immediate (None for an opcode without one).  A
+    tuple, built by position in `disassemble` as `symexec.Word` is: a
+    frozen dataclass's `__init__` cost more than the rest of decoding."""
     offset: int
     info: isa.OpcodeInfo
-    immediate: int | None = None
+    immediate: int | None
 
     @property
     def next_offset(self) -> int:
-        return self.offset + 1 + self.info.immediate_bytes
+        return self.offset + self.info.size
 
     @property
     def mnemonic(self) -> str:
@@ -81,18 +88,18 @@ def disassemble(code: bytes) -> list[Instruction]:
     right, matching chain-client behaviour for truncated deployments.
     """
     out: list[Instruction] = []
-    offset = 0
-    n = len(code)
+    append, table = out.append, isa.TABLE
+    offset, n = 0, len(code)
     while offset < n:
-        info = isa.lookup(code[offset])
-        if info.immediate_bytes:
-            raw = code[offset + 1:offset + 1 + info.immediate_bytes]
-            if len(raw) < info.immediate_bytes:
-                raw = raw + b"\x00" * (info.immediate_bytes - len(raw))
-            out.append(Instruction(offset, info, int.from_bytes(raw, "big")))
+        info = table[code[offset]]
+        width = info.immediate_bytes
+        if width:
+            raw = code[offset + 1:offset + 1 + width].ljust(width, b"\x00")
+            append(_new(Instruction, (offset, info, int.from_bytes(raw, "big"))))
+            offset += 1 + width
         else:
-            out.append(Instruction(offset, info))
-        offset += info.size
+            append(_new(Instruction, (offset, info, None)))
+            offset += 1
     return out
 
 

@@ -12,6 +12,7 @@ scope, so every figure is a static lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 
@@ -28,6 +29,8 @@ CALL_OPCODES = frozenset({0xF0, 0xF1, 0xF2, 0xF4, 0xFA})  # CREATE, CALL, CALLCO
 
 @dataclass(frozen=True)
 class OpcodeInfo:
+    """One entry of `TABLE`.  Its classes are worked out on first read and
+    kept with the entry, so a pass over the code reads each as a field."""
     byte_value: int
     mnemonic: str
     immediate_bytes: int
@@ -35,23 +38,23 @@ class OpcodeInfo:
     stack_pushes: int
     static_gas: int
 
-    @property
+    @cached_property
     def is_money_related(self) -> bool:
         return self.byte_value in MONEY_OPCODES and self.mnemonic != "INVALID"
 
-    @property
+    @cached_property
     def is_terminal(self) -> bool:
         return self.byte_value in TERMINAL_OPCODES or self.mnemonic == "INVALID"
 
-    @property
+    @cached_property
     def is_call(self) -> bool:
         return self.byte_value in CALL_OPCODES and self.mnemonic != "INVALID"
 
-    @property
+    @cached_property
     def is_push(self) -> bool:
         return 0x60 <= self.byte_value <= 0x7F and self.immediate_bytes > 0
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 1 + self.immediate_bytes
 
@@ -177,12 +180,8 @@ def _build_table() -> tuple[OpcodeInfo, ...]:
     return tuple(table)  # type: ignore[arg-type]
 
 
+# By opcode byte; an undefined byte decodes as INVALID.
 TABLE: tuple[OpcodeInfo, ...] = _build_table()
-
-
-def lookup(byte_value: int) -> OpcodeInfo:
-    """Total over 0x00-0xFF; undefined bytes return the INVALID entry."""
-    return TABLE[byte_value & 0xFF]
 
 
 WORD_MOD = 1 << 256
@@ -285,14 +284,12 @@ class GasTable:
     """Per-opcode static gas, with the user's overrides (byte to gas) applied."""
 
     def __init__(self, overrides: dict[int, int]):
-        self._costs = [info.static_gas for info in TABLE]
+        self.costs = [info.static_gas for info in TABLE]  # by byte
         for byte, gas in overrides.items():
-            self._costs[byte & 0xFF] = gas
-
-    def cost(self, byte_value: int) -> int:
-        return self._costs[byte_value & 0xFF]
+            self.costs[byte & 0xFF] = gas
 
 
 def estimate_gas(instructions: Iterable, gas_table: GasTable) -> int:
     """Static gas of an instruction sequence: the sum of its scheduled costs."""
-    return sum(gas_table.cost(ins.info.byte_value) for ins in instructions)
+    costs = gas_table.costs
+    return sum([costs[ins.info.byte_value] for ins in instructions])

@@ -33,7 +33,7 @@ from .analyzers import (  # noqa: F401
     check_transfer_limit,
     detect_payable_entries,
 )
-from .cfg import Cfg, FALLBACK, build_cfg
+from .cfg import Cfg, FALLBACK, build_blocks, build_cfg
 from .disasm import ContractCode, disassemble
 # perfbench/tracer.py patches enumerate_paths and filter_money here
 from .pathgen import (  # noqa: F401
@@ -217,8 +217,10 @@ def analyze(contract: ContractCode, config: AnalysisConfig,
 
     base_storage: dict[Word, Word] = {}
     if contract.creation_code:
-        creation_cfg = build_cfg(disassemble(contract.creation_code), deadline)
-        base_storage, ctor_diags = run_constructor(creation_cfg, contract.creation_code,
+        # the pre-run reads the creation code's blocks alone: a graph
+        # without edges serves it
+        creation = Cfg(build_blocks(disassemble(contract.creation_code)), 0)
+        base_storage, ctor_diags = run_constructor(creation, contract.creation_code,
                                                    deadline=deadline)
         diagnostics.extend(ctor_diags)
 

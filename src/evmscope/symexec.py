@@ -459,7 +459,7 @@ class SymbolicState:
 
     # -- instruction handlers ----------------------------------------------
     # `handler(state, ins, operand)`: the operand is decoded once per
-    # instruction by `compile_instruction`.  The block runner has checked
+    # instruction by `compile_block`.  The block runner has checked
     # the stack against the block's bounds, so no handler checks it.
 
     def _opaque_read(self, ins: Instruction, pops: int) -> None:
@@ -705,13 +705,6 @@ _HANDLERS: tuple[tuple, ...] = tuple(_handler_entry(info) for info in isa.TABLE)
 Op = tuple[Callable[[SymbolicState, Instruction, Any], None] | str, Instruction, Any]
 
 
-def compile_instruction(ins: Instruction) -> Op:
-    handler, operand = _HANDLERS[ins.info.byte_value]
-    if handler is _PUSH:
-        operand = const(ins.offset if ins.info.mnemonic == "PC" else ins.immediate or 0)
-    return handler, ins, operand
-
-
 class BlockPlan(NamedTuple):
     """A basic block decoded once, to be run any number of times."""
     ops: tuple[Op, ...]     # the body; instructions with no effect are left out
@@ -721,26 +714,28 @@ class BlockPlan(NamedTuple):
     grow: int               # the most the block raises the stack above its entry depth
 
 
-def _stack_bounds(instructions: list[Instruction]) -> tuple[int, int]:
-    """(need, grow) of a block, from the ISA's pops and pushes.  The table
+def compile_block(block) -> BlockPlan:
+    """Decode a block once: each instruction's handler and operand, and
+    the block's stack bounds from the ISA's pops and pushes.  The table
     gives DUPn as n pops and n+1 pushes and SWAPn as n+1 of each, which is
     how deep they reach; every handler pops before it pushes."""
+    ops: list[Op] = []
     need = grow = height = 0
-    for ins in instructions:
+    for ins in block.instructions:
         info = ins.info
-        need = max(need, info.stack_pops - height)
-        height += info.stack_pushes - info.stack_pops
+        handler, operand = _HANDLERS[info.byte_value]
+        if handler is _PUSH:
+            operand = const(ins.offset if info.mnemonic == "PC" else ins.immediate or 0)
+        if handler is not None:
+            ops.append((handler, ins, operand))
+        pops = info.stack_pops
+        need = max(need, pops - height)
+        height += info.stack_pushes - pops
         grow = max(grow, height)
-    return need, grow
-
-
-def compile_block(block) -> BlockPlan:
     last = block.last
-    ops = tuple(op for op in map(compile_instruction, block.instructions)
-                if op[0] is not None)
     reverts = last.mnemonic == "REVERT" and block.terminator is Terminator.TERMINAL
-    return BlockPlan(ops, {"JUMP": 1, "JUMPI": 2}.get(last.mnemonic, 0), reverts,
-                     *_stack_bounds(block.instructions))
+    return BlockPlan(tuple(ops), {"JUMP": 1, "JUMPI": 2}.get(last.mnemonic, 0), reverts,
+                     need, grow)
 
 
 # ---------------------------------------------------------------------------
@@ -1337,6 +1332,10 @@ def run_constructor(creation_cfg: Cfg | None, code: bytes | None,
                     deadline: float | None = None,
                     ) -> tuple[dict[Word, Word], list[str]]:
     """Execute the constructor's main path; returns (storage, diagnostics).
+
+    Reads only `creation_cfg`'s blocks and root: the walk follows the
+    jump targets it computes, so a graph without edges, the creation
+    code's `build_blocks` alone, serves (as `report.analyze` gives it).
 
     Constructor arguments stay symbolic.  The walk is steered (`_steer`)
     like a replay, but chooses each next block itself: at a branch with a

@@ -13,7 +13,7 @@ for _info in isa.TABLE:
 
 def by_mnemonic(name: str) -> isa.OpcodeInfo:
     """The table entry of a mnemonic; INVALID names the first undefined byte."""
-    return isa.lookup(_BY_NAME[name.upper()])
+    return isa.TABLE[_BY_NAME[name.upper()]]
 
 
 @dataclass

@@ -395,7 +395,7 @@ def _witness_outcomes(cfg, block, code, words, storage_word):
 def test_random_blocks_match_the_reference(block, depth, words, mode):
     if depth in _OWN_BOUNDS:
         depth = max(_OWN_BOUNDS[depth](compile_block(block)), 0)
-    cfg = Cfg(blocks={0: block}, root=0, edges=set())
+    cfg = Cfg(blocks={0: block}, root=0)
     code = b"".join(ins.encode() for ins in block.instructions)
     stack = [words[i % len(words)] for i in range(depth)]
     fault = _stack_fault(block, depth)
@@ -416,7 +416,7 @@ def test_every_opcode_at_its_stack_bounds_matches_the_reference(mode):
         ins = Instruction(0, info, 0x1234 if info.immediate_bytes else None)
         block = BasicBlock(0, 0, 0, [ins], Terminator.TERMINAL if info.is_terminal
                            else Terminator.FALL_THROUGH)
-        cfg = Cfg(blocks={0: block}, root=0, edges=set())
+        cfg = Cfg(blocks={0: block}, root=0)
         for depth in {max(info.stack_pops - 1, 0), info.stack_pops, STACK_LIMIT}:
             ref, new, *_ = outcomes(cfg, block, b"", [const(i % 3) for i in range(depth)],
                                     const(9))

@@ -275,6 +275,22 @@ def test_a_ladder_of_dangling_jumps_returns_at_the_deadline():
     assert late and all(d.startswith("unresolved_indirect_jump: Node_") for d in late)
 
 
+def test_a_hostile_constructor_leaves_the_runtime_its_wall_time():
+    # the pre-run reads the creation code's blocks alone, so a ladder whose
+    # stack simulation would outlast the wall time costs it nothing
+    creation = ladder_of_dangling_jumps(1500)
+    assert len(creation) == 2 * 12001
+    contract = ContractCode(runtime_code=parse_hex("33ff"), name="ctor",
+                            creation_code=parse_hex(creation))
+    config = AnalysisConfig(bounds=PathBounds(call_depth=2, wall_time=3),
+                            registry_mode="disabled", include_timing=False)
+    started = time.monotonic()
+    report = analyze(contract, config)
+    assert time.monotonic() - started < 1
+    assert report.statistics["timed_out"] is False
+    assert PropertyId.GUARD_SUICIDE.value in report.statistics["violation_counts"]
+
+
 def test_near_cap_sha3_returns_at_the_deadline():
     assert _NEAR_CAP_SHA3 == "623c240060002050"
     contract = ContractCode(runtime_code=parse_hex(_NEAR_CAP_SHA3 + "33ff"), name="sha3")

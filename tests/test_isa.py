@@ -8,29 +8,29 @@ from asmtool import by_mnemonic
 def test_table_total_over_all_bytes():
     assert len(isa.TABLE) == 256
     for byte in range(256):
-        info = isa.lookup(byte)
+        info = isa.TABLE[byte]
         assert info.byte_value == byte
 
 
 def test_lookup_examples():
-    assert isa.lookup(0x00).mnemonic == "STOP"
-    assert isa.lookup(0x00).is_terminal
-    call = isa.lookup(0xF1)
+    assert isa.TABLE[0x00].mnemonic == "STOP"
+    assert isa.TABLE[0x00].is_terminal
+    call = isa.TABLE[0xF1]
     assert call.mnemonic == "CALL"
     assert call.is_money_related
-    invalid = isa.lookup(0xFE)
+    invalid = isa.TABLE[0xFE]
     assert invalid.mnemonic == "INVALID"
     assert invalid.is_terminal
     # undefined byte values decode as INVALID and halt execution
-    assert isa.lookup(0x0C).mnemonic == "INVALID"
-    assert isa.lookup(0x0C).is_terminal
+    assert isa.TABLE[0x0C].mnemonic == "INVALID"
+    assert isa.TABLE[0x0C].is_terminal
 
 
 def test_push_immediate_sizes_sum_to_528():
     total = sum(info.immediate_bytes for info in isa.TABLE if info.is_push)
     assert total == 528
     for i in range(32):
-        assert isa.lookup(0x60 + i).immediate_bytes == i + 1
+        assert isa.TABLE[0x60 + i].immediate_bytes == i + 1
     non_push = [info for info in isa.TABLE
                 if not info.is_push and info.immediate_bytes != 0]
     assert non_push == []
@@ -67,19 +67,19 @@ def test_stack_effects_spot_checks():
 
 def test_gas_spot_checks():
     gas = isa.GasTable({})
-    assert gas.cost(by_mnemonic("PUSH1").byte_value) == 3
-    assert gas.cost(by_mnemonic("ADD").byte_value) == 3
-    assert gas.cost(by_mnemonic("STOP").byte_value) == 0
-    assert gas.cost(by_mnemonic("CALL").byte_value) == 700
-    assert gas.cost(by_mnemonic("JUMPDEST").byte_value) == 1
+    assert gas.costs[by_mnemonic("PUSH1").byte_value] == 3
+    assert gas.costs[by_mnemonic("ADD").byte_value] == 3
+    assert gas.costs[by_mnemonic("STOP").byte_value] == 0
+    assert gas.costs[by_mnemonic("CALL").byte_value] == 700
+    assert gas.costs[by_mnemonic("JUMPDEST").byte_value] == 1
 
 
 def test_gas_override_loading():
     overrides = isa.load_gas_overrides("SLOAD 800\n# comment\nCALL 2600\n")
     table = isa.GasTable(overrides)
-    assert table.cost(by_mnemonic("SLOAD").byte_value) == 800
-    assert table.cost(by_mnemonic("CALL").byte_value) == 2600
-    assert table.cost(by_mnemonic("ADD").byte_value) == 3
+    assert table.costs[by_mnemonic("SLOAD").byte_value] == 800
+    assert table.costs[by_mnemonic("CALL").byte_value] == 2600
+    assert table.costs[by_mnemonic("ADD").byte_value] == 3
 
 
 def test_gas_override_rejects_unknown_mnemonic():

@@ -264,7 +264,7 @@ def test_step_covers_every_opcode_byte(runner):
                       }.get(info.mnemonic, Terminator.TERMINAL if info.is_terminal
                             else Terminator.FALL_THROUGH)
         block = BasicBlock(64, 64, 64, [ins], terminator)
-        cfg = Cfg(blocks={64: block}, root=64, edges=set())
+        cfg = Cfg(blocks={64: block}, root=64)
         if runner == "symbolic":
             state = symbolic_state(stack=[var(f"S{i}") for i in range(20)], code=bytes(100))
         else:
